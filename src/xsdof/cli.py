@@ -35,6 +35,7 @@ from .errors import (
     SingularSystem,
 )
 from .knowledge import Node
+from .regions import frac_json
 from .schemes import SchemeId
 
 EXIT_OK = 0
@@ -47,10 +48,6 @@ MODEL_KEYS = tuple(m.value for m in FeedbackModel)
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def _frac(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
 
 
 @dataclass
@@ -102,7 +99,7 @@ class TrialReport:
             "subspace_oracle": {"rx1": self.oracle_rx1, "rx2": self.oracle_rx2},
             "empirical_dof": None
             if self.dof_rx1 is None
-            else {"rx1": _frac(self.dof_rx1), "rx2": _frac(self.dof_rx2)},
+            else {"rx1": frac_json(self.dof_rx1), "rx2": frac_json(self.dof_rx2)},
         }
 
 
@@ -124,7 +121,7 @@ def run_trial(
     """
     t_start = time.perf_counter()
     if model is None:
-        model = schemes.default_model(scheme, tx1_only)
+        model = schemes.variant(scheme, tx1_only).model
     trial_seed = seed
     for attempt in range(1, max_resamples + 1):
         transcript = schemes.run(
@@ -206,15 +203,15 @@ def _cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _scheme_invariants_ok(reports: list[TrialReport], scheme: SchemeId) -> tuple[bool, list[str]]:
-    """The runtime invariants a simulation batch must satisfy."""
+def _scheme_invariants_ok(reports: list[TrialReport], leakage: str) -> tuple[bool, list[str]]:
+    """The runtime invariants a simulation batch must satisfy under its leakage claim."""
     problems = []
     if not all(r.decode_ok for r in reports):
         problems.append("decode failed on at least one trial")
     target = reports[0].plan.dof_target()
     if any(r.dof_rx1 != target or r.dof_rx2 != target for r in reports if r.decode_ok):
         problems.append("empirical DoF differs from the plan target")
-    if scheme in (SchemeId.A, SchemeId.B, SchemeId.D):
+    if leakage == "zero":
         if any(r.secrecy.leak_defect_rx1 or r.secrecy.leak_defect_rx2 for r in reports):
             problems.append("nonzero leakage defect")
         if any(
@@ -225,7 +222,7 @@ def _scheme_invariants_ok(reports: list[TrialReport], scheme: SchemeId) -> tuple
             problems.append("rate rank below target")
         if any(r.oracle_rx1 is False or r.oracle_rx2 is False for r in reports):
             problems.append("subspace oracle rejected a trial")
-    if scheme is SchemeId.E:
+    if leakage == "positive":
         if any(
             r.secrecy.leak_defect_rx1 == 0 or r.secrecy.leak_defect_rx2 == 0 for r in reports
         ):
@@ -259,7 +256,7 @@ def _cmd_simulate(args) -> int:
                 with_oracle=not args.no_oracle,
             )
         )
-    ok, problems = _scheme_invariants_ok(reports, scheme)
+    ok, problems = _scheme_invariants_ok(reports, schemes.variant(scheme, args.tx1_only).leakage)
     summary = {
         "scheme": scheme.value,
         "config": {"m": args.M, "n": args.N},
@@ -270,7 +267,7 @@ def _cmd_simulate(args) -> int:
         ),
         "empirical_dof": None
         if reports[0].dof_rx1 is None
-        else {"rx1": _frac(reports[0].dof_rx1), "rx2": _frac(reports[0].dof_rx2)},
+        else {"rx1": frac_json(reports[0].dof_rx1), "rx2": frac_json(reports[0].dof_rx2)},
         "invariants_ok": ok,
         "problems": problems,
     }
@@ -278,8 +275,8 @@ def _cmd_simulate(args) -> int:
         corner = regions.symmetric_corner(args.M, args.N, regions.ASYM_FB)
         summary["inner_bound_discrepancy"] = {
             "flagged": corner.discrepancy,
-            "scheme_point": _frac(corner.point[0]),
-            "intersection_point": _frac(corner.intersection_point[0]),
+            "scheme_point": frac_json(corner.point[0]),
+            "intersection_point": frac_json(corner.intersection_point[0]),
         }
     if args.format == "json":
         for r in reports:
@@ -343,13 +340,14 @@ def _suite_ranks(seed: int, trials: int) -> list[tuple[str, bool, str]]:
             for r in reports
         )
         checks.append((f"report/oracle agreement {scheme.value}({m},{n})", agree, ""))
-        if scheme in (SchemeId.A, SchemeId.B, SchemeId.D):
+        leakage = schemes.variant(scheme).leakage
+        if leakage == "zero":
             leak_ok = all(
                 r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
                 for r in reports
             )
             checks.append((f"zero leakage {scheme.value}({m},{n})", leak_ok, ""))
-        if scheme is SchemeId.E:
+        if leakage == "positive":
             neg_ok = all(
                 r.secrecy.leak_defect_rx1 > 0 and r.secrecy.leak_defect_rx2 > 0
                 for r in reports
@@ -462,6 +460,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be >= 1")
+    if getattr(args, "M_max", 1) < 1:
+        parser.error("--M-max must be >= 1")
     try:
         return args.func(args)
     except InvalidInput as e:

@@ -32,9 +32,6 @@ DEFAULT_REL_TOL = 1e-9
 #: Solves whose condition estimate exceeds this are flagged for resampling.
 CONDITION_LIMIT = 1e12
 
-#: Residual tolerance for solve_square, relative to ``norm(b)``.
-SOLVER_TOL = 1e-8
-
 
 def substream(seed: int, *path) -> np.random.Generator:
     """Return an independent, reproducible random stream.
@@ -137,6 +134,8 @@ def solve_square(
 ) -> SolveReport:
     """Solve the square system ``a @ x = b`` via SVD.
 
+    The square case of :func:`solve_full_column_rank`, plus the empty system.
+
     Parameters
     ----------
     a : array_like
@@ -158,21 +157,11 @@ def solve_square(
         If ``a`` is numerically rank deficient at ``rel_tol``.
     """
     m = as_matrix(a)
-    rhs = np.asarray(b, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise InvalidShape(f"matrix is {m.shape}, not square")
-    if rhs.shape[0] != m.shape[0]:
-        raise InvalidShape(f"rhs length {rhs.shape[0]} != matrix side {m.shape[0]}")
-    if m.size == 0:
-        return SolveReport(rhs.copy(), 1.0)
-    u, s, vh = np.linalg.svd(m)
-    if s[0] == 0.0 or s[-1] <= rel_tol * s[0]:
-        raise SingularSystem(f"square system of side {m.shape[0]} is rank deficient")
-    condition = float(s[0] / s[-1])
-    if condition_limit is not None and condition > condition_limit:
-        raise IllConditioned(f"condition estimate {condition:.3e} exceeds {condition_limit:.1e}")
-    x = vh.conj().T @ ((u.conj().T @ rhs).T / s).T
-    return SolveReport(x, condition)
+    if m.size == 0 and np.shape(b)[0] == 0:
+        return SolveReport(np.array(b, dtype=complex), 1.0)
+    return solve_full_column_rank(m, b, rel_tol, condition_limit)
 
 
 def solve_full_column_rank(

@@ -1,10 +1,11 @@
 """Phase-based transmission schemes as ledger-constrained encoders + decoders.
 
-Five schemes share one machinery:
+Five schemes share one machinery: a noise phase, two fresh-symbol phases
+cloaked by mixes of the intended receiver's noise-phase output, and a final
+phase retransmitting what each receiver overheard of the other's fresh phase.
 
-* ``A``: own-receiver feedback plus delayed transmitter CSI; four phases
-  (artificial noise, fresh symbols for receiver 1, fresh symbols for
-  receiver 2, joint retransmission of the overheard side information).
+* ``A``: own-receiver feedback plus delayed transmitter CSI; both
+  transmitters carry every mixing and retransmission term.
 * ``D``: the same construction driven purely by symmetric output feedback:
   every quantity a transmitter needs arrives directly, so no CSI is read.
 * ``B``: single-slot phases for the many-antenna regime (m >= n); only
@@ -16,19 +17,25 @@ Five schemes share one machinery:
 * ``E``: the no-secrecy variant: the scheme-A construction with the noise
   phase removed.
 
-Encoders obtain every non-local quantity through capability views; when the
-direct fed-back route is not granted they fall back to reconstruction
-(recover the peer's inputs from own feedback and delayed CSI, then rebuild
-the other receiver's output).  If neither route is granted the run aborts
-with :class:`UnauthorizedAccess`; that abort is the enforcement working,
-not a failure of the simulator.
+One row of :data:`SPECS` per variant (C's run mode counts as one) holds all
+that sets it apart: default feedback model, phase-length rule, the carriers
+of each precoder, whether the final phase retransmits selected rows, and the
+leakage claim.  The one encoder, the one decoder, the linear replay and the
+audits in ``verify`` read that row instead of branching on the scheme.
+
+Encoders obtain every quantity, their own symbols included, through
+capability views; when the direct fed-back route is not granted they fall
+back to reconstruction (recover the peer's inputs from own feedback and
+delayed CSI, then rebuild the other receiver's output).  If neither route is
+granted the run aborts with :class:`UnauthorizedAccess`; that abort is the
+enforcement working, not a failure of the simulator.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -57,6 +64,7 @@ from .knowledge import (
     Node,
     recover_peer_inputs,
     rebuild_receiver_output,
+    tx,
 )
 
 DECODE_TOL = 1e-6
@@ -72,17 +80,85 @@ class SchemeId(Enum):
     E = "E"
 
 
-def default_model(scheme: SchemeId, tx1_only: bool = False) -> FeedbackModel:
-    """The weakest feedback model each scheme is designed for."""
-    if tx1_only:
-        return FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY
-    return {
-        SchemeId.A: FeedbackModel.ASYM_FB_DELAYED_CSIT,
-        SchemeId.B: FeedbackModel.ASYM_FB_ONLY,
-        SchemeId.C: FeedbackModel.ASYM_FB_ONLY,
-        SchemeId.D: FeedbackModel.SYM_FB_NO_CSIT,
-        SchemeId.E: FeedbackModel.ASYM_FB_DELAYED_CSIT,
-    }[scheme]
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What separates one scheme variant from the others.
+
+    ``theta1``/``theta2`` name the carriers of the phase-2/phase-3 mixing,
+    ``phi1``/``phi2`` those of the final-phase combiners (``phi1`` forwards
+    receiver 2's phase-2 output, which receiver 1 needs; ``phi2`` receiver
+    1's phase-3 output).  A carrier is a key of :data:`CARRIERS`: ``both``
+    splits the precoder's rows top/bottom between transmitters 1 and 2,
+    ``tx1``/``tx2`` hand all rows to one transmitter.  ``selected`` makes the
+    final phase retransmit ``2m-n`` rows of every overheard slot instead of
+    all ``n``.  ``leakage`` is the claim the verifier holds the variant to:
+    ``zero``, ``advisory`` (reported, not enforced) or ``positive`` (the
+    negative control).
+    """
+
+    model: FeedbackModel
+    phases: str
+    theta1: str
+    theta2: str
+    phi1: str
+    phi2: str
+    selected: bool
+    leakage: str
+
+
+#: Transmitters carrying a precoder's output, in the order its row blocks go.
+CARRIERS = {"both": (1, 2), "tx1": (1,), "tx2": (2,)}
+
+#: Phase lengths (noise, fresh for receiver 1, fresh for receiver 2, final)
+#: at ``m`` effective transmit and ``n`` receive antennas.
+PHASE_RULES = {
+    "retrospective": lambda m, n: (n * n, n * (2 * m - n), n * (2 * m - n), (2 * m - n) ** 2),
+    "no-noise": lambda m, n: (n * (2 * m - n), n * (2 * m - n), (2 * m - n) ** 2),
+    "feedback-only": lambda m, n: (n * n, m * (2 * m - n), m * (2 * m - n), (2 * m - n) ** 2),
+    "single-slot": lambda m, n: (1, 1, 1, 1),
+}
+
+_FB, _SYM, _DCSIT, _TX1 = (
+    FeedbackModel.ASYM_FB_ONLY,
+    FeedbackModel.SYM_FB_NO_CSIT,
+    FeedbackModel.ASYM_FB_DELAYED_CSIT,
+    FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY,
+)
+
+#: One row per variant, keyed by ``(scheme, tx1_only)``.  A, D and E let both
+#: transmitters mix the fed-forward output, so the mixing map spans all 2m
+#: input coordinates of each fresh slot: a mixing map confined to one
+#: transmitter's m coordinates cannot reach the rank the zero-leakage
+#: identity needs when m < n.  B and C are one construction with different
+#: phase lengths.  In C's tx1-only mode transmitter 2 knows nothing beyond its
+#: own symbols: transmitter 1 reconstructs receiver 2's phase-1 output and the
+#: overheard side information through its own feedback plus delayed CSI.
+SPECS = {
+    # (scheme, tx1_only): SchemeSpec(model, phases, theta1, theta2, phi1, phi2, selected, leakage)
+    (SchemeId.A, False): SchemeSpec(_DCSIT, "retrospective", "both", "both", "both", "both", True, "zero"),
+    (SchemeId.D, False): SchemeSpec(_SYM, "retrospective", "both", "both", "both", "both", True, "zero"),
+    (SchemeId.E, False): SchemeSpec(_DCSIT, "no-noise", "both", "both", "both", "both", True, "positive"),
+    (SchemeId.B, False): SchemeSpec(_FB, "single-slot", "tx1", "tx2", "tx2", "tx1", False, "zero"),
+    (SchemeId.C, False): SchemeSpec(_FB, "feedback-only", "tx1", "tx2", "tx2", "tx1", False, "advisory"),
+    (SchemeId.C, True): SchemeSpec(_TX1, "feedback-only", "tx1", "tx1", "tx1", "tx1", True, "advisory"),
+}
+
+
+def variant(scheme: SchemeId, tx1_only: bool = False) -> SchemeSpec:
+    """The spec row of a scheme, or of its tx1-only run mode."""
+    try:
+        return SPECS[(scheme, tx1_only)]
+    except KeyError:
+        raise InvalidInput(f"scheme {scheme.value} has no tx1-only run mode") from None
+
+
+def _carrier_span(carrier: str, width: int) -> slice:
+    """The stacked ``[x1; x2]`` coordinates a carried precoder output fills.
+
+    ``width`` is the per-transmitter length of the phase's input stack.
+    """
+    txs = CARRIERS[carrier]
+    return slice((txs[0] - 1) * width, txs[-1] * width)
 
 
 @dataclass(frozen=True)
@@ -107,26 +183,20 @@ def plan(scheme: SchemeId, config: AntennaConfig) -> PhasePlan:
     antennas send structural zeros.  Secrecy schemes refuse the degenerate
     regime (``2m <= n``), where the secure region is the origin alone.
     """
-    if scheme is SchemeId.B:
+    rule = variant(scheme).phases
+    if rule == "single-slot":
         if config.m < config.n:
-            raise RegimeError(f"scheme B needs m >= n, got (m={config.m}, n={config.n})")
-        return PhasePlan((1, 1, 1, 1), 2 * config.n)
-    if config.regime is Regime.DEGENERATE:
+            raise RegimeError(
+                f"scheme {scheme.value} needs m >= n, got (m={config.m}, n={config.n})"
+            )
+    elif config.regime is Regime.DEGENERATE:
         raise RegimeError(
             f"(m={config.m}, n={config.n}): 2m <= n, the secure region is {{(0,0)}}; "
             f"scheme {scheme.value} does not apply"
         )
-    m, n = config.effective_m, config.n
-    t2_fresh = n * (2 * m - n)
-    t3 = (2 * m - n) ** 2
-    if scheme in (SchemeId.A, SchemeId.D):
-        return PhasePlan((n * n, t2_fresh, t2_fresh, t3), 2 * m * t2_fresh)
-    if scheme is SchemeId.E:
-        return PhasePlan((t2_fresh, t2_fresh, t3), 2 * m * t2_fresh)
-    if scheme is SchemeId.C:
-        t2 = m * (2 * m - n)
-        return PhasePlan((n * n, t2, t2, t3), 2 * m * t2)
-    raise InvalidInput(f"unknown scheme {scheme!r}")
+    m = config.effective_m
+    lengths = PHASE_RULES[rule](m, config.n)
+    return PhasePlan(lengths, 2 * m * lengths[-3])
 
 
 @dataclass(frozen=True)
@@ -144,41 +214,6 @@ class Precoders:
     phi2: np.ndarray
 
 
-def _precoder_shapes(scheme: SchemeId, config: AntennaConfig, pln: PhasePlan):
-    m, n = config.effective_m, config.n
-    if scheme is SchemeId.B:
-        return {"theta1": (n, n), "theta2": (n, n), "phi1": (n, n), "phi2": (n, n)}
-    t1 = pln.phase_lengths[0] if len(pln.phase_lengths) == 4 else 0
-    t2 = pln.phase_lengths[-3]
-    t3 = pln.phase_lengths[-1]
-    if scheme in (SchemeId.A, SchemeId.D):
-        # Both transmitters mix the fed-forward output, so the mixing map
-        # spans all 2m input coordinates of each fresh slot.  A mixing map
-        # confined to one transmitter's m coordinates cannot reach the rank
-        # the zero-leakage identity needs when m < n.
-        return {
-            "theta1": (2 * m * t2, n * t1),
-            "theta2": (2 * m * t2, n * t1),
-            "phi1": (2 * m * t3, n * t2),
-            "phi2": (2 * m * t3, n * t2),
-        }
-    if scheme is SchemeId.E:
-        return {
-            "theta1": None,
-            "theta2": None,
-            "phi1": (2 * m * t3, n * t2),
-            "phi2": (2 * m * t3, n * t2),
-        }
-    if scheme is SchemeId.C:
-        return {
-            "theta1": (m * t2, n * t1),
-            "theta2": (m * t2, n * t1),
-            "phi1": (m * t3, n * t2),
-            "phi2": (m * t3, n * t2),
-        }
-    raise InvalidInput(f"unknown scheme {scheme!r}")
-
-
 def draw_precoders(
     scheme: SchemeId,
     config: AntennaConfig,
@@ -188,13 +223,24 @@ def draw_precoders(
 ) -> Precoders:
     """Draw Gaussian precoders, redrawing any that miss full rank.
 
+    Each precoder maps the ``n`` outputs per slot of its source phase to
+    ``m`` inputs per slot and carrying transmitter of its target phase; a
+    scheme without a noise phase has no mixing matrices.  The tx1-only run
+    mode of scheme C only moves carriers between single transmitters, so it
+    draws the same precoders as scheme C.
+
     A Gaussian draw is full rank almost surely; exhausting the retries
     therefore signals a tolerance bug, not bad luck.
     """
-    shapes = _precoder_shapes(scheme, config, pln)
+    spec = variant(scheme)
+    m, n = config.effective_m, config.n
+    lengths = pln.phase_lengths if len(pln.phase_lengths) == 4 else (0,) + pln.phase_lengths
+    t1, t2, _, t3 = lengths
     drawn = {}
-    for name, shape in shapes.items():
-        if shape is None:
+    sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
+    for name, t_phase, t_prev in sizes:
+        shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
+        if not t_prev:
             drawn[name] = None
             continue
         for _ in range(max_retries):
@@ -254,11 +300,14 @@ class Transcript:
     mutation: str | None = None
     tx1_only: bool = False
     seed: int | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:
         return self.plan.horizon
+
+    @property
+    def spec(self) -> SchemeSpec:
+        return variant(self.scheme, self.tx1_only)
 
     @property
     def access_log(self):
@@ -282,20 +331,16 @@ class Transcript:
             )
 
 
-def selection_matrix(width: int, selected) -> np.ndarray:
-    """Map a width-``width`` vector to (selected entries, zero padding).
+def side_info(values: np.ndarray, selected) -> np.ndarray:
+    """Overheard outputs as the final phase retransmits them.
 
-    Row ``i < len(selected)`` picks coordinate ``selected[i]``; remaining
-    rows are zero, so the output keeps the original width.
+    With a selection, row ``i < len(selected)`` is row ``selected[i]`` of
+    ``values`` and zero rows pad the result back to full height; without one
+    (``None``) every row is retransmitted.
     """
-    s = np.zeros((width, width), dtype=complex)
-    for i, j in enumerate(selected):
-        s[i, j] = 1.0
-    return s
-
-
-def _pad_selected(values: np.ndarray, width: int, selected) -> np.ndarray:
-    out = np.zeros((width,) + values.shape[1:], dtype=complex)
+    if selected is None:
+        return values
+    out = np.zeros(values.shape, dtype=complex)
     if len(selected):
         out[: len(selected)] = values[list(selected)]
     return out
@@ -312,33 +357,43 @@ def _per_slot_selection(rows_per_slot: int, slots: int, take: int) -> tuple[int,
     return tuple(s * rows_per_slot + j for s in range(slots) for j in range(take))
 
 
-class _Run:
-    """Mutable state of one simulation run; produces an immutable Transcript."""
+def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -> np.ndarray:
+    """Precoder ``name`` applied to ``values``, on the stacked ``[x1; x2]``
+    coordinates (``width`` per transmitter) of the transmitters carrying it."""
+    out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
+    span = _carrier_span(getattr(transcript.spec, name), width)
+    np.matmul(getattr(transcript.precoders, name), values, out=out[span])
+    return out
 
-    def __init__(self, config, states, precoders, symbols, kb):
-        self.config = config
-        self.states = states
-        self.precoders = precoders
-        self.symbols = symbols
-        self.kb = kb
-        self.inputs = []
-        self.outputs = []
+
+def carried_map(transcript: Transcript, lifted: np.ndarray, name: str, width: int) -> np.ndarray:
+    """``lifted`` restricted to the inputs precoder ``name``'s carriers fill,
+    times that precoder: the map from the precoder's input to the outputs."""
+    cols = _carrier_span(getattr(transcript.spec, name), width)
+    return lifted[:, cols] @ getattr(transcript.precoders, name)
+
+
+class _Run:
+    """Mutable encoder state of one run; fills the transcript slot by slot."""
+
+    def __init__(self, transcript: Transcript):
+        self.transcript = transcript
         self.tx_inputs = {1: {}, 2: {}}  # transmitter index -> slot -> effective input
-        self.selections = {}
 
     def transmit(self, slot: int, x1_eff: np.ndarray, x2_eff: np.ndarray):
-        m = self.config.m
+        tr = self.transcript
+        m = tr.config.m
         x1 = np.zeros(m, dtype=complex)
         x2 = np.zeros(m, dtype=complex)
         x1[: len(x1_eff)] = x1_eff
         x2[: len(x2_eff)] = x2_eff
-        state = self.states[slot]
+        state = tr.states[slot]
         y1, y2 = apply_channel(state, x1, x2)
-        self.inputs.append((x1, x2))
-        self.outputs.append((y1, y2))
+        tr.inputs.append((x1, x2))
+        tr.outputs.append((y1, y2))
         self.tx_inputs[1][slot] = np.asarray(x1_eff, dtype=complex)
         self.tx_inputs[2][slot] = np.asarray(x2_eff, dtype=complex)
-        self.kb.advance_slot(slot, (y1, y2), state)
+        tr.knowledge.advance_slot(slot, (y1, y2), state)
 
     def acquire_output(self, node: Node, target_rx: int, slots, at_slot: int) -> np.ndarray:
         """Stacked outputs of ``target_rx`` over ``slots`` as known to ``node``.
@@ -346,18 +401,45 @@ class _Run:
         Direct fed-back route first; otherwise reconstruct through delayed
         CSI.  Raises UnauthorizedAccess when the model grants neither.
         """
-        view = self.kb.view(node, at_slot)
+        view = self.transcript.knowledge.view(node, at_slot)
         try:
             return np.concatenate([view.fed_back_output(target_rx, t) for t in slots])
         except UnauthorizedAccess:
             pass
         own = [self.tx_inputs[node.index][t] for t in slots]
-        peer = recover_peer_inputs(view, self.config, slots, own)
+        peer = recover_peer_inputs(view, self.transcript.config, slots, own)
         if node.index == 1:
             x1s, x2s = own, peer
         else:
             x1s, x2s = peer, own
-        return rebuild_receiver_output(view, self.config, slots, x1s, x2s, target_rx)
+        return rebuild_receiver_output(view, self.transcript.config, slots, x1s, x2s, target_rx)
+
+    def carried(self, terms, at_slot: int, width: int) -> dict:
+        """Each transmitter's share of a phase's precoded terms.
+
+        ``terms`` lists ``(precoder, source receiver, source slots,
+        selection key)``; every carrier acquires the source outputs through
+        its own view and applies its row block of the precoder.
+        """
+        tr = self.transcript
+        out = {i: np.zeros(width, dtype=complex) for i in (1, 2)}
+        for i in (1, 2):
+            for name, source_rx, slots, key in terms:
+                carriers = CARRIERS[getattr(tr.spec, name)]
+                if i not in carriers:
+                    continue
+                k = carriers.index(i)
+                rows = getattr(tr.precoders, name)[k * width : (k + 1) * width]
+                y = self.acquire_output(tx(i), source_rx, slots, at_slot)
+                out[i] = out[i] + rows @ side_info(y, tr.selections.get(key))
+        return out
+
+    def send(self, slots, x: dict):
+        """Transmit per-transmitter stacks over ``slots``, ``m`` entries a slot."""
+        m = self.transcript.config.effective_m
+        for idx, slot in enumerate(slots):
+            sl = slice(idx * m, (idx + 1) * m)
+            self.transmit(slot, x[1][sl], x[2][sl])
 
 
 def run(
@@ -383,10 +465,9 @@ def run(
         raise InvalidInput(f"unknown mutation {mutation!r}; expected one of {MUTATIONS}")
     if mutation == "skip_phase1" and scheme in (SchemeId.B, SchemeId.C):
         raise InvalidInput("skip_phase1 applies to the retrospective schemes only")
-    if tx1_only and scheme is not SchemeId.C:
-        raise InvalidInput("the tx1-only run mode is a variant of scheme C")
+    spec = variant(scheme, tx1_only)
     if model is None:
-        model = default_model(scheme, tx1_only)
+        model = spec.model
     nominal = plan(scheme, config)
 
     lengths = list(nominal.phase_lengths)
@@ -395,7 +476,7 @@ def run(
     if mutation == "skip_phase1":
         lengths[0] = 0
     t1, t2 = lengths[0], lengths[1]
-    m = config.effective_m
+    m, n = config.effective_m, config.n
 
     rng_states = matcore.substream(seed, "states")
     rng_prec = matcore.substream(seed, "precoders")
@@ -425,14 +506,7 @@ def run(
     kb.grant_own_symbols(Node.TX1, {"v11": symbols.v11, "v12": symbols.v12}, symbols.u1)
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 
-    runner = _Run(config, states, precoders, symbols, kb)
-    if scheme is SchemeId.B:
-        _run_single_slot_phases(runner, lengths)
-    elif scheme is SchemeId.C:
-        _run_feedback_only(runner, lengths, tx1_only)
-    else:
-        _run_retrospective(runner, lengths)
-
+    sel = _per_slot_selection(n, t2, 2 * m - n)
     effective = tuple(l for i, l in enumerate(lengths) if not (i == 0 and l == 0))
     transcript = Transcript(
         scheme=scheme,
@@ -442,146 +516,38 @@ def run(
         states=states,
         precoders=precoders,
         symbols=symbols,
-        inputs=runner.inputs,
-        outputs=runner.outputs,
-        selections=runner.selections,
+        inputs=[],
+        outputs=[],
+        selections={"side_info_rx2": sel, "side_info_rx1": sel} if spec.selected else {},
         knowledge=kb,
         mutation=mutation,
         tx1_only=tx1_only,
         seed=seed,
     )
+    _encode(_Run(transcript))
     transcript.check_complete()
     return transcript
 
 
-def _phase_ranges(lengths):
-    out, start = [], 1
-    for length in lengths:
-        out.append(list(range(start, start + length)))
-        start += length
-    return out
+def _encode(run_: _Run):
+    """The four phases, with the carriers and selections of the run's spec."""
+    tr = run_.transcript
+    m = tr.config.effective_m
+    r1, r2, r3, r4 = tr.phase_ranges()
+    views = {i: tr.knowledge.view(tx(i), 1) for i in (1, 2)}
+    noise = {i: views[i].own_noise() for i in (1, 2)}
+    run_.send(r1, noise)
 
+    # fresh symbols for receiver j, cloaked by receiver j's phase-1 output
+    for j, phase in ((1, r2), (2, r3)):
+        fresh = {i: views[i].own_messages(f"v{i}{j}") for i in (1, 2)}
+        mixing = [(f"theta{j}", j, r1, None)] if r1 else []
+        mix = run_.carried(mixing, phase[0], m * len(phase))
+        run_.send(phase, {i: fresh[i] + mix[i] for i in (1, 2)})
 
-def _run_retrospective(run_: _Run, lengths):
-    """Schemes A, D and E (and the structurally mutated variants of A)."""
-    cfg, sym, prec = run_.config, run_.symbols, run_.precoders
-    m, n = cfg.effective_m, cfg.n
-    t1, t2, _, t3 = lengths
-    r1, r2, r3, r4 = _phase_ranges(lengths)
-
-    for idx, t in enumerate(r1):
-        run_.transmit(t, sym.u1[idx * m : (idx + 1) * m], sym.u2[idx * m : (idx + 1) * m])
-
-    # fresh symbols for receiver 1, cloaked by receiver 1's phase-1 output;
-    # each transmitter applies its own half of the joint mixing map
-    def mixing(theta, target_rx, source_range, at_slot):
-        if not t1 or theta is None:
-            z = np.zeros(m * t2, dtype=complex)
-            return z, z
-        top, bottom = theta[: m * t2], theta[m * t2 :]
-        carrier_tx1 = run_.acquire_output(Node.TX1, target_rx, source_range, at_slot)
-        carrier_tx2 = run_.acquire_output(Node.TX2, target_rx, source_range, at_slot)
-        return top @ carrier_tx1, bottom @ carrier_tx2
-
-    mix1_tx1, mix1_tx2 = mixing(prec.theta1, 1, r1, at_slot=r2[0])
-    for idx, t in enumerate(r2):
-        sl = slice(idx * m, (idx + 1) * m)
-        run_.transmit(t, sym.v11[sl] + mix1_tx1[sl], sym.v21[sl] + mix1_tx2[sl])
-
-    mix2_tx1, mix2_tx2 = mixing(prec.theta2, 2, r1, at_slot=r3[0])
-    for idx, t in enumerate(r3):
-        sl = slice(idx * m, (idx + 1) * m)
-        run_.transmit(t, sym.v12[sl] + mix2_tx1[sl], sym.v22[sl] + mix2_tx2[sl])
-
-    # joint retransmission of the overheard equations both receivers still need
-    sel = _per_slot_selection(n, t2, 2 * m - n)
-    run_.selections["side_info_rx2"] = sel
-    run_.selections["side_info_rx1"] = sel
-    nt2 = n * t2
-    half = m * t3
-    payloads = {}
-    for node in (Node.TX1, Node.TX2):
-        y2p2 = run_.acquire_output(node, 2, r2, at_slot=r4[0])
-        y1p3 = run_.acquire_output(node, 1, r3, at_slot=r4[0])
-        payloads[node.index] = (
-            _pad_selected(y2p2, nt2, sel),
-            _pad_selected(y1p3, nt2, sel),
-        )
-    i_tx1 = prec.phi1[:half] @ payloads[1][0] + prec.phi2[:half] @ payloads[1][1]
-    i_tx2 = prec.phi1[half:] @ payloads[2][0] + prec.phi2[half:] @ payloads[2][1]
-    for idx, t in enumerate(r4):
-        sl = slice(idx * m, (idx + 1) * m)
-        run_.transmit(t, i_tx1[sl], i_tx2[sl])
-
-
-def _run_single_slot_phases(run_: _Run, lengths):
-    """Scheme B: four single-slot phases on n effective antennas."""
-    sym, prec = run_.symbols, run_.precoders
-    r1, r2, r3, r4 = _phase_ranges(lengths)
-
-    run_.transmit(r1[0], sym.u1, sym.u2)
-
-    y1p1 = run_.acquire_output(Node.TX1, 1, r1, at_slot=r2[0])
-    run_.transmit(r2[0], sym.v11 + prec.theta1 @ y1p1, sym.v21)
-
-    y2p1 = run_.acquire_output(Node.TX2, 2, r1, at_slot=r3[0])
-    run_.transmit(r3[0], sym.v12, sym.v22 + prec.theta2 @ y2p1)
-
-    y1p3 = run_.acquire_output(Node.TX1, 1, r3, at_slot=r4[0])
-    y2p2 = run_.acquire_output(Node.TX2, 2, r2, at_slot=r4[0])
-    run_.transmit(r4[0], prec.phi2 @ y1p3, prec.phi1 @ y2p2)
-
-
-def _run_feedback_only(run_: _Run, lengths, tx1_only: bool):
-    """Scheme C: mid-regime scheme whose transmitters never read CSI...
-
-    ...except in the tx1-only run mode, where transmitter 2 knows nothing
-    beyond its own symbols: transmitter 1 reconstructs receiver 2's phase-1
-    output (for the mixing of phase 3) and the overheard side information
-    (for phase 4) through its own feedback plus delayed CSI, and carries the
-    whole final phase alone.
-    """
-    cfg, sym, prec = run_.config, run_.symbols, run_.precoders
-    m, n = cfg.effective_m, cfg.n
-    t2 = lengths[1]
-    r1, r2, r3, r4 = _phase_ranges(lengths)
-
-    for idx, t in enumerate(r1):
-        run_.transmit(t, sym.u1[idx * m : (idx + 1) * m], sym.u2[idx * m : (idx + 1) * m])
-
-    mix1 = prec.theta1 @ run_.acquire_output(Node.TX1, 1, r1, at_slot=r2[0])
-    for idx, t in enumerate(r2):
-        sl = slice(idx * m, (idx + 1) * m)
-        run_.transmit(t, sym.v11[sl] + mix1[sl], sym.v21[sl])
-
-    mixer = Node.TX1 if tx1_only else Node.TX2
-    mix2 = prec.theta2 @ run_.acquire_output(mixer, 2, r1, at_slot=r3[0])
-    for idx, t in enumerate(r3):
-        sl = slice(idx * m, (idx + 1) * m)
-        if tx1_only:
-            run_.transmit(t, sym.v12[sl] + mix2[sl], sym.v22[sl])
-        else:
-            run_.transmit(t, sym.v12[sl], sym.v22[sl] + mix2[sl])
-
-    if tx1_only:
-        sel = _per_slot_selection(n, t2, 2 * m - n)  # (2m-n)*t2 == m*t3 rows
-        run_.selections["side_info_rx2"] = sel
-        run_.selections["side_info_rx1"] = sel
-        nt2 = n * t2
-        y2p2 = run_.acquire_output(Node.TX1, 2, r2, at_slot=r4[0])
-        y1p3 = run_.acquire_output(Node.TX1, 1, r3, at_slot=r4[0])
-        i_tx1 = prec.phi1 @ _pad_selected(y2p2, nt2, sel) + prec.phi2 @ _pad_selected(
-            y1p3, nt2, sel
-        )
-        for idx, t in enumerate(r4):
-            sl = slice(idx * m, (idx + 1) * m)
-            run_.transmit(t, i_tx1[sl], np.zeros(m, dtype=complex))
-    else:
-        i_tx1 = prec.phi2 @ run_.acquire_output(Node.TX1, 1, r3, at_slot=r4[0])
-        i_tx2 = prec.phi1 @ run_.acquire_output(Node.TX2, 2, r2, at_slot=r4[0])
-        for idx, t in enumerate(r4):
-            sl = slice(idx * m, (idx + 1) * m)
-            run_.transmit(t, i_tx1[sl], i_tx2[sl])
+    # retransmission of the overheard equations both receivers still need
+    retransmit = [("phi1", 2, r2, "side_info_rx2"), ("phi2", 1, r3, "side_info_rx1")]
+    run_.send(r4, run_.carried(retransmit, r4[0], m * len(r4)))
 
 
 # ---------------------------------------------------------------------------
@@ -627,181 +593,40 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     """Recover the receiver's fresh symbols using only its decoder view.
 
     Returns the stacked pair (both transmitters' symbols destined to this
-    receiver).  Raises :class:`DecodeFailure` when the final residual
-    exceeds the relative tolerance, and :class:`SingularSystem` /
+    receiver).  The receiver knows the mixing its fresh phase carries (a map
+    of its own phase-1 output) and the retransmission of what it overheard
+    itself; it subtracts both and solves its fresh-phase rows stacked with
+    the final-phase rows, through which the other receiver's view of the
+    fresh phase arrives.  Raises :class:`DecodeFailure` when the final
+    residual exceeds the relative tolerance, and :class:`SingularSystem` /
     :class:`IllConditioned` on null-set channel draws (callers resample).
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
         raise InvalidInput("decode expects a receiver node")
-    if transcript.scheme is SchemeId.B:
-        return _decode_single_slot(transcript, receiver)
-    if transcript.scheme is SchemeId.C:
-        return _decode_feedback_only(transcript, receiver)
-    return _decode_retrospective(transcript, receiver)
-
-
-def _decode_retrospective(transcript: Transcript, receiver: Node) -> np.ndarray:
-    cfg, prec = transcript.config, transcript.precoders
-    m, n = cfg.effective_m, cfg.n
+    m, sels = transcript.config.effective_m, transcript.selections
     r1, r2, r3, r4 = transcript.phase_ranges()
-    t1, t2 = len(r1), len(r2)
-    k = (2 * m - n) * t2
-    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
-    own_rx = receiver.index
-
     if receiver is Node.RX1:
-        fresh_range, side_range = r2, r3
-        theta = prec.theta1
-        phi_mine, phi_theirs = prec.phi2, prec.phi1
-        sel_mine = transcript.selections["side_info_rx1"]
-        sel_theirs = transcript.selections["side_info_rx2"]
+        other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
     else:
-        fresh_range, side_range = r3, r2
-        theta = prec.theta2
-        phi_mine, phi_theirs = prec.phi1, prec.phi2
-        sel_mine = transcript.selections["side_info_rx2"]
-        sel_theirs = transcript.selections["side_info_rx1"]
+        other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
+    key = {"phi1": "side_info_rx2", "phi2": "side_info_rx1"}
+    w2, w4 = m * len(fresh), m * len(r4)
+    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
 
-    own_f = _own_rows_lift(view, fresh_range, m)
-    cross_f = _cross_rows_lift(view, fresh_range, m, 2 if own_rx == 1 else 1)
+    own_f = _own_rows_lift(view, fresh, m)
+    cross_f = _cross_rows_lift(view, fresh, m, other)
     own4 = _own_rows_lift(view, r4, m)
-
-    y_fresh = _stacked_outputs(view, fresh_range)
-    y_side = _stacked_outputs(view, side_range)
-    y_final = _stacked_outputs(view, r4)
-    if t1 and theta is not None:
-        mix = theta @ _stacked_outputs(view, r1)
+    if r1:
+        mix = _placed(transcript, theta, _stacked_outputs(view, r1), w2)
     else:
-        mix = np.zeros(2 * m * t2, dtype=complex)
+        mix = np.zeros(2 * w2, dtype=complex)
+    y_side = side_info(_stacked_outputs(view, side), sels.get(key[mine]))
+    y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
 
-    rhs_fresh = y_fresh - own_f @ mix
-
-    # peel the known side-information payload off the final phase, then
-    # solve the square system for the equations overheard at the other side
-    nt2 = n * t2
-    s = y_final - own4 @ (phi_mine @ _pad_selected(y_side, nt2, sel_mine))
-    recover = matcore.solve_square(
-        own4 @ phi_theirs[:, :k], s, condition_limit=matcore.CONDITION_LIMIT
-    )
-    rhs_side = recover.x - (cross_f @ mix)[list(sel_theirs)]
-
-    a = np.vstack([own_f, cross_f[list(sel_theirs), :]])
-    rhs = np.concatenate([rhs_fresh, rhs_side])
-    sol = matcore.solve_square(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
-    _check_residual(a, sol.x, rhs)
-    return sol.x
-
-
-def _decode_single_slot(transcript: Transcript, receiver: Node) -> np.ndarray:
-    cfg, prec = transcript.config, transcript.precoders
-    n = cfg.n
-    r1, r2, r3, r4 = transcript.phase_ranges()
-    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
-    own_rx = receiver.index
-
-    if receiver is Node.RX1:
-        fresh_range, side_range = r2, r3
-        theta, phi_mine, phi_theirs = prec.theta1, prec.phi2, prec.phi1
-        mix_on_top = True  # phase-2 mixing rides on transmitter 1
-    else:
-        fresh_range, side_range = r3, r2
-        theta, phi_mine, phi_theirs = prec.theta2, prec.phi1, prec.phi2
-        mix_on_top = False  # phase-3 mixing rides on transmitter 2
-
-    own_f = _own_rows_lift(view, fresh_range, n)
-    cross_f = _cross_rows_lift(view, fresh_range, n, 2 if own_rx == 1 else 1)
-    own4 = _own_rows_lift(view, r4, n)
-    y_ref = _stacked_outputs(view, r1)
-    y_fresh = _stacked_outputs(view, fresh_range)
-    y_side = _stacked_outputs(view, side_range)
-    y_final = _stacked_outputs(view, r4)
-
-    carrier = theta @ y_ref
-    zero = np.zeros(n, dtype=complex)
-    mix = np.concatenate([carrier, zero] if mix_on_top else [zero, carrier])
-    rhs_fresh = y_fresh - own_f @ mix
-
-    # final phase: x1 = phi2 @ y1p3, x2 = phi1 @ y2p2
-    own4_tx1, own4_tx2 = own4[:, :n], own4[:, n:]
-    own4_mine = own4_tx1 if receiver is Node.RX1 else own4_tx2
-    own4_theirs = own4_tx2 if receiver is Node.RX1 else own4_tx1
-    s = y_final - own4_mine @ (phi_mine @ y_side)
-    recover = matcore.solve_square(
-        own4_theirs @ phi_theirs, s, condition_limit=matcore.CONDITION_LIMIT
-    )
-    rhs_side = recover.x - cross_f @ mix
-
-    a = np.vstack([own_f, cross_f])
-    rhs = np.concatenate([rhs_fresh, rhs_side])
-    sol = matcore.solve_square(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
-    _check_residual(a, sol.x, rhs)
-    return sol.x
-
-
-def _decode_feedback_only(transcript: Transcript, receiver: Node) -> np.ndarray:
-    cfg, prec = transcript.config, transcript.precoders
-    m, n = cfg.effective_m, cfg.n
-    r1, r2, r3, r4 = transcript.phase_ranges()
-    t2, t3 = len(r2), len(r4)
-    nt2 = n * t2
-    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
-    own_rx = receiver.index
-
-    if receiver is Node.RX1:
-        fresh_range, side_range = r2, r3
-        theta_fresh = prec.theta1  # phase 2 mixes, and its rows are what leaked to Rx2
-        phi_mine, phi_theirs = prec.phi2, prec.phi1
-    else:
-        fresh_range, side_range = r3, r2
-        theta_fresh = prec.theta2
-        phi_mine, phi_theirs = prec.phi1, prec.phi2
-
-    own_f = _own_rows_lift(view, fresh_range, m)
-    cross_f = _cross_rows_lift(view, fresh_range, m, 2 if own_rx == 1 else 1)
-    own4 = _own_rows_lift(view, r4, m)
-    y_ref = _stacked_outputs(view, r1)
-    y_fresh = _stacked_outputs(view, fresh_range)
-    y_side = _stacked_outputs(view, side_range)
-    y_final = _stacked_outputs(view, r4)
-
-    own_f_tx1, own_f_tx2 = own_f[:, : m * t2], own_f[:, m * t2 :]
-    cross_f_tx1, cross_f_tx2 = cross_f[:, : m * t2], cross_f[:, m * t2 :]
-    own4_tx1, own4_tx2 = own4[:, : m * t3], own4[:, m * t3 :]
-
-    carrier = theta_fresh @ y_ref  # the mixing carrier of MY fresh phase
-
-    if transcript.tx1_only:
-        # everything in the final phase rides on transmitter 1
-        sel_mine = transcript.selections[
-            "side_info_rx1" if receiver is Node.RX1 else "side_info_rx2"
-        ]
-        sel_theirs = transcript.selections[
-            "side_info_rx2" if receiver is Node.RX1 else "side_info_rx1"
-        ]
-        mix_f = own_f_tx1 @ carrier
-        cross_mix = cross_f_tx1 @ carrier
-        s = (
-            y_final
-            - own4_tx1 @ (phi_mine @ _pad_selected(y_side, nt2, sel_mine))
-            - own4_tx1 @ (phi_theirs @ _pad_selected(cross_mix, nt2, sel_theirs))
-        )
-        a4 = own4_tx1 @ phi_theirs @ selection_matrix(nt2, sel_theirs) @ cross_f
-    else:
-        if receiver is Node.RX1:
-            mix_f = own_f_tx1 @ carrier
-            cross_mix = cross_f_tx1 @ carrier
-            own4_mine, own4_theirs = own4_tx1, own4_tx2
-        else:
-            mix_f = own_f_tx2 @ carrier
-            cross_mix = cross_f_tx2 @ carrier
-            own4_mine, own4_theirs = own4_tx2, own4_tx1
-        s = y_final - own4_mine @ (phi_mine @ y_side) - own4_theirs @ (phi_theirs @ cross_mix)
-        a4 = own4_theirs @ phi_theirs @ cross_f
-
-    rhs_fresh = y_fresh - mix_f
-    a = np.vstack([own_f, a4])
-    rhs = np.concatenate([rhs_fresh, s])
+    overheard = side_info(cross_f, sels.get(key[theirs]))
+    a = np.vstack([own_f, carried_map(transcript, own4, theirs, w4) @ overheard])
+    rhs = np.concatenate([_stacked_outputs(view, fresh), y_final]) - a @ mix
     sol = matcore.solve_full_column_rank(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
     _check_residual(a, sol.x, rhs)
     return sol.x
@@ -825,10 +650,10 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     matrices with the same column count.
     """
     transcript.check_complete()
-    cfg, prec, sym = transcript.config, transcript.precoders, transcript.symbols
-    m, n = cfg.effective_m, cfg.n
+    cfg, sym, sels = transcript.config, transcript.symbols, transcript.selections
+    m = cfg.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
-    t1, t2, t3 = len(r1), len(r2), len(r4)
+    t2, t3 = len(r2), len(r4)
 
     u = sym.u if u is None else np.asarray(u, dtype=complex)
     v1 = sym.v1 if v1 is None else np.asarray(v1, dtype=complex)
@@ -841,53 +666,21 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     states = transcript.states
     lift = lambda slots, rx_: lift_rows([states[t] for t in slots], rx_, m)
 
-    def zeros(rows):
-        return np.zeros((rows,) + trailing, dtype=complex)
-
-    if t1:
-        y1p1 = lift(r1, 1) @ u
-        y2p1 = lift(r1, 2) @ u
+    if r1:
+        y1p1, y2p1 = lift(r1, 1) @ u, lift(r1, 2) @ u
+        x2s = _placed(transcript, "theta1", y1p1, m * t2)
+        x3s = _placed(transcript, "theta2", y2p1, m * t2)
+        x2s += v1  # in place: the oracle replays with identity-matrix symbols
+        x3s += v2
     else:
-        y1p1, y2p1 = zeros(0), zeros(0)
-
-    def mixed(theta, carrier, top: bool | None):
-        """Mixing term on the stacked 2*m*t2 fresh-phase input coordinates."""
-        if theta is None or not t1:
-            return zeros(2 * m * t2)
-        term = theta @ carrier
-        if top is None:  # joint mixing spanning both transmitters
-            return term
-        parts = [term, zeros(m * t2)] if top else [zeros(m * t2), term]
-        return np.concatenate(parts)
-
-    if transcript.scheme in (SchemeId.A, SchemeId.D, SchemeId.E):
-        x2s = v1 + mixed(prec.theta1, y1p1, top=None)
-        x3s = v2 + mixed(prec.theta2, y2p1, top=None)
-    elif transcript.scheme is SchemeId.B:
-        x2s = v1 + mixed(prec.theta1, y1p1, top=True)
-        x3s = v2 + mixed(prec.theta2, y2p1, top=False)
-    else:  # scheme C: phase-3 mixing moves to transmitter 1 in tx1-only mode
-        x2s = v1 + mixed(prec.theta1, y1p1, top=True)
-        x3s = v2 + mixed(prec.theta2, y2p1, top=bool(transcript.tx1_only))
+        y1p1 = y2p1 = np.zeros((0,) + trailing, dtype=complex)
+        x2s, x3s = v1, v2
 
     y1p2, y2p2 = lift(r2, 1) @ x2s, lift(r2, 2) @ x2s
     y1p3, y2p3 = lift(r3, 1) @ x3s, lift(r3, 2) @ x3s
 
-    if transcript.scheme in (SchemeId.A, SchemeId.D, SchemeId.E):
-        s2 = selection_matrix(n * t2, transcript.selections["side_info_rx2"])
-        s3 = selection_matrix(n * t2, transcript.selections["side_info_rx1"])
-        x4s = prec.phi1 @ (s2 @ y2p2) + prec.phi2 @ (s3 @ y1p3)
-    elif transcript.scheme is SchemeId.B:
-        x4s = np.concatenate([prec.phi2 @ y1p3, prec.phi1 @ y2p2])
-    elif transcript.tx1_only:
-        s2 = selection_matrix(n * t2, transcript.selections["side_info_rx2"])
-        s3 = selection_matrix(n * t2, transcript.selections["side_info_rx1"])
-        x4s = np.concatenate(
-            [prec.phi1 @ (s2 @ y2p2) + prec.phi2 @ (s3 @ y1p3), zeros(m * t3)]
-        )
-    else:
-        x4s = np.concatenate([prec.phi2 @ y1p3, prec.phi1 @ y2p2])
-
+    x4s = _placed(transcript, "phi1", side_info(y2p2, sels.get("side_info_rx2")), m * t3)
+    x4s += _placed(transcript, "phi2", side_info(y1p3, sels.get("side_info_rx1")), m * t3)
     y1p4, y2p4 = lift(r4, 1) @ x4s, lift(r4, 2) @ x4s
 
     y1 = np.concatenate([y1p1, y1p2, y1p3, y1p4])

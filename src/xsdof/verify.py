@@ -29,10 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcore, schemes
-from .channel import lift_phase, lift_rows
+from .channel import lift_rows
 from .errors import DecodeFailure, InvalidInput
 from .knowledge import Node
-from .schemes import SchemeId, Transcript, selection_matrix
+from .schemes import SchemeId, Transcript, carried_map, side_info
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,9 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     m, n = cfg.effective_m, cfg.n
     r1, r2, r3, r4 = transcript.phase_ranges()
     t1, t2 = len(r1), len(r2)
-    prec = transcript.precoders
+    sels = transcript.selections
     h, g = _phase_lifts(transcript)
-    scheme = transcript.scheme
-    states4 = [transcript.states[t] for t in r4]
+    w2, w4 = m * t2, m * len(r4)
 
     audited = []
 
@@ -113,32 +112,11 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         return mat
 
     # --- rate identities -------------------------------------------------
-    if scheme in (SchemeId.A, SchemeId.D, SchemeId.E):
-        s2 = selection_matrix(n * t2, transcript.selections["side_info_rx2"])
-        s3 = selection_matrix(n * t2, transcript.selections["side_info_rx1"])
-        rate1 = noted("rate_rx1", np.vstack([h[2], h[4] @ prec.phi1 @ s2 @ g[2]]))
-        rate2 = noted("rate_rx2", np.vstack([g[3], g[4] @ prec.phi2 @ s3 @ h[3]]))
-        rate_target = 2 * m * t2
-    elif scheme is SchemeId.B:
-        h12_4 = lift_phase(states4, (1, 2), m)
-        h21_4 = lift_phase(states4, (2, 1), m)
-        rate1 = noted("rate_rx1", np.vstack([h[2], h12_4 @ prec.phi1 @ g[2]]))
-        rate2 = noted("rate_rx2", np.vstack([g[3], h21_4 @ prec.phi2 @ h[3]]))
-        rate_target = 2 * n
-    elif transcript.tx1_only:
-        s2 = selection_matrix(n * t2, transcript.selections["side_info_rx2"])
-        s3 = selection_matrix(n * t2, transcript.selections["side_info_rx1"])
-        h11_4 = lift_phase(states4, (1, 1), m)
-        h21_4 = lift_phase(states4, (2, 1), m)
-        rate1 = noted("rate_rx1", np.vstack([h[2], h11_4 @ prec.phi1 @ s2 @ g[2]]))
-        rate2 = noted("rate_rx2", np.vstack([g[3], h21_4 @ prec.phi2 @ s3 @ h[3]]))
-        rate_target = 2 * m * t2
-    else:  # scheme C
-        h12_4 = lift_phase(states4, (1, 2), m)
-        h21_4 = lift_phase(states4, (2, 1), m)
-        rate1 = noted("rate_rx1", np.vstack([h[2], h12_4 @ prec.phi1 @ g[2]]))
-        rate2 = noted("rate_rx2", np.vstack([g[3], h21_4 @ prec.phi2 @ h[3]]))
-        rate_target = 2 * m * t2
+    s2 = side_info(g[2], sels.get("side_info_rx2"))
+    s3 = side_info(h[3], sels.get("side_info_rx1"))
+    rate1 = noted("rate_rx1", np.vstack([h[2], carried_map(transcript, h[4], "phi1", w4) @ s2]))
+    rate2 = noted("rate_rx2", np.vstack([g[3], carried_map(transcript, g[4], "phi2", w4) @ s3]))
+    rate_target = 2 * m * t2
 
     # --- leakage identities ----------------------------------------------
     leak_rows = n * (t1 + t2)
@@ -149,33 +127,21 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         audited.append(("leak_rx2", leak_rows, 0))
         audited.append(("leak_rx1", leak_rows, 0))
     else:
-        if scheme in (SchemeId.A, SchemeId.D):
-            mix_rx2 = g[2] @ prec.theta1 @ h[1]
-            mix_rx1 = h[3] @ prec.theta2 @ g[1]
-        elif scheme is SchemeId.B:
-            states2 = [transcript.states[t] for t in r2]
-            states3 = [transcript.states[t] for t in r3]
-            mix_rx2 = lift_phase(states2, (2, 1), m) @ prec.theta1 @ h[1]
-            mix_rx1 = lift_phase(states3, (1, 2), m) @ prec.theta2 @ g[1]
-        else:  # scheme C; in tx1-only mode transmitter 1 carries both mixers
-            states2 = [transcript.states[t] for t in r2]
-            states3 = [transcript.states[t] for t in r3]
-            mixer_block = (1, 1) if transcript.tx1_only else (1, 2)
-            mix_rx2 = lift_phase(states2, (2, 1), m) @ prec.theta1 @ h[1]
-            mix_rx1 = lift_phase(states3, mixer_block, m) @ prec.theta2 @ g[1]
+        mix_rx2 = carried_map(transcript, g[2], "theta1", w2) @ h[1]
+        mix_rx1 = carried_map(transcript, h[3], "theta2", w2) @ g[1]
         leak2 = noted("leak_rx2", np.vstack([g[1], mix_rx2]))
         leak1 = noted("leak_rx1", np.vstack([h[1], mix_rx1]))
         defect_rx2 = leak_rows - matcore.rank_value(leak2, rel_tol)
         defect_rx1 = leak_rows - matcore.rank_value(leak1, rel_tol)
 
     return SecrecyReport(
-        scheme=scheme,
+        scheme=transcript.scheme,
         rate_rank_rx1=matcore.rank_value(rate1, rel_tol),
         rate_rank_rx2=matcore.rank_value(rate2, rel_tol),
         rate_target=rate_target,
         leak_defect_rx1=defect_rx1,
         leak_defect_rx2=defect_rx2,
-        advisory=scheme in (SchemeId.C, SchemeId.E),
+        advisory=transcript.spec.leakage != "zero",
         matrices_audited=tuple(audited),
         rel_tol=rel_tol,
     )

@@ -136,6 +136,11 @@ class TestTableCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "1,1,1,4/3,1.33333333333,1,1"
 
+    def test_empty_range_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--N", "4", "--M-max", "0"])
+        assert exc.value.code == 2
+
 
 class TestVerifyCommand:
     def test_nesting_suite_passes(self, capsys):

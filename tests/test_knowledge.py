@@ -179,6 +179,13 @@ class TestNoClairvoyance:
                 withhold={(Node.TX2, ItemKind.DELAYED_CSI, 2)},
             )
 
+    def test_withholding_own_symbols_aborts(self):
+        # encoders read their own noise and messages through their views too
+        config = AntennaConfig(2, 3)
+        for item in ((ItemKind.OWN_NOISE_SYMBOLS, "noise"), (ItemKind.OWN_MESSAGE_SYMBOLS, "v22")):
+            with pytest.raises(UnauthorizedAccess):
+                schemes.run(SchemeId.A, config, seed=4, withhold={(Node.TX2,) + item})
+
     def test_withholding_rx_output_breaks_decode(self):
         config = AntennaConfig(2, 3)
         transcript = schemes.run(

@@ -14,6 +14,8 @@ from xsdof.schemes import SchemeId
 
 
 def applicable_pairs():
+    """(scheme, m, n, tx1_only) for every size the plan accepts, plus scheme
+    C's tx1-only run mode at (2, 3) and (3, 4)."""
     out = []
     for scheme in SchemeId:
         for m, n in [(2, 3), (3, 4), (1, 1), (4, 4), (3, 3)]:
@@ -21,7 +23,9 @@ def applicable_pairs():
                 schemes.plan(scheme, AntennaConfig(m, n))
             except RegimeError:
                 continue
-            out.append((scheme, m, n))
+            out.append(pytest.param(scheme, m, n, False, id=f"{scheme}-{m}-{n}"))
+    for m, n in [(2, 3), (3, 4)]:
+        out.append(pytest.param(SchemeId.C, m, n, True, id=f"{SchemeId.C}-{m}-{n}-tx1"))
     return out
 
 
@@ -109,6 +113,25 @@ class TestPrecoders:
         assert p.theta1.shape == (4, 27)
         assert p.phi1.shape == (2, 6)
 
+    def test_shapes_scheme_d(self):
+        cfg = AntennaConfig(2, 3)
+        p = schemes.draw_precoders(
+            SchemeId.D, cfg, schemes.plan(SchemeId.D, cfg), matcore.substream(6, "p")
+        )
+        assert p.theta1.shape == p.theta2.shape == (12, 27)
+        assert p.phi1.shape == p.phi2.shape == (4, 9)
+
+    def test_shapes_scheme_c_tx1_only(self):
+        # the run mode moves carriers between single transmitters: C's shapes
+        # and, for the same seed, C's very precoders
+        cfg = AntennaConfig(2, 3)
+        tx1 = schemes.run(SchemeId.C, cfg, seed=3, tx1_only=True).precoders
+        assert tx1.theta1.shape == tx1.theta2.shape == (4, 27)
+        assert tx1.phi1.shape == tx1.phi2.shape == (2, 6)
+        plain = schemes.run(SchemeId.C, cfg, seed=3).precoders
+        for name in ("theta1", "theta2", "phi1", "phi2"):
+            assert np.array_equal(getattr(tx1, name), getattr(plain, name))
+
     def test_scheme_e_has_no_mixers(self):
         cfg = AntennaConfig(2, 3)
         p = schemes.draw_precoders(
@@ -186,14 +209,14 @@ class TestRun:
 
 
 class TestDecode:
-    @pytest.mark.parametrize("scheme,m,n", applicable_pairs())
-    def test_decode_equals_sent_everywhere(self, scheme, m, n):
+    @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
+    def test_decode_equals_sent_everywhere(self, scheme, m, n, tx1_only):
         """Invariant: 100 seeded trials per applicable pair, zero failures."""
         config = AntennaConfig(m, n)
         target = schemes.plan(scheme, config).dof_target()
         for seed in range(100):
-            report = run_trial(scheme, config, seed=seed, with_oracle=False)
-            assert report.decode_ok, (scheme, m, n, seed)
+            report = run_trial(scheme, config, seed=seed, tx1_only=tx1_only, with_oracle=False)
+            assert report.decode_ok, (scheme, m, n, tx1_only, seed)
             assert report.dof_rx1 == target and report.dof_rx2 == target
             assert report.attempts == 1, "no null-set resample expected at these sizes"
 
@@ -231,13 +254,9 @@ class TestDecode:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("scheme,m,n", applicable_pairs())
-    def test_linear_replay_reproduces_run(self, scheme, m, n):
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=13)
-        assert verify.replay_matches_recorded(transcript)
-
-    def test_replay_with_tx1_only_variant(self):
-        transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=13, tx1_only=True)
+    @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
+    def test_linear_replay_reproduces_run(self, scheme, m, n, tx1_only):
+        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=13, tx1_only=tx1_only)
         assert verify.replay_matches_recorded(transcript)
 
     def test_replay_rejects_mismatched_groups(self):
