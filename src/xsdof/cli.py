@@ -21,22 +21,14 @@ import argparse
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matcore, regions, schemes, verify
+from . import regions, schemes, verify
 from .channel import AntennaConfig, FeedbackModel
-from .errors import (
-    DecodeFailure,
-    IllConditioned,
-    InvalidInput,
-    RegimeError,
-    SingularSystem,
-)
-from .knowledge import Node
+from .errors import InvalidInput, RegimeError
 from .regions import frac_json
 from .schemes import SchemeId
+from .verify import run_trial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,138 +40,6 @@ MODEL_KEYS = tuple(m.value for m in FeedbackModel)
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-@dataclass
-class TrialReport:
-    """Outcome of one seeded scheme trial.
-
-    ``wall_time_s`` is informational only and never serialized, so that
-    identical flags and seed produce byte-identical output.
-    """
-
-    scheme: SchemeId
-    m: int
-    n: int
-    model: FeedbackModel
-    seed: int
-    attempts: int
-    plan: schemes.PhasePlan
-    decode_ok_rx1: bool
-    decode_ok_rx2: bool
-    decode_err_rx1: float | None
-    decode_err_rx2: float | None
-    secrecy: verify.SecrecyReport
-    oracle_rx1: bool | None
-    oracle_rx2: bool | None
-    dof_rx1: Fraction | None
-    dof_rx2: Fraction | None
-    wall_time_s: float
-
-    @property
-    def decode_ok(self) -> bool:
-        return self.decode_ok_rx1 and self.decode_ok_rx2
-
-    def to_jsonable(self) -> dict:
-        return {
-            "scheme": self.scheme.value,
-            "config": {"m": self.m, "n": self.n},
-            "model": self.model.value,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "plan": {
-                "phase_lengths": list(self.plan.phase_lengths),
-                "symbols_per_receiver": self.plan.symbols_per_receiver,
-            },
-            "decode": {
-                "rx1": {"ok": self.decode_ok_rx1, "relative_error": self.decode_err_rx1},
-                "rx2": {"ok": self.decode_ok_rx2, "relative_error": self.decode_err_rx2},
-            },
-            "secrecy": self.secrecy.to_jsonable(),
-            "subspace_oracle": {"rx1": self.oracle_rx1, "rx2": self.oracle_rx2},
-            "empirical_dof": None
-            if self.dof_rx1 is None
-            else {"rx1": frac_json(self.dof_rx1), "rx2": frac_json(self.dof_rx2)},
-        }
-
-
-def run_trial(
-    scheme: SchemeId,
-    config: AntennaConfig,
-    model: FeedbackModel | None = None,
-    seed: int = 0,
-    mutation: str | None = None,
-    tx1_only: bool = False,
-    with_oracle: bool = True,
-    max_resamples: int = 8,
-) -> TrialReport:
-    """One seeded trial: run, decode, rank report, subspace oracle, DoF.
-
-    Null-set channel draws (singular or ill-conditioned solve) are resampled
-    with a derived seed, as the almost-sure rank statements permit; a decode
-    residual above tolerance is reported, never resampled.
-    """
-    t_start = time.perf_counter()
-    if model is None:
-        model = schemes.variant(scheme, tx1_only).model
-    trial_seed = seed
-    for attempt in range(1, max_resamples + 1):
-        transcript = schemes.run(
-            scheme, config, model, seed=trial_seed, mutation=mutation, tx1_only=tx1_only
-        )
-        errs: dict[Node, float | None] = {}
-        resample = False
-        for receiver in (Node.RX1, Node.RX2):
-            try:
-                errs[receiver] = verify.decode_error(transcript, receiver)
-            except (SingularSystem, IllConditioned):
-                if mutation is None:
-                    resample = True
-                    break
-                errs[receiver] = None
-            except DecodeFailure:
-                errs[receiver] = None
-        if resample:
-            trial_seed = _resample_seed(seed, attempt)
-            continue
-        break
-    else:  # pragma: no cover - would need max_resamples null-set draws in a row
-        raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
-
-    report = verify.secrecy_rank_report(transcript)
-    oracle_rx1 = oracle_rx2 = None
-    if with_oracle:
-        oracle_rx1 = verify.equivocation_subspace_check(transcript, Node.RX1)
-        oracle_rx2 = verify.equivocation_subspace_check(transcript, Node.RX2)
-    ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
-    ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
-    dof1 = dof2 = None
-    if ok1 and ok2:
-        dof1 = dof2 = transcript.plan.dof_target()
-    return TrialReport(
-        scheme=scheme,
-        m=config.m,
-        n=config.n,
-        model=model,
-        seed=seed,
-        attempts=attempt,
-        plan=transcript.plan,
-        decode_ok_rx1=ok1,
-        decode_ok_rx2=ok2,
-        decode_err_rx1=errs[Node.RX1],
-        decode_err_rx2=errs[Node.RX2],
-        secrecy=report,
-        oracle_rx1=oracle_rx1,
-        oracle_rx2=oracle_rx2,
-        dof_rx1=dof1,
-        dof_rx2=dof2,
-        wall_time_s=time.perf_counter() - t_start,
-    )
-
-
-def _resample_seed(seed: int, attempt: int) -> int:
-    """Derived seed for a null-set resample, independent of the original."""
-    return int(matcore.substream(seed, "resample", attempt).integers(2**62))
 
 
 # ---------------------------------------------------------------------------
@@ -203,60 +63,19 @@ def _cmd_region(args) -> int:
     return EXIT_OK
 
 
-def _scheme_invariants_ok(reports: list[TrialReport], leakage: str) -> tuple[bool, list[str]]:
-    """The runtime invariants a simulation batch must satisfy under its leakage claim."""
-    problems = []
-    if not all(r.decode_ok for r in reports):
-        problems.append("decode failed on at least one trial")
-    target = reports[0].plan.dof_target()
-    if any(r.dof_rx1 != target or r.dof_rx2 != target for r in reports if r.decode_ok):
-        problems.append("empirical DoF differs from the plan target")
-    if leakage == "zero":
-        if any(r.secrecy.leak_defect_rx1 or r.secrecy.leak_defect_rx2 for r in reports):
-            problems.append("nonzero leakage defect")
-        if any(
-            r.secrecy.rate_rank_rx1 != r.secrecy.rate_target
-            or r.secrecy.rate_rank_rx2 != r.secrecy.rate_target
-            for r in reports
-        ):
-            problems.append("rate rank below target")
-        if any(r.oracle_rx1 is False or r.oracle_rx2 is False for r in reports):
-            problems.append("subspace oracle rejected a trial")
-    if leakage == "positive":
-        if any(
-            r.secrecy.leak_defect_rx1 == 0 or r.secrecy.leak_defect_rx2 == 0 for r in reports
-        ):
-            problems.append("negative control: expected positive leakage defect")
-    # report/oracle agreement is scheme-agnostic
-    for r in reports:
-        if r.oracle_rx1 is None:
-            continue
-        if (r.secrecy.leak_defect_rx2 == 0) != r.oracle_rx2 or (
-            r.secrecy.leak_defect_rx1 == 0
-        ) != r.oracle_rx1:
-            problems.append("rank report and subspace oracle disagree")
-            break
-    return not problems, problems
-
-
 def _cmd_simulate(args) -> int:
     scheme = SchemeId(args.scheme)
     config = AntennaConfig(args.M, args.N)
     model = FeedbackModel.from_key(args.model) if args.model else None
     schemes.plan(scheme, config)  # raises RegimeError before any work
-    reports = []
-    for i in range(args.trials):
-        reports.append(
-            run_trial(
-                scheme,
-                config,
-                model,
-                seed=args.seed + i,
-                tx1_only=args.tx1_only,
-                with_oracle=not args.no_oracle,
-            )
-        )
-    ok, problems = _scheme_invariants_ok(reports, schemes.variant(scheme, args.tx1_only).leakage)
+    reports = [
+        run_trial(scheme, config, model, seed=args.seed + i, tx1_only=args.tx1_only,
+                  with_oracle=not args.no_oracle)
+        for i in range(args.trials)
+    ]
+    problems = [] if all(r.decode_ok for r in reports) else ["decode failed"]
+    leakage = schemes.variant(scheme, args.tx1_only).leakage
+    problems += [name for name, passed in verify.claim_checks(reports, leakage) if not passed]
     summary = {
         "scheme": scheme.value,
         "config": {"m": args.M, "n": args.N},
@@ -268,7 +87,7 @@ def _cmd_simulate(args) -> int:
         "empirical_dof": None
         if reports[0].dof_rx1 is None
         else {"rx1": frac_json(reports[0].dof_rx1), "rx2": frac_json(reports[0].dof_rx2)},
-        "invariants_ok": ok,
+        "invariants_ok": not problems,
         "problems": problems,
     }
     if scheme is SchemeId.C:
@@ -294,7 +113,7 @@ def _cmd_simulate(args) -> int:
                 f"{dof if dof is not None else ''},"
                 f"{float(dof) if dof is not None else ''}"
             )
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return EXIT_INVARIANT if problems else EXIT_OK
 
 
 def _cmd_table(args) -> int:
@@ -328,31 +147,9 @@ def _suite_ranks(seed: int, trials: int) -> list[tuple[str, bool, str]]:
         reports = [
             run_trial(scheme, AntennaConfig(m, n), seed=seed + i) for i in range(trials)
         ]
-        rate_ok = all(
-            r.secrecy.rate_rank_rx1 == r.secrecy.rate_target
-            and r.secrecy.rate_rank_rx2 == r.secrecy.rate_target
-            for r in reports
-        )
-        checks.append((f"rate ranks {scheme.value}({m},{n})", rate_ok, f"{trials} trials"))
-        agree = all(
-            ((r.secrecy.leak_defect_rx2 == 0) == r.oracle_rx2)
-            and ((r.secrecy.leak_defect_rx1 == 0) == r.oracle_rx1)
-            for r in reports
-        )
-        checks.append((f"report/oracle agreement {scheme.value}({m},{n})", agree, ""))
-        leakage = schemes.variant(scheme).leakage
-        if leakage == "zero":
-            leak_ok = all(
-                r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
-                for r in reports
-            )
-            checks.append((f"zero leakage {scheme.value}({m},{n})", leak_ok, ""))
-        if leakage == "positive":
-            neg_ok = all(
-                r.secrecy.leak_defect_rx1 > 0 and r.secrecy.leak_defect_rx2 > 0
-                for r in reports
-            )
-            checks.append((f"negative control E({m},{n})", neg_ok, ""))
+        for name, passed in verify.claim_checks(reports, schemes.variant(scheme).leakage):
+            detail = f"{trials} trials" if name == "rate ranks" else ""
+            checks.append((f"{name} {scheme.value}({m},{n})", passed, detail))
     return checks
 
 
@@ -360,9 +157,7 @@ def _suite_mutants(seed: int, seeds: int = 20) -> list[tuple[str, bool, str]]:
     config = AntennaConfig(2, 3)
     checks = []
     for mutation in schemes.MUTATIONS:
-        caught = all(
-            verify.run_mutant(config, seed + i, mutation).caught for i in range(seeds)
-        )
+        caught = all(verify.run_mutant(config, seed + i, mutation) for i in range(seeds))
         checks.append((f"mutant {mutation} caught", caught, f"{seeds} seeds"))
     return checks
 

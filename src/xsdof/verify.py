@@ -16,6 +16,10 @@ column-space containment directly: conditioned on its own messages, the
 secret symbols' columns must lie inside the noise columns' span, so any
 secret value is explainable by some noise realization.
 
+:func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
+report, oracle), and :func:`claim_checks` the one place that says what a
+scheme's leakage claim demands of its trials.
+
 Leakage is verified structurally, not by Monte Carlo mutual-information
 estimation: at the infinite-SNR scale the secrecy claim *is* a rank
 identity, and a finite-sample estimator would add noise without evidence.
@@ -23,16 +27,21 @@ identity, and a finite-sample estimator would add noise without evidence.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import matcore, schemes
-from .channel import lift_rows
-from .errors import DecodeFailure, InvalidInput
+from .channel import AntennaConfig, FeedbackModel, lift_rows
+from .errors import DecodeFailure, IllConditioned, InvalidInput, SingularSystem
 from .knowledge import Node
+from .regions import frac_json
 from .schemes import SchemeId, Transcript, carried_map, side_info
+
+#: Null-set draws a trial resamples before it gives up.
+MAX_RESAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -224,44 +233,177 @@ def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MutantOutcome:
-    """What the verifier saw on one adversarial variant of scheme A."""
+@dataclass
+class TrialReport:
+    """Outcome of one seeded scheme trial.
 
-    mutation: str
-    decode_failed: bool
-    leak_defect_rx1: int
-    leak_defect_rx2: int
-    oracle_rx1: bool
-    oracle_rx2: bool
+    ``wall_time_s`` is informational only and never serialized, so that
+    identical flags and seed produce byte-identical output.
+    """
+
+    scheme: SchemeId
+    m: int
+    n: int
+    model: FeedbackModel
+    seed: int
+    attempts: int
+    plan: schemes.PhasePlan
+    decode_ok_rx1: bool
+    decode_ok_rx2: bool
+    decode_err_rx1: float | None
+    decode_err_rx2: float | None
+    secrecy: SecrecyReport
+    oracle_rx1: bool | None
+    oracle_rx2: bool | None
+    dof_rx1: Fraction | None
+    dof_rx2: Fraction | None
+    wall_time_s: float
 
     @property
-    def caught(self) -> bool:
-        return (
-            self.decode_failed
-            or self.leak_defect_rx1 > 0
-            or self.leak_defect_rx2 > 0
-            or not self.oracle_rx1
-            or not self.oracle_rx2
+    def decode_ok(self) -> bool:
+        return self.decode_ok_rx1 and self.decode_ok_rx2
+
+    def to_jsonable(self) -> dict:
+        return {
+            "scheme": self.scheme.value,
+            "config": {"m": self.m, "n": self.n},
+            "model": self.model.value,
+            "seed": self.seed,
+            "attempts": self.attempts,
+            "plan": {
+                "phase_lengths": list(self.plan.phase_lengths),
+                "symbols_per_receiver": self.plan.symbols_per_receiver,
+            },
+            "decode": {
+                "rx1": {"ok": self.decode_ok_rx1, "relative_error": self.decode_err_rx1},
+                "rx2": {"ok": self.decode_ok_rx2, "relative_error": self.decode_err_rx2},
+            },
+            "secrecy": self.secrecy.to_jsonable(),
+            "subspace_oracle": {"rx1": self.oracle_rx1, "rx2": self.oracle_rx2},
+            "empirical_dof": None
+            if self.dof_rx1 is None
+            else {"rx1": frac_json(self.dof_rx1), "rx2": frac_json(self.dof_rx2)},
+        }
+
+
+def run_trial(
+    scheme: SchemeId,
+    config: AntennaConfig,
+    model: FeedbackModel | None = None,
+    seed: int = 0,
+    mutation: str | None = None,
+    tx1_only: bool = False,
+    with_oracle: bool = True,
+) -> TrialReport:
+    """One seeded trial: run, decode, rank report, subspace oracle, DoF.
+
+    Null-set channel draws (singular or ill-conditioned solve) are resampled
+    with a derived seed, as the almost-sure rank statements permit; a decode
+    residual above tolerance is reported, never resampled.
+    """
+    t_start = time.perf_counter()
+    if model is None:
+        model = schemes.variant(scheme, tx1_only).model
+    trial_seed = seed
+    for attempt in range(1, MAX_RESAMPLES + 1):
+        transcript = schemes.run(
+            scheme, config, model, seed=trial_seed, mutation=mutation, tx1_only=tx1_only
         )
-
-
-def run_mutant(config, seed: int, mutation: str) -> MutantOutcome:
-    """Run one mutated scheme-A trial and report every verifier signal."""
-    transcript = schemes.run(SchemeId.A, config, seed=seed, mutation=mutation)
-    decode_failed = False
-    try:
+        errs: dict[Node, float | None] = {}
+        resample = False
         for receiver in (Node.RX1, Node.RX2):
-            if decode_error(transcript, receiver) > schemes.DECODE_TOL:
-                decode_failed = True
-    except Exception:  # SingularSystem, IllConditioned, DecodeFailure
-        decode_failed = True
+            try:
+                errs[receiver] = decode_error(transcript, receiver)
+            except (SingularSystem, IllConditioned):
+                if mutation is None:
+                    resample = True
+                    break
+                errs[receiver] = None
+            except DecodeFailure:
+                errs[receiver] = None
+        if resample:
+            trial_seed = _resample_seed(seed, attempt)
+            continue
+        break
+    else:  # pragma: no cover - would need MAX_RESAMPLES null-set draws in a row
+        raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
+
     report = secrecy_rank_report(transcript)
-    return MutantOutcome(
-        mutation=mutation,
-        decode_failed=decode_failed,
-        leak_defect_rx1=report.leak_defect_rx1,
-        leak_defect_rx2=report.leak_defect_rx2,
-        oracle_rx1=equivocation_subspace_check(transcript, Node.RX1),
-        oracle_rx2=equivocation_subspace_check(transcript, Node.RX2),
+    oracle_rx1 = oracle_rx2 = None
+    if with_oracle:
+        oracle_rx1 = equivocation_subspace_check(transcript, Node.RX1)
+        oracle_rx2 = equivocation_subspace_check(transcript, Node.RX2)
+    ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
+    ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
+    dof1 = dof2 = None
+    if ok1 and ok2:
+        dof1 = dof2 = transcript.plan.dof_target()
+    return TrialReport(
+        scheme=scheme,
+        m=config.m,
+        n=config.n,
+        model=model,
+        seed=seed,
+        attempts=attempt,
+        plan=transcript.plan,
+        decode_ok_rx1=ok1,
+        decode_ok_rx2=ok2,
+        decode_err_rx1=errs[Node.RX1],
+        decode_err_rx2=errs[Node.RX2],
+        secrecy=report,
+        oracle_rx1=oracle_rx1,
+        oracle_rx2=oracle_rx2,
+        dof_rx1=dof1,
+        dof_rx2=dof2,
+        wall_time_s=time.perf_counter() - t_start,
     )
+
+
+def _resample_seed(seed: int, attempt: int) -> int:
+    """Derived seed for a null-set resample, independent of the original."""
+    return int(matcore.substream(seed, "resample", attempt).integers(2**62))
+
+
+def claim_checks(reports: list[TrialReport], leakage: str) -> list[tuple[str, bool]]:
+    """The named checks a batch of trials must pass under a leakage claim.
+
+    Every claim demands full rate ranks on both receivers and agreement of
+    the rank report with the subspace oracle wherever the oracle ran.  A
+    ``zero`` claim adds a zero leak defect on both receivers; a
+    ``positive`` claim (the negative control) a positive defect on both.
+    """
+    secrecy = [r.secrecy for r in reports]
+    checks = [
+        ("rate ranks", all(
+            s.rate_rank_rx1 == s.rate_target and s.rate_rank_rx2 == s.rate_target
+            for s in secrecy
+        )),
+        ("report/oracle agreement", all(
+            oracle is None or (defect == 0) == oracle
+            for r in reports
+            for defect, oracle in (
+                (r.secrecy.leak_defect_rx1, r.oracle_rx1),
+                (r.secrecy.leak_defect_rx2, r.oracle_rx2),
+            )
+        )),
+    ]
+    if leakage == "zero":
+        checks.append(("zero leakage", all(
+            s.leak_defect_rx1 == 0 and s.leak_defect_rx2 == 0 for s in secrecy
+        )))
+    if leakage == "positive":
+        checks.append(("negative control", all(
+            s.leak_defect_rx1 > 0 and s.leak_defect_rx2 > 0 for s in secrecy
+        )))
+    return checks
+
+
+def run_mutant(config: AntennaConfig, seed: int, mutation: str) -> bool:
+    """Run one mutated scheme-A trial; True when the verifier catches it.
+
+    A mutant is caught when the trial fails to decode or fails any check
+    of scheme A's zero-leakage claim.
+    """
+    report = run_trial(SchemeId.A, config, seed=seed, mutation=mutation)
+    checks = claim_checks([report], schemes.variant(SchemeId.A).leakage)
+    return not report.decode_ok or not all(passed for _, passed in checks)

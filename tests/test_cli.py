@@ -1,10 +1,11 @@
 """CLI contract tests: flags, exit codes, output determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from xsdof import cli
+from xsdof import cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,23 @@ class TestSimulateCommand:
         assert flag["flagged"] is True
         assert flag["scheme_point"] == {"num": 4, "den": 7}
         assert flag["intersection_point"] == {"num": 16, "den": 31}
+
+    @pytest.mark.parametrize("scheme", ["C", "E"])
+    def test_short_rate_rank_fails_every_claim(self, capsys, monkeypatch, scheme):
+        real = verify.secrecy_rank_report
+
+        def one_short(transcript):
+            report = real(transcript)
+            return dataclasses.replace(report, rate_rank_rx1=report.rate_target - 1)
+
+        monkeypatch.setattr(verify, "secrecy_rank_report", one_short)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", scheme, "--M", "2", "--N", "3", "--trials", "1"
+        )
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert code == 4
+        assert summary["invariants_ok"] is False
+        assert "rate ranks" in summary["problems"]
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("XSDOF_SEED", "5")

@@ -1,5 +1,6 @@
 """Verifier tests: rank identities, the subspace oracle, and their agreement."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -155,14 +156,84 @@ class TestMutants:
         config = AntennaConfig(2, 3)
         for mutation in schemes.MUTATIONS:
             for seed in range(5):
-                assert verify.run_mutant(config, seed, mutation).caught, (mutation, seed)
+                assert verify.run_mutant(config, seed, mutation), (mutation, seed)
 
     def test_mutant_signatures(self):
         config = AntennaConfig(2, 3)
-        out = verify.run_mutant(config, 0, "theta1_zero")
-        assert out.leak_defect_rx2 > 0 and not out.decode_failed
-        out = verify.run_mutant(config, 0, "phi1_zero")
-        assert out.decode_failed
-        out = verify.run_mutant(config, 0, "skip_phase1")
-        assert out.leak_defect_rx1 > 0 and out.leak_defect_rx2 > 0
-        assert not out.decode_failed  # decoding survives, secrecy does not
+        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="theta1_zero")
+        assert out.secrecy.leak_defect_rx2 > 0 and out.decode_ok
+        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="phi1_zero")
+        assert out.decode_err_rx1 is None and not out.decode_ok_rx1  # singular solve
+        assert out.decode_ok_rx2 and out.secrecy.rate_rank_rx1 < out.secrecy.rate_target
+        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="skip_phase1")
+        assert out.secrecy.leak_defect_rx1 > 0 and out.secrecy.leak_defect_rx2 > 0
+        assert out.decode_ok  # decoding survives, secrecy does not
+
+    def test_decoder_crash_is_not_a_catch(self, monkeypatch):
+        def crash(transcript, receiver):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(schemes, "decode", crash)
+        with pytest.raises(RuntimeError, match="decoder bug"):
+            verify.run_mutant(AntennaConfig(2, 3), 0, "phi1_zero")
+
+
+@pytest.fixture(scope="module")
+def clean_reports():
+    """One real A(2,3) and E(2,3) trial: rate 12/12 both, defects 0 and 9."""
+    return {s: verify.run_trial(s, AntennaConfig(2, 3), seed=7) for s in (SchemeId.A, SchemeId.E)}
+
+
+def _flip(report, field, value):
+    if field.startswith("secrecy."):
+        secrecy = dataclasses.replace(report.secrecy, **{field.split(".")[1]: value})
+        return dataclasses.replace(report, secrecy=secrecy)
+    return dataclasses.replace(report, **{field: value})
+
+
+AGREE, RATE, ZERO, NEG = "report/oracle agreement", "rate ranks", "zero leakage", "negative control"
+
+
+class TestClaimChecks:
+    def test_clean_reports(self, clean_reports):
+        def fields(r):
+            s = r.secrecy
+            return (s.rate_rank_rx1, s.rate_rank_rx2, s.rate_target,
+                    s.leak_defect_rx1, s.leak_defect_rx2, r.oracle_rx1, r.oracle_rx2)
+
+        assert fields(clean_reports[SchemeId.A]) == (12, 12, 12, 0, 0, True, True)
+        assert fields(clean_reports[SchemeId.E]) == (12, 12, 12, 9, 9, False, False)
+
+    @pytest.mark.parametrize("leakage,names", [
+        ("zero", [RATE, AGREE, ZERO]),
+        ("advisory", [RATE, AGREE]),
+        ("positive", [RATE, AGREE, NEG]),
+    ])
+    def test_check_names_per_claim(self, clean_reports, leakage, names):
+        checks = verify.claim_checks([clean_reports[SchemeId.A]], leakage)
+        assert [name for name, _ in checks] == names
+
+    @pytest.mark.parametrize("scheme,leakage,field,value,failed", [
+        (SchemeId.A, "zero", None, None, set()),
+        (SchemeId.A, "advisory", None, None, set()),
+        (SchemeId.A, "positive", None, None, {NEG}),
+        (SchemeId.A, "zero", "secrecy.rate_rank_rx1", 11, {RATE}),
+        (SchemeId.A, "advisory", "secrecy.rate_rank_rx2", 11, {RATE}),
+        (SchemeId.A, "zero", "secrecy.leak_defect_rx2", 1, {ZERO, AGREE}),
+        (SchemeId.A, "advisory", "secrecy.leak_defect_rx1", 1, {AGREE}),
+        (SchemeId.A, "zero", "oracle_rx1", False, {AGREE}),
+        (SchemeId.A, "zero", "oracle_rx2", None, set()),
+        (SchemeId.E, "positive", None, None, set()),
+        (SchemeId.E, "advisory", None, None, set()),
+        (SchemeId.E, "zero", None, None, {ZERO}),
+        (SchemeId.E, "positive", "secrecy.rate_rank_rx2", 11, {RATE}),
+        (SchemeId.E, "positive", "secrecy.leak_defect_rx1", 0, {NEG, AGREE}),
+        (SchemeId.E, "positive", "oracle_rx2", True, {AGREE}),
+        (SchemeId.E, "positive", "oracle_rx1", None, set()),
+    ])
+    def test_one_flipped_field(self, clean_reports, scheme, leakage, field, value, failed):
+        report = clean_reports[scheme]
+        if field is not None:
+            report = _flip(report, field, value)
+        checks = verify.claim_checks([clean_reports[scheme], report], leakage)
+        assert {name for name, passed in checks if not passed} == failed
