@@ -647,12 +647,15 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     cross-check it) and from the rank-identity assembly in ``verify``.
 
     Symbol groups must share their trailing shape: all plain vectors, or all
-    matrices with the same column count.
+    matrices with the same column count.  Both receivers' stacks are views
+    of one ``(2, n * horizon, ...)`` array that every phase's product is
+    written into.
     """
     transcript.check_complete()
     cfg, sym, sels = transcript.config, transcript.symbols, transcript.selections
     m = cfg.effective_m
-    r1, r2, r3, r4 = transcript.phase_ranges()
+    ranges = transcript.phase_ranges()
+    r1, r2, r3, r4 = ranges
     t2, t3 = len(r2), len(r4)
 
     u = sym.u if u is None else np.asarray(u, dtype=complex)
@@ -664,28 +667,33 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     trailing = trailing.pop()
 
     states = transcript.states
-    lift = lambda slots, rx_: lift_rows([states[t] for t in slots], rx_, m)
+    y = np.empty((2, cfg.n * transcript.horizon) + trailing, dtype=complex)
+    bounds = np.cumsum([0] + [cfg.n * len(slots) for slots in ranges])
+    phase_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def send(p: int, x: np.ndarray):
+        """Phase ``p``'s outputs of stacked input ``x``, written into ``y``."""
+        slots = [states[t] for t in ranges[p - 1]]
+        for idx in (0, 1):
+            np.matmul(lift_rows(slots, idx + 1, m), x, out=y[idx, phase_rows[p - 1]])
+        return y[0, phase_rows[p - 1]], y[1, phase_rows[p - 1]]
 
     if r1:
-        y1p1, y2p1 = lift(r1, 1) @ u, lift(r1, 2) @ u
+        y1p1, y2p1 = send(1, u)
         x2s = _placed(transcript, "theta1", y1p1, m * t2)
         x3s = _placed(transcript, "theta2", y2p1, m * t2)
         x2s += v1  # in place: the oracle replays with identity-matrix symbols
         x3s += v2
     else:
-        y1p1 = y2p1 = np.zeros((0,) + trailing, dtype=complex)
         x2s, x3s = v1, v2
 
-    y1p2, y2p2 = lift(r2, 1) @ x2s, lift(r2, 2) @ x2s
-    y1p3, y2p3 = lift(r3, 1) @ x3s, lift(r3, 2) @ x3s
+    _, y2p2 = send(2, x2s)
+    y1p3, _ = send(3, x3s)
 
     x4s = _placed(transcript, "phi1", side_info(y2p2, sels.get("side_info_rx2")), m * t3)
     x4s += _placed(transcript, "phi2", side_info(y1p3, sels.get("side_info_rx1")), m * t3)
-    y1p4, y2p4 = lift(r4, 1) @ x4s, lift(r4, 2) @ x4s
-
-    y1 = np.concatenate([y1p1, y1p2, y1p3, y1p4])
-    y2 = np.concatenate([y2p1, y2p2, y2p3, y2p4])
-    return y1, y2
+    send(4, x4s)
+    return y[0], y[1]
 
 
 def recorded_output_stack(transcript: Transcript, rx: int) -> np.ndarray:

@@ -10,11 +10,15 @@ eavesdropping receiver sees about the other receiver's symbols is already
 explained by the injected noise).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
-reads off the eavesdropper's observation as an explicit linear map of the
-symbol groups (by replaying the run with identity-matrix symbols) and tests
-column-space containment directly: conditioned on its own messages, the
-secret symbols' columns must lie inside the noise columns' span, so any
-secret value is explainable by some noise realization.
+reads off the eavesdropper's observation of the noise and of the secret
+symbols as explicit linear maps (two replays of the run with
+identity-matrix symbols) and tests column-space containment directly:
+conditioned on its own messages, the secret symbols' columns must lie
+inside the noise columns' span, so any secret value is explainable by some
+noise realization.  :func:`columns_contained` decides that from one QR of
+the noise map and the secret columns' residual off its span, and falls back
+to comparing the two ranks when the noise map is rank deficient or the
+residual is too close to the rank cut to call.
 
 :func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
 report, oracle), and :func:`claim_checks` the one place that says what a
@@ -42,6 +46,11 @@ from .schemes import SchemeId, Transcript, carried_map, side_info
 
 #: Null-set draws a trial resamples before it gives up.
 MAX_RESAMPLES = 8
+
+#: Guard band of the projected containment test: the fast path decides only
+#: when its bounds clear the joint rank cut by this factor, and leaves every
+#: closer call to the rank pair.
+CONTAINMENT_GUARD = 1e2
 
 
 @dataclass(frozen=True)
@@ -156,26 +165,76 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     )
 
 
-def observation_maps(transcript: Transcript, receiver: Node):
-    """Coefficient maps ``(A_u, A_v1, A_v2)`` of a receiver's full observation.
+def observation_map(transcript: Transcript, receiver: Node, group: str) -> np.ndarray:
+    """Coefficient map of symbol group ``group`` (``u``, ``v1`` or ``v2``) in
+    a receiver's full observation.
 
-    Obtained by replaying the run with identity-matrix symbol groups, so the
-    result is independent of the rank-identity assembly above.
+    Obtained by replaying the run with that group set to the identity and
+    the others to zero, so the result is independent of the rank-identity
+    assembly above.
     """
     if receiver not in (Node.RX1, Node.RX2):
-        raise InvalidInput("observation_maps expects a receiver node")
+        raise InvalidInput("observation_map expects a receiver node")
     sym = transcript.symbols
-    dims = {"u": len(sym.u), "v1": len(sym.v1), "v2": len(sym.v2)}
+    dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
+    groups = {
+        name: np.eye(d, dtype=complex) if name == group else np.zeros((d, dims[group]), complex)
+        for name, d in dims.items()
+    }
+    y1, y2 = schemes.linear_response(transcript, **groups)
+    return y1 if receiver is Node.RX1 else y2
 
-    def response_for(active: str):
-        groups = {
-            name: np.eye(d, dtype=complex) if name == active else np.zeros((d, dims[active]), complex)
-            for name, d in dims.items()
-        }
-        y1, y2 = schemes.linear_response(transcript, u=groups["u"], v1=groups["v1"], v2=groups["v2"])
-        return y1 if receiver is Node.RX1 else y2
 
-    return response_for("u"), response_for("v1"), response_for("v2")
+def columns_contained(
+    noise: np.ndarray, secret: np.ndarray, rel_tol: float = matcore.DEFAULT_REL_TOL
+) -> bool:
+    """Whether ``rank([noise | secret]) == rank(noise)`` at ``rel_tol``.
+
+    One QR of ``noise`` gives its rank (``R`` has ``noise``'s singular
+    values) and, when that rank is full, the residual of ``secret`` off the
+    noise span, which settles most verdicts without the joint SVD (see
+    :func:`_projected_verdict`).  Every other case, a rank-deficient
+    ``noise`` included, compares the two ranks.  With no noise columns the
+    secret map must vanish.
+    """
+    k = noise.shape[1]
+    if k == 0:
+        return matcore.rank_value(secret, rel_tol) == 0
+    q, r = np.linalg.qr(noise)
+    base = matcore.rank(r, rel_tol)
+    if base.value == k:
+        verdict = _projected_verdict(q, r, base.smallest_kept_singular_value, secret, rel_tol)
+        if verdict is not None:
+            return verdict
+    return matcore.rank_value(np.hstack([noise, secret]), rel_tol) == base.value
+
+
+def _projected_verdict(q, r, weakest: float, secret: np.ndarray, rel_tol: float) -> bool | None:
+    """Containment of ``secret`` in the span of a full-column-rank ``q @ r``
+    (smallest singular value ``weakest``), or None when too close to call.
+
+    The joint matrix's rank cut is ``rel_tol`` times its largest singular
+    value, which lies between its largest column norm and its Frobenius
+    norm.  Its next singular value after the noise columns' is at most the
+    residual's Frobenius norm, and at least the residual's largest column
+    norm, capped at ``weakest`` and shrunk by ``weakest / (weakest +
+    |secret|)``.  A verdict needs the relevant bound to clear the cut by
+    :data:`CONTAINMENT_GUARD`, and ``weakest`` to clear it outright so that
+    the joint rank keeps every noise column.
+    """
+    secret_norms = np.linalg.norm(secret, axis=0)
+    secret_frob = float(np.linalg.norm(secret_norms))
+    scale = float(np.hypot(np.linalg.norm(r), secret_frob))
+    floor = float(max(np.max(np.linalg.norm(r, axis=0)), np.max(secret_norms, initial=0.0)))
+    if weakest <= rel_tol * scale:
+        return None
+    residual = np.linalg.norm(secret - q @ (q.conj().T @ secret), axis=0)
+    if np.linalg.norm(residual) * CONTAINMENT_GUARD <= rel_tol * floor:
+        return True
+    shrunk = min(weakest, np.max(residual, initial=0.0)) * weakest / (weakest + secret_frob)
+    if shrunk > CONTAINMENT_GUARD * rel_tol * scale:
+        return False
+    return None
 
 
 def equivocation_subspace_check(
@@ -187,15 +246,16 @@ def equivocation_subspace_check(
 
     Conditioned on the eavesdropper's own messages, the other receiver's
     symbols must enter its observation only inside the noise columns' span.
-    Returns True iff ``rank([noise cols]) == rank([noise cols | secret
-    cols])``.
+    Replays the noise group and the secret group (``v2`` for receiver 1,
+    ``v1`` for receiver 2) and returns :func:`columns_contained` of the
+    two maps: True iff ``rank([noise cols | secret cols])`` equals
+    ``rank([noise cols])``, decided from one QR of the noise map where the
+    margins allow.
     """
     transcript.check_complete()
-    a_u, a_v1, a_v2 = observation_maps(transcript, eavesdropper)
-    secret = a_v1 if eavesdropper is Node.RX2 else a_v2
-    base = matcore.rank_value(a_u, rel_tol) if a_u.shape[1] else 0
-    joint = matcore.rank_value(np.hstack([a_u, secret]), rel_tol)
-    return joint == base
+    a_u = observation_map(transcript, eavesdropper, "u")
+    secret = observation_map(transcript, eavesdropper, "v2" if eavesdropper is Node.RX1 else "v1")
+    return columns_contained(a_u, secret, rel_tol)
 
 
 def decode_error(transcript: Transcript, receiver: Node) -> float:
@@ -203,23 +263,6 @@ def decode_error(transcript: Transcript, receiver: Node) -> float:
     decoded = schemes.decode(transcript, receiver)
     sent = transcript.symbols.v1 if receiver is Node.RX1 else transcript.symbols.v2
     return float(np.linalg.norm(decoded - sent) / max(np.linalg.norm(sent), 1e-300))
-
-
-def empirical_dof(transcript: Transcript) -> tuple[Fraction, Fraction]:
-    """Symbols recovered per slot, as an exact rational pair.
-
-    Decodes both receivers against the transcript's ground truth first;
-    a residual above tolerance propagates as :class:`DecodeFailure`.
-    """
-    for receiver in (Node.RX1, Node.RX2):
-        err = decode_error(transcript, receiver)
-        if err > schemes.DECODE_TOL:
-            raise DecodeFailure(
-                f"{receiver.value} decoded with relative error {err:.3e}"
-            )
-    budget = transcript.plan.symbols_per_receiver
-    horizon = transcript.horizon
-    return Fraction(budget, horizon), Fraction(budget, horizon)
 
 
 def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:

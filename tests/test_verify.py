@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xsdof import schemes, verify
+from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig
-from xsdof.errors import InvalidTranscript
+from xsdof.errors import InvalidInput, InvalidTranscript
 from xsdof.knowledge import Node
 from xsdof.schemes import SchemeId
 
@@ -95,29 +97,154 @@ class TestSubspaceOracle:
 
     def test_observation_maps_shapes(self):
         transcript = transcript_for(SchemeId.A, 2, 3)
-        a_u, a_v1, a_v2 = verify.observation_maps(transcript, Node.RX2)
         rows = 3 * 16
-        assert a_u.shape == (rows, 36)
-        assert a_v1.shape == (rows, 12)
-        assert a_v2.shape == (rows, 12)
+        maps = {g: verify.observation_map(transcript, Node.RX2, g) for g in ("u", "v1", "v2")}
+        assert maps["u"].shape == (rows, 36)
+        assert maps["v1"].shape == (rows, 12)
+        assert maps["v2"].shape == (rows, 12)
+        with pytest.raises(InvalidInput):
+            verify.observation_map(transcript, Node.TX1, "u")
 
     def test_agreement_with_rank_report(self):
-        for scheme, m, n in [
-            (SchemeId.A, 2, 3),
-            (SchemeId.B, 4, 4),
-            (SchemeId.C, 2, 3),
-            (SchemeId.D, 2, 3),
-            (SchemeId.E, 2, 3),
+        for scheme, m, n, mutation, seeds in [
+            (SchemeId.A, 2, 3, None, 5),
+            (SchemeId.B, 4, 4, None, 5),
+            (SchemeId.C, 2, 3, None, 5),
+            (SchemeId.D, 2, 3, None, 5),
+            (SchemeId.E, 2, 3, None, 5),
+            (SchemeId.A, 4, 4, None, 2),
+            (SchemeId.C, 4, 5, None, 2),
+            (SchemeId.E, 4, 4, None, 2),
+            (SchemeId.A, 3, 4, "theta1_zero", 2),
+            (SchemeId.A, 3, 4, "phi1_zero", 2),
+            (SchemeId.A, 3, 4, "skip_phase1", 2),
         ]:
-            for seed in range(5):
-                transcript = transcript_for(scheme, m, n, seed=seed)
+            for seed in range(seeds):
+                transcript = transcript_for(scheme, m, n, seed=seed, mutation=mutation)
                 report = verify.secrecy_rank_report(transcript)
                 assert (report.leak_defect_rx2 == 0) == verify.equivocation_subspace_check(
                     transcript, Node.RX2
-                )
+                ), (scheme, m, n, mutation, seed)
                 assert (report.leak_defect_rx1 == 0) == verify.equivocation_subspace_check(
                     transcript, Node.RX1
-                )
+                ), (scheme, m, n, mutation, seed)
+
+    def test_two_replays_per_receiver(self, monkeypatch):
+        calls = []
+        replay = schemes.linear_response
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return replay(*args, **kw)
+
+        monkeypatch.setattr(schemes, "linear_response", counted)
+        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7)
+        assert len(calls) == 4
+        calls.clear()
+        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7, with_oracle=False)
+        assert calls == []
+
+
+def _reference_contained(a, s, tol=1e-9):
+    """rank([A | S]) == rank(A), straight from numpy's SVD."""
+    def rank(x):
+        sv = np.linalg.svd(x, compute_uv=False) if x.size else np.zeros(0)
+        return int(np.count_nonzero(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    return rank(np.hstack([a, s])) == rank(a)
+
+
+def _gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.fixture
+def joint_rank_calls(monkeypatch):
+    """Column counts of every matrix ``matcore.rank`` is asked about."""
+    cols = []
+    rank = matcore.rank
+
+    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL):
+        cols.append(np.shape(a)[1])
+        return rank(a, rel_tol)
+
+    monkeypatch.setattr(matcore, "rank", spy)
+    return cols
+
+
+class TestColumnsContained:
+    def test_contained_span(self, joint_rank_calls):
+        rng = np.random.default_rng(1)
+        a = _gaussian(rng, 30, 8)
+        s = a @ _gaussian(rng, 8, 5)
+        assert _reference_contained(a, s)
+        assert verify.columns_contained(a, s)
+        assert joint_rank_calls == [8]  # the base rank only: no joint SVD
+
+    def test_random_secret_leaks(self, joint_rank_calls):
+        rng = np.random.default_rng(2)
+        a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 5)
+        assert not _reference_contained(a, s)
+        assert not verify.columns_contained(a, s)
+        assert joint_rank_calls == [8]
+
+    def test_rank_deficient_noise_takes_rank_pair(self, joint_rank_calls):
+        rng = np.random.default_rng(3)
+        a = _gaussian(rng, 30, 4) @ _gaussian(rng, 4, 8)  # rank 4 of 8 columns
+        for s, want in ((a @ _gaussian(rng, 8, 3), True), (_gaussian(rng, 30, 3), False)):
+            joint_rank_calls.clear()
+            assert _reference_contained(a, s) is want
+            assert verify.columns_contained(a, s) is want
+            assert joint_rank_calls == [8, 11]
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-10, 1e-8])
+    def test_residual_in_guard_band_falls_back(self, joint_rank_calls, offset):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(_gaussian(rng, 30, 9))
+        a, out = q[:, :8], q[:, 8:]  # unit orthonormal columns
+        s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
+        assert verify.columns_contained(a, s) == _reference_contained(a, s)
+        assert joint_rank_calls == [8, 9]
+
+    @pytest.mark.parametrize("weak,secret,want", [
+        # a noise direction kept by its own cut but dropped by the joint's
+        (1e-8, [1e3, 0, 0, 0], False),
+        # a clear residual (1e-5) along which the joint barely grows (~1e-10)
+        (1e-5, [0, 1, 1e-5, 0], True),
+    ])
+    def test_ill_conditioned_noise_falls_back(self, joint_rank_calls, weak, secret, want):
+        a = np.zeros((4, 2), dtype=complex)
+        a[0, 0], a[1, 1] = 1.0, weak
+        s = np.array(secret, dtype=complex)[:, None]
+        assert _reference_contained(a, s) is want
+        assert verify.columns_contained(a, s) is want
+        assert joint_rank_calls == [2, 3]
+
+    def test_noise_without_columns(self, joint_rank_calls):
+        rng = np.random.default_rng(5)
+        empty = np.zeros((30, 0), dtype=complex)
+        assert verify.columns_contained(empty, np.zeros((30, 4), dtype=complex))
+        assert not verify.columns_contained(empty, _gaussian(rng, 30, 4))
+        assert _reference_contained(empty, np.zeros((30, 4))) and not _reference_contained(
+            empty, _gaussian(rng, 30, 4)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(4, 24),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_overlap_matches_reference(self, rows, data, seed):
+        cols = data.draw(st.integers(1, rows - 1), label="noise columns")
+        rank = data.draw(st.integers(1, cols), label="noise rank")
+        outside = data.draw(st.integers(0, min(3, rows - rank)), label="secret columns off span")
+        inside = data.draw(st.integers(0, 3), label="secret columns in span")
+        rng = np.random.default_rng(seed)
+        a = _gaussian(rng, rows, rank) @ _gaussian(rng, rank, cols)
+        s = np.hstack([a @ _gaussian(rng, cols, inside), _gaussian(rng, rows, outside)])
+        want = _reference_contained(a, s)
+        assert want == (outside == 0)
+        assert verify.columns_contained(a, s) == want
 
 
 class TestEmpiricalDof:
@@ -133,22 +260,22 @@ class TestEmpiricalDof:
         ],
     )
     def test_values(self, scheme, m, n, want):
-        dof = verify.empirical_dof(transcript_for(scheme, m, n))
-        assert dof == (want, want)
+        report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, with_oracle=False)
+        assert (report.dof_rx1, report.dof_rx2) == (want, want)
 
     def test_matches_region_corner(self):
         from xsdof import regions
 
-        dof = verify.empirical_dof(transcript_for(SchemeId.A, 2, 3))
-        assert dof[0] == regions.symmetric_corner(2, 3, "asym-fb-dcsit").point[0]
-        dof = verify.empirical_dof(transcript_for(SchemeId.D, 2, 3))
-        assert dof[0] == regions.symmetric_corner(2, 3, "sym-fb").point[0]
-        dof = verify.empirical_dof(transcript_for(SchemeId.B, 4, 4))
-        assert dof[0] == regions.symmetric_corner(4, 4, "asym-fb").point[0]
-        dof = verify.empirical_dof(transcript_for(SchemeId.C, 2, 3))
-        assert dof[0] == regions.symmetric_corner(2, 3, "asym-fb").point[0]
-        dof = verify.empirical_dof(transcript_for(SchemeId.E, 2, 3))
-        assert dof[0] == regions.dof_symmetric_corner(2, 3)[0]
+        def dof(scheme, m, n):
+            report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, with_oracle=False)
+            assert report.dof_rx1 == report.dof_rx2
+            return report.dof_rx1
+
+        assert dof(SchemeId.A, 2, 3) == regions.symmetric_corner(2, 3, "asym-fb-dcsit").point[0]
+        assert dof(SchemeId.D, 2, 3) == regions.symmetric_corner(2, 3, "sym-fb").point[0]
+        assert dof(SchemeId.B, 4, 4) == regions.symmetric_corner(4, 4, "asym-fb").point[0]
+        assert dof(SchemeId.C, 2, 3) == regions.symmetric_corner(2, 3, "asym-fb").point[0]
+        assert dof(SchemeId.E, 2, 3) == regions.dof_symmetric_corner(2, 3)[0]
 
 
 class TestMutants:
