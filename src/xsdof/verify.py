@@ -15,10 +15,10 @@ symbols as explicit linear maps (two replays of the run with
 identity-matrix symbols) and tests column-space containment directly:
 conditioned on its own messages, the secret symbols' columns must lie
 inside the noise columns' span, so any secret value is explainable by some
-noise realization.  :func:`columns_contained` decides that from one QR of
-the noise map and the secret columns' residual off its span, and falls back
-to comparing the two ranks when the noise map is rank deficient or the
-residual is too close to the rank cut to call.
+noise realization.  :func:`columns_contained` confirms a clear containment
+from one QR of the noise map and the secret columns' residual off its span,
+and compares the two ranks in every other case: a leak, a rank-deficient
+noise map, or a residual too close to the rank cut to call.
 
 :func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
 report, oracle), and :func:`claim_checks` the one place that says what a
@@ -47,9 +47,10 @@ from .schemes import SchemeId, Transcript, carried_map, side_info
 #: Null-set draws a trial resamples before it gives up.
 MAX_RESAMPLES = 8
 
-#: Guard band of the projected containment test: the fast path decides only
-#: when its bounds clear the joint rank cut by this factor, and leaves every
-#: closer call to the rank pair.
+#: Guard band of the projected containment test: the fast path calls the
+#: secret columns contained only when their residual off the noise span
+#: clears the joint rank cut by this factor, and leaves every other case to
+#: the rank pair.
 CONTAINMENT_GUARD = 1e2
 
 
@@ -192,49 +193,39 @@ def columns_contained(
 
     One QR of ``noise`` gives its rank (``R`` has ``noise``'s singular
     values) and, when that rank is full, the residual of ``secret`` off the
-    noise span, which settles most verdicts without the joint SVD (see
-    :func:`_projected_verdict`).  Every other case, a rank-deficient
-    ``noise`` included, compares the two ranks.  With no noise columns the
-    secret map must vanish.
+    noise span, which confirms a clear containment without the joint SVD
+    (see :func:`_clearly_contained`).  Every other case, a leak or a
+    rank-deficient ``noise`` included, compares the two ranks.  With no
+    noise columns the secret map must vanish.
     """
     k = noise.shape[1]
     if k == 0:
         return matcore.rank_value(secret, rel_tol) == 0
     q, r = np.linalg.qr(noise)
     base = matcore.rank(r, rel_tol)
-    if base.value == k:
-        verdict = _projected_verdict(q, r, base.smallest_kept_singular_value, secret, rel_tol)
-        if verdict is not None:
-            return verdict
+    if base.value == k and _clearly_contained(q, r, base.smallest_kept_singular_value, secret, rel_tol):
+        return True
     return matcore.rank_value(np.hstack([noise, secret]), rel_tol) == base.value
 
 
-def _projected_verdict(q, r, weakest: float, secret: np.ndarray, rel_tol: float) -> bool | None:
-    """Containment of ``secret`` in the span of a full-column-rank ``q @ r``
-    (smallest singular value ``weakest``), or None when too close to call.
+def _clearly_contained(q, r, weakest: float, secret: np.ndarray, rel_tol: float) -> bool:
+    """Whether ``secret`` lies in the span of a full-column-rank ``q @ r``
+    (smallest singular value ``weakest``) by a margin no rank cut overturns.
 
     The joint matrix's rank cut is ``rel_tol`` times its largest singular
     value, which lies between its largest column norm and its Frobenius
-    norm.  Its next singular value after the noise columns' is at most the
-    residual's Frobenius norm, and at least the residual's largest column
-    norm, capped at ``weakest`` and shrunk by ``weakest / (weakest +
-    |secret|)``.  A verdict needs the relevant bound to clear the cut by
-    :data:`CONTAINMENT_GUARD`, and ``weakest`` to clear it outright so that
-    the joint rank keeps every noise column.
+    norm.  Its singular values past the noise columns' are at most the
+    residual's Frobenius norm, which must clear the smallest possible cut
+    by :data:`CONTAINMENT_GUARD`; its k-th is at least ``weakest``, which
+    must clear the largest possible cut so that no noise column is lost.
     """
     secret_norms = np.linalg.norm(secret, axis=0)
-    secret_frob = float(np.linalg.norm(secret_norms))
-    scale = float(np.hypot(np.linalg.norm(r), secret_frob))
-    floor = float(max(np.max(np.linalg.norm(r, axis=0)), np.max(secret_norms, initial=0.0)))
+    scale = float(np.hypot(np.linalg.norm(r), np.linalg.norm(secret_norms)))
     if weakest <= rel_tol * scale:
-        return None
-    residual = np.linalg.norm(secret - q @ (q.conj().T @ secret), axis=0)
-    if np.linalg.norm(residual) * CONTAINMENT_GUARD <= rel_tol * floor:
-        return True
-    shrunk = min(weakest, np.max(residual, initial=0.0)) * weakest / (weakest + secret_frob)
-    if shrunk > CONTAINMENT_GUARD * rel_tol * scale:
         return False
-    return None
+    floor = float(max(np.max(np.linalg.norm(r, axis=0)), np.max(secret_norms, initial=0.0)))
+    residual = float(np.linalg.norm(secret - q @ (q.conj().T @ secret)))
+    return residual * CONTAINMENT_GUARD <= rel_tol * floor
 
 
 def equivocation_subspace_check(
@@ -249,8 +240,8 @@ def equivocation_subspace_check(
     Replays the noise group and the secret group (``v2`` for receiver 1,
     ``v1`` for receiver 2) and returns :func:`columns_contained` of the
     two maps: True iff ``rank([noise cols | secret cols])`` equals
-    ``rank([noise cols])``, decided from one QR of the noise map where the
-    margins allow.
+    ``rank([noise cols])``, confirmed from one QR of the noise map where
+    the margins allow.
     """
     transcript.check_complete()
     a_u = observation_map(transcript, eavesdropper, "u")
