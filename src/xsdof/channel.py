@@ -4,6 +4,12 @@ Per-slot channel states (four independent complex-Gaussian blocks, full
 rank almost surely), the noiseless channel map, the feedback-topology
 descriptors, and block-diagonal lifting of a phase's slots into one matrix.
 
+A :class:`StateSequence` keeps every slot's four blocks in one
+``(horizon, 2, 2, n, m)`` array, ``blocks[t - 1, j - 1, i - 1]`` being
+``h_ji`` at slot ``t``; its :class:`ChannelState` per slot holds views into
+that array, so the ledger reads slots while the replay and the lifts work
+on whole slot ranges at once.
+
 Noise is omitted entirely, not merely made small: every decode and secrecy
 check in this package is a statement about the noiseless linear maps, which
 is exactly the level at which degrees-of-freedom accounting lives.
@@ -11,8 +17,7 @@ is exactly the level at which degrees-of-freedom accounting lives.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -98,7 +103,11 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """One slot's four channel blocks, each ``n x m``, full rank jointly."""
+    """One slot's four channel blocks, each ``n x m``, full rank jointly.
+
+    In a :class:`StateSequence` the blocks are read-only views into the
+    sequence's state array.
+    """
 
     h11: np.ndarray
     h12: np.ndarray
@@ -116,11 +125,26 @@ class ChannelState:
 
 @dataclass(frozen=True)
 class StateSequence:
-    """An i.i.d. draw of channel states over a horizon, immutable once built."""
+    """An i.i.d. draw of channel states over a horizon, immutable once built.
+
+    ``blocks`` is the ``(horizon, 2, 2, n, m)`` array of every slot's
+    blocks (made read-only here); ``states`` holds one :class:`ChannelState`
+    per slot whose blocks are views into it.
+    """
 
     config: AntennaConfig
-    states: tuple[ChannelState, ...]
+    blocks: np.ndarray
     seed: int | None = None
+    states: tuple[ChannelState, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.blocks.flags.writeable = False
+        n, m = self.config.n, self.config.m
+        views = tuple(
+            ChannelState(*slot.reshape(4, n, m), slot=t)
+            for t, slot in enumerate(self.blocks, start=1)
+        )
+        object.__setattr__(self, "states", views)
 
     @property
     def horizon(self) -> int:
@@ -131,6 +155,18 @@ class StateSequence:
         if not 1 <= slot <= len(self.states):
             raise InvalidInput(f"slot {slot} outside horizon 1..{len(self.states)}")
         return self.states[slot - 1]
+
+    def rows(self, rx: int, slots) -> np.ndarray:
+        """Receiver ``rx``'s blocks ``(h_rx1, h_rx2)`` at the 1-based
+        ``slots``, as a ``(len(slots), 2, n, m)`` array: the input of
+        :func:`lift_rows`."""
+        return self.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
+
+
+def _stacked(slot: np.ndarray) -> np.ndarray:
+    """The joint 2n x 2m matrix of one slot's ``(2, 2, n, m)`` blocks."""
+    _, _, n, m = slot.shape
+    return slot.transpose(0, 2, 1, 3).reshape(2 * n, 2 * m)
 
 
 def generate_states(
@@ -144,23 +180,23 @@ def generate_states(
 
     Each slot's stacked 2n x 2m matrix must have rank ``min(2n, 2m)`` at the
     working tolerance; a failing slot (a null-set event for Gaussian draws)
-    is redrawn rather than accepted.
+    is redrawn rather than accepted.  Blocks are drawn slot by slot in the
+    order ``h11, h12, h21, h22``.
     """
     if horizon < 1:
         raise InvalidInput(f"horizon must be >= 1, got {horizon}")
     n, m = config.n, config.m
     want = min(2 * n, 2 * m)
-    states = []
-    for slot in range(1, horizon + 1):
+    blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
+    for slot in blocks:
         for _ in range(max_redraws):
-            blocks = [matcore.random_matrix(n, m, rng) for _ in range(4)]
-            state = ChannelState(*blocks, slot=slot)
-            if matcore.rank_value(state.stacked(), STACKED_RANK_TOL) == want:
+            for block in slot.reshape(4, n, m):
+                block[...] = matcore.random_matrix(n, m, rng)
+            if matcore.rank_value(_stacked(slot), STACKED_RANK_TOL) == want:
                 break
         else:  # pragma: no cover - probability ~0 for Gaussian draws
             raise InvalidInput("could not draw a full-rank channel state")
-        states.append(state)
-    return StateSequence(config, tuple(states), seed)
+    return StateSequence(config, blocks, seed)
 
 
 def apply_channel(state: ChannelState, x1: np.ndarray, x2: np.ndarray):
@@ -193,47 +229,23 @@ def lift_phase(states: Sequence[ChannelState], which: tuple[int, int], m_eff: in
     return matcore.block_diag(blocks)
 
 
-def lift_rows(states: Sequence[ChannelState], rx: int, m_eff: int | None = None) -> np.ndarray:
-    """Receiver ``rx``'s lifted map on the stacked pair of transmit vectors.
+def lift_rows(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
+    """One receiver's lifted map on the stacked pair of transmit vectors.
 
-    Returns ``[lift(h_rx1) | lift(h_rx2)]``, i.e. the matrix multiplying
-    ``[x1_stack; x2_stack]`` to give that receiver's stacked phase output.
+    ``rows`` holds that receiver's blocks ``(h_j1, h_j2)`` per slot, shape
+    ``(t, 2, n, m)`` (see :meth:`StateSequence.rows`).  Returns
+    ``[lift(h_j1) | lift(h_j2)]``, i.e. the matrix multiplying ``[x1_stack;
+    x2_stack]`` to give that receiver's stacked phase output, built by one
+    scatter of the slot blocks into a zero array; ``m_eff`` keeps the first
+    ``m_eff`` transmit antennas.
     """
-    return np.hstack([lift_phase(states, (rx, 1), m_eff), lift_phase(states, (rx, 2), m_eff)])
-
-
-def state_sequence_to_json(seq: StateSequence) -> str:
-    """Serialize a state sequence for trial replay.
-
-    Complex entries are written as ``[re, im]`` pairs using Python's
-    shortest round-trip decimal form (at most 17 significant digits), so
-    parsing the document reproduces every float bit for bit.
-    """
-    doc = {
-        "config": {"m": seq.config.m, "n": seq.config.n},
-        "seed": seq.seed,
-        "horizon": seq.horizon,
-        "states": [
-            [[[float(z.real), float(z.imag)] for z in state.block(j, i).ravel()]
-             for (j, i) in ((1, 1), (1, 2), (2, 1), (2, 2))]
-            for state in seq.states
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def state_sequence_from_json(text: str) -> StateSequence:
-    """Parse the document produced by :func:`state_sequence_to_json`."""
-    doc = json.loads(text)
-    config = AntennaConfig(doc["config"]["m"], doc["config"]["n"])
-    n, m = config.n, config.m
-    states = []
-    for slot, raw in enumerate(doc["states"], start=1):
-        blocks = [
-            np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(n, m)
-            for entries in raw
-        ]
-        states.append(ChannelState(*blocks, slot=slot))
-    if len(states) != doc["horizon"]:
-        raise InvalidInput("horizon field does not match the number of states")
-    return StateSequence(config, tuple(states), doc["seed"])
+    if rows.ndim != 4 or len(rows) == 0:
+        raise InvalidInput(f"lift_rows expects a nonempty (t, 2, n, m) array, got {rows.shape}")
+    if m_eff is not None:
+        rows = rows[..., :m_eff]
+    t, _, n, m = rows.shape
+    out = np.zeros((t, n, 2, t, m), dtype=complex)
+    diag = np.arange(t)
+    # out[s, :, i, s, :] is slot s's block from transmitter i + 1
+    out[diag, :, :, diag, :] = rows.transpose(0, 2, 1, 3)
+    return out.reshape(t * n, 2 * t * m)

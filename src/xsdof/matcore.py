@@ -2,8 +2,8 @@
 
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
-tolerance report, square/tall solving with a condition estimate, seeded
-random matrix generation, and block-diagonal lifting.
+tolerance report, QR factorization, square/tall solving with a condition
+estimate, seeded random matrix generation, and block-diagonal lifting.
 
 All functions are pure; arrays are never mutated in place.  Numerical rank
 uses a *relative* singular-value threshold (default ``1e-9``): generic
@@ -116,6 +116,16 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
 def rank_value(a, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Shorthand for ``rank(a, rel_tol).value``."""
     return rank(a, rel_tol).value
+
+
+def qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR factorization ``a = q @ r``.
+
+    ``q`` has orthonormal columns spanning ``a``'s column space when ``a``
+    has full column rank; ``r`` is upper triangular with ``a``'s singular
+    values, so ``rank(r)`` is ``a``'s rank.
+    """
+    return np.linalg.qr(as_matrix(a))
 
 
 @dataclass(frozen=True)

@@ -557,23 +557,14 @@ def _encode(run_: _Run):
 
 def _own_rows_lift(view, slots, m_eff) -> np.ndarray:
     """[lift(h_own,tx1) | lift(h_own,tx2)] from the instantaneous CSI grants."""
-    blocks_1, blocks_2 = [], []
-    for t in slots:
-        h_a, h_b = view.own_csi_rows(t)
-        blocks_1.append(h_a[:, :m_eff])
-        blocks_2.append(h_b[:, :m_eff])
-    return np.hstack([matcore.block_diag(blocks_1), matcore.block_diag(blocks_2)])
+    return lift_rows(np.array([view.own_csi_rows(t) for t in slots]), m_eff)
 
 
 def _cross_rows_lift(view, slots, m_eff, other_rx) -> np.ndarray:
     """The other receiver's lifted rows over ``slots``, via delayed CSI."""
     states = [view.delayed_csi(t) for t in slots]
-    return np.hstack(
-        [
-            matcore.block_diag([s.block(other_rx, 1)[:, :m_eff] for s in states]),
-            matcore.block_diag([s.block(other_rx, 2)[:, :m_eff] for s in states]),
-        ]
-    )
+    rows = np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
+    return lift_rows(rows, m_eff)
 
 
 def _stacked_outputs(view, slots) -> np.ndarray:
@@ -647,13 +638,15 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     cross-check it) and from the rank-identity assembly in ``verify``.
 
     Symbol groups must share their trailing shape: all plain vectors, or all
-    matrices with the same column count.  Both receivers' stacks are views
-    of one ``(2, n * horizon, ...)`` array that every phase's product is
-    written into.
+    matrices with the same column count.  The channel acts slot by slot:
+    each phase is one batched product of the ``(t, n, 2m)`` slot blocks of
+    both receivers with the ``(t, 2m, k)`` per-slot input slices, written
+    into one ``(2, horizon, n, k)`` array whose two halves are the
+    receivers' stacks.
     """
     transcript.check_complete()
     cfg, sym, sels = transcript.config, transcript.symbols, transcript.selections
-    m = cfg.effective_m
+    m, n = cfg.effective_m, cfg.n
     ranges = transcript.phase_ranges()
     r1, r2, r3, r4 = ranges
     t2, t3 = len(r2), len(r4)
@@ -665,18 +658,24 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     if len(trailing) != 1:
         raise InvalidInput("symbol groups must share their trailing shape")
     trailing = trailing.pop()
+    k = int(np.prod(trailing))
 
-    states = transcript.states
-    y = np.empty((2, cfg.n * transcript.horizon) + trailing, dtype=complex)
-    bounds = np.cumsum([0] + [cfg.n * len(slots) for slots in ranges])
-    phase_rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    horizon = transcript.horizon
+    # slot_rows[j, s] = [h_(j+1)1 | h_(j+1)2] at slot s + 1, on the driven antennas
+    slot_rows = transcript.states.blocks[..., :m].transpose(1, 0, 3, 2, 4).reshape(
+        2, horizon, n, 2 * m
+    )
+    y = np.empty((2, horizon, n, k), dtype=complex)
+    stacks = y.reshape((2, n * horizon) + trailing)
+    bounds = np.cumsum([0] + [len(slots) for slots in ranges])
 
     def send(p: int, x: np.ndarray):
         """Phase ``p``'s outputs of stacked input ``x``, written into ``y``."""
-        slots = [states[t] for t in ranges[p - 1]]
-        for idx in (0, 1):
-            np.matmul(lift_rows(slots, idx + 1, m), x, out=y[idx, phase_rows[p - 1]])
-        return y[0, phase_rows[p - 1]], y[1, phase_rows[p - 1]]
+        lo, hi = bounds[p - 1], bounds[p]
+        t = hi - lo
+        per_slot = x.reshape(2, t, m, k).transpose(1, 0, 2, 3).reshape(t, 2 * m, k)
+        np.matmul(slot_rows[:, lo:hi], per_slot, out=y[:, lo:hi])
+        return stacks[0, n * lo : n * hi], stacks[1, n * lo : n * hi]
 
     if r1:
         y1p1, y2p1 = send(1, u)
@@ -693,7 +692,7 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     x4s = _placed(transcript, "phi1", side_info(y2p2, sels.get("side_info_rx2")), m * t3)
     x4s += _placed(transcript, "phi2", side_info(y1p3, sels.get("side_info_rx1")), m * t3)
     send(4, x4s)
-    return y[0], y[1]
+    return stacks[0], stacks[1]
 
 
 def recorded_output_stack(transcript: Transcript, rx: int) -> np.ndarray:

@@ -100,9 +100,8 @@ def _phase_lifts(transcript: Transcript):
     for p, slots in enumerate(ranges, start=1):
         if not slots:
             continue
-        phase_states = [states[t] for t in slots]
-        h[p] = lift_rows(phase_states, 1, m)
-        g[p] = lift_rows(phase_states, 2, m)
+        h[p] = lift_rows(states.rows(1, slots), m)
+        g[p] = lift_rows(states.rows(2, slots), m)
     return h, g
 
 
@@ -166,24 +165,32 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     )
 
 
-def observation_map(transcript: Transcript, receiver: Node, group: str) -> np.ndarray:
-    """Coefficient map of symbol group ``group`` (``u``, ``v1`` or ``v2``) in
-    a receiver's full observation.
-
-    Obtained by replaying the run with that group set to the identity and
-    the others to zero, so the result is independent of the rank-identity
-    assembly above.
-    """
-    if receiver not in (Node.RX1, Node.RX2):
-        raise InvalidInput("observation_map expects a receiver node")
+def _replay_group(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both receivers' coefficient maps of symbol group ``group``, from one
+    replay with that group set to the identity and the others to zero; the
+    two maps are the halves of one buffer."""
     sym = transcript.symbols
     dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
     groups = {
         name: np.eye(d, dtype=complex) if name == group else np.zeros((d, dims[group]), complex)
         for name, d in dims.items()
     }
-    y1, y2 = schemes.linear_response(transcript, **groups)
-    return y1 if receiver is Node.RX1 else y2
+    return schemes.linear_response(transcript, **groups)
+
+
+def observation_map(transcript: Transcript, receiver: Node, group: str) -> np.ndarray:
+    """Coefficient map of symbol group ``group`` (``u``, ``v1`` or ``v2``) in
+    a receiver's full observation.
+
+    Obtained by replaying the run with that group set to the identity and
+    the others to zero, so the result is independent of the rank-identity
+    assembly above.  The map is an owned copy: the other receiver's half of
+    the replay is freed on return.
+    """
+    if receiver not in (Node.RX1, Node.RX2):
+        raise InvalidInput("observation_map expects a receiver node")
+    y1, y2 = _replay_group(transcript, group)
+    return (y1 if receiver is Node.RX1 else y2).copy()
 
 
 def columns_contained(
@@ -201,7 +208,7 @@ def columns_contained(
     k = noise.shape[1]
     if k == 0:
         return matcore.rank_value(secret, rel_tol) == 0
-    q, r = np.linalg.qr(noise)
+    q, r = matcore.qr(noise)
     base = matcore.rank(r, rel_tol)
     if base.value == k and _clearly_contained(q, r, base.smallest_kept_singular_value, secret, rel_tol):
         return True
@@ -232,6 +239,7 @@ def equivocation_subspace_check(
     transcript: Transcript,
     eavesdropper: Node,
     rel_tol: float = matcore.DEFAULT_REL_TOL,
+    noise_maps: dict | None = None,
 ) -> bool:
     """Column-space containment oracle for zero leakage.
 
@@ -242,9 +250,21 @@ def equivocation_subspace_check(
     two maps: True iff ``rank([noise cols | secret cols])`` equals
     ``rank([noise cols])``, confirmed from one QR of the noise map where
     the margins allow.
+
+    One noise replay fills both receivers' noise maps.  ``noise_maps``, a
+    dict the caller shares between the two receivers' calls on one
+    transcript, carries them over: a call whose map is missing replays the
+    noise group and leaves the other receiver's map in it, and each call
+    takes its own map out.
     """
     transcript.check_complete()
-    a_u = observation_map(transcript, eavesdropper, "u")
+    if eavesdropper not in (Node.RX1, Node.RX2):
+        raise InvalidInput("equivocation_subspace_check expects a receiver node")
+    if noise_maps is None:
+        noise_maps = {}
+    if eavesdropper not in noise_maps:
+        noise_maps[Node.RX1], noise_maps[Node.RX2] = _replay_group(transcript, "u")
+    a_u = noise_maps.pop(eavesdropper)
     secret = observation_map(transcript, eavesdropper, "v2" if eavesdropper is Node.RX1 else "v1")
     return columns_contained(a_u, secret, rel_tol)
 
@@ -365,8 +385,9 @@ def run_trial(
     report = secrecy_rank_report(transcript)
     oracle_rx1 = oracle_rx2 = None
     if with_oracle:
-        oracle_rx1 = equivocation_subspace_check(transcript, Node.RX1)
-        oracle_rx2 = equivocation_subspace_check(transcript, Node.RX2)
+        noise_maps: dict = {}
+        oracle_rx1 = equivocation_subspace_check(transcript, Node.RX1, noise_maps=noise_maps)
+        oracle_rx2 = equivocation_subspace_check(transcript, Node.RX2, noise_maps=noise_maps)
     ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
     ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
     dof1 = dof2 = None

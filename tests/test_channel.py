@@ -1,4 +1,4 @@
-"""Channel model tests: state generation, the noiseless map, lifting, JSON."""
+"""Channel model tests: state generation, the state array, the noiseless map, lifting."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from xsdof.channel import (
     generate_states,
     lift_phase,
     lift_rows,
-    state_sequence_from_json,
-    state_sequence_to_json,
 )
 from xsdof.errors import InvalidInput, InvalidShape
 
@@ -68,6 +66,27 @@ class TestGenerateStates:
             seq[0]
         with pytest.raises(InvalidInput):
             seq[4]
+
+    def test_array_and_views_agree(self):
+        seq = make_states(3, 4, 5, seed=11)
+        assert seq.blocks.shape == (5, 2, 2, 4, 3)
+        assert not seq.blocks.flags.writeable
+        for t, state in enumerate(seq.states, start=1):
+            assert state.slot == t
+            for j in (1, 2):
+                for i in (1, 2):
+                    block = state.block(j, i)
+                    assert np.array_equal(block, seq.blocks[t - 1, j - 1, i - 1])
+                    assert np.shares_memory(block, seq.blocks)
+            np.testing.assert_array_equal(seq.rows(2, [t])[0], [state.h21, state.h22])
+
+    def test_draw_order_is_slot_then_block(self):
+        # h11, h12, h21, h22 of slot 1, then slot 2: the order seeds depend on
+        rng = matcore.substream(4, "states")
+        seq = generate_states(AntennaConfig(2, 3), 2, matcore.substream(4, "states"))
+        for state in seq.states:
+            for j, i in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                assert np.array_equal(state.block(j, i), matcore.random_matrix(3, 2, rng))
 
 
 class TestApplyChannel:
@@ -144,8 +163,25 @@ class TestLiftPhase:
         stacked = np.concatenate(
             [np.concatenate([x1 for x1, _ in xs]), np.concatenate([x2 for _, x2 in xs])]
         )
-        lifted = lift_rows(seq.states, 1) @ stacked
+        lifted = lift_rows(seq.rows(1, [1, 2, 3])) @ stacked
         np.testing.assert_allclose(lifted, per_slot, atol=1e-12)
+
+    @pytest.mark.parametrize("m,n,horizon,m_eff", [(2, 3, 4, None), (4, 2, 3, 2), (1, 1, 1, None)])
+    def test_lift_rows_equals_block_diag(self, m, n, horizon, m_eff):
+        seq = make_states(m, n, horizon, seed=13)
+        width = m if m_eff is None else m_eff
+        for rx in (1, 2):
+            reference = np.hstack([
+                matcore.block_diag([s.block(rx, i)[:, :width] for s in seq.states]) for i in (1, 2)
+            ])
+            lifted = lift_rows(seq.rows(rx, range(1, horizon + 1)), m_eff)
+            assert lifted.shape == (n * horizon, 2 * width * horizon)
+            assert np.array_equal(lifted, reference)
+
+    def test_lift_rows_rejects_empty_range(self):
+        seq = make_states(2, 3, 2)
+        with pytest.raises(InvalidInput):
+            lift_rows(seq.rows(1, []))
 
     def test_effective_column_restriction(self):
         seq = make_states(4, 2, 2, seed=10)
@@ -170,16 +206,3 @@ class TestFeedbackModel:
         assert FeedbackModel.from_key("sym-fb") is FeedbackModel.SYM_FB_NO_CSIT
         with pytest.raises(InvalidInput):
             FeedbackModel.from_key("bogus")
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        seq = make_states(2, 3, 4, seed=12)
-        text = state_sequence_to_json(seq)
-        back = state_sequence_from_json(text)
-        assert back.config == seq.config
-        assert back.horizon == seq.horizon
-        for a, b in zip(seq.states, back.states):
-            assert np.array_equal(a.stacked(), b.stacked())
-        # serializing again produces the identical document
-        assert state_sequence_to_json(back) == text

@@ -189,3 +189,25 @@ class TestBlockDiag:
         out = matcore.block_diag([np.ones((2, 2)), np.ones((1, 3))])
         assert out[0, 2] == 0 and out[2, 0] == 0
         assert np.count_nonzero(out) == 7
+
+
+class TestQr:
+    def test_factors(self):
+        a = matcore.random_matrix(7, 4, rng(11))
+        q, r = matcore.qr(a)
+        assert q.shape == (7, 4) and r.shape == (4, 4)
+        np.testing.assert_allclose(q @ r, a, atol=1e-12)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
+        assert np.array_equal(r, np.triu(r))
+
+    def test_rank_of_r_is_rank_of_a(self):
+        r_ = rng(12)
+        a = matcore.random_matrix(8, 2, r_) @ matcore.random_matrix(2, 5, r_)
+        _, r = matcore.qr(a)
+        assert matcore.rank_value(r) == matcore.rank_value(a) == 2
+
+    def test_rejects_non_finite(self):
+        a = np.ones((3, 2), dtype=complex)
+        a[1, 1] = np.nan
+        with pytest.raises(InvalidMatrix):
+            matcore.qr(a)

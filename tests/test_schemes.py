@@ -227,9 +227,8 @@ class TestDecode:
         for seed in range(20):
             transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=seed)
             r2 = transcript.phase_ranges()[1]
-            states2 = [transcript.states[t] for t in r2]
-            h2 = lift_rows(states2, 1, 2)
-            g2 = lift_rows(states2, 2, 2)
+            h2 = lift_rows(transcript.states.rows(1, r2), 2)
+            g2 = lift_rows(transcript.states.rows(2, r2), 2)
             sel = list(transcript.selections["side_info_rx2"])
             stacked = np.vstack([h2, g2[sel, :]])
             assert stacked.shape == (12, 12)
@@ -239,7 +238,7 @@ class TestDecode:
         # the fresh-phase equations alone never close the system
         transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=4)
         r2 = transcript.phase_ranges()[1]
-        h2 = lift_rows([transcript.states[t] for t in r2], 1, 2)
+        h2 = lift_rows(transcript.states.rows(1, r2), 2)
         assert h2.shape == (6, 8)
         assert matcore.rank_value(h2) == 6 < 8
 
@@ -255,7 +254,73 @@ class TestDecode:
             schemes.decode(transcript, Node.TX1)
 
 
+def _dense_linear_response(transcript, u, v1, v2):
+    """The replay through dense block-diagonal lifts: per phase, each
+    receiver's ``[lift(h_j1) | lift(h_j2)]`` from ``matcore.block_diag``
+    times the whole stacked input."""
+    m, sels = transcript.config.effective_m, transcript.selections
+    r1, r2, r3, r4 = transcript.phase_ranges()
+
+    def send(slots, x):
+        states = [transcript.states[t] for t in slots]
+        return tuple(
+            np.hstack([matcore.block_diag([s.block(rx, i)[:, :m] for s in states])
+                       for i in (1, 2)]) @ x
+            for rx in (1, 2)
+        )
+
+    if r1:
+        y1p1, y2p1 = send(r1, u)
+        x2s = schemes._placed(transcript, "theta1", y1p1, m * len(r2)) + v1
+        x3s = schemes._placed(transcript, "theta2", y2p1, m * len(r2)) + v2
+    else:
+        y1p1 = y2p1 = np.zeros((0,) + u.shape[1:], complex)
+        x2s, x3s = v1, v2
+    y1p2, y2p2 = send(r2, x2s)
+    y1p3, y2p3 = send(r3, x3s)
+    x4s = (schemes._placed(transcript, "phi1",
+                           schemes.side_info(y2p2, sels.get("side_info_rx2")), m * len(r4))
+           + schemes._placed(transcript, "phi2",
+                             schemes.side_info(y1p3, sels.get("side_info_rx1")), m * len(r4)))
+    y1p4, y2p4 = send(r4, x4s)
+    return (np.concatenate([y1p1, y1p2, y1p3, y1p4]),
+            np.concatenate([y2p1, y2p2, y2p3, y2p4]))
+
+
+def _replay_cases():
+    """Every spec variant at (2, 3) ((3, 3) for B), plus larger sizes and the mutants."""
+    cases = [(scheme, 3 if scheme is SchemeId.B else 2, 3, tx1_only, None)
+             for scheme, tx1_only in schemes.SPECS]
+    cases += [(SchemeId.A, 4, 4, False, None), (SchemeId.C, 4, 5, False, None),
+              (SchemeId.B, 1, 1, False, None)]
+    cases += [(SchemeId.A, 3, 4, False, mutation) for mutation in schemes.MUTATIONS]
+    return [pytest.param(*case, id=f"{case[0].value}{case[1]}{case[2]}"
+                         + ("-tx1" if case[3] else "") + (f"-{case[4]}" if case[4] else ""))
+            for case in cases]
+
+
 class TestReplay:
+    @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases())
+    def test_per_slot_replay_equals_dense_lifts(self, scheme, m, n, tx1_only, mutation):
+        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=3, tx1_only=tx1_only,
+                                 mutation=mutation)
+        sym = transcript.symbols
+        dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
+        rng = np.random.default_rng(1)
+        replays = [{name: getattr(sym, name) for name in dims}]  # plain
+        for group in dims:  # identity group, the others zero
+            replays.append({name: np.eye(d) if name == group else np.zeros((d, dims[group]))
+                            for name, d in dims.items()})
+        replays.append({name: rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+                        for name, d in dims.items()})  # matrix
+        for groups in replays:
+            groups = {name: np.asarray(g, dtype=complex) for name, g in groups.items()}
+            got = schemes.linear_response(transcript, **groups)
+            want = _dense_linear_response(transcript, **groups)
+            for y, ref in zip(got, want):
+                assert y.shape == ref.shape
+                assert np.linalg.norm(y - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
     def test_linear_replay_reproduces_run(self, scheme, m, n, tx1_only):
         transcript = schemes.run(scheme, AntennaConfig(m, n), seed=13, tx1_only=tx1_only)

@@ -102,8 +102,30 @@ class TestSubspaceOracle:
         assert maps["u"].shape == (rows, 36)
         assert maps["v1"].shape == (rows, 12)
         assert maps["v2"].shape == (rows, 12)
+        assert all(m.flags.owndata for m in maps.values())  # the other half is not kept alive
         with pytest.raises(InvalidInput):
             verify.observation_map(transcript, Node.TX1, "u")
+        with pytest.raises(InvalidInput):
+            verify.equivocation_subspace_check(transcript, Node.TX2)
+
+    def test_shared_noise_replay(self, monkeypatch):
+        transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
+        own = {rx: verify.observation_map(transcript, rx, "u") for rx in (Node.RX1, Node.RX2)}
+        seen = []
+        contained = verify.columns_contained
+
+        def spy(noise, secret, rel_tol):
+            seen.append(noise)
+            return contained(noise, secret, rel_tol)
+
+        monkeypatch.setattr(verify, "columns_contained", spy)
+        noise_maps = {}
+        assert verify.equivocation_subspace_check(transcript, Node.RX1, noise_maps=noise_maps)
+        assert set(noise_maps) == {Node.RX2}  # rx1's call leaves rx2's map behind
+        assert not verify.equivocation_subspace_check(transcript, Node.RX2, noise_maps=noise_maps)
+        assert noise_maps == {}
+        for got, rx in zip(seen, (Node.RX1, Node.RX2)):
+            np.testing.assert_array_equal(got, own[rx])
 
     def test_agreement_with_rank_report(self):
         for scheme, m, n, mutation, seeds in [
@@ -139,7 +161,7 @@ class TestSubspaceOracle:
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7)
-        assert len(calls) == 4
+        assert len(calls) == 3  # one shared noise replay, one secret replay per receiver
         calls.clear()
         verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
