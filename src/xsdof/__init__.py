@@ -12,7 +12,6 @@ from .errors import (
     DecodeFailure,
     DegeneratePrecoders,
     IllConditioned,
-    InsufficientEquations,
     InvalidInput,
     InvalidMatrix,
     InvalidShape,
@@ -34,7 +33,6 @@ __all__ = [
     "DecodeFailure",
     "DegeneratePrecoders",
     "IllConditioned",
-    "InsufficientEquations",
     "InvalidInput",
     "InvalidMatrix",
     "InvalidShape",

@@ -26,7 +26,8 @@ import numpy as np
 from . import matcore
 from .errors import InvalidInput, InvalidShape
 
-STACKED_RANK_TOL = 1e-9
+#: Draws of one slot's state before a rank failure is reported.
+MAX_STATE_DRAWS = 16
 
 
 class Regime(Enum):
@@ -67,13 +68,6 @@ class FeedbackModel(Enum):
         if self is FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY:
             return tx == 1
         return False
-
-    @classmethod
-    def from_key(cls, key: str) -> "FeedbackModel":
-        for model in cls:
-            if model.value == key:
-                return model
-        raise InvalidInput(f"unknown feedback model {key!r}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +111,6 @@ class ChannelState:
 
     def block(self, rx: int, tx: int) -> np.ndarray:
         return getattr(self, f"h{rx}{tx}")
-
-    def stacked(self) -> np.ndarray:
-        """The joint 2n x 2m matrix of all four blocks."""
-        return np.block([[self.h11, self.h12], [self.h21, self.h22]])
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,6 @@ def generate_states(
     horizon: int,
     rng: np.random.Generator,
     seed: int | None = None,
-    max_redraws: int = 16,
 ) -> StateSequence:
     """Draw ``horizon`` independent channel states.
 
@@ -189,10 +178,10 @@ def generate_states(
     want = min(2 * n, 2 * m)
     blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
     for slot in blocks:
-        for _ in range(max_redraws):
+        for _ in range(MAX_STATE_DRAWS):
             for block in slot.reshape(4, n, m):
                 block[...] = matcore.random_matrix(n, m, rng)
-            if matcore.rank_value(_stacked(slot), STACKED_RANK_TOL) == want:
+            if matcore.rank_value(_stacked(slot)) == want:
                 break
         else:  # pragma: no cover - probability ~0 for Gaussian draws
             raise InvalidInput("could not draw a full-rank channel state")

@@ -66,7 +66,7 @@ def _cmd_region(args) -> int:
 def _cmd_simulate(args) -> int:
     scheme = SchemeId(args.scheme)
     config = AntennaConfig(args.M, args.N)
-    model = FeedbackModel.from_key(args.model) if args.model else None
+    model = FeedbackModel(args.model) if args.model else None
     schemes.plan(scheme, config)  # raises RegimeError before any work
     reports = [
         run_trial(scheme, config, model, seed=args.seed + i, tx1_only=args.tx1_only,

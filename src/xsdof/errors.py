@@ -41,16 +41,12 @@ class UnauthorizedAccess(PermissionError):
     """
 
 
-class InsufficientEquations(ArithmeticError):
-    """A reconstruction step has fewer equations than unknowns (m > n)."""
-
-
 class RegimeError(ValueError):
     """The antenna configuration is outside the scheme's applicable regime."""
 
 
 class DegeneratePrecoders(RuntimeError):
-    """Random precoder draws failed their rank targets `max_retries` times."""
+    """Random precoder draws failed their rank targets `MAX_PRECODER_DRAWS` times."""
 
 
 class DecodeFailure(RuntimeError):

@@ -20,7 +20,6 @@ import numpy as np
 
 from .channel import AntennaConfig, ChannelState, FeedbackModel
 from .errors import (
-    InsufficientEquations,
     InvalidInput,
     ProtocolViolation,
     UnauthorizedAccess,
@@ -244,13 +243,11 @@ def recover_peer_inputs(
 
     Transmitter ``i`` subtracts its own contribution from its receiver's
     fed-back output and solves the remaining tall system for the peer's
-    input, slot by slot.  Requires the effective antenna count to be at most
-    ``n`` (otherwise the per-slot system is underdetermined) and delayed CSI
-    in the view; both reads go through the capability checks.
+    input, slot by slot.  The effective antenna count is at most ``n``, so
+    the per-slot system is never underdetermined.  Requires delayed CSI in
+    the view; both reads go through the capability checks.
     """
     m_eff = config.effective_m
-    if m_eff > config.n:
-        raise InsufficientEquations(f"per-slot recovery needs m <= n, got ({m_eff}, {config.n})")
     me = view.node.index
     peer = 2 if me == 1 else 1
     recovered = []

@@ -233,17 +233,7 @@ def dof_region(m: int, n: int) -> RegionPolygon:
     """Sum-DoF region without secrecy constraints (delayed CSIT + feedback)."""
     if m < 1 or n < 1:
         raise InvalidInput(f"need m, n >= 1, got ({m}, {n})")
-    a = Fraction(min(2 * m, 2 * n))
-    b = Fraction(min(2 * m, n))
-    zero = Fraction(0)
-    sym = _symmetric_intersection(a, b)
-    labels = {
-        "axis_rx1": (b, zero),
-        "symmetric": sym,
-        "axis_rx2": (zero, b),
-    }
-    verts = _ccw_hull([(zero, zero), (b, zero), sym, (zero, b)])
-    return RegionPolygon(verts, labels, "dof", {})
+    return _two_line_region(Fraction(min(2 * m, n)), Fraction(min(2 * m, 2 * n)), "dof")
 
 
 @dataclass(frozen=True)

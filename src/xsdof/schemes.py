@@ -69,6 +69,9 @@ from .knowledge import (
 
 DECODE_TOL = 1e-6
 
+#: Draws of one precoder before a rank failure is reported.
+MAX_PRECODER_DRAWS = 16
+
 MUTATIONS = ("theta1_zero", "phi1_zero", "skip_phase1")
 
 
@@ -219,7 +222,6 @@ def draw_precoders(
     config: AntennaConfig,
     pln: PhasePlan,
     rng: np.random.Generator,
-    max_retries: int = 16,
 ) -> Precoders:
     """Draw Gaussian precoders, redrawing any that miss full rank.
 
@@ -243,7 +245,7 @@ def draw_precoders(
         if not t_prev:
             drawn[name] = None
             continue
-        for _ in range(max_retries):
+        for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
             if matcore.rank_value(cand) == min(shape):
                 drawn[name] = cand
@@ -693,12 +695,6 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     x4s += _placed(transcript, "phi2", side_info(y1p3, sels.get("side_info_rx1")), m * t3)
     send(4, x4s)
     return stacks[0], stacks[1]
-
-
-def recorded_output_stack(transcript: Transcript, rx: int) -> np.ndarray:
-    """The receiver's recorded outputs stacked over all slots."""
-    idx = 0 if rx == 1 else 1
-    return np.concatenate([out[idx] for out in transcript.outputs])
 
 
 def transcript_to_json(transcript: Transcript) -> str:

@@ -10,9 +10,10 @@ eavesdropping receiver sees about the other receiver's symbols is already
 explained by the injected noise).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
-reads off the eavesdropper's observation of the noise and of the secret
-symbols as explicit linear maps (two replays of the run with
-identity-matrix symbols) and tests column-space containment directly:
+reads off each receiver's observation of the noise and of the other
+receiver's secret symbols as explicit linear maps (replays of the run with
+identity-matrix symbols: one of the noise for both receivers, one of each
+secret group) and tests column-space containment directly:
 conditioned on its own messages, the secret symbols' columns must lie
 inside the noise columns' span, so any secret value is explainable by some
 noise realization.  :func:`columns_contained` confirms a clear containment
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import matcore, schemes
 from .channel import AntennaConfig, FeedbackModel, lift_rows
-from .errors import DecodeFailure, IllConditioned, InvalidInput, SingularSystem
+from .errors import DecodeFailure, IllConditioned, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
 from .schemes import SchemeId, Transcript, carried_map, side_info
@@ -178,21 +179,6 @@ def _replay_group(transcript: Transcript, group: str) -> tuple[np.ndarray, np.nd
     return schemes.linear_response(transcript, **groups)
 
 
-def observation_map(transcript: Transcript, receiver: Node, group: str) -> np.ndarray:
-    """Coefficient map of symbol group ``group`` (``u``, ``v1`` or ``v2``) in
-    a receiver's full observation.
-
-    Obtained by replaying the run with that group set to the identity and
-    the others to zero, so the result is independent of the rank-identity
-    assembly above.  The map is an owned copy: the other receiver's half of
-    the replay is freed on return.
-    """
-    if receiver not in (Node.RX1, Node.RX2):
-        raise InvalidInput("observation_map expects a receiver node")
-    y1, y2 = _replay_group(transcript, group)
-    return (y1 if receiver is Node.RX1 else y2).copy()
-
-
 def columns_contained(
     noise: np.ndarray, secret: np.ndarray, rel_tol: float = matcore.DEFAULT_REL_TOL
 ) -> bool:
@@ -236,37 +222,26 @@ def _clearly_contained(q, r, weakest: float, secret: np.ndarray, rel_tol: float)
 
 
 def equivocation_subspace_check(
-    transcript: Transcript,
-    eavesdropper: Node,
-    rel_tol: float = matcore.DEFAULT_REL_TOL,
-    noise_maps: dict | None = None,
-) -> bool:
-    """Column-space containment oracle for zero leakage.
+    transcript: Transcript, rel_tol: float = matcore.DEFAULT_REL_TOL
+) -> tuple[bool, bool]:
+    """Column-space containment oracle for zero leakage, at both receivers.
 
-    Conditioned on the eavesdropper's own messages, the other receiver's
-    symbols must enter its observation only inside the noise columns' span.
-    Replays the noise group and the secret group (``v2`` for receiver 1,
-    ``v1`` for receiver 2) and returns :func:`columns_contained` of the
-    two maps: True iff ``rank([noise cols | secret cols])`` equals
-    ``rank([noise cols])``, confirmed from one QR of the noise map where
-    the margins allow.
-
-    One noise replay fills both receivers' noise maps.  ``noise_maps``, a
-    dict the caller shares between the two receivers' calls on one
-    transcript, carries them over: a call whose map is missing replays the
-    noise group and leaves the other receiver's map in it, and each call
-    takes its own map out.
+    Each receiver is the eavesdropper on the other's symbols: conditioned on
+    its own messages, those symbols must enter its observation only inside
+    the noise columns' span.  One replay of the noise group ``u`` gives both
+    receivers' noise maps, and one replay each of ``v2`` and ``v1`` the
+    secret maps of receivers 1 and 2.  Returns the verdicts ``(rx1, rx2)``
+    of :func:`columns_contained`: True iff ``rank([noise cols | secret
+    cols])`` equals ``rank([noise cols])``, confirmed from one QR of the
+    noise map where the margins allow.
     """
     transcript.check_complete()
-    if eavesdropper not in (Node.RX1, Node.RX2):
-        raise InvalidInput("equivocation_subspace_check expects a receiver node")
-    if noise_maps is None:
-        noise_maps = {}
-    if eavesdropper not in noise_maps:
-        noise_maps[Node.RX1], noise_maps[Node.RX2] = _replay_group(transcript, "u")
-    a_u = noise_maps.pop(eavesdropper)
-    secret = observation_map(transcript, eavesdropper, "v2" if eavesdropper is Node.RX1 else "v1")
-    return columns_contained(a_u, secret, rel_tol)
+    noise_rx1, noise_rx2 = _replay_group(transcript, "u")
+    # each secret map is an owned copy, so the other half of its replay is
+    # freed before the containment test runs
+    rx1 = columns_contained(noise_rx1, _replay_group(transcript, "v2")[0].copy(), rel_tol)
+    rx2 = columns_contained(noise_rx2, _replay_group(transcript, "v1")[1].copy(), rel_tol)
+    return rx1, rx2
 
 
 def decode_error(transcript: Transcript, receiver: Node) -> float:
@@ -279,8 +254,8 @@ def decode_error(transcript: Transcript, receiver: Node) -> float:
 def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
     """Cross-check: the closed-form linear replay reproduces the recorded run."""
     y1, y2 = schemes.linear_response(transcript)
-    for rx, stack in ((1, y1), (2, y2)):
-        recorded = schemes.recorded_output_stack(transcript, rx)
+    for idx, stack in enumerate((y1, y2)):
+        recorded = np.concatenate([out[idx] for out in transcript.outputs])
         scale = max(float(np.linalg.norm(recorded)), 1.0)
         if float(np.linalg.norm(stack - recorded)) > tol * scale:
             return False
@@ -385,9 +360,7 @@ def run_trial(
     report = secrecy_rank_report(transcript)
     oracle_rx1 = oracle_rx2 = None
     if with_oracle:
-        noise_maps: dict = {}
-        oracle_rx1 = equivocation_subspace_check(transcript, Node.RX1, noise_maps=noise_maps)
-        oracle_rx2 = equivocation_subspace_check(transcript, Node.RX2, noise_maps=noise_maps)
+        oracle_rx1, oracle_rx2 = equivocation_subspace_check(transcript)
     ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
     ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
     dof1 = dof2 = None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xsdof import matcore
+from xsdof import channel, matcore
 from xsdof.channel import (
     AntennaConfig,
     FeedbackModel,
@@ -43,21 +43,24 @@ class TestGenerateStates:
     def test_stacked_rank_every_slot(self):
         seq = make_states(2, 3, 16)
         assert seq.horizon == 16
-        for state in seq.states:
-            assert matcore.rank_value(state.stacked()) == 4
+        for slot, state in zip(seq.blocks, seq.states):
+            joint = channel._stacked(slot)
+            np.testing.assert_array_equal(
+                joint, np.block([[state.h11, state.h12], [state.h21, state.h22]])
+            )
+            assert matcore.rank_value(joint) == 4
 
     def test_high_regime_rank(self):
         seq = make_states(4, 3, 5)
-        for state in seq.states:
-            assert matcore.rank_value(state.stacked()) == 6
+        for slot in seq.blocks:
+            assert matcore.rank_value(channel._stacked(slot)) == 6
 
     def test_singleton_horizon(self):
         assert make_states(2, 2, 1).horizon == 1
 
     def test_determinism(self):
         a, b = make_states(2, 3, 4, seed=9), make_states(2, 3, 4, seed=9)
-        for sa, sb in zip(a.states, b.states):
-            assert np.array_equal(sa.stacked(), sb.stacked())
+        assert np.array_equal(a.blocks, b.blocks)
 
     def test_one_based_indexing(self):
         seq = make_states(1, 1, 3)
@@ -201,8 +204,3 @@ class TestFeedbackModel:
         assert m.feedback_sources(2) == (2,) and not m.grants_delayed_csi(2)
         m = FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY
         assert m.grants_delayed_csi(1) and not m.grants_delayed_csi(2)
-
-    def test_from_key(self):
-        assert FeedbackModel.from_key("sym-fb") is FeedbackModel.SYM_FB_NO_CSIT
-        with pytest.raises(InvalidInput):
-            FeedbackModel.from_key("bogus")

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig
-from xsdof.errors import InvalidInput, InvalidTranscript
-from xsdof.knowledge import Node
+from xsdof.errors import InvalidTranscript
 from xsdof.schemes import SchemeId
 
 
@@ -80,52 +79,38 @@ class TestSecrecyRankReport:
 
 class TestSubspaceOracle:
     def test_clean_schemes_pass(self):
-        assert verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3), Node.RX2)
-        assert verify.equivocation_subspace_check(transcript_for(SchemeId.B, 1, 1), Node.RX1)
-        assert verify.equivocation_subspace_check(transcript_for(SchemeId.D, 2, 3), Node.RX1)
+        assert verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3)) == (True, True)
+        assert verify.equivocation_subspace_check(transcript_for(SchemeId.B, 1, 1)) == (True, True)
+        assert verify.equivocation_subspace_check(transcript_for(SchemeId.D, 2, 3)) == (True, True)
 
     def test_mutant_without_mixing_is_caught(self):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
-        assert not verify.equivocation_subspace_check(transcript, Node.RX2)
-        # the mirror side still mixes, so the mirror check stays green
-        assert verify.equivocation_subspace_check(transcript, Node.RX1)
+        # receiver 2 sees the unmixed noise; the mirror side still mixes
+        assert verify.equivocation_subspace_check(transcript) == (True, False)
 
     def test_no_noise_fails_both(self):
         transcript = transcript_for(SchemeId.E, 2, 3)
-        assert not verify.equivocation_subspace_check(transcript, Node.RX1)
-        assert not verify.equivocation_subspace_check(transcript, Node.RX2)
+        assert verify.equivocation_subspace_check(transcript) == (False, False)
 
-    def test_observation_maps_shapes(self):
-        transcript = transcript_for(SchemeId.A, 2, 3)
-        rows = 3 * 16
-        maps = {g: verify.observation_map(transcript, Node.RX2, g) for g in ("u", "v1", "v2")}
-        assert maps["u"].shape == (rows, 36)
-        assert maps["v1"].shape == (rows, 12)
-        assert maps["v2"].shape == (rows, 12)
-        assert all(m.flags.owndata for m in maps.values())  # the other half is not kept alive
-        with pytest.raises(InvalidInput):
-            verify.observation_map(transcript, Node.TX1, "u")
-        with pytest.raises(InvalidInput):
-            verify.equivocation_subspace_check(transcript, Node.TX2)
-
-    def test_shared_noise_replay(self, monkeypatch):
+    def test_containment_inputs(self, monkeypatch):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
-        own = {rx: verify.observation_map(transcript, rx, "u") for rx in (Node.RX1, Node.RX2)}
         seen = []
         contained = verify.columns_contained
 
         def spy(noise, secret, rel_tol):
-            seen.append(noise)
+            seen.append((noise, secret))
             return contained(noise, secret, rel_tol)
 
         monkeypatch.setattr(verify, "columns_contained", spy)
-        noise_maps = {}
-        assert verify.equivocation_subspace_check(transcript, Node.RX1, noise_maps=noise_maps)
-        assert set(noise_maps) == {Node.RX2}  # rx1's call leaves rx2's map behind
-        assert not verify.equivocation_subspace_check(transcript, Node.RX2, noise_maps=noise_maps)
-        assert noise_maps == {}
-        for got, rx in zip(seen, (Node.RX1, Node.RX2)):
-            np.testing.assert_array_equal(got, own[rx])
+        assert verify.equivocation_subspace_check(transcript) == (True, False)
+        assert len(seen) == 2
+        rows = 3 * 16
+        # receiver 1 against v2, receiver 2 against v1, each on its own noise half
+        for (noise, secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
+            assert noise.shape == (rows, 36) and secret.shape == (rows, 12)
+            assert secret.flags.owndata  # the other half of the replay is not kept alive
+            np.testing.assert_array_equal(noise, verify._replay_group(transcript, "u")[rx])
+            np.testing.assert_array_equal(secret, verify._replay_group(transcript, group)[rx])
 
     def test_agreement_with_rank_report(self):
         for scheme, m, n, mutation, seeds in [
@@ -144,11 +129,9 @@ class TestSubspaceOracle:
             for seed in range(seeds):
                 transcript = transcript_for(scheme, m, n, seed=seed, mutation=mutation)
                 report = verify.secrecy_rank_report(transcript)
-                assert (report.leak_defect_rx2 == 0) == verify.equivocation_subspace_check(
-                    transcript, Node.RX2
-                ), (scheme, m, n, mutation, seed)
-                assert (report.leak_defect_rx1 == 0) == verify.equivocation_subspace_check(
-                    transcript, Node.RX1
+                assert verify.equivocation_subspace_check(transcript) == (
+                    report.leak_defect_rx1 == 0,
+                    report.leak_defect_rx2 == 0,
                 ), (scheme, m, n, mutation, seed)
 
     def test_two_replays_per_receiver(self, monkeypatch):
@@ -160,8 +143,11 @@ class TestSubspaceOracle:
             return replay(*args, **kw)
 
         monkeypatch.setattr(schemes, "linear_response", counted)
-        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7)
+        verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
         assert len(calls) == 3  # one shared noise replay, one secret replay per receiver
+        calls.clear()
+        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7)
+        assert len(calls) == 3
         calls.clear()
         verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
