@@ -92,8 +92,9 @@ class TestSubspaceOracle:
         transcript = transcript_for(SchemeId.E, 2, 3)
         assert verify.equivocation_subspace_check(transcript) == (False, False)
 
-    def test_containment_inputs(self, monkeypatch):
-        transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
+    @staticmethod
+    def _containment_inputs(monkeypatch, transcript):
+        """The (noise, secret) pairs the oracle hands ``columns_contained``, in call order."""
         seen = []
         contained = verify.columns_contained
 
@@ -102,15 +103,38 @@ class TestSubspaceOracle:
             return contained(noise, secret, rel_tol)
 
         monkeypatch.setattr(verify, "columns_contained", spy)
-        assert verify.equivocation_subspace_check(transcript) == (True, False)
+        verdicts = verify.equivocation_subspace_check(transcript)
+        return verdicts, seen
+
+    def test_observation_maps_shapes(self, monkeypatch):
+        transcript = transcript_for(SchemeId.A, 2, 3)
+        verdicts, seen = self._containment_inputs(monkeypatch, transcript)
+        assert verdicts == (True, True)
         assert len(seen) == 2
         rows = 3 * 16
-        # receiver 1 against v2, receiver 2 against v1, each on its own noise half
-        for (noise, secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
+        for noise, secret in seen:
             assert noise.shape == (rows, 36) and secret.shape == (rows, 12)
             assert secret.flags.owndata  # the other half of the replay is not kept alive
-            np.testing.assert_array_equal(noise, verify._replay_group(transcript, "u")[rx])
-            np.testing.assert_array_equal(secret, verify._replay_group(transcript, group)[rx])
+
+    def test_shared_noise_replay(self, monkeypatch):
+        transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
+        groups = []
+        replay = verify._replay_group
+
+        def counted(transcript, group):
+            groups.append(group)
+            return replay(transcript, group)
+
+        monkeypatch.setattr(verify, "_replay_group", counted)
+        verdicts, seen = self._containment_inputs(monkeypatch, transcript)
+        assert verdicts == (True, False)
+        assert groups.count("u") == 1  # one noise replay serves both receivers
+        monkeypatch.setattr(verify, "_replay_group", replay)
+        noise = replay(transcript, "u")
+        # receiver 1 against v2, receiver 2 against v1, each on its own noise half
+        for (got_noise, got_secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
+            np.testing.assert_array_equal(got_noise, noise[rx])
+            np.testing.assert_array_equal(got_secret, replay(transcript, group)[rx])
 
     def test_agreement_with_rank_report(self):
         for scheme, m, n, mutation, seeds in [
