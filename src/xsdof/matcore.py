@@ -2,8 +2,9 @@
 
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
-tolerance report, QR factorization, square/tall solving with a condition
-estimate, seeded random matrix generation, and block-diagonal lifting.
+tolerance report, per-slot null bases of block-diagonal maps, QR
+factorization, square/tall solving with a condition estimate, seeded random
+matrix generation, and block-diagonal lifting.
 
 All functions are pure; arrays are never mutated in place.  Numerical rank
 uses a *relative* singular-value threshold (default ``1e-9``): generic
@@ -87,11 +88,11 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(a, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
+def rank(a, rel_tol: float = DEFAULT_REL_TOL, scale: float = 0.0) -> RankReport:
     """Numerical rank at a relative singular-value threshold.
 
-    A singular value is kept iff it exceeds ``rel_tol * max(singular
-    values)``; the zero matrix has rank 0.
+    A singular value is kept iff it exceeds ``rel_tol * max(largest
+    singular value, scale)``; the zero matrix has rank 0.
 
     Parameters
     ----------
@@ -99,13 +100,18 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
         Matrix; must be finite-valued.
     rel_tol : float
         Relative threshold in (0, 1).
+    scale : float
+        Floor on the scale the threshold is relative to.  A matrix reduced
+        from a larger one (see :func:`slot_null_bases`) passes the largest
+        singular value of the part eliminated from it, so that round-off
+        left by the elimination is not mistaken for rank.
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return RankReport(0, 0.0, float(s[0]) if s.size else 0.0)
-    cut = rel_tol * s[0]
+    cut = rel_tol * max(float(s[0]), scale)
     kept = s > cut
     value = int(np.count_nonzero(kept))
     smallest_kept = float(s[value - 1]) if value else 0.0
@@ -116,6 +122,70 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL) -> RankReport:
 def rank_value(a, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Shorthand for ``rank(a, rel_tol).value``."""
     return rank(a, rel_tol).value
+
+
+@dataclass(frozen=True)
+class SlotNullBases:
+    """Rank and null basis of one block-diagonal matrix, slot by slot.
+
+    ``ranks[s]`` is slot ``s``'s rank at the cut relative to ``largest``,
+    the matrix's largest singular value, so ``rank`` is the matrix's rank.
+    ``basis`` is ``(t, c, w)``: slot ``s``'s null space is spanned by its
+    ``c - ranks[s]`` last columns, and its first ``ranks[s] + w - c``
+    columns are zero, which changes no rank they enter.
+    """
+
+    ranks: np.ndarray
+    largest: float
+    basis: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.ranks.sum())
+
+    def apply(self, lifted: np.ndarray) -> np.ndarray:
+        """``lifted`` times the block-diagonal null basis, never built.
+
+        ``lifted``'s columns are in lift order, ``[x1 stack | x2 stack]``
+        (see ``channel.lift_rows``): the first half of each slot block's
+        columns meets the first stack.  Returns a new ``(rows, t * w)``
+        array, slot by slot.
+        """
+        t, c, w = self.basis.shape
+        rows = lifted.shape[0]
+        per_slot = lifted.reshape(rows, 2, t, c // 2).transpose(2, 0, 1, 3).reshape(t, rows, c)
+        return np.matmul(per_slot, self.basis).transpose(1, 0, 2).reshape(rows, t * w)
+
+
+def slot_null_bases(
+    blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL
+) -> tuple[SlotNullBases, ...]:
+    """Per-slot ranks and null bases of ``k`` block-diagonal matrices.
+
+    ``blocks`` is ``(k, t, r, c)``, the ``t`` diagonal blocks of each
+    matrix; one batched SVD decides them all.  Each matrix's cut is
+    relative to its own largest singular value.  Every basis is ``c - min
+    rank`` wide, the minimum taken over all ``k * t`` slots.
+
+    The null space of a block-diagonal ``G`` is block diagonal, so the rank
+    identity ``rank([G; M]) = rank(G) + rank(M N)`` (Marsaglia and Styan,
+    1974), with ``N`` spanning ``null(G)``, reduces a stacked matrix slot by
+    slot; :meth:`SlotNullBases.apply` forms ``M N``.  A rank cut on ``M N``
+    should keep ``G``'s scale: pass ``largest`` as ``scale`` to
+    :func:`rank`.
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
+    if blocks.ndim != 4 or 0 in blocks.shape[:2]:
+        raise InvalidInput(f"expected a nonempty (k, t, r, c) stack, got {blocks.shape}")
+    _, s, vh = np.linalg.svd(blocks)
+    largest = s.max(axis=(1, 2), initial=0.0)
+    ranks = (s > rel_tol * largest[:, None, None]).sum(axis=2)
+    low = int(ranks.min())
+    basis = vh[:, :, low:].conj().swapaxes(2, 3)
+    if ranks.max() > low:  # zero the columns of a higher-rank slot that span its rows
+        basis = basis * (np.arange(low, blocks.shape[3]) >= ranks[..., None])[:, :, None, :]
+    return tuple(SlotNullBases(ranks[i], float(largest[i]), basis[i]) for i in range(len(blocks)))
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,15 @@
 
 Two independent formalizations of the zero-leakage claim are provided.
 
-:func:`secrecy_rank_report` assembles the stacked matrices of the scheme's
-security analysis from the transcript's lifted channel blocks and precoders:
-the *rate* matrix (whose rank counts the equations a legitimate receiver can
-use) and the *leakage* matrix (whose full rank certifies that everything the
-eavesdropping receiver sees about the other receiver's symbols is already
-explained by the injected noise).
+:func:`secrecy_rank_report` computes the ranks of the stacked matrices of
+the scheme's security analysis from the transcript's channel blocks and
+precoders: the *rate* matrix (whose rank counts the equations a legitimate
+receiver can use) and the *leakage* matrix (whose full rank certifies that
+everything the eavesdropping receiver sees about the other receiver's
+symbols is already explained by the injected noise).  Each stacks a
+block-diagonal lift ``G`` on a map ``M``, and neither is formed:
+``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot null bases
+of ``G`` (Marsaglia and Styan, 1974; :func:`matcore.slot_null_bases`).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
 reads off each receiver's observation of the noise and of the other
@@ -16,10 +19,16 @@ identity-matrix symbols: one of the noise for both receivers, one of each
 secret group) and tests column-space containment directly:
 conditioned on its own messages, the secret symbols' columns must lie
 inside the noise columns' span, so any secret value is explainable by some
-noise realization.  :func:`columns_contained` confirms a clear containment
-from one QR of the noise map and the secret columns' residual off its span,
+noise realization.  The noise phase is eliminated from both maps first,
+slot by slot, after exact checks of the phase structure that elimination
+rests on.  :func:`columns_contained` confirms a clear containment from one
+QR of the reduced noise map and the secret columns' residual off its span,
 and compares the two ranks in every other case: a leak, a rank-deficient
 noise map, or a residual too close to the rank cut to call.
+
+Every rank cut on a reduced matrix is floored at the scale of the block
+eliminated from it (``scale`` in :func:`matcore.rank`): relative to its own
+scale, round-off left by the elimination would count as rank.
 
 :func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
 report, oracle), and :func:`claim_checks` the one place that says what a
@@ -40,7 +49,7 @@ import numpy as np
 
 from . import matcore, schemes
 from .channel import AntennaConfig, FeedbackModel, lift_rows
-from .errors import DecodeFailure, IllConditioned, SingularSystem
+from .errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
 from .schemes import SchemeId, Transcript, carried_map, side_info
@@ -92,18 +101,13 @@ class SecrecyReport:
         }
 
 
-def _phase_lifts(transcript: Transcript):
-    """Lifted per-phase row maps ``H_p`` (receiver 1) and ``G_p`` (receiver 2)."""
+def _slot_blocks(transcript: Transcript, rx: int, slots) -> np.ndarray:
+    """Receiver ``rx``'s ``[h_rx1 | h_rx2]`` per slot on the driven
+    antennas: the ``(t, n, 2m)`` diagonal blocks of its lift over ``slots``."""
     m = transcript.config.effective_m
-    ranges = transcript.phase_ranges()
-    states = transcript.states
-    h, g = {}, {}
-    for p, slots in enumerate(ranges, start=1):
-        if not slots:
-            continue
-        h[p] = lift_rows(states.rows(1, slots), m)
-        g[p] = lift_rows(states.rows(2, slots), m)
-    return h, g
+    rows = transcript.states.rows(rx, slots)[..., :m]
+    t, _, n, _ = rows.shape
+    return rows.transpose(0, 2, 1, 3).reshape(t, n, 2 * m)
 
 
 def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT_REL_TOL) -> SecrecyReport:
@@ -114,6 +118,12 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     mixing it sees during phase ``j+1``; its rank is compared against the
     full ``n*(t1+t2)`` rows.  Rate matrices stack the legitimate receiver's
     fresh-phase map with the retransmitted side-information map.
+
+    Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
+    lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
+    null bases of ``G`` (:func:`matcore.slot_null_bases`), and the rank cut
+    on ``M N`` keeps ``G``'s scale.  ``matrices_audited`` lists the shapes
+    of the stacked matrices the identities are about.
     """
     transcript.check_complete()
     cfg = transcript.config
@@ -121,20 +131,32 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     r1, r2, r3, r4 = transcript.phase_ranges()
     t1, t2 = len(r1), len(r2)
     sels = transcript.selections
-    h, g = _phase_lifts(transcript)
+    states = transcript.states
     w2, w4 = m * t2, m * len(r4)
+
+    def lift(rx, slots):
+        return lift_rows(states.rows(rx, slots), m)
+
+    def nulls(*matrices):
+        """Null bases of each ``(rx, slots)`` lift, from one batched SVD."""
+        stack = np.stack([_slot_blocks(transcript, rx, slots) for rx, slots in matrices])
+        return matcore.slot_null_bases(stack, rel_tol)
 
     audited = []
 
-    def noted(name, mat):
-        audited.append((name, mat.shape[0], mat.shape[1]))
-        return mat
+    def stacked_rank(name, g_null, reduced):
+        """``rank([G; M])`` from the null bases of ``G`` and ``M N``."""
+        t = len(g_null.ranks)
+        audited.append((name, n * t + reduced.shape[0], 2 * m * t))
+        return g_null.rank + matcore.rank(reduced, rel_tol, g_null.largest).value
 
     # --- rate identities -------------------------------------------------
-    s2 = side_info(g[2], sels.get("side_info_rx2"))
-    s3 = side_info(h[3], sels.get("side_info_rx1"))
-    rate1 = noted("rate_rx1", np.vstack([h[2], carried_map(transcript, h[4], "phi1", w4) @ s2]))
-    rate2 = noted("rate_rx2", np.vstack([g[3], carried_map(transcript, g[4], "phi2", w4) @ s3]))
+    g2, h3 = lift(2, r2), lift(1, r3)
+    h2_null, g3_null = nulls((1, r2), (2, r3))
+    s2 = side_info(h2_null.apply(g2), sels.get("side_info_rx2"))
+    s3 = side_info(g3_null.apply(h3), sels.get("side_info_rx1"))
+    rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, lift(1, r4), "phi1", w4) @ s2)
+    rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, lift(2, r4), "phi2", w4) @ s3)
     rate_target = 2 * m * t2
 
     # --- leakage identities ----------------------------------------------
@@ -146,17 +168,16 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         audited.append(("leak_rx2", leak_rows, 0))
         audited.append(("leak_rx1", leak_rows, 0))
     else:
-        mix_rx2 = carried_map(transcript, g[2], "theta1", w2) @ h[1]
-        mix_rx1 = carried_map(transcript, h[3], "theta2", w2) @ g[1]
-        leak2 = noted("leak_rx2", np.vstack([g[1], mix_rx2]))
-        leak1 = noted("leak_rx1", np.vstack([h[1], mix_rx1]))
-        defect_rx2 = leak_rows - matcore.rank_value(leak2, rel_tol)
-        defect_rx1 = leak_rows - matcore.rank_value(leak1, rel_tol)
+        g1_null, h1_null = nulls((2, r1), (1, r1))
+        reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply(lift(1, r1))
+        reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply(lift(2, r1))
+        defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
+        defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 
     return SecrecyReport(
         scheme=transcript.scheme,
-        rate_rank_rx1=matcore.rank_value(rate1, rel_tol),
-        rate_rank_rx2=matcore.rank_value(rate2, rel_tol),
+        rate_rank_rx1=rate1,
+        rate_rank_rx2=rate2,
         rate_target=rate_target,
         leak_defect_rx1=defect_rx1,
         leak_defect_rx2=defect_rx2,
@@ -180,45 +201,82 @@ def _replay_group(transcript: Transcript, group: str) -> tuple[np.ndarray, np.nd
 
 
 def columns_contained(
-    noise: np.ndarray, secret: np.ndarray, rel_tol: float = matcore.DEFAULT_REL_TOL
+    noise: np.ndarray,
+    secret: np.ndarray,
+    rel_tol: float = matcore.DEFAULT_REL_TOL,
+    scale: float = 0.0,
 ) -> bool:
     """Whether ``rank([noise | secret]) == rank(noise)`` at ``rel_tol``.
 
-    One QR of ``noise`` gives its rank (``R`` has ``noise``'s singular
-    values) and, when that rank is full, the residual of ``secret`` off the
-    noise span, which confirms a clear containment without the joint SVD
-    (see :func:`_clearly_contained`).  Every other case, a leak or a
-    rank-deficient ``noise`` included, compares the two ranks.  With no
-    noise columns the secret map must vanish.
+    ``scale`` floors the scale both rank cuts are relative to (see
+    :func:`matcore.rank`).  One QR of ``noise`` gives its rank (``R`` has
+    ``noise``'s singular values) and, when that rank is full, the residual
+    of ``secret`` off the noise span, which confirms a clear containment
+    without the joint SVD (see :func:`_clearly_contained`).  Every other
+    case, a leak or a rank-deficient ``noise`` included, compares the two
+    ranks.  With no noise columns the secret map must vanish.
     """
     k = noise.shape[1]
     if k == 0:
-        return matcore.rank_value(secret, rel_tol) == 0
+        return matcore.rank(secret, rel_tol, scale).value == 0
     q, r = matcore.qr(noise)
-    base = matcore.rank(r, rel_tol)
-    if base.value == k and _clearly_contained(q, r, base.smallest_kept_singular_value, secret, rel_tol):
+    base = matcore.rank(r, rel_tol, scale)
+    if base.value == k and _clearly_contained(
+        q, r, base.smallest_kept_singular_value, secret, rel_tol, scale
+    ):
         return True
-    return matcore.rank_value(np.hstack([noise, secret]), rel_tol) == base.value
+    return matcore.rank(np.hstack([noise, secret]), rel_tol, scale).value == base.value
 
 
-def _clearly_contained(q, r, weakest: float, secret: np.ndarray, rel_tol: float) -> bool:
+def _clearly_contained(
+    q, r, weakest: float, secret: np.ndarray, rel_tol: float, scale: float
+) -> bool:
     """Whether ``secret`` lies in the span of a full-column-rank ``q @ r``
     (smallest singular value ``weakest``) by a margin no rank cut overturns.
 
-    The joint matrix's rank cut is ``rel_tol`` times its largest singular
-    value, which lies between its largest column norm and its Frobenius
-    norm.  Its singular values past the noise columns' are at most the
-    residual's Frobenius norm, which must clear the smallest possible cut
-    by :data:`CONTAINMENT_GUARD`; its k-th is at least ``weakest``, which
-    must clear the largest possible cut so that no noise column is lost.
+    The joint matrix's rank cut is ``rel_tol`` times the larger of ``scale``
+    and its largest singular value, which lies between its largest column
+    norm and its Frobenius norm.  Its singular values past the noise
+    columns' are at most the residual's Frobenius norm, which must clear
+    the smallest possible cut by :data:`CONTAINMENT_GUARD`; its k-th is at
+    least ``weakest``, which must clear the largest possible cut so that no
+    noise column is lost.
     """
     secret_norms = np.linalg.norm(secret, axis=0)
-    scale = float(np.hypot(np.linalg.norm(r), np.linalg.norm(secret_norms)))
-    if weakest <= rel_tol * scale:
+    upper = max(float(np.hypot(np.linalg.norm(r), np.linalg.norm(secret_norms))), scale)
+    if weakest <= rel_tol * upper:
         return False
-    floor = float(max(np.max(np.linalg.norm(r, axis=0)), np.max(secret_norms, initial=0.0)))
+    noise_col = float(np.max(np.linalg.norm(r, axis=0)))
+    lower = max(noise_col, float(np.max(secret_norms, initial=0.0)), scale)
     residual = float(np.linalg.norm(secret - q @ (q.conj().T @ secret)))
-    return residual * CONTAINMENT_GUARD <= rel_tol * floor
+    return residual * CONTAINMENT_GUARD <= rel_tol * lower
+
+
+def _phase1_blocks(noise: np.ndarray, m: int, n: int, t1: int) -> np.ndarray:
+    """The ``(t1, n, 2m)`` diagonal blocks of a noise map's phase-1 rows.
+
+    The noise map's columns are the phase-1 inputs, so its phase-1 rows are
+    the receiver's block-diagonal phase-1 lift; a map whose phase-1 rows
+    reach outside the diagonal blocks is refused.
+    """
+    rows = noise[: n * t1]
+    slots = np.arange(t1)
+    # rows[s * n + a, i * m * t1 + s' * m + b]: slot s, transmitter i + 1, slot s'
+    blocks = rows.reshape(t1, n, 2, t1, m)[slots, :, :, slots]
+    if np.count_nonzero(rows) != np.count_nonzero(blocks):
+        raise InvalidTranscript("the noise map's phase-1 rows are not block diagonal")
+    return blocks.reshape(t1, n, 2 * m)
+
+
+def _secret_past_phase1(transcript: Transcript, group: str, rx: int, p1: int) -> np.ndarray:
+    """Receiver ``rx + 1``'s map of secret group ``group`` past its first
+    ``p1`` rows, the noise phase, as an owned copy (the replay is freed on
+    return).  The secret symbols enter after the noise phase, so a map
+    with nonzero phase-1 rows is refused."""
+    secret = _replay_group(transcript, group)[rx]
+    if np.any(secret[:p1]):
+        raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
+    return secret[p1:].copy()
 
 
 def equivocation_subspace_check(
@@ -230,18 +288,37 @@ def equivocation_subspace_check(
     its own messages, those symbols must enter its observation only inside
     the noise columns' span.  One replay of the noise group ``u`` gives both
     receivers' noise maps, and one replay each of ``v2`` and ``v1`` the
-    secret maps of receivers 1 and 2.  Returns the verdicts ``(rx1, rx2)``
-    of :func:`columns_contained`: True iff ``rank([noise cols | secret
-    cols])`` equals ``rank([noise cols])``, confirmed from one QR of the
-    noise map where the margins allow.
+    secret maps of receivers 1 and 2.  Returns the verdicts ``(rx1, rx2)``:
+    True iff ``rank([noise cols | secret cols])`` equals ``rank([noise
+    cols])``.
+
+    The noise phase is eliminated slot by slot first.  A secret map's
+    phase-1 rows are zero and a noise map's are its receiver's
+    block-diagonal phase-1 lift ``G`` (both checked exactly; a replay that
+    breaks either raises :class:`InvalidTranscript`).  So ``secret = noise
+    @ x`` needs ``G x = 0``, ``x = N z`` with ``N`` the per-slot null bases
+    of ``G``, and the secret map's later rows must lie in the span of the
+    noise map's later rows times ``N``: that is what
+    :func:`columns_contained` decides, with its rank cuts kept at ``G``'s
+    scale.
     """
     transcript.check_complete()
-    noise_rx1, noise_rx2 = _replay_group(transcript, "u")
-    # each secret map is an owned copy, so the other half of its replay is
-    # freed before the containment test runs
-    rx1 = columns_contained(noise_rx1, _replay_group(transcript, "v2")[0].copy(), rel_tol)
-    rx2 = columns_contained(noise_rx2, _replay_group(transcript, "v1")[1].copy(), rel_tol)
-    return rx1, rx2
+    m, n = transcript.config.effective_m, transcript.config.n
+    t1 = len(transcript.phase_ranges()[0])
+    p1 = n * t1
+    noise = _replay_group(transcript, "u")
+    if t1:
+        blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
+        nulls = matcore.slot_null_bases(blocks, rel_tol)
+        reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
+    else:  # no noise phase: no noise columns
+        reduced = [(half, 0.0) for half in noise]
+    # the reduced maps are new arrays: the noise replay is freed before the secret ones
+    del noise
+    return tuple(
+        columns_contained(noise_map, _secret_past_phase1(transcript, group, rx, p1), rel_tol, scale)
+        for rx, group, (noise_map, scale) in zip((0, 1), ("v2", "v1"), reduced)
+    )
 
 
 def decode_error(transcript: Transcript, receiver: Node) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xsdof import matcore
+from xsdof.channel import lift_rows
 from xsdof.errors import InvalidInput, InvalidMatrix, InvalidShape, SingularSystem
 
 
@@ -55,6 +56,12 @@ class TestRank:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InvalidInput):
             matcore.rank(np.eye(2), rel_tol=0.0)
+
+    def test_scale_floors_the_cut(self):
+        tiny = 1e-12 * np.eye(3)
+        assert matcore.rank_value(tiny) == 3  # relative to its own scale
+        assert matcore.rank(tiny, scale=1.0).value == 0
+        assert matcore.rank(np.eye(3), scale=1e-3).value == 3  # a lower floor is no floor
 
 
 class TestSolveSquare:
@@ -211,3 +218,95 @@ class TestQr:
         a[1, 1] = np.nan
         with pytest.raises(InvalidMatrix):
             matcore.qr(a)
+
+
+def _slot_stack(rows):
+    """The ``(t, n, 2m)`` slot blocks ``[h_j1 | h_j2]`` of ``(t, 2, n, m)`` rows."""
+    t, _, n, m = rows.shape
+    return rows.transpose(0, 2, 1, 3).reshape(t, n, 2 * m)
+
+
+def _random_rows(t, n, m, r):
+    return np.array([[matcore.random_matrix(n, m, r) for _ in range(2)] for _ in range(t)])
+
+
+def _one(blocks):
+    """The null bases of the one block-diagonal matrix with these blocks."""
+    (null,) = matcore.slot_null_bases(blocks[None])
+    return null
+
+
+class TestSlotNullBases:
+    def test_annihilates_the_blocks(self):
+        blocks = _slot_stack(_random_rows(5, 3, 2, rng(13)))
+        null = _one(blocks)
+        largest = max(np.linalg.norm(b, 2) for b in blocks)
+        assert null.largest == pytest.approx(largest, rel=1e-12)
+        assert np.max(np.abs(blocks @ null.basis)) <= 1e-12 * largest
+
+    def test_orthonormal_columns(self):
+        null = _one(_slot_stack(_random_rows(4, 3, 4, rng(14))))
+        for basis in null.basis:
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(5), atol=1e-12)
+
+    def test_width_is_columns_minus_min_rank(self):
+        for n, m in ((3, 2), (4, 4), (2, 3)):
+            null = _one(_slot_stack(_random_rows(3, n, m, rng(15))))
+            assert null.basis.shape == (3, 2 * m, 2 * m - n)
+            assert list(null.ranks) == [n] * 3 and null.rank == 3 * n
+
+    def test_deficient_slot_pads_the_others(self):
+        r = rng(16)
+        blocks = _slot_stack(_random_rows(4, 3, 2, r))
+        blocks[2] = matcore.random_matrix(3, 2, r) @ matcore.random_matrix(2, 4, r)  # rank 2
+        null = _one(blocks)
+        assert list(null.ranks) == [3, 3, 2, 3] and null.rank == 11
+        assert null.basis.shape == (4, 4, 2)
+        norms = np.linalg.norm(null.basis, axis=1)
+        # full-rank slots: one zero column, then their one null vector
+        np.testing.assert_array_equal(norms[[0, 1, 3], 0], 0.0)
+        np.testing.assert_allclose(norms[[0, 1, 3], 1], 1.0)
+        np.testing.assert_allclose(norms[2], 1.0)  # the deficient slot's two
+        assert np.max(np.abs(blocks @ null.basis)) <= 1e-12 * null.largest
+
+    def test_cut_is_relative_to_the_whole_matrix(self):
+        # as for the block-diagonal matrix: a slot at round-off scale next
+        # to O(1) slots has rank 0, although its own singular values are flat
+        blocks = _slot_stack(_random_rows(3, 3, 2, rng(18)))
+        blocks[1] *= 1e-12
+        null = _one(blocks)
+        assert list(null.ranks) == [3, 0, 3]
+        assert null.rank == matcore.rank_value(matcore.block_diag(list(blocks)))
+        assert null.basis.shape == (3, 4, 4)
+
+    def test_matrices_are_cut_at_their_own_scale(self):
+        r = rng(19)
+        big = _slot_stack(_random_rows(2, 3, 2, r))
+        small = 1e-12 * _slot_stack(_random_rows(2, 3, 2, r))
+        one, other = matcore.slot_null_bases(np.stack([big, small]))
+        alone = _one(small)
+        assert list(one.ranks) == list(other.ranks) == [3, 3]
+        assert other.largest == alone.largest and other.largest < 1e-10
+        np.testing.assert_allclose(np.abs(other.basis), np.abs(alone.basis), atol=1e-12)
+
+    def test_apply_in_lift_order(self):
+        r = rng(17)
+        t, n, m = 4, 3, 2
+        rows = _random_rows(t, n, m, r)
+        null = _one(_slot_stack(rows))
+        w = null.basis.shape[2]
+        dense = np.zeros((2 * t * m, t * w), dtype=complex)
+        for s, basis in enumerate(null.basis):
+            for i in range(2):  # transmitter i + 1's stack
+                dense[i * t * m + s * m : i * t * m + (s + 1) * m, s * w : (s + 1) * w] = (
+                    basis[i * m : (i + 1) * m]
+                )
+        for lifted in (lift_rows(_random_rows(t, n, m, r)), matcore.random_matrix(7, 2 * t * m, r)):
+            np.testing.assert_allclose(null.apply(lifted), lifted @ dense, atol=1e-12)
+        # the blocks' own lift is annihilated
+        assert np.max(np.abs(null.apply(lift_rows(rows)))) <= 1e-12 * null.largest
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (1, 0, 3, 4), (0, 2, 3, 4)])
+    def test_rejects_a_stack_without_blocks(self, shape):
+        with pytest.raises(InvalidInput):
+            matcore.slot_null_bases(np.zeros(shape, dtype=complex))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_oracle, dense_ranks, stacked_matrices
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig
 from xsdof.errors import InvalidTranscript
@@ -16,6 +17,30 @@ from xsdof.schemes import SchemeId
 
 def transcript_for(scheme, m, n, seed=7, **kw):
     return schemes.run(scheme, AntennaConfig(m, n), seed=seed, **kw)
+
+
+#: (scheme, m, n, mutation, seeds) on which the rank report and the oracle
+#: must agree: every variant, the ladder's sizes and the three mutants.
+AGREEMENT_CASES = [
+    (SchemeId.A, 2, 3, None, range(5)),
+    (SchemeId.B, 4, 4, None, range(5)),
+    (SchemeId.C, 2, 3, None, range(5)),
+    (SchemeId.D, 2, 3, None, range(5)),
+    (SchemeId.E, 2, 3, None, range(5)),
+    (SchemeId.A, 4, 4, None, range(2)),
+    (SchemeId.C, 4, 5, None, range(2)),
+    (SchemeId.E, 4, 4, None, range(2)),
+    (SchemeId.A, 3, 4, "theta1_zero", range(2)),
+    (SchemeId.A, 3, 4, "phi1_zero", range(2)),
+    (SchemeId.A, 3, 4, "skip_phase1", range(2)),
+]
+
+
+def agreement_transcripts(extra=()):
+    for scheme, m, n, mutation, seeds in AGREEMENT_CASES + list(extra):
+        for seed in seeds:
+            transcript = transcript_for(scheme, m, n, seed, mutation=mutation)
+            yield (scheme, m, n, mutation, seed), transcript
 
 
 class TestSecrecyRankReport:
@@ -49,6 +74,22 @@ class TestSecrecyRankReport:
         assert report.advisory
         assert report.rate_rank_rx1 == report.rate_target == 8
         assert report.leak_defect_rx1 == 2 and report.leak_defect_rx2 == 2
+
+    def test_shared_phase1_channel_needs_the_scale_floor(self):
+        # both receivers hear the noise phase through the same blocks, so
+        # each one's phase-1 map already explains the other's and every
+        # noise mix the eavesdropper sees: after the elimination both
+        # reduced leakage matrices are round-off, which the scale floor
+        # keeps at rank 0, and each identity falls short by n*t2 = 9
+        transcript = transcript_for(SchemeId.A, 2, 3)
+        blocks = transcript.states.blocks.copy()
+        blocks[:9, 0] = blocks[:9, 1]
+        transcript.states = dataclasses.replace(transcript.states, blocks=blocks)
+        report = verify.secrecy_rank_report(transcript)
+        assert (report.leak_defect_rx1, report.leak_defect_rx2) == (9, 9)
+        assert dense_ranks(transcript)[2:] == (9, 9)
+        assert verify.equivocation_subspace_check(transcript) == (False, False)
+        assert dense_oracle(transcript) == (False, False)
 
     def test_scheme_e_negative_control(self):
         report = verify.secrecy_rank_report(transcript_for(SchemeId.E, 2, 3))
@@ -98,23 +139,23 @@ class TestSubspaceOracle:
         seen = []
         contained = verify.columns_contained
 
-        def spy(noise, secret, rel_tol):
+        def spy(noise, secret, rel_tol, scale=0.0):
             seen.append((noise, secret))
-            return contained(noise, secret, rel_tol)
+            return contained(noise, secret, rel_tol, scale)
 
         monkeypatch.setattr(verify, "columns_contained", spy)
         verdicts = verify.equivocation_subspace_check(transcript)
         return verdicts, seen
 
     def test_observation_maps_shapes(self, monkeypatch):
+        # A(2,3): t1 = 9 noise slots of 7; 2m - n = 1 null column per slot
         transcript = transcript_for(SchemeId.A, 2, 3)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
         assert verdicts == (True, True)
         assert len(seen) == 2
-        rows = 3 * 16
         for noise, secret in seen:
-            assert noise.shape == (rows, 36) and secret.shape == (rows, 12)
-            assert secret.flags.owndata  # the other half of the replay is not kept alive
+            assert noise.shape == (21, 9) and secret.shape == (21, 12)
+            assert secret.flags.owndata  # the rest of the replay is not kept alive
 
     def test_shared_noise_replay(self, monkeypatch):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
@@ -131,32 +172,67 @@ class TestSubspaceOracle:
         assert groups.count("u") == 1  # one noise replay serves both receivers
         monkeypatch.setattr(verify, "_replay_group", replay)
         noise = replay(transcript, "u")
-        # receiver 1 against v2, receiver 2 against v1, each on its own noise half
+        p1 = 3 * 9
+        # receiver 1 against v2, receiver 2 against v1, each on its own noise
+        # half past phase 1, times the null bases of its own phase-1 blocks
         for (got_noise, got_secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
-            np.testing.assert_array_equal(got_noise, noise[rx])
-            np.testing.assert_array_equal(got_secret, replay(transcript, group)[rx])
+            rows = transcript.states.rows(rx + 1, range(1, 10))[..., :2]
+            (g_null,) = matcore.slot_null_bases(rows.transpose(0, 2, 1, 3).reshape(1, 9, 3, 4))
+            np.testing.assert_array_equal(got_noise, g_null.apply(noise[rx][p1:]))
+            np.testing.assert_array_equal(got_secret, replay(transcript, group)[rx][p1:])
+
+    @pytest.mark.parametrize("group,rx", [("v2", 0), ("v1", 1)])
+    def test_secret_in_noise_phase_is_refused(self, monkeypatch, group, rx):
+        replay = verify._replay_group
+
+        def leaky(transcript, name):
+            maps = replay(transcript, name)
+            if name == group:
+                maps[rx][0, 0] = 1.0  # a secret symbol heard in slot 1
+            return maps
+
+        monkeypatch.setattr(verify, "_replay_group", leaky)
+        with pytest.raises(InvalidTranscript, match="noise phase"):
+            verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
+
+    @pytest.mark.parametrize("rx", [0, 1])
+    def test_noise_across_slots_is_refused(self, monkeypatch, rx):
+        replay = verify._replay_group
+
+        def smeared(transcript, name):
+            maps = replay(transcript, name)
+            if name == "u":
+                maps[rx][0, 2] = 1.0  # slot 1's output reached by slot 2's noise
+            return maps
+
+        monkeypatch.setattr(verify, "_replay_group", smeared)
+        with pytest.raises(InvalidTranscript, match="block diagonal"):
+            verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
     def test_agreement_with_rank_report(self):
-        for scheme, m, n, mutation, seeds in [
-            (SchemeId.A, 2, 3, None, 5),
-            (SchemeId.B, 4, 4, None, 5),
-            (SchemeId.C, 2, 3, None, 5),
-            (SchemeId.D, 2, 3, None, 5),
-            (SchemeId.E, 2, 3, None, 5),
-            (SchemeId.A, 4, 4, None, 2),
-            (SchemeId.C, 4, 5, None, 2),
-            (SchemeId.E, 4, 4, None, 2),
-            (SchemeId.A, 3, 4, "theta1_zero", 2),
-            (SchemeId.A, 3, 4, "phi1_zero", 2),
-            (SchemeId.A, 3, 4, "skip_phase1", 2),
-        ]:
-            for seed in range(seeds):
-                transcript = transcript_for(scheme, m, n, seed=seed, mutation=mutation)
-                report = verify.secrecy_rank_report(transcript)
-                assert verify.equivocation_subspace_check(transcript) == (
-                    report.leak_defect_rx1 == 0,
-                    report.leak_defect_rx2 == 0,
-                ), (scheme, m, n, mutation, seed)
+        for case, transcript in agreement_transcripts():
+            report = verify.secrecy_rank_report(transcript)
+            assert verify.equivocation_subspace_check(transcript) == (
+                report.leak_defect_rx1 == 0,
+                report.leak_defect_rx2 == 0,
+            ), case
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-7, 1e-11])
+    def test_reduced_matches_dense(self, rel_tol):
+        # the slot-by-slot elimination against the stacked matrices and the
+        # whole replayed maps, noise phase included
+        for case, transcript in agreement_transcripts([(SchemeId.A, 5, 5, None, [7])]):
+            report = verify.secrecy_rank_report(transcript, rel_tol)
+            got = (report.rate_rank_rx1, report.rate_rank_rx2,
+                   report.leak_defect_rx1, report.leak_defect_rx2)
+            assert got == dense_ranks(transcript, rel_tol), case
+            assert verify.equivocation_subspace_check(transcript, rel_tol) == dense_oracle(
+                transcript, rel_tol
+            ), case
+            shapes = {name: mat.shape for name, mat in stacked_matrices(transcript).items()
+                      if mat is not None}
+            assert {name: (r, c) for name, r, c in report.matrices_audited
+                    if name in shapes} == shapes, case
 
     def test_two_replays_per_receiver(self, monkeypatch):
         calls = []
@@ -195,9 +271,9 @@ def joint_rank_calls(monkeypatch):
     cols = []
     rank = matcore.rank
 
-    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL):
+    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL, scale=0.0):
         cols.append(np.shape(a)[1])
-        return rank(a, rel_tol)
+        return rank(a, rel_tol, scale)
 
     monkeypatch.setattr(matcore, "rank", spy)
     return cols
@@ -246,6 +322,18 @@ class TestColumnsContained:
         assert not _reference_contained(a, s)
         assert not verify.columns_contained(a, s)
         assert joint_rank_calls == [2, 3]
+
+    def test_round_off_noise_needs_the_scale_floor(self, joint_rank_calls):
+        # a noise map left at round-off by an elimination, against an O(1)
+        # secret of the same rank: relative to its own scale the round-off
+        # counts as full rank and swallows the secret, but against the scale
+        # of the eliminated block it has rank 0 and the secret leaks
+        rng = np.random.default_rng(6)
+        a, s = 1e-16 * _gaussian(rng, 30, 8), _gaussian(rng, 30, 8)
+        assert verify.columns_contained(a, s)
+        joint_rank_calls.clear()
+        assert not verify.columns_contained(a, s, scale=1.0)
+        assert joint_rank_calls == [8, 16]
 
     def test_noise_without_columns(self, joint_rank_calls):
         rng = np.random.default_rng(5)
