@@ -152,6 +152,15 @@ class StateSequence:
         :func:`lift_rows`."""
         return self.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
 
+    def slot_blocks(self, m_eff: int | None = None) -> np.ndarray:
+        """Every slot's ``[h_j1 | h_j2]`` per receiver, as a ``(2, horizon,
+        n, 2m)`` array: ``[j - 1, t - 1]`` is the ``n x 2m`` diagonal block
+        receiver ``j``'s lift has at slot ``t`` (see :func:`lift_rows`).
+        ``m_eff`` keeps the first ``m_eff`` transmit antennas."""
+        blocks = self.blocks[..., :m_eff]
+        horizon, _, _, n, m = blocks.shape
+        return blocks.transpose(1, 0, 3, 2, 4).reshape(2, horizon, n, 2 * m)
+
 
 def _stacked(slot: np.ndarray) -> np.ndarray:
     """The joint 2n x 2m matrix of one slot's ``(2, 2, n, m)`` blocks."""
@@ -226,10 +235,11 @@ def lift_rows(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
     ``[lift(h_j1) | lift(h_j2)]``, i.e. the matrix multiplying ``[x1_stack;
     x2_stack]`` to give that receiver's stacked phase output, built by one
     scatter of the slot blocks into a zero array; ``m_eff`` keeps the first
-    ``m_eff`` transmit antennas.
+    ``m_eff`` transmit antennas.  An empty slot range (``t = 0``, an empty
+    phase) lifts to a ``(0, 0)`` matrix.
     """
-    if rows.ndim != 4 or len(rows) == 0:
-        raise InvalidInput(f"lift_rows expects a nonempty (t, 2, n, m) array, got {rows.shape}")
+    if rows.ndim != 4:
+        raise InvalidInput(f"lift_rows expects a (t, 2, n, m) array, got {rows.shape}")
     if m_eff is not None:
         rows = rows[..., :m_eff]
     t, _, n, m = rows.shape

@@ -117,8 +117,7 @@ class KnowledgeBase:
     def grant_own_symbols(self, node: Node, messages: dict, noise):
         for name, payload in messages.items():
             self.grant(node, ItemKind.OWN_MESSAGE_SYMBOLS, name, payload, available_from=1)
-        if noise is not None:
-            self.grant(node, ItemKind.OWN_NOISE_SYMBOLS, "noise", noise, available_from=1)
+        self.grant(node, ItemKind.OWN_NOISE_SYMBOLS, "noise", noise, available_from=1)
 
     def advance_slot(self, slot: int, outputs, state: ChannelState):
         """Record slot ``slot``'s outputs and grant items per the feedback model.

@@ -165,7 +165,10 @@ def slot_null_bases(
     ``blocks`` is ``(k, t, r, c)``, the ``t`` diagonal blocks of each
     matrix; one batched SVD decides them all.  Each matrix's cut is
     relative to its own largest singular value.  Every basis is ``c - min
-    rank`` wide, the minimum taken over all ``k * t`` slots.
+    rank`` wide, the minimum taken over all ``k * t`` slots.  With ``t = 0``
+    (an empty phase) each matrix has rank 0, largest singular value 0.0
+    and a ``(0, c, 0)`` basis, so :meth:`SlotNullBases.apply` maps any
+    lifted matrix with no columns to one with no columns.
 
     The null space of a block-diagonal ``G`` is block diagonal, so the rank
     identity ``rank([G; M]) = rank(G) + rank(M N)`` (Marsaglia and Styan,
@@ -176,15 +179,16 @@ def slot_null_bases(
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
-    if blocks.ndim != 4 or 0 in blocks.shape[:2]:
-        raise InvalidInput(f"expected a nonempty (k, t, r, c) stack, got {blocks.shape}")
+    if blocks.ndim != 4 or blocks.shape[0] == 0:
+        raise InvalidInput(f"expected a (k, t, r, c) stack with k >= 1, got {blocks.shape}")
+    c = blocks.shape[3]
     _, s, vh = np.linalg.svd(blocks)
     largest = s.max(axis=(1, 2), initial=0.0)
     ranks = (s > rel_tol * largest[:, None, None]).sum(axis=2)
-    low = int(ranks.min())
+    low = int(ranks.min(initial=c))
     basis = vh[:, :, low:].conj().swapaxes(2, 3)
-    if ranks.max() > low:  # zero the columns of a higher-rank slot that span its rows
-        basis = basis * (np.arange(low, blocks.shape[3]) >= ranks[..., None])[:, :, None, :]
+    if ranks.max(initial=0) > low:  # zero the columns of a higher-rank slot that span its rows
+        basis = basis * (np.arange(low, c) >= ranks[..., None])[:, :, None, :]
     return tuple(SlotNullBases(ranks[i], float(largest[i]), basis[i]) for i in range(len(blocks)))
 
 
@@ -285,10 +289,11 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     Entries have unit variance (real and imaginary parts each of variance
     1/2), so every submatrix is full rank almost surely.  The draw consumes
     the stream deterministically: a fixed seed and draw order reproduce the
-    matrix bit for bit.
+    matrix bit for bit.  A matrix with a zero dimension is empty and draws
+    nothing from the stream.
     """
-    if rows < 1 or cols < 1:
-        raise InvalidInput(f"rows and cols must be >= 1, got ({rows}, {cols})")
+    if rows < 0 or cols < 0:
+        raise InvalidInput(f"rows and cols must be >= 0, got ({rows}, {cols})")
     re = rng.standard_normal((rows, cols))
     im = rng.standard_normal((rows, cols))
     return (re + 1j * im) / np.sqrt(2.0)
@@ -296,8 +301,6 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Length-``dim`` vector of i.i.d. standard complex Gaussian scalars."""
-    if dim == 0:
-        return np.zeros(0, dtype=complex)
     return random_matrix(dim, 1, rng)[:, 0]
 
 

@@ -14,8 +14,8 @@ phase retransmitting what each receiver overheard of the other's fresh phase.
   phases; each side-information vector is retransmitted by the one
   transmitter that heard it.  A run-mode flag moves every knowledge-heavy
   role onto transmitter 1 (feedback and delayed CSI to transmitter 1 only).
-* ``E``: the no-secrecy variant: the scheme-A construction with the noise
-  phase removed.
+* ``E``: the no-secrecy variant: the scheme-A construction with an empty
+  noise phase.
 
 One row of :data:`SPECS` per variant (C's run mode counts as one) holds all
 that sets it apart: default feedback model, phase-length rule, the carriers
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -113,10 +113,12 @@ class SchemeSpec:
 CARRIERS = {"both": (1, 2), "tx1": (1,), "tx2": (2,)}
 
 #: Phase lengths (noise, fresh for receiver 1, fresh for receiver 2, final)
-#: at ``m`` effective transmit and ``n`` receive antennas.
+#: at ``m`` effective transmit and ``n`` receive antennas.  Every rule gives
+#: all four; ``no-noise`` gives an empty noise phase, which every stage runs
+#: like any other phase (with no slots, it sends, mixes and reads nothing).
 PHASE_RULES = {
     "retrospective": lambda m, n: (n * n, n * (2 * m - n), n * (2 * m - n), (2 * m - n) ** 2),
-    "no-noise": lambda m, n: (n * (2 * m - n), n * (2 * m - n), (2 * m - n) ** 2),
+    "no-noise": lambda m, n: (0, n * (2 * m - n), n * (2 * m - n), (2 * m - n) ** 2),
     "feedback-only": lambda m, n: (n * n, m * (2 * m - n), m * (2 * m - n), (2 * m - n) ** 2),
     "single-slot": lambda m, n: (1, 1, 1, 1),
 }
@@ -166,9 +168,13 @@ def _carrier_span(carrier: str, width: int) -> slice:
 
 @dataclass(frozen=True)
 class PhasePlan:
-    """Slot counts per phase and the per-receiver symbol budget."""
+    """Slot counts of the four phases and the per-receiver symbol budget.
 
-    phase_lengths: tuple[int, ...]
+    The noise phase (the first) may be empty: scheme E's is, and the
+    ``skip_phase1`` mutation empties it.
+    """
+
+    phase_lengths: tuple[int, int, int, int]
     symbols_per_receiver: int
 
     @property
@@ -177,6 +183,14 @@ class PhasePlan:
 
     def dof_target(self) -> Fraction:
         return Fraction(self.symbols_per_receiver, self.horizon)
+
+    def to_jsonable(self) -> dict:
+        """The plan as written out: only the phases that have slots, so a
+        plan without a noise phase lists three."""
+        return {
+            "phase_lengths": [length for length in self.phase_lengths if length],
+            "symbols_per_receiver": self.symbols_per_receiver,
+        }
 
 
 def plan(scheme: SchemeId, config: AntennaConfig) -> PhasePlan:
@@ -199,7 +213,7 @@ def plan(scheme: SchemeId, config: AntennaConfig) -> PhasePlan:
         )
     m = config.effective_m
     lengths = PHASE_RULES[rule](m, config.n)
-    return PhasePlan(lengths, 2 * m * lengths[-3])
+    return PhasePlan(lengths, 2 * m * lengths[1])
 
 
 @dataclass(frozen=True)
@@ -208,11 +222,12 @@ class Precoders:
 
     ``theta1``/``theta2`` mix the phase-1 outputs into the fresh-information
     phases; ``phi1``/``phi2`` combine the side-information vectors in the
-    final phase.  Shapes depend on the scheme; absent matrices are ``None``.
+    final phase.  Shapes depend on the scheme; with an empty noise phase the
+    mixing matrices have no columns.
     """
 
-    theta1: np.ndarray | None
-    theta2: np.ndarray | None
+    theta1: np.ndarray
+    theta2: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
 
@@ -226,25 +241,22 @@ def draw_precoders(
     """Draw Gaussian precoders, redrawing any that miss full rank.
 
     Each precoder maps the ``n`` outputs per slot of its source phase to
-    ``m`` inputs per slot and carrying transmitter of its target phase; a
-    scheme without a noise phase has no mixing matrices.  The tx1-only run
-    mode of scheme C only moves carriers between single transmitters, so it
-    draws the same precoders as scheme C.
+    ``m`` inputs per slot and carrying transmitter of its target phase; with
+    an empty noise phase the mixing matrices are empty (no columns), a draw
+    that takes nothing from ``rng``.  The tx1-only run mode of scheme C only
+    moves carriers between single transmitters, so it draws the same
+    precoders as scheme C.
 
     A Gaussian draw is full rank almost surely; exhausting the retries
     therefore signals a tolerance bug, not bad luck.
     """
     spec = variant(scheme)
     m, n = config.effective_m, config.n
-    lengths = pln.phase_lengths if len(pln.phase_lengths) == 4 else (0,) + pln.phase_lengths
-    t1, t2, _, t3 = lengths
+    t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
     sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
     for name, t_phase, t_prev in sizes:
         shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
-        if not t_prev:
-            drawn[name] = None
-            continue
         for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
             if matcore.rank_value(cand) == min(shape):
@@ -283,9 +295,9 @@ class Symbols:
 class Transcript:
     """Complete record of one scheme run.
 
-    ``plan`` reflects the phase lengths actually used (a structural mutation
-    may drop the noise phase).  ``knowledge`` retains the ledgers so that
-    decoding runs through the same capability checks as encoding did.
+    ``plan`` holds the phase lengths actually used (the ``skip_phase1``
+    mutation empties the noise phase).  ``knowledge`` retains the ledgers so
+    that decoding runs through the same capability checks as encoding did.
     """
 
     scheme: SchemeId
@@ -316,12 +328,10 @@ class Transcript:
         return self.knowledge.log
 
     def phase_ranges(self) -> list[list[int]]:
-        """1-based slot numbers per phase; a missing noise phase is empty."""
-        lengths = self.plan.phase_lengths
-        if len(lengths) == 3:
-            lengths = (0,) + lengths
+        """1-based slot numbers of each of the four phases; an empty phase
+        has none."""
         out, start = [], 1
-        for length in lengths:
+        for length in self.plan.phase_lengths:
             out.append(list(range(start, start + length)))
             start += length
         return out
@@ -470,29 +480,26 @@ def run(
     spec = variant(scheme, tx1_only)
     if model is None:
         model = spec.model
-    nominal = plan(scheme, config)
-
-    lengths = list(nominal.phase_lengths)
-    if len(lengths) == 3:  # scheme E carries no noise phase
-        lengths = [0] + lengths
+    nominal = pln = plan(scheme, config)
     if mutation == "skip_phase1":
-        lengths[0] = 0
-    t1, t2 = lengths[0], lengths[1]
+        pln = replace(nominal, phase_lengths=(0,) + nominal.phase_lengths[1:])
+    t1, t2 = pln.phase_lengths[:2]
     m, n = config.effective_m, config.n
 
     rng_states = matcore.substream(seed, "states")
     rng_prec = matcore.substream(seed, "precoders")
     rng_sym = matcore.substream(seed, "symbols")
 
-    states = generate_states(config, sum(lengths), rng_states, seed=seed)
+    states = generate_states(config, pln.horizon, rng_states, seed=seed)
+    # drawn for the nominal plan, so a mutant draws its parent's precoders
     precoders = draw_precoders(scheme, config, nominal, rng_prec)
-    if mutation == "theta1_zero" and precoders.theta1 is not None:
-        precoders = Precoders(
-            np.zeros_like(precoders.theta1), precoders.theta2, precoders.phi1, precoders.phi2
-        )
+    if mutation == "theta1_zero":
+        precoders = replace(precoders, theta1=np.zeros_like(precoders.theta1))
     if mutation == "phi1_zero":
-        precoders = Precoders(
-            precoders.theta1, precoders.theta2, np.zeros_like(precoders.phi1), precoders.phi2
+        precoders = replace(precoders, phi1=np.zeros_like(precoders.phi1))
+    if mutation == "skip_phase1":  # no noise phase left to mix
+        precoders = replace(
+            precoders, theta1=precoders.theta1[:, :0], theta2=precoders.theta2[:, :0]
         )
 
     symbols = Symbols(
@@ -509,12 +516,11 @@ def run(
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 
     sel = _per_slot_selection(n, t2, 2 * m - n)
-    effective = tuple(l for i, l in enumerate(lengths) if not (i == 0 and l == 0))
     transcript = Transcript(
         scheme=scheme,
         config=config,
         model=model,
-        plan=PhasePlan(effective, nominal.symbols_per_receiver),
+        plan=pln,
         states=states,
         precoders=precoders,
         symbols=symbols,
@@ -543,6 +549,7 @@ def _encode(run_: _Run):
     # fresh symbols for receiver j, cloaked by receiver j's phase-1 output
     for j, phase in ((1, r2), (2, r3)):
         fresh = {i: views[i].own_messages(f"v{i}{j}") for i in (1, 2)}
+        # an empty noise phase has no output to acquire: no ledger reads
         mixing = [(f"theta{j}", j, r1, None)] if r1 else []
         mix = run_.carried(mixing, phase[0], m * len(phase))
         run_.send(phase, {i: fresh[i] + mix[i] for i in (1, 2)})
@@ -570,9 +577,7 @@ def _cross_rows_lift(view, slots, m_eff, other_rx) -> np.ndarray:
 
 
 def _stacked_outputs(view, slots) -> np.ndarray:
-    if not slots:
-        return np.zeros(0, dtype=complex)
-    return np.concatenate([view.own_output(t) for t in slots])
+    return np.array([view.own_output(t) for t in slots], dtype=complex).reshape(-1)
 
 
 def _check_residual(a, x, b):
@@ -610,10 +615,7 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     own_f = _own_rows_lift(view, fresh, m)
     cross_f = _cross_rows_lift(view, fresh, m, other)
     own4 = _own_rows_lift(view, r4, m)
-    if r1:
-        mix = _placed(transcript, theta, _stacked_outputs(view, r1), w2)
-    else:
-        mix = np.zeros(2 * w2, dtype=complex)
+    mix = _placed(transcript, theta, _stacked_outputs(view, r1), w2)
     y_side = side_info(_stacked_outputs(view, side), sels.get(key[mine]))
     y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
 
@@ -650,8 +652,7 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     cfg, sym, sels = transcript.config, transcript.symbols, transcript.selections
     m, n = cfg.effective_m, cfg.n
     ranges = transcript.phase_ranges()
-    r1, r2, r3, r4 = ranges
-    t2, t3 = len(r2), len(r4)
+    t2, t3 = len(ranges[1]), len(ranges[3])
 
     u = sym.u if u is None else np.asarray(u, dtype=complex)
     v1 = sym.v1 if v1 is None else np.asarray(v1, dtype=complex)
@@ -663,10 +664,7 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     k = int(np.prod(trailing))
 
     horizon = transcript.horizon
-    # slot_rows[j, s] = [h_(j+1)1 | h_(j+1)2] at slot s + 1, on the driven antennas
-    slot_rows = transcript.states.blocks[..., :m].transpose(1, 0, 3, 2, 4).reshape(
-        2, horizon, n, 2 * m
-    )
+    slot_rows = transcript.states.slot_blocks(m)
     y = np.empty((2, horizon, n, k), dtype=complex)
     stacks = y.reshape((2, n * horizon) + trailing)
     bounds = np.cumsum([0] + [len(slots) for slots in ranges])
@@ -679,14 +677,11 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
         np.matmul(slot_rows[:, lo:hi], per_slot, out=y[:, lo:hi])
         return stacks[0, n * lo : n * hi], stacks[1, n * lo : n * hi]
 
-    if r1:
-        y1p1, y2p1 = send(1, u)
-        x2s = _placed(transcript, "theta1", y1p1, m * t2)
-        x3s = _placed(transcript, "theta2", y2p1, m * t2)
-        x2s += v1  # in place: the oracle replays with identity-matrix symbols
-        x3s += v2
-    else:
-        x2s, x3s = v1, v2
+    y1p1, y2p1 = send(1, u)
+    x2s = _placed(transcript, "theta1", y1p1, m * t2)
+    x3s = _placed(transcript, "theta2", y2p1, m * t2)
+    x2s += v1  # in place: the oracle replays with identity-matrix symbols
+    x3s += v2
 
     _, y2p2 = send(2, x2s)
     y1p3, _ = send(3, x3s)
@@ -701,8 +696,6 @@ def transcript_to_json(transcript: Transcript) -> str:
     """Audit serialization: identity, plan, precoder digests, slots, access log."""
 
     def digest(a):
-        if a is None:
-            return None
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
     def pairs(vec):
@@ -713,10 +706,7 @@ def transcript_to_json(transcript: Transcript) -> str:
         "config": {"m": transcript.config.m, "n": transcript.config.n},
         "model": transcript.model.value,
         "seed": transcript.seed,
-        "plan": {
-            "phase_lengths": list(transcript.plan.phase_lengths),
-            "symbols_per_receiver": transcript.plan.symbols_per_receiver,
-        },
+        "plan": transcript.plan.to_jsonable(),
         "mutation": transcript.mutation,
         "tx1_only": transcript.tx1_only,
         "precoder_digests": {

@@ -84,7 +84,6 @@ class SecrecyReport:
     leak_defect_rx2: int
     advisory: bool
     matrices_audited: tuple
-    rel_tol: float
 
     def to_jsonable(self) -> dict:
         return {
@@ -101,15 +100,6 @@ class SecrecyReport:
         }
 
 
-def _slot_blocks(transcript: Transcript, rx: int, slots) -> np.ndarray:
-    """Receiver ``rx``'s ``[h_rx1 | h_rx2]`` per slot on the driven
-    antennas: the ``(t, n, 2m)`` diagonal blocks of its lift over ``slots``."""
-    m = transcript.config.effective_m
-    rows = transcript.states.rows(rx, slots)[..., :m]
-    t, _, n, _ = rows.shape
-    return rows.transpose(0, 2, 1, 3).reshape(t, n, 2 * m)
-
-
 def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT_REL_TOL) -> SecrecyReport:
     """Compute the rate and leakage rank identities for a transcript.
 
@@ -117,7 +107,9 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     stacks that eavesdropper's phase-1 map on the noise with the noise
     mixing it sees during phase ``j+1``; its rank is compared against the
     full ``n*(t1+t2)`` rows.  Rate matrices stack the legitimate receiver's
-    fresh-phase map with the retransmitted side-information map.
+    fresh-phase map with the retransmitted side-information map.  With an
+    empty noise phase the mixing map has no columns, so the defect is all
+    ``n*t2`` rows.
 
     Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
     lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
@@ -132,6 +124,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     t1, t2 = len(r1), len(r2)
     sels = transcript.selections
     states = transcript.states
+    blocks = states.slot_blocks(m)
     w2, w4 = m * t2, m * len(r4)
 
     def lift(rx, slots):
@@ -139,7 +132,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
 
     def nulls(*matrices):
         """Null bases of each ``(rx, slots)`` lift, from one batched SVD."""
-        stack = np.stack([_slot_blocks(transcript, rx, slots) for rx, slots in matrices])
+        stack = np.stack([blocks[rx - 1, np.asarray(slots, int) - 1] for rx, slots in matrices])
         return matcore.slot_null_bases(stack, rel_tol)
 
     audited = []
@@ -161,18 +154,11 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
 
     # --- leakage identities ----------------------------------------------
     leak_rows = n * (t1 + t2)
-    if t1 == 0:
-        # no noise phase: the mixing map has no columns at all
-        defect_rx2 = leak_rows
-        defect_rx1 = leak_rows
-        audited.append(("leak_rx2", leak_rows, 0))
-        audited.append(("leak_rx1", leak_rows, 0))
-    else:
-        g1_null, h1_null = nulls((2, r1), (1, r1))
-        reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply(lift(1, r1))
-        reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply(lift(2, r1))
-        defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
-        defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
+    g1_null, h1_null = nulls((2, r1), (1, r1))
+    reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply(lift(1, r1))
+    reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply(lift(2, r1))
+    defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
+    defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 
     return SecrecyReport(
         scheme=transcript.scheme,
@@ -183,7 +169,6 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         leak_defect_rx2=defect_rx2,
         advisory=transcript.spec.leakage != "zero",
         matrices_audited=tuple(audited),
-        rel_tol=rel_tol,
     )
 
 
@@ -214,11 +199,9 @@ def columns_contained(
     of ``secret`` off the noise span, which confirms a clear containment
     without the joint SVD (see :func:`_clearly_contained`).  Every other
     case, a leak or a rank-deficient ``noise`` included, compares the two
-    ranks.  With no noise columns the secret map must vanish.
+    ranks; with no noise columns that asks for a secret map of rank 0.
     """
     k = noise.shape[1]
-    if k == 0:
-        return matcore.rank(secret, rel_tol, scale).value == 0
     q, r = matcore.qr(noise)
     base = matcore.rank(r, rel_tol, scale)
     if base.value == k and _clearly_contained(
@@ -300,19 +283,17 @@ def equivocation_subspace_check(
     of ``G``, and the secret map's later rows must lie in the span of the
     noise map's later rows times ``N``: that is what
     :func:`columns_contained` decides, with its rank cuts kept at ``G``'s
-    scale.
+    scale.  With an empty noise phase ``G`` is empty and the noise maps
+    have no columns, so the secret maps must have rank 0.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
     t1 = len(transcript.phase_ranges()[0])
     p1 = n * t1
     noise = _replay_group(transcript, "u")
-    if t1:
-        blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
-        nulls = matcore.slot_null_bases(blocks, rel_tol)
-        reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
-    else:  # no noise phase: no noise columns
-        reduced = [(half, 0.0) for half in noise]
+    blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
+    nulls = matcore.slot_null_bases(blocks, rel_tol)
+    reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
     # the reduced maps are new arrays: the noise replay is freed before the secret ones
     del noise
     return tuple(
@@ -376,10 +357,7 @@ class TrialReport:
             "model": self.model.value,
             "seed": self.seed,
             "attempts": self.attempts,
-            "plan": {
-                "phase_lengths": list(self.plan.phase_lengths),
-                "symbols_per_receiver": self.plan.symbols_per_receiver,
-            },
+            "plan": self.plan.to_jsonable(),
             "decode": {
                 "rx1": {"ok": self.decode_ok_rx1, "relative_error": self.decode_err_rx1},
                 "rx2": {"ok": self.decode_ok_rx2, "relative_error": self.decode_err_rx2},

@@ -83,6 +83,18 @@ class TestGenerateStates:
                     assert np.shares_memory(block, seq.blocks)
             np.testing.assert_array_equal(seq.rows(2, [t])[0], [state.h21, state.h22])
 
+    def test_slot_blocks_are_the_lift_diagonal(self):
+        seq = make_states(3, 2, 4, seed=12)
+        assert seq.slot_blocks().shape == (2, 4, 2, 6)
+        blocks = seq.slot_blocks(2)
+        assert blocks.shape == (2, 4, 2, 4)
+        for j in (1, 2):
+            lifted = lift_rows(seq.rows(j, range(1, 5)), 2)
+            for t in range(4):
+                # slot t's rows meet its columns in both transmitters' stacks
+                cols = np.r_[2 * t : 2 * t + 2, 8 + 2 * t : 8 + 2 * t + 2]
+                assert np.array_equal(blocks[j - 1, t], lifted[2 * t : 2 * t + 2][:, cols])
+
     def test_draw_order_is_slot_then_block(self):
         # h11, h12, h21, h22 of slot 1, then slot 2: the order seeds depend on
         rng = matcore.substream(4, "states")
@@ -181,10 +193,12 @@ class TestLiftPhase:
             assert lifted.shape == (n * horizon, 2 * width * horizon)
             assert np.array_equal(lifted, reference)
 
-    def test_lift_rows_rejects_empty_range(self):
+    def test_lift_rows_of_an_empty_range_is_empty(self):
         seq = make_states(2, 3, 2)
+        assert lift_rows(seq.rows(1, [])).shape == (0, 0)
+        assert lift_rows(seq.rows(2, []), 1).shape == (0, 0)
         with pytest.raises(InvalidInput):
-            lift_rows(seq.rows(1, []))
+            lift_rows(seq.blocks)  # both receivers' blocks: ndim 5
 
     def test_effective_column_restriction(self):
         seq = make_states(4, 2, 2, seed=10)

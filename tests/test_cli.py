@@ -74,6 +74,18 @@ class TestSimulateCommand:
         assert summary["max_leak_defect"] == 0
         assert summary["empirical_dof"]["rx1"] == {"num": 1, "den": 2}
 
+    def test_scheme_e_writes_three_phases(self, capsys):
+        # the plan's empty noise phase is dropped only when written out
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "E", "--M", "2", "--N", "3", "--seed", "1"
+        )
+        assert code == 0
+        record = json.loads(out.splitlines()[0])
+        assert record["plan"]["phase_lengths"] == [3, 3, 1]
+        audited = record["secrecy"]["matrices_audited"]
+        leaks = [(m["name"], m["rows"], m["cols"]) for m in audited if m["name"].startswith("leak")]
+        assert leaks == [("leak_rx2", 9, 0), ("leak_rx1", 9, 0)]
+
     def test_regime_refusal_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--scheme", "A", "--M", "1", "--N", "3", "--trials", "1"

@@ -154,9 +154,15 @@ class TestRandomMatrix:
         for x, y in zip(sequence(11), sequence(11)):
             assert np.array_equal(x, y)
 
-    def test_rejects_empty_shape(self):
+    def test_empty_shape_draws_nothing(self):
+        # an empty precoder (no noise phase to mix) leaves the stream as it was
+        r = rng(12)
+        assert matcore.random_matrix(12, 0, r).shape == (12, 0)
+        assert matcore.random_matrix(0, 3, r).shape == (0, 3)
+        assert matcore.random_vector(0, r).shape == (0,)
+        assert np.array_equal(matcore.random_matrix(2, 3, r), matcore.random_matrix(2, 3, rng(12)))
         with pytest.raises(InvalidInput):
-            matcore.random_matrix(0, 3, rng())
+            matcore.random_matrix(-1, 3, rng())
 
 
 class TestBlockDiag:
@@ -306,7 +312,17 @@ class TestSlotNullBases:
         # the blocks' own lift is annihilated
         assert np.max(np.abs(null.apply(lift_rows(rows)))) <= 1e-12 * null.largest
 
-    @pytest.mark.parametrize("shape", [(0, 3, 4), (1, 0, 3, 4), (0, 2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (0, 0, 3, 4), (0, 2, 3, 4)])
     def test_rejects_a_stack_without_blocks(self, shape):
+        # a wrong ndim, or no matrix at all (k = 0)
         with pytest.raises(InvalidInput):
             matcore.slot_null_bases(np.zeros(shape, dtype=complex))
+
+    def test_empty_phase(self):
+        # t = 0: an empty block-diagonal matrix, of rank 0 and with nothing to eliminate
+        nulls = matcore.slot_null_bases(np.zeros((2, 0, 3, 4), dtype=complex))
+        assert len(nulls) == 2
+        for null in nulls:
+            assert null.rank == 0 and null.largest == 0.0
+            assert null.basis.shape == (0, 4, 0)
+            assert null.apply(np.zeros((5, 0), dtype=complex)).shape == (5, 0)

@@ -50,7 +50,7 @@ class TestPlan:
 
     def test_scheme_e(self):
         p = schemes.plan(SchemeId.E, AntennaConfig(2, 3))
-        assert p.phase_lengths == (3, 3, 1)
+        assert p.phase_lengths == (0, 3, 3, 1)  # an empty noise phase
         assert p.symbols_per_receiver == 12
         assert p.horizon == 7  # == (2m-n)(2m+n)
 
@@ -137,7 +137,8 @@ class TestPrecoders:
         p = schemes.draw_precoders(
             SchemeId.E, cfg, schemes.plan(SchemeId.E, cfg), matcore.substream(4, "p")
         )
-        assert p.theta1 is None and p.theta2 is None
+        # nothing to mix: 2m*t2 rows, no columns
+        assert p.theta1.shape == p.theta2.shape == (12, 0)
         assert p.phi1.shape == (4, 9)
 
     def test_deterministic(self):
@@ -368,3 +369,17 @@ class TestTranscriptJson:
         assert len(doc["slots"]) == 16
         assert doc["precoder_digests"]["theta1"]
         assert any(not rec["granted"] for rec in doc["access_log"]) or doc["access_log"]
+
+    def test_skip_phase1_keeps_an_empty_noise_phase(self):
+        import json
+
+        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1, mutation="skip_phase1")
+        assert transcript.plan.phase_lengths == (0, 3, 3, 1)
+        assert transcript.phase_ranges()[0] == []
+        assert transcript.precoders.theta1.shape == transcript.precoders.theta2.shape == (12, 0)
+        doc = json.loads(schemes.transcript_to_json(transcript))
+        assert doc["plan"]["phase_lengths"] == [3, 3, 1]
+        assert len(doc["slots"]) == 7
+        # the empty phase reads nothing from the ledger: 32 reads, 2 of them denied
+        log = transcript.access_log
+        assert len(log) == 32 and sum(not rec.granted for rec in log) == 2
