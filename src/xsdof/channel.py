@@ -124,7 +124,6 @@ class StateSequence:
 
     config: AntennaConfig
     blocks: np.ndarray
-    seed: int | None = None
     states: tuple[ChannelState, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -172,7 +171,6 @@ def generate_states(
     config: AntennaConfig,
     horizon: int,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> StateSequence:
     """Draw ``horizon`` independent channel states.
 
@@ -194,7 +192,7 @@ def generate_states(
                 break
         else:  # pragma: no cover - probability ~0 for Gaussian draws
             raise InvalidInput("could not draw a full-rank channel state")
-    return StateSequence(config, blocks, seed)
+    return StateSequence(config, blocks)
 
 
 def apply_channel(state: ChannelState, x1: np.ndarray, x2: np.ndarray):

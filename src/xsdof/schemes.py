@@ -33,8 +33,6 @@ enforcement working, not a failure of the simulator.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -309,11 +307,8 @@ class Transcript:
     symbols: Symbols
     inputs: list  # per slot: (x1, x2) at full m width
     outputs: list  # per slot: (y1, y2)
-    selections: dict
     knowledge: KnowledgeBase
-    mutation: str | None = None
     tx1_only: bool = False
-    seed: int | None = None
 
     @property
     def horizon(self) -> int:
@@ -343,30 +338,25 @@ class Transcript:
             )
 
 
-def side_info(values: np.ndarray, selected) -> np.ndarray:
-    """Overheard outputs as the final phase retransmits them.
+def side_info(transcript: Transcript, values: np.ndarray) -> np.ndarray:
+    """Overheard outputs ``values`` (``n`` rows a slot) as the final phase
+    retransmits them.
 
-    With a selection, row ``i < len(selected)`` is row ``selected[i]`` of
-    ``values`` and zero rows pad the result back to full height; without one
-    (``None``) every row is retransmitted.
+    When the spec selects, the first ``2m - n`` rows of every slot move to
+    the top, in slot order, and zero rows pad the result back to full
+    height; otherwise every row is retransmitted.  The lifted maps are block
+    diagonal, so each slot's unknowns can only be completed by equations
+    overheard in that same slot; a selection that starves a slot leaves the
+    decode system rank deficient no matter how the retransmission is mixed.
     """
-    if selected is None:
+    if not transcript.spec.selected:
         return values
+    n = transcript.config.n
+    take = 2 * transcript.config.effective_m - n
+    rows = (np.arange(0, len(values), n)[:, None] + np.arange(take)).ravel()
     out = np.zeros(values.shape, dtype=complex)
-    if len(selected):
-        out[: len(selected)] = values[list(selected)]
+    out[: len(rows)] = values[rows]
     return out
-
-
-def _per_slot_selection(rows_per_slot: int, slots: int, take: int) -> tuple[int, ...]:
-    """First ``take`` side-information rows of every slot's output block.
-
-    The lifted maps are block diagonal, so each slot's unknowns can only be
-    completed by equations overheard in that same slot; any selection that
-    starves a slot leaves the decode system rank deficient no matter how the
-    retransmission is mixed.
-    """
-    return tuple(s * rows_per_slot + j for s in range(slots) for j in range(take))
 
 
 def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -> np.ndarray:
@@ -390,7 +380,6 @@ class _Run:
 
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
-        self.tx_inputs = {1: {}, 2: {}}  # transmitter index -> slot -> effective input
 
     def transmit(self, slot: int, x1_eff: np.ndarray, x2_eff: np.ndarray):
         tr = self.transcript
@@ -403,8 +392,6 @@ class _Run:
         y1, y2 = apply_channel(state, x1, x2)
         tr.inputs.append((x1, x2))
         tr.outputs.append((y1, y2))
-        self.tx_inputs[1][slot] = np.asarray(x1_eff, dtype=complex)
-        self.tx_inputs[2][slot] = np.asarray(x2_eff, dtype=complex)
         tr.knowledge.advance_slot(slot, (y1, y2), state)
 
     def acquire_output(self, node: Node, target_rx: int, slots, at_slot: int) -> np.ndarray:
@@ -418,7 +405,8 @@ class _Run:
             return np.concatenate([view.fed_back_output(target_rx, t) for t in slots])
         except UnauthorizedAccess:
             pass
-        own = [self.tx_inputs[node.index][t] for t in slots]
+        m = self.transcript.config.effective_m
+        own = [self.transcript.inputs[t - 1][node.index - 1][:m] for t in slots]
         peer = recover_peer_inputs(view, self.transcript.config, slots, own)
         if node.index == 1:
             x1s, x2s = own, peer
@@ -430,20 +418,21 @@ class _Run:
         """Each transmitter's share of a phase's precoded terms.
 
         ``terms`` lists ``(precoder, source receiver, source slots,
-        selection key)``; every carrier acquires the source outputs through
-        its own view and applies its row block of the precoder.
+        retransmit)``; every carrier acquires the source outputs through its
+        own view, as :func:`side_info` when ``retransmit``, and applies its
+        row block of the precoder.
         """
         tr = self.transcript
         out = {i: np.zeros(width, dtype=complex) for i in (1, 2)}
         for i in (1, 2):
-            for name, source_rx, slots, key in terms:
+            for name, source_rx, slots, retransmit in terms:
                 carriers = CARRIERS[getattr(tr.spec, name)]
                 if i not in carriers:
                     continue
                 k = carriers.index(i)
                 rows = getattr(tr.precoders, name)[k * width : (k + 1) * width]
                 y = self.acquire_output(tx(i), source_rx, slots, at_slot)
-                out[i] = out[i] + rows @ side_info(y, tr.selections.get(key))
+                out[i] = out[i] + rows @ (side_info(tr, y) if retransmit else y)
         return out
 
     def send(self, slots, x: dict):
@@ -484,13 +473,13 @@ def run(
     if mutation == "skip_phase1":
         pln = replace(nominal, phase_lengths=(0,) + nominal.phase_lengths[1:])
     t1, t2 = pln.phase_lengths[:2]
-    m, n = config.effective_m, config.n
+    m = config.effective_m
 
     rng_states = matcore.substream(seed, "states")
     rng_prec = matcore.substream(seed, "precoders")
     rng_sym = matcore.substream(seed, "symbols")
 
-    states = generate_states(config, pln.horizon, rng_states, seed=seed)
+    states = generate_states(config, pln.horizon, rng_states)
     # drawn for the nominal plan, so a mutant draws its parent's precoders
     precoders = draw_precoders(scheme, config, nominal, rng_prec)
     if mutation == "theta1_zero":
@@ -515,7 +504,6 @@ def run(
     kb.grant_own_symbols(Node.TX1, {"v11": symbols.v11, "v12": symbols.v12}, symbols.u1)
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 
-    sel = _per_slot_selection(n, t2, 2 * m - n)
     transcript = Transcript(
         scheme=scheme,
         config=config,
@@ -526,11 +514,8 @@ def run(
         symbols=symbols,
         inputs=[],
         outputs=[],
-        selections={"side_info_rx2": sel, "side_info_rx1": sel} if spec.selected else {},
         knowledge=kb,
-        mutation=mutation,
         tx1_only=tx1_only,
-        seed=seed,
     )
     _encode(_Run(transcript))
     transcript.check_complete()
@@ -538,7 +523,7 @@ def run(
 
 
 def _encode(run_: _Run):
-    """The four phases, with the carriers and selections of the run's spec."""
+    """The four phases, with the carriers and selection of the run's spec."""
     tr = run_.transcript
     m = tr.config.effective_m
     r1, r2, r3, r4 = tr.phase_ranges()
@@ -550,12 +535,12 @@ def _encode(run_: _Run):
     for j, phase in ((1, r2), (2, r3)):
         fresh = {i: views[i].own_messages(f"v{i}{j}") for i in (1, 2)}
         # an empty noise phase has no output to acquire: no ledger reads
-        mixing = [(f"theta{j}", j, r1, None)] if r1 else []
+        mixing = [(f"theta{j}", j, r1, False)] if r1 else []
         mix = run_.carried(mixing, phase[0], m * len(phase))
         run_.send(phase, {i: fresh[i] + mix[i] for i in (1, 2)})
 
     # retransmission of the overheard equations both receivers still need
-    retransmit = [("phi1", 2, r2, "side_info_rx2"), ("phi2", 1, r3, "side_info_rx1")]
+    retransmit = [("phi1", 2, r2, True), ("phi2", 1, r3, True)]
     run_.send(r4, run_.carried(retransmit, r4[0], m * len(r4)))
 
 
@@ -602,13 +587,12 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
         raise InvalidInput("decode expects a receiver node")
-    m, sels = transcript.config.effective_m, transcript.selections
+    m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
     if receiver is Node.RX1:
         other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
     else:
         other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
-    key = {"phi1": "side_info_rx2", "phi2": "side_info_rx1"}
     w2, w4 = m * len(fresh), m * len(r4)
     view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
 
@@ -616,10 +600,10 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     cross_f = _cross_rows_lift(view, fresh, m, other)
     own4 = _own_rows_lift(view, r4, m)
     mix = _placed(transcript, theta, _stacked_outputs(view, r1), w2)
-    y_side = side_info(_stacked_outputs(view, side), sels.get(key[mine]))
+    y_side = side_info(transcript, _stacked_outputs(view, side))
     y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
 
-    overheard = side_info(cross_f, sels.get(key[theirs]))
+    overheard = side_info(transcript, cross_f)
     a = np.vstack([own_f, carried_map(transcript, own4, theirs, w4) @ overheard])
     rhs = np.concatenate([_stacked_outputs(view, fresh), y_final]) - a @ mix
     sol = matcore.solve_full_column_rank(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
@@ -632,41 +616,38 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
-    """Stacked receiver outputs as an explicit linear map of the symbols.
+def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both receivers' coefficient maps of symbol group ``group``.
 
-    Recomputes the whole run from the channel states, precoders and
-    selections alone, with the symbol groups replaceable: pass identity
-    matrices to read off the coefficient maps of ``u``, ``v1`` or ``v2``.
-    This is an independent code path from the ledger-driven engine (used to
-    cross-check it) and from the rank-identity assembly in ``verify``.
+    ``group`` is ``"u"``, ``"v1"`` or ``"v2"``.  Recomputes the whole run
+    from the channel states and precoders alone, with that group set to the
+    identity and the other two to zeros, so receiver ``j``'s stacked outputs
+    are its map times the group's symbols.  This is an independent code path
+    from the ledger-driven engine (used to cross-check it) and from the
+    rank-identity assembly in ``verify``.
 
-    Symbol groups must share their trailing shape: all plain vectors, or all
-    matrices with the same column count.  The channel acts slot by slot:
-    each phase is one batched product of the ``(t, n, 2m)`` slot blocks of
-    both receivers with the ``(t, 2m, k)`` per-slot input slices, written
-    into one ``(2, horizon, n, k)`` array whose two halves are the
-    receivers' stacks.
+    The channel acts slot by slot: each phase is one batched product of the
+    ``(t, n, 2m)`` slot blocks of both receivers with the ``(t, 2m, k)``
+    per-slot input slices, written into one ``(2, horizon, n, k)`` array
+    whose two halves are the returned maps.
     """
     transcript.check_complete()
-    cfg, sym, sels = transcript.config, transcript.symbols, transcript.selections
+    cfg, sym = transcript.config, transcript.symbols
     m, n = cfg.effective_m, cfg.n
     ranges = transcript.phase_ranges()
     t2, t3 = len(ranges[1]), len(ranges[3])
 
-    u = sym.u if u is None else np.asarray(u, dtype=complex)
-    v1 = sym.v1 if v1 is None else np.asarray(v1, dtype=complex)
-    v2 = sym.v2 if v2 is None else np.asarray(v2, dtype=complex)
-    trailing = {arr.shape[1:] for arr in (u, v1, v2)}
-    if len(trailing) != 1:
-        raise InvalidInput("symbol groups must share their trailing shape")
-    trailing = trailing.pop()
-    k = int(np.prod(trailing))
+    dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
+    k = dims[group]
+    u, v1, v2 = (
+        np.eye(d, dtype=complex) if name == group else np.zeros((d, k), complex)
+        for name, d in dims.items()
+    )
 
     horizon = transcript.horizon
     slot_rows = transcript.states.slot_blocks(m)
     y = np.empty((2, horizon, n, k), dtype=complex)
-    stacks = y.reshape((2, n * horizon) + trailing)
+    stacks = y.reshape(2, n * horizon, k)
     bounds = np.cumsum([0] + [len(slots) for slots in ranges])
 
     def send(p: int, x: np.ndarray):
@@ -680,53 +661,13 @@ def linear_response(transcript: Transcript, u=None, v1=None, v2=None):
     y1p1, y2p1 = send(1, u)
     x2s = _placed(transcript, "theta1", y1p1, m * t2)
     x3s = _placed(transcript, "theta2", y2p1, m * t2)
-    x2s += v1  # in place: the oracle replays with identity-matrix symbols
+    x2s += v1
     x3s += v2
 
     _, y2p2 = send(2, x2s)
     y1p3, _ = send(3, x3s)
 
-    x4s = _placed(transcript, "phi1", side_info(y2p2, sels.get("side_info_rx2")), m * t3)
-    x4s += _placed(transcript, "phi2", side_info(y1p3, sels.get("side_info_rx1")), m * t3)
+    x4s = _placed(transcript, "phi1", side_info(transcript, y2p2), m * t3)
+    x4s += _placed(transcript, "phi2", side_info(transcript, y1p3), m * t3)
     send(4, x4s)
     return stacks[0], stacks[1]
-
-
-def transcript_to_json(transcript: Transcript) -> str:
-    """Audit serialization: identity, plan, precoder digests, slots, access log."""
-
-    def digest(a):
-        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
-
-    def pairs(vec):
-        return [[float(z.real), float(z.imag)] for z in np.asarray(vec)]
-
-    doc = {
-        "scheme": transcript.scheme.value,
-        "config": {"m": transcript.config.m, "n": transcript.config.n},
-        "model": transcript.model.value,
-        "seed": transcript.seed,
-        "plan": transcript.plan.to_jsonable(),
-        "mutation": transcript.mutation,
-        "tx1_only": transcript.tx1_only,
-        "precoder_digests": {
-            name: digest(getattr(transcript.precoders, name))
-            for name in ("theta1", "theta2", "phi1", "phi2")
-        },
-        "selections": {k: list(v) for k, v in sorted(transcript.selections.items())},
-        "slots": [
-            {"x1": pairs(x1), "x2": pairs(x2), "y1": pairs(y1), "y2": pairs(y2)}
-            for (x1, x2), (y1, y2) in zip(transcript.inputs, transcript.outputs)
-        ],
-        "access_log": [
-            {
-                "node": rec.node.value,
-                "kind": rec.kind.value,
-                "key": repr(rec.key),
-                "at_slot": rec.at_slot,
-                "granted": rec.granted,
-            }
-            for rec in transcript.access_log
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))

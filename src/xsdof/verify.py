@@ -122,7 +122,6 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     m, n = cfg.effective_m, cfg.n
     r1, r2, r3, r4 = transcript.phase_ranges()
     t1, t2 = len(r1), len(r2)
-    sels = transcript.selections
     states = transcript.states
     blocks = states.slot_blocks(m)
     w2, w4 = m * t2, m * len(r4)
@@ -146,8 +145,8 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     # --- rate identities -------------------------------------------------
     g2, h3 = lift(2, r2), lift(1, r3)
     h2_null, g3_null = nulls((1, r2), (2, r3))
-    s2 = side_info(h2_null.apply(g2), sels.get("side_info_rx2"))
-    s3 = side_info(g3_null.apply(h3), sels.get("side_info_rx1"))
+    s2 = side_info(transcript, h2_null.apply(g2))
+    s3 = side_info(transcript, g3_null.apply(h3))
     rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, lift(1, r4), "phi1", w4) @ s2)
     rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, lift(2, r4), "phi2", w4) @ s3)
     rate_target = 2 * m * t2
@@ -170,19 +169,6 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         advisory=transcript.spec.leakage != "zero",
         matrices_audited=tuple(audited),
     )
-
-
-def _replay_group(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
-    """Both receivers' coefficient maps of symbol group ``group``, from one
-    replay with that group set to the identity and the others to zero; the
-    two maps are the halves of one buffer."""
-    sym = transcript.symbols
-    dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
-    groups = {
-        name: np.eye(d, dtype=complex) if name == group else np.zeros((d, dims[group]), complex)
-        for name, d in dims.items()
-    }
-    return schemes.linear_response(transcript, **groups)
 
 
 def columns_contained(
@@ -256,7 +242,7 @@ def _secret_past_phase1(transcript: Transcript, group: str, rx: int, p1: int) ->
     ``p1`` rows, the noise phase, as an owned copy (the replay is freed on
     return).  The secret symbols enter after the noise phase, so a map
     with nonzero phase-1 rows is refused."""
-    secret = _replay_group(transcript, group)[rx]
+    secret = schemes.linear_response(transcript, group)[rx]
     if np.any(secret[:p1]):
         raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
     return secret[p1:].copy()
@@ -290,7 +276,7 @@ def equivocation_subspace_check(
     m, n = transcript.config.effective_m, transcript.config.n
     t1 = len(transcript.phase_ranges()[0])
     p1 = n * t1
-    noise = _replay_group(transcript, "u")
+    noise = schemes.linear_response(transcript, "u")
     blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
     nulls = matcore.slot_null_bases(blocks, rel_tol)
     reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
@@ -310,9 +296,13 @@ def decode_error(transcript: Transcript, receiver: Node) -> float:
 
 
 def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
-    """Cross-check: the closed-form linear replay reproduces the recorded run."""
-    y1, y2 = schemes.linear_response(transcript)
-    for idx, stack in enumerate((y1, y2)):
+    """Cross-check: the coefficient maps the oracle reads, times the sent
+    symbols and summed over the groups, reproduce the recorded run."""
+    replayed = sum(
+        np.stack(schemes.linear_response(transcript, group)) @ getattr(transcript.symbols, group)
+        for group in ("u", "v1", "v2")
+    )
+    for idx, stack in enumerate(replayed):
         recorded = np.concatenate([out[idx] for out in transcript.outputs])
         scale = max(float(np.linalg.norm(recorded)), 1.0)
         if float(np.linalg.norm(stack - recorded)) > tol * scale:

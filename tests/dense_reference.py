@@ -9,7 +9,7 @@ tests require the two to agree.
 
 import numpy as np
 
-from xsdof import matcore, verify
+from xsdof import matcore, schemes, verify
 from xsdof.channel import lift_rows
 from xsdof.schemes import carried_map, side_info
 
@@ -31,11 +31,10 @@ def stacked_matrices(transcript):
     without a noise phase."""
     m, n = transcript.config.effective_m, transcript.config.n
     r1, r2, r3, r4 = transcript.phase_ranges()
-    sels = transcript.selections
     h, g = _phase_lifts(transcript)
     w2, w4 = m * len(r2), m * len(r4)
-    s2 = side_info(g[2], sels.get("side_info_rx2"))
-    s3 = side_info(h[3], sels.get("side_info_rx1"))
+    s2 = side_info(transcript, g[2])
+    s3 = side_info(transcript, h[3])
     out = {
         "rate_rx1": np.vstack([h[2], carried_map(transcript, h[4], "phi1", w4) @ s2]),
         "rate_rx2": np.vstack([g[3], carried_map(transcript, g[4], "phi2", w4) @ s3]),
@@ -72,7 +71,7 @@ def dense_ranks(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
 
 def dense_oracle(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
     """Both receivers' containment verdicts on the whole replayed maps."""
-    noise_rx1, noise_rx2 = verify._replay_group(transcript, "u")
-    rx1 = verify.columns_contained(noise_rx1, verify._replay_group(transcript, "v2")[0], rel_tol)
-    rx2 = verify.columns_contained(noise_rx2, verify._replay_group(transcript, "v1")[1], rel_tol)
+    noise_rx1, noise_rx2 = schemes.linear_response(transcript, "u")
+    rx1 = verify.columns_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0], rel_tol)
+    rx2 = verify.columns_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1], rel_tol)
     return rx1, rx2

@@ -156,7 +156,6 @@ class TestRun:
         assert transcript.horizon == 16
         assert len(transcript.inputs) == 16
         assert transcript.inputs[0][0].shape == (2,)
-        assert transcript.selections["side_info_rx2"] == (0, 3, 6)
 
     def test_run_is_deterministic(self):
         a = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=11)
@@ -230,8 +229,7 @@ class TestDecode:
             r2 = transcript.phase_ranges()[1]
             h2 = lift_rows(transcript.states.rows(1, r2), 2)
             g2 = lift_rows(transcript.states.rows(2, r2), 2)
-            sel = list(transcript.selections["side_info_rx2"])
-            stacked = np.vstack([h2, g2[sel, :]])
+            stacked = np.vstack([h2, schemes.side_info(transcript, g2)[:3]])
             assert stacked.shape == (12, 12)
             assert matcore.rank_value(stacked) == 12
 
@@ -259,7 +257,7 @@ def _dense_linear_response(transcript, u, v1, v2):
     """The replay through dense block-diagonal lifts: per phase, each
     receiver's ``[lift(h_j1) | lift(h_j2)]`` from ``matcore.block_diag``
     times the whole stacked input."""
-    m, sels = transcript.config.effective_m, transcript.selections
+    m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
 
     def send(slots, x):
@@ -279,10 +277,8 @@ def _dense_linear_response(transcript, u, v1, v2):
         x2s, x3s = v1, v2
     y1p2, y2p2 = send(r2, x2s)
     y1p3, y2p3 = send(r3, x3s)
-    x4s = (schemes._placed(transcript, "phi1",
-                           schemes.side_info(y2p2, sels.get("side_info_rx2")), m * len(r4))
-           + schemes._placed(transcript, "phi2",
-                             schemes.side_info(y1p3, sels.get("side_info_rx1")), m * len(r4)))
+    x4s = (schemes._placed(transcript, "phi1", schemes.side_info(transcript, y2p2), m * len(r4))
+           + schemes._placed(transcript, "phi2", schemes.side_info(transcript, y1p3), m * len(r4)))
     y1p4, y2p4 = send(r4, x4s)
     return (np.concatenate([y1p1, y1p2, y1p3, y1p4]),
             np.concatenate([y2p1, y2p2, y2p3, y2p4]))
@@ -305,19 +301,14 @@ class TestReplay:
     def test_per_slot_replay_equals_dense_lifts(self, scheme, m, n, tx1_only, mutation):
         transcript = schemes.run(scheme, AntennaConfig(m, n), seed=3, tx1_only=tx1_only,
                                  mutation=mutation)
-        sym = transcript.symbols
-        dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
-        rng = np.random.default_rng(1)
-        replays = [{name: getattr(sym, name) for name in dims}]  # plain
+        dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
         for group in dims:  # identity group, the others zero
-            replays.append({name: np.eye(d) if name == group else np.zeros((d, dims[group]))
-                            for name, d in dims.items()})
-        replays.append({name: rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-                        for name, d in dims.items()})  # matrix
-        for groups in replays:
-            groups = {name: np.asarray(g, dtype=complex) for name, g in groups.items()}
-            got = schemes.linear_response(transcript, **groups)
-            want = _dense_linear_response(transcript, **groups)
+            got = schemes.linear_response(transcript, group)
+            want = _dense_linear_response(transcript, **{
+                name: np.eye(d, dtype=complex) if name == group
+                else np.zeros((d, dims[group]), complex)
+                for name, d in dims.items()
+            })
             for y, ref in zip(got, want):
                 assert y.shape == ref.shape
                 assert np.linalg.norm(y - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
@@ -327,59 +318,53 @@ class TestReplay:
         transcript = schemes.run(scheme, AntennaConfig(m, n), seed=13, tx1_only=tx1_only)
         assert verify.replay_matches_recorded(transcript)
 
-    @pytest.mark.parametrize("scheme,m,n,tx1_only", [
-        pytest.param(SchemeId.A, 2, 3, False, id="A"),
-        pytest.param(SchemeId.B, 3, 3, False, id="B"),
-        pytest.param(SchemeId.C, 2, 3, False, id="C"),
-        pytest.param(SchemeId.C, 2, 3, True, id="C-tx1"),
-        pytest.param(SchemeId.D, 2, 3, False, id="D"),
-        pytest.param(SchemeId.E, 2, 3, False, id="E"),
-    ])
-    def test_matrix_replay_equals_column_replays(self, scheme, m, n, tx1_only):
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=5, tx1_only=tx1_only)
-        rng = np.random.default_rng(0)
-        dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
-        groups = {
-            name: rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
-            for name, d in dims.items()
-        }
-        y1, y2 = schemes.linear_response(transcript, **groups)
-        assert y1.shape == y2.shape == (n * transcript.horizon, 3)
-        for j in range(3):
-            c1, c2 = schemes.linear_response(
-                transcript, **{name: g[:, j] for name, g in groups.items()}
-            )
-            for whole, col in ((y1[:, j], c1), (y2[:, j], c2)):
-                assert np.linalg.norm(whole - col) <= 1e-12 * np.linalg.norm(col)
+    @pytest.mark.parametrize("group", ["u", "v1", "v2"])
+    def test_perturbed_map_is_caught(self, monkeypatch, group):
+        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=13)
+        replay = schemes.linear_response
 
-    def test_replay_rejects_mismatched_groups(self):
-        transcript = schemes.run(SchemeId.B, AntennaConfig(1, 1), seed=0)
-        with pytest.raises(InvalidInput):
-            schemes.linear_response(transcript, u=np.eye(2), v1=np.zeros(2), v2=np.zeros(2))
+        def perturbed(transcript, name):
+            maps = replay(transcript, name)
+            if name == group:
+                maps[1][0, 0] += 1e-3
+            return maps
+
+        monkeypatch.setattr(schemes, "linear_response", perturbed)
+        assert not verify.replay_matches_recorded(transcript)
+
+
+class TestSideInfo:
+    def test_selects_the_first_rows_of_every_slot(self):
+        # A(2,3): 2m - n = 1 row of each slot's 3, over the 3 slots of phase 2
+        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=5)
+        values = np.arange(18, dtype=complex).reshape(9, 2) + 1
+        out = schemes.side_info(transcript, values)
+        assert out.shape == values.shape
+        np.testing.assert_array_equal(out[:3], values[[0, 3, 6]])
+        assert not out[3:].any()
+
+    @pytest.mark.parametrize("scheme,m,n", [(SchemeId.B, 3, 3), (SchemeId.C, 2, 3)])
+    def test_unselected_specs_pass_through(self, scheme, m, n):
+        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=5)
+        values = np.ones((n * transcript.plan.phase_lengths[1], 2), complex)
+        assert schemes.side_info(transcript, values) is values
+
+    def test_zero_column_map_keeps_its_shape(self):
+        # E has no noise symbols: its u maps have no columns
+        transcript = schemes.run(SchemeId.E, AntennaConfig(2, 3), seed=5)
+        maps = schemes.linear_response(transcript, "u")
+        assert [y.shape for y in maps] == [(21, 0), (21, 0)]
+        assert schemes.side_info(transcript, np.zeros((9, 0), complex)).shape == (9, 0)
 
 
 class TestTranscriptJson:
-    def test_audit_document(self):
-        import json
-
-        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1)
-        doc = json.loads(schemes.transcript_to_json(transcript))
-        assert doc["scheme"] == "A"
-        assert doc["plan"]["phase_lengths"] == [9, 3, 3, 1]
-        assert len(doc["slots"]) == 16
-        assert doc["precoder_digests"]["theta1"]
-        assert any(not rec["granted"] for rec in doc["access_log"]) or doc["access_log"]
-
     def test_skip_phase1_keeps_an_empty_noise_phase(self):
-        import json
-
         transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1, mutation="skip_phase1")
         assert transcript.plan.phase_lengths == (0, 3, 3, 1)
         assert transcript.phase_ranges()[0] == []
         assert transcript.precoders.theta1.shape == transcript.precoders.theta2.shape == (12, 0)
-        doc = json.loads(schemes.transcript_to_json(transcript))
-        assert doc["plan"]["phase_lengths"] == [3, 3, 1]
-        assert len(doc["slots"]) == 7
+        assert transcript.plan.to_jsonable()["phase_lengths"] == [3, 3, 1]
+        assert len(transcript.inputs) == 7
         # the empty phase reads nothing from the ledger: 32 reads, 2 of them denied
         log = transcript.access_log
         assert len(log) == 32 and sum(not rec.granted for rec in log) == 2

@@ -160,17 +160,17 @@ class TestSubspaceOracle:
     def test_shared_noise_replay(self, monkeypatch):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
         groups = []
-        replay = verify._replay_group
+        replay = schemes.linear_response
 
         def counted(transcript, group):
             groups.append(group)
             return replay(transcript, group)
 
-        monkeypatch.setattr(verify, "_replay_group", counted)
+        monkeypatch.setattr(schemes, "linear_response", counted)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
         assert verdicts == (True, False)
         assert groups.count("u") == 1  # one noise replay serves both receivers
-        monkeypatch.setattr(verify, "_replay_group", replay)
+        monkeypatch.setattr(schemes, "linear_response", replay)
         noise = replay(transcript, "u")
         p1 = 3 * 9
         # receiver 1 against v2, receiver 2 against v1, each on its own noise
@@ -183,7 +183,7 @@ class TestSubspaceOracle:
 
     @pytest.mark.parametrize("group,rx", [("v2", 0), ("v1", 1)])
     def test_secret_in_noise_phase_is_refused(self, monkeypatch, group, rx):
-        replay = verify._replay_group
+        replay = schemes.linear_response
 
         def leaky(transcript, name):
             maps = replay(transcript, name)
@@ -191,13 +191,13 @@ class TestSubspaceOracle:
                 maps[rx][0, 0] = 1.0  # a secret symbol heard in slot 1
             return maps
 
-        monkeypatch.setattr(verify, "_replay_group", leaky)
+        monkeypatch.setattr(schemes, "linear_response", leaky)
         with pytest.raises(InvalidTranscript, match="noise phase"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
     @pytest.mark.parametrize("rx", [0, 1])
     def test_noise_across_slots_is_refused(self, monkeypatch, rx):
-        replay = verify._replay_group
+        replay = schemes.linear_response
 
         def smeared(transcript, name):
             maps = replay(transcript, name)
@@ -205,7 +205,7 @@ class TestSubspaceOracle:
                 maps[rx][0, 2] = 1.0  # slot 1's output reached by slot 2's noise
             return maps
 
-        monkeypatch.setattr(verify, "_replay_group", smeared)
+        monkeypatch.setattr(schemes, "linear_response", smeared)
         with pytest.raises(InvalidTranscript, match="block diagonal"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
