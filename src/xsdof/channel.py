@@ -156,9 +156,7 @@ class StateSequence:
         n, 2m)`` array: ``[j - 1, t - 1]`` is the ``n x 2m`` diagonal block
         receiver ``j``'s lift has at slot ``t`` (see :func:`lift_rows`).
         ``m_eff`` keeps the first ``m_eff`` transmit antennas."""
-        blocks = self.blocks[..., :m_eff]
-        horizon, _, _, n, m = blocks.shape
-        return blocks.transpose(1, 0, 3, 2, 4).reshape(2, horizon, n, 2 * m)
+        return diagonal_blocks(self.blocks.swapaxes(0, 1), m_eff)
 
 
 def _stacked(slot: np.ndarray) -> np.ndarray:
@@ -223,6 +221,20 @@ def lift_phase(states: Sequence[ChannelState], which: tuple[int, int], m_eff: in
     j, i = which
     blocks = [s.block(j, i) if m_eff is None else s.block(j, i)[:, :m_eff] for s in states]
     return matcore.block_diag(blocks)
+
+
+def diagonal_blocks(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
+    """The ``n x 2m`` diagonal blocks of :func:`lift_rows` of ``rows``.
+
+    ``rows`` is ``(..., t, 2, n, m)``, a receiver's blocks ``(h_j1, h_j2)``
+    per slot; the result is ``(..., t, n, 2m)``, slot ``s``'s ``[h_j1 |
+    h_j2]``, whose first ``m`` columns meet the lift's ``x1`` stack and its
+    last ``m`` the ``x2`` stack.  ``m_eff`` keeps the first ``m_eff``
+    transmit antennas.
+    """
+    rows = rows[..., :m_eff]
+    n, m = rows.shape[-2:]
+    return rows.swapaxes(-3, -2).reshape(rows.shape[:-3] + (n, 2 * m))
 
 
 def lift_rows(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:

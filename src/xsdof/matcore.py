@@ -156,6 +156,23 @@ class SlotNullBases:
         per_slot = lifted.reshape(rows, 2, t, c // 2).transpose(2, 0, 1, 3).reshape(t, rows, c)
         return np.matmul(per_slot, self.basis).transpose(1, 0, 2).reshape(rows, t * w)
 
+    def apply_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The block-diagonal matrix with diagonal ``blocks`` times the
+        null basis, neither built.
+
+        ``blocks`` is ``(t, r, c)``, each block's columns in the basis's
+        order (``channel.diagonal_blocks`` gives a lift's).  The product is
+        block diagonal too: one batched product gives its ``(t, r, w)``
+        blocks, scattered here onto the diagonal of a new ``(t * r, t * w)``
+        array.
+        """
+        t, _, w = self.basis.shape
+        r = blocks.shape[1]
+        out = np.zeros((t, r, t, w), dtype=complex)
+        diag = np.arange(t)
+        out[diag, :, diag] = np.matmul(blocks, self.basis)
+        return out.reshape(t * r, t * w)
+
 
 def slot_null_bases(
     blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL
@@ -173,9 +190,10 @@ def slot_null_bases(
     The null space of a block-diagonal ``G`` is block diagonal, so the rank
     identity ``rank([G; M]) = rank(G) + rank(M N)`` (Marsaglia and Styan,
     1974), with ``N`` spanning ``null(G)``, reduces a stacked matrix slot by
-    slot; :meth:`SlotNullBases.apply` forms ``M N``.  A rank cut on ``M N``
-    should keep ``G``'s scale: pass ``largest`` as ``scale`` to
-    :func:`rank`.
+    slot; :meth:`SlotNullBases.apply` forms ``M N``, and
+    :meth:`SlotNullBases.apply_blocks` forms it from the diagonal blocks of
+    an ``M`` that is block diagonal too.  A rank cut on ``M N`` should keep
+    ``G``'s scale: pass ``largest`` as ``scale`` to :func:`rank`.
     """
     if not (0.0 < rel_tol < 1.0):
         raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")

@@ -46,6 +46,7 @@ from .channel import (
     Regime,
     StateSequence,
     apply_channel,
+    diagonal_blocks,
     generate_states,
     lift_rows,
 )
@@ -363,8 +364,9 @@ def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -
     """Precoder ``name`` applied to ``values``, on the stacked ``[x1; x2]``
     coordinates (``width`` per transmitter) of the transmitters carrying it."""
     out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
-    span = _carrier_span(getattr(transcript.spec, name), width)
-    np.matmul(getattr(transcript.precoders, name), values, out=out[span])
+    if values.any():  # a secret replay feeds 3 of its 4 products zeros
+        span = _carrier_span(getattr(transcript.spec, name), width)
+        np.matmul(getattr(transcript.precoders, name), values, out=out[span])
     return out
 
 
@@ -549,25 +551,35 @@ def _encode(run_: _Run):
 # ---------------------------------------------------------------------------
 
 
-def _own_rows_lift(view, slots, m_eff) -> np.ndarray:
-    """[lift(h_own,tx1) | lift(h_own,tx2)] from the instantaneous CSI grants."""
-    return lift_rows(np.array([view.own_csi_rows(t) for t in slots]), m_eff)
+def _own_rows(view, slots) -> np.ndarray:
+    """Own-row CSI ``(h_j1, h_j2)`` per slot from the instantaneous grants,
+    as a ``(t, 2, n, m)`` array."""
+    return np.array([view.own_csi_rows(t) for t in slots])
 
 
-def _cross_rows_lift(view, slots, m_eff, other_rx) -> np.ndarray:
-    """The other receiver's lifted rows over ``slots``, via delayed CSI."""
+def _cross_rows(view, slots, other_rx) -> np.ndarray:
+    """The other receiver's ``(h_j1, h_j2)`` per slot, via delayed CSI."""
     states = [view.delayed_csi(t) for t in slots]
-    rows = np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
-    return lift_rows(rows, m_eff)
+    return np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
 
 
 def _stacked_outputs(view, slots) -> np.ndarray:
     return np.array([view.own_output(t) for t in slots], dtype=complex).reshape(-1)
 
 
-def _check_residual(a, x, b):
+def _per_slot(x: np.ndarray, m: int) -> np.ndarray:
+    """A lift-order stack ``[x1 stack; x2 stack]`` as ``(t, 2m, 1)`` slot inputs."""
+    return x.reshape(2, -1, m).swapaxes(0, 1).reshape(-1, 2 * m, 1)
+
+
+def _lift_order(x: np.ndarray) -> np.ndarray:
+    """``(t, 2m, 1)`` slot inputs as one lift-order stack."""
+    return x.reshape(len(x), 2, -1).swapaxes(0, 1).reshape(-1)
+
+
+def _check_residual(ax, b):
     scale = np.linalg.norm(b)
-    residual = np.linalg.norm(a @ x - b)
+    residual = np.linalg.norm(ax - b)
     if residual > DECODE_TOL * max(scale, 1.0):
         raise DecodeFailure(f"decode residual {residual:.3e} exceeds tolerance")
 
@@ -578,37 +590,59 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     Returns the stacked pair (both transmitters' symbols destined to this
     receiver).  The receiver knows the mixing its fresh phase carries (a map
     of its own phase-1 output) and the retransmission of what it overheard
-    itself; it subtracts both and solves its fresh-phase rows stacked with
-    the final-phase rows, through which the other receiver's view of the
-    fresh phase arrives.  Raises :class:`DecodeFailure` when the final
-    residual exceeds the relative tolerance, and :class:`SingularSystem` /
-    :class:`IllConditioned` on null-set channel draws (callers resample).
+    itself; it subtracts both and solves its fresh-phase rows ``G`` stacked
+    with the final-phase rows ``F``, through which the other receiver's view
+    of the fresh phase arrives.
+
+    ``G`` is block diagonal, one ``n x 2m`` block ``B`` per fresh slot, so
+    it is eliminated slot by slot and never formed: the per-slot
+    pseudo-inverses ``B^H (B B^H)^-1`` (each block has full row rank) give a
+    particular solution ``x_p`` of its rows, and with ``N`` the per-slot
+    null bases of ``G`` (:func:`matcore.slot_null_bases`) every solution is
+    ``x_p + N z``.  The one dense solve is ``F N z = rhs_F - F x_p``,
+    ``n*t4 x (2m-n)*t2`` instead of the stacked system's ``n*(t2+t4) x
+    2m*t2``.  Raises :class:`DecodeFailure` when the residual over the whole
+    stacked system exceeds the relative tolerance, and
+    :class:`SingularSystem` / :class:`IllConditioned` on null-set channel
+    draws (callers resample).
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
         raise InvalidInput("decode expects a receiver node")
-    m = transcript.config.effective_m
+    m, n = transcript.config.effective_m, transcript.config.n
     r1, r2, r3, r4 = transcript.phase_ranges()
     if receiver is Node.RX1:
         other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
     else:
         other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
-    w2, w4 = m * len(fresh), m * len(r4)
+    w4 = m * len(r4)
     view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
 
-    own_f = _own_rows_lift(view, fresh, m)
-    cross_f = _cross_rows_lift(view, fresh, m, other)
-    own4 = _own_rows_lift(view, r4, m)
-    mix = _placed(transcript, theta, _stacked_outputs(view, r1), w2)
+    own_f = diagonal_blocks(_own_rows(view, fresh), m)
+    cross_f = diagonal_blocks(_cross_rows(view, fresh, other), m)
+    own4 = lift_rows(_own_rows(view, r4), m)
+    mix = _placed(transcript, theta, _stacked_outputs(view, r1), m * len(fresh))
     y_side = side_info(transcript, _stacked_outputs(view, side))
     y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
+    final = carried_map(transcript, own4, theirs, w4)
 
-    overheard = side_info(transcript, cross_f)
-    a = np.vstack([own_f, carried_map(transcript, own4, theirs, w4) @ overheard])
-    rhs = np.concatenate([_stacked_outputs(view, fresh), y_final]) - a @ mix
-    sol = matcore.solve_full_column_rank(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
-    _check_residual(a, sol.x, rhs)
-    return sol.x
+    def stacked(x):
+        """The stacked system's fresh and final rows times ``(t, 2m, 1)`` slot inputs."""
+        overheard = side_info(transcript, (cross_f @ x).reshape(-1))
+        return (own_f @ x).reshape(-1), final @ overheard
+
+    mix_f, mix_final = stacked(_per_slot(mix, m))
+    rhs_f, rhs_final = _stacked_outputs(view, fresh) - mix_f, y_final - mix_final
+    own_h = own_f.conj().swapaxes(1, 2)
+    x_p = own_h @ np.linalg.solve(own_f @ own_h, rhs_f.reshape(-1, n, 1))
+    (null,) = matcore.slot_null_bases(own_f[None])
+    reduced = final @ side_info(transcript, null.apply_blocks(cross_f))
+    sol = matcore.solve_full_column_rank(
+        reduced, rhs_final - stacked(x_p)[1], condition_limit=matcore.CONDITION_LIMIT
+    )
+    x = x_p + null.basis @ sol.x.reshape(len(fresh), -1, 1)
+    _check_residual(np.concatenate(stacked(x)), np.concatenate([rhs_f, rhs_final]))
+    return _lift_order(x)
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,13 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     def lift(rx, slots):
         return lift_rows(states.rows(rx, slots), m)
 
+    def diagonal(rx, slots):
+        """The ``(t, n, 2m)`` diagonal blocks of ``lift(rx, slots)``."""
+        return blocks[rx - 1, np.asarray(slots, int) - 1]
+
     def nulls(*matrices):
         """Null bases of each ``(rx, slots)`` lift, from one batched SVD."""
-        stack = np.stack([blocks[rx - 1, np.asarray(slots, int) - 1] for rx, slots in matrices])
-        return matcore.slot_null_bases(stack, rel_tol)
+        return matcore.slot_null_bases(np.stack([diagonal(*mat) for mat in matrices]), rel_tol)
 
     audited = []
 
@@ -143,10 +146,9 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         return g_null.rank + matcore.rank(reduced, rel_tol, g_null.largest).value
 
     # --- rate identities -------------------------------------------------
-    g2, h3 = lift(2, r2), lift(1, r3)
     h2_null, g3_null = nulls((1, r2), (2, r3))
-    s2 = side_info(transcript, h2_null.apply(g2))
-    s3 = side_info(transcript, g3_null.apply(h3))
+    s2 = side_info(transcript, h2_null.apply_blocks(diagonal(2, r2)))
+    s3 = side_info(transcript, g3_null.apply_blocks(diagonal(1, r3)))
     rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, lift(1, r4), "phi1", w4) @ s2)
     rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, lift(2, r4), "phi2", w4) @ s3)
     rate_target = 2 * m * t2
@@ -154,8 +156,9 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     # --- leakage identities ----------------------------------------------
     leak_rows = n * (t1 + t2)
     g1_null, h1_null = nulls((2, r1), (1, r1))
-    reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply(lift(1, r1))
-    reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply(lift(2, r1))
+    g2, h3 = lift(2, r2), lift(1, r3)
+    reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply_blocks(diagonal(1, r1))
+    reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply_blocks(diagonal(2, r1))
     defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
     defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 

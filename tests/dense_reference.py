@@ -1,17 +1,68 @@
-"""Dense reference for the verifier's reduced rank report and oracle.
+"""Dense reference for the reduced decoder, rank report and oracle.
 
-The rank identities assembled in full (every stacked matrix formed from the
+The decoder's stacked system solved whole (the fresh-phase rows' dense
+block-diagonal lift stacked on the final-phase rows, one SVD solve), the
+rank identities assembled in full (every stacked matrix formed from the
 dense block-diagonal lifts), and the subspace oracle's containment test run
-on the whole replayed maps, noise phase included.  ``verify`` computes the
-same ranks and verdicts with the noise phase eliminated slot by slot; the
-tests require the two to agree.
+on the whole replayed maps, noise phase included.  ``schemes.decode`` and
+``verify`` compute the same symbols, ranks and verdicts with a block-diagonal
+part eliminated slot by slot; the tests require the two to agree.
 """
 
 import numpy as np
 
 from xsdof import matcore, schemes, verify
 from xsdof.channel import lift_rows
+from xsdof.errors import DecodeFailure
+from xsdof.knowledge import Node
 from xsdof.schemes import carried_map, side_info
+
+
+def _own_rows_lift(view, slots, m_eff):
+    """[lift(h_own,tx1) | lift(h_own,tx2)] from the instantaneous CSI grants."""
+    return lift_rows(np.array([view.own_csi_rows(t) for t in slots]), m_eff)
+
+
+def _cross_rows_lift(view, slots, m_eff, other_rx):
+    """The other receiver's lifted rows over ``slots``, via delayed CSI."""
+    states = [view.delayed_csi(t) for t in slots]
+    rows = np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
+    return lift_rows(rows, m_eff)
+
+
+def _stacked_outputs(view, slots):
+    return np.array([view.own_output(t) for t in slots], dtype=complex).reshape(-1)
+
+
+def dense_decode(transcript, receiver):
+    """``schemes.decode`` by one SVD solve of the whole stacked system
+    ``[own_f; F]``, ``n*(t2+t4) x 2m*t2``, with the same view reads, condition
+    limit, residual check and exceptions."""
+    transcript.check_complete()
+    m = transcript.config.effective_m
+    r1, r2, r3, r4 = transcript.phase_ranges()
+    if receiver is Node.RX1:
+        other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
+    else:
+        other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
+    w2, w4 = m * len(fresh), m * len(r4)
+    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
+
+    own_f = _own_rows_lift(view, fresh, m)
+    cross_f = _cross_rows_lift(view, fresh, m, other)
+    own4 = _own_rows_lift(view, r4, m)
+    mix = schemes._placed(transcript, theta, _stacked_outputs(view, r1), w2)
+    y_side = side_info(transcript, _stacked_outputs(view, side))
+    y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
+
+    overheard = side_info(transcript, cross_f)
+    a = np.vstack([own_f, carried_map(transcript, own4, theirs, w4) @ overheard])
+    rhs = np.concatenate([_stacked_outputs(view, fresh), y_final]) - a @ mix
+    sol = matcore.solve_full_column_rank(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
+    residual = np.linalg.norm(a @ sol.x - rhs)
+    if residual > schemes.DECODE_TOL * max(np.linalg.norm(rhs), 1.0):
+        raise DecodeFailure(f"decode residual {residual:.3e} exceeds tolerance")
+    return sol.x
 
 
 def _phase_lifts(transcript):

@@ -90,6 +90,7 @@ class TestGenerateStates:
         assert blocks.shape == (2, 4, 2, 4)
         for j in (1, 2):
             lifted = lift_rows(seq.rows(j, range(1, 5)), 2)
+            assert np.array_equal(channel.diagonal_blocks(seq.rows(j, range(1, 5)), 2), blocks[j - 1])
             for t in range(4):
                 # slot t's rows meet its columns in both transmitters' stacks
                 cols = np.r_[2 * t : 2 * t + 2, 8 + 2 * t : 8 + 2 * t + 2]

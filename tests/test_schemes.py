@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from dense_reference import dense_decode
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
-from xsdof.errors import InvalidInput, RegimeError, UnauthorizedAccess
+from xsdof.errors import DecodeFailure, InvalidInput, RegimeError, UnauthorizedAccess
 from xsdof.knowledge import ItemKind, Node
 from xsdof.schemes import SchemeId
 
@@ -247,6 +248,44 @@ class TestDecode:
             assert verify.decode_error(transcript, Node.RX1) < 1e-8
             assert verify.decode_error(transcript, Node.RX2) < 1e-8
 
+    @pytest.mark.parametrize("scheme,m,n,tx1_only", [
+        (SchemeId.A, 2, 3, False), (SchemeId.C, 2, 3, True), (SchemeId.E, 2, 3, False),
+        (SchemeId.B, 1, 1, False),
+    ])
+    def test_ledger_reads(self, scheme, m, n, tx1_only):
+        """One decode reads, in this order and each once: its fresh slots'
+        own-row CSI, their delayed CSI, the final slots' own-row CSI, then
+        its outputs of the noise, overheard, final and fresh phases."""
+        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=3, tx1_only=tx1_only)
+        r1, r2, r3, r4 = transcript.phase_ranges()
+        log = transcript.access_log
+        for node, fresh, side in ((Node.RX1, r2, r3), (Node.RX2, r3, r2)):
+            expected = (
+                [(node, ItemKind.INSTANT_CSI_OWN_ROW, t, True) for t in fresh]
+                + [(node, ItemKind.DELAYED_CSI, t, True) for t in fresh]
+                + [(node, ItemKind.INSTANT_CSI_OWN_ROW, t, True) for t in r4]
+                + [(node, ItemKind.RECEIVED_OUTPUT, t, True) for t in r1 + side + r4 + fresh]
+            )
+            for decoder in (schemes.decode, dense_decode):
+                start = len(log)
+                decoder(transcript, node)
+                assert [(r.node, r.kind, r.key, r.granted) for r in log[start:]] == expected
+
+    def test_perturbed_final_output_fails_the_residual(self):
+        # scheme C's stacked system is tall (A's is square and absorbs any
+        # output), so a final-phase output moved off its range still gets a
+        # least-squares solution, which only the residual check refuses
+        transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=4)
+        slot = transcript.phase_ranges()[3][0]
+        y = transcript.outputs[slot - 1][0]
+        transcript.knowledge.grant(
+            Node.RX1, ItemKind.RECEIVED_OUTPUT, slot, y + 1.0, available_from=slot
+        )
+        for decoder in (schemes.decode, dense_decode):
+            with pytest.raises(DecodeFailure):
+                decoder(transcript, Node.RX1)
+        assert verify.decode_error(transcript, Node.RX2) < 1e-8
+
     def test_decode_rejects_transmit_nodes(self):
         transcript = schemes.run(SchemeId.B, AntennaConfig(1, 1), seed=0)
         with pytest.raises(InvalidInput):
@@ -331,6 +370,23 @@ class TestReplay:
 
         monkeypatch.setattr(schemes, "linear_response", perturbed)
         assert not verify.replay_matches_recorded(transcript)
+
+    @pytest.mark.parametrize("mutation", [None, "skip_phase1"])
+    def test_skipped_zero_products_change_no_bit(self, monkeypatch, mutation):
+        # the secret replays feed three of their four precoder products zeros
+        transcript = schemes.run(SchemeId.A, AntennaConfig(3, 4), seed=5, mutation=mutation)
+        skipped = {group: schemes.linear_response(transcript, group) for group in ("u", "v1", "v2")}
+
+        def always_multiplied(transcript, name, values, width):
+            out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
+            span = schemes._carrier_span(getattr(transcript.spec, name), width)
+            np.matmul(getattr(transcript.precoders, name), values, out=out[span])
+            return out
+
+        monkeypatch.setattr(schemes, "_placed", always_multiplied)
+        for group, maps in skipped.items():
+            for got, want in zip(maps, schemes.linear_response(transcript, group)):
+                assert np.array_equal(got, want), group
 
 
 class TestSideInfo:

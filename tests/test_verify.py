@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_oracle, dense_ranks, stacked_matrices
+from dense_reference import dense_decode, dense_oracle, dense_ranks, stacked_matrices
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig
-from xsdof.errors import InvalidTranscript
+from xsdof.errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
+from xsdof.knowledge import Node
 from xsdof.schemes import SchemeId
 
 
@@ -41,6 +42,39 @@ def agreement_transcripts(extra=()):
         for seed in seeds:
             transcript = transcript_for(scheme, m, n, seed, mutation=mutation)
             yield (scheme, m, n, mutation, seed), transcript
+
+
+#: Largest relative difference allowed between the slot-by-slot decoder and
+#: the dense solve: both decode to 1e-12 or better at these sizes, so the
+#: elimination changes only round-off.
+DENSE_DECODE_RTOL = 1e-9
+
+
+def _decoded(decoder, transcript, receiver):
+    """The decoded symbols, or the class of the exception the decoder raised."""
+    try:
+        return decoder(transcript, receiver)
+    except (SingularSystem, IllConditioned, DecodeFailure) as exc:
+        return type(exc)
+
+
+class TestDenseDecoder:
+    def test_agrees_with_dense_decode(self):
+        """Same symbols to DENSE_DECODE_RTOL, or the same exception class."""
+        raised = {}
+        for case, transcript in agreement_transcripts():
+            for receiver in (Node.RX1, Node.RX2):
+                got = _decoded(schemes.decode, transcript, receiver)
+                want = _decoded(dense_decode, transcript, receiver)
+                if isinstance(want, type):
+                    assert got is want, (case, receiver)
+                    raised[case[3], case[4], receiver] = want
+                else:
+                    assert not isinstance(got, type), (case, receiver, got)
+                    diff = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    assert diff <= DENSE_DECODE_RTOL, (case, receiver, diff)
+        # the one mutant that breaks a decode: phi1_zero starves receiver 1's system
+        assert raised == {("phi1_zero", seed, Node.RX1): SingularSystem for seed in range(2)}
 
 
 class TestSecrecyRankReport:
