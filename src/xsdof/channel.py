@@ -1,14 +1,15 @@
 """The two-transmitter / two-receiver fading channel.
 
 Per-slot channel states (four independent complex-Gaussian blocks, full
-rank almost surely), the noiseless channel map, the feedback-topology
-descriptors, and block-diagonal lifting of a phase's slots into one matrix.
+rank almost surely), the noiseless channel map and the feedback-topology
+descriptors.
 
-A :class:`StateSequence` keeps every slot's four blocks in one
+A :class:`StateSequence` keeps every slot's four blocks in one read-only
 ``(horizon, 2, 2, n, m)`` array, ``blocks[t - 1, j - 1, i - 1]`` being
-``h_ji`` at slot ``t``; its :class:`ChannelState` per slot holds views into
-that array, so the ledger reads slots while the replay and the lifts work
-on whole slot ranges at once.
+``h_ji`` at slot ``t``; that array is the only form of channel state.  The
+ledger grants slot views of it, and the decoder, the rank report and the
+replay read a phase as its ``(t, n, 2m)`` slot blocks
+(:func:`diagonal_blocks`), never as a dense block-diagonal lift.
 
 Noise is omitted entirely, not merely made small: every decode and secrecy
 check in this package is a statement about the noiseless linear maps, which
@@ -17,10 +18,8 @@ is exactly the level at which degrees-of-freedom accounting lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
 import numpy as np
 
 from . import matcore
@@ -96,59 +95,34 @@ class AntennaConfig:
 
 
 @dataclass(frozen=True)
-class ChannelState:
-    """One slot's four channel blocks, each ``n x m``, full rank jointly.
-
-    In a :class:`StateSequence` the blocks are read-only views into the
-    sequence's state array.
-    """
-
-    h11: np.ndarray
-    h12: np.ndarray
-    h21: np.ndarray
-    h22: np.ndarray
-    slot: int
-
-    def block(self, rx: int, tx: int) -> np.ndarray:
-        return getattr(self, f"h{rx}{tx}")
-
-
-@dataclass(frozen=True)
 class StateSequence:
     """An i.i.d. draw of channel states over a horizon, immutable once built.
 
     ``blocks`` is the ``(horizon, 2, 2, n, m)`` array of every slot's
-    blocks (made read-only here); ``states`` holds one :class:`ChannelState`
-    per slot whose blocks are views into it.
+    blocks, made read-only here.
     """
 
     config: AntennaConfig
     blocks: np.ndarray
-    states: tuple[ChannelState, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.blocks.flags.writeable = False
-        n, m = self.config.n, self.config.m
-        views = tuple(
-            ChannelState(*slot.reshape(4, n, m), slot=t)
-            for t, slot in enumerate(self.blocks, start=1)
-        )
-        object.__setattr__(self, "states", views)
 
     @property
     def horizon(self) -> int:
-        return len(self.states)
+        return len(self.blocks)
 
-    def __getitem__(self, slot: int) -> ChannelState:
-        """1-based slot access, matching the protocol's slot numbering."""
-        if not 1 <= slot <= len(self.states):
-            raise InvalidInput(f"slot {slot} outside horizon 1..{len(self.states)}")
-        return self.states[slot - 1]
+    def __getitem__(self, slot: int) -> np.ndarray:
+        """Slot ``slot``'s ``(2, 2, n, m)`` view, ``[j - 1, i - 1]`` being
+        ``h_ji``; 1-based, matching the protocol's slot numbering."""
+        if not 1 <= slot <= len(self.blocks):
+            raise InvalidInput(f"slot {slot} outside horizon 1..{len(self.blocks)}")
+        return self.blocks[slot - 1]
 
     def rows(self, rx: int, slots) -> np.ndarray:
         """Receiver ``rx``'s blocks ``(h_rx1, h_rx2)`` at the 1-based
         ``slots``, as a ``(len(slots), 2, n, m)`` array: the input of
-        :func:`lift_rows`."""
+        :func:`diagonal_blocks` and :func:`lift_rows`."""
         return self.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
 
     def slot_blocks(self, m_eff: int | None = None) -> np.ndarray:
@@ -193,34 +167,34 @@ def generate_states(
     return StateSequence(config, blocks)
 
 
-def apply_channel(state: ChannelState, x1: np.ndarray, x2: np.ndarray):
-    """Noiseless channel map: ``y_j = h_j1 x1 + h_j2 x2`` for both receivers.
-
-    Inputs may carry a trailing axis of stacked columns (used by the linear
-    replay machinery); outputs then carry the same trailing axis.
-    """
+def apply_channel(state: np.ndarray, x1: np.ndarray, x2: np.ndarray):
+    """Noiseless channel map of one slot's ``(2, 2, n, m)`` state on the
+    transmit vectors ``x1``, ``x2``: ``y_j = h_j1 x1 + h_j2 x2`` for both
+    receivers."""
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
-    m = state.h11.shape[1]
+    (h11, h12), (h21, h22) = state
+    m = h11.shape[1]
     if x1.shape[0] != m or x2.shape[0] != m:
         raise InvalidShape(f"inputs must have {m} coordinates, got {x1.shape[0]}, {x2.shape[0]}")
-    y1 = state.h11 @ x1 + state.h12 @ x2
-    y2 = state.h21 @ x1 + state.h22 @ x2
+    y1 = h11 @ x1 + h12 @ x2
+    y2 = h21 @ x1 + h22 @ x2
     return y1, y2
 
 
-def lift_phase(states: Sequence[ChannelState], which: tuple[int, int], m_eff: int | None = None) -> np.ndarray:
+def lift_phase(states, which: tuple[int, int], m_eff: int | None = None) -> np.ndarray:
     """Block-diagonal lift of one channel block over a contiguous slot range.
 
-    ``which = (j, i)`` selects the receiver-``j`` / transmitter-``i`` block;
-    ``m_eff`` restricts to the first ``m_eff`` transmit antennas (the
-    coordinates a scheme actually drives).
+    ``states`` holds the range's ``(2, 2, n, m)`` slot arrays (a slice of
+    :attr:`StateSequence.blocks`, or a sequence of slot views); ``which =
+    (j, i)`` selects the receiver-``j`` / transmitter-``i`` block; ``m_eff``
+    restricts to the first ``m_eff`` transmit antennas (the coordinates a
+    scheme actually drives).
     """
     if len(states) == 0:
         raise InvalidInput("lift_phase requires a nonempty slot range")
     j, i = which
-    blocks = [s.block(j, i) if m_eff is None else s.block(j, i)[:, :m_eff] for s in states]
-    return matcore.block_diag(blocks)
+    return matcore.block_diag([s[j - 1, i - 1, :, :m_eff] for s in states])
 
 
 def diagonal_blocks(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
@@ -247,6 +221,10 @@ def lift_rows(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
     scatter of the slot blocks into a zero array; ``m_eff`` keeps the first
     ``m_eff`` transmit antennas.  An empty slot range (``t = 0``, an empty
     phase) lifts to a ``(0, 0)`` matrix.
+
+    No trial builds this lift (or :func:`lift_phase`'s): the package works
+    on the slot blocks of :func:`diagonal_blocks`.  Both stay as dense
+    references and in the benchmark tracer's tables.
     """
     if rows.ndim != 4:
         raise InvalidInput(f"lift_rows expects a (t, 2, n, m) array, got {rows.shape}")

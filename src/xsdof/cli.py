@@ -42,6 +42,19 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _seed(text: str) -> int:
+    """A seed from ``--seed`` or ``XSDOF_SEED``: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer (--seed or XSDOF_SEED), got {text!r}"
+        )
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -213,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure degrees-of-freedom toolkit for the two-user MIMO X-channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_seed = int(os.environ.get("XSDOF_SEED", "0"))
+    # a string default goes through _seed too, so a bad XSDOF_SEED is a usage error
+    default_seed = os.environ.get("XSDOF_SEED", "0")
 
     p = sub.add_parser("region", help="evaluate a (secure) DoF region exactly")
     p.add_argument("--M", type=int, required=True, help="transmit antennas per transmitter")
@@ -228,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--model", choices=MODEL_KEYS, default=None)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--tx1-only", action="store_true", dest="tx1_only",
                    help="scheme C run mode with all reconstructions at transmitter 1")
     p.add_argument("--no-oracle", action="store_true",
@@ -244,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", choices=("ranks", "mutants", "nesting", "all"), required=True)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--trials", type=int, default=10, help="trials per configuration (ranks suite)")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import AntennaConfig, ChannelState, FeedbackModel
+from .channel import AntennaConfig, FeedbackModel
 from .errors import (
     InvalidInput,
     ProtocolViolation,
@@ -119,12 +119,14 @@ class KnowledgeBase:
             self.grant(node, ItemKind.OWN_MESSAGE_SYMBOLS, name, payload, available_from=1)
         self.grant(node, ItemKind.OWN_NOISE_SYMBOLS, "noise", noise, available_from=1)
 
-    def advance_slot(self, slot: int, outputs, state: ChannelState):
+    def advance_slot(self, slot: int, outputs, state: np.ndarray):
         """Record slot ``slot``'s outputs and grant items per the feedback model.
 
-        Receivers observe their own output immediately and everyone's past
-        CSI one slot later; transmitters receive fed-back outputs (and
-        delayed CSI where the model says so) one slot later.
+        ``state`` is the slot's ``(2, 2, n, m)`` channel view.  Receivers
+        observe their own output and own row pair ``state[j - 1]``
+        immediately and the whole state one slot later; transmitters receive
+        fed-back outputs (and delayed CSI where the model says so) one slot
+        later.
         """
         if slot != self.current_slot + 1:
             raise ProtocolViolation(
@@ -135,13 +137,7 @@ class KnowledgeBase:
         for j in (1, 2):
             node = rx(j)
             self.grant(node, ItemKind.RECEIVED_OUTPUT, slot, y[j], available_from=slot)
-            self.grant(
-                node,
-                ItemKind.INSTANT_CSI_OWN_ROW,
-                slot,
-                (state.block(j, 1), state.block(j, 2)),
-                available_from=slot,
-            )
+            self.grant(node, ItemKind.INSTANT_CSI_OWN_ROW, slot, state[j - 1], available_from=slot)
             self.grant(node, ItemKind.DELAYED_CSI, slot, state, available_from=slot + 1)
         for i in (1, 2):
             node = tx(i)
@@ -197,10 +193,13 @@ class View:
             raise UnauthorizedAccess("transmitters hear nothing directly")
         return self._get(ItemKind.RECEIVED_OUTPUT, slot)
 
-    def delayed_csi(self, slot: int) -> ChannelState:
+    def delayed_csi(self, slot: int) -> np.ndarray:
+        """Slot ``slot``'s ``(2, 2, n, m)`` channel state, ``[j - 1, i - 1]``
+        being ``h_ji``."""
         return self._get(ItemKind.DELAYED_CSI, slot)
 
-    def own_csi_rows(self, slot: int):
+    def own_csi_rows(self, slot: int) -> np.ndarray:
+        """Slot ``slot``'s own row pair ``(h_j1, h_j2)``, a ``(2, n, m)`` array."""
         if self.node.is_transmitter:
             raise UnauthorizedAccess("transmitters have no instantaneous CSI")
         return self._get(ItemKind.INSTANT_CSI_OWN_ROW, slot)
@@ -252,9 +251,8 @@ def recover_peer_inputs(
     recovered = []
     for slot, own_x in zip(slots, own_inputs):
         y = view.fed_back_output(me, slot)
-        state = view.delayed_csi(slot)
-        h_own = state.block(me, me)[:, :m_eff]
-        h_peer = state.block(me, peer)[:, :m_eff]
+        row = view.delayed_csi(slot)[me - 1, :, :, :m_eff]
+        h_own, h_peer = row[me - 1], row[peer - 1]
         recovered.append(solve_full_column_rank(h_peer, y - h_own @ own_x).x)
     return recovered
 
@@ -271,8 +269,6 @@ def rebuild_receiver_output(
     m_eff = config.effective_m
     parts = []
     for slot, x1, x2 in zip(slots, x1_list, x2_list):
-        state = view.delayed_csi(slot)
-        parts.append(
-            state.block(target_rx, 1)[:, :m_eff] @ x1 + state.block(target_rx, 2)[:, :m_eff] @ x2
-        )
+        h1, h2 = view.delayed_csi(slot)[target_rx - 1, :, :, :m_eff]
+        parts.append(h1 @ x1 + h2 @ x2)
     return np.concatenate(parts)

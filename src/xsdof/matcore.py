@@ -4,7 +4,8 @@ Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
 tolerance report, per-slot null bases of block-diagonal maps, QR
 factorization, square/tall solving with a condition estimate, seeded random
-matrix generation, and block-diagonal lifting.
+matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
+which no trial calls).
 
 All functions are pure; arrays are never mutated in place.  Numerical rank
 uses a *relative* singular-value threshold (default ``1e-9``): generic

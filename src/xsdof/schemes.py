@@ -48,7 +48,6 @@ from .channel import (
     apply_channel,
     diagonal_blocks,
     generate_states,
-    lift_rows,
 )
 from .errors import (
     DecodeFailure,
@@ -370,11 +369,23 @@ def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -
     return out
 
 
-def carried_map(transcript: Transcript, lifted: np.ndarray, name: str, width: int) -> np.ndarray:
-    """``lifted`` restricted to the inputs precoder ``name``'s carriers fill,
-    times that precoder: the map from the precoder's input to the outputs."""
-    cols = _carrier_span(getattr(transcript.spec, name), width)
-    return lifted[:, cols] @ getattr(transcript.precoders, name)
+def carried_map(transcript: Transcript, blocks: np.ndarray, name: str) -> np.ndarray:
+    """The map from precoder ``name``'s input to a phase's stacked outputs.
+
+    ``blocks`` are the phase's ``(t, n, 2m)`` slot blocks (see
+    :func:`diagonal_blocks`).  The phase's lift is block diagonal, so slot
+    ``s``'s outputs meet only slot ``s``'s ``m`` rows of each carrier's row
+    block of the precoder: one batched product of the blocks' carrier
+    columns with those rows gives the ``n*t x k`` map, ``k`` being the
+    precoder's column count (zero for an empty noise phase's mixing).
+    """
+    precoder = getattr(transcript.precoders, name)
+    carrier = getattr(transcript.spec, name)
+    t, n, width = blocks.shape
+    m, k = width // 2, precoder.shape[1]
+    txs = len(CARRIERS[carrier])
+    per_slot = precoder.reshape(txs, t, m, k).swapaxes(0, 1).reshape(t, txs * m, k)
+    return (blocks[..., _carrier_span(carrier, m)] @ per_slot).reshape(n * t, k)
 
 
 class _Run:
@@ -559,8 +570,7 @@ def _own_rows(view, slots) -> np.ndarray:
 
 def _cross_rows(view, slots, other_rx) -> np.ndarray:
     """The other receiver's ``(h_j1, h_j2)`` per slot, via delayed CSI."""
-    states = [view.delayed_csi(t) for t in slots]
-    return np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
+    return np.array([view.delayed_csi(t)[other_rx - 1] for t in slots])
 
 
 def _stacked_outputs(view, slots) -> np.ndarray:
@@ -615,16 +625,15 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
         other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
     else:
         other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
-    w4 = m * len(r4)
     view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
 
     own_f = diagonal_blocks(_own_rows(view, fresh), m)
     cross_f = diagonal_blocks(_cross_rows(view, fresh, other), m)
-    own4 = lift_rows(_own_rows(view, r4), m)
+    own4 = diagonal_blocks(_own_rows(view, r4), m)
     mix = _placed(transcript, theta, _stacked_outputs(view, r1), m * len(fresh))
     y_side = side_info(transcript, _stacked_outputs(view, side))
-    y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine, w4) @ y_side
-    final = carried_map(transcript, own4, theirs, w4)
+    y_final = _stacked_outputs(view, r4) - carried_map(transcript, own4, mine) @ y_side
+    final = carried_map(transcript, own4, theirs)
 
     def stacked(x):
         """The stacked system's fresh and final rows times ``(t, 2m, 1)`` slot inputs."""

@@ -48,7 +48,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import matcore, schemes
-from .channel import AntennaConfig, FeedbackModel, lift_rows
+# lift_rows is no longer called here; the benchmark tracer and its tests
+# patch and read it under this module's name
+from .channel import AntennaConfig, FeedbackModel, lift_rows  # noqa: F401
 from .errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
@@ -114,23 +116,20 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
     lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
     null bases of ``G`` (:func:`matcore.slot_null_bases`), and the rank cut
-    on ``M N`` keeps ``G``'s scale.  ``matrices_audited`` lists the shapes
-    of the stacked matrices the identities are about.
+    on ``M N`` keeps ``G``'s scale.  The maps under a precoder come from the
+    phases' slot blocks (:func:`schemes.carried_map`), so no dense lift is
+    built either.  ``matrices_audited`` lists the shapes of the stacked
+    matrices the identities are about.
     """
     transcript.check_complete()
     cfg = transcript.config
     m, n = cfg.effective_m, cfg.n
     r1, r2, r3, r4 = transcript.phase_ranges()
     t1, t2 = len(r1), len(r2)
-    states = transcript.states
-    blocks = states.slot_blocks(m)
-    w2, w4 = m * t2, m * len(r4)
-
-    def lift(rx, slots):
-        return lift_rows(states.rows(rx, slots), m)
+    blocks = transcript.states.slot_blocks(m)
 
     def diagonal(rx, slots):
-        """The ``(t, n, 2m)`` diagonal blocks of ``lift(rx, slots)``."""
+        """The ``(t, n, 2m)`` slot blocks of receiver ``rx``'s lift over ``slots``."""
         return blocks[rx - 1, np.asarray(slots, int) - 1]
 
     def nulls(*matrices):
@@ -149,16 +148,16 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     h2_null, g3_null = nulls((1, r2), (2, r3))
     s2 = side_info(transcript, h2_null.apply_blocks(diagonal(2, r2)))
     s3 = side_info(transcript, g3_null.apply_blocks(diagonal(1, r3)))
-    rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, lift(1, r4), "phi1", w4) @ s2)
-    rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, lift(2, r4), "phi2", w4) @ s3)
+    rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, diagonal(1, r4), "phi1") @ s2)
+    rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, diagonal(2, r4), "phi2") @ s3)
     rate_target = 2 * m * t2
 
     # --- leakage identities ----------------------------------------------
     leak_rows = n * (t1 + t2)
     g1_null, h1_null = nulls((2, r1), (1, r1))
-    g2, h3 = lift(2, r2), lift(1, r3)
-    reduced_rx2 = carried_map(transcript, g2, "theta1", w2) @ g1_null.apply_blocks(diagonal(1, r1))
-    reduced_rx1 = carried_map(transcript, h3, "theta2", w2) @ h1_null.apply_blocks(diagonal(2, r1))
+    g2, h3 = diagonal(2, r2), diagonal(1, r3)
+    reduced_rx2 = carried_map(transcript, g2, "theta1") @ g1_null.apply_blocks(diagonal(1, r1))
+    reduced_rx1 = carried_map(transcript, h3, "theta2") @ h1_null.apply_blocks(diagonal(2, r1))
     defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
     defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 

@@ -3,10 +3,11 @@
 The decoder's stacked system solved whole (the fresh-phase rows' dense
 block-diagonal lift stacked on the final-phase rows, one SVD solve), the
 rank identities assembled in full (every stacked matrix formed from the
-dense block-diagonal lifts), and the subspace oracle's containment test run
-on the whole replayed maps, noise phase included.  ``schemes.decode`` and
-``verify`` compute the same symbols, ranks and verdicts with a block-diagonal
-part eliminated slot by slot; the tests require the two to agree.
+dense block-diagonal lifts), the precoded maps as a dense lift times a
+precoder, and the subspace oracle's containment test run on the whole
+replayed maps, noise phase included.  ``schemes.decode``, ``schemes.carried_map``
+and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
+slot; the tests require the two to agree.
 """
 
 import numpy as np
@@ -15,7 +16,15 @@ from xsdof import matcore, schemes, verify
 from xsdof.channel import lift_rows
 from xsdof.errors import DecodeFailure
 from xsdof.knowledge import Node
-from xsdof.schemes import carried_map, side_info
+from xsdof.schemes import side_info
+
+
+def carried_map(transcript, lifted, name, width):
+    """The dense lift ``lifted`` restricted to the inputs precoder
+    ``name``'s carriers fill (``width`` per transmitter), times that
+    precoder: the map from the precoder's input to the outputs."""
+    cols = schemes._carrier_span(getattr(transcript.spec, name), width)
+    return lifted[:, cols] @ getattr(transcript.precoders, name)
 
 
 def _own_rows_lift(view, slots, m_eff):
@@ -25,9 +34,7 @@ def _own_rows_lift(view, slots, m_eff):
 
 def _cross_rows_lift(view, slots, m_eff, other_rx):
     """The other receiver's lifted rows over ``slots``, via delayed CSI."""
-    states = [view.delayed_csi(t) for t in slots]
-    rows = np.array([(s.block(other_rx, 1), s.block(other_rx, 2)) for s in states])
-    return lift_rows(rows, m_eff)
+    return lift_rows(np.array([view.delayed_csi(t)[other_rx - 1] for t in slots]), m_eff)
 
 
 def _stacked_outputs(view, slots):

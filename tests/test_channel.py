@@ -43,11 +43,10 @@ class TestGenerateStates:
     def test_stacked_rank_every_slot(self):
         seq = make_states(2, 3, 16)
         assert seq.horizon == 16
-        for slot, state in zip(seq.blocks, seq.states):
-            joint = channel._stacked(slot)
-            np.testing.assert_array_equal(
-                joint, np.block([[state.h11, state.h12], [state.h21, state.h22]])
-            )
+        for t in range(1, 17):
+            (h11, h12), (h21, h22) = seq[t]
+            joint = channel._stacked(seq[t])
+            np.testing.assert_array_equal(joint, np.block([[h11, h12], [h21, h22]]))
             assert matcore.rank_value(joint) == 4
 
     def test_high_regime_rank(self):
@@ -64,7 +63,8 @@ class TestGenerateStates:
 
     def test_one_based_indexing(self):
         seq = make_states(1, 1, 3)
-        assert seq[1] is seq.states[0]
+        assert seq[1].shape == (2, 2, 1, 1)
+        assert np.array_equal(seq[1], seq.blocks[0])
         with pytest.raises(InvalidInput):
             seq[0]
         with pytest.raises(InvalidInput):
@@ -74,14 +74,14 @@ class TestGenerateStates:
         seq = make_states(3, 4, 5, seed=11)
         assert seq.blocks.shape == (5, 2, 2, 4, 3)
         assert not seq.blocks.flags.writeable
-        for t, state in enumerate(seq.states, start=1):
-            assert state.slot == t
+        assert seq.horizon == 5
+        for t in range(1, 6):
+            state = seq[t]
+            assert np.shares_memory(state, seq.blocks) and not state.flags.writeable
             for j in (1, 2):
                 for i in (1, 2):
-                    block = state.block(j, i)
-                    assert np.array_equal(block, seq.blocks[t - 1, j - 1, i - 1])
-                    assert np.shares_memory(block, seq.blocks)
-            np.testing.assert_array_equal(seq.rows(2, [t])[0], [state.h21, state.h22])
+                    assert np.array_equal(state[j - 1, i - 1], seq.blocks[t - 1, j - 1, i - 1])
+            np.testing.assert_array_equal(seq.rows(2, [t])[0], state[1])
 
     def test_slot_blocks_are_the_lift_diagonal(self):
         seq = make_states(3, 2, 4, seed=12)
@@ -100,9 +100,9 @@ class TestGenerateStates:
         # h11, h12, h21, h22 of slot 1, then slot 2: the order seeds depend on
         rng = matcore.substream(4, "states")
         seq = generate_states(AntennaConfig(2, 3), 2, matcore.substream(4, "states"))
-        for state in seq.states:
+        for t in (1, 2):
             for j, i in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                assert np.array_equal(state.block(j, i), matcore.random_matrix(3, 2, rng))
+                assert np.array_equal(seq[t][j - 1, i - 1], matcore.random_matrix(3, 2, rng))
 
 
 class TestApplyChannel:
@@ -112,8 +112,8 @@ class TestApplyChannel:
         assert not y1.any() and not y2.any()
 
     def test_identity_channel(self):
-        base = make_states(2, 2, 1)[1]
-        state = type(base)(np.eye(2), np.zeros((2, 2)), base.h21, base.h22, slot=1)
+        state = make_states(2, 2, 1)[1].copy()
+        state[0] = np.eye(2), np.zeros((2, 2))
         e1 = np.array([1.0, 0.0])
         y1, _ = apply_channel(state, e1, np.zeros(2))
         np.testing.assert_array_equal(y1, e1)
@@ -124,8 +124,9 @@ class TestApplyChannel:
         r = matcore.substream(5, "x")
         x1, x2 = matcore.random_vector(3, r), matcore.random_vector(3, r)
         y1, y2 = apply_channel(state, x1, x2)
-        alt1 = state.h12 @ x2 + state.h11 @ x1
-        alt2 = state.h22 @ x2 + state.h21 @ x1
+        (h11, h12), (h21, h22) = state
+        alt1 = h12 @ x2 + h11 @ x1
+        alt2 = h22 @ x2 + h21 @ x1
         assert np.linalg.norm(y1 - alt1) <= 1e-12 * max(np.linalg.norm(alt1), 1.0)
         assert np.linalg.norm(y2 - alt2) <= 1e-12 * max(np.linalg.norm(alt2), 1.0)
 
@@ -150,19 +151,19 @@ class TestApplyChannel:
 class TestLiftPhase:
     def test_single_slot_unchanged(self):
         seq = make_states(2, 3, 1)
-        np.testing.assert_array_equal(lift_phase([seq[1]], (1, 1)), seq[1].h11)
+        np.testing.assert_array_equal(lift_phase([seq[1]], (1, 1)), seq[1][0, 0])
 
     def test_lift_rank(self):
         seq = make_states(2, 3, 3, seed=7)
-        lifted = lift_phase(seq.states, (1, 1))
+        lifted = lift_phase(seq.blocks, (1, 1))
         assert lifted.shape == (9, 6)
         assert matcore.rank_value(lifted) == 6  # sum of per-slot ranks
 
     def test_concatenation_equals_union(self):
         seq = make_states(2, 3, 4, seed=8)
-        first = lift_phase(seq.states[:2], (2, 1))
-        second = lift_phase(seq.states[2:], (2, 1))
-        union = lift_phase(seq.states, (2, 1))
+        first = lift_phase(seq.blocks[:2], (2, 1))
+        second = lift_phase(seq.blocks[2:], (2, 1))
+        union = lift_phase(seq.blocks, (2, 1))
         np.testing.assert_array_equal(matcore.block_diag([first, second]), union)
 
     def test_empty_range_rejected(self):
@@ -188,7 +189,8 @@ class TestLiftPhase:
         width = m if m_eff is None else m_eff
         for rx in (1, 2):
             reference = np.hstack([
-                matcore.block_diag([s.block(rx, i)[:, :width] for s in seq.states]) for i in (1, 2)
+                matcore.block_diag([seq[t][rx - 1, i - 1][:, :width] for t in range(1, horizon + 1)])
+                for i in (1, 2)
             ])
             lifted = lift_rows(seq.rows(rx, range(1, horizon + 1)), m_eff)
             assert lifted.shape == (n * horizon, 2 * width * horizon)
@@ -203,7 +205,7 @@ class TestLiftPhase:
 
     def test_effective_column_restriction(self):
         seq = make_states(4, 2, 2, seed=10)
-        lifted = lift_phase(seq.states, (1, 2), m_eff=2)
+        lifted = lift_phase(seq.blocks, (1, 2), m_eff=2)
         assert lifted.shape == (4, 4)
 
 

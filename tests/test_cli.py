@@ -137,6 +137,41 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out.splitlines()[0])["seed"] == 5
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scheme", "B", "--M", "1", "--N", "1", "--seed", "-1"),
+        ("simulate", "--scheme", "B", "--M", "1", "--N", "1", "--seed", "abc"),
+        ("verify", "--suite", "ranks", "--seed", "-1"),
+        ("verify", "--suite", "nesting", "--seed", "2.5"),
+    ])
+    def test_bad_seed_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "error: argument --seed: seed must be a non-negative integer" in (
+            capsys.readouterr().err.splitlines()[-1]
+        )
+
+    @pytest.mark.parametrize("value", ["-3", "abc", ""])
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scheme", "B", "--M", "1", "--N", "1"),
+        ("verify", "--suite", "nesting"),
+    ])
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("XSDOF_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "XSDOF_SEED" in last and repr(value) in last
+
+    def test_seed_flag_overrides_a_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("XSDOF_SEED", "abc")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "B", "--M", "1", "--N", "1", "--seed", "4"
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["seed"] == 4
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scheme", "B", "--M", "1", "--N", "1",

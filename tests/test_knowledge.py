@@ -32,6 +32,14 @@ def drive(model, config=AntennaConfig(2, 3), slots=4, seed=2):
     return kb, states, sent
 
 
+def assert_slot_view(payload, states, t, rx=None):
+    """``payload`` is slot ``t``'s state (receiver ``rx``'s row pair of it,
+    if given): a read-only view into the sequence's state array."""
+    want = states[t] if rx is None else states[t][rx - 1]
+    np.testing.assert_array_equal(payload, want)
+    assert np.shares_memory(payload, states.blocks) and not payload.flags.writeable
+
+
 class TestAdvanceSlot:
     def test_asym_fb_only_grants(self):
         kb, _, sent = drive(FeedbackModel.ASYM_FB_ONLY)
@@ -74,10 +82,10 @@ class TestViews:
                 view.delayed_csi(1)
 
     def test_feedback_is_one_slot_delayed(self):
-        kb, _, sent = drive(FeedbackModel.ASYM_FB_DELAYED_CSIT)
+        kb, states, sent = drive(FeedbackModel.ASYM_FB_DELAYED_CSIT)
         view = kb.view(Node.TX1, slot=3)
         np.testing.assert_array_equal(view.fed_back_output(1, 2), sent[1][2][0])
-        assert view.delayed_csi(2).slot == 2
+        assert_slot_view(view.delayed_csi(2), states, 2)
         with pytest.raises(UnauthorizedAccess):
             view.fed_back_output(1, 3)  # same-slot output not yet fed back
         with pytest.raises(UnauthorizedAccess):
@@ -93,10 +101,12 @@ class TestViews:
         view = kb.view(Node.RX1, slot=4, decoder=True)
         for t in range(1, 5):
             np.testing.assert_array_equal(view.own_output(t), sent[t - 1][2][0])
-            h11, h12 = view.own_csi_rows(t)
-            np.testing.assert_array_equal(h11, states[t].h11)
-            np.testing.assert_array_equal(h12, states[t].h12)
-        assert view.delayed_csi(3).slot == 3
+            rows = view.own_csi_rows(t)
+            assert_slot_view(rows, states, t, rx=1)
+            h11, h12 = rows
+            np.testing.assert_array_equal(h11, states.blocks[t - 1, 0, 0])
+            np.testing.assert_array_equal(h12, states.blocks[t - 1, 0, 1])
+        assert_slot_view(view.delayed_csi(3), states, 3)
 
     def test_access_log_records_denials(self):
         kb, _, _ = drive(FeedbackModel.ASYM_FB_ONLY, slots=2)

@@ -302,7 +302,7 @@ def _dense_linear_response(transcript, u, v1, v2):
     def send(slots, x):
         states = [transcript.states[t] for t in slots]
         return tuple(
-            np.hstack([matcore.block_diag([s.block(rx, i)[:, :m] for s in states])
+            np.hstack([matcore.block_diag([s[rx - 1, i - 1][:, :m] for s in states])
                        for i in (1, 2)]) @ x
             for rx in (1, 2)
         )

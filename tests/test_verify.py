@@ -1,6 +1,8 @@
 """Verifier tests: rank identities, the subspace oracle, and their agreement."""
 
 import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xsdof
 from dense_reference import dense_decode, dense_oracle, dense_ranks, stacked_matrices
-from xsdof import matcore, schemes, verify
-from xsdof.channel import AntennaConfig
+from dense_reference import carried_map as dense_carried_map
+from xsdof import channel, matcore, schemes, verify
+from xsdof.channel import AntennaConfig, lift_rows
 from xsdof.errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
 from xsdof.knowledge import Node
 from xsdof.schemes import SchemeId
@@ -20,12 +24,14 @@ def transcript_for(scheme, m, n, seed=7, **kw):
     return schemes.run(scheme, AntennaConfig(m, n), seed=seed, **kw)
 
 
-#: (scheme, m, n, mutation, seeds) on which the rank report and the oracle
-#: must agree: every variant, the ladder's sizes and the three mutants.
+#: (scheme, m, n, mode, seeds) on which the rank report and the oracle must
+#: agree: every variant, the ladder's sizes and the three mutants.  ``mode``
+#: is a mutation, or ``"tx1_only"`` for scheme C's run mode.
 AGREEMENT_CASES = [
     (SchemeId.A, 2, 3, None, range(5)),
     (SchemeId.B, 4, 4, None, range(5)),
     (SchemeId.C, 2, 3, None, range(5)),
+    (SchemeId.C, 2, 3, "tx1_only", range(5)),
     (SchemeId.D, 2, 3, None, range(5)),
     (SchemeId.E, 2, 3, None, range(5)),
     (SchemeId.A, 4, 4, None, range(2)),
@@ -38,16 +44,24 @@ AGREEMENT_CASES = [
 
 
 def agreement_transcripts(extra=()):
-    for scheme, m, n, mutation, seeds in AGREEMENT_CASES + list(extra):
+    for scheme, m, n, mode, seeds in AGREEMENT_CASES + list(extra):
+        kw = {"tx1_only": True} if mode == "tx1_only" else {"mutation": mode}
         for seed in seeds:
-            transcript = transcript_for(scheme, m, n, seed, mutation=mutation)
-            yield (scheme, m, n, mutation, seed), transcript
+            yield (scheme, m, n, mode, seed), transcript_for(scheme, m, n, seed, **kw)
 
 
 #: Largest relative difference allowed between the slot-by-slot decoder and
 #: the dense solve: both decode to 1e-12 or better at these sizes, so the
 #: elimination changes only round-off.
 DENSE_DECODE_RTOL = 1e-9
+
+#: Largest relative difference allowed between a precoded map from slot
+#: blocks and the dense lift times the precoder: the sums differ only in
+#: the lift's zero terms.
+DENSE_MAP_RTOL = 1e-12
+
+#: The phase (index into ``phase_ranges``) each precoder's output is sent in.
+PRECODER_PHASES = {"theta1": 1, "theta2": 2, "phi1": 3, "phi2": 3}
 
 
 def _decoded(decoder, transcript, receiver):
@@ -58,11 +72,35 @@ def _decoded(decoder, transcript, receiver):
         return type(exc)
 
 
+def _check_carried_maps(case, transcript) -> set:
+    """Check ``schemes.carried_map`` from slot blocks against the dense lift
+    times the precoder, for every precoder and both receivers; returns the
+    ``(carrier, column count > 0)`` pairs checked."""
+    m = transcript.config.effective_m
+    ranges = transcript.phase_ranges()
+    blocks = transcript.states.slot_blocks(m)
+    seen = set()
+    for name, phase in PRECODER_PHASES.items():
+        slots = ranges[phase]
+        for rx in (1, 2):
+            got = schemes.carried_map(transcript, blocks[rx - 1, np.asarray(slots) - 1], name)
+            lifted = lift_rows(transcript.states.rows(rx, slots), m)
+            want = dense_carried_map(transcript, lifted, name, m * len(slots))
+            assert got.shape == want.shape, (case, name, rx)
+            diff = np.linalg.norm(got - want)
+            assert diff <= DENSE_MAP_RTOL * np.linalg.norm(want), (case, name, rx, diff)
+        seen.add((getattr(transcript.spec, name), want.shape[1] > 0))
+    return seen
+
+
 class TestDenseDecoder:
     def test_agrees_with_dense_decode(self):
-        """Same symbols to DENSE_DECODE_RTOL, or the same exception class."""
+        """Same symbols to DENSE_DECODE_RTOL, or the same exception class;
+        and the same precoded maps to DENSE_MAP_RTOL."""
         raised = {}
+        carried = set()
         for case, transcript in agreement_transcripts():
+            carried |= _check_carried_maps(case, transcript)
             for receiver in (Node.RX1, Node.RX2):
                 got = _decoded(schemes.decode, transcript, receiver)
                 want = _decoded(dense_decode, transcript, receiver)
@@ -75,6 +113,38 @@ class TestDenseDecoder:
                     assert diff <= DENSE_DECODE_RTOL, (case, receiver, diff)
         # the one mutant that breaks a decode: phi1_zero starves receiver 1's system
         assert raised == {("phi1_zero", seed, Node.RX1): SingularSystem for seed in range(2)}
+        # both-transmitter and single-carrier rows, and skip_phase1's empty mixing
+        assert carried == {(c, True) for c in ("both", "tx1", "tx2")} | {("both", False)}
+
+
+class TestNoDenseLift:
+    def test_trials_build_no_dense_lift(self, monkeypatch):
+        """A trial (run, decode, rank report, oracle) never calls a dense
+        lift: each is replaced by a raiser under every name a module of the
+        package binds it to."""
+        dense = (channel.lift_rows, channel.lift_phase, matcore.block_diag)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial built a dense block-diagonal lift")
+
+        patched = set()
+        for info in pkgutil.iter_modules(xsdof.__path__):
+            module = importlib.import_module(f"xsdof.{info.name}")
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in dense):
+                    monkeypatch.setattr(module, attr, refuse)
+                    patched.add((info.name, attr))
+        assert {("channel", "lift_rows"), ("verify", "lift_rows")} <= patched
+        cases = [
+            (SchemeId.A, 2, 3, {}),
+            (SchemeId.B, 4, 4, {}),
+            (SchemeId.C, 2, 3, {"tx1_only": True}),
+            (SchemeId.E, 2, 3, {}),
+            (SchemeId.A, 2, 3, {"mutation": "skip_phase1"}),
+        ]
+        for scheme, m, n, kw in cases:
+            report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, **kw)
+            assert report.decode_ok and report.oracle_rx1 is not None, (scheme, kw)
 
 
 class TestSecrecyRankReport:
