@@ -7,7 +7,8 @@ Four subcommands::
     xsdof table    --N 4 --M-max 8 [--format json|csv]
     xsdof verify   --suite all [--seed 3]
 
-Exit codes: 0 success, 2 usage error, 3 regime/domain refusal, 4 invariant
+Exit codes: 0 success, 1 stdout closed early (``__main__.entry``), 2 usage
+error, 3 regime/domain refusal or a scheme/model mismatch, 4 invariant
 failure.  JSON output is canonical and byte-deterministic for identical
 flags and seed: exact values appear as ``{"num": ..., "den": ...}`` objects,
 keys are emitted in fixed order, and wall-clock timings are deliberately
@@ -21,11 +22,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import regions, schemes, verify
 from .channel import AntennaConfig, FeedbackModel
-from .errors import InvalidInput, RegimeError
+from .errors import InvalidInput, RegimeError, UnauthorizedAccess
 from .regions import frac_json
 from .schemes import SchemeId
 from .verify import run_trial
@@ -79,16 +81,23 @@ def _cmd_region(args) -> int:
 def _cmd_simulate(args) -> int:
     scheme = SchemeId(args.scheme)
     config = AntennaConfig(args.M, args.N)
-    model = FeedbackModel(args.model) if args.model else None
-    schemes.plan(scheme, config)  # raises RegimeError before any work
-    reports = [
-        run_trial(scheme, config, model, seed=args.seed + i, tx1_only=args.tx1_only,
-                  with_oracle=not args.no_oracle)
-        for i in range(args.trials)
-    ]
+    schemes.plan(schemes.variant(scheme), config)  # refuses a regime before a missing mode
+    spec = schemes.variant(scheme, args.tx1_only)
+    if args.model:
+        spec = replace(spec, model=FeedbackModel(args.model))
+    try:
+        reports = [
+            run_trial(spec, config, seed=args.seed + i, with_oracle=not args.no_oracle)
+            for i in range(args.trials)
+        ]
+    except UnauthorizedAccess as e:
+        if not args.model:  # a row's own model grants every read: a fault
+            raise
+        print(f"model refusal: scheme {scheme.value} cannot run under {spec.model.value}: {e}",
+              file=sys.stderr)
+        return EXIT_REGIME
     problems = [] if all(r.decode_ok for r in reports) else ["decode failed"]
-    leakage = schemes.variant(scheme, args.tx1_only).leakage
-    problems += [name for name, passed in verify.claim_checks(reports, leakage) if not passed]
+    problems += [name for name, passed in verify.claim_checks(reports, spec.leakage) if not passed]
     summary = {
         "scheme": scheme.value,
         "config": {"m": args.M, "n": args.N},
@@ -157,10 +166,9 @@ def _suite_ranks(seed: int, trials: int) -> list[tuple[str, bool, str]]:
     ]
     checks = []
     for scheme, m, n in matrix:
-        reports = [
-            run_trial(scheme, AntennaConfig(m, n), seed=seed + i) for i in range(trials)
-        ]
-        for name, passed in verify.claim_checks(reports, schemes.variant(scheme).leakage):
+        spec = schemes.variant(scheme)
+        reports = [run_trial(spec, AntennaConfig(m, n), seed=seed + i) for i in range(trials)]
+        for name, passed in verify.claim_checks(reports, spec.leakage):
             detail = f"{trials} trials" if name == "rate ranks" else ""
             checks.append((f"{name} {scheme.value}({m},{n})", passed, detail))
     return checks

@@ -238,7 +238,7 @@ def dof_region(m: int, n: int) -> RegionPolygon:
 
 @dataclass(frozen=True)
 class SymmetricCorner:
-    """The symmetric corner of a region, with its provenance.
+    """The symmetric corner of a region.
 
     ``point`` is the achievability ground truth (what the matching
     transmission scheme delivers); ``intersection_point`` is where the two
@@ -251,7 +251,6 @@ class SymmetricCorner:
     point: Point
     intersection_point: Point
     discrepancy: bool
-    provenance: str
 
 
 def symmetric_corner(m: int, n: int, model) -> SymmetricCorner:
@@ -266,14 +265,14 @@ def symmetric_corner(m: int, n: int, model) -> SymmetricCorner:
         else:
             p = Fraction(n, 2)
         inter = _symmetric_intersection(ds(n, 2 * m), mx)
-        return SymmetricCorner((p, p), inter, (p, p) != inter, "closed form")
+        return SymmetricCorner((p, p), inter, (p, p) != inter)
     # feedback-only: the scheme's achieved point vs the inequality intersection
     if 2 * m <= 2 * n:
         p = Fraction(m * m * (2 * m - n), 4 * m * m - 3 * m * n + n * n)
     else:
         p = Fraction(n, 2)
     inter = _symmetric_intersection(ds_local(n, 2 * m), mx)
-    return SymmetricCorner((p, p), inter, (p, p) != inter, "scheme accounting")
+    return SymmetricCorner((p, p), inter, (p, p) != inter)
 
 
 def dof_symmetric_corner(m: int, n: int) -> Point:

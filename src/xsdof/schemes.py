@@ -12,16 +12,16 @@ phase retransmitting what each receiver overheard of the other's fresh phase.
   own-receiver feedback is needed.
 * ``C``: feedback-only variant for the mid regime with shorter fresh
   phases; each side-information vector is retransmitted by the one
-  transmitter that heard it.  A run-mode flag moves every knowledge-heavy
-  role onto transmitter 1 (feedback and delayed CSI to transmitter 1 only).
+  transmitter that heard it.  A second row, C's tx1-only mode, moves every
+  knowledge-heavy role onto transmitter 1 (feedback and delayed CSI to it).
 * ``E``: the no-secrecy variant: the scheme-A construction with an empty
   noise phase.
 
-One row of :data:`SPECS` per variant (C's run mode counts as one) holds all
-that sets it apart: default feedback model, phase-length rule, the carriers
-of each precoder, whether the final phase retransmits selected rows, and the
-leakage claim.  The one encoder, the one decoder, the linear replay and the
-audits in ``verify`` read that row instead of branching on the scheme.
+One row of :data:`SPECS` per variant holds all that sets it apart: the
+scheme, feedback model, phase-length rule, the carriers of each precoder,
+whether the final phase retransmits selected rows, and the leakage claim.
+That row alone describes a run: the plan, the one encoder, the one
+decoder, the linear replay and the audits in ``verify`` read it.
 
 Encoders obtain every quantity, their own symbols included, through
 capability views; when the direct fed-back route is not granted they fall
@@ -85,18 +85,20 @@ class SchemeId(Enum):
 class SchemeSpec:
     """What separates one scheme variant from the others.
 
-    ``theta1``/``theta2`` name the carriers of the phase-2/phase-3 mixing,
-    ``phi1``/``phi2`` those of the final-phase combiners (``phi1`` forwards
-    receiver 2's phase-2 output, which receiver 1 needs; ``phi2`` receiver
-    1's phase-3 output).  A carrier is a key of :data:`CARRIERS`: ``both``
-    splits the precoder's rows top/bottom between transmitters 1 and 2,
-    ``tx1``/``tx2`` hand all rows to one transmitter.  ``selected`` makes the
-    final phase retransmit ``2m-n`` rows of every overheard slot instead of
-    all ``n``.  ``leakage`` is the claim the verifier holds the variant to:
-    ``zero``, ``advisory`` (reported, not enforced) or ``positive`` (the
-    negative control).
+    ``model`` is the feedback model a run grants.  ``theta1``/``theta2`` name
+    the carriers of the phase-2/phase-3 mixing, ``phi1``/``phi2`` those of
+    the final-phase combiners (``phi1`` forwards receiver 2's phase-2
+    output, which receiver 1 needs; ``phi2`` receiver 1's phase-3 output).
+    A carrier is a key of :data:`CARRIERS`: ``both`` splits the precoder's
+    rows top/bottom between transmitters 1 and 2, ``tx1``/``tx2`` hand all
+    rows to one transmitter.  ``selected`` makes the final phase retransmit
+    ``2m-n`` rows of every overheard slot instead of all ``n``.
+    ``leakage`` is the claim the verifier holds the variant to: ``zero``,
+    ``advisory`` (reported, not enforced) or ``positive`` (the negative
+    control).
     """
 
+    scheme: SchemeId
     model: FeedbackModel
     phases: str
     theta1: str
@@ -127,6 +129,7 @@ _FB, _SYM, _DCSIT, _TX1 = (
     FeedbackModel.ASYM_FB_DELAYED_CSIT,
     FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY,
 )
+_A, _B, _C, _D, _E = SchemeId
 
 #: One row per variant, keyed by ``(scheme, tx1_only)``.  A, D and E let both
 #: transmitters mix the fed-forward output, so the mixing map spans all 2m
@@ -137,18 +140,18 @@ _FB, _SYM, _DCSIT, _TX1 = (
 #: own symbols: transmitter 1 reconstructs receiver 2's phase-1 output and the
 #: overheard side information through its own feedback plus delayed CSI.
 SPECS = {
-    # (scheme, tx1_only): SchemeSpec(model, phases, theta1, theta2, phi1, phi2, selected, leakage)
-    (SchemeId.A, False): SchemeSpec(_DCSIT, "retrospective", "both", "both", "both", "both", True, "zero"),
-    (SchemeId.D, False): SchemeSpec(_SYM, "retrospective", "both", "both", "both", "both", True, "zero"),
-    (SchemeId.E, False): SchemeSpec(_DCSIT, "no-noise", "both", "both", "both", "both", True, "positive"),
-    (SchemeId.B, False): SchemeSpec(_FB, "single-slot", "tx1", "tx2", "tx2", "tx1", False, "zero"),
-    (SchemeId.C, False): SchemeSpec(_FB, "feedback-only", "tx1", "tx2", "tx2", "tx1", False, "advisory"),
-    (SchemeId.C, True): SchemeSpec(_TX1, "feedback-only", "tx1", "tx1", "tx1", "tx1", True, "advisory"),
+    # (scheme, tx1_only): SchemeSpec(scheme, model, phases, theta1, theta2, phi1, phi2, selected, leakage)
+    (_A, False): SchemeSpec(_A, _DCSIT, "retrospective", "both", "both", "both", "both", True, "zero"),
+    (_D, False): SchemeSpec(_D, _SYM, "retrospective", "both", "both", "both", "both", True, "zero"),
+    (_E, False): SchemeSpec(_E, _DCSIT, "no-noise", "both", "both", "both", "both", True, "positive"),
+    (_B, False): SchemeSpec(_B, _FB, "single-slot", "tx1", "tx2", "tx2", "tx1", False, "zero"),
+    (_C, False): SchemeSpec(_C, _FB, "feedback-only", "tx1", "tx2", "tx2", "tx1", False, "advisory"),
+    (_C, True): SchemeSpec(_C, _TX1, "feedback-only", "tx1", "tx1", "tx1", "tx1", True, "advisory"),
 }
 
 
 def variant(scheme: SchemeId, tx1_only: bool = False) -> SchemeSpec:
-    """The spec row of a scheme, or of its tx1-only run mode."""
+    """The spec row of a scheme, or of its tx1-only mode."""
     try:
         return SPECS[(scheme, tx1_only)]
     except KeyError:
@@ -191,23 +194,23 @@ class PhasePlan:
         }
 
 
-def plan(scheme: SchemeId, config: AntennaConfig) -> PhasePlan:
-    """Phase lengths and symbol budget for a scheme at a configuration.
+def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
+    """Phase lengths and symbol budget for a spec row at a configuration.
 
     Schemes operate on ``min(m, n)`` effective transmit antennas; surplus
     antennas send structural zeros.  Secrecy schemes refuse the degenerate
     regime (``2m <= n``), where the secure region is the origin alone.
     """
-    rule = variant(scheme).phases
+    rule = spec.phases
     if rule == "single-slot":
         if config.m < config.n:
             raise RegimeError(
-                f"scheme {scheme.value} needs m >= n, got (m={config.m}, n={config.n})"
+                f"scheme {spec.scheme.value} needs m >= n, got (m={config.m}, n={config.n})"
             )
     elif config.regime is Regime.DEGENERATE:
         raise RegimeError(
             f"(m={config.m}, n={config.n}): 2m <= n, the secure region is {{(0,0)}}; "
-            f"scheme {scheme.value} does not apply"
+            f"scheme {spec.scheme.value} does not apply"
         )
     m = config.effective_m
     lengths = PHASE_RULES[rule](m, config.n)
@@ -231,7 +234,7 @@ class Precoders:
 
 
 def draw_precoders(
-    scheme: SchemeId,
+    spec: SchemeSpec,
     config: AntennaConfig,
     pln: PhasePlan,
     rng: np.random.Generator,
@@ -241,14 +244,12 @@ def draw_precoders(
     Each precoder maps the ``n`` outputs per slot of its source phase to
     ``m`` inputs per slot and carrying transmitter of its target phase; with
     an empty noise phase the mixing matrices are empty (no columns), a draw
-    that takes nothing from ``rng``.  The tx1-only run mode of scheme C only
-    moves carriers between single transmitters, so it draws the same
-    precoders as scheme C.
+    that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
+    own, gives each precoder one carrier, so it draws the same precoders.
 
     A Gaussian draw is full rank almost surely; exhausting the retries
     therefore signals a tolerance bug, not bad luck.
     """
-    spec = variant(scheme)
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
@@ -293,14 +294,14 @@ class Symbols:
 class Transcript:
     """Complete record of one scheme run.
 
-    ``plan`` holds the phase lengths actually used (the ``skip_phase1``
-    mutation empties the noise phase).  ``knowledge`` retains the ledgers so
-    that decoding runs through the same capability checks as encoding did.
+    ``spec`` is the run's row; ``plan`` holds the phase lengths actually
+    used (the ``skip_phase1`` mutation empties the noise phase).
+    ``knowledge`` retains the ledgers so that decoding runs through the same
+    capability checks as encoding did.
     """
 
-    scheme: SchemeId
+    spec: SchemeSpec
     config: AntennaConfig
-    model: FeedbackModel
     plan: PhasePlan
     states: StateSequence
     precoders: Precoders
@@ -308,15 +309,10 @@ class Transcript:
     inputs: list  # per slot: (x1, x2) at full m width
     outputs: list  # per slot: (y1, y2)
     knowledge: KnowledgeBase
-    tx1_only: bool = False
 
     @property
     def horizon(self) -> int:
         return self.plan.horizon
-
-    @property
-    def spec(self) -> SchemeSpec:
-        return variant(self.scheme, self.tx1_only)
 
     @property
     def access_log(self):
@@ -457,32 +453,26 @@ class _Run:
 
 
 def run(
-    scheme: SchemeId,
+    spec: SchemeSpec,
     config: AntennaConfig,
-    model: FeedbackModel | None = None,
     *,
     seed: int = 0,
     mutation: str | None = None,
-    tx1_only: bool = False,
     withhold: set | None = None,
 ) -> Transcript:
-    """Execute one scheme run and return its transcript.
+    """Execute one run of spec row ``spec`` and return its transcript.
 
-    Every encoder computation goes through capability views; a scheme/model
-    mismatch therefore surfaces as :class:`UnauthorizedAccess` during the
-    run rather than as an upfront refusal.  ``mutation`` applies one of the
-    adversarial variants used by the verifier's sensitivity checks.
-    ``tx1_only`` selects the run mode of scheme C in which transmitter 1
-    performs both side-information reconstructions.
+    The ledgers grant what ``spec.model`` grants.  Every encoder computation
+    goes through capability views; a scheme/model mismatch therefore
+    surfaces as :class:`UnauthorizedAccess` during the run rather than as an
+    upfront refusal.  ``mutation`` applies one of the adversarial variants
+    used by the verifier's sensitivity checks.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise InvalidInput(f"unknown mutation {mutation!r}; expected one of {MUTATIONS}")
-    if mutation == "skip_phase1" and scheme in (SchemeId.B, SchemeId.C):
+    if mutation == "skip_phase1" and spec.scheme in (SchemeId.B, SchemeId.C):
         raise InvalidInput("skip_phase1 applies to the retrospective schemes only")
-    spec = variant(scheme, tx1_only)
-    if model is None:
-        model = spec.model
-    nominal = pln = plan(scheme, config)
+    nominal = pln = plan(spec, config)
     if mutation == "skip_phase1":
         pln = replace(nominal, phase_lengths=(0,) + nominal.phase_lengths[1:])
     t1, t2 = pln.phase_lengths[:2]
@@ -494,7 +484,7 @@ def run(
 
     states = generate_states(config, pln.horizon, rng_states)
     # drawn for the nominal plan, so a mutant draws its parent's precoders
-    precoders = draw_precoders(scheme, config, nominal, rng_prec)
+    precoders = draw_precoders(spec, config, nominal, rng_prec)
     if mutation == "theta1_zero":
         precoders = replace(precoders, theta1=np.zeros_like(precoders.theta1))
     if mutation == "phi1_zero":
@@ -513,14 +503,13 @@ def run(
         v22=matcore.random_vector(m * t2, rng_sym),
     )
 
-    kb = KnowledgeBase(model, config, withhold=withhold)
+    kb = KnowledgeBase(spec.model, config, withhold=withhold)
     kb.grant_own_symbols(Node.TX1, {"v11": symbols.v11, "v12": symbols.v12}, symbols.u1)
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 
     transcript = Transcript(
-        scheme=scheme,
+        spec=spec,
         config=config,
-        model=model,
         plan=pln,
         states=states,
         precoders=precoders,
@@ -528,7 +517,6 @@ def run(
         inputs=[],
         outputs=[],
         knowledge=kb,
-        tx1_only=tx1_only,
     )
     _encode(_Run(transcript))
     transcript.check_complete()

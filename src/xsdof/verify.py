@@ -50,11 +50,11 @@ import numpy as np
 from . import matcore, schemes
 # lift_rows is no longer called here; the benchmark tracer and its tests
 # patch and read it under this module's name
-from .channel import AntennaConfig, FeedbackModel, lift_rows  # noqa: F401
+from .channel import AntennaConfig, lift_rows  # noqa: F401
 from .errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
-from .schemes import SchemeId, Transcript, carried_map, side_info
+from .schemes import SchemeId, SchemeSpec, Transcript, carried_map, side_info
 
 #: Null-set draws a trial resamples before it gives up.
 MAX_RESAMPLES = 8
@@ -162,7 +162,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 
     return SecrecyReport(
-        scheme=transcript.scheme,
+        scheme=transcript.spec.scheme,
         rate_rank_rx1=rate1,
         rate_rank_rx2=rate2,
         rate_target=rate_target,
@@ -314,16 +314,14 @@ def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
 
 @dataclass
 class TrialReport:
-    """Outcome of one seeded scheme trial.
+    """Outcome of one seeded trial of spec row ``spec``.
 
     ``wall_time_s`` is informational only and never serialized, so that
     identical flags and seed produce byte-identical output.
     """
 
-    scheme: SchemeId
-    m: int
-    n: int
-    model: FeedbackModel
+    spec: SchemeSpec
+    config: AntennaConfig
     seed: int
     attempts: int
     plan: schemes.PhasePlan
@@ -344,9 +342,9 @@ class TrialReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "scheme": self.scheme.value,
-            "config": {"m": self.m, "n": self.n},
-            "model": self.model.value,
+            "scheme": self.spec.scheme.value,
+            "config": {"m": self.config.m, "n": self.config.n},
+            "model": self.spec.model.value,
             "seed": self.seed,
             "attempts": self.attempts,
             "plan": self.plan.to_jsonable(),
@@ -363,28 +361,22 @@ class TrialReport:
 
 
 def run_trial(
-    scheme: SchemeId,
+    spec: SchemeSpec,
     config: AntennaConfig,
-    model: FeedbackModel | None = None,
     seed: int = 0,
     mutation: str | None = None,
-    tx1_only: bool = False,
     with_oracle: bool = True,
 ) -> TrialReport:
-    """One seeded trial: run, decode, rank report, subspace oracle, DoF.
+    """One seeded trial of ``spec``: run, decode, rank report, subspace oracle, DoF.
 
     Null-set channel draws (singular or ill-conditioned solve) are resampled
     with a derived seed, as the almost-sure rank statements permit; a decode
     residual above tolerance is reported, never resampled.
     """
     t_start = time.perf_counter()
-    if model is None:
-        model = schemes.variant(scheme, tx1_only).model
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
-        transcript = schemes.run(
-            scheme, config, model, seed=trial_seed, mutation=mutation, tx1_only=tx1_only
-        )
+        transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
         errs: dict[Node, float | None] = {}
         resample = False
         for receiver in (Node.RX1, Node.RX2):
@@ -414,10 +406,8 @@ def run_trial(
     if ok1 and ok2:
         dof1 = dof2 = transcript.plan.dof_target()
     return TrialReport(
-        scheme=scheme,
-        m=config.m,
-        n=config.n,
-        model=model,
+        spec=spec,
+        config=config,
         seed=seed,
         attempts=attempt,
         plan=transcript.plan,
@@ -479,6 +469,7 @@ def run_mutant(config: AntennaConfig, seed: int, mutation: str) -> bool:
     A mutant is caught when the trial fails to decode or fails any check
     of scheme A's zero-leakage claim.
     """
-    report = run_trial(SchemeId.A, config, seed=seed, mutation=mutation)
-    checks = claim_checks([report], schemes.variant(SchemeId.A).leakage)
+    spec = schemes.variant(SchemeId.A)
+    report = run_trial(spec, config, seed=seed, mutation=mutation)
+    checks = claim_checks([report], spec.leakage)
     return not report.decode_ok or not all(passed for _, passed in checks)

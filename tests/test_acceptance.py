@@ -15,6 +15,7 @@ See ``notes/decisions.md`` for the full analysis, and for why criterion
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,7 @@ from xsdof.channel import AntennaConfig, FeedbackModel
 from xsdof.cli import run_trial
 from xsdof.errors import UnauthorizedAccess
 from xsdof.knowledge import ItemKind, Node
-from xsdof.schemes import SchemeId
+from xsdof.schemes import SchemeId, variant
 
 TRIALS = 100
 
@@ -107,14 +108,14 @@ def test_criterion_04_scheme_a():
     t0 = time.perf_counter()
     ok = True
     for seed in range(TRIALS):
-        r = run_trial(SchemeId.A, config, seed=seed, with_oracle=False)
+        r = run_trial(variant(SchemeId.A), config, seed=seed, with_oracle=False)
         ok &= r.decode_ok
         ok &= r.decode_err_rx1 <= 1e-6 and r.decode_err_rx2 <= 1e-6
         ok &= (r.dof_rx1, r.dof_rx2) == (F(3, 4), F(3, 4))
         ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
         ok &= r.secrecy.rate_rank_rx1 == 12 and r.secrecy.rate_rank_rx2 == 12
     # tolerance insensitivity of the rank decisions
-    transcript = schemes.run(SchemeId.A, config, seed=0)
+    transcript = schemes.run(variant(SchemeId.A), config, seed=0)
     for tol in (1e-7, 1e-11):
         rep = verify.secrecy_rank_report(transcript, rel_tol=tol)
         ok &= rep.leak_defect_rx1 == 0 and rep.rate_rank_rx1 == 12
@@ -133,7 +134,7 @@ def test_criterion_05_scheme_b():
     for (m, n), want in [((1, 1), F(1, 2)), ((4, 4), F(2))]:
         config = AntennaConfig(m, n)
         for seed in range(TRIALS):
-            r = run_trial(SchemeId.B, config, seed=seed, with_oracle=False)
+            r = run_trial(variant(SchemeId.B), config, seed=seed, with_oracle=False)
             ok &= r.decode_ok
             ok &= (r.dof_rx1, r.dof_rx2) == (want, want)
             ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
@@ -151,7 +152,7 @@ def test_criterion_05_scheme_b():
 def scheme_c_batch():
     config = AntennaConfig(2, 3)
     t0 = time.perf_counter()
-    reports = [run_trial(SchemeId.C, config, seed=seed) for seed in range(TRIALS)]
+    reports = [run_trial(variant(SchemeId.C), config, seed=seed) for seed in range(TRIALS)]
     return reports, time.perf_counter() - t0
 
 
@@ -208,7 +209,7 @@ def test_criterion_07_scheme_d():
     config = AntennaConfig(2, 3)
     ok = True
     for seed in range(TRIALS):
-        transcript = schemes.run(SchemeId.D, config, seed=seed)
+        transcript = schemes.run(variant(SchemeId.D), config, seed=seed)
         # the run itself performs no delayed-CSI read at all, anywhere
         ok &= not any(
             rec.kind is ItemKind.DELAYED_CSI for rec in transcript.access_log
@@ -235,7 +236,7 @@ def test_criterion_08_scheme_e():
     config = AntennaConfig(2, 3)
     ok = True
     for seed in range(TRIALS):
-        transcript = schemes.run(SchemeId.E, config, seed=seed)
+        transcript = schemes.run(variant(SchemeId.E), config, seed=seed)
         ok &= transcript.horizon == 7
         for receiver in (Node.RX1, Node.RX2):
             ok &= verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
@@ -268,9 +269,10 @@ def test_criterion_10_ledger_enforcement():
     config = AntennaConfig(2, 3)
     ok = True
     phase2_first_slot = 10  # after the 9 noise slots
+    spec = replace(variant(SchemeId.A), model=FeedbackModel.ASYM_FB_ONLY)
     for seed in range(20):
         try:
-            schemes.run(SchemeId.A, config, FeedbackModel.ASYM_FB_ONLY, seed=seed)
+            schemes.run(spec, config, seed=seed)
             ok = False
         except UnauthorizedAccess:
             pass
@@ -278,7 +280,7 @@ def test_criterion_10_ledger_enforcement():
     # signal for the phase-2 mixing: a denied transmitter read at slot 10
     transcript_log = None
     try:
-        schemes.run(SchemeId.A, config, FeedbackModel.ASYM_FB_ONLY, seed=0)
+        schemes.run(spec, config, seed=0)
     except UnauthorizedAccess as exc:
         transcript_log = str(exc)
     ok &= transcript_log is not None and "delayed-csi" in transcript_log

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from xsdof import cli, verify
+from xsdof.errors import UnauthorizedAccess
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +97,35 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "2m <= n" in err
+
+    @pytest.mark.parametrize("scheme,model", [("A", "asym-fb"), ("D", "asym-fb-dcsit-tx1")])
+    def test_model_mismatch_is_a_refusal(self, capsys, scheme, model):
+        # neither model lets transmitter 2 rebuild receiver 1's phase-1 output
+        code, out, err = run_cli(
+            capsys, "simulate", "--scheme", scheme, "--M", "2", "--N", "3", "--model", model
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"model refusal: scheme {scheme} cannot run under {model}: "
+            "tx2 may not read delayed-csi[1] at slot 10\n"
+        )
+
+    def test_model_override_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "B", "--M", "2", "--N", "2", "--model", "sym-fb"
+        )
+        assert code == 0
+        assert json.loads(out.splitlines()[0])["model"] == "sym-fb"
+
+    def test_denied_read_under_the_default_model_is_a_fault(self, capsys, monkeypatch):
+        # a spec row's own model grants every read it makes: no refusal hides a denial
+        def denied(*args, **kwargs):
+            raise UnauthorizedAccess("tx1 may not read fed-back-output[(1, 1)] at slot 2")
+
+        monkeypatch.setattr(cli, "run_trial", denied)
+        with pytest.raises(UnauthorizedAccess):
+            cli.main(["simulate", "--scheme", "A", "--M", "2", "--N", "3"])
 
     def test_byte_identical_for_same_flags_and_seed(self, capsys):
         argv = ["simulate", "--scheme", "A", "--M", "2", "--N", "3",
@@ -222,3 +256,23 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "mutants", "--seed", "3")
         assert code == 0
         assert out.count("PASS mutant") == 3
+
+
+class TestClosedStdout:
+    def test_closed_pipe_ends_quietly(self):
+        # a pipe whose read end is closed before the process starts: every
+        # write to it fails, as behind `| head` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xsdof", "region", "--M", "2", "--N", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr

@@ -14,7 +14,7 @@ from xsdof.knowledge import (
     recover_peer_inputs,
     rebuild_receiver_output,
 )
-from xsdof.schemes import SchemeId
+from xsdof.schemes import SchemeId, variant
 
 
 def drive(model, config=AntennaConfig(2, 3), slots=4, seed=2):
@@ -172,18 +172,18 @@ class TestReconstruction:
 class TestNoClairvoyance:
     def test_withholding_a_granted_item_aborts(self):
         config = AntennaConfig(2, 3)
-        baseline = schemes.run(SchemeId.A, config, seed=4)
+        baseline = schemes.run(variant(SchemeId.A), config, seed=4)
         assert baseline.horizon == 16
         with pytest.raises(UnauthorizedAccess):
             schemes.run(
-                SchemeId.A,
+                variant(SchemeId.A),
                 config,
                 seed=4,
                 withhold={(Node.TX1, ItemKind.FED_BACK_OUTPUT, (1, 1))},
             )
         with pytest.raises(UnauthorizedAccess):
             schemes.run(
-                SchemeId.A,
+                variant(SchemeId.A),
                 config,
                 seed=4,
                 withhold={(Node.TX2, ItemKind.DELAYED_CSI, 2)},
@@ -194,12 +194,12 @@ class TestNoClairvoyance:
         config = AntennaConfig(2, 3)
         for item in ((ItemKind.OWN_NOISE_SYMBOLS, "noise"), (ItemKind.OWN_MESSAGE_SYMBOLS, "v22")):
             with pytest.raises(UnauthorizedAccess):
-                schemes.run(SchemeId.A, config, seed=4, withhold={(Node.TX2,) + item})
+                schemes.run(variant(SchemeId.A), config, seed=4, withhold={(Node.TX2,) + item})
 
     def test_withholding_rx_output_breaks_decode(self):
         config = AntennaConfig(2, 3)
         transcript = schemes.run(
-            SchemeId.A,
+            variant(SchemeId.A),
             config,
             seed=4,
             withhold={(Node.RX1, ItemKind.RECEIVED_OUTPUT, 16)},
@@ -216,7 +216,7 @@ class TestAvailabilityTable:
             (SchemeId.D, FeedbackModel.SYM_FB_NO_CSIT),
             (SchemeId.C, FeedbackModel.ASYM_FB_ONLY),
         ):
-            transcript = schemes.run(scheme, AntennaConfig(2, 3), seed=6)
+            transcript = schemes.run(variant(scheme), AntennaConfig(2, 3), seed=6)
             schemes.decode(transcript, Node.RX1)
             schemes.decode(transcript, Node.RX2)
             for rec in transcript.access_log:

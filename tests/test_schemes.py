@@ -1,5 +1,6 @@
 """Scheme engine tests: plans, precoders, runs, decoding, accounting."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
 from xsdof.errors import DecodeFailure, InvalidInput, RegimeError, UnauthorizedAccess
 from xsdof.knowledge import ItemKind, Node
-from xsdof.schemes import SchemeId
+from xsdof.schemes import SchemeId, variant
 
 
 def applicable_pairs():
@@ -21,7 +22,7 @@ def applicable_pairs():
     for scheme in SchemeId:
         for m, n in [(2, 3), (3, 4), (1, 1), (4, 4), (3, 3)]:
             try:
-                schemes.plan(scheme, AntennaConfig(m, n))
+                schemes.plan(variant(scheme), AntennaConfig(m, n))
             except RegimeError:
                 continue
             out.append(pytest.param(scheme, m, n, False, id=f"{scheme}-{m}-{n}"))
@@ -32,64 +33,63 @@ def applicable_pairs():
 
 class TestPlan:
     def test_scheme_a(self):
-        p = schemes.plan(SchemeId.A, AntennaConfig(2, 3))
+        p = schemes.plan(variant(SchemeId.A), AntennaConfig(2, 3))
         assert p.phase_lengths == (9, 3, 3, 1)
         assert p.symbols_per_receiver == 12
         assert p.horizon == 16  # == 4 m^2
 
     def test_scheme_c(self):
-        p = schemes.plan(SchemeId.C, AntennaConfig(2, 3))
+        p = schemes.plan(variant(SchemeId.C), AntennaConfig(2, 3))
         assert p.phase_lengths == (9, 2, 2, 1)
         assert p.symbols_per_receiver == 8
         assert p.horizon == 14
 
     def test_scheme_b(self):
-        p = schemes.plan(SchemeId.B, AntennaConfig(1, 1))
+        p = schemes.plan(variant(SchemeId.B), AntennaConfig(1, 1))
         assert p.phase_lengths == (1, 1, 1, 1)
         assert p.symbols_per_receiver == 2
-        assert schemes.plan(SchemeId.B, AntennaConfig(4, 4)).symbols_per_receiver == 8
+        assert schemes.plan(variant(SchemeId.B), AntennaConfig(4, 4)).symbols_per_receiver == 8
 
     def test_scheme_e(self):
-        p = schemes.plan(SchemeId.E, AntennaConfig(2, 3))
+        p = schemes.plan(variant(SchemeId.E), AntennaConfig(2, 3))
         assert p.phase_lengths == (0, 3, 3, 1)  # an empty noise phase
         assert p.symbols_per_receiver == 12
         assert p.horizon == 7  # == (2m-n)(2m+n)
 
     def test_scheme_d_matches_a(self):
         for m, n in [(2, 3), (3, 4), (1, 1)]:
-            assert schemes.plan(SchemeId.D, AntennaConfig(m, n)) == schemes.plan(
-                SchemeId.A, AntennaConfig(m, n)
+            assert schemes.plan(variant(SchemeId.D), AntennaConfig(m, n)) == schemes.plan(
+                variant(SchemeId.A), AntennaConfig(m, n)
             )
 
     def test_effective_antenna_reduction(self):
         # surplus transmit antennas are ignored by the plan
-        assert schemes.plan(SchemeId.A, AntennaConfig(4, 3)) == schemes.plan(
-            SchemeId.A, AntennaConfig(3, 3)
+        assert schemes.plan(variant(SchemeId.A), AntennaConfig(4, 3)) == schemes.plan(
+            variant(SchemeId.A), AntennaConfig(3, 3)
         )
-        assert schemes.plan(SchemeId.B, AntennaConfig(4, 2)).symbols_per_receiver == 4
+        assert schemes.plan(variant(SchemeId.B), AntennaConfig(4, 2)).symbols_per_receiver == 4
 
     def test_regime_refusals(self):
         with pytest.raises(RegimeError):
-            schemes.plan(SchemeId.A, AntennaConfig(1, 3))
+            schemes.plan(variant(SchemeId.A), AntennaConfig(1, 3))
         with pytest.raises(RegimeError):
-            schemes.plan(SchemeId.C, AntennaConfig(2, 4))  # boundary 2m = n refuses too
+            schemes.plan(variant(SchemeId.C), AntennaConfig(2, 4))  # boundary 2m = n refuses too
         with pytest.raises(RegimeError):
-            schemes.plan(SchemeId.B, AntennaConfig(2, 3))
+            schemes.plan(variant(SchemeId.B), AntennaConfig(2, 3))
 
     def test_dof_targets(self):
-        assert schemes.plan(SchemeId.A, AntennaConfig(2, 3)).dof_target() == F(3, 4)
-        assert schemes.plan(SchemeId.C, AntennaConfig(2, 3)).dof_target() == F(4, 7)
-        assert schemes.plan(SchemeId.E, AntennaConfig(2, 3)).dof_target() == F(12, 7)
-        assert schemes.plan(SchemeId.B, AntennaConfig(1, 1)).dof_target() == F(1, 2)
-        assert schemes.plan(SchemeId.B, AntennaConfig(4, 4)).dof_target() == F(2)
+        assert schemes.plan(variant(SchemeId.A), AntennaConfig(2, 3)).dof_target() == F(3, 4)
+        assert schemes.plan(variant(SchemeId.C), AntennaConfig(2, 3)).dof_target() == F(4, 7)
+        assert schemes.plan(variant(SchemeId.E), AntennaConfig(2, 3)).dof_target() == F(12, 7)
+        assert schemes.plan(variant(SchemeId.B), AntennaConfig(1, 1)).dof_target() == F(1, 2)
+        assert schemes.plan(variant(SchemeId.B), AntennaConfig(4, 4)).dof_target() == F(2)
 
 
 class TestPrecoders:
     def test_shapes_scheme_a(self):
         cfg = AntennaConfig(2, 3)
-        p = schemes.draw_precoders(
-            SchemeId.A, cfg, schemes.plan(SchemeId.A, cfg), matcore.substream(1, "p")
-        )
+        spec = variant(SchemeId.A)
+        p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(1, "p"))
         # the fresh-phase mixing spans both transmitters' antennas (2m*t2 rows)
         assert p.theta1.shape == (12, 27)
         assert p.theta2.shape == (12, 27)
@@ -99,26 +99,23 @@ class TestPrecoders:
 
     def test_shapes_scheme_b(self):
         cfg = AntennaConfig(4, 4)
-        p = schemes.draw_precoders(
-            SchemeId.B, cfg, schemes.plan(SchemeId.B, cfg), matcore.substream(2, "p")
-        )
+        spec = variant(SchemeId.B)
+        p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(2, "p"))
         for mat in (p.theta1, p.theta2, p.phi1, p.phi2):
             assert mat.shape == (4, 4)
             assert matcore.rank_value(mat) == 4
 
     def test_shapes_scheme_c(self):
         cfg = AntennaConfig(2, 3)
-        p = schemes.draw_precoders(
-            SchemeId.C, cfg, schemes.plan(SchemeId.C, cfg), matcore.substream(3, "p")
-        )
+        spec = variant(SchemeId.C)
+        p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(3, "p"))
         assert p.theta1.shape == (4, 27)
         assert p.phi1.shape == (2, 6)
 
     def test_shapes_scheme_d(self):
         cfg = AntennaConfig(2, 3)
-        p = schemes.draw_precoders(
-            SchemeId.D, cfg, schemes.plan(SchemeId.D, cfg), matcore.substream(6, "p")
-        )
+        spec = variant(SchemeId.D)
+        p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(6, "p"))
         assert p.theta1.shape == p.theta2.shape == (12, 27)
         assert p.phi1.shape == p.phi2.shape == (4, 9)
 
@@ -126,55 +123,57 @@ class TestPrecoders:
         # the run mode moves carriers between single transmitters: C's shapes
         # and, for the same seed, C's very precoders
         cfg = AntennaConfig(2, 3)
-        tx1 = schemes.run(SchemeId.C, cfg, seed=3, tx1_only=True).precoders
+        tx1 = schemes.run(variant(SchemeId.C, True), cfg, seed=3).precoders
         assert tx1.theta1.shape == tx1.theta2.shape == (4, 27)
         assert tx1.phi1.shape == tx1.phi2.shape == (2, 6)
-        plain = schemes.run(SchemeId.C, cfg, seed=3).precoders
+        plain = schemes.run(variant(SchemeId.C), cfg, seed=3).precoders
         for name in ("theta1", "theta2", "phi1", "phi2"):
             assert np.array_equal(getattr(tx1, name), getattr(plain, name))
 
     def test_scheme_e_has_no_mixers(self):
         cfg = AntennaConfig(2, 3)
-        p = schemes.draw_precoders(
-            SchemeId.E, cfg, schemes.plan(SchemeId.E, cfg), matcore.substream(4, "p")
-        )
+        spec = variant(SchemeId.E)
+        p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(4, "p"))
         # nothing to mix: 2m*t2 rows, no columns
         assert p.theta1.shape == p.theta2.shape == (12, 0)
         assert p.phi1.shape == (4, 9)
 
     def test_deterministic(self):
         cfg = AntennaConfig(2, 3)
-        pln = schemes.plan(SchemeId.A, cfg)
-        a = schemes.draw_precoders(SchemeId.A, cfg, pln, matcore.substream(5, "p"))
-        b = schemes.draw_precoders(SchemeId.A, cfg, pln, matcore.substream(5, "p"))
+        spec = variant(SchemeId.A)
+        pln = schemes.plan(spec, cfg)
+        a = schemes.draw_precoders(spec, cfg, pln, matcore.substream(5, "p"))
+        b = schemes.draw_precoders(spec, cfg, pln, matcore.substream(5, "p"))
         assert np.array_equal(a.theta1, b.theta1)
         assert np.array_equal(a.phi2, b.phi2)
 
 
 class TestRun:
     def test_transcript_shape(self):
-        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=5)
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=5)
         assert transcript.horizon == 16
         assert len(transcript.inputs) == 16
         assert transcript.inputs[0][0].shape == (2,)
 
     def test_run_is_deterministic(self):
-        a = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=11)
-        b = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=11)
+        a = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=11)
+        b = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=11)
         for (xa1, xa2), (xb1, xb2) in zip(a.inputs, b.inputs):
             assert np.array_equal(xa1, xb1) and np.array_equal(xa2, xb2)
 
     def test_surplus_antennas_stay_silent(self):
-        transcript = schemes.run(SchemeId.B, AntennaConfig(4, 2), seed=1)
+        transcript = schemes.run(variant(SchemeId.B), AntennaConfig(4, 2), seed=1)
         for x1, x2 in transcript.inputs:
             assert not x1[2:].any() and not x2[2:].any()
 
     def test_scheme_a_needs_delayed_csi(self):
+        spec = replace(variant(SchemeId.A), model=FeedbackModel.ASYM_FB_ONLY)
         with pytest.raises(UnauthorizedAccess):
-            schemes.run(SchemeId.A, AntennaConfig(2, 3), FeedbackModel.ASYM_FB_ONLY, seed=2)
+            schemes.run(spec, AntennaConfig(2, 3), seed=2)
 
     def test_scheme_d_reads_no_transmitter_csi(self):
-        transcript = schemes.run(SchemeId.D, AntennaConfig(2, 3), seed=2)
+        spec = replace(variant(SchemeId.D), model=FeedbackModel.SYM_FB_NO_CSIT)
+        transcript = schemes.run(spec, AntennaConfig(2, 3), seed=2)
         for receiver in (Node.RX1, Node.RX2):  # decoding reads receiver CSI
             assert verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
         assert not [
@@ -185,15 +184,16 @@ class TestRun:
 
     def test_scheme_b_runs_under_any_model(self):
         for model in FeedbackModel:
-            transcript = schemes.run(SchemeId.B, AntennaConfig(2, 2), model, seed=3)
+            spec = replace(variant(SchemeId.B), model=model)
+            transcript = schemes.run(spec, AntennaConfig(2, 2), seed=3)
             assert verify.decode_error(transcript, Node.RX1) < 1e-8
 
     def test_tx1_only_requires_scheme_c(self):
         with pytest.raises(InvalidInput):
-            schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1, tx1_only=True)
+            variant(SchemeId.A, tx1_only=True)
 
     def test_tx1_only_tx2_reads_nothing(self):
-        transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=3, tx1_only=True)
+        transcript = schemes.run(variant(SchemeId.C, True), AntennaConfig(2, 3), seed=3)
         for receiver in (Node.RX1, Node.RX2):  # decoding reads receiver CSI
             assert verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
         own = (ItemKind.OWN_MESSAGE_SYMBOLS, ItemKind.OWN_NOISE_SYMBOLS)
@@ -206,9 +206,9 @@ class TestRun:
 
     def test_bad_mutation_rejected(self):
         with pytest.raises(InvalidInput):
-            schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1, mutation="nope")
+            schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=1, mutation="nope")
         with pytest.raises(InvalidInput):
-            schemes.run(SchemeId.B, AntennaConfig(1, 1), seed=1, mutation="skip_phase1")
+            schemes.run(variant(SchemeId.B), AntennaConfig(1, 1), seed=1, mutation="skip_phase1")
 
 
 class TestDecode:
@@ -216,9 +216,10 @@ class TestDecode:
     def test_decode_equals_sent_everywhere(self, scheme, m, n, tx1_only):
         """Invariant: 100 seeded trials per applicable pair, zero failures."""
         config = AntennaConfig(m, n)
-        target = schemes.plan(scheme, config).dof_target()
+        spec = variant(scheme, tx1_only)
+        target = schemes.plan(spec, config).dof_target()
         for seed in range(100):
-            report = run_trial(scheme, config, seed=seed, tx1_only=tx1_only, with_oracle=False)
+            report = run_trial(spec, config, seed=seed, with_oracle=False)
             assert report.decode_ok, (scheme, m, n, tx1_only, seed)
             assert report.dof_rx1 == target and report.dof_rx2 == target
             assert report.attempts == 1, "no null-set resample expected at these sizes"
@@ -226,7 +227,7 @@ class TestDecode:
     def test_phase4_side_information_sufficiency(self):
         # the selected overheard rows complete a full-rank square system
         for seed in range(20):
-            transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=seed)
+            transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=seed)
             r2 = transcript.phase_ranges()[1]
             h2 = lift_rows(transcript.states.rows(1, r2), 2)
             g2 = lift_rows(transcript.states.rows(2, r2), 2)
@@ -236,7 +237,7 @@ class TestDecode:
 
     def test_scheme_c_needs_the_final_phase(self):
         # the fresh-phase equations alone never close the system
-        transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=4)
+        transcript = schemes.run(variant(SchemeId.C), AntennaConfig(2, 3), seed=4)
         r2 = transcript.phase_ranges()[1]
         h2 = lift_rows(transcript.states.rows(1, r2), 2)
         assert h2.shape == (6, 8)
@@ -244,7 +245,7 @@ class TestDecode:
 
     def test_scheme_c_stacked_system_full_column_rank(self):
         for seed in range(10):
-            transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=seed)
+            transcript = schemes.run(variant(SchemeId.C), AntennaConfig(2, 3), seed=seed)
             assert verify.decode_error(transcript, Node.RX1) < 1e-8
             assert verify.decode_error(transcript, Node.RX2) < 1e-8
 
@@ -256,7 +257,7 @@ class TestDecode:
         """One decode reads, in this order and each once: its fresh slots'
         own-row CSI, their delayed CSI, the final slots' own-row CSI, then
         its outputs of the noise, overheard, final and fresh phases."""
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=3, tx1_only=tx1_only)
+        transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3)
         r1, r2, r3, r4 = transcript.phase_ranges()
         log = transcript.access_log
         for node, fresh, side in ((Node.RX1, r2, r3), (Node.RX2, r3, r2)):
@@ -275,7 +276,7 @@ class TestDecode:
         # scheme C's stacked system is tall (A's is square and absorbs any
         # output), so a final-phase output moved off its range still gets a
         # least-squares solution, which only the residual check refuses
-        transcript = schemes.run(SchemeId.C, AntennaConfig(2, 3), seed=4)
+        transcript = schemes.run(variant(SchemeId.C), AntennaConfig(2, 3), seed=4)
         slot = transcript.phase_ranges()[3][0]
         y = transcript.outputs[slot - 1][0]
         transcript.knowledge.grant(
@@ -287,7 +288,7 @@ class TestDecode:
         assert verify.decode_error(transcript, Node.RX2) < 1e-8
 
     def test_decode_rejects_transmit_nodes(self):
-        transcript = schemes.run(SchemeId.B, AntennaConfig(1, 1), seed=0)
+        transcript = schemes.run(variant(SchemeId.B), AntennaConfig(1, 1), seed=0)
         with pytest.raises(InvalidInput):
             schemes.decode(transcript, Node.TX1)
 
@@ -338,7 +339,7 @@ def _replay_cases():
 class TestReplay:
     @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases())
     def test_per_slot_replay_equals_dense_lifts(self, scheme, m, n, tx1_only, mutation):
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=3, tx1_only=tx1_only,
+        transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3,
                                  mutation=mutation)
         dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
         for group in dims:  # identity group, the others zero
@@ -354,12 +355,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
     def test_linear_replay_reproduces_run(self, scheme, m, n, tx1_only):
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=13, tx1_only=tx1_only)
+        transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=13)
         assert verify.replay_matches_recorded(transcript)
 
     @pytest.mark.parametrize("group", ["u", "v1", "v2"])
     def test_perturbed_map_is_caught(self, monkeypatch, group):
-        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=13)
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=13)
         replay = schemes.linear_response
 
         def perturbed(transcript, name):
@@ -374,7 +375,8 @@ class TestReplay:
     @pytest.mark.parametrize("mutation", [None, "skip_phase1"])
     def test_skipped_zero_products_change_no_bit(self, monkeypatch, mutation):
         # the secret replays feed three of their four precoder products zeros
-        transcript = schemes.run(SchemeId.A, AntennaConfig(3, 4), seed=5, mutation=mutation)
+        spec = variant(SchemeId.A)
+        transcript = schemes.run(spec, AntennaConfig(3, 4), seed=5, mutation=mutation)
         skipped = {group: schemes.linear_response(transcript, group) for group in ("u", "v1", "v2")}
 
         def always_multiplied(transcript, name, values, width):
@@ -392,7 +394,7 @@ class TestReplay:
 class TestSideInfo:
     def test_selects_the_first_rows_of_every_slot(self):
         # A(2,3): 2m - n = 1 row of each slot's 3, over the 3 slots of phase 2
-        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=5)
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=5)
         values = np.arange(18, dtype=complex).reshape(9, 2) + 1
         out = schemes.side_info(transcript, values)
         assert out.shape == values.shape
@@ -401,13 +403,13 @@ class TestSideInfo:
 
     @pytest.mark.parametrize("scheme,m,n", [(SchemeId.B, 3, 3), (SchemeId.C, 2, 3)])
     def test_unselected_specs_pass_through(self, scheme, m, n):
-        transcript = schemes.run(scheme, AntennaConfig(m, n), seed=5)
+        transcript = schemes.run(variant(scheme), AntennaConfig(m, n), seed=5)
         values = np.ones((n * transcript.plan.phase_lengths[1], 2), complex)
         assert schemes.side_info(transcript, values) is values
 
     def test_zero_column_map_keeps_its_shape(self):
         # E has no noise symbols: its u maps have no columns
-        transcript = schemes.run(SchemeId.E, AntennaConfig(2, 3), seed=5)
+        transcript = schemes.run(variant(SchemeId.E), AntennaConfig(2, 3), seed=5)
         maps = schemes.linear_response(transcript, "u")
         assert [y.shape for y in maps] == [(21, 0), (21, 0)]
         assert schemes.side_info(transcript, np.zeros((9, 0), complex)).shape == (9, 0)
@@ -415,7 +417,8 @@ class TestSideInfo:
 
 class TestTranscriptJson:
     def test_skip_phase1_keeps_an_empty_noise_phase(self):
-        transcript = schemes.run(SchemeId.A, AntennaConfig(2, 3), seed=1, mutation="skip_phase1")
+        spec = variant(SchemeId.A)
+        transcript = schemes.run(spec, AntennaConfig(2, 3), seed=1, mutation="skip_phase1")
         assert transcript.plan.phase_lengths == (0, 3, 3, 1)
         assert transcript.phase_ranges()[0] == []
         assert transcript.precoders.theta1.shape == transcript.precoders.theta2.shape == (12, 0)

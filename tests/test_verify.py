@@ -17,16 +17,16 @@ from xsdof import channel, matcore, schemes, verify
 from xsdof.channel import AntennaConfig, lift_rows
 from xsdof.errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
 from xsdof.knowledge import Node
-from xsdof.schemes import SchemeId
+from xsdof.schemes import SchemeId, variant
 
 
-def transcript_for(scheme, m, n, seed=7, **kw):
-    return schemes.run(scheme, AntennaConfig(m, n), seed=seed, **kw)
+def transcript_for(scheme, m, n, seed=7, tx1_only=False, **kw):
+    return schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=seed, **kw)
 
 
 #: (scheme, m, n, mode, seeds) on which the rank report and the oracle must
 #: agree: every variant, the ladder's sizes and the three mutants.  ``mode``
-#: is a mutation, or ``"tx1_only"`` for scheme C's run mode.
+#: is a mutation, or ``"tx1_only"`` for scheme C's tx1-only row.
 AGREEMENT_CASES = [
     (SchemeId.A, 2, 3, None, range(5)),
     (SchemeId.B, 4, 4, None, range(5)),
@@ -136,15 +136,15 @@ class TestNoDenseLift:
                     patched.add((info.name, attr))
         assert {("channel", "lift_rows"), ("verify", "lift_rows")} <= patched
         cases = [
-            (SchemeId.A, 2, 3, {}),
-            (SchemeId.B, 4, 4, {}),
-            (SchemeId.C, 2, 3, {"tx1_only": True}),
-            (SchemeId.E, 2, 3, {}),
-            (SchemeId.A, 2, 3, {"mutation": "skip_phase1"}),
+            (variant(SchemeId.A), 2, 3, None),
+            (variant(SchemeId.B), 4, 4, None),
+            (variant(SchemeId.C, True), 2, 3, None),
+            (variant(SchemeId.E), 2, 3, None),
+            (variant(SchemeId.A), 2, 3, "skip_phase1"),
         ]
-        for scheme, m, n, kw in cases:
-            report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, **kw)
-            assert report.decode_ok and report.oracle_rx1 is not None, (scheme, kw)
+        for spec, m, n, mutation in cases:
+            report = verify.run_trial(spec, AntennaConfig(m, n), seed=7, mutation=mutation)
+            assert report.decode_ok and report.oracle_rx1 is not None, (spec, mutation)
 
 
 class TestSecrecyRankReport:
@@ -350,10 +350,10 @@ class TestSubspaceOracle:
         verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
         assert len(calls) == 3  # one shared noise replay, one secret replay per receiver
         calls.clear()
-        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7)
+        verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
         assert len(calls) == 3
         calls.clear()
-        verify.run_trial(SchemeId.A, AntennaConfig(2, 3), seed=7, with_oracle=False)
+        verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
 
 
@@ -480,14 +480,15 @@ class TestEmpiricalDof:
         ],
     )
     def test_values(self, scheme, m, n, want):
-        report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, with_oracle=False)
+        report = verify.run_trial(variant(scheme), AntennaConfig(m, n), seed=7, with_oracle=False)
         assert (report.dof_rx1, report.dof_rx2) == (want, want)
 
     def test_matches_region_corner(self):
         from xsdof import regions
 
         def dof(scheme, m, n):
-            report = verify.run_trial(scheme, AntennaConfig(m, n), seed=7, with_oracle=False)
+            spec = variant(scheme)
+            report = verify.run_trial(spec, AntennaConfig(m, n), seed=7, with_oracle=False)
             assert report.dof_rx1 == report.dof_rx2
             return report.dof_rx1
 
@@ -507,12 +508,12 @@ class TestMutants:
 
     def test_mutant_signatures(self):
         config = AntennaConfig(2, 3)
-        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="theta1_zero")
+        out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="theta1_zero")
         assert out.secrecy.leak_defect_rx2 > 0 and out.decode_ok
-        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="phi1_zero")
+        out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="phi1_zero")
         assert out.decode_err_rx1 is None and not out.decode_ok_rx1  # singular solve
         assert out.decode_ok_rx2 and out.secrecy.rate_rank_rx1 < out.secrecy.rate_target
-        out = verify.run_trial(SchemeId.A, config, seed=0, mutation="skip_phase1")
+        out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="skip_phase1")
         assert out.secrecy.leak_defect_rx1 > 0 and out.secrecy.leak_defect_rx2 > 0
         assert out.decode_ok  # decoding survives, secrecy does not
 
@@ -528,7 +529,8 @@ class TestMutants:
 @pytest.fixture(scope="module")
 def clean_reports():
     """One real A(2,3) and E(2,3) trial: rate 12/12 both, defects 0 and 9."""
-    return {s: verify.run_trial(s, AntennaConfig(2, 3), seed=7) for s in (SchemeId.A, SchemeId.E)}
+    config = AntennaConfig(2, 3)
+    return {s: verify.run_trial(variant(s), config, seed=7) for s in (SchemeId.A, SchemeId.E)}
 
 
 def _flip(report, field, value):
