@@ -133,10 +133,11 @@ class StateSequence:
         return diagonal_blocks(self.blocks.swapaxes(0, 1), m_eff)
 
 
-def _stacked(slot: np.ndarray) -> np.ndarray:
-    """The joint 2n x 2m matrix of one slot's ``(2, 2, n, m)`` blocks."""
-    _, _, n, m = slot.shape
-    return slot.transpose(0, 2, 1, 3).reshape(2 * n, 2 * m)
+def _stacked(blocks: np.ndarray) -> np.ndarray:
+    """The joint 2n x 2m matrix of each ``(2, 2, n, m)`` slot state in
+    ``blocks``, a ``(..., 2, 2, n, m)`` array; ``(..., 2n, 2m)`` out."""
+    n, m = blocks.shape[-2:]
+    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (2 * n, 2 * m))
 
 
 def generate_states(
@@ -148,23 +149,30 @@ def generate_states(
 
     Each slot's stacked 2n x 2m matrix must have rank ``min(2n, 2m)`` at the
     working tolerance; a failing slot (a null-set event for Gaussian draws)
-    is redrawn rather than accepted.  Blocks are drawn slot by slot in the
-    order ``h11, h12, h21, h22``.
+    is redrawn rather than accepted.
+
+    One :func:`matcore.random_matrix` call draws every slot, consuming the
+    stream slot by slot, ``h11, h12, h21, h22`` in each slot and real part
+    then imaginary part in each block: the order of one draw per block, so
+    the blocks are bit for bit a slot-by-slot loop's whenever no slot fails
+    (every seed in practice).  One :func:`matcore.batch_rank` call checks
+    every slot.  The failing slots are redrawn together, in slot order, and
+    checked again, for at most :data:`MAX_STATE_DRAWS` draws in all; only
+    such a redraw takes the stream in a new order.
     """
     if horizon < 1:
         raise InvalidInput(f"horizon must be >= 1, got {horizon}")
     n, m = config.n, config.m
     want = min(2 * n, 2 * m)
     blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
-    for slot in blocks:
-        for _ in range(MAX_STATE_DRAWS):
-            for block in slot.reshape(4, n, m):
-                block[...] = matcore.random_matrix(n, m, rng)
-            if matcore.rank_value(_stacked(slot)) == want:
-                break
-        else:  # pragma: no cover - probability ~0 for Gaussian draws
-            raise InvalidInput("could not draw a full-rank channel state")
-    return StateSequence(config, blocks)
+    failing = np.arange(horizon)
+    for _ in range(MAX_STATE_DRAWS):
+        fresh = matcore.random_matrix(n, m, rng, batch=(failing.size, 2, 2))
+        blocks[failing] = fresh
+        failing = failing[matcore.batch_rank(_stacked(fresh)) != want]
+        if not failing.size:
+            return StateSequence(config, blocks)
+    raise InvalidInput("could not draw a full-rank channel state")
 
 
 def apply_channel(state: np.ndarray, x1: np.ndarray, x2: np.ndarray):

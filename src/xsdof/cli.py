@@ -19,6 +19,7 @@ kept out of it (they live on the Python-level report objects only).  The
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,14 +229,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, tuple[argparse.ArgumentParser, ...]]:
+    """The argparse tree, built on the first call and then reused.
+
+    Returns the parser and the ``simulate`` and ``verify`` subparsers,
+    whose ``--seed`` default :func:`main` sets from ``XSDOF_SEED`` on every
+    call.  Nothing builds it at import, so ``import xsdof.cli`` stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="xsdof",
         description="Secure degrees-of-freedom toolkit for the two-user MIMO X-channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through _seed too, so a bad XSDOF_SEED is a usage error
-    default_seed = os.environ.get("XSDOF_SEED", "0")
 
     p = sub.add_parser("region", help="evaluate a (secure) DoF region exactly")
     p.add_argument("--M", type=int, required=True, help="transmit antennas per transmitter")
@@ -244,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("simulate", help="run seeded scheme trials with verification")
+    simulate = p = sub.add_parser("simulate", help="run seeded scheme trials with verification")
     p.add_argument("--scheme", choices=[s.value for s in SchemeId], required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--model", choices=MODEL_KEYS, default=None)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=_seed, default=default_seed)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--tx1-only", action="store_true", dest="tx1_only",
                    help="scheme C run mode with all reconstructions at transmitter 1")
     p.add_argument("--no-oracle", action="store_true",
@@ -264,16 +270,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify", help="run an invariant suite")
+    verify_p = p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", choices=("ranks", "mutants", "nesting", "all"), required=True)
-    p.add_argument("--seed", type=_seed, default=default_seed)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--trials", type=int, default=10, help="trials per configuration (ranks suite)")
     p.set_defaults(func=_cmd_verify)
-    return parser
+    return parser, (simulate, verify_p)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, seeded = build_parser()
+    # a string default goes through _seed too, so a bad XSDOF_SEED is a usage error
+    default_seed = os.environ.get("XSDOF_SEED", "0")
+    for p in seeded:
+        p.set_defaults(seed=default_seed)
     args = parser.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         parser.error("--trials must be >= 1")

@@ -7,6 +7,13 @@ factorization, square/tall solving with a condition estimate, seeded random
 matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
 which no trial calls).
 
+Three helpers work on a stack of matrices in one numpy call, not one
+Python call per matrix: :func:`random_matrix` draws a stack given leading
+``batch`` dimensions, in the stream order of one draw per matrix;
+:func:`batch_rank` decides every matrix's rank by one batched SVD, at the
+cut of :func:`rank`; and :func:`slot_null_bases` gives the per-slot ranks
+and null bases of block-diagonal matrices.
+
 All functions are pure; arrays are never mutated in place.  Numerical rank
 uses a *relative* singular-value threshold (default ``1e-9``): generic
 complex-Gaussian draws put the singular-value gap many orders of magnitude
@@ -123,6 +130,20 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL, scale: float = 0.0) -> RankReport:
 def rank_value(a, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Shorthand for ``rank(a, rel_tol).value``."""
     return rank(a, rel_tol).value
+
+
+def batch_rank(stack: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """Numerical rank of every matrix of a ``(..., rows, cols)`` stack.
+
+    One batched SVD; each matrix is cut as :func:`rank` cuts it, at
+    ``rel_tol`` times its own largest singular value, and a zero matrix has
+    rank 0.  Returns an integer array of shape ``stack.shape[:-2]``, equal
+    entry by entry to ``rank(matrix, rel_tol).value``.
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
+    s = np.linalg.svd(stack, compute_uv=False)
+    return (s > rel_tol * s.max(axis=-1, initial=0.0, keepdims=True)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -302,7 +323,9 @@ def solve_full_column_rank(
     return SolveReport(x, condition)
 
 
-def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def random_matrix(
+    rows: int, cols: int, rng: np.random.Generator, batch: tuple[int, ...] = ()
+) -> np.ndarray:
     """Draw a matrix with i.i.d. standard circularly-symmetric Gaussian entries.
 
     Entries have unit variance (real and imaginary parts each of variance
@@ -310,12 +333,17 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     the stream deterministically: a fixed seed and draw order reproduce the
     matrix bit for bit.  A matrix with a zero dimension is empty and draws
     nothing from the stream.
+
+    ``batch`` gives leading dimensions: the result is a ``batch + (rows,
+    cols)`` stack drawn by one call, matrix by matrix in C order, each as
+    its real part then its imaginary part.  That is the stream order of one
+    unbatched call per matrix, so the stack equals those matrices bit for
+    bit.
     """
-    if rows < 0 or cols < 0:
-        raise InvalidInput(f"rows and cols must be >= 0, got ({rows}, {cols})")
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    if rows < 0 or cols < 0 or min(batch, default=0) < 0:
+        raise InvalidInput(f"dimensions must be >= 0, got {batch + (rows, cols)}")
+    z = rng.standard_normal(batch + (2, rows, cols))
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,13 +8,16 @@ precoder, and the subspace oracle's containment test run on the whole
 replayed maps, noise phase included.  ``schemes.decode``, ``schemes.carried_map``
 and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
 slot; the tests require the two to agree.
+
+Also the slot-by-slot channel-state draw that ``channel.generate_states``
+makes in one batch: one draw and one rank check per slot, in a loop.
 """
 
 import numpy as np
 
-from xsdof import matcore, schemes, verify
+from xsdof import channel, matcore, schemes, verify
 from xsdof.channel import lift_rows
-from xsdof.errors import DecodeFailure
+from xsdof.errors import DecodeFailure, InvalidInput
 from xsdof.knowledge import Node
 from xsdof.schemes import side_info
 
@@ -133,3 +136,22 @@ def dense_oracle(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
     rx1 = verify.columns_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0], rel_tol)
     rx2 = verify.columns_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1], rel_tol)
     return rx1, rx2
+
+
+def loop_states(config, horizon, rng):
+    """``generate_states(config, horizon, rng).blocks`` drawn slot by slot:
+    ``h11, h12, h21, h22`` by one :func:`matcore.random_matrix` call each,
+    then one :func:`matcore.rank_value` of the slot's stacked matrix, the
+    slot redrawn until it is full rank."""
+    n, m = config.n, config.m
+    want = min(2 * n, 2 * m)
+    blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
+    for slot in blocks:
+        for _ in range(channel.MAX_STATE_DRAWS):
+            for block in slot.reshape(4, n, m):
+                block[...] = matcore.random_matrix(n, m, rng)
+            if matcore.rank_value(channel._stacked(slot)) == want:
+                break
+        else:
+            raise InvalidInput("could not draw a full-rank channel state")
+    return blocks

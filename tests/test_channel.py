@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import loop_states
 from xsdof import channel, matcore
 from xsdof.channel import (
     AntennaConfig,
@@ -103,6 +104,75 @@ class TestGenerateStates:
         for t in (1, 2):
             for j, i in ((1, 1), (1, 2), (2, 1), (2, 2)):
                 assert np.array_equal(seq[t][j - 1, i - 1], matcore.random_matrix(3, 2, rng))
+
+    @pytest.mark.parametrize("horizon", [1, 16, 144])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 3), (4, 5), (6, 6)])
+    def test_batched_draw_matches_slot_loop(self, m, n, horizon):
+        config = AntennaConfig(m, n)
+        for seed in range(3):
+            seq = generate_states(config, horizon, matcore.substream(seed, "states"))
+            want = loop_states(config, horizon, matcore.substream(seed, "states"))
+            assert seq.blocks.tobytes() == want.tobytes()
+
+    def test_one_batch_rank_call_per_draw(self, monkeypatch):
+        calls, batch_rank = [], matcore.batch_rank
+
+        def counted(stack, *args):
+            calls.append(stack.shape)
+            return batch_rank(stack, *args)
+
+        monkeypatch.setattr(matcore, "batch_rank", counted)
+        monkeypatch.setattr(matcore, "rank", None)  # no per-slot rank is left
+        make_states(2, 3, 16)
+        assert calls == [(16, 6, 4)]
+
+
+class _ZeroingRng:
+    """A real generator, except that draw ``k`` comes back with the slots
+    ``zero[k]`` of that draw set to zero.  Records each draw's shape."""
+
+    def __init__(self, seed, zero):
+        self.rng, self.zero, self.shapes = matcore.substream(seed, "states"), zero, []
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        z[self.zero.get(len(self.shapes), [])] = 0.0
+        self.shapes.append(shape)
+        return z
+
+
+class TestRedraw:
+    def test_failing_slot_is_redrawn_and_the_rest_kept(self):
+        stub = _ZeroingRng(6, {0: [3]})
+        seq = generate_states(AntennaConfig(2, 3), 5, stub)
+        assert stub.shapes == [(5, 2, 2, 2, 3, 2), (1, 2, 2, 2, 3, 2)]
+        rng = matcore.substream(6, "states")
+        first = matcore.random_matrix(3, 2, rng, batch=(5, 2, 2))
+        redrawn = matcore.random_matrix(3, 2, rng, batch=(1, 2, 2))
+        keep = [0, 1, 2, 4]
+        assert seq.blocks[keep].tobytes() == first[keep].tobytes()
+        assert seq.blocks[3].tobytes() == redrawn[0].tobytes()
+        assert matcore.rank_value(channel._stacked(seq[4])) == 4
+
+    def test_failing_slots_are_redrawn_together_in_slot_order(self):
+        # slots 2 and 5 fail, are redrawn together, fail again (slot 5 alone)
+        stub = _ZeroingRng(7, {0: [1, 4], 1: [1]})
+        seq = generate_states(AntennaConfig(1, 1), 6, stub)
+        assert [shape[0] for shape in stub.shapes] == [6, 2, 1]
+        rng = matcore.substream(7, "states")
+        first = matcore.random_matrix(1, 1, rng, batch=(6, 2, 2))
+        second = matcore.random_matrix(1, 1, rng, batch=(2, 2, 2))
+        third = matcore.random_matrix(1, 1, rng, batch=(1, 2, 2))
+        assert seq.blocks[[0, 2, 3, 5]].tobytes() == first[[0, 2, 3, 5]].tobytes()
+        assert seq.blocks[1].tobytes() == second[0].tobytes()
+        assert seq.blocks[4].tobytes() == third[0].tobytes()
+
+    def test_gives_up_after_max_state_draws(self):
+        every_slot = dict.fromkeys(range(channel.MAX_STATE_DRAWS + 1), slice(None))
+        stub = _ZeroingRng(8, every_slot)
+        with pytest.raises(InvalidInput, match="full-rank channel state"):
+            generate_states(AntennaConfig(2, 3), 4, stub)
+        assert len(stub.shapes) == channel.MAX_STATE_DRAWS
 
 
 class TestApplyChannel:

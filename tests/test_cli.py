@@ -206,6 +206,61 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out.splitlines()[0])["seed"] == 4
 
+    def test_env_seed_is_read_on_every_call(self, capsys, monkeypatch):
+        # one process, one parser: each call takes XSDOF_SEED as it is then
+        argv = ("simulate", "--scheme", "B", "--M", "1", "--N", "1")
+        monkeypatch.setenv("XSDOF_SEED", "5")
+        assert json.loads(run_cli(capsys, *argv)[1].splitlines()[0])["seed"] == 5
+        monkeypatch.delenv("XSDOF_SEED")
+        assert json.loads(run_cli(capsys, *argv)[1].splitlines()[0])["seed"] == 0
+        code, out, _ = run_cli(capsys, "verify", "--suite", "nesting")
+        assert code == 0 and "FAIL" not in out
+        monkeypatch.setenv("XSDOF_SEED", "abc")
+        for args in (argv, ("verify", "--suite", "nesting")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(args))
+            assert exc.value.code == 2
+            assert "'abc'" in capsys.readouterr().err.splitlines()[-1]
+        assert json.loads(run_cli(capsys, *argv, "--seed", "4")[1].splitlines()[0])["seed"] == 4
+
+    def test_usage_error_leaves_the_next_call_working(self, capsys):
+        argv = ("simulate", "--scheme", "B", "--M", "1", "--N", "1", "--seed", "3")
+        _, want, _ = run_cli(capsys, *argv)
+        for bad in (("simulate", "--scheme", "B", "--M", "1"),
+                    argv + ("--trials", "0"),
+                    argv + ("--format", "xml")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(bad))
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run_cli(capsys, *argv) == (0, want, "")
+
+    def test_import_builds_no_parser(self):
+        # counted in a fresh interpreter: import builds nothing, the first
+        # main call builds the tree (parser and four subparsers), later calls reuse it
+        probe = (
+            "import argparse\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from xsdof import cli\n"
+            "counts = [len(made)]\n"
+            "for _ in range(2):\n"
+            "    cli.main(['table', '--N', '2', '--M-max', '1'])\n"
+            "    counts.append(len(made))\n"
+            "print(counts)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 5, 5]"
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scheme", "B", "--M", "1", "--N", "1",

@@ -165,6 +165,53 @@ class TestRandomMatrix:
             matcore.random_matrix(-1, 3, rng())
 
 
+    def test_batch_is_one_draw_per_matrix_in_order(self):
+        # the stack equals one unbatched call per matrix, in C order
+        stack = matcore.random_matrix(3, 2, rng(13), batch=(4, 2, 2))
+        assert stack.shape == (4, 2, 2, 3, 2)
+        r = rng(13)
+        for index in np.ndindex(4, 2, 2):
+            assert np.array_equal(stack[index], matcore.random_matrix(3, 2, r))
+        assert matcore.random_matrix(3, 2, rng(), batch=(0, 2)).shape == (0, 2, 3, 2)
+        with pytest.raises(InvalidInput):
+            matcore.random_matrix(3, 2, rng(), batch=(2, -1))
+
+
+class TestBatchRank:
+    @staticmethod
+    def _each(stack, rel_tol=matcore.DEFAULT_REL_TOL):
+        flat = stack.reshape((-1,) + stack.shape[-2:])
+        return np.array([matcore.rank(a, rel_tol).value for a in flat])
+
+    def test_random_stacks(self):
+        for shape in ((6, 4, 4), (5, 3, 6), (7, 6, 2), (2, 3, 4, 5)):
+            stack = matcore.random_matrix(*shape[-2:], rng(20), batch=shape[:-2])
+            got = matcore.batch_rank(stack)
+            assert got.shape == shape[:-2]
+            assert np.array_equal(got.reshape(-1), self._each(stack))
+            assert np.all(got == min(shape[-2:]))
+
+    def test_deficient_zero_and_tiny_slots(self):
+        # each slot is cut at its own scale: a slot scaled by 1e-12 keeps its rank
+        r = rng(21)
+        stack = matcore.random_matrix(4, 4, r, batch=(5,))
+        stack[1] = matcore.random_matrix(4, 2, r) @ matcore.random_matrix(2, 4, r)
+        stack[2] = 0.0
+        stack[3] = 1e-12 * stack[3]
+        stack[4] = 1e-12 * (matcore.random_matrix(4, 3, r) @ matcore.random_matrix(3, 4, r))
+        got = matcore.batch_rank(stack)
+        assert got.tolist() == [4, 2, 0, 4, 3]
+        assert np.array_equal(got, self._each(stack))
+
+    def test_tolerance_matches_rank(self):
+        # singular values 1, 1e-4, 1e-8: the cut sits where rank puts it
+        stack = np.array([np.diag([1.0, 1e-4, 1e-8]), np.diag([2.0, 2e-4, 2e-8])], dtype=complex)
+        for rel_tol in (1e-9, 1e-6, 1e-2):
+            assert np.array_equal(matcore.batch_rank(stack, rel_tol), self._each(stack, rel_tol))
+        with pytest.raises(InvalidInput):
+            matcore.batch_rank(stack, rel_tol=1.0)
+
+
 class TestBlockDiag:
     def test_identity_blocks(self):
         out = matcore.block_diag([np.eye(2), np.eye(3)])
