@@ -176,18 +176,23 @@ def generate_states(
 
 
 def apply_channel(state: np.ndarray, x1: np.ndarray, x2: np.ndarray):
-    """Noiseless channel map of one slot's ``(2, 2, n, m)`` state on the
-    transmit vectors ``x1``, ``x2``: ``y_j = h_j1 x1 + h_j2 x2`` for both
-    receivers."""
+    """Noiseless channel map ``y_j = h_j1 x1 + h_j2 x2`` for both receivers.
+
+    ``state`` is one slot's ``(2, 2, n, m)`` state and ``x1``, ``x2`` its
+    ``(m,)`` transmit vectors, or a ``(t, 2, 2, n, m)`` stack of states and
+    ``(t, m)`` stacks of vectors; ``y1``, ``y2`` are ``(n,)`` or ``(t, n)``.
+    A stack takes one batched product, each slot's outputs bit for bit
+    those of a call on that slot alone.
+    """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
-    (h11, h12), (h21, h22) = state
-    m = h11.shape[1]
-    if x1.shape[0] != m or x2.shape[0] != m:
-        raise InvalidShape(f"inputs must have {m} coordinates, got {x1.shape[0]}, {x2.shape[0]}")
-    y1 = h11 @ x1 + h12 @ x2
-    y2 = h21 @ x1 + h22 @ x2
-    return y1, y2
+    want = state.shape[:-4] + state.shape[-1:]
+    if x1.shape != want or x2.shape != want:
+        raise InvalidShape(f"inputs must be {want}, got {x1.shape}, {x2.shape}")
+    # [..., j, i] is h_ji x_i
+    terms = state @ np.stack([x1, x2], axis=-2)[..., None, :, :, None]
+    y = terms[..., 0, :, 0] + terms[..., 1, :, 0]
+    return y[..., 0, :], y[..., 1, :]
 
 
 def lift_phase(states, which: tuple[int, int], m_eff: int | None = None) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,10 @@ class Node(Enum):
     TX2 = "tx2"
     RX1 = "rx1"
     RX2 = "rx2"
+
+    # members compare by identity; hashing by it too keeps every ledger
+    # lookup out of Python-level ``Enum.__hash__``
+    __hash__ = object.__hash__
 
     @property
     def is_transmitter(self) -> bool:
@@ -58,10 +63,15 @@ class ItemKind(Enum):
     DELAYED_CSI = "delayed-csi"
     INSTANT_CSI_OWN_ROW = "instant-csi-own-row"
 
+    __hash__ = object.__hash__  # see Node
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One view read: who asked for what, when, and whether it was granted."""
+
+class AccessRecord(NamedTuple):
+    """One view read: who asked for what, when, and whether it was granted.
+
+    Immutable like a frozen dataclass, but a tuple, several times cheaper
+    to build: every read of every run makes one.
+    """
 
     node: Node
     kind: ItemKind
@@ -110,7 +120,7 @@ class KnowledgeBase:
         self._withheld = withhold or set()
 
     def grant(self, node: Node, kind: ItemKind, key, payload, available_from: int):
-        if (node, kind, key) in self._withheld:
+        if self._withheld and (node, kind, key) in self._withheld:
             return
         self.ledgers[node].grant(kind, key, payload, available_from)
 
@@ -236,25 +246,29 @@ def recover_peer_inputs(
     config: AntennaConfig,
     slots,
     own_inputs,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Infer the other transmitter's inputs over ``slots`` from feedback + CSI.
 
     Transmitter ``i`` subtracts its own contribution from its receiver's
     fed-back output and solves the remaining tall system for the peer's
-    input, slot by slot.  The effective antenna count is at most ``n``, so
-    the per-slot system is never underdetermined.  Requires delayed CSI in
-    the view; both reads go through the capability checks.
+    input.  The reads go through the capability checks slot by slot, each
+    slot's fed-back output then its delayed CSI, so a denied read aborts
+    where a slot-by-slot loop would; then one batched solve takes every
+    slot.  The effective antenna count is at most ``n``, so no slot's
+    system is underdetermined.  ``own_inputs`` holds one own input per
+    slot; returns the ``(t, m_eff)`` peer inputs.
     """
     m_eff = config.effective_m
     me = view.node.index
     peer = 2 if me == 1 else 1
-    recovered = []
-    for slot, own_x in zip(slots, own_inputs):
-        y = view.fed_back_output(me, slot)
-        row = view.delayed_csi(slot)[me - 1, :, :, :m_eff]
-        h_own, h_peer = row[me - 1], row[peer - 1]
-        recovered.append(solve_full_column_rank(h_peer, y - h_own @ own_x).x)
-    return recovered
+    fed_back, rows = [], []
+    for slot in slots:
+        fed_back.append(view.fed_back_output(me, slot))
+        rows.append(view.delayed_csi(slot)[me - 1, :, :, :m_eff])
+    rows = np.array(rows)
+    h_own, h_peer = rows[:, me - 1], rows[:, peer - 1]
+    rhs = np.array(fed_back) - (h_own @ np.asarray(own_inputs)[..., None])[..., 0]
+    return solve_full_column_rank(h_peer, rhs).x
 
 
 def rebuild_receiver_output(
@@ -265,10 +279,9 @@ def rebuild_receiver_output(
     x2_list,
     target_rx: int,
 ) -> np.ndarray:
-    """Reconstruct a receiver's stacked phase output from CSI and known inputs."""
+    """Reconstruct a receiver's stacked phase output from CSI and known
+    inputs: the delayed CSI read slot by slot, then one batched product."""
     m_eff = config.effective_m
-    parts = []
-    for slot, x1, x2 in zip(slots, x1_list, x2_list):
-        h1, h2 = view.delayed_csi(slot)[target_rx - 1, :, :, :m_eff]
-        parts.append(h1 @ x1 + h2 @ x2)
-    return np.concatenate(parts)
+    rows = np.array([view.delayed_csi(slot)[target_rx - 1, :, :, :m_eff] for slot in slots])
+    terms = rows @ np.stack([x1_list, x2_list], axis=1)[..., None]
+    return (terms[:, 0] + terms[:, 1]).reshape(-1)

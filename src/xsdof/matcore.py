@@ -7,12 +7,13 @@ factorization, square/tall solving with a condition estimate, seeded random
 matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
 which no trial calls).
 
-Three helpers work on a stack of matrices in one numpy call, not one
+Four helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
 ``batch`` dimensions, in the stream order of one draw per matrix;
 :func:`batch_rank` decides every matrix's rank by one batched SVD, at the
-cut of :func:`rank`; and :func:`slot_null_bases` gives the per-slot ranks
-and null bases of block-diagonal matrices.
+cut of :func:`rank`; :func:`solve_full_column_rank` solves a ``(t, r, c)``
+stack by one batched SVD; and :func:`slot_null_bases` gives the per-slot
+ranks and null bases of block-diagonal matrices.
 
 All functions are pure; arrays are never mutated in place.  Numerical rank
 uses a *relative* singular-value threshold (default ``1e-9``): generic
@@ -63,10 +64,11 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D complex array."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a finite 2-D complex array; with
+    ``stack``, a finite ``(t, rows, cols)`` stack of them is accepted too."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise InvalidMatrix("matrix has non-finite entries")
@@ -300,27 +302,38 @@ def solve_full_column_rank(
     responsible for checking the residual where consistency is part of the
     contract.
 
+    ``a`` is one ``(r, c)`` matrix or a ``(t, r, c)`` stack of them, solved
+    by one batched SVD; ``b`` is a vector or a matrix of stacked right-hand
+    sides per matrix, ``(..., r)`` or ``(..., r, k)``.  Each matrix's
+    solution is bit for bit that of solving it alone.  A stack is deficient
+    when any of its matrices is, and its condition estimate is the largest
+    of theirs.
+
     Raises
     ------
     SingularSystem
-        If ``a`` is column-rank deficient at ``rel_tol``.
+        If ``a`` (any matrix of a stack) is column-rank deficient at
+        ``rel_tol``.
     InvalidShape
         On dimension mismatch or an underdetermined (wide) system.
     """
-    m = as_matrix(a)
+    m = as_matrix(a, stack=True)
     rhs = np.asarray(b, dtype=complex)
-    if m.shape[0] < m.shape[1]:
+    if m.shape[-2] < m.shape[-1]:
         raise InvalidShape(f"system {m.shape} has fewer equations than unknowns")
-    if rhs.shape[0] != m.shape[0]:
-        raise InvalidShape(f"rhs length {rhs.shape[0]} != row count {m.shape[0]}")
+    vector = rhs.ndim == m.ndim - 1
+    if rhs.shape[: m.ndim - 1] != m.shape[:-1] or rhs.ndim not in (m.ndim - 1, m.ndim):
+        raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= rel_tol * s[0]:
+    if s.size == 0 or np.any(s[..., -1] <= rel_tol * s[..., 0]):
         raise SingularSystem(f"system {m.shape} is column-rank deficient")
-    condition = float(s[0] / s[-1])
+    condition = float(np.max(s[..., 0] / s[..., -1]))
     if condition_limit is not None and condition > condition_limit:
         raise IllConditioned(f"condition estimate {condition:.3e} exceeds {condition_limit:.1e}")
-    x = vh.conj().T @ ((u.conj().T @ rhs).T / s).T
-    return SolveReport(x, condition)
+    if vector:
+        rhs = rhs[..., None]
+    x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])
+    return SolveReport(x[..., 0] if vector else x, condition)
 
 
 def random_matrix(

@@ -107,16 +107,6 @@ class RegionPolygon:
         """True iff every vertex of ``other`` lies in this (convex) region."""
         return all(self.contains_point(v) for v in other.vertices)
 
-    def mirrored(self) -> "RegionPolygon":
-        """Reflection across the diagonal y = x."""
-        verts = tuple((y, x) for (x, y) in self.vertices)
-        return RegionPolygon(
-            _ccw_hull(verts),
-            {k: (v[1], v[0]) for k, v in self.labels.items()},
-            self.model,
-            dict(self.flags),
-        )
-
     def to_jsonable(self) -> dict:
         out = {
             "model": self.model,

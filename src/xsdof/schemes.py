@@ -385,23 +385,11 @@ def carried_map(transcript: Transcript, blocks: np.ndarray, name: str) -> np.nda
 
 
 class _Run:
-    """Mutable encoder state of one run; fills the transcript slot by slot."""
+    """Mutable encoder state of one run; fills the transcript a phase at a
+    time."""
 
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
-
-    def transmit(self, slot: int, x1_eff: np.ndarray, x2_eff: np.ndarray):
-        tr = self.transcript
-        m = tr.config.m
-        x1 = np.zeros(m, dtype=complex)
-        x2 = np.zeros(m, dtype=complex)
-        x1[: len(x1_eff)] = x1_eff
-        x2[: len(x2_eff)] = x2_eff
-        state = tr.states[slot]
-        y1, y2 = apply_channel(state, x1, x2)
-        tr.inputs.append((x1, x2))
-        tr.outputs.append((y1, y2))
-        tr.knowledge.advance_slot(slot, (y1, y2), state)
 
     def acquire_output(self, node: Node, target_rx: int, slots, at_slot: int) -> np.ndarray:
         """Stacked outputs of ``target_rx`` over ``slots`` as known to ``node``.
@@ -445,11 +433,22 @@ class _Run:
         return out
 
     def send(self, slots, x: dict):
-        """Transmit per-transmitter stacks over ``slots``, ``m`` entries a slot."""
-        m = self.transcript.config.effective_m
-        for idx, slot in enumerate(slots):
-            sl = slice(idx * m, (idx + 1) * m)
-            self.transmit(slot, x[1][sl], x[2][sl])
+        """Transmit per-transmitter stacks over ``slots``, ``m`` entries a slot.
+
+        The encoder reads nothing between the slots of a phase, so one
+        channel product gives every slot's outputs; the inputs (at full
+        ``m`` width), outputs and ledger then advance slot by slot.
+        """
+        tr = self.transcript
+        t, m = len(slots), tr.config.effective_m
+        xs = np.zeros((2, t, tr.config.m), dtype=complex)
+        xs[..., :m] = np.reshape((x[1], x[2]), (2, t, m))
+        y1, y2 = apply_channel(tr.states.blocks[np.asarray(slots, dtype=int) - 1], xs[0], xs[1])
+        for k, slot in enumerate(slots):
+            y = (y1[k], y2[k])
+            tr.inputs.append((xs[0, k], xs[1, k]))
+            tr.outputs.append(y)
+            tr.knowledge.advance_slot(slot, y, tr.states[slot])
 
 
 def run(

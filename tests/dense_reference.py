@@ -10,14 +10,17 @@ and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
 slot; the tests require the two to agree.
 
 Also the slot-by-slot channel-state draw that ``channel.generate_states``
-makes in one batch: one draw and one rank check per slot, in a loop.
+makes in one batch: one draw and one rank check per slot, in a loop; and
+the slot-by-slot encoder that ``schemes._Run`` runs a phase at a time: one
+channel product per slot, and one solve per slot to recover a peer's
+inputs.
 """
 
 import numpy as np
 
 from xsdof import channel, matcore, schemes, verify
 from xsdof.channel import lift_rows
-from xsdof.errors import DecodeFailure, InvalidInput
+from xsdof.errors import DecodeFailure, InvalidInput, UnauthorizedAccess
 from xsdof.knowledge import Node
 from xsdof.schemes import side_info
 
@@ -155,3 +158,61 @@ def loop_states(config, horizon, rng):
         else:
             raise InvalidInput("could not draw a full-rank channel state")
     return blocks
+
+
+def loop_recover_peer_inputs(view, config, slots, own_inputs):
+    """``knowledge.recover_peer_inputs`` by one full-column-rank solve per
+    slot, reading each slot's fed-back output and then its delayed CSI."""
+    m_eff = config.effective_m
+    me = view.node.index
+    peer = 2 if me == 1 else 1
+    recovered = []
+    for slot, own_x in zip(slots, own_inputs):
+        y = view.fed_back_output(me, slot)
+        row = view.delayed_csi(slot)[me - 1, :, :, :m_eff]
+        h_own, h_peer = row[me - 1], row[peer - 1]
+        recovered.append(matcore.solve_full_column_rank(h_peer, y - h_own @ own_x).x)
+    return recovered
+
+
+def loop_rebuild_receiver_output(view, config, slots, x1_list, x2_list, target_rx):
+    """``knowledge.rebuild_receiver_output`` by one pair of products per slot."""
+    m_eff = config.effective_m
+    parts = []
+    for slot, x1, x2 in zip(slots, x1_list, x2_list):
+        h1, h2 = view.delayed_csi(slot)[target_rx - 1, :, :, :m_eff]
+        parts.append(h1 @ x1 + h2 @ x2)
+    return np.concatenate(parts)
+
+
+class LoopRun(schemes._Run):
+    """The encoder state of ``schemes.run``, sending and reconstructing slot
+    by slot: per slot, one channel product ``y_j = h_j1 x1 + h_j2 x2`` and
+    one ledger advance; per acquired slot, one solve."""
+
+    def send(self, slots, x):
+        tr = self.transcript
+        m, m_eff = tr.config.m, tr.config.effective_m
+        for idx, slot in enumerate(slots):
+            x1 = np.zeros(m, dtype=complex)
+            x2 = np.zeros(m, dtype=complex)
+            x1[:m_eff] = x[1][idx * m_eff : (idx + 1) * m_eff]
+            x2[:m_eff] = x[2][idx * m_eff : (idx + 1) * m_eff]
+            state = tr.states[slot]
+            (h11, h12), (h21, h22) = state
+            y1, y2 = h11 @ x1 + h12 @ x2, h21 @ x1 + h22 @ x2
+            tr.inputs.append((x1, x2))
+            tr.outputs.append((y1, y2))
+            tr.knowledge.advance_slot(slot, (y1, y2), state)
+
+    def acquire_output(self, node, target_rx, slots, at_slot):
+        view = self.transcript.knowledge.view(node, at_slot)
+        try:
+            return np.concatenate([view.fed_back_output(target_rx, t) for t in slots])
+        except UnauthorizedAccess:
+            pass
+        config = self.transcript.config
+        own = [self.transcript.inputs[t - 1][node.index - 1][: config.effective_m] for t in slots]
+        peer = loop_recover_peer_inputs(view, config, slots, own)
+        x1s, x2s = (own, peer) if node.index == 1 else (peer, own)
+        return loop_rebuild_receiver_output(view, config, slots, x1s, x2s, target_rx)

@@ -217,6 +217,23 @@ class TestApplyChannel:
         with pytest.raises(InvalidShape):
             apply_channel(state, np.zeros(3), np.zeros(2))
 
+    @pytest.mark.parametrize("m,n,horizon", [(2, 3, 9), (1, 1, 1), (4, 2, 5), (3, 3, 4)])
+    def test_stack_equals_per_slot_calls(self, m, n, horizon):
+        seq = make_states(m, n, horizon, seed=8)
+        x1, x2 = matcore.random_matrix(horizon, m, matcore.substream(8, "x"), batch=(2,))
+        y1, y2 = apply_channel(seq.blocks, x1, x2)
+        for t in range(horizon):
+            one = apply_channel(seq.blocks[t], x1[t], x2[t])
+            assert y1[t].tobytes() == one[0].tobytes() and y2[t].tobytes() == one[1].tobytes()
+        assert y1.shape == y2.shape == (horizon, n)
+
+    def test_stack_shape_mismatch(self):
+        seq = make_states(2, 3, 4)
+        with pytest.raises(InvalidShape):
+            apply_channel(seq.blocks, np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(InvalidShape):
+            apply_channel(seq.blocks, np.zeros(2), np.zeros(2))
+
 
 class TestLiftPhase:
     def test_single_slot_unchanged(self):

@@ -13,6 +13,15 @@ from xsdof import cli, verify
 from xsdof.errors import UnauthorizedAccess
 
 
+def subprocess_env(**extra):
+    """The environment for a ``python -m xsdof`` subprocess: this package's
+    source first on ``PYTHONPATH``, then ``extra``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -253,11 +262,8 @@ class TestSimulateCommand:
             "    counts.append(len(made))\n"
             "print(counts)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=60)
+                              env=subprocess_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 5, 5]"
 
@@ -319,15 +325,28 @@ class TestClosedStdout:
         # write to it fails, as behind `| head` once head has exited
         read_end, write_end = os.pipe()
         os.close(read_end)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "xsdof", "region", "--M", "2", "--N", "3"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
+
+
+class TestHashSeed:
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scheme", "A", "--M", "2", "--N", "3", "--trials", "2", "--seed", "5"),
+        ("verify", "--suite", "ranks", "--trials", "1"),
+    ])
+    def test_stdout_does_not_depend_on_the_hash_seed(self, argv):
+        # string and enum hashes change with PYTHONHASHSEED; no output may follow them
+        outs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "xsdof", *argv], capture_output=True,
+                                  env=subprocess_env(PYTHONHASHSEED=hash_seed), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]

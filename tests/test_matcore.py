@@ -10,7 +10,13 @@ import pytest
 
 from xsdof import matcore
 from xsdof.channel import lift_rows
-from xsdof.errors import InvalidInput, InvalidMatrix, InvalidShape, SingularSystem
+from xsdof.errors import (
+    IllConditioned,
+    InvalidInput,
+    InvalidMatrix,
+    InvalidShape,
+    SingularSystem,
+)
 
 
 def rng(seed=0):
@@ -120,6 +126,51 @@ class TestSolveFullColumnRank:
     def test_wide_rejected(self):
         with pytest.raises(InvalidShape):
             matcore.solve_full_column_rank(np.ones((2, 3)), np.ones(2))
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("t,r,c", [(1, 3, 2), (9, 3, 2), (4, 5, 5), (16, 8, 3)])
+    def test_equals_per_matrix_solves_bit_for_bit(self, t, r, c):
+        g = rng(t + r + c)
+        a = matcore.random_matrix(r, c, g, batch=(t,))
+        b = matcore.random_matrix(t, r, g)
+        b_cols = matcore.random_matrix(r, 2, g, batch=(t,))
+        for rhs in (b, b_cols):  # a vector, then two right-hand sides, per matrix
+            stacked = matcore.solve_full_column_rank(a, rhs)
+            alone = [matcore.solve_full_column_rank(a_s, b_s) for a_s, b_s in zip(a, rhs)]
+            assert stacked.x.tobytes() == np.array([s.x for s in alone]).tobytes()
+            assert stacked.condition == max(s.condition for s in alone)
+
+    def test_one_deficient_slot_is_singular(self):
+        g = rng(20)
+        a = matcore.random_matrix(4, 3, g, batch=(5,))
+        a[2, :, 2] = a[2, :, 0] + a[2, :, 1]  # slot 2's columns are dependent
+        with pytest.raises(SingularSystem):
+            matcore.solve_full_column_rank(a, np.ones((5, 4)))
+
+    def test_condition_is_the_worst_slot(self):
+        g = rng(21)
+        a = matcore.random_matrix(4, 3, g, batch=(3,))
+        a[1, :, 2] = a[1, :, 0] + 1e-7 * a[1, :, 2]  # only slot 1 is ill-conditioned
+        worst = matcore.solve_full_column_rank(a[1], np.ones(4)).condition
+        assert matcore.solve_full_column_rank(a, np.ones((3, 4))).condition == worst
+        with pytest.raises(IllConditioned):
+            matcore.solve_full_column_rank(a, np.ones((3, 4)), condition_limit=worst / 2)
+        matcore.solve_full_column_rank(a, np.ones((3, 4)), condition_limit=worst * 2)
+
+    @pytest.mark.parametrize("rhs_shape", [(3, 5), (2, 4), (4,), (3, 4, 2, 1), (2, 4, 1)])
+    def test_mismatched_stack_shapes_rejected(self, rhs_shape):
+        a = matcore.random_matrix(4, 3, rng(22), batch=(3,))
+        with pytest.raises(InvalidShape):
+            matcore.solve_full_column_rank(a, np.ones(rhs_shape))
+
+    def test_wide_stack_rejected(self):
+        with pytest.raises(InvalidShape):
+            matcore.solve_full_column_rank(np.ones((2, 2, 3)), np.ones((2, 2)))
+
+    def test_four_dimensional_system_rejected(self):
+        with pytest.raises(InvalidMatrix):
+            matcore.solve_full_column_rank(np.ones((2, 2, 4, 3)), np.ones((2, 2, 4)))
 
 
 class TestRandomMatrix:

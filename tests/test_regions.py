@@ -13,6 +13,17 @@ from xsdof import regions
 from xsdof.errors import InvalidInput, RegimeError
 
 
+def mirrored(poly):
+    """``poly`` reflected across the diagonal y = x, its vertices in the
+    counterclockwise hull order the region constructors use."""
+    return regions.RegionPolygon(
+        regions._ccw_hull((y, x) for x, y in poly.vertices),
+        {k: (v[1], v[0]) for k, v in poly.labels.items()},
+        poly.model,
+        dict(poly.flags),
+    )
+
+
 class TestDs:
     @pytest.mark.parametrize(
         "n,mp,want",
@@ -105,9 +116,9 @@ class TestSdofRegion:
             for n in range(1, 7):
                 for model in ("asym-fb-dcsit", "asym-fb"):
                     poly = regions.sdof_region(m, n, model)
-                    assert poly.mirrored().vertices == poly.vertices
+                    assert mirrored(poly).vertices == poly.vertices
                 poly = regions.dof_region(m, n)
-                assert poly.mirrored().vertices == poly.vertices
+                assert mirrored(poly).vertices == poly.vertices
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidInput):

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from dense_reference import dense_decode
+from dense_reference import LoopRun, dense_decode
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
 from xsdof.errors import DecodeFailure, InvalidInput, RegimeError, UnauthorizedAccess
-from xsdof.knowledge import ItemKind, Node
+from xsdof.knowledge import ItemKind, KnowledgeBase, Node
 from xsdof.schemes import SchemeId, variant
 
 
@@ -209,6 +209,71 @@ class TestRun:
             schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=1, mutation="nope")
         with pytest.raises(InvalidInput):
             schemes.run(variant(SchemeId.B), AntennaConfig(1, 1), seed=1, mutation="skip_phase1")
+
+
+def _encoder_cases():
+    """(scheme, m, n, tx1_only, mutation): every encoder path, the
+    reconstruction through delayed CSI (A, C's tx1-only mode, E), surplus
+    antennas (A(4,2)) and A's mutants."""
+    cases = [(SchemeId.A, 2, 3, False, None), (SchemeId.C, 2, 3, True, None),
+             (SchemeId.E, 2, 3, False, None), (SchemeId.D, 2, 3, False, None),
+             (SchemeId.B, 1, 1, False, None), (SchemeId.A, 4, 2, False, None)]
+    cases += [(SchemeId.A, 2, 3, False, mutation) for mutation in schemes.MUTATIONS]
+    return [pytest.param(*case, id=f"{case[0].value}{case[1]}{case[2]}"
+                         + ("-tx1" if case[3] else "") + (f"-{case[4]}" if case[4] else ""))
+            for case in cases]
+
+
+def _encode_with(monkeypatch, encoder, spec, config, **kwargs):
+    """``schemes.run`` with encoder state class ``encoder``: the ledger's
+    access log, and the transcript or the :class:`UnauthorizedAccess` that
+    aborted the run."""
+    ledgers = []
+
+    class Recorded(KnowledgeBase):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            ledgers.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes, "_Run", encoder)
+        patch.setattr(schemes, "KnowledgeBase", Recorded)
+        try:
+            outcome = schemes.run(spec, config, **kwargs)
+        except UnauthorizedAccess as exc:
+            outcome = exc
+    return ledgers[0].log, outcome
+
+
+class TestPhaseEncoder:
+    """The encoder sends and reconstructs a phase at a time; the per-slot
+    encoder of ``dense_reference`` must read the same items in the same
+    order and send the same bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _encoder_cases())
+    def test_same_reads_and_bits_as_per_slot(self, monkeypatch, scheme, m, n, tx1_only,
+                                             mutation, seed):
+        spec, config = variant(scheme, tx1_only), AntennaConfig(m, n)
+        log, got = _encode_with(monkeypatch, schemes._Run, spec, config, seed=seed,
+                                mutation=mutation)
+        ref_log, want = _encode_with(monkeypatch, LoopRun, spec, config, seed=seed,
+                                     mutation=mutation)
+        assert log == ref_log  # every (node, kind, key, at_slot, granted) record
+        for field in ("inputs", "outputs"):
+            ours, theirs = np.array(getattr(got, field)), np.array(getattr(want, field))
+            assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), field
+
+    @pytest.mark.parametrize("scheme,tx1_only", [(SchemeId.A, False), (SchemeId.E, False),
+                                                 (SchemeId.C, True)])
+    def test_denied_read_aborts_at_the_same_read(self, monkeypatch, scheme, tx1_only):
+        spec = replace(variant(scheme, tx1_only), model=FeedbackModel.ASYM_FB_ONLY)
+        log, got = _encode_with(monkeypatch, schemes._Run, spec, AntennaConfig(2, 3), seed=4)
+        ref_log, want = _encode_with(monkeypatch, LoopRun, spec, AntennaConfig(2, 3), seed=4)
+        assert isinstance(got, UnauthorizedAccess) and isinstance(want, UnauthorizedAccess)
+        assert str(got) == str(want)
+        assert log == ref_log and not log[-1].granted
 
 
 class TestDecode:
