@@ -8,7 +8,8 @@ Four subcommands::
     xsdof verify   --suite all [--seed 3]
 
 Exit codes: 0 success, 1 stdout closed early (``__main__.entry``), 2 usage
-error, 3 regime/domain refusal or a scheme/model mismatch, 4 invariant
+error, 3 regime/domain refusal, a scheme/model mismatch or a configuration
+whose estimated peak memory exceeds :data:`MEMORY_BUDGET`, 4 invariant
 failure.  JSON output is canonical and byte-deterministic for identical
 flags and seed: exact values appear as ``{"num": ..., "den": ...}`` objects,
 keys are emitted in fixed order, and wall-clock timings are deliberately
@@ -39,6 +40,10 @@ EXIT_REGIME = 3
 EXIT_INVARIANT = 4
 
 MODEL_KEYS = tuple(m.value for m in FeedbackModel)
+
+#: Estimated peak bytes above which ``simulate`` refuses a configuration
+#: (``schemes.peak_bytes``): half of an 8 GB desk machine.
+MEMORY_BUDGET = 4 * 2**30
 
 
 def _dumps(obj) -> str:
@@ -86,6 +91,12 @@ def _cmd_simulate(args) -> int:
     spec = schemes.variant(scheme, args.tx1_only)
     if args.model:
         spec = replace(spec, model=FeedbackModel(args.model))
+    need = schemes.peak_bytes(schemes.plan(spec, config), config)
+    if need > MEMORY_BUDGET:
+        print(f"resource refusal: {scheme.value}({args.M},{args.N}) needs about "
+              f"{need / 2**30:.1f} GiB per trial, over the {MEMORY_BUDGET / 2**30:.0f} GiB budget",
+              file=sys.stderr)
+        return EXIT_REGIME
     try:
         reports = [
             run_trial(spec, config, seed=args.seed + i, with_oracle=not args.no_oracle)

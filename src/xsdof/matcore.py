@@ -2,7 +2,8 @@
 
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
-tolerance report, per-slot null bases of block-diagonal maps, QR
+tolerance report, a Cholesky full-rank certificate that falls back to that
+rank, per-slot null bases of block-diagonal maps, QR
 factorization, square/tall solving with a condition estimate, seeded random
 matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
 which no trial calls).
@@ -41,6 +42,9 @@ DEFAULT_REL_TOL = 1e-9
 
 #: Solves whose condition estimate exceeds this are flagged for resampling.
 CONDITION_LIMIT = 1e12
+
+#: Unit round-off of double-precision arithmetic.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -132,6 +136,36 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL, scale: float = 0.0) -> RankReport:
 def rank_value(a, rel_tol: float = DEFAULT_REL_TOL) -> int:
     """Shorthand for ``rank(a, rel_tol).value``."""
     return rank(a, rel_tol).value
+
+
+def has_full_rank(a, rel_tol: float = DEFAULT_REL_TOL) -> bool:
+    """Whether ``rank(a, rel_tol).value == min(a.shape)``, mostly without an SVD.
+
+    A Cholesky factor ``L`` of the smaller Gram matrix (``a^H a`` for a tall
+    ``r x c`` matrix, ``a a^H`` for a wide one) certifies full rank when
+    ``1/||L^-1||_F^2 > 2 (rel_tol^2 + 4 (r + c) u) ||a||_F^2``, ``u`` the
+    unit round-off.  ``1/||L^-1||_F^2`` bounds the Gram matrix's smallest
+    eigenvalue, ``sigma_min(a)^2``, from below; the ``(r + c) u`` term
+    covers the rounding of the Gram product and of the factor (Higham 2002,
+    Thm 10.3); and ``sigma_max(a) <= ||a||_F``.  So a pass proves that
+    :func:`rank`'s cut keeps every singular value.  A factorization that
+    fails, or a bound that does not hold, leaves the decision to
+    :func:`rank`.  A matrix with a zero dimension has full rank 0.
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
+    m = as_matrix(a)
+    r, c = m.shape
+    if min(r, c) == 0:
+        return True
+    gram = m.conj().T @ m if r >= c else m @ m.conj().T
+    bound = 2.0 * (rel_tol**2 + 4 * (r + c) * UNIT_ROUNDOFF) * np.linalg.norm(m) ** 2
+    try:
+        if 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(gram))) ** 2 > bound:
+            return True
+    except np.linalg.LinAlgError:
+        pass
+    return rank(m, rel_tol).value == min(r, c)
 
 
 def batch_rank(stack: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

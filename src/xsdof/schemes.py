@@ -217,6 +217,27 @@ def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
     return PhasePlan(lengths, 2 * m * lengths[1])
 
 
+#: A trial's measured peak memory over its largest linear replay: 3.4 to 4.3
+#: times, above the interpreter's own, on scheme A from (6,6) to (10,10).
+PEAK_PER_REPLAY = 4
+
+
+def peak_bytes(pln: PhasePlan, config: AntennaConfig) -> int:
+    """Estimated peak memory of one trial with its subspace oracle, in bytes.
+
+    A :func:`linear_response` replay is the largest array of a trial: both
+    receivers' ``n`` rows a slot over the horizon, times the group's ``2m
+    t`` columns (``t`` is ``t1`` for the noise, ``t2`` for a secret group),
+    of 16-byte complex entries; the trial peaks at about
+    :data:`PEAK_PER_REPLAY` times the largest.  Nothing is drawn to
+    estimate it.
+    """
+    m, n = config.effective_m, config.n
+    t1, t2 = pln.phase_lengths[:2]
+    replay = 2 * n * pln.horizon * 2 * m * max(t1, t2) * 16
+    return PEAK_PER_REPLAY * replay
+
+
 @dataclass(frozen=True)
 class Precoders:
     """Publicly known mixing and retransmission matrices.
@@ -247,8 +268,12 @@ def draw_precoders(
     that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
     own, gives each precoder one carrier, so it draws the same precoders.
 
-    A Gaussian draw is full rank almost surely; exhausting the retries
-    therefore signals a tolerance bug, not bad luck.
+    Full rank is decided by :func:`matcore.has_full_rank`: a Cholesky
+    certificate, with the SVD rank only where that cannot certify.  Both
+    accept exactly the candidates the SVD rank accepts, so the stream and
+    the precoders are those of an SVD check.  A Gaussian draw is full rank
+    almost surely; exhausting the retries therefore signals a tolerance
+    bug, not bad luck.
     """
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
@@ -258,7 +283,7 @@ def draw_precoders(
         shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
         for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
-            if matcore.rank_value(cand) == min(shape):
+            if matcore.has_full_rank(cand):
                 drawn[name] = cand
                 break
         else:
@@ -659,7 +684,9 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     The channel acts slot by slot: each phase is one batched product of the
     ``(t, n, 2m)`` slot blocks of both receivers with the ``(t, 2m, k)``
     per-slot input slices, written into one ``(2, horizon, n, k)`` array
-    whose two halves are the returned maps.
+    whose two halves are the returned maps.  A phase whose input is all
+    zero, as a secret replay's noise phase and the other group's fresh
+    phase are, is written as zeros and multiplies nothing.
     """
     transcript.check_complete()
     cfg, sym = transcript.config, transcript.symbols
@@ -681,11 +708,15 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     bounds = np.cumsum([0] + [len(slots) for slots in ranges])
 
     def send(p: int, x: np.ndarray):
-        """Phase ``p``'s outputs of stacked input ``x``, written into ``y``."""
+        """Phase ``p``'s outputs of stacked input ``x``, written into ``y``;
+        an all-zero input writes zeros without a product."""
         lo, hi = bounds[p - 1], bounds[p]
         t = hi - lo
-        per_slot = x.reshape(2, t, m, k).transpose(1, 0, 2, 3).reshape(t, 2 * m, k)
-        np.matmul(slot_rows[:, lo:hi], per_slot, out=y[:, lo:hi])
+        if not x.any():
+            y[:, lo:hi] = 0.0
+        else:
+            per_slot = x.reshape(2, t, m, k).transpose(1, 0, 2, 3).reshape(t, 2 * m, k)
+            np.matmul(slot_rows[:, lo:hi], per_slot, out=y[:, lo:hi])
         return stacks[0, n * lo : n * hi], stacks[1, n * lo : n * hi]
 
     y1p1, y2p1 = send(1, u)

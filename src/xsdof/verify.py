@@ -21,10 +21,13 @@ conditioned on its own messages, the secret symbols' columns must lie
 inside the noise columns' span, so any secret value is explainable by some
 noise realization.  The noise phase is eliminated from both maps first,
 slot by slot, after exact checks of the phase structure that elimination
-rests on.  :func:`columns_contained` confirms a clear containment from one
-QR of the reduced noise map and the secret columns' residual off its span,
-and compares the two ranks in every other case: a leak, a rank-deficient
-noise map, or a residual too close to the rank cut to call.
+rests on (the secret map is zero in the noise phase and in the receiver's
+own fresh phase).  :func:`columns_contained` confirms a clear containment
+by solving the reduced noise map's square block in the other receiver's
+fresh phase (schemes A, B and D), or else from one QR of the reduced noise
+map and the secret columns' residual off its span; it compares the two
+ranks in every other case: a leak, a rank-deficient noise map, or a
+residual too close to the rank cut to call.
 
 Every rank cut on a reduced matrix is floored at the scale of the block
 eliminated from it (``scale`` in :func:`matcore.rank`): relative to its own
@@ -178,48 +181,90 @@ def columns_contained(
     secret: np.ndarray,
     rel_tol: float = matcore.DEFAULT_REL_TOL,
     scale: float = 0.0,
+    rows: slice | None = None,
 ) -> bool:
     """Whether ``rank([noise | secret]) == rank(noise)`` at ``rel_tol``.
 
     ``scale`` floors the scale both rank cuts are relative to (see
-    :func:`matcore.rank`).  One QR of ``noise`` gives its rank (``R`` has
-    ``noise``'s singular values) and, when that rank is full, the residual
-    of ``secret`` off the noise span, which confirms a clear containment
-    without the joint SVD (see :func:`_clearly_contained`).  Every other
-    case, a leak or a rank-deficient ``noise`` included, compares the two
-    ranks; with no noise columns that asks for a secret map of rank 0.
+    :func:`matcore.rank`).  Two exits confirm a clear containment without
+    the joint SVD (see :func:`_clearly_contained`):
+
+    * the block solve: when ``rows`` selects a square row block ``B`` of
+      ``noise``, ``z = B^-1 secret[rows]``, with ``1/||B^-1||_F`` as the
+      lower bound on ``noise``'s smallest singular value and the residual
+      of ``secret - noise z`` over all rows;
+    * the projection: one QR of ``noise`` gives its rank (``R`` has
+      ``noise``'s singular values) and, when that rank is full, the
+      residual of ``secret`` off the noise span.
+
+    Every other case, a leak or a rank-deficient ``noise`` included,
+    compares the two ranks; with no noise columns that asks for a secret
+    map of rank 0.
     """
-    k = noise.shape[1]
+    if rows is not None and _solved_contained(noise, secret, rows, rel_tol, scale):
+        return True
     q, r = matcore.qr(noise)
     base = matcore.rank(r, rel_tol, scale)
-    if base.value == k and _clearly_contained(
-        q, r, base.smallest_kept_singular_value, secret, rel_tol, scale
-    ):
-        return True
+    if base.value == noise.shape[1]:
+        residual = float(np.linalg.norm(secret - q @ (q.conj().T @ secret)))
+        weakest = base.smallest_kept_singular_value
+        if _clearly_contained(np.linalg.norm(r, axis=0), secret, weakest, residual, rel_tol, scale):
+            return True
     return matcore.rank(np.hstack([noise, secret]), rel_tol, scale).value == base.value
 
 
-def _clearly_contained(
-    q, r, weakest: float, secret: np.ndarray, rel_tol: float, scale: float
+def _solved_contained(
+    noise: np.ndarray, secret: np.ndarray, rows: slice, rel_tol: float, scale: float
 ) -> bool:
-    """Whether ``secret`` lies in the span of a full-column-rank ``q @ r``
-    (smallest singular value ``weakest``) by a margin no rank cut overturns.
+    """The block-solve exit of :func:`columns_contained`.
 
-    The joint matrix's rank cut is ``rel_tol`` times the larger of ``scale``
-    and its largest singular value, which lies between its largest column
-    norm and its Frobenius norm.  Its singular values past the noise
-    columns' are at most the residual's Frobenius norm, which must clear
-    the smallest possible cut by :data:`CONTAINMENT_GUARD`; its k-th is at
-    least ``weakest``, which must clear the largest possible cut so that no
-    noise column is lost.
+    The square block ``B = noise[rows]`` is a row block of ``noise``, so
+    ``1/||B^-1||_F <= sigma_min(B) <= sigma_k(noise) <= sigma_k([noise |
+    secret])`` with ``k`` the noise columns; and ``[noise | secret]`` is
+    within ``||secret - noise z||_F`` of the rank-``k`` ``[noise | noise
+    z]``, which bounds its every later singular value.  A block that is not
+    square, is empty or is exactly singular leaves the decision to the
+    projection.
+    """
+    block = noise[rows]
+    if block.shape[0] != block.shape[1] or block.size == 0:
+        return False
+    try:
+        inverse = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return False
+    residual = float(np.linalg.norm(secret - noise @ (inverse @ secret[rows])))
+    weakest = 1.0 / float(np.linalg.norm(inverse))
+    noise_norms = np.linalg.norm(noise, axis=0)
+    return _clearly_contained(noise_norms, secret, weakest, residual, rel_tol, scale)
+
+
+def _clearly_contained(
+    noise_norms: np.ndarray,
+    secret: np.ndarray,
+    weakest: float,
+    residual: float,
+    rel_tol: float,
+    scale: float,
+) -> bool:
+    """Whether ``secret`` lies in the span of a full-column-rank ``noise``
+    (column norms ``noise_norms``) by a margin no rank cut overturns.
+
+    ``weakest`` is a lower bound on the joint matrix's ``k``-th singular
+    value, ``k`` being the noise columns, and ``residual`` an upper bound on
+    its singular values past the ``k``-th.  The joint matrix's rank cut is
+    ``rel_tol`` times the larger of ``scale`` and its largest singular
+    value, which lies between its largest column norm and its Frobenius
+    norm.  ``residual`` must clear the smallest possible cut by
+    :data:`CONTAINMENT_GUARD`, and ``weakest`` the largest possible cut, so
+    that no noise column is lost.
     """
     secret_norms = np.linalg.norm(secret, axis=0)
-    upper = max(float(np.hypot(np.linalg.norm(r), np.linalg.norm(secret_norms))), scale)
+    upper = max(float(np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms))), scale)
     if weakest <= rel_tol * upper:
         return False
-    noise_col = float(np.max(np.linalg.norm(r, axis=0)))
+    noise_col = float(np.max(noise_norms, initial=0.0))
     lower = max(noise_col, float(np.max(secret_norms, initial=0.0)), scale)
-    residual = float(np.linalg.norm(secret - q @ (q.conj().T @ secret)))
     return residual * CONTAINMENT_GUARD <= rel_tol * lower
 
 
@@ -239,15 +284,21 @@ def _phase1_blocks(noise: np.ndarray, m: int, n: int, t1: int) -> np.ndarray:
     return blocks.reshape(t1, n, 2 * m)
 
 
-def _secret_past_phase1(transcript: Transcript, group: str, rx: int, p1: int) -> np.ndarray:
+def _secret_past_phase1(
+    transcript: Transcript, group: str, rx: int, p1: int, own: slice
+) -> np.ndarray:
     """Receiver ``rx + 1``'s map of secret group ``group`` past its first
     ``p1`` rows, the noise phase, as an owned copy (the replay is freed on
-    return).  The secret symbols enter after the noise phase, so a map
-    with nonzero phase-1 rows is refused."""
+    return).  The secret symbols enter after the noise phase and outside
+    the receiver's own fresh phase (rows ``own`` of the copy), so a map
+    with nonzero rows in either is refused."""
     secret = schemes.linear_response(transcript, group)[rx]
     if np.any(secret[:p1]):
         raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
-    return secret[p1:].copy()
+    secret = secret[p1:].copy()
+    if np.any(secret[own]):
+        raise InvalidTranscript("secret symbols reach the receiver during its own fresh phase")
+    return secret
 
 
 def equivocation_subspace_check(
@@ -273,10 +324,16 @@ def equivocation_subspace_check(
     :func:`columns_contained` decides, with its rank cuts kept at ``G``'s
     scale.  With an empty noise phase ``G`` is empty and the noise maps
     have no columns, so the secret maps must have rank 0.
+
+    A secret map's rows in the receiver's own fresh phase are zero too
+    (checked exactly), and the reduced noise map's rows in the other
+    receiver's fresh phase are the row block :func:`columns_contained`
+    solves when it is square: for schemes A, B and D the block is
+    ``(2m-n) t1`` square, and its solve replaces the QR.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
-    t1 = len(transcript.phase_ranges()[0])
+    t1, t2, t3, _ = (len(slots) for slots in transcript.phase_ranges())
     p1 = n * t1
     noise = schemes.linear_response(transcript, "u")
     blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
@@ -284,8 +341,16 @@ def equivocation_subspace_check(
     reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
     # the reduced maps are new arrays: the noise replay is freed before the secret ones
     del noise
+    # past the noise phase, the rows of receiver 1's and receiver 2's fresh phases
+    fresh = (slice(0, n * t2), slice(n * t2, n * (t2 + t3)))
     return tuple(
-        columns_contained(noise_map, _secret_past_phase1(transcript, group, rx, p1), rel_tol, scale)
+        columns_contained(
+            noise_map,
+            _secret_past_phase1(transcript, group, rx, p1, fresh[rx]),
+            rel_tol,
+            scale,
+            fresh[1 - rx],
+        )
         for rx, group, (noise_map, scale) in zip((0, 1), ("v2", "v1"), reduced)
     )
 

@@ -9,11 +9,12 @@ replayed maps, noise phase included.  ``schemes.decode``, ``schemes.carried_map`
 and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
 slot; the tests require the two to agree.
 
-Also the slot-by-slot channel-state draw that ``channel.generate_states``
-makes in one batch: one draw and one rank check per slot, in a loop; and
-the slot-by-slot encoder that ``schemes._Run`` runs a phase at a time: one
-channel product per slot, and one solve per slot to recover a peer's
-inputs.
+Also the precoder draw with every rank decided by an SVD, where
+``schemes.draw_precoders`` certifies by Cholesky first; the slot-by-slot
+channel-state draw that ``channel.generate_states`` makes in one batch: one
+draw and one rank check per slot, in a loop; and the slot-by-slot encoder
+that ``schemes._Run`` runs a phase at a time: one channel product per slot,
+and one solve per slot to recover a peer's inputs.
 """
 
 import numpy as np
@@ -139,6 +140,25 @@ def dense_oracle(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
     rx1 = verify.columns_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0], rel_tol)
     rx2 = verify.columns_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1], rel_tol)
     return rx1, rx2
+
+
+def svd_precoders(spec, config, pln, rng):
+    """``schemes.draw_precoders`` with each candidate's full rank decided by
+    :func:`matcore.rank_value` alone, in the same draw order."""
+    m, n = config.effective_m, config.n
+    t1, t2, _, t3 = pln.phase_lengths
+    drawn = {}
+    sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
+    for name, t_phase, t_prev in sizes:
+        shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
+        for _ in range(schemes.MAX_PRECODER_DRAWS):
+            cand = matcore.random_matrix(*shape, rng)
+            if matcore.rank_value(cand) == min(shape):
+                drawn[name] = cand
+                break
+        else:
+            raise AssertionError(f"{name} of shape {shape} failed rank target")
+    return schemes.Precoders(**drawn)
 
 
 def loop_states(config, horizon, rng):

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from xsdof import cli, verify
+from xsdof import cli, schemes, verify
+from xsdof.channel import AntennaConfig
 from xsdof.errors import UnauthorizedAccess
+from xsdof.schemes import SchemeId, variant
 
 
 def subprocess_env(**extra):
@@ -106,6 +108,26 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "2m <= n" in err
+
+    def test_oversized_configuration_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # the guard reads the plan only: nothing of A(14,14) is ever drawn
+        def no_draw(*args, **kw):
+            raise AssertionError("channel states drawn for a refused configuration")
+
+        monkeypatch.setattr(schemes, "generate_states", no_draw)
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "A", "--M", "14", "--N", "14")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource refusal: A(14,14) needs about 7.2 GiB per trial")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("k,refused", [(10, False), (12, False), (13, True), (14, True)])
+    def test_memory_budget_boundary(self, k, refused):
+        # A(k,k)'s noise replay is 256 k^6 bytes; A(10,10) peaked near 0.9 GB
+        config = AntennaConfig(k, k)
+        need = schemes.peak_bytes(schemes.plan(variant(SchemeId.A), config), config)
+        assert need == schemes.PEAK_PER_REPLAY * 256 * k**6
+        assert (need > cli.MEMORY_BUDGET) is refused
 
     @pytest.mark.parametrize("scheme,model", [("A", "asym-fb"), ("D", "asym-fb-dcsit-tx1")])
     def test_model_mismatch_is_a_refusal(self, capsys, scheme, model):

@@ -7,6 +7,8 @@ multiplication, block ranks by summing per-block constructions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xsdof import matcore
 from xsdof.channel import lift_rows
@@ -226,6 +228,96 @@ class TestRandomMatrix:
         assert matcore.random_matrix(3, 2, rng(), batch=(0, 2)).shape == (0, 2, 3, 2)
         with pytest.raises(InvalidInput):
             matcore.random_matrix(3, 2, rng(), batch=(2, -1))
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Shapes of the matrices ``matcore.rank`` (the SVD fallback) is asked about."""
+    shapes = []
+    rank = matcore.rank
+
+    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL, scale=0.0):
+        shapes.append(np.shape(a))
+        return rank(a, rel_tol, scale)
+
+    monkeypatch.setattr(matcore, "rank", spy)
+    return shapes
+
+
+def _planted(rows, cols, singular_values, seed):
+    """A ``rows x cols`` matrix with the given ``min(rows, cols)`` singular
+    values, between random factors with orthonormal columns."""
+    r = rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(matcore.random_matrix(rows, k, r))
+    v, _ = np.linalg.qr(matcore.random_matrix(cols, k, r))
+    return (u * np.asarray(singular_values, dtype=float)[:k]) @ v.conj().T
+
+
+class TestHasFullRank:
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 1), (432, 216)])
+    def test_gaussian_draws_are_certified_without_an_svd(self, rank_calls, shape):
+        assert matcore.has_full_rank(matcore.random_matrix(*shape, rng(30)))
+        assert rank_calls == []
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes_have_full_rank_zero(self, rank_calls, shape):
+        assert matcore.has_full_rank(np.zeros(shape, dtype=complex))
+        assert rank_calls == []
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    def test_deficient_and_zero_matrices_fall_back_and_fail(self, rank_calls, shape):
+        r = rng(31)
+        low = matcore.random_matrix(shape[0], 2, r) @ matcore.random_matrix(2, shape[1], r)
+        for a in (low, np.zeros(shape, dtype=complex)):
+            rank_calls.clear()
+            assert not matcore.has_full_rank(a)
+            assert rank_calls == [shape]
+
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+    def test_nearly_deficient_matrix_reaches_the_svd(self, rank_calls, shape):
+        # sigma_min = 1e-8 sigma_max: above the 1e-9 cut, so full rank, but
+        # below what the Cholesky factor can certify through the round-off term
+        a = _planted(*shape, [1.0, 0.7, 0.5, 0.3, 1e-8], seed=32)
+        assert matcore.rank_value(a) == 5
+        rank_calls.clear()
+        assert matcore.has_full_rank(a)
+        assert rank_calls == [shape]
+        rank_calls.clear()
+        assert not matcore.has_full_rank(a, rel_tol=1e-7)  # now below the cut
+        assert rank_calls == [shape]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(InvalidInput):
+            matcore.has_full_rank(np.eye(2), rel_tol=1.0)
+        with pytest.raises(InvalidMatrix):
+            matcore.has_full_rank(np.array([[1.0, np.inf]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(0, 12),
+        cols=st.integers(0, 12),
+        exponent=st.floats(-16.0, 0.0),
+        rel_tol=st.sampled_from([1e-7, 1e-9, 1e-11]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, rel_tol, seed):
+        # the smallest singular value swept from 1 down past every cut: a
+        # pass without the fallback is a proof the SVD keeps all of them
+        k = min(rows, cols)
+        if k:
+            a = _planted(rows, cols, [1.0] * (k - 1) + [10.0**exponent], seed)
+        else:
+            a = np.zeros((rows, cols), dtype=complex)
+        calls = []
+        rank = matcore.rank
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
+            got = matcore.has_full_rank(a, rel_tol)
+        svd_full = matcore.rank(a, rel_tol).value == k
+        assert got == svd_full
+        if not calls:
+            assert svd_full
 
 
 class TestBatchRank:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from dense_reference import LoopRun, dense_decode
+from dense_reference import LoopRun, dense_decode, svd_precoders
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
@@ -146,6 +146,59 @@ class TestPrecoders:
         b = schemes.draw_precoders(spec, cfg, pln, matcore.substream(5, "p"))
         assert np.array_equal(a.theta1, b.theta1)
         assert np.array_equal(a.phi2, b.phi2)
+
+
+class _DeficientRng:
+    """A real generator, except that draw ``k`` of ``deficient`` comes back
+    with its first row and first column zero, so the candidate misses full
+    rank whatever its shape.  Records each draw's shape."""
+
+    def __init__(self, seed, deficient):
+        self.rng, self.deficient, self.shapes = matcore.substream(seed, "p"), deficient, []
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        if len(self.shapes) in self.deficient:
+            z[..., 0, :] = 0.0
+            z[..., :, 0] = 0.0
+        self.shapes.append(shape)
+        return z
+
+
+class TestPrecoderCertificate:
+    @pytest.mark.parametrize("scheme,m,n", [(SchemeId.A, 4, 4), (SchemeId.C, 4, 5)])
+    def test_deficient_candidate_is_redrawn(self, scheme, m, n):
+        # A(4,4)'s precoders are tall (128 x 64), C(4,5)'s wide (48 x 125,
+        # 36 x 60); the second draw redraws theta1, the fifth phi1
+        cfg, spec = AntennaConfig(m, n), variant(scheme)
+        pln = schemes.plan(spec, cfg)
+        stub = _DeficientRng(11, {0, 3})
+        got = schemes.draw_precoders(spec, cfg, pln, stub)
+        assert len(stub.shapes) == 6
+        assert stub.shapes[0] == stub.shapes[1] and stub.shapes[3] == stub.shapes[4]
+        rng = matcore.substream(11, "p")
+        draws = [matcore.random_matrix(*shape[1:], rng) for shape in stub.shapes]
+        for name, index in (("theta1", 1), ("theta2", 2), ("phi1", 4), ("phi2", 5)):
+            assert getattr(got, name).tobytes() == draws[index].tobytes(), name
+
+    @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
+    def test_bit_identical_to_svd_rank_draws(self, scheme, m, n, tx1_only):
+        cfg, spec = AntennaConfig(m, n), variant(scheme, tx1_only)
+        pln = schemes.plan(spec, cfg)
+        for seed in range(3):
+            got = schemes.draw_precoders(spec, cfg, pln, matcore.substream(seed, "precoders"))
+            want = svd_precoders(spec, cfg, pln, matcore.substream(seed, "precoders"))
+            for name in ("theta1", "theta2", "phi1", "phi2"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_generic_draws_need_no_svd(self, monkeypatch):
+        calls = []
+        rank = matcore.rank
+        monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
+        for scheme, m, n in ((SchemeId.A, 4, 4), (SchemeId.C, 4, 5), (SchemeId.E, 4, 4)):
+            cfg, spec = AntennaConfig(m, n), variant(scheme)
+            schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(1, "p"))
+        assert calls == []
 
 
 class TestRun:

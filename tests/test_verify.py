@@ -243,9 +243,9 @@ class TestSubspaceOracle:
         seen = []
         contained = verify.columns_contained
 
-        def spy(noise, secret, rel_tol, scale=0.0):
+        def spy(noise, secret, *args):
             seen.append((noise, secret))
-            return contained(noise, secret, rel_tol, scale)
+            return contained(noise, secret, *args)
 
         monkeypatch.setattr(verify, "columns_contained", spy)
         verdicts = verify.equivocation_subspace_check(transcript)
@@ -297,6 +297,22 @@ class TestSubspaceOracle:
 
         monkeypatch.setattr(schemes, "linear_response", leaky)
         with pytest.raises(InvalidTranscript, match="noise phase"):
+            verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
+
+    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 0), ("v1", 1, 9)])
+    def test_secret_in_own_fresh_phase_is_refused(self, monkeypatch, group, rx, row):
+        # A(2,3): 27 noise-phase rows, then 9 rows for each fresh phase;
+        # receiver 1's own is phase 2, receiver 2's phase 3
+        replay = schemes.linear_response
+
+        def leaky(transcript, name):
+            maps = replay(transcript, name)
+            if name == group:
+                maps[rx][27 + row, 0] = 1e-300  # a trace at any scale is refused
+            return maps
+
+        monkeypatch.setattr(schemes, "linear_response", leaky)
+        with pytest.raises(InvalidTranscript, match="own fresh phase"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
     @pytest.mark.parametrize("rx", [0, 1])
@@ -355,6 +371,120 @@ class TestSubspaceOracle:
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
+
+
+#: Receivers whose containment the block solve decides, by agreement case.
+#: A, B and D's block is square, ``(2m-n) t1`` wide; C's is not, E and
+#: ``skip_phase1`` have no noise columns, and ``theta1_zero`` zeroes receiver
+#: 2's block.
+BLOCK_SOLVED = {
+    (SchemeId.A, 2, 3, None): (True, True),
+    (SchemeId.B, 4, 4, None): (True, True),
+    (SchemeId.C, 2, 3, None): (False, False),
+    (SchemeId.C, 2, 3, "tx1_only"): (False, False),
+    (SchemeId.D, 2, 3, None): (True, True),
+    (SchemeId.E, 2, 3, None): (False, False),
+    (SchemeId.A, 4, 4, None): (True, True),
+    (SchemeId.C, 4, 5, None): (False, False),
+    (SchemeId.E, 4, 4, None): (False, False),
+    (SchemeId.A, 3, 4, "theta1_zero"): (True, False),
+    (SchemeId.A, 3, 4, "phi1_zero"): (True, True),
+    (SchemeId.A, 3, 4, "skip_phase1"): (False, False),
+    (SchemeId.A, 5, 5, None): (True, True),
+}
+
+#: Least ratio between the bounds the block solve proves on the ``k``-th and
+#: the ``(k+1)``-th singular value of ``[noise | secret]``: the evidence
+#: that its containment verdict is no tolerance accident.
+BLOCK_SOLVE_GAP = 1e6
+
+
+def _oracle_exits(monkeypatch, transcript):
+    """The oracle's verdicts and, per receiver, the block solve's guard
+    arguments ``(noise_norms, secret, weakest, residual, scale)`` where it
+    decided, else None."""
+    solved = []
+    block, guard = verify._solved_contained, verify._clearly_contained
+
+    def solved_spy(noise, secret, rows, rel_tol, scale):
+        seen = []
+
+        def guard_spy(noise_norms, secret, weakest, residual, rel_tol, scale):
+            seen.append((noise_norms, secret, weakest, residual, scale))
+            return guard(noise_norms, secret, weakest, residual, rel_tol, scale)
+
+        monkeypatch.setattr(verify, "_clearly_contained", guard_spy)
+        try:
+            decided = block(noise, secret, rows, rel_tol, scale)
+        finally:
+            monkeypatch.setattr(verify, "_clearly_contained", guard)
+        solved.append(seen[0] if decided else None)
+        return decided
+
+    monkeypatch.setattr(verify, "_solved_contained", solved_spy)
+    verdicts = verify.equivocation_subspace_check(transcript)
+    monkeypatch.setattr(verify, "_solved_contained", block)
+    return verdicts, solved
+
+
+class TestBlockSolve:
+    def test_exit_and_margins_of_every_agreement_case(self, monkeypatch):
+        rel_tol = matcore.DEFAULT_REL_TOL
+        for case, transcript in agreement_transcripts([(SchemeId.A, 5, 5, None, [7])]):
+            verdicts, solved = _oracle_exits(monkeypatch, transcript)
+            assert tuple(entry is not None for entry in solved) == BLOCK_SOLVED[case[:4]], case
+            assert verdicts == dense_oracle(transcript), case
+            for noise_norms, secret, weakest, residual, scale in filter(None, solved):
+                secret_norms = np.linalg.norm(secret, axis=0)
+                largest_cut = rel_tol * max(
+                    np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms)), scale)
+                smallest_cut = rel_tol * max(noise_norms.max(), secret_norms.max(), scale)
+                assert weakest > largest_cut, case
+                assert residual * verify.CONTAINMENT_GUARD <= smallest_cut, case
+                assert weakest >= BLOCK_SOLVE_GAP * residual, (case, weakest / residual)
+
+    def test_qr_is_skipped_where_the_block_decides(self, monkeypatch):
+        calls = []
+        qr = matcore.qr
+        monkeypatch.setattr(matcore, "qr", lambda a: calls.append(np.shape(a)) or qr(a))
+        assert verify.equivocation_subspace_check(transcript_for(SchemeId.A, 4, 4)) == (True, True)
+        assert calls == []
+        assert verify.equivocation_subspace_check(transcript_for(SchemeId.C, 4, 5)) == (
+            False, False)
+        assert calls == [(165, 75), (165, 75)]  # the whole reduced map, 60 x 75 block
+
+    def test_singular_or_non_square_blocks_fall_through(self, joint_rank_calls):
+        rng = np.random.default_rng(8)
+        a = _gaussian(rng, 30, 8)
+        s = a @ _gaussian(rng, 8, 3)
+        assert verify.columns_contained(a, s, rows=slice(0, 8))
+        assert joint_rank_calls == []  # no QR, no rank at all
+        singular = a.copy()
+        singular[:8] = 0.0
+        for rows in (slice(0, 7), slice(0, 8)):
+            joint_rank_calls.clear()
+            assert verify.columns_contained(singular, singular @ _gaussian(rng, 8, 3), rows=rows)
+            assert joint_rank_calls == [8]  # the QR's base rank: the projection decided
+
+    def test_block_solve_leaves_a_leak_to_the_rank_pair(self, joint_rank_calls):
+        rng = np.random.default_rng(9)
+        a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 2)
+        assert not verify.columns_contained(a, s, rows=slice(4, 12))
+        assert joint_rank_calls == [8, 10]
+
+
+@pytest.mark.slow
+def test_large_configuration_a88(monkeypatch):
+    # opt-in (-m slow): the ladder's next rung, against the whole-map oracle
+    calls = []
+    rank = matcore.rank
+    monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
+    transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
+    assert calls == []  # all four precoders certified without an SVD
+    monkeypatch.setattr(matcore, "rank", rank)
+    verdicts, solved = _oracle_exits(monkeypatch, transcript)
+    assert verdicts == dense_oracle(transcript) == (True, True)
+    assert all(entry is not None for entry in solved)
 
 
 def _reference_contained(a, s, tol=1e-9):
