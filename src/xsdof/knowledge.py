@@ -13,7 +13,6 @@ sends back: an item produced at slot ``t`` becomes readable at slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -80,30 +79,15 @@ class AccessRecord(NamedTuple):
     granted: bool
 
 
-@dataclass
-class NodeLedger:
-    """Time-indexed set of knowledge items held by one node."""
-
-    node: Node
-    items: dict = field(default_factory=dict)  # (kind, key) -> (available_from, payload)
-
-    def grant(self, kind: ItemKind, key, payload, available_from: int):
-        self.items[(kind, key)] = (available_from, payload)
-
-    def lookup(self, kind: ItemKind, key, at_slot: int):
-        entry = self.items.get((kind, key))
-        if entry is None or entry[0] > at_slot:
-            return None
-        return entry
-
-
 class KnowledgeBase:
-    """The four ledgers, the access log, and the slot-advance protocol.
+    """The ledger of all four nodes, the access log, and the slot-advance
+    protocol.
 
-    The simulation driver is the single writer; views handed to encoders
-    and decoders are read-only.  ``withhold`` removes specific grants, used
-    by the no-clairvoyance tests to prove that encoders genuinely depend on
-    what their views expose.
+    The ledger is one table, ``items[(node, kind, key)] = (available_from,
+    payload)``.  The simulation driver is the single writer; views handed to
+    encoders and decoders are read-only.  ``withhold`` removes specific
+    grants, used by the no-clairvoyance tests to prove that encoders
+    genuinely depend on what their views expose.
     """
 
     def __init__(
@@ -114,7 +98,7 @@ class KnowledgeBase:
     ):
         self.model = model
         self.config = config
-        self.ledgers = {node: NodeLedger(node) for node in Node}
+        self.items: dict = {}
         self.log: list[AccessRecord] = []
         self.current_slot = 0
         self._withheld = withhold or set()
@@ -122,7 +106,7 @@ class KnowledgeBase:
     def grant(self, node: Node, kind: ItemKind, key, payload, available_from: int):
         if self._withheld and (node, kind, key) in self._withheld:
             return
-        self.ledgers[node].grant(kind, key, payload, available_from)
+        self.items[(node, kind, key)] = (available_from, payload)
 
     def grant_own_symbols(self, node: Node, messages: dict, noise):
         for name, payload in messages.items():
@@ -171,7 +155,8 @@ class KnowledgeBase:
 
 
 class View:
-    """Read-only, logged, capability-checked window onto one node's ledger."""
+    """Read-only, logged, capability-checked window onto one node's items
+    of the ledger."""
 
     def __init__(self, kb: KnowledgeBase, node: Node, at_slot: int):
         self._kb = kb
@@ -179,9 +164,10 @@ class View:
         self.at_slot = at_slot
 
     def _get(self, kind: ItemKind, key):
-        entry = self._kb.ledgers[self.node].lookup(kind, key, self.at_slot)
-        self._kb.log.append(AccessRecord(self.node, kind, key, self.at_slot, entry is not None))
-        if entry is None:
+        entry = self._kb.items.get((self.node, kind, key))
+        granted = entry is not None and entry[0] <= self.at_slot
+        self._kb.log.append(AccessRecord(self.node, kind, key, self.at_slot, granted))
+        if not granted:
             raise UnauthorizedAccess(
                 f"{self.node.value} may not read {kind.value}[{key!r}] at slot {self.at_slot}"
             )

@@ -3,10 +3,9 @@
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
 tolerance report, a Cholesky full-rank certificate that falls back to that
-rank, per-slot null bases of block-diagonal maps, QR
-factorization, square/tall solving with a condition estimate, seeded random
-matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
-which no trial calls).
+rank, per-slot null bases of block-diagonal maps, square/tall solving with
+a condition estimate, seeded random matrix generation, and dense
+block-diagonal assembly (:func:`block_diag`, which no trial calls).
 
 Four helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
@@ -268,16 +267,6 @@ def slot_null_bases(
     return tuple(SlotNullBases(ranks[i], float(largest[i]), basis[i]) for i in range(len(blocks)))
 
 
-def qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization ``a = q @ r``.
-
-    ``q`` has orthonormal columns spanning ``a``'s column space when ``a``
-    has full column rank; ``r`` is upper triangular with ``a``'s singular
-    values, so ``rank(r)`` is ``a``'s rank.
-    """
-    return np.linalg.qr(as_matrix(a))
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Solution of a linear system together with its condition estimate."""
@@ -390,7 +379,7 @@ def random_matrix(
     if rows < 0 or cols < 0 or min(batch, default=0) < 0:
         raise InvalidInput(f"dimensions must be >= 0, got {batch + (rows, cols)}")
     z = rng.standard_normal(batch + (2, rows, cols))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / 2.0**0.5
 
 
 def random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,10 +24,9 @@ slot by slot, after exact checks of the phase structure that elimination
 rests on (the secret map is zero in the noise phase and in the receiver's
 own fresh phase).  :func:`columns_contained` confirms a clear containment
 by solving the reduced noise map's square block in the other receiver's
-fresh phase (schemes A, B and D), or else from one QR of the reduced noise
-map and the secret columns' residual off its span; it compares the two
-ranks in every other case: a leak, a rank-deficient noise map, or a
-residual too close to the rank cut to call.
+fresh phase (schemes A, B and D); it compares the two ranks in every other
+case: a leak, a block that is not square or is singular, or a residual too
+close to the rank cut to call.
 
 Every rank cut on a reduced matrix is floored at the scale of the block
 eliminated from it (``scale`` in :func:`matcore.rank`): relative to its own
@@ -62,8 +61,8 @@ from .schemes import SchemeId, SchemeSpec, Transcript, carried_map, side_info
 #: Null-set draws a trial resamples before it gives up.
 MAX_RESAMPLES = 8
 
-#: Guard band of the projected containment test: the fast path calls the
-#: secret columns contained only when their residual off the noise span
+#: Guard band of the block-solve containment test: the block solve calls
+#: the secret columns contained only when their residual off the noise span
 #: clears the joint rank cut by this factor, and leaves every other case to
 #: the rank pair.
 CONTAINMENT_GUARD = 1e2
@@ -186,31 +185,17 @@ def columns_contained(
     """Whether ``rank([noise | secret]) == rank(noise)`` at ``rel_tol``.
 
     ``scale`` floors the scale both rank cuts are relative to (see
-    :func:`matcore.rank`).  Two exits confirm a clear containment without
-    the joint SVD (see :func:`_clearly_contained`):
-
-    * the block solve: when ``rows`` selects a square row block ``B`` of
-      ``noise``, ``z = B^-1 secret[rows]``, with ``1/||B^-1||_F`` as the
-      lower bound on ``noise``'s smallest singular value and the residual
-      of ``secret - noise z`` over all rows;
-    * the projection: one QR of ``noise`` gives its rank (``R`` has
-      ``noise``'s singular values) and, when that rank is full, the
-      residual of ``secret`` off the noise span.
-
-    Every other case, a leak or a rank-deficient ``noise`` included,
+    :func:`matcore.rank`).  When ``rows`` selects a square row block ``B``
+    of ``noise``, the block solve may confirm a clear containment without
+    an SVD (see :func:`_solved_contained`).  Every other case, a leak, a
+    rank-deficient ``noise`` or a block that is not square included,
     compares the two ranks; with no noise columns that asks for a secret
     map of rank 0.
     """
     if rows is not None and _solved_contained(noise, secret, rows, rel_tol, scale):
         return True
-    q, r = matcore.qr(noise)
-    base = matcore.rank(r, rel_tol, scale)
-    if base.value == noise.shape[1]:
-        residual = float(np.linalg.norm(secret - q @ (q.conj().T @ secret)))
-        weakest = base.smallest_kept_singular_value
-        if _clearly_contained(np.linalg.norm(r, axis=0), secret, weakest, residual, rel_tol, scale):
-            return True
-    return matcore.rank(np.hstack([noise, secret]), rel_tol, scale).value == base.value
+    base = matcore.rank(noise, rel_tol, scale).value
+    return matcore.rank(np.hstack([noise, secret]), rel_tol, scale).value == base
 
 
 def _solved_contained(
@@ -218,13 +203,14 @@ def _solved_contained(
 ) -> bool:
     """The block-solve exit of :func:`columns_contained`.
 
-    The square block ``B = noise[rows]`` is a row block of ``noise``, so
-    ``1/||B^-1||_F <= sigma_min(B) <= sigma_k(noise) <= sigma_k([noise |
-    secret])`` with ``k`` the noise columns; and ``[noise | secret]`` is
-    within ``||secret - noise z||_F`` of the rank-``k`` ``[noise | noise
-    z]``, which bounds its every later singular value.  A block that is not
-    square, is empty or is exactly singular leaves the decision to the
-    projection.
+    With ``B = noise[rows]`` square and ``z = B^-1 secret[rows]``: ``B`` is
+    a row block of ``noise``, so ``1/||B^-1||_F <= sigma_min(B) <=
+    sigma_k(noise) <= sigma_k([noise | secret])`` with ``k`` the noise
+    columns; and ``[noise | secret]`` is within ``||secret - noise z||_F``
+    of the rank-``k`` ``[noise | noise z]``, which bounds its every later
+    singular value.  :func:`_clearly_contained` decides from the two
+    bounds.  A block that is not square, is empty or is exactly singular
+    leaves the decision to the rank pair.
     """
     block = noise[rows]
     if block.shape[0] != block.shape[1] or block.size == 0:
@@ -329,7 +315,7 @@ def equivocation_subspace_check(
     (checked exactly), and the reduced noise map's rows in the other
     receiver's fresh phase are the row block :func:`columns_contained`
     solves when it is square: for schemes A, B and D the block is
-    ``(2m-n) t1`` square, and its solve replaces the QR.
+    ``(2m-n) t1`` square, and its solve replaces the rank pair's two SVDs.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n

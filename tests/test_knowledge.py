@@ -127,9 +127,7 @@ class TestModelMonotonicity:
             FeedbackModel.ASYM_FB_DCSIT_TX1_ONLY,
         ):
             kb, _, _ = drive(model)
-            granted[model] = {
-                (node, key) for node, ledger in kb.ledgers.items() for key in ledger.items
-            }
+            granted[model] = set(kb.items)
         base = granted[FeedbackModel.ASYM_FB_ONLY]
         for richer in (
             FeedbackModel.ASYM_FB_DELAYED_CSIT,

@@ -373,8 +373,22 @@ class TestSubspaceOracle:
         assert calls == []
 
 
-#: Receivers whose containment the block solve decides, by agreement case.
-#: A, B and D's block is square, ``(2m-n) t1`` wide; C's is not, E and
+#: The benchmark's configurations that ``AGREEMENT_CASES`` leaves out, one
+#: seed each: the ranks suite's A(3,4) and B(1,1), the mutant suite's A(2,3)
+#: mutants, and the ladder's A(5,5) and A(6,6).
+WORKLOAD_CASES = [
+    (SchemeId.A, 3, 4, None, [7]),
+    (SchemeId.B, 1, 1, None, [7]),
+    (SchemeId.A, 2, 3, "theta1_zero", [7]),
+    (SchemeId.A, 2, 3, "phi1_zero", [7]),
+    (SchemeId.A, 2, 3, "skip_phase1", [7]),
+    (SchemeId.A, 5, 5, None, [7]),
+    (SchemeId.A, 6, 6, None, [7]),
+]
+
+#: Receivers whose containment the block solve decides, by agreement or
+#: workload case; every other receiver is decided by the rank pair.  A, B
+#: and D's block is square, ``(2m-n) t1`` wide; C's is not, E and
 #: ``skip_phase1`` have no noise columns, and ``theta1_zero`` zeroes receiver
 #: 2's block.
 BLOCK_SOLVED = {
@@ -390,7 +404,13 @@ BLOCK_SOLVED = {
     (SchemeId.A, 3, 4, "theta1_zero"): (True, False),
     (SchemeId.A, 3, 4, "phi1_zero"): (True, True),
     (SchemeId.A, 3, 4, "skip_phase1"): (False, False),
+    (SchemeId.A, 3, 4, None): (True, True),
+    (SchemeId.B, 1, 1, None): (True, True),
+    (SchemeId.A, 2, 3, "theta1_zero"): (True, False),
+    (SchemeId.A, 2, 3, "phi1_zero"): (True, True),
+    (SchemeId.A, 2, 3, "skip_phase1"): (False, False),
     (SchemeId.A, 5, 5, None): (True, True),
+    (SchemeId.A, 6, 6, None): (True, True),
 }
 
 #: Least ratio between the bounds the block solve proves on the ``k``-th and
@@ -430,7 +450,7 @@ def _oracle_exits(monkeypatch, transcript):
 class TestBlockSolve:
     def test_exit_and_margins_of_every_agreement_case(self, monkeypatch):
         rel_tol = matcore.DEFAULT_REL_TOL
-        for case, transcript in agreement_transcripts([(SchemeId.A, 5, 5, None, [7])]):
+        for case, transcript in agreement_transcripts(WORKLOAD_CASES):
             verdicts, solved = _oracle_exits(monkeypatch, transcript)
             assert tuple(entry is not None for entry in solved) == BLOCK_SOLVED[case[:4]], case
             assert verdicts == dense_oracle(transcript), case
@@ -443,28 +463,31 @@ class TestBlockSolve:
                 assert residual * verify.CONTAINMENT_GUARD <= smallest_cut, case
                 assert weakest >= BLOCK_SOLVE_GAP * residual, (case, weakest / residual)
 
-    def test_qr_is_skipped_where_the_block_decides(self, monkeypatch):
-        calls = []
-        qr = matcore.qr
-        monkeypatch.setattr(matcore, "qr", lambda a: calls.append(np.shape(a)) or qr(a))
-        assert verify.equivocation_subspace_check(transcript_for(SchemeId.A, 4, 4)) == (True, True)
-        assert calls == []
-        assert verify.equivocation_subspace_check(transcript_for(SchemeId.C, 4, 5)) == (
-            False, False)
-        assert calls == [(165, 75), (165, 75)]  # the whole reduced map, 60 x 75 block
+    def test_rank_pair_runs_only_where_the_block_cannot_decide(self, monkeypatch):
+        shapes = []
+        rank = matcore.rank
+        a44, c45 = transcript_for(SchemeId.A, 4, 4), transcript_for(SchemeId.C, 4, 5)
+        monkeypatch.setattr(matcore, "rank", lambda a, *args: shapes.append(np.shape(a))
+                            or rank(a, *args))
+        assert verify.equivocation_subspace_check(a44) == (True, True)
+        assert shapes == []
+        assert verify.equivocation_subspace_check(c45) == (False, False)
+        # per receiver the whole reduced map (its fresh-phase block is 60 x
+        # 75), then the joint matrix with the 96 secret columns
+        assert shapes == [(165, 75), (165, 171)] * 2
 
     def test_singular_or_non_square_blocks_fall_through(self, joint_rank_calls):
         rng = np.random.default_rng(8)
         a = _gaussian(rng, 30, 8)
         s = a @ _gaussian(rng, 8, 3)
         assert verify.columns_contained(a, s, rows=slice(0, 8))
-        assert joint_rank_calls == []  # no QR, no rank at all
+        assert joint_rank_calls == []  # the block solve decided: no rank at all
         singular = a.copy()
         singular[:8] = 0.0
         for rows in (slice(0, 7), slice(0, 8)):
             joint_rank_calls.clear()
             assert verify.columns_contained(singular, singular @ _gaussian(rng, 8, 3), rows=rows)
-            assert joint_rank_calls == [8]  # the QR's base rank: the projection decided
+            assert joint_rank_calls == [8, 11]  # the rank pair decided
 
     def test_block_solve_leaves_a_leak_to_the_rank_pair(self, joint_rank_calls):
         rng = np.random.default_rng(9)
@@ -519,8 +542,10 @@ class TestColumnsContained:
         a = _gaussian(rng, 30, 8)
         s = a @ _gaussian(rng, 8, 5)
         assert _reference_contained(a, s)
+        assert verify.columns_contained(a, s, rows=slice(0, 8))
+        assert joint_rank_calls == []  # the block solve decided: no SVD
         assert verify.columns_contained(a, s)
-        assert joint_rank_calls == [8]  # the base rank only: no joint SVD
+        assert joint_rank_calls == [8, 13]  # without a block, the rank pair
 
     def test_random_secret_leaks(self, joint_rank_calls):
         rng = np.random.default_rng(2)
@@ -540,34 +565,47 @@ class TestColumnsContained:
 
     @pytest.mark.parametrize("offset", [1e-9, 1e-10, 1e-8])
     def test_residual_in_guard_band_falls_back(self, joint_rank_calls, offset):
+        # the residual is at least ``offset``, inside the guard band below the
+        # unit cut, while the block's bound clears the largest cut
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(_gaussian(rng, 30, 9))
         a, out = q[:, :8], q[:, 8:]  # unit orthonormal columns
         s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
-        assert verify.columns_contained(a, s) == _reference_contained(a, s)
+        assert verify.columns_contained(a, s, rows=slice(0, 8)) == _reference_contained(a, s)
         assert joint_rank_calls == [8, 9]
 
     def test_noise_direction_lost_to_joint_cut_falls_back(self, joint_rank_calls):
         # a zero residual, but the noise direction 1e-8 is kept by its own
-        # cut and dropped by the joint's, so the joint rank falls short
+        # cut and dropped by the joint's, so the block's bound lies under
+        # the largest cut and the joint rank falls short
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0], a[1, 1] = 1.0, 1e-8
         s = np.array([1e3, 0, 0, 0], dtype=complex)[:, None]
         assert not _reference_contained(a, s)
-        assert not verify.columns_contained(a, s)
+        assert not verify.columns_contained(a, s, rows=slice(0, 2))
         assert joint_rank_calls == [2, 3]
 
     def test_round_off_noise_needs_the_scale_floor(self, joint_rank_calls):
-        # a noise map left at round-off by an elimination, against an O(1)
-        # secret of the same rank: relative to its own scale the round-off
-        # counts as full rank and swallows the secret, but against the scale
-        # of the eliminated block it has rank 0 and the secret leaks
+        # a noise map left at round-off by an elimination: relative to its
+        # own scale it has full rank, but against the scale of the
+        # eliminated block it has rank 0
         rng = np.random.default_rng(6)
-        a, s = 1e-16 * _gaussian(rng, 30, 8), _gaussian(rng, 30, 8)
-        assert verify.columns_contained(a, s)
+        a = 1e-16 * _gaussian(rng, 30, 8)
+        inside, outside = a @ _gaussian(rng, 8, 3), _gaussian(rng, 30, 8)
+        rows = slice(0, 8)
+        # a secret in its span: the block solve confirms it at the noise's
+        # own scale; the scale floor puts the block's bound under the cut,
+        # and the rank pair finds rank 0 on both sides
+        assert verify.columns_contained(a, inside, rows=rows)
+        assert joint_rank_calls == []
+        assert verify.columns_contained(a, inside, scale=1.0, rows=rows)
+        assert joint_rank_calls == [8, 11]
+        # an O(1) secret of the same rank: the round-off swallows it at the
+        # noise's own scale, and it leaks at the eliminated block's
         joint_rank_calls.clear()
-        assert not verify.columns_contained(a, s, scale=1.0)
-        assert joint_rank_calls == [8, 16]
+        assert verify.columns_contained(a, outside, rows=rows)
+        assert not verify.columns_contained(a, outside, scale=1.0, rows=rows)
+        assert joint_rank_calls == [8, 16, 8, 16]
 
     def test_noise_without_columns(self, joint_rank_calls):
         rng = np.random.default_rng(5)
