@@ -125,12 +125,12 @@ class StateSequence:
         :func:`diagonal_blocks` and :func:`lift_rows`."""
         return self.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
 
-    def slot_blocks(self, m_eff: int | None = None) -> np.ndarray:
-        """Every slot's ``[h_j1 | h_j2]`` per receiver, as a ``(2, horizon,
-        n, 2m)`` array: ``[j - 1, t - 1]`` is the ``n x 2m`` diagonal block
-        receiver ``j``'s lift has at slot ``t`` (see :func:`lift_rows`).
-        ``m_eff`` keeps the first ``m_eff`` transmit antennas."""
-        return diagonal_blocks(self.blocks.swapaxes(0, 1), m_eff)
+    def slot_blocks(self) -> np.ndarray:
+        """Every slot's ``[h_j1 | h_j2]`` per receiver on the first
+        ``config.effective_m`` transmit antennas, as a ``(2, horizon, n,
+        2m)`` array: ``[j - 1, t - 1]`` is the ``n x 2m`` diagonal block
+        receiver ``j``'s lift has at slot ``t`` (see :func:`lift_rows`)."""
+        return diagonal_blocks(self.blocks.swapaxes(0, 1), self.config.effective_m)
 
 
 def _stacked(blocks: np.ndarray) -> np.ndarray:

@@ -45,6 +45,9 @@ MODEL_KEYS = tuple(m.value for m in FeedbackModel)
 #: (``schemes.peak_bytes``): half of an 8 GB desk machine.
 MEMORY_BUDGET = 4 * 2**30
 
+#: Consecutive seeds every mutant of the mutants suite must be caught on.
+MUTANT_SEEDS = 20
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -186,12 +189,12 @@ def _suite_ranks(seed: int, trials: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _suite_mutants(seed: int, seeds: int = 20) -> list[tuple[str, bool, str]]:
+def _suite_mutants(seed: int) -> list[tuple[str, bool, str]]:
     config = AntennaConfig(2, 3)
     checks = []
     for mutation in schemes.MUTATIONS:
-        caught = all(verify.run_mutant(config, seed + i, mutation) for i in range(seeds))
-        checks.append((f"mutant {mutation} caught", caught, f"{seeds} seeds"))
+        caught = all(verify.run_mutant(config, seed + i, mutation) for i in range(MUTANT_SEEDS))
+        checks.append((f"mutant {mutation} caught", caught, f"{MUTANT_SEEDS} seeds"))
     return checks
 
 

@@ -180,13 +180,9 @@ class View:
         return self._get(ItemKind.OWN_NOISE_SYMBOLS, "noise")
 
     def fed_back_output(self, source_rx: int, slot: int):
-        if not self.node.is_transmitter:
-            raise UnauthorizedAccess("only transmitters hold fed-back outputs")
         return self._get(ItemKind.FED_BACK_OUTPUT, (source_rx, slot))
 
     def own_output(self, slot: int):
-        if self.node.is_transmitter:
-            raise UnauthorizedAccess("transmitters hear nothing directly")
         return self._get(ItemKind.RECEIVED_OUTPUT, slot)
 
     def delayed_csi(self, slot: int) -> np.ndarray:
@@ -196,8 +192,6 @@ class View:
 
     def own_csi_rows(self, slot: int) -> np.ndarray:
         """Slot ``slot``'s own row pair ``(h_j1, h_j2)``, a ``(2, n, m)`` array."""
-        if self.node.is_transmitter:
-            raise UnauthorizedAccess("transmitters have no instantaneous CSI")
         return self._get(ItemKind.INSTANT_CSI_OWN_ROW, slot)
 
 

@@ -15,10 +15,10 @@ cut of :func:`rank`; :func:`solve_full_column_rank` solves a ``(t, r, c)``
 stack by one batched SVD; and :func:`slot_null_bases` gives the per-slot
 ranks and null bases of block-diagonal matrices.
 
-All functions are pure; arrays are never mutated in place.  Numerical rank
-uses a *relative* singular-value threshold (default ``1e-9``): generic
-complex-Gaussian draws put the singular-value gap many orders of magnitude
-above it, so rank decisions are stable.
+All functions are pure; arrays are never mutated in place.  Every rank is
+decided at one *relative* singular-value threshold, :data:`REL_TOL`, read
+at call time: generic complex-Gaussian draws put the singular-value gap
+many orders of magnitude above it, so rank decisions are stable.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
 )
 
 #: Relative singular-value threshold used everywhere a rank is decided.
-DEFAULT_REL_TOL = 1e-9
+REL_TOL = 1e-9
 
 #: Solves whose condition estimate exceeds this are flagged for resampling.
 CONDITION_LIMIT = 1e12
@@ -101,30 +101,26 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(a, rel_tol: float = DEFAULT_REL_TOL, scale: float = 0.0) -> RankReport:
-    """Numerical rank at a relative singular-value threshold.
+def rank(a, scale: float = 0.0) -> RankReport:
+    """Numerical rank at the relative singular-value threshold :data:`REL_TOL`.
 
-    A singular value is kept iff it exceeds ``rel_tol * max(largest
+    A singular value is kept iff it exceeds ``REL_TOL * max(largest
     singular value, scale)``; the zero matrix has rank 0.
 
     Parameters
     ----------
     a : array_like
         Matrix; must be finite-valued.
-    rel_tol : float
-        Relative threshold in (0, 1).
     scale : float
         Floor on the scale the threshold is relative to.  A matrix reduced
         from a larger one (see :func:`slot_null_bases`) passes the largest
         singular value of the part eliminated from it, so that round-off
         left by the elimination is not mistaken for rank.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return RankReport(0, 0.0, float(s[0]) if s.size else 0.0)
-    cut = rel_tol * max(float(s[0]), scale)
+    cut = REL_TOL * max(float(s[0]), scale)
     kept = s > cut
     value = int(np.count_nonzero(kept))
     smallest_kept = float(s[value - 1]) if value else 0.0
@@ -132,17 +128,12 @@ def rank(a, rel_tol: float = DEFAULT_REL_TOL, scale: float = 0.0) -> RankReport:
     return RankReport(value, smallest_kept, largest_dropped)
 
 
-def rank_value(a, rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """Shorthand for ``rank(a, rel_tol).value``."""
-    return rank(a, rel_tol).value
-
-
-def has_full_rank(a, rel_tol: float = DEFAULT_REL_TOL) -> bool:
-    """Whether ``rank(a, rel_tol).value == min(a.shape)``, mostly without an SVD.
+def has_full_rank(a) -> bool:
+    """Whether ``rank(a).value == min(a.shape)``, mostly without an SVD.
 
     A Cholesky factor ``L`` of the smaller Gram matrix (``a^H a`` for a tall
     ``r x c`` matrix, ``a a^H`` for a wide one) certifies full rank when
-    ``1/||L^-1||_F^2 > 2 (rel_tol^2 + 4 (r + c) u) ||a||_F^2``, ``u`` the
+    ``1/||L^-1||_F^2 > 2 (REL_TOL^2 + 4 (r + c) u) ||a||_F^2``, ``u`` the
     unit round-off.  ``1/||L^-1||_F^2`` bounds the Gram matrix's smallest
     eigenvalue, ``sigma_min(a)^2``, from below; the ``(r + c) u`` term
     covers the rounding of the Gram product and of the factor (Higham 2002,
@@ -151,34 +142,30 @@ def has_full_rank(a, rel_tol: float = DEFAULT_REL_TOL) -> bool:
     fails, or a bound that does not hold, leaves the decision to
     :func:`rank`.  A matrix with a zero dimension has full rank 0.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
     m = as_matrix(a)
     r, c = m.shape
     if min(r, c) == 0:
         return True
     gram = m.conj().T @ m if r >= c else m @ m.conj().T
-    bound = 2.0 * (rel_tol**2 + 4 * (r + c) * UNIT_ROUNDOFF) * np.linalg.norm(m) ** 2
+    bound = 2.0 * (REL_TOL**2 + 4 * (r + c) * UNIT_ROUNDOFF) * np.linalg.norm(m) ** 2
     try:
         if 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(gram))) ** 2 > bound:
             return True
     except np.linalg.LinAlgError:
         pass
-    return rank(m, rel_tol).value == min(r, c)
+    return rank(m).value == min(r, c)
 
 
-def batch_rank(stack: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def batch_rank(stack: np.ndarray) -> np.ndarray:
     """Numerical rank of every matrix of a ``(..., rows, cols)`` stack.
 
     One batched SVD; each matrix is cut as :func:`rank` cuts it, at
-    ``rel_tol`` times its own largest singular value, and a zero matrix has
-    rank 0.  Returns an integer array of shape ``stack.shape[:-2]``, equal
-    entry by entry to ``rank(matrix, rel_tol).value``.
+    :data:`REL_TOL` times its own largest singular value, and a zero matrix
+    has rank 0.  Returns an integer array of shape ``stack.shape[:-2]``,
+    equal entry by entry to ``rank(matrix).value``.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
     s = np.linalg.svd(stack, compute_uv=False)
-    return (s > rel_tol * s.max(axis=-1, initial=0.0, keepdims=True)).sum(axis=-1)
+    return (s > REL_TOL * s.max(axis=-1, initial=0.0, keepdims=True)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -231,9 +218,7 @@ class SlotNullBases:
         return out.reshape(t * r, t * w)
 
 
-def slot_null_bases(
-    blocks: np.ndarray, rel_tol: float = DEFAULT_REL_TOL
-) -> tuple[SlotNullBases, ...]:
+def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     """Per-slot ranks and null bases of ``k`` block-diagonal matrices.
 
     ``blocks`` is ``(k, t, r, c)``, the ``t`` diagonal blocks of each
@@ -252,14 +237,12 @@ def slot_null_bases(
     an ``M`` that is block diagonal too.  A rank cut on ``M N`` should keep
     ``G``'s scale: pass ``largest`` as ``scale`` to :func:`rank`.
     """
-    if not (0.0 < rel_tol < 1.0):
-        raise InvalidInput(f"rel_tol must be in (0, 1), got {rel_tol}")
     if blocks.ndim != 4 or blocks.shape[0] == 0:
         raise InvalidInput(f"expected a (k, t, r, c) stack with k >= 1, got {blocks.shape}")
     c = blocks.shape[3]
     _, s, vh = np.linalg.svd(blocks)
     largest = s.max(axis=(1, 2), initial=0.0)
-    ranks = (s > rel_tol * largest[:, None, None]).sum(axis=2)
+    ranks = (s > REL_TOL * largest[:, None, None]).sum(axis=2)
     low = int(ranks.min(initial=c))
     basis = vh[:, :, low:].conj().swapaxes(2, 3)
     if ranks.max(initial=0) > low:  # zero the columns of a higher-rank slot that span its rows
@@ -275,12 +258,7 @@ class SolveReport:
     condition: float
 
 
-def solve_square(
-    a,
-    b,
-    rel_tol: float = DEFAULT_REL_TOL,
-    condition_limit: float | None = None,
-) -> SolveReport:
+def solve_square(a, b, condition_limit: float | None = None) -> SolveReport:
     """Solve the square system ``a @ x = b`` via SVD.
 
     The square case of :func:`solve_full_column_rank`, plus the empty system.
@@ -291,8 +269,6 @@ def solve_square(
         Square matrix.
     b : array_like
         Right-hand side; a vector or a matrix of stacked right-hand sides.
-    rel_tol : float
-        Rank tolerance below which the system counts as singular.
     condition_limit : float, optional
         When given, raise :class:`IllConditioned` if the condition estimate
         exceeds it.  Trials catching this are expected to resample (the
@@ -303,22 +279,17 @@ def solve_square(
     InvalidShape
         If ``a`` is not square or ``b``'s length does not match.
     SingularSystem
-        If ``a`` is numerically rank deficient at ``rel_tol``.
+        If ``a`` is numerically rank deficient at :data:`REL_TOL`.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidShape(f"matrix is {m.shape}, not square")
     if m.size == 0 and np.shape(b)[0] == 0:
         return SolveReport(np.array(b, dtype=complex), 1.0)
-    return solve_full_column_rank(m, b, rel_tol, condition_limit)
+    return solve_full_column_rank(m, b, condition_limit)
 
 
-def solve_full_column_rank(
-    a,
-    b,
-    rel_tol: float = DEFAULT_REL_TOL,
-    condition_limit: float | None = None,
-) -> SolveReport:
+def solve_full_column_rank(a, b, condition_limit: float | None = None) -> SolveReport:
     """Least-squares solve of a (possibly tall) full-column-rank system.
 
     On a consistent system this recovers the exact solution; the caller is
@@ -336,7 +307,7 @@ def solve_full_column_rank(
     ------
     SingularSystem
         If ``a`` (any matrix of a stack) is column-rank deficient at
-        ``rel_tol``.
+        :data:`REL_TOL`.
     InvalidShape
         On dimension mismatch or an underdetermined (wide) system.
     """
@@ -348,7 +319,7 @@ def solve_full_column_rank(
     if rhs.shape[: m.ndim - 1] != m.shape[:-1] or rhs.ndim not in (m.ndim - 1, m.ndim):
         raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or np.any(s[..., -1] <= rel_tol * s[..., 0]):
+    if s.size == 0 or np.any(s[..., -1] <= REL_TOL * s[..., 0]):
         raise SingularSystem(f"system {m.shape} is column-rank deficient")
     condition = float(np.max(s[..., 0] / s[..., -1]))
     if condition_limit is not None and condition > condition_limit:

@@ -339,10 +339,6 @@ class Transcript:
     def horizon(self) -> int:
         return self.plan.horizon
 
-    @property
-    def access_log(self):
-        return self.knowledge.log
-
     def phase_ranges(self) -> list[list[int]]:
         """1-based slot numbers of each of the four phases; an empty phase
         has none."""
@@ -702,7 +698,7 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     )
 
     horizon = transcript.horizon
-    slot_rows = transcript.states.slot_blocks(m)
+    slot_rows = transcript.states.slot_blocks()
     y = np.empty((2, horizon, n, k), dtype=complex)
     stacks = y.reshape(2, n * horizon, k)
     bounds = np.cumsum([0] + [len(slots) for slots in ranges])

@@ -28,9 +28,11 @@ fresh phase (schemes A, B and D); it compares the two ranks in every other
 case: a leak, a block that is not square or is singular, or a residual too
 close to the rank cut to call.
 
-Every rank cut on a reduced matrix is floored at the scale of the block
-eliminated from it (``scale`` in :func:`matcore.rank`): relative to its own
-scale, round-off left by the elimination would count as rank.
+Every rank cut is :data:`matcore.REL_TOL`, read at call time, so every
+verdict of a trial is made at the same cut.  A cut on a reduced matrix is
+floored at the scale of the block eliminated from it (``scale`` in
+:func:`matcore.rank`): relative to its own scale, round-off left by the
+elimination would count as rank.
 
 :func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
 report, oracle), and :func:`claim_checks` the one place that says what a
@@ -66,6 +68,9 @@ MAX_RESAMPLES = 8
 #: clears the joint rank cut by this factor, and leaves every other case to
 #: the rank pair.
 CONTAINMENT_GUARD = 1e2
+
+#: Relative difference allowed between the replayed and the recorded outputs.
+REPLAY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class SecrecyReport:
         }
 
 
-def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT_REL_TOL) -> SecrecyReport:
+def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
     """Compute the rate and leakage rank identities for a transcript.
 
     The leakage matrix for the eavesdropper on receiver ``j``'s symbols
@@ -128,7 +133,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
     m, n = cfg.effective_m, cfg.n
     r1, r2, r3, r4 = transcript.phase_ranges()
     t1, t2 = len(r1), len(r2)
-    blocks = transcript.states.slot_blocks(m)
+    blocks = transcript.states.slot_blocks()
 
     def diagonal(rx, slots):
         """The ``(t, n, 2m)`` slot blocks of receiver ``rx``'s lift over ``slots``."""
@@ -136,7 +141,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
 
     def nulls(*matrices):
         """Null bases of each ``(rx, slots)`` lift, from one batched SVD."""
-        return matcore.slot_null_bases(np.stack([diagonal(*mat) for mat in matrices]), rel_tol)
+        return matcore.slot_null_bases(np.stack([diagonal(*mat) for mat in matrices]))
 
     audited = []
 
@@ -144,7 +149,7 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
         """``rank([G; M])`` from the null bases of ``G`` and ``M N``."""
         t = len(g_null.ranks)
         audited.append((name, n * t + reduced.shape[0], 2 * m * t))
-        return g_null.rank + matcore.rank(reduced, rel_tol, g_null.largest).value
+        return g_null.rank + matcore.rank(reduced, g_null.largest).value
 
     # --- rate identities -------------------------------------------------
     h2_null, g3_null = nulls((1, r2), (2, r3))
@@ -176,13 +181,9 @@ def secrecy_rank_report(transcript: Transcript, rel_tol: float = matcore.DEFAULT
 
 
 def columns_contained(
-    noise: np.ndarray,
-    secret: np.ndarray,
-    rel_tol: float = matcore.DEFAULT_REL_TOL,
-    scale: float = 0.0,
-    rows: slice | None = None,
+    noise: np.ndarray, secret: np.ndarray, scale: float = 0.0, rows: slice | None = None
 ) -> bool:
-    """Whether ``rank([noise | secret]) == rank(noise)`` at ``rel_tol``.
+    """Whether ``rank([noise | secret]) == rank(noise)`` at :data:`matcore.REL_TOL`.
 
     ``scale`` floors the scale both rank cuts are relative to (see
     :func:`matcore.rank`).  When ``rows`` selects a square row block ``B``
@@ -192,15 +193,13 @@ def columns_contained(
     compares the two ranks; with no noise columns that asks for a secret
     map of rank 0.
     """
-    if rows is not None and _solved_contained(noise, secret, rows, rel_tol, scale):
+    if rows is not None and _solved_contained(noise, secret, rows, scale):
         return True
-    base = matcore.rank(noise, rel_tol, scale).value
-    return matcore.rank(np.hstack([noise, secret]), rel_tol, scale).value == base
+    base = matcore.rank(noise, scale).value
+    return matcore.rank(np.hstack([noise, secret]), scale).value == base
 
 
-def _solved_contained(
-    noise: np.ndarray, secret: np.ndarray, rows: slice, rel_tol: float, scale: float
-) -> bool:
+def _solved_contained(noise: np.ndarray, secret: np.ndarray, rows: slice, scale: float) -> bool:
     """The block-solve exit of :func:`columns_contained`.
 
     With ``B = noise[rows]`` square and ``z = B^-1 secret[rows]``: ``B`` is
@@ -222,16 +221,11 @@ def _solved_contained(
     residual = float(np.linalg.norm(secret - noise @ (inverse @ secret[rows])))
     weakest = 1.0 / float(np.linalg.norm(inverse))
     noise_norms = np.linalg.norm(noise, axis=0)
-    return _clearly_contained(noise_norms, secret, weakest, residual, rel_tol, scale)
+    return _clearly_contained(noise_norms, secret, weakest, residual, scale)
 
 
 def _clearly_contained(
-    noise_norms: np.ndarray,
-    secret: np.ndarray,
-    weakest: float,
-    residual: float,
-    rel_tol: float,
-    scale: float,
+    noise_norms: np.ndarray, secret: np.ndarray, weakest: float, residual: float, scale: float
 ) -> bool:
     """Whether ``secret`` lies in the span of a full-column-rank ``noise``
     (column norms ``noise_norms``) by a margin no rank cut overturns.
@@ -239,19 +233,19 @@ def _clearly_contained(
     ``weakest`` is a lower bound on the joint matrix's ``k``-th singular
     value, ``k`` being the noise columns, and ``residual`` an upper bound on
     its singular values past the ``k``-th.  The joint matrix's rank cut is
-    ``rel_tol`` times the larger of ``scale`` and its largest singular
-    value, which lies between its largest column norm and its Frobenius
-    norm.  ``residual`` must clear the smallest possible cut by
+    :data:`matcore.REL_TOL` times the larger of ``scale`` and its largest
+    singular value, which lies between its largest column norm and its
+    Frobenius norm.  ``residual`` must clear the smallest possible cut by
     :data:`CONTAINMENT_GUARD`, and ``weakest`` the largest possible cut, so
     that no noise column is lost.
     """
     secret_norms = np.linalg.norm(secret, axis=0)
     upper = max(float(np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms))), scale)
-    if weakest <= rel_tol * upper:
+    if weakest <= matcore.REL_TOL * upper:
         return False
     noise_col = float(np.max(noise_norms, initial=0.0))
     lower = max(noise_col, float(np.max(secret_norms, initial=0.0)), scale)
-    return residual * CONTAINMENT_GUARD <= rel_tol * lower
+    return residual * CONTAINMENT_GUARD <= matcore.REL_TOL * lower
 
 
 def _phase1_blocks(noise: np.ndarray, m: int, n: int, t1: int) -> np.ndarray:
@@ -287,9 +281,7 @@ def _secret_past_phase1(
     return secret
 
 
-def equivocation_subspace_check(
-    transcript: Transcript, rel_tol: float = matcore.DEFAULT_REL_TOL
-) -> tuple[bool, bool]:
+def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     """Column-space containment oracle for zero leakage, at both receivers.
 
     Each receiver is the eavesdropper on the other's symbols: conditioned on
@@ -323,7 +315,7 @@ def equivocation_subspace_check(
     p1 = n * t1
     noise = schemes.linear_response(transcript, "u")
     blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
-    nulls = matcore.slot_null_bases(blocks, rel_tol)
+    nulls = matcore.slot_null_bases(blocks)
     reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
     # the reduced maps are new arrays: the noise replay is freed before the secret ones
     del noise
@@ -333,7 +325,6 @@ def equivocation_subspace_check(
         columns_contained(
             noise_map,
             _secret_past_phase1(transcript, group, rx, p1, fresh[rx]),
-            rel_tol,
             scale,
             fresh[1 - rx],
         )
@@ -348,9 +339,10 @@ def decode_error(transcript: Transcript, receiver: Node) -> float:
     return float(np.linalg.norm(decoded - sent) / max(np.linalg.norm(sent), 1e-300))
 
 
-def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
+def replay_matches_recorded(transcript: Transcript) -> bool:
     """Cross-check: the coefficient maps the oracle reads, times the sent
-    symbols and summed over the groups, reproduce the recorded run."""
+    symbols and summed over the groups, reproduce the recorded run to
+    :data:`REPLAY_TOL`."""
     replayed = sum(
         np.stack(schemes.linear_response(transcript, group)) @ getattr(transcript.symbols, group)
         for group in ("u", "v1", "v2")
@@ -358,7 +350,7 @@ def replay_matches_recorded(transcript: Transcript, tol: float = 1e-9) -> bool:
     for idx, stack in enumerate(replayed):
         recorded = np.concatenate([out[idx] for out in transcript.outputs])
         scale = max(float(np.linalg.norm(recorded)), 1.0)
-        if float(np.linalg.norm(stack - recorded)) > tol * scale:
+        if float(np.linalg.norm(stack - recorded)) > REPLAY_TOL * scale:
             return False
     return True
 

@@ -5,9 +5,11 @@ block-diagonal lift stacked on the final-phase rows, one SVD solve), the
 rank identities assembled in full (every stacked matrix formed from the
 dense block-diagonal lifts), the precoded maps as a dense lift times a
 precoder, and the subspace oracle's containment test run on the whole
-replayed maps, noise phase included.  ``schemes.decode``, ``schemes.carried_map``
+replayed maps, noise phase included, by numpy's SVD alone
+(:func:`reference_contained`).  ``schemes.decode``, ``schemes.carried_map``
 and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
-slot; the tests require the two to agree.
+slot; the tests require the two to agree.  Every cut here reads
+``matcore.REL_TOL`` at call time, as the code it checks does.
 
 Also the precoder draw with every rank decided by an SVD, where
 ``schemes.draw_precoders`` certifies by Cholesky first; the slot-by-slot
@@ -19,7 +21,7 @@ and one solve per slot to recover a peer's inputs.
 
 import numpy as np
 
-from xsdof import channel, matcore, schemes, verify
+from xsdof import channel, matcore, schemes
 from xsdof.channel import lift_rows
 from xsdof.errors import DecodeFailure, InvalidInput, UnauthorizedAccess
 from xsdof.knowledge import Node
@@ -114,7 +116,7 @@ def stacked_matrices(transcript):
     return out
 
 
-def dense_ranks(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
+def dense_ranks(transcript):
     """``(rate_rank_rx1, rate_rank_rx2, leak_defect_rx1, leak_defect_rx2)``
     from the dense stacked matrices."""
     n = transcript.config.n
@@ -124,27 +126,36 @@ def dense_ranks(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
 
     def defect(name):
         mat = mats[name]
-        return leak_rows if mat is None else leak_rows - matcore.rank_value(mat, rel_tol)
+        return leak_rows if mat is None else leak_rows - matcore.rank(mat).value
 
     return (
-        matcore.rank_value(mats["rate_rx1"], rel_tol),
-        matcore.rank_value(mats["rate_rx2"], rel_tol),
+        matcore.rank(mats["rate_rx1"]).value,
+        matcore.rank(mats["rate_rx2"]).value,
         defect("leak_rx1"),
         defect("leak_rx2"),
     )
 
 
-def dense_oracle(transcript, rel_tol=matcore.DEFAULT_REL_TOL):
+def reference_contained(a, s):
+    """rank([A | S]) == rank(A), straight from numpy's SVD, each cut at
+    ``matcore.REL_TOL`` times the matrix's largest singular value."""
+    def rank(x):
+        sv = np.linalg.svd(x, compute_uv=False) if x.size else np.zeros(0)
+        return int(np.count_nonzero(sv > matcore.REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    return rank(np.hstack([a, s])) == rank(a)
+
+
+def dense_oracle(transcript):
     """Both receivers' containment verdicts on the whole replayed maps."""
     noise_rx1, noise_rx2 = schemes.linear_response(transcript, "u")
-    rx1 = verify.columns_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0], rel_tol)
-    rx2 = verify.columns_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1], rel_tol)
+    rx1 = reference_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0])
+    rx2 = reference_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1])
     return rx1, rx2
 
 
 def svd_precoders(spec, config, pln, rng):
     """``schemes.draw_precoders`` with each candidate's full rank decided by
-    :func:`matcore.rank_value` alone, in the same draw order."""
+    :func:`matcore.rank` alone, in the same draw order."""
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
@@ -153,7 +164,7 @@ def svd_precoders(spec, config, pln, rng):
         shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
         for _ in range(schemes.MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
-            if matcore.rank_value(cand) == min(shape):
+            if matcore.rank(cand).value == min(shape):
                 drawn[name] = cand
                 break
         else:
@@ -164,7 +175,7 @@ def svd_precoders(spec, config, pln, rng):
 def loop_states(config, horizon, rng):
     """``generate_states(config, horizon, rng).blocks`` drawn slot by slot:
     ``h11, h12, h21, h22`` by one :func:`matcore.random_matrix` call each,
-    then one :func:`matcore.rank_value` of the slot's stacked matrix, the
+    then one :func:`matcore.rank` of the slot's stacked matrix, the
     slot redrawn until it is full rank."""
     n, m = config.n, config.m
     want = min(2 * n, 2 * m)
@@ -173,7 +184,7 @@ def loop_states(config, horizon, rng):
         for _ in range(channel.MAX_STATE_DRAWS):
             for block in slot.reshape(4, n, m):
                 block[...] = matcore.random_matrix(n, m, rng)
-            if matcore.rank_value(channel._stacked(slot)) == want:
+            if matcore.rank(channel._stacked(slot)).value == want:
                 break
         else:
             raise InvalidInput("could not draw a full-rank channel state")

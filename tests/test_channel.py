@@ -48,12 +48,12 @@ class TestGenerateStates:
             (h11, h12), (h21, h22) = seq[t]
             joint = channel._stacked(seq[t])
             np.testing.assert_array_equal(joint, np.block([[h11, h12], [h21, h22]]))
-            assert matcore.rank_value(joint) == 4
+            assert matcore.rank(joint).value == 4
 
     def test_high_regime_rank(self):
         seq = make_states(4, 3, 5)
         for slot in seq.blocks:
-            assert matcore.rank_value(channel._stacked(slot)) == 6
+            assert matcore.rank(channel._stacked(slot)).value == 6
 
     def test_singleton_horizon(self):
         assert make_states(2, 2, 1).horizon == 1
@@ -85,9 +85,9 @@ class TestGenerateStates:
             np.testing.assert_array_equal(seq.rows(2, [t])[0], state[1])
 
     def test_slot_blocks_are_the_lift_diagonal(self):
-        seq = make_states(3, 2, 4, seed=12)
-        assert seq.slot_blocks().shape == (2, 4, 2, 6)
-        blocks = seq.slot_blocks(2)
+        assert make_states(2, 3, 4, seed=12).slot_blocks().shape == (2, 4, 3, 4)
+        seq = make_states(3, 2, 4, seed=12)  # the first effective_m = 2 antennas only
+        blocks = seq.slot_blocks()
         assert blocks.shape == (2, 4, 2, 4)
         for j in (1, 2):
             lifted = lift_rows(seq.rows(j, range(1, 5)), 2)
@@ -152,7 +152,7 @@ class TestRedraw:
         keep = [0, 1, 2, 4]
         assert seq.blocks[keep].tobytes() == first[keep].tobytes()
         assert seq.blocks[3].tobytes() == redrawn[0].tobytes()
-        assert matcore.rank_value(channel._stacked(seq[4])) == 4
+        assert matcore.rank(channel._stacked(seq[4])).value == 4
 
     def test_failing_slots_are_redrawn_together_in_slot_order(self):
         # slots 2 and 5 fail, are redrawn together, fail again (slot 5 alone)
@@ -244,7 +244,7 @@ class TestLiftPhase:
         seq = make_states(2, 3, 3, seed=7)
         lifted = lift_phase(seq.blocks, (1, 1))
         assert lifted.shape == (9, 6)
-        assert matcore.rank_value(lifted) == 6  # sum of per-slot ranks
+        assert matcore.rank(lifted).value == 6  # sum of per-slot ranks
 
     def test_concatenation_equals_union(self):
         seq = make_states(2, 3, 4, seed=8)

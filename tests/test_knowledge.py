@@ -7,6 +7,7 @@ from xsdof import matcore, schemes
 from xsdof.channel import AntennaConfig, FeedbackModel, apply_channel, generate_states
 from xsdof.errors import ProtocolViolation, UnauthorizedAccess
 from xsdof.knowledge import (
+    AccessRecord,
     ItemKind,
     KnowledgeBase,
     Node,
@@ -116,6 +117,20 @@ class TestViews:
         assert rec.node is Node.TX2 and rec.kind is ItemKind.DELAYED_CSI
         assert not rec.granted
 
+    @pytest.mark.parametrize("node,read,kind,key", [
+        (Node.RX1, lambda view: view.fed_back_output(1, 1), ItemKind.FED_BACK_OUTPUT, (1, 1)),
+        (Node.TX1, lambda view: view.own_output(1), ItemKind.RECEIVED_OUTPUT, 1),
+        (Node.TX2, lambda view: view.own_csi_rows(1), ItemKind.INSTANT_CSI_OWN_ROW, 1),
+    ], ids=["rx-fed-back-output", "tx-own-output", "tx-own-csi-rows"])
+    def test_reads_of_the_wrong_node_type_are_logged(self, node, read, kind, key):
+        # symmetric feedback hands every output to both transmitters, yet
+        # never to a receiver, nor a receiver's own output or CSI to a transmitter
+        kb, _, _ = drive(FeedbackModel.SYM_FB_NO_CSIT, slots=2)
+        before = len(kb.log)
+        with pytest.raises(UnauthorizedAccess):
+            read(kb.view(node, 2))
+        assert kb.log[before:] == [AccessRecord(node, kind, key, 2, False)]
+
 
 class TestModelMonotonicity:
     def test_asym_fb_subset_of_richer_models(self):
@@ -217,7 +232,7 @@ class TestAvailabilityTable:
             transcript = schemes.run(variant(scheme), AntennaConfig(2, 3), seed=6)
             schemes.decode(transcript, Node.RX1)
             schemes.decode(transcript, Node.RX2)
-            for rec in transcript.access_log:
+            for rec in transcript.knowledge.log:
                 if rec.granted:
                     assert availability(
                         model, rec.node, rec.kind, rec.key, rec.at_slot, transcript.horizon

@@ -5,11 +5,16 @@ matrices are built as outer products, solve targets by forward
 multiplication, block ranks by summing per-block constructions.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xsdof
 from xsdof import matcore
 from xsdof.channel import lift_rows
 from xsdof.errors import (
@@ -27,7 +32,7 @@ def rng(seed=0):
 
 class TestRank:
     def test_identity(self):
-        assert matcore.rank_value(np.eye(2)) == 2
+        assert matcore.rank(np.eye(2)).value == 2
 
     def test_zero_matrix(self):
         report = matcore.rank(np.zeros((3, 3)))
@@ -45,29 +50,25 @@ class TestRank:
         r = rng(1)
         for want in (1, 2, 3, 4):
             a = matcore.random_matrix(6, want, r) @ matcore.random_matrix(want, 5, r)
-            assert matcore.rank_value(a) == want
+            assert matcore.rank(a).value == want
 
     def test_permutation_invariance(self):
         r = rng(2)
         a = matcore.random_matrix(5, 3, r) @ matcore.random_matrix(3, 7, r)
-        base = matcore.rank_value(a)
+        base = matcore.rank(a).value
         for _ in range(10):
             rows = r.permutation(a.shape[0])
             cols = r.permutation(a.shape[1])
-            assert matcore.rank_value(a[rows][:, cols]) == base
+            assert matcore.rank(a[rows][:, cols]).value == base
 
     def test_rejects_non_finite(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(InvalidMatrix):
             matcore.rank(bad)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(InvalidInput):
-            matcore.rank(np.eye(2), rel_tol=0.0)
-
     def test_scale_floors_the_cut(self):
         tiny = 1e-12 * np.eye(3)
-        assert matcore.rank_value(tiny) == 3  # relative to its own scale
+        assert matcore.rank(tiny).value == 3  # relative to its own scale
         assert matcore.rank(tiny, scale=1.0).value == 0
         assert matcore.rank(np.eye(3), scale=1e-3).value == 3  # a lower floor is no floor
 
@@ -183,7 +184,7 @@ class TestRandomMatrix:
 
     def test_full_rank_draw(self):
         a = matcore.random_matrix(4, 4, matcore.substream(7, "draw"))
-        assert matcore.rank_value(a) == 4
+        assert matcore.rank(a).value == 4
 
     def test_degenerate_shape(self):
         a = matcore.random_matrix(1, 1, matcore.substream(0, "draw"))
@@ -236,9 +237,9 @@ def rank_calls(monkeypatch):
     shapes = []
     rank = matcore.rank
 
-    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL, scale=0.0):
+    def spy(a, scale=0.0):
         shapes.append(np.shape(a))
-        return rank(a, rel_tol, scale)
+        return rank(a, scale)
 
     monkeypatch.setattr(matcore, "rank", spy)
     return shapes
@@ -275,21 +276,20 @@ class TestHasFullRank:
             assert rank_calls == [shape]
 
     @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
-    def test_nearly_deficient_matrix_reaches_the_svd(self, rank_calls, shape):
+    def test_nearly_deficient_matrix_reaches_the_svd(self, rank_calls, monkeypatch, shape):
         # sigma_min = 1e-8 sigma_max: above the 1e-9 cut, so full rank, but
         # below what the Cholesky factor can certify through the round-off term
         a = _planted(*shape, [1.0, 0.7, 0.5, 0.3, 1e-8], seed=32)
-        assert matcore.rank_value(a) == 5
+        assert matcore.rank(a).value == 5
         rank_calls.clear()
         assert matcore.has_full_rank(a)
         assert rank_calls == [shape]
         rank_calls.clear()
-        assert not matcore.has_full_rank(a, rel_tol=1e-7)  # now below the cut
+        monkeypatch.setattr(matcore, "REL_TOL", 1e-7)
+        assert not matcore.has_full_rank(a)  # now below the cut
         assert rank_calls == [shape]
 
     def test_rejects_bad_input(self):
-        with pytest.raises(InvalidInput):
-            matcore.has_full_rank(np.eye(2), rel_tol=1.0)
         with pytest.raises(InvalidMatrix):
             matcore.has_full_rank(np.array([[1.0, np.inf]]))
 
@@ -298,10 +298,10 @@ class TestHasFullRank:
         rows=st.integers(0, 12),
         cols=st.integers(0, 12),
         exponent=st.floats(-16.0, 0.0),
-        rel_tol=st.sampled_from([1e-7, 1e-9, 1e-11]),
+        tol=st.sampled_from([1e-7, 1e-9, 1e-11]),
         seed=st.integers(0, 2**16),
     )
-    def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, rel_tol, seed):
+    def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, tol, seed):
         # the smallest singular value swept from 1 down past every cut: a
         # pass without the fallback is a proof the SVD keeps all of them
         k = min(rows, cols)
@@ -312,9 +312,10 @@ class TestHasFullRank:
         calls = []
         rank = matcore.rank
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matcore, "REL_TOL", tol)
             patch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
-            got = matcore.has_full_rank(a, rel_tol)
-        svd_full = matcore.rank(a, rel_tol).value == k
+            got = matcore.has_full_rank(a)
+            svd_full = rank(a).value == k
         assert got == svd_full
         if not calls:
             assert svd_full
@@ -322,9 +323,9 @@ class TestHasFullRank:
 
 class TestBatchRank:
     @staticmethod
-    def _each(stack, rel_tol=matcore.DEFAULT_REL_TOL):
+    def _each(stack):
         flat = stack.reshape((-1,) + stack.shape[-2:])
-        return np.array([matcore.rank(a, rel_tol).value for a in flat])
+        return np.array([matcore.rank(a).value for a in flat])
 
     def test_random_stacks(self):
         for shape in ((6, 4, 4), (5, 3, 6), (7, 6, 2), (2, 3, 4, 5)):
@@ -346,13 +347,13 @@ class TestBatchRank:
         assert got.tolist() == [4, 2, 0, 4, 3]
         assert np.array_equal(got, self._each(stack))
 
-    def test_tolerance_matches_rank(self):
+    def test_tolerance_matches_rank(self, monkeypatch):
         # singular values 1, 1e-4, 1e-8: the cut sits where rank puts it
         stack = np.array([np.diag([1.0, 1e-4, 1e-8]), np.diag([2.0, 2e-4, 2e-8])], dtype=complex)
-        for rel_tol in (1e-9, 1e-6, 1e-2):
-            assert np.array_equal(matcore.batch_rank(stack, rel_tol), self._each(stack, rel_tol))
-        with pytest.raises(InvalidInput):
-            matcore.batch_rank(stack, rel_tol=1.0)
+        for tol, want in ((1e-9, 3), (1e-6, 2), (1e-2, 1)):
+            monkeypatch.setattr(matcore, "REL_TOL", tol)
+            assert matcore.batch_rank(stack).tolist() == [want, want]
+            assert np.array_equal(matcore.batch_rank(stack), self._each(stack))
 
 
 class TestBlockDiag:
@@ -379,14 +380,14 @@ class TestBlockDiag:
                     matcore.random_matrix(rows, rk, r) @ matcore.random_matrix(rk, cols, r)
                 )
                 want += rk
-            assert matcore.rank_value(matcore.block_diag(blocks)) == want
+            assert matcore.rank(matcore.block_diag(blocks)).value == want
 
     def test_generic_lift_rank(self):
         r = rng(10)
         blocks = [matcore.random_matrix(3, 2, r) for _ in range(4)]
         out = matcore.block_diag(blocks)
         assert out.shape == (12, 8)
-        assert matcore.rank_value(out) == 4 * 2
+        assert matcore.rank(out).value == 4 * 2
 
     def test_off_block_entries_exactly_zero(self):
         out = matcore.block_diag([np.ones((2, 2)), np.ones((1, 3))])
@@ -450,7 +451,7 @@ class TestSlotNullBases:
         blocks[1] *= 1e-12
         null = _one(blocks)
         assert list(null.ranks) == [3, 0, 3]
-        assert null.rank == matcore.rank_value(matcore.block_diag(list(blocks)))
+        assert null.rank == matcore.rank(matcore.block_diag(list(blocks))).value
         assert null.basis.shape == (3, 4, 4)
 
     def test_matrices_are_cut_at_their_own_scale(self):
@@ -512,3 +513,45 @@ class TestSlotNullBases:
             assert null.basis.shape == (0, 4, 0)
             assert null.apply(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
             assert null.apply_blocks(np.zeros((0, 5, 4), dtype=complex)).shape == (0, 0)
+
+
+class TestOneCut:
+    """Every rank decision reads the one module constant ``matcore.REL_TOL``."""
+
+    @staticmethod
+    def _verdicts(a):
+        """Whether each rank decider calls the tall ``a`` full column rank."""
+        k = a.shape[1]
+        (null,) = matcore.slot_null_bases(a[None, None])
+        try:
+            matcore.solve_full_column_rank(a, np.ones(a.shape[0]))
+            solved = True
+        except SingularSystem:
+            solved = False
+        return [
+            matcore.rank(a).value == k,
+            matcore.has_full_rank(a),
+            int(matcore.batch_rank(a[None])[0]) == k,
+            null.rank == k,
+            solved,
+        ]
+
+    def test_all_deciders_flip_together(self, monkeypatch):
+        # sigma_min = 1e-8 sigma_max: kept at the 1e-9 default, dropped at 1e-7
+        a = _planted(9, 5, [1.0, 0.7, 0.5, 0.3, 1e-8], seed=33)
+        assert matcore.REL_TOL == 1e-9
+        assert self._verdicts(a) == [True] * 5
+        monkeypatch.setattr(matcore, "REL_TOL", 1e-7)
+        assert self._verdicts(a) == [False] * 5
+
+    def test_no_function_takes_a_tolerance(self):
+        seen = 0
+        for info in pkgutil.iter_modules(xsdof.__path__):
+            module = importlib.import_module(f"xsdof.{info.name}")
+            owned = [v for v in vars(module).values()
+                     if getattr(v, "__module__", None) == module.__name__]
+            for obj in owned + [f for c in owned if inspect.isclass(c) for f in vars(c).values()]:
+                if inspect.isfunction(obj):
+                    seen += 1
+                    assert "rel_tol" not in inspect.signature(obj).parameters, obj.__qualname__
+        assert seen > 50

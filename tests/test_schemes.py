@@ -103,7 +103,7 @@ class TestPrecoders:
         p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(2, "p"))
         for mat in (p.theta1, p.theta2, p.phi1, p.phi2):
             assert mat.shape == (4, 4)
-            assert matcore.rank_value(mat) == 4
+            assert matcore.rank(mat).value == 4
 
     def test_shapes_scheme_c(self):
         cfg = AntennaConfig(2, 3)
@@ -231,7 +231,7 @@ class TestRun:
             assert verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
         assert not [
             rec
-            for rec in transcript.access_log
+            for rec in transcript.knowledge.log
             if rec.node.is_transmitter and rec.kind is ItemKind.DELAYED_CSI
         ]
 
@@ -252,7 +252,7 @@ class TestRun:
         own = (ItemKind.OWN_MESSAGE_SYMBOLS, ItemKind.OWN_NOISE_SYMBOLS)
         reads = [
             rec
-            for rec in transcript.access_log
+            for rec in transcript.knowledge.log
             if rec.node is Node.TX2 and rec.granted and rec.kind not in own
         ]
         assert reads == []
@@ -351,7 +351,7 @@ class TestDecode:
             g2 = lift_rows(transcript.states.rows(2, r2), 2)
             stacked = np.vstack([h2, schemes.side_info(transcript, g2)[:3]])
             assert stacked.shape == (12, 12)
-            assert matcore.rank_value(stacked) == 12
+            assert matcore.rank(stacked).value == 12
 
     def test_scheme_c_needs_the_final_phase(self):
         # the fresh-phase equations alone never close the system
@@ -359,7 +359,7 @@ class TestDecode:
         r2 = transcript.phase_ranges()[1]
         h2 = lift_rows(transcript.states.rows(1, r2), 2)
         assert h2.shape == (6, 8)
-        assert matcore.rank_value(h2) == 6 < 8
+        assert matcore.rank(h2).value == 6 < 8
 
     def test_scheme_c_stacked_system_full_column_rank(self):
         for seed in range(10):
@@ -377,7 +377,7 @@ class TestDecode:
         its outputs of the noise, overheard, final and fresh phases."""
         transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3)
         r1, r2, r3, r4 = transcript.phase_ranges()
-        log = transcript.access_log
+        log = transcript.knowledge.log
         for node, fresh, side in ((Node.RX1, r2, r3), (Node.RX2, r3, r2)):
             expected = (
                 [(node, ItemKind.INSTANT_CSI_OWN_ROW, t, True) for t in fresh]
@@ -543,5 +543,5 @@ class TestTranscriptJson:
         assert transcript.plan.to_jsonable()["phase_lengths"] == [3, 3, 1]
         assert len(transcript.inputs) == 7
         # the empty phase reads nothing from the ledger: 32 reads, 2 of them denied
-        log = transcript.access_log
+        log = transcript.knowledge.log
         assert len(log) == 32 and sum(not rec.granted for rec in log) == 2

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xsdof
-from dense_reference import dense_decode, dense_oracle, dense_ranks, stacked_matrices
+from dense_reference import (
+    dense_decode,
+    dense_oracle,
+    dense_ranks,
+    reference_contained,
+    stacked_matrices,
+)
 from dense_reference import carried_map as dense_carried_map
 from xsdof import channel, matcore, schemes, verify
 from xsdof.channel import AntennaConfig, lift_rows
@@ -78,7 +84,7 @@ def _check_carried_maps(case, transcript) -> set:
     ``(carrier, column count > 0)`` pairs checked."""
     m = transcript.config.effective_m
     ranges = transcript.phase_ranges()
-    blocks = transcript.states.slot_blocks(m)
+    blocks = transcript.states.slot_blocks()
     seen = set()
     for name, phase in PRECODER_PHASES.items():
         slots = ranges[phase]
@@ -200,12 +206,13 @@ class TestSecrecyRankReport:
         assert report.advisory
         assert report.leak_defect_rx1 == 9 and report.leak_defect_rx2 == 9
 
-    def test_tolerance_insensitivity(self):
+    def test_tolerance_insensitivity(self, monkeypatch):
         # the rank decisions hold at 1e-7 and 1e-11 just as at 1e-9
         transcript = transcript_for(SchemeId.A, 2, 3)
         base = verify.secrecy_rank_report(transcript)
         for tol in (1e-7, 1e-11):
-            other = verify.secrecy_rank_report(transcript, rel_tol=tol)
+            monkeypatch.setattr(matcore, "REL_TOL", tol)
+            other = verify.secrecy_rank_report(transcript)
             assert (other.rate_rank_rx1, other.rate_rank_rx2) == (
                 base.rate_rank_rx1,
                 base.rate_rank_rx2,
@@ -337,18 +344,22 @@ class TestSubspaceOracle:
                 report.leak_defect_rx2 == 0,
             ), case
 
-    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-7, 1e-11])
-    def test_reduced_matches_dense(self, rel_tol):
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-11])
+    def test_reduced_matches_dense(self, monkeypatch, tol):
         # the slot-by-slot elimination against the stacked matrices and the
-        # whole replayed maps, noise phase included
+        # whole replayed maps, noise phase included, every cut at ``tol``
         for case, transcript in agreement_transcripts([(SchemeId.A, 5, 5, None, [7])]):
-            report = verify.secrecy_rank_report(transcript, rel_tol)
-            got = (report.rate_rank_rx1, report.rate_rank_rx2,
-                   report.leak_defect_rx1, report.leak_defect_rx2)
-            assert got == dense_ranks(transcript, rel_tol), case
-            assert verify.equivocation_subspace_check(transcript, rel_tol) == dense_oracle(
-                transcript, rel_tol
-            ), case
+            with monkeypatch.context() as patch:  # the draws stay at the default cut
+                patch.setattr(matcore, "REL_TOL", tol)
+                report = verify.secrecy_rank_report(transcript)
+                got = (report.rate_rank_rx1, report.rate_rank_rx2,
+                       report.leak_defect_rx1, report.leak_defect_rx2)
+                assert got == dense_ranks(transcript), case
+                assert verify.equivocation_subspace_check(transcript) == dense_oracle(
+                    transcript), case
+                if case[:3] == (SchemeId.A, 5, 5) and tol == 1e-11:
+                    # the block guard fails at this cut: the rank pair decides receiver 1
+                    assert _oracle_exits(patch, transcript)[1][0] is None
             shapes = {name: mat.shape for name, mat in stacked_matrices(transcript).items()
                       if mat is not None}
             assert {name: (r, c) for name, r, c in report.matrices_audited
@@ -426,16 +437,16 @@ def _oracle_exits(monkeypatch, transcript):
     solved = []
     block, guard = verify._solved_contained, verify._clearly_contained
 
-    def solved_spy(noise, secret, rows, rel_tol, scale):
+    def solved_spy(noise, secret, rows, scale):
         seen = []
 
-        def guard_spy(noise_norms, secret, weakest, residual, rel_tol, scale):
+        def guard_spy(noise_norms, secret, weakest, residual, scale):
             seen.append((noise_norms, secret, weakest, residual, scale))
-            return guard(noise_norms, secret, weakest, residual, rel_tol, scale)
+            return guard(noise_norms, secret, weakest, residual, scale)
 
         monkeypatch.setattr(verify, "_clearly_contained", guard_spy)
         try:
-            decided = block(noise, secret, rows, rel_tol, scale)
+            decided = block(noise, secret, rows, scale)
         finally:
             monkeypatch.setattr(verify, "_clearly_contained", guard)
         solved.append(seen[0] if decided else None)
@@ -449,16 +460,16 @@ def _oracle_exits(monkeypatch, transcript):
 
 class TestBlockSolve:
     def test_exit_and_margins_of_every_agreement_case(self, monkeypatch):
-        rel_tol = matcore.DEFAULT_REL_TOL
+        cut = matcore.REL_TOL
         for case, transcript in agreement_transcripts(WORKLOAD_CASES):
             verdicts, solved = _oracle_exits(monkeypatch, transcript)
             assert tuple(entry is not None for entry in solved) == BLOCK_SOLVED[case[:4]], case
             assert verdicts == dense_oracle(transcript), case
             for noise_norms, secret, weakest, residual, scale in filter(None, solved):
                 secret_norms = np.linalg.norm(secret, axis=0)
-                largest_cut = rel_tol * max(
+                largest_cut = cut * max(
                     np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms)), scale)
-                smallest_cut = rel_tol * max(noise_norms.max(), secret_norms.max(), scale)
+                smallest_cut = cut * max(noise_norms.max(), secret_norms.max(), scale)
                 assert weakest > largest_cut, case
                 assert residual * verify.CONTAINMENT_GUARD <= smallest_cut, case
                 assert weakest >= BLOCK_SOLVE_GAP * residual, (case, weakest / residual)
@@ -510,14 +521,6 @@ def test_large_configuration_a88(monkeypatch):
     assert all(entry is not None for entry in solved)
 
 
-def _reference_contained(a, s, tol=1e-9):
-    """rank([A | S]) == rank(A), straight from numpy's SVD."""
-    def rank(x):
-        sv = np.linalg.svd(x, compute_uv=False) if x.size else np.zeros(0)
-        return int(np.count_nonzero(sv > tol * sv[0])) if sv.size and sv[0] > 0 else 0
-    return rank(np.hstack([a, s])) == rank(a)
-
-
 def _gaussian(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -528,9 +531,9 @@ def joint_rank_calls(monkeypatch):
     cols = []
     rank = matcore.rank
 
-    def spy(a, rel_tol=matcore.DEFAULT_REL_TOL, scale=0.0):
+    def spy(a, scale=0.0):
         cols.append(np.shape(a)[1])
-        return rank(a, rel_tol, scale)
+        return rank(a, scale)
 
     monkeypatch.setattr(matcore, "rank", spy)
     return cols
@@ -541,7 +544,7 @@ class TestColumnsContained:
         rng = np.random.default_rng(1)
         a = _gaussian(rng, 30, 8)
         s = a @ _gaussian(rng, 8, 5)
-        assert _reference_contained(a, s)
+        assert reference_contained(a, s)
         assert verify.columns_contained(a, s, rows=slice(0, 8))
         assert joint_rank_calls == []  # the block solve decided: no SVD
         assert verify.columns_contained(a, s)
@@ -550,7 +553,7 @@ class TestColumnsContained:
     def test_random_secret_leaks(self, joint_rank_calls):
         rng = np.random.default_rng(2)
         a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 5)
-        assert not _reference_contained(a, s)
+        assert not reference_contained(a, s)
         assert not verify.columns_contained(a, s)
         assert joint_rank_calls == [8, 13]  # a leak is always confirmed by the rank pair
 
@@ -559,7 +562,7 @@ class TestColumnsContained:
         a = _gaussian(rng, 30, 4) @ _gaussian(rng, 4, 8)  # rank 4 of 8 columns
         for s, want in ((a @ _gaussian(rng, 8, 3), True), (_gaussian(rng, 30, 3), False)):
             joint_rank_calls.clear()
-            assert _reference_contained(a, s) is want
+            assert reference_contained(a, s) is want
             assert verify.columns_contained(a, s) is want
             assert joint_rank_calls == [8, 11]
 
@@ -571,7 +574,7 @@ class TestColumnsContained:
         q, _ = np.linalg.qr(_gaussian(rng, 30, 9))
         a, out = q[:, :8], q[:, 8:]  # unit orthonormal columns
         s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
-        assert verify.columns_contained(a, s, rows=slice(0, 8)) == _reference_contained(a, s)
+        assert verify.columns_contained(a, s, rows=slice(0, 8)) == reference_contained(a, s)
         assert joint_rank_calls == [8, 9]
 
     def test_noise_direction_lost_to_joint_cut_falls_back(self, joint_rank_calls):
@@ -581,7 +584,7 @@ class TestColumnsContained:
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0], a[1, 1] = 1.0, 1e-8
         s = np.array([1e3, 0, 0, 0], dtype=complex)[:, None]
-        assert not _reference_contained(a, s)
+        assert not reference_contained(a, s)
         assert not verify.columns_contained(a, s, rows=slice(0, 2))
         assert joint_rank_calls == [2, 3]
 
@@ -612,7 +615,7 @@ class TestColumnsContained:
         empty = np.zeros((30, 0), dtype=complex)
         assert verify.columns_contained(empty, np.zeros((30, 4), dtype=complex))
         assert not verify.columns_contained(empty, _gaussian(rng, 30, 4))
-        assert _reference_contained(empty, np.zeros((30, 4))) and not _reference_contained(
+        assert reference_contained(empty, np.zeros((30, 4))) and not reference_contained(
             empty, _gaussian(rng, 30, 4)
         )
 
@@ -630,7 +633,7 @@ class TestColumnsContained:
         rng = np.random.default_rng(seed)
         a = _gaussian(rng, rows, rank) @ _gaussian(rng, rank, cols)
         s = np.hstack([a @ _gaussian(rng, cols, inside), _gaussian(rng, rows, outside)])
-        want = _reference_contained(a, s)
+        want = reference_contained(a, s)
         assert want == (outside == 0)
         assert verify.columns_contained(a, s) == want
 
