@@ -119,12 +119,6 @@ class StateSequence:
             raise InvalidInput(f"slot {slot} outside horizon 1..{len(self.blocks)}")
         return self.blocks[slot - 1]
 
-    def rows(self, rx: int, slots) -> np.ndarray:
-        """Receiver ``rx``'s blocks ``(h_rx1, h_rx2)`` at the 1-based
-        ``slots``, as a ``(len(slots), 2, n, m)`` array: the input of
-        :func:`diagonal_blocks` and :func:`lift_rows`."""
-        return self.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
-
     def slot_blocks(self) -> np.ndarray:
         """Every slot's ``[h_j1 | h_j2]`` per receiver on the first
         ``config.effective_m`` transmit antennas, as a ``(2, horizon, n,
@@ -214,10 +208,10 @@ def diagonal_blocks(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
     """The ``n x 2m`` diagonal blocks of :func:`lift_rows` of ``rows``.
 
     ``rows`` is ``(..., t, 2, n, m)``, a receiver's blocks ``(h_j1, h_j2)``
-    per slot; the result is ``(..., t, n, 2m)``, slot ``s``'s ``[h_j1 |
-    h_j2]``, whose first ``m`` columns meet the lift's ``x1`` stack and its
-    last ``m`` the ``x2`` stack.  ``m_eff`` keeps the first ``m_eff``
-    transmit antennas.
+    per slot (``StateSequence.blocks[slots - 1, j - 1]``); the result is
+    ``(..., t, n, 2m)``, slot ``s``'s ``[h_j1 | h_j2]``, whose first ``m``
+    columns meet the lift's ``x1`` stack and its last ``m`` the ``x2`` stack.
+    ``m_eff`` keeps the first ``m_eff`` transmit antennas.
     """
     rows = rows[..., :m_eff]
     n, m = rows.shape[-2:]
@@ -228,7 +222,7 @@ def lift_rows(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
     """One receiver's lifted map on the stacked pair of transmit vectors.
 
     ``rows`` holds that receiver's blocks ``(h_j1, h_j2)`` per slot, shape
-    ``(t, 2, n, m)`` (see :meth:`StateSequence.rows`).  Returns
+    ``(t, 2, n, m)``: ``StateSequence.blocks[slots - 1, j - 1]``.  Returns
     ``[lift(h_j1) | lift(h_j2)]``, i.e. the matrix multiplying ``[x1_stack;
     x2_stack]`` to give that receiver's stacked phase output, built by one
     scatter of the slot blocks into a zero array; ``m_eff`` keeps the first

@@ -122,8 +122,8 @@ def _cmd_simulate(args) -> int:
             max(r.secrecy.leak_defect_rx1, r.secrecy.leak_defect_rx2) for r in reports
         ),
         "empirical_dof": None
-        if reports[0].dof_rx1 is None
-        else {"rx1": frac_json(reports[0].dof_rx1), "rx2": frac_json(reports[0].dof_rx2)},
+        if reports[0].dof is None
+        else {"rx1": frac_json(reports[0].dof), "rx2": frac_json(reports[0].dof)},
         "invariants_ok": not problems,
         "problems": problems,
     }
@@ -142,7 +142,7 @@ def _cmd_simulate(args) -> int:
         print("seed,decode_ok,decode_err_rx1,decode_err_rx2,rate_rank_rx1,rate_rank_rx2,"
               "leak_defect_rx1,leak_defect_rx2,dof_exact,dof")
         for r in reports:
-            dof = r.dof_rx1
+            dof = r.dof
             print(
                 f"{r.seed},{int(r.decode_ok)},{r.decode_err_rx1},{r.decode_err_rx2},"
                 f"{r.secrecy.rate_rank_rx1},{r.secrecy.rate_rank_rx2},"

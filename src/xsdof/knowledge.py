@@ -85,27 +85,17 @@ class KnowledgeBase:
 
     The ledger is one table, ``items[(node, kind, key)] = (available_from,
     payload)``.  The simulation driver is the single writer; views handed to
-    encoders and decoders are read-only.  ``withhold`` removes specific
-    grants, used by the no-clairvoyance tests to prove that encoders
-    genuinely depend on what their views expose.
+    encoders and decoders are read-only.
     """
 
-    def __init__(
-        self,
-        model: FeedbackModel,
-        config: AntennaConfig,
-        withhold: set | None = None,
-    ):
+    def __init__(self, model: FeedbackModel, config: AntennaConfig):
         self.model = model
         self.config = config
         self.items: dict = {}
         self.log: list[AccessRecord] = []
         self.current_slot = 0
-        self._withheld = withhold or set()
 
     def grant(self, node: Node, kind: ItemKind, key, payload, available_from: int):
-        if self._withheld and (node, kind, key) in self._withheld:
-            return
         self.items[(node, kind, key)] = (available_from, payload)
 
     def grant_own_symbols(self, node: Node, messages: dict, noise):

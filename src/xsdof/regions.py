@@ -3,7 +3,8 @@
 Every quantity here is a :class:`fractions.Fraction`; floating point never
 enters.  Figure corner labels such as 3/4, 12/7, 8/3 or 4/7 are therefore
 reproduced bit-exactly, and polygon containment is decided without
-tolerance.
+tolerance.  Every region is cut by one line x/d + y/mx <= 1 and its mirror,
+so its polygon is built in closed form (:func:`_two_line_region`).
 
 The two per-receiver sum rates are abbreviated throughout as ``x`` (sum of
 degrees of freedom delivered to receiver 1) and ``y`` (receiver 2).
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InvalidInput, RegimeError
 
@@ -75,12 +75,12 @@ def ds_local(n: int, m_prime: int) -> Fraction:
 class RegionPolygon:
     """Convex region of achievable per-receiver sum-DoF pairs.
 
-    ``vertices`` is the convex hull of the achievable corner points together
-    with the origin, listed counterclockwise starting at (0, 0).  ``labels``
-    keeps every named corner (a labelled point may lie on an edge rather
-    than at a hull vertex, e.g. the symmetric point of a degenerate
-    triangle).  ``flags`` carries advisory notes such as the inner-bound
-    discrepancy of the feedback-only model.
+    ``vertices`` runs counterclockwise from (0, 0) through the axis point
+    (a, 0), the symmetric point unless it lies on the edge to (0, a) (as it
+    does when the two lines coincide), and (0, a); an origin-only region has
+    one vertex.  ``labels`` keeps every named corner, the symmetric point of
+    a degenerate triangle included.  ``flags`` carries advisory notes such
+    as the inner-bound discrepancy of the feedback-only model.
     """
 
     vertices: tuple[Point, ...]
@@ -137,49 +137,17 @@ def _point_json(p: Point) -> dict:
     return {"x": frac_json(p[0]), "y": frac_json(p[1])}
 
 
-def _ccw_hull(points: Iterable[Point]) -> tuple[Point, ...]:
-    """Convex hull in CCW order starting from the lexicographically least point.
-
-    Exact Graham-style scan over Fractions; collinear midpoints are dropped
-    so the vertex list is canonical.
-    """
-    pts = sorted(set((Fraction(x), Fraction(y)) for x, y in points))
-    if len(pts) <= 1:
-        return tuple(pts)
-
-    def half(seq):
-        out: list[Point] = []
-        for p in seq:
-            while len(out) > 1:
-                (x1, y1), (x2, y2) = out[-2], out[-1]
-                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    # rotate so (0,0) (always present for our regions) comes first
-    if (Fraction(0), Fraction(0)) in hull:
-        i = hull.index((Fraction(0), Fraction(0)))
-        hull = hull[i:] + hull[:i]
-    return tuple(hull)
-
-
 def _symmetric_intersection(d: Fraction, mx: Fraction) -> Point:
     """Intersection of x/d + y/mx = 1 with its mirror (d, mx > 0)."""
     p = d * mx / (d + mx)
     return (p, p)
 
 
-def _two_line_region(d: Fraction, mx: Fraction, model: str, flags: dict | None = None) -> RegionPolygon:
+def _two_line_region(d: Fraction, mx: Fraction, model: str) -> RegionPolygon:
     """Region cut out by x/d + y/mx <= 1 and its mirror in the first quadrant."""
     zero = Fraction(0)
     if d <= 0:
-        return RegionPolygon(((zero, zero),), {"origin": (zero, zero)}, model, flags or {})
+        return RegionPolygon(((zero, zero),), {"origin": (zero, zero)}, model)
     axis = min(d, mx)
     sym = _symmetric_intersection(d, mx)
     labels = {
@@ -187,8 +155,9 @@ def _two_line_region(d: Fraction, mx: Fraction, model: str, flags: dict | None =
         "symmetric": sym,
         "axis_rx2": (zero, axis),
     }
-    verts = _ccw_hull([(zero, zero), (axis, zero), sym, (zero, axis)])
-    return RegionPolygon(verts, labels, model, flags or {})
+    # sym = d*mx/(d+mx) > axis/2 unless d == mx, where it is an edge midpoint
+    corner = () if d == mx else (sym,)
+    return RegionPolygon(((zero, zero), (axis, zero)) + corner + ((zero, axis),), labels, model)
 
 
 def sdof_region(m: int, n: int, model) -> RegionPolygon:

@@ -478,7 +478,6 @@ def run(
     *,
     seed: int = 0,
     mutation: str | None = None,
-    withhold: set | None = None,
 ) -> Transcript:
     """Execute one run of spec row ``spec`` and return its transcript.
 
@@ -523,7 +522,7 @@ def run(
         v22=matcore.random_vector(m * t2, rng_sym),
     )
 
-    kb = KnowledgeBase(spec.model, config, withhold=withhold)
+    kb = KnowledgeBase(spec.model, config)
     kb.grant_own_symbols(Node.TX1, {"v11": symbols.v11, "v12": symbols.v12}, symbols.u1)
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 

@@ -359,8 +359,10 @@ def replay_matches_recorded(transcript: Transcript) -> bool:
 class TrialReport:
     """Outcome of one seeded trial of spec row ``spec``.
 
-    ``wall_time_s`` is informational only and never serialized, so that
-    identical flags and seed produce byte-identical output.
+    ``dof`` is the plan's per-receiver DoF, the same for both receivers, set
+    only when both decode.  ``wall_time_s`` is informational only and never
+    serialized, so that identical flags and seed produce byte-identical
+    output.
     """
 
     spec: SchemeSpec
@@ -375,8 +377,7 @@ class TrialReport:
     secrecy: SecrecyReport
     oracle_rx1: bool | None
     oracle_rx2: bool | None
-    dof_rx1: Fraction | None
-    dof_rx2: Fraction | None
+    dof: Fraction | None
     wall_time_s: float
 
     @property
@@ -398,8 +399,8 @@ class TrialReport:
             "secrecy": self.secrecy.to_jsonable(),
             "subspace_oracle": {"rx1": self.oracle_rx1, "rx2": self.oracle_rx2},
             "empirical_dof": None
-            if self.dof_rx1 is None
-            else {"rx1": frac_json(self.dof_rx1), "rx2": frac_json(self.dof_rx2)},
+            if self.dof is None
+            else {"rx1": frac_json(self.dof), "rx2": frac_json(self.dof)},
         }
 
 
@@ -445,9 +446,7 @@ def run_trial(
         oracle_rx1, oracle_rx2 = equivocation_subspace_check(transcript)
     ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
     ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
-    dof1 = dof2 = None
-    if ok1 and ok2:
-        dof1 = dof2 = transcript.plan.dof_target()
+    dof = transcript.plan.dof_target() if ok1 and ok2 else None
     return TrialReport(
         spec=spec,
         config=config,
@@ -461,8 +460,7 @@ def run_trial(
         secrecy=report,
         oracle_rx1=oracle_rx1,
         oracle_rx2=oracle_rx2,
-        dof_rx1=dof1,
-        dof_rx2=dof2,
+        dof=dof,
         wall_time_s=time.perf_counter() - t_start,
     )
 

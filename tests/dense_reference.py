@@ -36,6 +36,13 @@ def carried_map(transcript, lifted, name, width):
     return lifted[:, cols] @ getattr(transcript.precoders, name)
 
 
+def state_rows(states, rx, slots):
+    """Receiver ``rx``'s blocks ``(h_rx1, h_rx2)`` of the state sequence
+    ``states`` at the 1-based ``slots``, as a ``(len(slots), 2, n, m)``
+    array: the input of ``channel.diagonal_blocks`` and ``lift_rows``."""
+    return states.blocks[np.asarray(slots, dtype=int) - 1, rx - 1]
+
+
 def _own_rows_lift(view, slots, m_eff):
     """[lift(h_own,tx1) | lift(h_own,tx2)] from the instantaneous CSI grants."""
     return lift_rows(np.array([view.own_csi_rows(t) for t in slots]), m_eff)
@@ -88,8 +95,8 @@ def _phase_lifts(transcript):
     h, g = {}, {}
     for p, slots in enumerate(transcript.phase_ranges(), start=1):
         if slots:
-            h[p] = lift_rows(states.rows(1, slots), m)
-            g[p] = lift_rows(states.rows(2, slots), m)
+            h[p] = lift_rows(state_rows(states, 1, slots), m)
+            g[p] = lift_rows(state_rows(states, 2, slots), m)
     return h, g
 
 

@@ -111,7 +111,7 @@ def test_criterion_04_scheme_a():
         r = run_trial(variant(SchemeId.A), config, seed=seed, with_oracle=False)
         ok &= r.decode_ok
         ok &= r.decode_err_rx1 <= 1e-6 and r.decode_err_rx2 <= 1e-6
-        ok &= (r.dof_rx1, r.dof_rx2) == (F(3, 4), F(3, 4))
+        ok &= r.dof == F(3, 4)
         ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
         ok &= r.secrecy.rate_rank_rx1 == 12 and r.secrecy.rate_rank_rx2 == 12
     # tolerance insensitivity of the rank decisions
@@ -138,7 +138,7 @@ def test_criterion_05_scheme_b():
         for seed in range(TRIALS):
             r = run_trial(variant(SchemeId.B), config, seed=seed, with_oracle=False)
             ok &= r.decode_ok
-            ok &= (r.dof_rx1, r.dof_rx2) == (want, want)
+            ok &= r.dof == want
             ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
             ok &= r.secrecy.rate_rank_rx1 == 2 * n and r.secrecy.rate_rank_rx2 == 2 * n
     elapsed = time.perf_counter() - t0
@@ -161,7 +161,7 @@ def scheme_c_batch():
 def test_criterion_06_scheme_c_decode_dof_and_flag(scheme_c_batch):
     reports, elapsed = scheme_c_batch
     ok = all(r.decode_ok for r in reports)
-    ok &= all((r.dof_rx1, r.dof_rx2) == (F(4, 7), F(4, 7)) for r in reports)
+    ok &= all(r.dof == F(4, 7) for r in reports)
     corner = regions.symmetric_corner(2, 3, "asym-fb")
     ok &= corner.discrepancy
     ok &= corner.point == (F(4, 7), F(4, 7))

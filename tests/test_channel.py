@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import loop_states
+from dense_reference import loop_states, state_rows
 from xsdof import channel, matcore
 from xsdof.channel import (
     AntennaConfig,
@@ -82,7 +82,7 @@ class TestGenerateStates:
             for j in (1, 2):
                 for i in (1, 2):
                     assert np.array_equal(state[j - 1, i - 1], seq.blocks[t - 1, j - 1, i - 1])
-            np.testing.assert_array_equal(seq.rows(2, [t])[0], state[1])
+            np.testing.assert_array_equal(state_rows(seq, 2, [t])[0], state[1])
 
     def test_slot_blocks_are_the_lift_diagonal(self):
         assert make_states(2, 3, 4, seed=12).slot_blocks().shape == (2, 4, 3, 4)
@@ -90,8 +90,9 @@ class TestGenerateStates:
         blocks = seq.slot_blocks()
         assert blocks.shape == (2, 4, 2, 4)
         for j in (1, 2):
-            lifted = lift_rows(seq.rows(j, range(1, 5)), 2)
-            assert np.array_equal(channel.diagonal_blocks(seq.rows(j, range(1, 5)), 2), blocks[j - 1])
+            rows = state_rows(seq, j, range(1, 5))
+            lifted = lift_rows(rows, 2)
+            assert np.array_equal(channel.diagonal_blocks(rows, 2), blocks[j - 1])
             for t in range(4):
                 # slot t's rows meet its columns in both transmitters' stacks
                 cols = np.r_[2 * t : 2 * t + 2, 8 + 2 * t : 8 + 2 * t + 2]
@@ -267,7 +268,7 @@ class TestLiftPhase:
         stacked = np.concatenate(
             [np.concatenate([x1 for x1, _ in xs]), np.concatenate([x2 for _, x2 in xs])]
         )
-        lifted = lift_rows(seq.rows(1, [1, 2, 3])) @ stacked
+        lifted = lift_rows(state_rows(seq, 1, [1, 2, 3])) @ stacked
         np.testing.assert_allclose(lifted, per_slot, atol=1e-12)
 
     @pytest.mark.parametrize("m,n,horizon,m_eff", [(2, 3, 4, None), (4, 2, 3, 2), (1, 1, 1, None)])
@@ -279,14 +280,14 @@ class TestLiftPhase:
                 matcore.block_diag([seq[t][rx - 1, i - 1][:, :width] for t in range(1, horizon + 1)])
                 for i in (1, 2)
             ])
-            lifted = lift_rows(seq.rows(rx, range(1, horizon + 1)), m_eff)
+            lifted = lift_rows(state_rows(seq, rx, range(1, horizon + 1)), m_eff)
             assert lifted.shape == (n * horizon, 2 * width * horizon)
             assert np.array_equal(lifted, reference)
 
     def test_lift_rows_of_an_empty_range_is_empty(self):
         seq = make_states(2, 3, 2)
-        assert lift_rows(seq.rows(1, [])).shape == (0, 0)
-        assert lift_rows(seq.rows(2, []), 1).shape == (0, 0)
+        assert lift_rows(state_rows(seq, 1, [])).shape == (0, 0)
+        assert lift_rows(state_rows(seq, 2, []), 1).shape == (0, 0)
         with pytest.raises(InvalidInput):
             lift_rows(seq.blocks)  # both receivers' blocks: ndim 5
 

@@ -182,40 +182,58 @@ class TestReconstruction:
             recover_peer_inputs(view, config, [1, 2], [x1 for x1, _, _ in sent[:2]])
 
 
+def run_withholding(monkeypatch, withheld, spec, config, **kwargs):
+    """``schemes.run`` on a ledger that never grants the items ``withheld``,
+    ``(node, kind, key)`` triples: encoders must then fail, not guess."""
+
+    class Withholding(KnowledgeBase):
+        def grant(self, node, kind, key, payload, available_from):
+            if (node, kind, key) not in withheld:
+                super().grant(node, kind, key, payload, available_from)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(schemes, "KnowledgeBase", Withholding)
+        return schemes.run(spec, config, **kwargs)
+
+
 class TestNoClairvoyance:
-    def test_withholding_a_granted_item_aborts(self):
+    def test_withholding_a_granted_item_aborts(self, monkeypatch):
         config = AntennaConfig(2, 3)
         baseline = schemes.run(variant(SchemeId.A), config, seed=4)
         assert baseline.horizon == 16
         with pytest.raises(UnauthorizedAccess):
-            schemes.run(
+            run_withholding(
+                monkeypatch,
+                {(Node.TX1, ItemKind.FED_BACK_OUTPUT, (1, 1))},
                 variant(SchemeId.A),
                 config,
                 seed=4,
-                withhold={(Node.TX1, ItemKind.FED_BACK_OUTPUT, (1, 1))},
             )
         with pytest.raises(UnauthorizedAccess):
-            schemes.run(
+            run_withholding(
+                monkeypatch,
+                {(Node.TX2, ItemKind.DELAYED_CSI, 2)},
                 variant(SchemeId.A),
                 config,
                 seed=4,
-                withhold={(Node.TX2, ItemKind.DELAYED_CSI, 2)},
             )
 
-    def test_withholding_own_symbols_aborts(self):
+    def test_withholding_own_symbols_aborts(self, monkeypatch):
         # encoders read their own noise and messages through their views too
         config = AntennaConfig(2, 3)
         for item in ((ItemKind.OWN_NOISE_SYMBOLS, "noise"), (ItemKind.OWN_MESSAGE_SYMBOLS, "v22")):
             with pytest.raises(UnauthorizedAccess):
-                schemes.run(variant(SchemeId.A), config, seed=4, withhold={(Node.TX2,) + item})
+                run_withholding(monkeypatch, {(Node.TX2,) + item}, variant(SchemeId.A), config,
+                                seed=4)
 
-    def test_withholding_rx_output_breaks_decode(self):
+    def test_withholding_rx_output_breaks_decode(self, monkeypatch):
         config = AntennaConfig(2, 3)
-        transcript = schemes.run(
+        transcript = run_withholding(
+            monkeypatch,
+            {(Node.RX1, ItemKind.RECEIVED_OUTPUT, 16)},
             variant(SchemeId.A),
             config,
             seed=4,
-            withhold={(Node.RX1, ItemKind.RECEIVED_OUTPUT, 16)},
         )
         with pytest.raises(UnauthorizedAccess):
             schemes.decode(transcript, Node.RX1)

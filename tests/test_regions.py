@@ -13,11 +13,45 @@ from xsdof import regions
 from xsdof.errors import InvalidInput, RegimeError
 
 
+def reference_hull(points):
+    """Convex hull in CCW order starting from the lexicographically least point.
+
+    Exact Graham-style scan over Fractions; collinear midpoints are dropped
+    so the vertex list is canonical.  The region constructors write their
+    vertices in closed form; this is the general construction they must
+    agree with.
+    """
+    pts = sorted(set((F(x), F(y)) for x, y in points))
+    if len(pts) <= 1:
+        return tuple(pts)
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1:
+                (x1, y1), (x2, y2) = out[-2], out[-1]
+                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    hull = lower[:-1] + upper[:-1]
+    # rotate so (0,0) (always present for our regions) comes first
+    if (F(0), F(0)) in hull:
+        i = hull.index((F(0), F(0)))
+        hull = hull[i:] + hull[:i]
+    return tuple(hull)
+
+
 def mirrored(poly):
     """``poly`` reflected across the diagonal y = x, its vertices in the
     counterclockwise hull order the region constructors use."""
     return regions.RegionPolygon(
-        regions._ccw_hull((y, x) for x, y in poly.vertices),
+        reference_hull((y, x) for x, y in poly.vertices),
         {k: (v[1], v[0]) for k, v in poly.labels.items()},
         poly.model,
         dict(poly.flags),
@@ -119,6 +153,18 @@ class TestSdofRegion:
                     assert mirrored(poly).vertices == poly.vertices
                 poly = regions.dof_region(m, n)
                 assert mirrored(poly).vertices == poly.vertices
+
+    def test_vertices_are_the_hull_of_the_corners(self):
+        # the closed-form vertex list equals the convex hull of the origin and
+        # the labelled corners, collinear symmetric points dropped
+        models = (regions.ASYM_FB_DCSIT, regions.SYM_FB, regions.ASYM_FB,
+                  regions.ASYM_FB_DCSIT_TX1)
+        for m in range(1, 13):
+            for n in range(1, 13):
+                polys = [regions.sdof_region(m, n, model) for model in models]
+                for poly in polys + [regions.dof_region(m, n)]:
+                    corners = [(F(0), F(0))] + list(poly.labels.values())
+                    assert poly.vertices == reference_hull(corners), (m, n, poly.model)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidInput):

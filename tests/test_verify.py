@@ -17,6 +17,7 @@ from dense_reference import (
     dense_ranks,
     reference_contained,
     stacked_matrices,
+    state_rows,
 )
 from dense_reference import carried_map as dense_carried_map
 from xsdof import channel, matcore, schemes, verify
@@ -90,7 +91,7 @@ def _check_carried_maps(case, transcript) -> set:
         slots = ranges[phase]
         for rx in (1, 2):
             got = schemes.carried_map(transcript, blocks[rx - 1, np.asarray(slots) - 1], name)
-            lifted = lift_rows(transcript.states.rows(rx, slots), m)
+            lifted = lift_rows(state_rows(transcript.states, rx, slots), m)
             want = dense_carried_map(transcript, lifted, name, m * len(slots))
             assert got.shape == want.shape, (case, name, rx)
             diff = np.linalg.norm(got - want)
@@ -287,7 +288,7 @@ class TestSubspaceOracle:
         # receiver 1 against v2, receiver 2 against v1, each on its own noise
         # half past phase 1, times the null bases of its own phase-1 blocks
         for (got_noise, got_secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
-            rows = transcript.states.rows(rx + 1, range(1, 10))[..., :2]
+            rows = state_rows(transcript.states, rx + 1, range(1, 10))[..., :2]
             (g_null,) = matcore.slot_null_bases(rows.transpose(0, 2, 1, 3).reshape(1, 9, 3, 4))
             np.testing.assert_array_equal(got_noise, g_null.apply(noise[rx][p1:]))
             np.testing.assert_array_equal(got_secret, replay(transcript, group)[rx][p1:])
@@ -652,7 +653,7 @@ class TestEmpiricalDof:
     )
     def test_values(self, scheme, m, n, want):
         report = verify.run_trial(variant(scheme), AntennaConfig(m, n), seed=7, with_oracle=False)
-        assert (report.dof_rx1, report.dof_rx2) == (want, want)
+        assert report.dof == want
 
     def test_matches_region_corner(self):
         from xsdof import regions
@@ -660,8 +661,7 @@ class TestEmpiricalDof:
         def dof(scheme, m, n):
             spec = variant(scheme)
             report = verify.run_trial(spec, AntennaConfig(m, n), seed=7, with_oracle=False)
-            assert report.dof_rx1 == report.dof_rx2
-            return report.dof_rx1
+            return report.dof
 
         assert dof(SchemeId.A, 2, 3) == regions.symmetric_corner(2, 3, "asym-fb-dcsit").point[0]
         assert dof(SchemeId.D, 2, 3) == regions.symmetric_corner(2, 3, "sym-fb").point[0]
