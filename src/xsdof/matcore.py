@@ -2,10 +2,11 @@
 
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
-tolerance report, a Cholesky full-rank certificate that falls back to that
-rank, per-slot null bases of block-diagonal maps, square/tall solving with
-a condition estimate, seeded random matrix generation, and dense
-block-diagonal assembly (:func:`block_diag`, which no trial calls).
+tolerance report, an inverse-free shifted Cholesky certificate of full rank
+at that rank's cut (the SVD rank decides what it cannot certify), per-slot
+null bases of block-diagonal maps, square/tall solving with a condition
+estimate, seeded random matrix generation, and dense block-diagonal
+assembly (:func:`block_diag`, which no trial calls).
 
 Four helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
@@ -15,7 +16,7 @@ cut of :func:`rank`; :func:`solve_full_column_rank` solves a ``(t, r, c)``
 stack by one batched SVD; and :func:`slot_null_bases` gives the per-slot
 ranks and null bases of block-diagonal matrices.
 
-All functions are pure; arrays are never mutated in place.  Every rank is
+All functions are pure; no argument is mutated in place.  Every rank is
 decided at one *relative* singular-value threshold, :data:`REL_TOL`, read
 at call time: generic complex-Gaussian draws put the singular-value gap
 many orders of magnitude above it, so rank decisions are stable.
@@ -128,32 +129,43 @@ def rank(a, scale: float = 0.0) -> RankReport:
     return RankReport(value, smallest_kept, largest_dropped)
 
 
-def has_full_rank(a) -> bool:
-    """Whether ``rank(a).value == min(a.shape)``, mostly without an SVD.
+def full_rank_certified(a, scale: float = 0.0) -> bool:
+    """Whether a shifted Cholesky test proves ``rank(a, scale).value ==
+    min(a.shape)``, with no SVD and no inverse.
 
-    A Cholesky factor ``L`` of the smaller Gram matrix (``a^H a`` for a tall
-    ``r x c`` matrix, ``a a^H`` for a wide one) certifies full rank when
-    ``1/||L^-1||_F^2 > 2 (REL_TOL^2 + 4 (r + c) u) ||a||_F^2``, ``u`` the
-    unit round-off.  ``1/||L^-1||_F^2`` bounds the Gram matrix's smallest
-    eigenvalue, ``sigma_min(a)^2``, from below; the ``(r + c) u`` term
-    covers the rounding of the Gram product and of the factor (Higham 2002,
-    Thm 10.3); and ``sigma_max(a) <= ||a||_F``.  So a pass proves that
-    :func:`rank`'s cut keeps every singular value.  A factorization that
-    fails, or a bound that does not hold, leaves the decision to
-    :func:`rank`.  A matrix with a zero dimension has full rank 0.
+    ``G`` is the smaller Gram matrix (``a^H a`` for a tall ``r x c``
+    matrix, ``a a^H`` for a wide one).  A completed Cholesky factorization
+    of ``G - tau I``, ``tau = 2 (REL_TOL^2 max(||a||_F^2, scale^2) + 4 (r +
+    c) u ||a||_F^2)`` with ``u`` the unit round-off, proves ``sigma_min(a)
+    > REL_TOL max(sigma_max(a), scale)``, the cut of :func:`rank`: the
+    ``u`` term covers the rounding of ``G`` and the factor's backward error
+    (Higham 2002, ch. 10), and ``sigma_max(a) <= ||a||_F``.  False proves
+    nothing.  A matrix with a zero dimension has full rank 0.
     """
     m = as_matrix(a)
     r, c = m.shape
     if min(r, c) == 0:
         return True
     gram = m.conj().T @ m if r >= c else m @ m.conj().T
-    bound = 2.0 * (REL_TOL**2 + 4 * (r + c) * UNIT_ROUNDOFF) * np.linalg.norm(m) ** 2
+    frobenius2 = np.linalg.norm(m) ** 2
+    gram.flat[:: len(gram) + 1] -= 2.0 * (
+        REL_TOL**2 * max(frobenius2, scale**2) + 4 * (r + c) * UNIT_ROUNDOFF * frobenius2
+    )
     try:
-        if 1.0 / np.linalg.norm(np.linalg.inv(np.linalg.cholesky(gram))) ** 2 > bound:
-            return True
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        pass
-    return rank(m).value == min(r, c)
+        return False
+    return True
+
+
+def has_full_rank(a, scale: float = 0.0) -> bool:
+    """Whether ``rank(a, scale).value == min(a.shape)``, mostly without an SVD.
+
+    :func:`full_rank_certified` decides every matrix it can certify; the
+    others, the deficient ones and those too close to the cut, go to
+    :func:`rank`.  ``scale`` is :func:`rank`'s.
+    """
+    return full_rank_certified(a, scale) or rank(a, scale).value == min(np.shape(a))
 
 
 def batch_rank(stack: np.ndarray) -> np.ndarray:

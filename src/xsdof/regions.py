@@ -4,7 +4,8 @@ Every quantity here is a :class:`fractions.Fraction`; floating point never
 enters.  Figure corner labels such as 3/4, 12/7, 8/3 or 4/7 are therefore
 reproduced bit-exactly, and polygon containment is decided without
 tolerance.  Every region is cut by one line x/d + y/mx <= 1 and its mirror,
-so its polygon is built in closed form (:func:`_two_line_region`).
+so its polygon is built in closed form (:func:`_two_line_region`) and
+membership is decided from the two inequalities.
 
 The two per-receiver sum rates are abbreviated throughout as ``x`` (sum of
 degrees of freedom delivered to receiver 1) and ``y`` (receiver 2).
@@ -79,29 +80,30 @@ class RegionPolygon:
     (a, 0), the symmetric point unless it lies on the edge to (0, a) (as it
     does when the two lines coincide), and (0, a); an origin-only region has
     one vertex.  ``labels`` keeps every named corner, the symmetric point of
-    a degenerate triangle included.  ``flags`` carries advisory notes such
-    as the inner-bound discrepancy of the feedback-only model.
+    a degenerate triangle included.  ``d`` and ``mx`` are the lines'
+    intercepts: the region is x/d + y/mx <= 1 and its mirror in the first
+    quadrant, or the origin alone when ``d <= 0``; they decide membership
+    and are not written out.  ``flags`` carries advisory notes such as the
+    inner-bound discrepancy of the feedback-only model.
     """
 
     vertices: tuple[Point, ...]
     labels: dict[str, Point]
     model: str
+    d: Fraction
+    mx: Fraction
     flags: dict[str, object] = field(default_factory=dict)
 
     def contains_point(self, point: Point) -> bool:
-        """Exact membership test (region = hull of the vertices)."""
+        """Exact membership test: both line inequalities, cleared of
+        denominators."""
         x, y = Fraction(point[0]), Fraction(point[1])
         if x < 0 or y < 0:
             return False
-        if len(self.vertices) == 1:
-            return (x, y) == self.vertices[0]
-        verts = list(self.vertices)
-        for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-            # CCW orientation: inside iff never strictly right of an edge.
-            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            if cross < 0:
-                return False
-        return True
+        if self.d <= 0:
+            return x == y == 0
+        bound = self.d * self.mx
+        return x * self.mx + y * self.d <= bound and y * self.mx + x * self.d <= bound
 
     def contains_polygon(self, other: "RegionPolygon") -> bool:
         """True iff every vertex of ``other`` lies in this (convex) region."""
@@ -147,7 +149,7 @@ def _two_line_region(d: Fraction, mx: Fraction, model: str) -> RegionPolygon:
     """Region cut out by x/d + y/mx <= 1 and its mirror in the first quadrant."""
     zero = Fraction(0)
     if d <= 0:
-        return RegionPolygon(((zero, zero),), {"origin": (zero, zero)}, model)
+        return RegionPolygon(((zero, zero),), {"origin": (zero, zero)}, model, d, mx)
     axis = min(d, mx)
     sym = _symmetric_intersection(d, mx)
     labels = {
@@ -157,7 +159,8 @@ def _two_line_region(d: Fraction, mx: Fraction, model: str) -> RegionPolygon:
     }
     # sym = d*mx/(d+mx) > axis/2 unless d == mx, where it is an edge midpoint
     corner = () if d == mx else (sym,)
-    return RegionPolygon(((zero, zero), (axis, zero)) + corner + ((zero, axis),), labels, model)
+    vertices = ((zero, zero), (axis, zero)) + corner + ((zero, axis),)
+    return RegionPolygon(vertices, labels, model, d, mx)
 
 
 def sdof_region(m: int, n: int, model) -> RegionPolygon:

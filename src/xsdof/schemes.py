@@ -268,12 +268,12 @@ def draw_precoders(
     that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
     own, gives each precoder one carrier, so it draws the same precoders.
 
-    Full rank is decided by :func:`matcore.has_full_rank`: a Cholesky
-    certificate, with the SVD rank only where that cannot certify.  Both
-    accept exactly the candidates the SVD rank accepts, so the stream and
-    the precoders are those of an SVD check.  A Gaussian draw is full rank
-    almost surely; exhausting the retries therefore signals a tolerance
-    bug, not bad luck.
+    Full rank is decided by :func:`matcore.has_full_rank`: a shifted
+    Cholesky certificate, which needs neither an SVD nor an inverse, with
+    the SVD rank only where that cannot certify.  It accepts exactly the
+    candidates the SVD rank accepts, so the stream and the precoders are
+    those of an SVD check.  A Gaussian draw is full rank almost surely;
+    exhausting the retries therefore signals a tolerance bug, not bad luck.
     """
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths

@@ -123,10 +123,14 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
     Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
     lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
     null bases of ``G`` (:func:`matcore.slot_null_bases`), and the rank cut
-    on ``M N`` keeps ``G``'s scale.  The maps under a precoder come from the
-    phases' slot blocks (:func:`schemes.carried_map`), so no dense lift is
-    built either.  ``matrices_audited`` lists the shapes of the stacked
-    matrices the identities are about.
+    on ``M N`` keeps ``G``'s scale.  A reduced map that
+    :func:`matcore.full_rank_certified` proves full rank at that cut counts
+    as ``min(M N's shape)`` with no SVD; only the others (scheme C's leak
+    maps, a mutant's deficient ones) reach :func:`matcore.rank`.  The maps
+    under a precoder come from the phases' slot blocks
+    (:func:`schemes.carried_map`), so no dense lift is built either.
+    ``matrices_audited`` lists the shapes of the stacked matrices the
+    identities are about.
     """
     transcript.check_complete()
     cfg = transcript.config
@@ -149,6 +153,8 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
         """``rank([G; M])`` from the null bases of ``G`` and ``M N``."""
         t = len(g_null.ranks)
         audited.append((name, n * t + reduced.shape[0], 2 * m * t))
+        if matcore.full_rank_certified(reduced, g_null.largest):
+            return g_null.rank + min(reduced.shape)
         return g_null.rank + matcore.rank(reduced, g_null.largest).value
 
     # --- rate identities -------------------------------------------------

@@ -289,33 +289,50 @@ class TestHasFullRank:
         assert not matcore.has_full_rank(a)  # now below the cut
         assert rank_calls == [shape]
 
+    @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+    def test_scale_floor_below_the_cut_reaches_the_svd(self, rank_calls, shape):
+        # sigma_min = 1e-3 sigma_max: certified at its own scale, but a floor
+        # of 1e7 puts the cut at 1e-2, so the certificate fails and the SVD
+        # rank decides 4 of 5
+        a = _planted(*shape, [1.0, 0.7, 0.5, 0.3, 1e-3], seed=33)
+        assert matcore.has_full_rank(a)
+        assert rank_calls == []
+        assert not matcore.has_full_rank(a, 1e7)
+        assert rank_calls == [shape]
+        assert matcore.rank(a, 1e7).value == 4
+
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidMatrix):
             matcore.has_full_rank(np.array([[1.0, np.inf]]))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         rows=st.integers(0, 12),
         cols=st.integers(0, 12),
         exponent=st.floats(-16.0, 0.0),
         tol=st.sampled_from([1e-7, 1e-9, 1e-11]),
+        floor=st.sampled_from([0.0, 0.5, 30.0, 1e6]),
         seed=st.integers(0, 2**16),
     )
-    def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, tol, seed):
-        # the smallest singular value swept from 1 down past every cut: a
-        # pass without the fallback is a proof the SVD keeps all of them
+    def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, tol, floor, seed):
+        # the smallest singular value swept from 1 down past every cut, the
+        # scale floor at 0, below sigma_max and above it: a pass without the
+        # fallback is a proof the SVD keeps all of them
         k = min(rows, cols)
         if k:
-            a = _planted(rows, cols, [1.0] * (k - 1) + [10.0**exponent], seed)
+            planted = [1.0] * (k - 1) + [10.0**exponent]
+            a = _planted(rows, cols, planted, seed)
         else:
+            planted = [0.0]
             a = np.zeros((rows, cols), dtype=complex)
+        scale = floor * max(planted)
         calls = []
         rank = matcore.rank
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matcore, "REL_TOL", tol)
             patch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
-            got = matcore.has_full_rank(a)
-            svd_full = rank(a).value == k
+            got = matcore.has_full_rank(a, scale)
+            svd_full = rank(a, scale).value == k
         assert got == svd_full
         if not calls:
             assert svd_full

@@ -1,13 +1,19 @@
 """Every function and method in ``src/xsdof`` has a caller in ``src/xsdof``.
 
-A reference is an AST ``Name`` or ``Attribute`` node carrying the name,
-anywhere in the package's code outside the definition itself; docstrings
-and comments never count.  The match is by name only, so a reference to any
-function of the same name keeps a definition alive.  Dunder methods are
-called by the language and are not checked.
+A reference is an AST node carrying the name, anywhere in the package's
+code outside the definition itself; docstrings and comments never count.
+A function (module-level or nested) is referenced by a ``Name`` or an
+``Attribute`` node.  A method is referenced only by an ``Attribute`` node,
+or by a string constant that reaches ``getattr``'s name argument, directly
+or from the literal tuple a loop or comprehension binds that argument from
+(``getattr(sym, name) for name in ("u", "v1", "v2")``); so a local
+variable of the same name does not keep a method alive.  The match is by
+name only, so an attribute of the same name on any object does.  Dunder
+methods are called by the language and are not checked.
 """
 
 import ast
+import shutil
 from pathlib import Path
 
 from test_tracer_names import _named
@@ -24,13 +30,14 @@ ALLOWED = {
 
 
 def _definitions(tree):
-    """``(qualified name, node)`` of every function and method in ``tree``."""
+    """``(qualified name, node, is_method)`` of every function and method in
+    ``tree``."""
     out = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((prefix + child.name, child))
+                out.append((prefix + child.name, child, isinstance(node, ast.ClassDef)))
                 visit(child, prefix + child.name + ".")
             elif isinstance(child, ast.ClassDef):
                 visit(child, prefix + child.name + ".")
@@ -41,32 +48,55 @@ def _definitions(tree):
     return out
 
 
+def _getattr_names(node):
+    """``(name, line)`` of every string constant in ``node`` that reaches
+    ``getattr``'s name argument, as the argument itself or from the literal
+    tuple or list a ``for`` loop or comprehension binds it from."""
+    calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "getattr"
+             and len(call.args) >= 2]
+    out = [(call.args[1].value, call.lineno) for call in calls
+           if isinstance(call.args[1], ast.Constant) and isinstance(call.args[1].value, str)]
+    bound = {call.args[1].id for call in calls if isinstance(call.args[1], ast.Name)}
+    for loop in ast.walk(node):
+        if (isinstance(loop, (ast.For, ast.comprehension)) and isinstance(loop.target, ast.Name)
+                and loop.target.id in bound and isinstance(loop.iter, (ast.Tuple, ast.List))):
+            out += [(elt.value, elt.lineno) for elt in loop.iter.elts
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+    return out
+
+
 def _references(trees):
-    """Module and line of every ``Name`` and ``Attribute`` node in ``trees``,
-    by the name it carries."""
-    refs = {}
+    """Module and line of every reference in ``trees``, by the name it
+    carries: ``(functions, methods)``, the references that keep a function
+    and those that keep a method alive."""
+    functions, methods = {}, {}
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append((module, node.lineno))
+                functions.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append((module, node.lineno))
-    return refs
+                for refs in (functions, methods):
+                    refs.setdefault(node.attr, []).append((module, node.lineno))
+        for name, line in _getattr_names(tree):
+            methods.setdefault(name, []).append((module, line))
+    return functions, methods
 
 
 def unreferenced(src=SRC):
     """``(module, qualified name)`` of every definition under ``src`` that no
     code under ``src`` outside the definition refers to."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    refs = _references(trees)
+    functions, methods = _references(trees)
     found = []
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
+        for qualname, node, is_method in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
+            refs = (methods if is_method else functions).get(name, ())
             inside = range(node.lineno, node.end_lineno + 1)
-            if all(other == module and line in inside for other, line in refs.get(name, ())):
+            if all(other == module and line in inside for other, line in refs):
                 found.append((module, qualname))
     return found
 
@@ -80,3 +110,23 @@ def test_every_definition_has_a_caller():
 def test_allowed_names_are_still_uncalled():
     # an entry whose name gained a caller, or was deleted, is stale
     assert set(ALLOWED) <= set(unreferenced())
+
+
+def test_a_local_variable_does_not_keep_a_method_alive(tmp_path):
+    # verify.py binds local variables named ``rows``; a method of that name
+    # that only the tests call is still found
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    verify = tmp_path / "verify.py"
+    assert "rows = " in verify.read_text()
+    verify.write_text(verify.read_text() + "\n\nclass Planted:\n    def rows(self):\n"
+                      "        return 0\n")
+    assert ("verify", "Planted.rows") in unreferenced(tmp_path)
+
+
+def test_a_getattr_name_keeps_a_method_alive():
+    # ``Symbols.u`` is read only through ``getattr`` with a name from a
+    # literal tuple, in ``schemes.linear_response``
+    tree = ast.parse("""def f(sym):\n    return [getattr(sym, k) for k in ("u", "v1")]\n""")
+    assert [name for name, _ in _getattr_names(tree)] == ["u", "v1"]
+    assert ("schemes", "Symbols.u") not in unreferenced()

@@ -47,13 +47,31 @@ def reference_hull(points):
     return tuple(hull)
 
 
+def reference_contains(vertices, point):
+    """Membership in the convex hull of counterclockwise ``vertices`` by an
+    exact edge walk: inside iff never strictly right of an edge.  The
+    general construction :meth:`RegionPolygon.contains_point`'s two line
+    inequalities must agree with."""
+    x, y = F(point[0]), F(point[1])
+    if len(vertices) == 1:
+        return (x, y) == vertices[0]
+    verts = list(vertices)
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) < 0:
+            return False
+    return True
+
+
 def mirrored(poly):
     """``poly`` reflected across the diagonal y = x, its vertices in the
-    counterclockwise hull order the region constructors use."""
+    counterclockwise hull order the region constructors use.  A two-line
+    region is its own mirror, so the lines' intercepts carry over."""
     return regions.RegionPolygon(
         reference_hull((y, x) for x, y in poly.vertices),
         {k: (v[1], v[0]) for k, v in poly.labels.items()},
         poly.model,
+        poly.d,
+        poly.mx,
         dict(poly.flags),
     )
 
@@ -165,6 +183,31 @@ class TestSdofRegion:
                 for poly in polys + [regions.dof_region(m, n)]:
                     corners = [(F(0), F(0))] + list(poly.labels.values())
                     assert poly.vertices == reference_hull(corners), (m, n, poly.model)
+
+    def test_membership_matches_the_edge_walk(self):
+        # every vertex, its neighbours a small step off it on either axis,
+        # and the midpoints of the edges (on the boundary) and of the
+        # diagonals (inside); the 1,440 polygons, mirrors included, are 121
+        # distinct (vertices, d, mx), each checked once
+        models = (regions.ASYM_FB_DCSIT, regions.SYM_FB, regions.ASYM_FB,
+                  regions.ASYM_FB_DCSIT_TX1)
+        step = F(1, 1000)
+        seen = set()
+        for m in range(1, 13):
+            for n in range(1, 13):
+                polys = [regions.sdof_region(m, n, model) for model in models]
+                polys.append(regions.dof_region(m, n))
+                for poly in polys + [mirrored(p) for p in polys]:
+                    verts = poly.vertices
+                    if (verts, poly.d, poly.mx) in seen:
+                        continue
+                    seen.add((verts, poly.d, poly.mx))
+                    points = [(x + dx, y + dy) for x, y in verts
+                              for dx, dy in ((0, 0), (step, 0), (-step, 0), (0, step), (0, -step))]
+                    points += [((x1 + x2) / 2, (y1 + y2) / 2) for x1, y1 in verts for x2, y2 in verts]
+                    for point in points:
+                        assert poly.contains_point(point) == reference_contains(verts, point), (
+                            m, n, poly.model, point)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InvalidInput):

@@ -223,6 +223,16 @@ class TestSecrecyRankReport:
                 base.leak_defect_rx2,
             )
 
+    def test_rank_runs_only_on_maps_the_certificate_cannot_prove(self, monkeypatch):
+        shapes = []
+        rank = matcore.rank
+        monkeypatch.setattr(matcore, "rank", lambda a, *args: shapes.append(np.shape(a))
+                            or rank(a, *args))
+        for case, transcript in agreement_transcripts(WORKLOAD_CASES):
+            shapes.clear()
+            verify.secrecy_rank_report(transcript)
+            assert shapes == REPORT_RANKED.get(case[:4], []), case
+
     def test_incomplete_transcript_rejected(self):
         transcript = transcript_for(SchemeId.B, 1, 1)
         transcript.inputs = transcript.inputs[:-1]
@@ -425,6 +435,23 @@ BLOCK_SOLVED = {
     (SchemeId.A, 6, 6, None): (True, True),
 }
 
+#: Shapes of the reduced maps the rank report hands to ``matcore.rank``, by
+#: agreement or workload case and the same on every seed: the maps that
+#: ``matcore.full_rank_certified`` cannot prove full rank.  Scheme C's two
+#: leak maps are deficient by its defect, and ``theta1_zero`` and
+#: ``phi1_zero`` each zero one map.  E's and ``skip_phase1``'s leak maps
+#: have no columns, rank 0 with no SVD; every map of A, B and D is
+#: certified.
+REPORT_RANKED = {
+    (SchemeId.C, 2, 3, None): [(6, 9), (6, 9)],
+    (SchemeId.C, 2, 3, "tx1_only"): [(6, 9), (6, 9)],
+    (SchemeId.C, 4, 5, None): [(60, 75), (60, 75)],
+    (SchemeId.A, 3, 4, "theta1_zero"): [(32, 32)],
+    (SchemeId.A, 3, 4, "phi1_zero"): [(16, 16)],
+    (SchemeId.A, 2, 3, "theta1_zero"): [(9, 9)],
+    (SchemeId.A, 2, 3, "phi1_zero"): [(3, 3)],
+}
+
 #: Least ratio between the bounds the block solve proves on the ``k``-th and
 #: the ``(k+1)``-th singular value of ``[noise | secret]``: the evidence
 #: that its containment verdict is no tolerance accident.
@@ -516,6 +543,8 @@ def test_large_configuration_a88(monkeypatch):
     monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
     transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
     assert calls == []  # all four precoders certified without an SVD
+    verify.secrecy_rank_report(transcript)
+    assert calls == []  # and all four reduced maps of the rank report
     monkeypatch.setattr(matcore, "rank", rank)
     verdicts, solved = _oracle_exits(monkeypatch, transcript)
     assert verdicts == dense_oracle(transcript) == (True, True)
