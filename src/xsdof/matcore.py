@@ -158,14 +158,14 @@ def full_rank_certified(a, scale: float = 0.0) -> bool:
     return True
 
 
-def has_full_rank(a, scale: float = 0.0) -> bool:
-    """Whether ``rank(a, scale).value == min(a.shape)``, mostly without an SVD.
+def has_full_rank(a) -> bool:
+    """Whether ``rank(a).value == min(a.shape)``, mostly without an SVD.
 
     :func:`full_rank_certified` decides every matrix it can certify; the
     others, the deficient ones and those too close to the cut, go to
-    :func:`rank`.  ``scale`` is :func:`rank`'s.
+    :func:`rank`.
     """
-    return full_rank_certified(a, scale) or rank(a, scale).value == min(np.shape(a))
+    return full_rank_certified(a) or rank(a).value == min(np.shape(a))
 
 
 def batch_rank(stack: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Every quantity here is a :class:`fractions.Fraction`; floating point never
 enters.  Figure corner labels such as 3/4, 12/7, 8/3 or 4/7 are therefore
 reproduced bit-exactly, and polygon containment is decided without
 tolerance.  Every region is cut by one line x/d + y/mx <= 1 and its mirror,
-so its polygon is built in closed form (:func:`_two_line_region`) and
-membership is decided from the two inequalities.
+so a :class:`RegionPolygon` holds the two intercepts: its vertices are
+written from them in closed form and membership is decided from the two
+inequalities.
 
 The two per-receiver sum rates are abbreviated throughout as ``x`` (sum of
 degrees of freedom delivered to receiver 1) and ``y`` (receiver 2).
@@ -74,25 +75,48 @@ def ds_local(n: int, m_prime: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RegionPolygon:
-    """Convex region of achievable per-receiver sum-DoF pairs.
+    """Convex region of achievable per-receiver sum-DoF pairs: x/d + y/mx
+    <= 1 and its mirror in the first quadrant, or the origin alone when
+    ``d <= 0``.
 
-    ``vertices`` runs counterclockwise from (0, 0) through the axis point
-    (a, 0), the symmetric point unless it lies on the edge to (0, a) (as it
-    does when the two lines coincide), and (0, a); an origin-only region has
-    one vertex.  ``labels`` keeps every named corner, the symmetric point of
-    a degenerate triangle included.  ``d`` and ``mx`` are the lines'
-    intercepts: the region is x/d + y/mx <= 1 and its mirror in the first
-    quadrant, or the origin alone when ``d <= 0``; they decide membership
-    and are not written out.  ``flags`` carries advisory notes such as the
+    The intercepts ``d`` and ``mx`` are the region; ``vertices`` and
+    ``labels`` are written from them in closed form and are what the JSON
+    and CSV output show.  ``flags`` carries advisory notes such as the
     inner-bound discrepancy of the feedback-only model.
     """
 
-    vertices: tuple[Point, ...]
-    labels: dict[str, Point]
-    model: str
     d: Fraction
     mx: Fraction
+    model: str
     flags: dict[str, object] = field(default_factory=dict)
+
+    @property
+    def labels(self) -> dict[str, Point]:
+        """Every named corner: the two axis points and the symmetric point,
+        even where it lies on the edge between them; the origin alone for
+        an origin-only region."""
+        zero = Fraction(0)
+        if self.d <= 0:
+            return {"origin": (zero, zero)}
+        axis = min(self.d, self.mx)
+        return {
+            "axis_rx1": (axis, zero),
+            "symmetric": _symmetric_intersection(self.d, self.mx),
+            "axis_rx2": (zero, axis),
+        }
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """Counterclockwise from (0, 0) through the axis point (a, 0), the
+        symmetric point unless it lies on the edge to (0, a), and (0, a);
+        an origin-only region has one vertex."""
+        labels = self.labels
+        if self.d <= 0:
+            return (labels["origin"],)
+        # sym = d*mx/(d+mx) > axis/2 unless d == mx, where it is an edge midpoint
+        corner = () if self.d == self.mx else (labels["symmetric"],)
+        zero = Fraction(0)
+        return ((zero, zero), labels["axis_rx1"]) + corner + (labels["axis_rx2"],)
 
     def contains_point(self, point: Point) -> bool:
         """Exact membership test: both line inequalities, cleared of
@@ -145,24 +169,6 @@ def _symmetric_intersection(d: Fraction, mx: Fraction) -> Point:
     return (p, p)
 
 
-def _two_line_region(d: Fraction, mx: Fraction, model: str) -> RegionPolygon:
-    """Region cut out by x/d + y/mx <= 1 and its mirror in the first quadrant."""
-    zero = Fraction(0)
-    if d <= 0:
-        return RegionPolygon(((zero, zero),), {"origin": (zero, zero)}, model, d, mx)
-    axis = min(d, mx)
-    sym = _symmetric_intersection(d, mx)
-    labels = {
-        "axis_rx1": (axis, zero),
-        "symmetric": sym,
-        "axis_rx2": (zero, axis),
-    }
-    # sym = d*mx/(d+mx) > axis/2 unless d == mx, where it is an edge midpoint
-    corner = () if d == mx else (sym,)
-    vertices = ((zero, zero), (axis, zero)) + corner + ((zero, axis),)
-    return RegionPolygon(vertices, labels, model, d, mx)
-
-
 def sdof_region(m: int, n: int, model) -> RegionPolygon:
     """Secure sum-DoF region for transmitters with ``m`` antennas, receivers with ``n``.
 
@@ -175,13 +181,13 @@ def sdof_region(m: int, n: int, model) -> RegionPolygon:
     if m < 1 or n < 1:
         raise InvalidInput(f"need m, n >= 1, got ({m}, {n})")
     if 2 * m <= n:
-        return _two_line_region(Fraction(0), Fraction(0), key)
+        return RegionPolygon(Fraction(0), Fraction(0), key)
     mx = Fraction(min(2 * m, 2 * n))
     if key in (ASYM_FB_DCSIT, SYM_FB):
-        return _two_line_region(ds(n, 2 * m), mx, key)
+        return RegionPolygon(ds(n, 2 * m), mx, key)
     # feedback-only inner bound; flag the known formula-vs-scheme mismatch
     d = ds_local(n, 2 * m)
-    region = _two_line_region(d, mx, key)
+    region = RegionPolygon(d, mx, key)
     corner = symmetric_corner(m, n, key)
     if corner.discrepancy:
         region.flags["inner_bound_discrepancy"] = {
@@ -195,7 +201,7 @@ def dof_region(m: int, n: int) -> RegionPolygon:
     """Sum-DoF region without secrecy constraints (delayed CSIT + feedback)."""
     if m < 1 or n < 1:
         raise InvalidInput(f"need m, n >= 1, got ({m}, {n})")
-    return _two_line_region(Fraction(min(2 * m, n)), Fraction(min(2 * m, 2 * n)), "dof")
+    return RegionPolygon(Fraction(min(2 * m, n)), Fraction(min(2 * m, 2 * n)), "dof")
 
 
 @dataclass(frozen=True)

@@ -290,15 +290,13 @@ class TestHasFullRank:
         assert rank_calls == [shape]
 
     @pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
-    def test_scale_floor_below_the_cut_reaches_the_svd(self, rank_calls, shape):
+    def test_scale_floor_below_the_cut_fails_the_certificate(self, shape):
         # sigma_min = 1e-3 sigma_max: certified at its own scale, but a floor
-        # of 1e7 puts the cut at 1e-2, so the certificate fails and the SVD
-        # rank decides 4 of 5
+        # of 1e7 puts the cut at 1e-2, where the SVD rank is 4 of 5, so the
+        # certificate must not pass
         a = _planted(*shape, [1.0, 0.7, 0.5, 0.3, 1e-3], seed=33)
-        assert matcore.has_full_rank(a)
-        assert rank_calls == []
-        assert not matcore.has_full_rank(a, 1e7)
-        assert rank_calls == [shape]
+        assert matcore.full_rank_certified(a)
+        assert not matcore.full_rank_certified(a, 1e7)
         assert matcore.rank(a, 1e7).value == 4
 
     def test_rejects_bad_input(self):
@@ -316,8 +314,9 @@ class TestHasFullRank:
     )
     def test_certificate_implies_svd_full_rank(self, rows, cols, exponent, tol, floor, seed):
         # the smallest singular value swept from 1 down past every cut, the
-        # scale floor at 0, below sigma_max and above it: a pass without the
-        # fallback is a proof the SVD keeps all of them
+        # scale floor at 0, below sigma_max and above it: a certificate is a
+        # proof the SVD keeps all of them at that floor, and has_full_rank
+        # (floor 0) is the SVD's answer whichever path decides it
         k = min(rows, cols)
         if k:
             planted = [1.0] * (k - 1) + [10.0**exponent]
@@ -326,15 +325,12 @@ class TestHasFullRank:
             planted = [0.0]
             a = np.zeros((rows, cols), dtype=complex)
         scale = floor * max(planted)
-        calls = []
-        rank = matcore.rank
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matcore, "REL_TOL", tol)
-            patch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
-            got = matcore.has_full_rank(a, scale)
-            svd_full = rank(a, scale).value == k
-        assert got == svd_full
-        if not calls:
+            certified = matcore.full_rank_certified(a, scale)
+            svd_full = matcore.rank(a, scale).value == k
+            assert matcore.has_full_rank(a) == (matcore.rank(a).value == k)
+        if certified:
             assert svd_full
 
 
