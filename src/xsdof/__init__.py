@@ -11,7 +11,6 @@ from .channel import AntennaConfig, FeedbackModel, Regime
 from .errors import (
     DecodeFailure,
     DegeneratePrecoders,
-    IllConditioned,
     InvalidInput,
     InvalidMatrix,
     InvalidShape,
@@ -32,7 +31,6 @@ __all__ = [
     "SchemeId",
     "DecodeFailure",
     "DegeneratePrecoders",
-    "IllConditioned",
     "InvalidInput",
     "InvalidMatrix",
     "InvalidShape",

@@ -204,7 +204,7 @@ def lift_phase(states, which: tuple[int, int], m_eff: int | None = None) -> np.n
     return matcore.block_diag([s[j - 1, i - 1, :, :m_eff] for s in states])
 
 
-def diagonal_blocks(rows: np.ndarray, m_eff: int | None = None) -> np.ndarray:
+def diagonal_blocks(rows: np.ndarray, m_eff: int) -> np.ndarray:
     """The ``n x 2m`` diagonal blocks of :func:`lift_rows` of ``rows``.
 
     ``rows`` is ``(..., t, 2, n, m)``, a receiver's blocks ``(h_j1, h_j2)``

@@ -2,7 +2,7 @@
 
 Error classes are part of the module contracts: callers are expected to
 catch these by name (for example the trial driver resamples on
-``SingularSystem`` / ``IllConditioned``, while ``UnauthorizedAccess`` is a
+``SingularSystem``, while ``UnauthorizedAccess`` is a
 hard abort that signals a scheme trying to read state its feedback model
 does not grant).
 """
@@ -22,10 +22,6 @@ class InvalidInput(ValueError):
 
 class SingularSystem(ArithmeticError):
     """A square system is numerically rank deficient at the working tolerance."""
-
-
-class IllConditioned(ArithmeticError):
-    """A solve exceeded the condition-number guard; the trial should be resampled."""
 
 
 class ProtocolViolation(RuntimeError):

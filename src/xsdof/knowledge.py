@@ -130,18 +130,18 @@ class KnowledgeBase:
             if self.model.grants_delayed_csi(i):
                 self.grant(node, ItemKind.DELAYED_CSI, slot, state, available_from=slot + 1)
 
-    def view(self, node: Node, slot: int, decoder: bool = False) -> "View":
-        """Capability view for ``node`` encoding at ``slot`` (or decoding).
+    def view(self, node: Node, slot: int) -> "View":
+        """Capability view for ``node`` at ``slot``.
 
-        Encoder views expose items available strictly by ``slot``.  A decoder
-        view sits at the final slot: it holds every output and own-row state,
-        and the full channel state of every slot but the last, which is the
-        receiver-side knowledge the decoders are defined over.
+        The view exposes items available by ``slot``.  A decoder asks at the
+        final slot of a complete run: the view then holds every output and
+        own-row state, and the full channel state of every slot but the
+        last, which is the receiver-side knowledge the decoders are defined
+        over.
         """
         if slot < 1:
             raise InvalidInput(f"slot must be >= 1, got {slot}")
-        at = self.current_slot if decoder else slot
-        return View(self, node, at)
+        return View(self, node, slot)
 
 
 class View:
@@ -238,7 +238,7 @@ def recover_peer_inputs(
     rows = np.array(rows)
     h_own, h_peer = rows[:, me - 1], rows[:, peer - 1]
     rhs = np.array(fed_back) - (h_own @ np.asarray(own_inputs)[..., None])[..., 0]
-    return solve_full_column_rank(h_peer, rhs).x
+    return solve_full_column_rank(h_peer, rhs)
 
 
 def rebuild_receiver_output(

@@ -3,10 +3,11 @@
 Thin, contract-enforcing layer over ``numpy.linalg``: construction and
 validation of complex matrices, SVD-based numerical rank with an explicit
 tolerance report, an inverse-free shifted Cholesky certificate of full rank
-at that rank's cut (the SVD rank decides what it cannot certify), per-slot
-null bases of block-diagonal maps, square/tall solving with a condition
-estimate, seeded random matrix generation, and dense block-diagonal
-assembly (:func:`block_diag`, which no trial calls).
+at that rank's cut (:func:`rank_value` asks it first and the SVD rank only
+where it cannot certify), per-slot null bases of block-diagonal maps,
+square/tall solving that raises on a rank-deficient system, seeded random
+matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
+which no trial calls).
 
 Four helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
@@ -29,19 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditioned,
-    InvalidInput,
-    InvalidMatrix,
-    InvalidShape,
-    SingularSystem,
-)
+from .errors import InvalidInput, InvalidMatrix, InvalidShape, SingularSystem
 
 #: Relative singular-value threshold used everywhere a rank is decided.
 REL_TOL = 1e-9
-
-#: Solves whose condition estimate exceeds this are flagged for resampling.
-CONDITION_LIMIT = 1e12
 
 #: Unit round-off of double-precision arithmetic.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -158,14 +150,16 @@ def full_rank_certified(a, scale: float = 0.0) -> bool:
     return True
 
 
-def has_full_rank(a) -> bool:
-    """Whether ``rank(a).value == min(a.shape)``, mostly without an SVD.
+def rank_value(a, scale: float = 0.0) -> int:
+    """``rank(a, scale).value``, mostly without an SVD.
 
-    :func:`full_rank_certified` decides every matrix it can certify; the
-    others, the deficient ones and those too close to the cut, go to
-    :func:`rank`.
+    :func:`full_rank_certified` decides every matrix it can certify, as
+    ``min(a.shape)``; the others, the deficient ones and those too close to
+    the cut, go to :func:`rank`.
     """
-    return full_rank_certified(a) or rank(a).value == min(np.shape(a))
+    if full_rank_certified(a, scale):
+        return min(np.shape(a))
+    return rank(a, scale).value
 
 
 def batch_rank(stack: np.ndarray) -> np.ndarray:
@@ -262,15 +256,7 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     return tuple(SlotNullBases(ranks[i], float(largest[i]), basis[i]) for i in range(len(blocks)))
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Solution of a linear system together with its condition estimate."""
-
-    x: np.ndarray
-    condition: float
-
-
-def solve_square(a, b, condition_limit: float | None = None) -> SolveReport:
+def solve_square(a, b) -> np.ndarray:
     """Solve the square system ``a @ x = b`` via SVD.
 
     The square case of :func:`solve_full_column_rank`, plus the empty system.
@@ -281,10 +267,6 @@ def solve_square(a, b, condition_limit: float | None = None) -> SolveReport:
         Square matrix.
     b : array_like
         Right-hand side; a vector or a matrix of stacked right-hand sides.
-    condition_limit : float, optional
-        When given, raise :class:`IllConditioned` if the condition estimate
-        exceeds it.  Trials catching this are expected to resample (the
-        almost-sure full-rank statements permit discarding a null set).
 
     Raises
     ------
@@ -297,11 +279,11 @@ def solve_square(a, b, condition_limit: float | None = None) -> SolveReport:
     if m.shape[0] != m.shape[1]:
         raise InvalidShape(f"matrix is {m.shape}, not square")
     if m.size == 0 and np.shape(b)[0] == 0:
-        return SolveReport(np.array(b, dtype=complex), 1.0)
-    return solve_full_column_rank(m, b, condition_limit)
+        return np.array(b, dtype=complex)
+    return solve_full_column_rank(m, b)
 
 
-def solve_full_column_rank(a, b, condition_limit: float | None = None) -> SolveReport:
+def solve_full_column_rank(a, b) -> np.ndarray:
     """Least-squares solve of a (possibly tall) full-column-rank system.
 
     On a consistent system this recovers the exact solution; the caller is
@@ -311,9 +293,9 @@ def solve_full_column_rank(a, b, condition_limit: float | None = None) -> SolveR
     ``a`` is one ``(r, c)`` matrix or a ``(t, r, c)`` stack of them, solved
     by one batched SVD; ``b`` is a vector or a matrix of stacked right-hand
     sides per matrix, ``(..., r)`` or ``(..., r, k)``.  Each matrix's
-    solution is bit for bit that of solving it alone.  A stack is deficient
-    when any of its matrices is, and its condition estimate is the largest
-    of theirs.
+    solution is bit for bit that of solving it alone, and a stack is
+    deficient when any of its matrices is.  A system that passes has
+    condition number below ``1 / REL_TOL``: the rank cut is the only guard.
 
     Raises
     ------
@@ -333,13 +315,10 @@ def solve_full_column_rank(a, b, condition_limit: float | None = None) -> SolveR
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or np.any(s[..., -1] <= REL_TOL * s[..., 0]):
         raise SingularSystem(f"system {m.shape} is column-rank deficient")
-    condition = float(np.max(s[..., 0] / s[..., -1]))
-    if condition_limit is not None and condition > condition_limit:
-        raise IllConditioned(f"condition estimate {condition:.3e} exceeds {condition_limit:.1e}")
     if vector:
         rhs = rhs[..., None]
     x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])
-    return SolveReport(x[..., 0] if vector else x, condition)
+    return x[..., 0] if vector else x
 
 
 def random_matrix(

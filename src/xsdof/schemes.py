@@ -268,7 +268,7 @@ def draw_precoders(
     that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
     own, gives each precoder one carrier, so it draws the same precoders.
 
-    Full rank is decided by :func:`matcore.has_full_rank`: a shifted
+    Full rank is decided by :func:`matcore.rank_value`: a shifted
     Cholesky certificate, which needs neither an SVD nor an inverse, with
     the SVD rank only where that cannot certify.  It accepts exactly the
     candidates the SVD rank accepts, so the stream and the precoders are
@@ -283,7 +283,7 @@ def draw_precoders(
         shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
         for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
-            if matcore.has_full_rank(cand):
+            if matcore.rank_value(cand) == min(shape):
                 drawn[name] = cand
                 break
         else:
@@ -620,8 +620,8 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     ``n*t4 x (2m-n)*t2`` instead of the stacked system's ``n*(t2+t4) x
     2m*t2``.  Raises :class:`DecodeFailure` when the residual over the whole
     stacked system exceeds the relative tolerance, and
-    :class:`SingularSystem` / :class:`IllConditioned` on null-set channel
-    draws (callers resample).
+    :class:`SingularSystem` when the reduced system is rank deficient at the
+    cut, on null-set channel draws (callers resample).
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
@@ -632,7 +632,7 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
         other, fresh, side, theta, mine, theirs = 2, r2, r3, "theta1", "phi2", "phi1"
     else:
         other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
-    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
+    view = transcript.knowledge.view(receiver, transcript.horizon)
 
     own_f = diagonal_blocks(_own_rows(view, fresh), m)
     cross_f = diagonal_blocks(_cross_rows(view, fresh, other), m)
@@ -653,10 +653,8 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     x_p = own_h @ np.linalg.solve(own_f @ own_h, rhs_f.reshape(-1, n, 1))
     (null,) = matcore.slot_null_bases(own_f[None])
     reduced = final @ side_info(transcript, null.apply_blocks(cross_f))
-    sol = matcore.solve_full_column_rank(
-        reduced, rhs_final - stacked(x_p)[1], condition_limit=matcore.CONDITION_LIMIT
-    )
-    x = x_p + null.basis @ sol.x.reshape(len(fresh), -1, 1)
+    z = matcore.solve_full_column_rank(reduced, rhs_final - stacked(x_p)[1])
+    x = x_p + null.basis @ z.reshape(len(fresh), -1, 1)
     _check_residual(np.concatenate(stacked(x)), np.concatenate([rhs_f, rhs_final]))
     return _lift_order(x)
 

@@ -45,7 +45,6 @@ identity, and a finite-sample estimator would add noise without evidence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +54,7 @@ from . import matcore, schemes
 # lift_rows is no longer called here; the benchmark tracer and its tests
 # patch and read it under this module's name
 from .channel import AntennaConfig, lift_rows  # noqa: F401
-from .errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
+from .errors import DecodeFailure, InvalidTranscript, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
 from .schemes import SchemeId, SchemeSpec, Transcript, carried_map, side_info
@@ -123,9 +122,9 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
     Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
     lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
     null bases of ``G`` (:func:`matcore.slot_null_bases`), and the rank cut
-    on ``M N`` keeps ``G``'s scale.  A reduced map that
-    :func:`matcore.full_rank_certified` proves full rank at that cut counts
-    as ``min(M N's shape)`` with no SVD; only the others (scheme C's leak
+    on ``M N`` keeps ``G``'s scale.  :func:`matcore.rank_value` decides it:
+    a reduced map its certificate proves full rank at that cut counts as
+    ``min(M N's shape)`` with no SVD; only the others (scheme C's leak
     maps, a mutant's deficient ones) reach :func:`matcore.rank`.  The maps
     under a precoder come from the phases' slot blocks
     (:func:`schemes.carried_map`), so no dense lift is built either.
@@ -153,9 +152,7 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
         """``rank([G; M])`` from the null bases of ``G`` and ``M N``."""
         t = len(g_null.ranks)
         audited.append((name, n * t + reduced.shape[0], 2 * m * t))
-        if matcore.full_rank_certified(reduced, g_null.largest):
-            return g_null.rank + min(reduced.shape)
-        return g_null.rank + matcore.rank(reduced, g_null.largest).value
+        return g_null.rank + matcore.rank_value(reduced, g_null.largest)
 
     # --- rate identities -------------------------------------------------
     h2_null, g3_null = nulls((1, r2), (2, r3))
@@ -366,9 +363,7 @@ class TrialReport:
     """Outcome of one seeded trial of spec row ``spec``.
 
     ``dof`` is the plan's per-receiver DoF, the same for both receivers, set
-    only when both decode.  ``wall_time_s`` is informational only and never
-    serialized, so that identical flags and seed produce byte-identical
-    output.
+    only when both decode.
     """
 
     spec: SchemeSpec
@@ -384,7 +379,6 @@ class TrialReport:
     oracle_rx1: bool | None
     oracle_rx2: bool | None
     dof: Fraction | None
-    wall_time_s: float
 
     @property
     def decode_ok(self) -> bool:
@@ -419,11 +413,10 @@ def run_trial(
 ) -> TrialReport:
     """One seeded trial of ``spec``: run, decode, rank report, subspace oracle, DoF.
 
-    Null-set channel draws (singular or ill-conditioned solve) are resampled
+    Null-set channel draws (a solve singular at the rank cut) are resampled
     with a derived seed, as the almost-sure rank statements permit; a decode
     residual above tolerance is reported, never resampled.
     """
-    t_start = time.perf_counter()
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
         transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
@@ -432,7 +425,7 @@ def run_trial(
         for receiver in (Node.RX1, Node.RX2):
             try:
                 errs[receiver] = decode_error(transcript, receiver)
-            except (SingularSystem, IllConditioned):
+            except SingularSystem:
                 if mutation is None:
                     resample = True
                     break
@@ -467,7 +460,6 @@ def run_trial(
         oracle_rx1=oracle_rx1,
         oracle_rx2=oracle_rx2,
         dof=dof,
-        wall_time_s=time.perf_counter() - t_start,
     )
 
 

@@ -59,8 +59,8 @@ def _stacked_outputs(view, slots):
 
 def dense_decode(transcript, receiver):
     """``schemes.decode`` by one SVD solve of the whole stacked system
-    ``[own_f; F]``, ``n*(t2+t4) x 2m*t2``, with the same view reads, condition
-    limit, residual check and exceptions."""
+    ``[own_f; F]``, ``n*(t2+t4) x 2m*t2``, with the same view reads, rank
+    cut, residual check and exceptions."""
     transcript.check_complete()
     m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
@@ -69,7 +69,7 @@ def dense_decode(transcript, receiver):
     else:
         other, fresh, side, theta, mine, theirs = 1, r3, r2, "theta2", "phi1", "phi2"
     w2, w4 = m * len(fresh), m * len(r4)
-    view = transcript.knowledge.view(receiver, transcript.horizon, decoder=True)
+    view = transcript.knowledge.view(receiver, transcript.horizon)
 
     own_f = _own_rows_lift(view, fresh, m)
     cross_f = _cross_rows_lift(view, fresh, m, other)
@@ -81,11 +81,11 @@ def dense_decode(transcript, receiver):
     overheard = side_info(transcript, cross_f)
     a = np.vstack([own_f, carried_map(transcript, own4, theirs, w4) @ overheard])
     rhs = np.concatenate([_stacked_outputs(view, fresh), y_final]) - a @ mix
-    sol = matcore.solve_full_column_rank(a, rhs, condition_limit=matcore.CONDITION_LIMIT)
-    residual = np.linalg.norm(a @ sol.x - rhs)
+    x = matcore.solve_full_column_rank(a, rhs)
+    residual = np.linalg.norm(a @ x - rhs)
     if residual > schemes.DECODE_TOL * max(np.linalg.norm(rhs), 1.0):
         raise DecodeFailure(f"decode residual {residual:.3e} exceeds tolerance")
-    return sol.x
+    return x
 
 
 def _phase_lifts(transcript):
@@ -209,7 +209,7 @@ def loop_recover_peer_inputs(view, config, slots, own_inputs):
         y = view.fed_back_output(me, slot)
         row = view.delayed_csi(slot)[me - 1, :, :, :m_eff]
         h_own, h_peer = row[me - 1], row[peer - 1]
-        recovered.append(matcore.solve_full_column_rank(h_peer, y - h_own @ own_x).x)
+        recovered.append(matcore.solve_full_column_rank(h_peer, y - h_own @ own_x))
     return recovered
 
 

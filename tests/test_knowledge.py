@@ -99,7 +99,7 @@ class TestViews:
 
     def test_receiver_omniscience_of_self(self):
         kb, states, sent = drive(FeedbackModel.ASYM_FB_ONLY)
-        view = kb.view(Node.RX1, slot=4, decoder=True)
+        view = kb.view(Node.RX1, slot=4)
         for t in range(1, 5):
             np.testing.assert_array_equal(view.own_output(t), sent[t - 1][2][0])
             rows = view.own_csi_rows(t)

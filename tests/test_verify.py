@@ -22,7 +22,7 @@ from dense_reference import (
 from dense_reference import carried_map as dense_carried_map
 from xsdof import channel, matcore, schemes, verify
 from xsdof.channel import AntennaConfig, lift_rows
-from xsdof.errors import DecodeFailure, IllConditioned, InvalidTranscript, SingularSystem
+from xsdof.errors import DecodeFailure, InvalidTranscript, SingularSystem
 from xsdof.knowledge import Node
 from xsdof.schemes import SchemeId, variant
 
@@ -75,7 +75,7 @@ def _decoded(decoder, transcript, receiver):
     """The decoded symbols, or the class of the exception the decoder raised."""
     try:
         return decoder(transcript, receiver)
-    except (SingularSystem, IllConditioned, DecodeFailure) as exc:
+    except (SingularSystem, DecodeFailure) as exc:
         return type(exc)
 
 
@@ -724,6 +724,32 @@ class TestMutants:
         monkeypatch.setattr(schemes, "decode", crash)
         with pytest.raises(RuntimeError, match="decoder bug"):
             verify.run_mutant(AntennaConfig(2, 3), 0, "phi1_zero")
+
+
+class TestResample:
+    def test_singular_decode_resamples_at_the_derived_seed(self, monkeypatch):
+        decode = schemes.decode
+        calls = []
+
+        def singular_once(transcript, receiver):
+            calls.append(receiver)
+            if len(calls) == 1:
+                raise SingularSystem("null-set draw")
+            return decode(transcript, receiver)
+
+        monkeypatch.setattr(schemes, "decode", singular_once)
+        spec, config = variant(SchemeId.A), AntennaConfig(2, 3)
+        report = verify.run_trial(spec, config, seed=7)
+        assert report.attempts == 2 and report.seed == 7
+        retry = schemes.run(spec, config, seed=verify._resample_seed(7, 1))
+        errs = [verify.decode_error(retry, rx) for rx in (Node.RX1, Node.RX2)]
+        assert [report.decode_err_rx1, report.decode_err_rx2] == errs
+        assert report.decode_ok and report.dof == retry.plan.dof_target()
+        assert report.secrecy == verify.secrecy_rank_report(retry)
+        oracle = verify.equivocation_subspace_check(retry)
+        assert (report.oracle_rx1, report.oracle_rx2) == oracle
+        first = schemes.run(spec, config, seed=7)
+        assert verify.decode_error(first, Node.RX1) != errs[0]  # the retry's own draw
 
 
 @pytest.fixture(scope="module")
