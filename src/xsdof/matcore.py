@@ -5,9 +5,10 @@ validation of complex matrices, SVD-based numerical rank with an explicit
 tolerance report, an inverse-free shifted Cholesky certificate of full rank
 at that rank's cut (:func:`rank_value` asks it first and the SVD rank only
 where it cannot certify), per-slot null bases of block-diagonal maps,
-square/tall solving that raises on a rank-deficient system, seeded random
-matrix generation, and dense block-diagonal assembly (:func:`block_diag`,
-which no trial calls).
+square/tall solving that raises on a rank-deficient system (a square
+system certified at the cut is solved by LU, any other by the SVD),
+seeded random matrix generation, and dense block-diagonal assembly
+(:func:`block_diag`, which no trial calls).
 
 Four helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
@@ -257,9 +258,15 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
 
 
 def solve_square(a, b) -> np.ndarray:
-    """Solve the square system ``a @ x = b`` via SVD.
+    """Solve the square system ``a @ x = b``, by LU where the cut allows it.
 
-    The square case of :func:`solve_full_column_rank`, plus the empty system.
+    Shapes are checked first.  Then :func:`full_rank_certified` is asked
+    whether ``sigma_min(a) > REL_TOL sigma_max(a)``, the pass condition of
+    :func:`solve_full_column_rank`'s SVD: on a pass the system is solved by
+    LU (``numpy.linalg.solve``), otherwise by that SVD, which raises on a
+    deficient system.  A pass proves the SVD would not raise, so both
+    routes refuse exactly the same systems.  The empty system has the
+    empty solution.
 
     Parameters
     ----------
@@ -276,11 +283,14 @@ def solve_square(a, b) -> np.ndarray:
         If ``a`` is numerically rank deficient at :data:`REL_TOL`.
     """
     m = as_matrix(a)
+    rhs = np.asarray(b, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise InvalidShape(f"matrix is {m.shape}, not square")
-    if m.size == 0 and np.shape(b)[0] == 0:
-        return np.array(b, dtype=complex)
-    return solve_full_column_rank(m, b)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != m.shape[0]:
+        raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
+    if full_rank_certified(m):
+        return np.linalg.solve(m, rhs)
+    return solve_full_column_rank(m, rhs)
 
 
 def solve_full_column_rank(a, b) -> np.ndarray:

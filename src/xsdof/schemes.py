@@ -217,8 +217,10 @@ def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
     return PhasePlan(lengths, 2 * m * lengths[1])
 
 
-#: A trial's measured peak memory over its largest linear replay: 3.4 to 4.3
-#: times, above the interpreter's own, on scheme A from (6,6) to (10,10).
+#: A trial's measured peak memory over its largest linear replay, above the
+#: interpreter's own (``ru_maxrss`` of one ``simulate`` call): 3.6, 2.8 and
+#: 2.8 times on scheme A at (6,6), (8,8) and (10,10); 4 keeps the estimate
+#: an upper bound.
 PEAK_PER_REPLAY = 4
 
 
@@ -268,9 +270,16 @@ def draw_precoders(
     that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
     own, gives each precoder one carrier, so it draws the same precoders.
 
-    Full rank is decided by :func:`matcore.rank_value`: a shifted
-    Cholesky certificate, which needs neither an SVD nor an inverse, with
-    the SVD rank only where that cannot certify.  It accepts exactly the
+    Full rank is decided by a shifted Cholesky certificate
+    (:func:`matcore.full_rank_certified`), which needs neither an SVD nor
+    an inverse.  A tall ``r x c`` candidate with ``r >= 2c`` (A, D and E
+    at ``m = n``) is certified from its top ``c x c`` block, a Gram matrix
+    half the size, at the candidate's scale ``||cand||_F``: adding rows
+    never lowers the smallest singular value, and ``sigma_max(cand) <=
+    ||cand||_F``, so a pass proves ``sigma_min(cand) > REL_TOL
+    sigma_max(cand)``.  Any other candidate, and one whose top block fails,
+    goes to :func:`matcore.rank_value`: the whole candidate's certificate,
+    then the SVD rank where that cannot certify.  Both accept exactly the
     candidates the SVD rank accepts, so the stream and the precoders are
     those of an SVD check.  A Gaussian draw is full rank almost surely;
     exhausting the retries therefore signals a tolerance bug, not bad luck.
@@ -280,10 +289,11 @@ def draw_precoders(
     drawn = {}
     sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
     for name, t_phase, t_prev in sizes:
-        shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
+        shape = r, c = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
         for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
-            if matcore.rank_value(cand) == min(shape):
+            top = r >= 2 * c and matcore.full_rank_certified(cand[:c], np.linalg.norm(cand))
+            if top or matcore.rank_value(cand) == min(shape):
                 drawn[name] = cand
                 break
         else:
@@ -380,9 +390,8 @@ def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -
     """Precoder ``name`` applied to ``values``, on the stacked ``[x1; x2]``
     coordinates (``width`` per transmitter) of the transmitters carrying it."""
     out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
-    if values.any():  # a secret replay feeds 3 of its 4 products zeros
-        span = _carrier_span(getattr(transcript.spec, name), width)
-        np.matmul(getattr(transcript.precoders, name), values, out=out[span])
+    span = _carrier_span(getattr(transcript.spec, name), width)
+    np.matmul(getattr(transcript.precoders, name), values, out=out[span])
     return out
 
 
@@ -618,10 +627,13 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     null bases of ``G`` (:func:`matcore.slot_null_bases`) every solution is
     ``x_p + N z``.  The one dense solve is ``F N z = rhs_F - F x_p``,
     ``n*t4 x (2m-n)*t2`` instead of the stacked system's ``n*(t2+t4) x
-    2m*t2``.  Raises :class:`DecodeFailure` when the residual over the whole
-    stacked system exceeds the relative tolerance, and
-    :class:`SingularSystem` when the reduced system is rank deficient at the
-    cut, on null-set channel draws (callers resample).
+    2m*t2``.  It is square for A, B, D and E: :func:`matcore.solve_square`
+    certifies it at the cut and solves by LU, or falls back to the SVD.
+    C's is tall and goes to :func:`matcore.solve_full_column_rank`'s SVD.
+    Raises :class:`DecodeFailure` when the residual over the whole stacked
+    system exceeds the relative tolerance, and :class:`SingularSystem` when
+    the reduced system is rank deficient at the cut, on null-set channel
+    draws (callers resample).
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
@@ -653,7 +665,9 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     x_p = own_h @ np.linalg.solve(own_f @ own_h, rhs_f.reshape(-1, n, 1))
     (null,) = matcore.slot_null_bases(own_f[None])
     reduced = final @ side_info(transcript, null.apply_blocks(cross_f))
-    z = matcore.solve_full_column_rank(reduced, rhs_final - stacked(x_p)[1])
+    rows, cols = reduced.shape
+    solve = matcore.solve_square if rows == cols else matcore.solve_full_column_rank
+    z = solve(reduced, rhs_final - stacked(x_p)[1])
     x = x_p + null.basis @ z.reshape(len(fresh), -1, 1)
     _check_residual(np.concatenate(stacked(x)), np.concatenate([rhs_f, rhs_final]))
     return _lift_order(x)
@@ -662,6 +676,29 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed-form linear replay (audit tool; bypasses the ledgers on purpose)
 # ---------------------------------------------------------------------------
+
+
+def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndarray):
+    """Precoder ``name`` times the outputs of an identity-input phase,
+    slot by slot, written into ``out``.
+
+    ``blocks`` are the ``(t, r, 2m)`` slot blocks the precoder reads: the
+    listening receiver's ``n`` rows a slot, or the ``2m - n`` that
+    :func:`side_info` moves to the top.  Slot ``s``'s rows meet only the
+    ``r`` precoder columns from ``s * r`` and only the input columns of
+    slot ``s``, so one batched ``(t, R, r) @ (t, r, m)`` product per
+    transmitter half gives them all.  ``out`` is the ``[x1; x2]`` stack of
+    the target phase, its columns in lift order; the products are written
+    into the carrier rows of it.
+    """
+    precoder = getattr(transcript.precoders, name)
+    t, r, width = blocks.shape
+    m = width // 2
+    rows = out[_carrier_span(getattr(transcript.spec, name), len(out) // 2)]
+    per_slot = precoder[:, : t * r].reshape(len(rows), t, r).swapaxes(0, 1)
+    into = rows.reshape(len(rows), 2, t, m).swapaxes(0, 2)
+    for half in (0, 1):
+        np.matmul(per_slot, blocks[..., half * m : (half + 1) * m], out=into[:, half])
 
 
 def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
@@ -674,54 +711,62 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     from the ledger-driven engine (used to cross-check it) and from the
     rank-identity assembly in ``verify``.
 
-    The channel acts slot by slot: each phase is one batched product of the
-    ``(t, n, 2m)`` slot blocks of both receivers with the ``(t, 2m, k)``
-    per-slot input slices, written into one ``(2, horizon, n, k)`` array
-    whose two halves are the returned maps.  A phase whose input is all
-    zero, as a secret replay's noise phase and the other group's fresh
-    phase are, is written as zeros and multiplies nothing.
+    The maps are one ``(2, horizon, n, k)`` array, zero where the group
+    cannot reach: a secret group enters in its own fresh phase, so the
+    noise phase and the other fresh phase stay zero and multiply nothing.
+    The phase whose inputs are the group itself (the noise phase for ``u``,
+    the group's fresh phase otherwise) puts each slot's ``n x 2m`` block in
+    that slot's columns, with no product.  The precoders that read that
+    phase (``theta1`` and ``theta2`` for ``u``; ``phi1`` for ``v1``,
+    ``phi2`` for ``v2``) multiply it slot by slot (:func:`_by_slot`); the
+    final phase's precoders in the ``u`` replay read dense maps and take
+    dense products.  Every other phase is one batched product of the ``(t,
+    n, 2m)`` slot blocks with each transmitter's ``(t, m, k)`` half of the
+    stacked input, a view of it.
     """
     transcript.check_complete()
-    cfg, sym = transcript.config, transcript.symbols
-    m, n = cfg.effective_m, cfg.n
-    ranges = transcript.phase_ranges()
-    t2, t3 = len(ranges[1]), len(ranges[3])
-
-    dims = {name: len(getattr(sym, name)) for name in ("u", "v1", "v2")}
-    k = dims[group]
-    u, v1, v2 = (
-        np.eye(d, dtype=complex) if name == group else np.zeros((d, k), complex)
-        for name, d in dims.items()
-    )
-
-    horizon = transcript.horizon
+    m, n = transcript.config.effective_m, transcript.config.n
+    lengths = [len(slots) for slots in transcript.phase_ranges()]
+    bounds = np.cumsum([0] + lengths)
+    horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
     slot_rows = transcript.states.slot_blocks()
-    y = np.empty((2, horizon, n, k), dtype=complex)
-    stacks = y.reshape(2, n * horizon, k)
-    bounds = np.cumsum([0] + [len(slots) for slots in ranges])
+    y = np.zeros((2, horizon, n, k), dtype=complex)
+    maps = y.reshape(2, n * horizon, k)
+
+    def phase(p: int) -> slice:
+        return slice(bounds[p - 1], bounds[p])
+
+    def identity(p: int):
+        """Phase ``p``'s outputs when its inputs are the group's symbols:
+        slot ``s``'s block in the lift-order columns of slot ``s``."""
+        t, diag = lengths[p - 1], np.arange(lengths[p - 1])
+        cols = y.reshape(2, horizon, n, 2, t, m)[:, phase(p)]
+        cols[:, diag, :, :, diag] = slot_rows[:, phase(p)].reshape(2, t, n, 2, m).swapaxes(0, 1)
 
     def send(p: int, x: np.ndarray):
-        """Phase ``p``'s outputs of stacked input ``x``, written into ``y``;
-        an all-zero input writes zeros without a product."""
-        lo, hi = bounds[p - 1], bounds[p]
-        t = hi - lo
-        if not x.any():
-            y[:, lo:hi] = 0.0
-        else:
-            per_slot = x.reshape(2, t, m, k).transpose(1, 0, 2, 3).reshape(t, 2 * m, k)
-            np.matmul(slot_rows[:, lo:hi], per_slot, out=y[:, lo:hi])
-        return stacks[0, n * lo : n * hi], stacks[1, n * lo : n * hi]
+        """Phase ``p``'s outputs of the stacked input ``x``, written into ``y``."""
+        halves = x.reshape(2, lengths[p - 1], m, k)
+        for rx in (0, 1):
+            blocks, out = slot_rows[rx, phase(p)], y[rx, phase(p)]
+            np.matmul(blocks[..., :m], halves[0], out=out)
+            out += blocks[..., m:] @ halves[1]
 
-    y1p1, y2p1 = send(1, u)
-    x2s = _placed(transcript, "theta1", y1p1, m * t2)
-    x3s = _placed(transcript, "theta2", y2p1, m * t2)
-    x2s += v1
-    x3s += v2
+    def outputs(rx: int, p: int) -> np.ndarray:
+        return maps[rx, n * bounds[p - 1] : n * bounds[p]]
 
-    _, y2p2 = send(2, x2s)
-    y1p3, _ = send(3, x3s)
-
-    x4s = _placed(transcript, "phi1", side_info(transcript, y2p2), m * t3)
-    x4s += _placed(transcript, "phi2", side_info(transcript, y1p3), m * t3)
-    send(4, x4s)
-    return stacks[0], stacks[1]
+    if group == "u":
+        identity(1)
+        for p, name, rx in ((2, "theta1", 0), (3, "theta2", 1)):
+            x = np.zeros((2 * m * lengths[p - 1], k), dtype=complex)
+            _by_slot(transcript, name, slot_rows[rx, phase(1)], x)
+            send(p, x)
+        x4 = _placed(transcript, "phi1", side_info(transcript, outputs(1, 2)), m * lengths[3])
+        x4 += _placed(transcript, "phi2", side_info(transcript, outputs(0, 3)), m * lengths[3])
+    else:
+        p, name, listener = (2, "phi1", 1) if group == "v1" else (3, "phi2", 0)
+        identity(p)
+        take = 2 * m - n if transcript.spec.selected else n
+        x4 = np.zeros((2 * m * lengths[3], k), dtype=complex)
+        _by_slot(transcript, name, slot_rows[listener, phase(p), :take], x4)
+    send(4, x4)
+    return maps[0], maps[1]

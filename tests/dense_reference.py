@@ -11,6 +11,11 @@ and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
 slot; the tests require the two to agree.  Every cut here reads
 ``matcore.REL_TOL`` at call time, as the code it checks does.
 
+The replay through dense lifts and dense precoder products, where
+``schemes.linear_response`` places an identity-input phase's slot blocks,
+multiplies the precoders that read them slot by slot and applies the
+channel by batched per-slot products.
+
 Also the precoder draw with every rank decided by an SVD, where
 ``schemes.draw_precoders`` certifies by Cholesky first; the slot-by-slot
 channel-state draw that ``channel.generate_states`` makes in one batch: one
@@ -158,6 +163,40 @@ def dense_oracle(transcript):
     rx1 = reference_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0])
     rx2 = reference_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1])
     return rx1, rx2
+
+
+def _placed(transcript, name, values, width):
+    """Precoder ``name`` times the whole map ``values``, on the stacked
+    ``[x1; x2]`` rows (``width`` per transmitter) of its carriers."""
+    out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
+    span = schemes._carrier_span(getattr(transcript.spec, name), width)
+    out[span] = getattr(transcript.precoders, name) @ values
+    return out
+
+
+def dense_linear_response(transcript, group):
+    """``schemes.linear_response`` through dense matrices: per phase, each
+    receiver's dense lift ``[lift(h_j1) | lift(h_j2)]`` times the whole
+    stacked input, and every precoder times the whole stacked map, zero
+    inputs included."""
+    m = transcript.config.effective_m
+    r1, r2, r3, r4 = transcript.phase_ranges()
+    dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
+    u, v1, v2 = (
+        np.eye(d, dtype=complex) if name == group else np.zeros((d, dims[group]), complex)
+        for name, d in dims.items()
+    )
+
+    def send(slots, x):
+        return tuple(lift_rows(state_rows(transcript.states, rx, slots), m) @ x for rx in (1, 2))
+
+    y1p1, y2p1 = send(r1, u)
+    y1p2, y2p2 = send(r2, _placed(transcript, "theta1", y1p1, m * len(r2)) + v1)
+    y1p3, y2p3 = send(r3, _placed(transcript, "theta2", y2p1, m * len(r2)) + v2)
+    y1p4, y2p4 = send(r4, _placed(transcript, "phi1", side_info(transcript, y2p2), m * len(r4))
+                      + _placed(transcript, "phi2", side_info(transcript, y1p3), m * len(r4)))
+    return (np.concatenate([y1p1, y1p2, y1p3, y1p4]),
+            np.concatenate([y2p1, y2p2, y2p3, y2p4]))
 
 
 def svd_precoders(spec, config, pln, rng):

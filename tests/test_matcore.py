@@ -112,6 +112,52 @@ class TestSolveSquare:
         np.testing.assert_allclose(out, x_true, atol=1e-10)
 
 
+    def test_shape_checked_before_any_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorized before the shapes were checked")
+
+        monkeypatch.setattr(matcore, "full_rank_certified", refuse)
+        monkeypatch.setattr(matcore, "solve_full_column_rank", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for a, b in ((np.eye(3), np.ones(2)), (np.ones((2, 3)), np.ones(2)),
+                     (np.eye(2), np.ones((2, 2, 1)))):
+            with pytest.raises(InvalidShape):
+                matcore.solve_square(a, b)
+
+    def test_certified_system_takes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified system reached the SVD")
+
+        monkeypatch.setattr(matcore, "solve_full_column_rank", refuse)
+        r = rng(7)
+        a = matcore.random_matrix(64, 64, r)
+        x_true = matcore.random_matrix(64, 2, r)
+        out = matcore.solve_square(a, a @ x_true)
+        assert np.linalg.norm(out - x_true) <= 1e-8 * np.linalg.norm(x_true)
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-10])
+    def test_planted_conditioning_falls_back_to_the_svd(self, monkeypatch, ratio):
+        # sigma_min = 1e-8 sigma_max is above the cut but too close for the
+        # certificate; 1e-10 sigma_max is below the cut
+        r = rng(8)
+        q1, _ = np.linalg.qr(matcore.random_matrix(8, 8, r))
+        q2, _ = np.linalg.qr(matcore.random_matrix(8, 8, r))
+        a = (q1 * np.geomspace(1.0, ratio, 8)) @ q2.conj().T
+        x_true = matcore.random_vector(8, r)
+        assert not matcore.full_rank_certified(a)
+        calls = []
+        svd = matcore.solve_full_column_rank
+        monkeypatch.setattr(matcore, "solve_full_column_rank",
+                            lambda a, b: calls.append(1) or svd(a, b))
+        if ratio > matcore.REL_TOL:
+            out = matcore.solve_square(a, a @ x_true)
+            assert np.linalg.norm(out - x_true) <= 1e-6 * np.linalg.norm(x_true)
+        else:
+            with pytest.raises(SingularSystem):
+                matcore.solve_square(a, a @ x_true)
+        assert calls == [1]
+
+
 class TestSolveFullColumnRank:
     def test_tall_consistent(self):
         r = rng(6)

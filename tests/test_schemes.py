@@ -6,7 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from dense_reference import LoopRun, dense_decode, state_rows, svd_precoders
+from dense_reference import (
+    LoopRun,
+    dense_decode,
+    dense_linear_response,
+    state_rows,
+    svd_precoders,
+)
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
@@ -405,50 +411,42 @@ class TestDecode:
                 decoder(transcript, Node.RX1)
         assert verify.decode_error(transcript, Node.RX2) < 1e-8
 
+    @pytest.mark.parametrize("scheme,m,n,svd_solves",
+                             [(SchemeId.A, 4, 4, 0), (SchemeId.C, 4, 5, 1)])
+    def test_square_reduced_system_takes_no_svd(self, monkeypatch, scheme, m, n, svd_solves):
+        # A's reduced system is square (64 x 64): certified, solved by LU;
+        # C's is tall (45 x 36) and goes to the SVD
+        transcript = schemes.run(variant(scheme), AntennaConfig(m, n), seed=7)
+        shapes = []
+        solve = matcore.solve_full_column_rank
+        monkeypatch.setattr(matcore, "solve_full_column_rank",
+                            lambda a, b: shapes.append(np.shape(a)) or solve(a, b))
+        for receiver in (Node.RX1, Node.RX2):
+            assert verify.decode_error(transcript, receiver) < 1e-8
+        assert len(shapes) == 2 * svd_solves
+        assert all(rows > cols for rows, cols in shapes)
+
     def test_decode_rejects_transmit_nodes(self):
         transcript = schemes.run(variant(SchemeId.B), AntennaConfig(1, 1), seed=0)
         with pytest.raises(InvalidInput):
             schemes.decode(transcript, Node.TX1)
 
 
-def _dense_linear_response(transcript, u, v1, v2):
-    """The replay through dense block-diagonal lifts: per phase, each
-    receiver's ``[lift(h_j1) | lift(h_j2)]`` from ``matcore.block_diag``
-    times the whole stacked input."""
-    m = transcript.config.effective_m
-    r1, r2, r3, r4 = transcript.phase_ranges()
-
-    def send(slots, x):
-        states = [transcript.states[t] for t in slots]
-        return tuple(
-            np.hstack([matcore.block_diag([s[rx - 1, i - 1][:, :m] for s in states])
-                       for i in (1, 2)]) @ x
-            for rx in (1, 2)
-        )
-
-    if r1:
-        y1p1, y2p1 = send(r1, u)
-        x2s = schemes._placed(transcript, "theta1", y1p1, m * len(r2)) + v1
-        x3s = schemes._placed(transcript, "theta2", y2p1, m * len(r2)) + v2
-    else:
-        y1p1 = y2p1 = np.zeros((0,) + u.shape[1:], complex)
-        x2s, x3s = v1, v2
-    y1p2, y2p2 = send(r2, x2s)
-    y1p3, y2p3 = send(r3, x3s)
-    x4s = (schemes._placed(transcript, "phi1", schemes.side_info(transcript, y2p2), m * len(r4))
-           + schemes._placed(transcript, "phi2", schemes.side_info(transcript, y1p3), m * len(r4)))
-    y1p4, y2p4 = send(r4, x4s)
-    return (np.concatenate([y1p1, y1p2, y1p3, y1p4]),
-            np.concatenate([y2p1, y2p2, y2p3, y2p4]))
-
-
 def _replay_cases():
-    """Every spec variant at (2, 3) ((3, 3) for B), plus larger sizes and the mutants."""
-    cases = [(scheme, 3 if scheme is SchemeId.B else 2, 3, tx1_only, None)
-             for scheme, tx1_only in schemes.SPECS]
-    cases += [(SchemeId.A, 4, 4, False, None), (SchemeId.C, 4, 5, False, None),
-              (SchemeId.B, 1, 1, False, None)]
+    """Every spec row at (2,3), (4,4), (4,5) and (3,5) where its plan
+    applies, unmutated and with every mutant it accepts; B also at (3,3)
+    and (1,1), and A(3,4)'s mutants."""
+    cases = [(SchemeId.B, 3, 3, False, None), (SchemeId.B, 1, 1, False, None)]
     cases += [(SchemeId.A, 3, 4, False, mutation) for mutation in schemes.MUTATIONS]
+    for (scheme, tx1_only), spec in schemes.SPECS.items():
+        for m, n in ((2, 3), (4, 4), (4, 5), (3, 5)):
+            try:
+                schemes.plan(spec, AntennaConfig(m, n))
+            except RegimeError:
+                continue
+            for mutation in (None,) + schemes.MUTATIONS:
+                if mutation != "skip_phase1" or scheme not in (SchemeId.B, SchemeId.C):
+                    cases.append((scheme, m, n, tx1_only, mutation))
     return [pytest.param(*case, id=f"{case[0].value}{case[1]}{case[2]}"
                          + ("-tx1" if case[3] else "") + (f"-{case[4]}" if case[4] else ""))
             for case in cases]
@@ -457,19 +455,15 @@ def _replay_cases():
 class TestReplay:
     @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases())
     def test_per_slot_replay_equals_dense_lifts(self, scheme, m, n, tx1_only, mutation):
+        # the slot-by-slot products agree with dense ones to round-off
         transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3,
                                  mutation=mutation)
-        dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
-        for group in dims:  # identity group, the others zero
+        for group in ("u", "v1", "v2"):
             got = schemes.linear_response(transcript, group)
-            want = _dense_linear_response(transcript, **{
-                name: np.eye(d, dtype=complex) if name == group
-                else np.zeros((d, dims[group]), complex)
-                for name, d in dims.items()
-            })
-            for y, ref in zip(got, want):
+            for y, ref in zip(got, dense_linear_response(transcript, group)):
                 assert y.shape == ref.shape
                 assert np.linalg.norm(y - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+        assert verify.replay_matches_recorded(transcript)
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
     def test_linear_replay_reproduces_run(self, scheme, m, n, tx1_only):
@@ -491,22 +485,20 @@ class TestReplay:
         assert not verify.replay_matches_recorded(transcript)
 
     @pytest.mark.parametrize("mutation", [None, "skip_phase1"])
-    def test_skipped_zero_products_change_no_bit(self, monkeypatch, mutation):
-        # the secret replays feed three of their four precoder products zeros
-        spec = variant(SchemeId.A)
-        transcript = schemes.run(spec, AntennaConfig(3, 4), seed=5, mutation=mutation)
-        skipped = {group: schemes.linear_response(transcript, group) for group in ("u", "v1", "v2")}
-
-        def always_multiplied(transcript, name, values, width):
-            out = np.zeros((2 * width,) + values.shape[1:], dtype=complex)
-            span = schemes._carrier_span(getattr(transcript.spec, name), width)
-            np.matmul(getattr(transcript.precoders, name), values, out=out[span])
-            return out
-
-        monkeypatch.setattr(schemes, "_placed", always_multiplied)
-        for group, maps in skipped.items():
-            for got, want in zip(maps, schemes.linear_response(transcript, group)):
-                assert np.array_equal(got, want), group
+    def test_skipped_zero_products_change_no_bit(self, mutation):
+        # rows the replay writes without a product (its group's identity
+        # phase) or not at all (a secret group's zero phases) equal the
+        # dense reference's bit for bit
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(3, 4), seed=5,
+                                 mutation=mutation)
+        bounds = transcript.config.n * np.cumsum((0,) + transcript.plan.phase_lengths)
+        unmultiplied = {"u": (1,), "v1": (1, 2, 3), "v2": (1, 2, 3)}
+        for group, phases in unmultiplied.items():
+            got = schemes.linear_response(transcript, group)
+            for y, ref in zip(got, dense_linear_response(transcript, group)):
+                for p in phases:
+                    rows = slice(bounds[p - 1], bounds[p])
+                    assert np.array_equal(y[rows], ref[rows]), (group, p)
 
 
 class TestSideInfo:

@@ -153,6 +153,37 @@ class TestNoDenseLift:
             report = verify.run_trial(spec, AntennaConfig(m, n), seed=7, mutation=mutation)
             assert report.decode_ok and report.oracle_rx1 is not None, (spec, mutation)
 
+    def test_replay_uses_no_report_product(self, monkeypatch):
+        """The replay stays independent of the rank report's reduction: no
+        carried map and no per-slot null basis, under any name a module of
+        the package binds them to."""
+        cases = [
+            (variant(SchemeId.A), 3, 4, None),
+            (variant(SchemeId.B), 4, 4, None),
+            (variant(SchemeId.C), 4, 5, None),
+            (variant(SchemeId.C, True), 2, 3, None),
+            (variant(SchemeId.E), 2, 3, None),
+            (variant(SchemeId.A), 2, 3, "skip_phase1"),
+        ]
+        transcripts = [schemes.run(spec, AntennaConfig(m, n), seed=7, mutation=mutation)
+                       for spec, m, n, mutation in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay used the rank report's reduction")
+
+        report = (schemes.carried_map, matcore.slot_null_bases)
+        for info in pkgutil.iter_modules(xsdof.__path__):
+            module = importlib.import_module(f"xsdof.{info.name}")
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in report):
+                    monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(matcore.SlotNullBases, "apply", refuse)
+        monkeypatch.setattr(matcore.SlotNullBases, "apply_blocks", refuse)
+        for transcript in transcripts:
+            for group in ("u", "v1", "v2"):
+                schemes.linear_response(transcript, group)
+            assert verify.replay_matches_recorded(transcript)
+
 
 class TestSecrecyRankReport:
     def test_scheme_a_dimensions_and_targets(self):
@@ -538,11 +569,28 @@ class TestBlockSolve:
 @pytest.mark.slow
 def test_large_configuration_a88(monkeypatch):
     # opt-in (-m slow): the ladder's next rung, against the whole-map oracle
-    calls = []
-    rank = matcore.rank
+    calls, certified, solves = [], [], []
+    rank, certify = matcore.rank, matcore.full_rank_certified
+    svd_solve = matcore.solve_full_column_rank
+
+    def certify_spy(a, scale=0.0):
+        passed = certify(a, scale)
+        certified.append((np.shape(a), scale > 0, passed))
+        return passed
+
     monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
+    monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
     transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
     assert calls == []  # all four precoders certified without an SVD
+    # each from its 512 x 512 top block, at the whole candidate's scale
+    assert certified == [((512, 512), True, True)] * 4
+    certified.clear()
+    monkeypatch.setattr(matcore, "solve_full_column_rank",
+                        lambda a, b: solves.append(1) or svd_solve(a, b))
+    for receiver in (Node.RX1, Node.RX2):
+        assert verify.decode_error(transcript, receiver) < 1e-6
+    # both receivers' 512 x 512 reduced systems certified and solved by LU
+    assert certified == [((512, 512), False, True)] * 2 and solves == []
     verify.secrecy_rank_report(transcript)
     assert calls == []  # and all four reduced maps of the rank report
     monkeypatch.setattr(matcore, "rank", rank)
