@@ -10,13 +10,15 @@ system certified at the cut is solved by LU, any other by the SVD),
 seeded random matrix generation, and dense block-diagonal assembly
 (:func:`block_diag`, which no trial calls).
 
-Four helpers work on a stack of matrices in one numpy call, not one
+Five helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
 ``batch`` dimensions, in the stream order of one draw per matrix;
 :func:`batch_rank` decides every matrix's rank by one batched SVD, at the
 cut of :func:`rank`; :func:`solve_full_column_rank` solves a ``(t, r, c)``
-stack by one batched SVD; and :func:`slot_null_bases` gives the per-slot
-ranks and null bases of block-diagonal matrices.
+stack by one batched SVD; :func:`slot_null_bases` gives the per-slot
+ranks and null bases of block-diagonal matrices; and
+:func:`times_block_diagonal` multiplies a map by a block-diagonal matrix
+given by its ``(t, r, w)`` diagonal blocks.
 
 All functions are pure; no argument is mutated in place.  Every rank is
 decided at one *relative* singular-value threshold, :data:`REL_TOL`, read
@@ -183,7 +185,10 @@ class SlotNullBases:
     the matrix's largest singular value, so ``rank`` is the matrix's rank.
     ``basis`` is ``(t, c, w)``: slot ``s``'s null space is spanned by its
     ``c - ranks[s]`` last columns, and its first ``ranks[s] + w - c``
-    columns are zero, which changes no rank they enter.
+    columns are zero, which changes no rank they enter.  :meth:`apply`
+    multiplies a dense lifted map by the bases; a block-diagonal map's
+    product is its blocks times ``basis``, slot by slot, and a map times
+    that goes to :func:`times_block_diagonal`.
     """
 
     ranks: np.ndarray
@@ -207,22 +212,21 @@ class SlotNullBases:
         per_slot = lifted.reshape(rows, 2, t, c // 2).transpose(2, 0, 1, 3).reshape(t, rows, c)
         return np.matmul(per_slot, self.basis).transpose(1, 0, 2).reshape(rows, t * w)
 
-    def apply_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """The block-diagonal matrix with diagonal ``blocks`` times the
-        null basis, neither built.
 
-        ``blocks`` is ``(t, r, c)``, each block's columns in the basis's
-        order (``channel.diagonal_blocks`` gives a lift's).  The product is
-        block diagonal too: one batched product gives its ``(t, r, w)``
-        blocks, scattered here onto the diagonal of a new ``(t * r, t * w)``
-        array.
-        """
-        t, _, w = self.basis.shape
-        r = blocks.shape[1]
-        out = np.zeros((t, r, t, w), dtype=complex)
-        diag = np.arange(t)
-        out[diag, :, diag] = np.matmul(blocks, self.basis)
-        return out.reshape(t * r, t * w)
+def times_block_diagonal(left: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``left`` times the block-diagonal matrix with diagonal ``blocks``,
+    which is never built.
+
+    ``blocks`` is ``(t, r, w)``: slot ``s``'s block meets the ``r`` columns
+    of ``left`` from ``s * r``.  Columns of ``left`` past ``t * r`` would
+    meet zero rows (the padding :func:`schemes.side_info` appends) and are
+    not read.  One batched ``(t, rows, r) @ (t, r, w)`` product gives the
+    new ``(rows, t * w)`` array, its columns slot by slot.
+    """
+    t, r, w = blocks.shape
+    rows = left.shape[0]
+    per_slot = left[:, : t * r].reshape(rows, t, r).swapaxes(0, 1)
+    return np.matmul(per_slot, blocks).swapaxes(0, 1).reshape(rows, t * w)
 
 
 def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
@@ -239,10 +243,11 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     The null space of a block-diagonal ``G`` is block diagonal, so the rank
     identity ``rank([G; M]) = rank(G) + rank(M N)`` (Marsaglia and Styan,
     1974), with ``N`` spanning ``null(G)``, reduces a stacked matrix slot by
-    slot; :meth:`SlotNullBases.apply` forms ``M N``, and
-    :meth:`SlotNullBases.apply_blocks` forms it from the diagonal blocks of
-    an ``M`` that is block diagonal too.  A rank cut on ``M N`` should keep
-    ``G``'s scale: pass ``largest`` as ``scale`` to :func:`rank`.
+    slot; :meth:`SlotNullBases.apply` forms ``M N``, and where ``M`` is a
+    map times a block-diagonal matrix with diagonal ``D``,
+    :func:`times_block_diagonal` forms it from the per-slot products ``D[s]
+    @ basis[s]``.  A rank cut on ``M N`` should keep ``G``'s scale: pass
+    ``largest`` as ``scale`` to :func:`rank`.
     """
     if blocks.ndim != 4 or blocks.shape[0] == 0:
         raise InvalidInput(f"expected a (k, t, r, c) stack with k >= 1, got {blocks.shape}")

@@ -378,12 +378,18 @@ def side_info(transcript: Transcript, values: np.ndarray) -> np.ndarray:
     """
     if not transcript.spec.selected:
         return values
-    n = transcript.config.n
-    take = 2 * transcript.config.effective_m - n
+    n, take = transcript.config.n, retransmitted_rows(transcript)
     rows = (np.arange(0, len(values), n)[:, None] + np.arange(take)).ravel()
     out = np.zeros(values.shape, dtype=complex)
     out[: len(rows)] = values[rows]
     return out
+
+
+def retransmitted_rows(transcript: Transcript) -> int:
+    """Rows of a slot's overheard outputs that :func:`side_info` keeps: the
+    first ``2m - n`` when the spec selects, otherwise all ``n``."""
+    n = transcript.config.n
+    return 2 * transcript.config.effective_m - n if transcript.spec.selected else n
 
 
 def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -> np.ndarray:
@@ -627,8 +633,12 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     null bases of ``G`` (:func:`matcore.slot_null_bases`) every solution is
     ``x_p + N z``.  The one dense solve is ``F N z = rhs_F - F x_p``,
     ``n*t4 x (2m-n)*t2`` instead of the stacked system's ``n*(t2+t4) x
-    2m*t2``.  It is square for A, B, D and E: :func:`matcore.solve_square`
-    certifies it at the cut and solves by LU, or falls back to the SVD.
+    2m*t2``.  ``F N`` is the final precoded map times the block-diagonal
+    overheard lift times ``N``: it is formed from the per-slot products of
+    the overheard blocks (only the rows :func:`side_info` keeps) with the
+    bases (:func:`matcore.times_block_diagonal`), with no dense lift.  It
+    is square for A, B, D and E: :func:`matcore.solve_square` certifies it
+    at the cut and solves by LU, or falls back to the SVD.
     C's is tall and goes to :func:`matcore.solve_full_column_rank`'s SVD.
     Raises :class:`DecodeFailure` when the residual over the whole stacked
     system exceeds the relative tolerance, and :class:`SingularSystem` when
@@ -664,7 +674,8 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     own_h = own_f.conj().swapaxes(1, 2)
     x_p = own_h @ np.linalg.solve(own_f @ own_h, rhs_f.reshape(-1, n, 1))
     (null,) = matcore.slot_null_bases(own_f[None])
-    reduced = final @ side_info(transcript, null.apply_blocks(cross_f))
+    take = retransmitted_rows(transcript)
+    reduced = matcore.times_block_diagonal(final, cross_f[:, :take] @ null.basis)
     rows, cols = reduced.shape
     solve = matcore.solve_square if rows == cols else matcore.solve_full_column_rank
     z = solve(reduced, rhs_final - stacked(x_p)[1])
@@ -765,7 +776,7 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     else:
         p, name, listener = (2, "phi1", 1) if group == "v1" else (3, "phi2", 0)
         identity(p)
-        take = 2 * m - n if transcript.spec.selected else n
+        take = retransmitted_rows(transcript)
         x4 = np.zeros((2 * m * lengths[3], k), dtype=complex)
         _by_slot(transcript, name, slot_rows[listener, phase(p), :take], x4)
     send(4, x4)

@@ -11,6 +11,8 @@ symbols is already explained by the injected noise).  Each stacks a
 block-diagonal lift ``G`` on a map ``M``, and neither is formed:
 ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot null bases
 of ``G`` (Marsaglia and Styan, 1974; :func:`matcore.slot_null_bases`).
+``M`` is a precoded map times another block-diagonal lift, so ``M N`` is
+formed slot by slot (:func:`matcore.times_block_diagonal`).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
 reads off each receiver's observation of the noise and of the other
@@ -24,9 +26,11 @@ slot by slot, after exact checks of the phase structure that elimination
 rests on (the secret map is zero in the noise phase and in the receiver's
 own fresh phase).  :func:`columns_contained` confirms a clear containment
 by solving the reduced noise map's square block in the other receiver's
-fresh phase (schemes A, B and D); it compares the two ranks in every other
-case: a leak, a block that is not square or is singular, or a residual too
-close to the rank cut to call.
+fresh phase (schemes A, B and D), where the secret map is block diagonal
+slot by slot (checked exactly too), so the residual off the noise span is
+zero in those rows and is formed from the slot blocks in the others; it
+compares the two ranks in every other case: a leak, a block that is not
+square or is singular, or a residual too close to the rank cut to call.
 
 Every rank cut is :data:`matcore.REL_TOL`, read at call time, so every
 verdict of a trial is made at the same cut.  A cut on a reduced matrix is
@@ -57,7 +61,7 @@ from .channel import AntennaConfig, lift_rows  # noqa: F401
 from .errors import DecodeFailure, InvalidTranscript, SingularSystem
 from .knowledge import Node
 from .regions import frac_json
-from .schemes import SchemeId, SchemeSpec, Transcript, carried_map, side_info
+from .schemes import SchemeId, SchemeSpec, Transcript, carried_map
 
 #: Null-set draws a trial resamples before it gives up.
 MAX_RESAMPLES = 8
@@ -125,9 +129,13 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
     on ``M N`` keeps ``G``'s scale.  :func:`matcore.rank_value` decides it:
     a reduced map its certificate proves full rank at that cut counts as
     ``min(M N's shape)`` with no SVD; only the others (scheme C's leak
-    maps, a mutant's deficient ones) reach :func:`matcore.rank`.  The maps
-    under a precoder come from the phases' slot blocks
-    (:func:`schemes.carried_map`), so no dense lift is built either.
+    maps, a mutant's deficient ones) reach :func:`matcore.rank`.  Each
+    ``M`` is a precoded map from the phases' slot blocks
+    (:func:`schemes.carried_map`) times another block-diagonal lift, in the
+    rate identities cut to the rows :func:`schemes.side_info` keeps; so
+    ``M N`` is that map times the per-slot products of the lift's blocks
+    with the bases (:func:`matcore.times_block_diagonal`), and no dense
+    lift is built.
     ``matrices_audited`` lists the shapes of the stacked matrices the
     identities are about.
     """
@@ -154,20 +162,27 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
         audited.append((name, n * t + reduced.shape[0], 2 * m * t))
         return g_null.rank + matcore.rank_value(reduced, g_null.largest)
 
+    def reduce(name, left, g_null, rx, slots, take=n):
+        """``M N`` for ``M`` precoder ``name``'s map into the phase blocks
+        ``left`` times the lift of ``(rx, slots)``, that lift cut to each
+        slot's first ``take`` rows: slot by slot."""
+        lifted = diagonal(rx, slots)[:, :take] @ g_null.basis
+        return matcore.times_block_diagonal(carried_map(transcript, left, name), lifted)
+
     # --- rate identities -------------------------------------------------
     h2_null, g3_null = nulls((1, r2), (2, r3))
-    s2 = side_info(transcript, h2_null.apply_blocks(diagonal(2, r2)))
-    s3 = side_info(transcript, g3_null.apply_blocks(diagonal(1, r3)))
-    rate1 = stacked_rank("rate_rx1", h2_null, carried_map(transcript, diagonal(1, r4), "phi1") @ s2)
-    rate2 = stacked_rank("rate_rx2", g3_null, carried_map(transcript, diagonal(2, r4), "phi2") @ s3)
+    take = schemes.retransmitted_rows(transcript)
+    rate1 = stacked_rank(
+        "rate_rx1", h2_null, reduce("phi1", diagonal(1, r4), h2_null, 2, r2, take))
+    rate2 = stacked_rank(
+        "rate_rx2", g3_null, reduce("phi2", diagonal(2, r4), g3_null, 1, r3, take))
     rate_target = 2 * m * t2
 
     # --- leakage identities ----------------------------------------------
     leak_rows = n * (t1 + t2)
     g1_null, h1_null = nulls((2, r1), (1, r1))
-    g2, h3 = diagonal(2, r2), diagonal(1, r3)
-    reduced_rx2 = carried_map(transcript, g2, "theta1") @ g1_null.apply_blocks(diagonal(1, r1))
-    reduced_rx1 = carried_map(transcript, h3, "theta2") @ h1_null.apply_blocks(diagonal(2, r1))
+    reduced_rx2 = reduce("theta1", diagonal(2, r2), g1_null, 1, r1)
+    reduced_rx1 = reduce("theta2", diagonal(1, r3), h1_null, 2, r1)
     defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
     defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
 
@@ -184,25 +199,32 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
 
 
 def columns_contained(
-    noise: np.ndarray, secret: np.ndarray, scale: float = 0.0, rows: slice | None = None
+    noise: np.ndarray,
+    secret: np.ndarray,
+    scale: float = 0.0,
+    rows: slice | None = None,
+    blocks: np.ndarray | None = None,
 ) -> bool:
     """Whether ``rank([noise | secret]) == rank(noise)`` at :data:`matcore.REL_TOL`.
 
     ``scale`` floors the scale both rank cuts are relative to (see
     :func:`matcore.rank`).  When ``rows`` selects a square row block ``B``
-    of ``noise``, the block solve may confirm a clear containment without
-    an SVD (see :func:`_solved_contained`).  Every other case, a leak, a
-    rank-deficient ``noise`` or a block that is not square included,
-    compares the two ranks; with no noise columns that asks for a secret
-    map of rank 0.
+    of ``noise`` on which ``secret`` is block diagonal, its slot blocks
+    given as ``blocks``, the block solve may confirm a clear containment
+    without an SVD (see :func:`_solved_contained`).  Every other case, a
+    leak, a rank-deficient ``noise`` or a block that is not square
+    included, compares the two ranks; with no noise columns that asks for
+    a secret map of rank 0.
     """
-    if rows is not None and _solved_contained(noise, secret, rows, scale):
+    if rows is not None and _solved_contained(noise, secret, rows, blocks, scale):
         return True
     base = matcore.rank(noise, scale).value
     return matcore.rank(np.hstack([noise, secret]), scale).value == base
 
 
-def _solved_contained(noise: np.ndarray, secret: np.ndarray, rows: slice, scale: float) -> bool:
+def _solved_contained(
+    noise: np.ndarray, secret: np.ndarray, rows: slice, blocks: np.ndarray, scale: float
+) -> bool:
     """The block-solve exit of :func:`columns_contained`.
 
     With ``B = noise[rows]`` square and ``z = B^-1 secret[rows]``: ``B`` is
@@ -213,6 +235,15 @@ def _solved_contained(noise: np.ndarray, secret: np.ndarray, rows: slice, scale:
     singular value.  :func:`_clearly_contained` decides from the two
     bounds.  A block that is not square, is empty or is exactly singular
     leaves the decision to the rank pair.
+
+    ``secret - noise z`` is zero in ``rows``; in the other rows ``R`` it
+    is ``secret[R] - (noise[R] B^-1) secret[rows]``.  ``secret[rows]`` is
+    block diagonal: ``blocks`` is ``(t, r, h, w)``, and slot ``s``'s ``r``
+    rows meet only the ``w`` columns from ``s * w`` in each of ``secret``'s
+    ``h`` equal column groups (in lift order, the ``m`` columns of slot
+    ``s`` in each transmitter's stack).  So the second product is one
+    batched ``(t, |R|, r) @ (t, r, h w)`` product, kept in slot order, and
+    the secret's rows are subtracted from it through a strided view.
     """
     block = noise[rows]
     if block.shape[0] != block.shape[1] or block.size == 0:
@@ -221,7 +252,17 @@ def _solved_contained(noise: np.ndarray, secret: np.ndarray, rows: slice, scale:
         inverse = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         return False
-    residual = float(np.linalg.norm(secret - noise @ (inverse @ secret[rows])))
+    t, r, h, w = blocks.shape
+    start, stop, _ = rows.indices(len(noise))
+    parts = []
+    for part in (slice(0, start), slice(stop, len(noise))):
+        mixed = noise[part] @ inverse
+        k = len(mixed)
+        product = np.matmul(mixed.reshape(k, t, r).swapaxes(0, 1), blocks.reshape(t, r, h * w))
+        product = product.reshape(t, k, h, w)
+        product -= secret[part].reshape(k, h, t, w).transpose(2, 0, 1, 3)
+        parts.append(np.linalg.norm(product))
+    residual = float(np.hypot(*parts))
     weakest = 1.0 / float(np.linalg.norm(inverse))
     noise_norms = np.linalg.norm(noise, axis=0)
     return _clearly_contained(noise_norms, secret, weakest, residual, scale)
@@ -251,20 +292,20 @@ def _clearly_contained(
     return residual * CONTAINMENT_GUARD <= matcore.REL_TOL * lower
 
 
-def _phase1_blocks(noise: np.ndarray, m: int, n: int, t1: int) -> np.ndarray:
-    """The ``(t1, n, 2m)`` diagonal blocks of a noise map's phase-1 rows.
+def _slot_blocks(rows: np.ndarray, n: int, m: int, t: int, what: str) -> np.ndarray:
+    """The ``(t, n, 2, m)`` diagonal blocks of a map's ``n t`` rows over
+    ``t`` slots whose columns are the lift-order inputs of the same slots.
 
-    The noise map's columns are the phase-1 inputs, so its phase-1 rows are
-    the receiver's block-diagonal phase-1 lift; a map whose phase-1 rows
-    reach outside the diagonal blocks is refused.
+    Those rows are block diagonal: slot ``s``'s rows meet only the ``m``
+    columns of slot ``s`` in each transmitter's stack.  A map whose rows
+    reach outside the diagonal blocks is refused, naming ``what``.
     """
-    rows = noise[: n * t1]
-    slots = np.arange(t1)
-    # rows[s * n + a, i * m * t1 + s' * m + b]: slot s, transmitter i + 1, slot s'
-    blocks = rows.reshape(t1, n, 2, t1, m)[slots, :, :, slots]
+    slots = np.arange(t)
+    # rows[s * n + a, i * m * t + s' * m + b]: slot s, transmitter i + 1, slot s'
+    blocks = rows.reshape(t, n, 2, t, m)[slots, :, :, slots]
     if np.count_nonzero(rows) != np.count_nonzero(blocks):
-        raise InvalidTranscript("the noise map's phase-1 rows are not block diagonal")
-    return blocks.reshape(t1, n, 2 * m)
+        raise InvalidTranscript(f"{what} are not block diagonal")
+    return blocks
 
 
 def _secret_past_phase1(
@@ -311,26 +352,34 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     receiver's fresh phase are the row block :func:`columns_contained`
     solves when it is square: for schemes A, B and D the block is
     ``(2m-n) t1`` square, and its solve replaces the rank pair's two SVDs.
+    The secret map's rows there are block diagonal, since that phase's
+    inputs are the secret group itself (checked exactly); the solve reads
+    their slot blocks.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
     t1, t2, t3, _ = (len(slots) for slots in transcript.phase_ranges())
     p1 = n * t1
     noise = schemes.linear_response(transcript, "u")
-    blocks = np.stack([_phase1_blocks(half, m, n, t1) for half in noise])
-    nulls = matcore.slot_null_bases(blocks)
+    blocks = [_slot_blocks(half[:p1], n, m, t1, "the noise map's phase-1 rows") for half in noise]
+    nulls = matcore.slot_null_bases(np.stack(blocks).reshape(2, t1, n, 2 * m))
     reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
     # the reduced maps are new arrays: the noise replay is freed before the secret ones
     del noise
     # past the noise phase, the rows of receiver 1's and receiver 2's fresh phases
     fresh = (slice(0, n * t2), slice(n * t2, n * (t2 + t3)))
+
+    def contained(rx, group, noise_map, scale):
+        """Receiver ``rx + 1``'s verdict; its secret map is freed on return."""
+        other = fresh[1 - rx]
+        secret = _secret_past_phase1(transcript, group, rx, p1, fresh[rx])
+        # the other fresh phase's inputs are the group itself
+        what = "the secret map's rows in the other receiver's fresh phase"
+        solved = _slot_blocks(secret[other], n, m, (t3, t2)[rx], what)
+        return columns_contained(noise_map, secret, scale, other, solved)
+
     return tuple(
-        columns_contained(
-            noise_map,
-            _secret_past_phase1(transcript, group, rx, p1, fresh[rx]),
-            scale,
-            fresh[1 - rx],
-        )
+        contained(rx, group, noise_map, scale)
         for rx, group, (noise_map, scale) in zip((0, 1), ("v2", "v1"), reduced)
     )
 

@@ -4,12 +4,15 @@ The decoder's stacked system solved whole (the fresh-phase rows' dense
 block-diagonal lift stacked on the final-phase rows, one SVD solve), the
 rank identities assembled in full (every stacked matrix formed from the
 dense block-diagonal lifts), the precoded maps as a dense lift times a
-precoder, and the subspace oracle's containment test run on the whole
-replayed maps, noise phase included, by numpy's SVD alone
-(:func:`reference_contained`).  ``schemes.decode``, ``schemes.carried_map``
-and ``verify`` compute the same symbols, maps, ranks and verdicts slot by
-slot; the tests require the two to agree.  Every cut here reads
-``matcore.REL_TOL`` at call time, as the code it checks does.
+precoder, the reduced maps of the rank report and the decoder as a dense
+map times a scattered block-diagonal matrix (:func:`reduced_maps`), the
+block solve's residual over every row (:func:`all_rows_residual`), and
+the subspace oracle's containment test run on the whole replayed maps,
+noise phase included, by numpy's SVD alone (:func:`reference_contained`).
+``schemes.decode``, ``schemes.carried_map`` and ``verify`` compute the
+same symbols, maps, ranks and verdicts slot by slot; the tests require the
+two to agree.  Every cut here reads ``matcore.REL_TOL`` at call time, as
+the code it checks does.
 
 The replay through dense lifts and dense precoder products, where
 ``schemes.linear_response`` places an identity-input phase's slot blocks,
@@ -146,6 +149,60 @@ def dense_ranks(transcript):
         defect("leak_rx1"),
         defect("leak_rx2"),
     )
+
+
+def reduced_map(transcript, left, blocks, basis, retransmit):
+    """``left`` times the dense block-diagonal matrix with diagonal ``blocks
+    @ basis``, through ``side_info`` when ``retransmit``: the product
+    ``matcore.times_block_diagonal`` forms slot by slot, scattered whole."""
+    t, r, _ = blocks.shape
+    w = basis.shape[2]
+    lifted = np.zeros((t * r, t * w), dtype=complex)
+    for s, block in enumerate(blocks @ basis):
+        lifted[s * r : (s + 1) * r, s * w : (s + 1) * w] = block
+    return left @ (side_info(transcript, lifted) if retransmit else lifted)
+
+
+def reduced_maps(transcript):
+    """``(map, scale)`` by name: the rank report's four reduced maps
+    (``rate_rx1``, ``rate_rx2``, ``leak_rx2``, ``leak_rx1``) and the
+    decoder's two (``decode_rx1``, ``decode_rx2``), each a dense precoded
+    lift times :func:`reduced_map`, with the rank cut's scale.  The
+    decoder's null basis is its fresh-phase lift's alone, the report's
+    comes from the batch its pair is decided in."""
+    m = transcript.config.effective_m
+    r1, r2, r3, r4 = transcript.phase_ranges()
+    h, g = _phase_lifts(transcript)
+    w2, w4 = m * len(r2), m * len(r4)
+
+    def blocks(rx, slots):
+        return channel.diagonal_blocks(state_rows(transcript.states, rx, slots), m)
+
+    h2, g3 = matcore.slot_null_bases(np.stack([blocks(1, r2), blocks(2, r3)]))
+    g1, h1 = matcore.slot_null_bases(np.stack([blocks(2, r1), blocks(1, r1)]))
+    (own1,) = matcore.slot_null_bases(blocks(1, r2)[None])
+    (own2,) = matcore.slot_null_bases(blocks(2, r3)[None])
+    phi1 = carried_map(transcript, h[4], "phi1", w4)
+    phi2 = carried_map(transcript, g[4], "phi2", w4)
+    maps = {
+        "rate_rx1": (phi1, blocks(2, r2), h2, True),
+        "rate_rx2": (phi2, blocks(1, r3), g3, True),
+        "leak_rx2": (carried_map(transcript, g[2], "theta1", w2), blocks(1, r1), g1, False),
+        "leak_rx1": (carried_map(transcript, h[3], "theta2", w2), blocks(2, r1), h1, False),
+        "decode_rx1": (phi1, blocks(2, r2), own1, True),
+        "decode_rx2": (phi2, blocks(1, r3), own2, True),
+    }
+    return {
+        name: (reduced_map(transcript, left, diag, null.basis, retransmit), null.largest)
+        for name, (left, diag, null, retransmit) in maps.items()
+    }
+
+
+def all_rows_residual(noise, secret, rows):
+    """``||secret - noise B^-1 secret[rows]||_F`` with ``B = noise[rows]``,
+    over every row: the block solve's residual with the solved rows'
+    round-off kept."""
+    return float(np.linalg.norm(secret - noise @ (np.linalg.inv(noise[rows]) @ secret[rows])))
 
 
 def reference_contained(a, s):

@@ -526,22 +526,27 @@ class TestSlotNullBases:
         # the blocks' own lift is annihilated
         assert np.max(np.abs(null.apply(lift_rows(rows)))) <= 1e-12 * null.largest
 
-    def test_apply_blocks_equals_apply_of_the_lift(self):
+    def test_times_block_diagonal_equals_the_dense_product(self):
         r = rng(20)
         t, n, m = 4, 3, 2
         blocks = _slot_stack(_random_rows(t, n, m, r))
         blocks[1] = matcore.random_matrix(3, 2, r) @ matcore.random_matrix(2, 4, r)  # padded basis
         null = _one(blocks)
         w = null.basis.shape[2]
-        for n_rows in (n, 5):
+        for n_rows, take in ((n, n), (5, 5), (5, 2)):
             rows = np.array([[matcore.random_matrix(n_rows, m, r) for _ in range(2)]
                              for _ in range(t)])
-            product = null.apply_blocks(_slot_stack(rows))
-            assert product.shape == (t * n_rows, t * w)
-            np.testing.assert_allclose(product, null.apply(lift_rows(rows)), rtol=0, atol=1e-13)
-            for s in range(t):  # block diagonal, with exact zeros off the diagonal
-                off = np.delete(product[s * n_rows : (s + 1) * n_rows], np.s_[s * w : (s + 1) * w], 1)
-                assert not off.any()
+            diagonal = _slot_stack(rows)[:, :take] @ null.basis
+            # the lift times the null basis, each slot cut to its first
+            # ``take`` rows, stacked and padded with zero rows as side_info does
+            dense = np.zeros((t * n_rows, t * w), dtype=complex)
+            dense[: t * take] = matcore.block_diag(list(diagonal))
+            if take == n_rows:
+                np.testing.assert_allclose(dense, null.apply(lift_rows(rows)), rtol=0, atol=1e-13)
+            left = matcore.random_matrix(7, t * n_rows, r)
+            product = matcore.times_block_diagonal(left, diagonal)
+            assert product.shape == (7, t * w)
+            np.testing.assert_allclose(product, left @ dense, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (0, 0, 3, 4), (0, 2, 3, 4)])
     def test_rejects_a_stack_without_blocks(self, shape):
@@ -557,7 +562,8 @@ class TestSlotNullBases:
             assert null.rank == 0 and null.largest == 0.0
             assert null.basis.shape == (0, 4, 0)
             assert null.apply(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
-            assert null.apply_blocks(np.zeros((0, 5, 4), dtype=complex)).shape == (0, 0)
+            diagonal = np.zeros((0, 5, 4), dtype=complex) @ null.basis
+            assert matcore.times_block_diagonal(np.zeros((7, 0)), diagonal).shape == (7, 0)
 
 
 class TestOneCut:

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import xsdof
 from dense_reference import (
+    all_rows_residual,
     dense_decode,
     dense_oracle,
     dense_ranks,
+    reduced_maps,
     reference_contained,
     stacked_matrices,
     state_rows,
@@ -155,8 +157,9 @@ class TestNoDenseLift:
 
     def test_replay_uses_no_report_product(self, monkeypatch):
         """The replay stays independent of the rank report's reduction: no
-        carried map and no per-slot null basis, under any name a module of
-        the package binds them to."""
+        carried map, no per-slot null basis and no product with a
+        block-diagonal factor's slot blocks, under any name a module of the
+        package binds them to."""
         cases = [
             (variant(SchemeId.A), 3, 4, None),
             (variant(SchemeId.B), 4, 4, None),
@@ -171,14 +174,16 @@ class TestNoDenseLift:
         def refuse(*args, **kwargs):
             raise AssertionError("the replay used the rank report's reduction")
 
-        report = (schemes.carried_map, matcore.slot_null_bases)
+        report = (schemes.carried_map, matcore.slot_null_bases, matcore.times_block_diagonal)
+        patched = set()
         for info in pkgutil.iter_modules(xsdof.__path__):
             module = importlib.import_module(f"xsdof.{info.name}")
             for attr, value in list(vars(module).items()):
                 if any(value is fn for fn in report):
                     monkeypatch.setattr(module, attr, refuse)
+                    patched.add((info.name, attr))
+        assert ("matcore", "times_block_diagonal") in patched
         monkeypatch.setattr(matcore.SlotNullBases, "apply", refuse)
-        monkeypatch.setattr(matcore.SlotNullBases, "apply_blocks", refuse)
         for transcript in transcripts:
             for group in ("u", "v1", "v2"):
                 schemes.linear_response(transcript, group)
@@ -364,6 +369,25 @@ class TestSubspaceOracle:
         with pytest.raises(InvalidTranscript, match="own fresh phase"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
+    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 36), ("v1", 1, 27)])
+    def test_secret_across_slots_in_other_fresh_phase_is_refused(
+        self, monkeypatch, group, rx, row
+    ):
+        # A(2,3): the other receiver's fresh phase is rows 36 to 45 of
+        # receiver 1's map (phase 3) and 27 to 36 of receiver 2's (phase
+        # 2); its first slot's rows meet only columns 0, 1, 6 and 7
+        replay = schemes.linear_response
+
+        def smeared(transcript, name):
+            maps = replay(transcript, name)
+            if name == group:
+                maps[rx][row, 2] = 1e-300  # slot 1's output reached by slot 2's symbols
+            return maps
+
+        monkeypatch.setattr(schemes, "linear_response", smeared)
+        with pytest.raises(InvalidTranscript, match="other receiver's fresh phase"):
+            verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
+
     @pytest.mark.parametrize("rx", [0, 1])
     def test_noise_across_slots_is_refused(self, monkeypatch, rx):
         replay = schemes.linear_response
@@ -424,6 +448,91 @@ class TestSubspaceOracle:
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
+
+
+#: Every spec row at each of these configurations where its regime allows
+#: it, and the three mutants of scheme A, seed 7: the cases the slot-by-slot
+#: products are checked against the dense reference on.
+SLOT_PRODUCT_CONFIGS = [(2, 3), (4, 4), (4, 5), (3, 5)]
+
+#: Largest relative difference allowed between a reduced map formed slot by
+#: slot and the dense one: the sums differ only in the lift's zero terms.
+REDUCED_MAP_RTOL = 1e-12
+
+
+def slot_product_transcripts():
+    for m, n in SLOT_PRODUCT_CONFIGS:
+        for (scheme, tx1_only), spec in schemes.SPECS.items():
+            if spec.phases == "single-slot" and m < n:
+                continue  # scheme B needs m >= n
+            yield (scheme, m, n, tx1_only), schemes.run(spec, AntennaConfig(m, n), seed=7)
+        for mutation in schemes.MUTATIONS:
+            yield (SchemeId.A, m, n, mutation), transcript_for(SchemeId.A, m, n, mutation=mutation)
+
+
+def _block_residuals(monkeypatch, transcript):
+    """``(noise, secret, rows, residual)`` of every receiver whose block
+    solve reached the guard, the residual being the one the guard read."""
+    solved, residuals = [], []
+    block, guard = verify._solved_contained, verify._clearly_contained
+
+    def block_spy(noise, secret, rows, blocks, scale):
+        solved.append((noise, secret, rows))
+        return block(noise, secret, rows, blocks, scale)
+
+    def guard_spy(noise_norms, secret, weakest, residual, scale):
+        residuals.append((*solved[-1], residual))
+        return guard(noise_norms, secret, weakest, residual, scale)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_solved_contained", block_spy)
+        patch.setattr(verify, "_clearly_contained", guard_spy)
+        verify.equivocation_subspace_check(transcript)
+    return residuals
+
+
+class TestSlotProducts:
+    def test_reduced_maps_match_dense(self, monkeypatch):
+        """The rank report's and the decoder's reduced maps, formed from
+        slot blocks, against the dense map times the scattered block
+        diagonal: to REDUCED_MAP_RTOL, and of the same rank at the cut."""
+        products = []
+        times = matcore.times_block_diagonal
+        monkeypatch.setattr(matcore, "times_block_diagonal",
+                            lambda *args: products.append(times(*args)) or products[-1])
+        order = ("rate_rx1", "rate_rx2", "leak_rx2", "leak_rx1", "decode_rx1", "decode_rx2")
+        for case, transcript in slot_product_transcripts():
+            products.clear()
+            verify.secrecy_rank_report(transcript)
+            for receiver in (Node.RX1, Node.RX2):
+                _decoded(schemes.decode, transcript, receiver)
+            assert len(products) == len(order), case
+            want = reduced_maps(transcript)
+            for name, got in zip(order, products):
+                dense, scale = want[name]
+                assert got.shape == dense.shape, (case, name)
+                diff = np.linalg.norm(got - dense)
+                assert diff <= REDUCED_MAP_RTOL * np.linalg.norm(dense), (case, name, diff)
+                assert matcore.rank(got, scale).value == matcore.rank(dense, scale).value, (
+                    case, name)
+
+    def test_block_solve_residual_matches_all_rows(self, monkeypatch):
+        """The block solve's residual, from the unsolved rows and the
+        secret's slot blocks, against the residual over every row: within
+        REDUCED_MAP_RTOL of the secret's norm, since the solved rows hold
+        only the inverse's round-off."""
+        reached = 0
+        for case, transcript in slot_product_transcripts():
+            residuals = _block_residuals(monkeypatch, transcript)
+            for noise, secret, rows, residual in residuals:
+                diff = abs(residual - all_rows_residual(noise, secret, rows))
+                assert diff <= REDUCED_MAP_RTOL * np.linalg.norm(secret), (case, diff)
+            reached += len(residuals)
+        # every receiver with a square, invertible block: A, D, theta1_zero
+        # (one receiver; the other's block is zero) and phi1_zero at every
+        # configuration, B(4,4), and both C rows at (4,4), where 2m - n = n
+        # makes C's block square too
+        assert reached == 34
 
 
 #: The benchmark's configurations that ``AGREEMENT_CASES`` leaves out, one
@@ -496,7 +605,7 @@ def _oracle_exits(monkeypatch, transcript):
     solved = []
     block, guard = verify._solved_contained, verify._clearly_contained
 
-    def solved_spy(noise, secret, rows, scale):
+    def solved_spy(noise, secret, rows, blocks, scale):
         seen = []
 
         def guard_spy(noise_norms, secret, weakest, residual, scale):
@@ -505,7 +614,7 @@ def _oracle_exits(monkeypatch, transcript):
 
         monkeypatch.setattr(verify, "_clearly_contained", guard_spy)
         try:
-            decided = block(noise, secret, rows, scale)
+            decided = block(noise, secret, rows, blocks, scale)
         finally:
             monkeypatch.setattr(verify, "_clearly_contained", guard)
         solved.append(seen[0] if decided else None)
@@ -549,20 +658,26 @@ class TestBlockSolve:
     def test_singular_or_non_square_blocks_fall_through(self, joint_rank_calls):
         rng = np.random.default_rng(8)
         a = _gaussian(rng, 30, 8)
-        s = a @ _gaussian(rng, 8, 3)
-        assert verify.columns_contained(a, s, rows=slice(0, 8))
+        s, blocks = _spanned_secret(rng, a, slice(0, 8), (1, 8, 1, 3))
+        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks)
         assert joint_rank_calls == []  # the block solve decided: no rank at all
         singular = a.copy()
         singular[:8] = 0.0
         for rows in (slice(0, 7), slice(0, 8)):
             joint_rank_calls.clear()
-            assert verify.columns_contained(singular, singular @ _gaussian(rng, 8, 3), rows=rows)
+            # the secret's rows in ``rows`` are zero: block diagonal for any slots
+            secret = singular @ _gaussian(rng, 8, 3)
+            zeros = np.zeros((1, rows.stop, 1, 3), dtype=complex)
+            assert verify.columns_contained(singular, secret, rows=rows, blocks=zeros)
             assert joint_rank_calls == [8, 11]  # the rank pair decided
 
     def test_block_solve_leaves_a_leak_to_the_rank_pair(self, joint_rank_calls):
         rng = np.random.default_rng(9)
         a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 2)
-        assert not verify.columns_contained(a, s, rows=slice(4, 12))
+        # rows 4 to 12 are two slots of 4 rows, each meeting its own column
+        blocks = _gaussian(rng, 8, 1).reshape(2, 4, 1, 1)
+        s[4:12] = _slot_diagonal(blocks)
+        assert not verify.columns_contained(a, s, rows=slice(4, 12), blocks=blocks)
         assert joint_rank_calls == [8, 10]
 
 
@@ -580,6 +695,15 @@ def test_large_configuration_a88(monkeypatch):
 
     monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
     monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
+    products = []
+    times = matcore.times_block_diagonal
+
+    def times_spy(left, blocks):
+        product = times(left, blocks)
+        products.append(product.shape)
+        return product
+
+    monkeypatch.setattr(matcore, "times_block_diagonal", times_spy)
     transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
     assert calls == []  # all four precoders certified without an SVD
     # each from its 512 x 512 top block, at the whole candidate's scale
@@ -593,14 +717,46 @@ def test_large_configuration_a88(monkeypatch):
     assert certified == [((512, 512), False, True)] * 2 and solves == []
     verify.secrecy_rank_report(transcript)
     assert calls == []  # and all four reduced maps of the rank report
+    # the decoder's two reduced systems and the report's four maps, each
+    # formed slot by slot
+    assert products == [(512, 512)] * 6
     monkeypatch.setattr(matcore, "rank", rank)
     verdicts, solved = _oracle_exits(monkeypatch, transcript)
     assert verdicts == dense_oracle(transcript) == (True, True)
     assert all(entry is not None for entry in solved)
+    # the residual from the unsolved rows keeps the all-rows one's margin
+    residuals = _block_residuals(monkeypatch, transcript)
+    assert len(residuals) == 2
+    for noise, secret, rows, residual in residuals:
+        assert abs(residual / all_rows_residual(noise, secret, rows) - 1) <= 0.01
 
 
 def _gaussian(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _slot_diagonal(blocks):
+    """The block-diagonal rows with ``(t, r, h, w)`` slot blocks ``blocks``:
+    slot ``s``'s ``r`` rows meet only the ``w`` columns from ``s * w`` in
+    each of ``h`` column groups, as the oracle's secret map does in the
+    other receiver's fresh phase (``h = 2`` transmitters, ``w = m``)."""
+    t, r, h, w = blocks.shape
+    out = np.zeros((t, r, h, t, w), dtype=complex)
+    out[np.arange(t), :, :, np.arange(t)] = blocks
+    return out.reshape(t * r, h * t * w)
+
+
+def _spanned_secret(rng, a, rows, shape, scale=1.0):
+    """A secret in the column span of ``a`` whose rows ``rows`` are block
+    diagonal, with random slot blocks of ``shape`` ``(t, r, h, w)`` and
+    entries of size ``scale``: ``(secret, blocks)``.  Those rows are set
+    exactly, the others are ``a`` times the solution of the block."""
+    t, r, h, w = shape
+    blocks = scale * _gaussian(rng, t * r, h * w).reshape(shape)
+    solved = _slot_diagonal(blocks)
+    secret = a @ np.linalg.solve(a[rows], solved)
+    secret[rows] = solved
+    return secret, blocks
 
 
 @pytest.fixture
@@ -621,9 +777,9 @@ class TestColumnsContained:
     def test_contained_span(self, joint_rank_calls):
         rng = np.random.default_rng(1)
         a = _gaussian(rng, 30, 8)
-        s = a @ _gaussian(rng, 8, 5)
+        s, blocks = _spanned_secret(rng, a, slice(0, 8), (1, 8, 1, 5))
         assert reference_contained(a, s)
-        assert verify.columns_contained(a, s, rows=slice(0, 8))
+        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks)
         assert joint_rank_calls == []  # the block solve decided: no SVD
         assert verify.columns_contained(a, s)
         assert joint_rank_calls == [8, 13]  # without a block, the rank pair
@@ -652,7 +808,9 @@ class TestColumnsContained:
         q, _ = np.linalg.qr(_gaussian(rng, 30, 9))
         a, out = q[:, :8], q[:, 8:]  # unit orthonormal columns
         s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
-        assert verify.columns_contained(a, s, rows=slice(0, 8)) == reference_contained(a, s)
+        blocks = s[:8].reshape(1, 8, 1, 1)  # one slot: any rows are block diagonal
+        want = reference_contained(a, s)
+        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks) == want
         assert joint_rank_calls == [8, 9]
 
     def test_noise_direction_lost_to_joint_cut_falls_back(self, joint_rank_calls):
@@ -663,7 +821,8 @@ class TestColumnsContained:
         a[0, 0], a[1, 1] = 1.0, 1e-8
         s = np.array([1e3, 0, 0, 0], dtype=complex)[:, None]
         assert not reference_contained(a, s)
-        assert not verify.columns_contained(a, s, rows=slice(0, 2))
+        blocks = s[:2].reshape(1, 2, 1, 1)  # one slot: any rows are block diagonal
+        assert not verify.columns_contained(a, s, rows=slice(0, 2), blocks=blocks)
         assert joint_rank_calls == [2, 3]
 
     def test_round_off_noise_needs_the_scale_floor(self, joint_rank_calls):
@@ -672,20 +831,24 @@ class TestColumnsContained:
         # eliminated block it has rank 0
         rng = np.random.default_rng(6)
         a = 1e-16 * _gaussian(rng, 30, 8)
-        inside, outside = a @ _gaussian(rng, 8, 3), _gaussian(rng, 30, 8)
         rows = slice(0, 8)
+        inside, inside_blocks = _spanned_secret(rng, a, rows, (1, 8, 1, 3), scale=1e-16)
+        # two slots of 4 rows, in lift order: two groups of 2 columns a slot
+        outside, outside_blocks = _gaussian(rng, 30, 8), _gaussian(rng, 8, 4).reshape(2, 4, 2, 2)
+        outside[rows] = _slot_diagonal(outside_blocks)
         # a secret in its span: the block solve confirms it at the noise's
         # own scale; the scale floor puts the block's bound under the cut,
         # and the rank pair finds rank 0 on both sides
-        assert verify.columns_contained(a, inside, rows=rows)
+        assert verify.columns_contained(a, inside, rows=rows, blocks=inside_blocks)
         assert joint_rank_calls == []
-        assert verify.columns_contained(a, inside, scale=1.0, rows=rows)
+        assert verify.columns_contained(a, inside, scale=1.0, rows=rows, blocks=inside_blocks)
         assert joint_rank_calls == [8, 11]
         # an O(1) secret of the same rank: the round-off swallows it at the
         # noise's own scale, and it leaks at the eliminated block's
         joint_rank_calls.clear()
-        assert verify.columns_contained(a, outside, rows=rows)
-        assert not verify.columns_contained(a, outside, scale=1.0, rows=rows)
+        assert verify.columns_contained(a, outside, rows=rows, blocks=outside_blocks)
+        assert not verify.columns_contained(a, outside, scale=1.0, rows=rows,
+                                            blocks=outside_blocks)
         assert joint_rank_calls == [8, 16, 8, 16]
 
     def test_noise_without_columns(self, joint_rank_calls):
