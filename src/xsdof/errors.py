@@ -9,7 +9,8 @@ does not grant).
 
 
 class InvalidMatrix(ValueError):
-    """A matrix argument has non-finite entries or is not a 2-D array."""
+    """A matrix argument has non-finite entries, or is neither a 2-D array
+    nor, where a stack is accepted, a 3-D stack of them."""
 
 
 class InvalidShape(ValueError):
@@ -21,7 +22,8 @@ class InvalidInput(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """A square system is numerically rank deficient at the working tolerance."""
+    """A square or tall system (or a matrix of a stack of them) is
+    numerically rank deficient at the working tolerance."""
 
 
 class ProtocolViolation(RuntimeError):

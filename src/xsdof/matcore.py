@@ -185,10 +185,10 @@ class SlotNullBases:
     the matrix's largest singular value, so ``rank`` is the matrix's rank.
     ``basis`` is ``(t, c, w)``: slot ``s``'s null space is spanned by its
     ``c - ranks[s]`` last columns, and its first ``ranks[s] + w - c``
-    columns are zero, which changes no rank they enter.  :meth:`apply`
-    multiplies a dense lifted map by the bases; a block-diagonal map's
-    product is its blocks times ``basis``, slot by slot, and a map times
-    that goes to :func:`times_block_diagonal`.
+    columns are zero, which changes no rank they enter.  The block-diagonal
+    basis is never built: a map times it is :func:`times_block_diagonal`
+    of the map and ``basis``, and a block-diagonal map's product is its
+    blocks times ``basis``, slot by slot.
     """
 
     ranks: np.ndarray
@@ -199,33 +199,19 @@ class SlotNullBases:
     def rank(self) -> int:
         return int(self.ranks.sum())
 
-    def apply(self, lifted: np.ndarray) -> np.ndarray:
-        """``lifted`` times the block-diagonal null basis, never built.
-
-        ``lifted``'s columns are in lift order, ``[x1 stack | x2 stack]``
-        (see ``channel.lift_rows``): the first half of each slot block's
-        columns meets the first stack.  Returns a new ``(rows, t * w)``
-        array, slot by slot.
-        """
-        t, c, w = self.basis.shape
-        rows = lifted.shape[0]
-        per_slot = lifted.reshape(rows, 2, t, c // 2).transpose(2, 0, 1, 3).reshape(t, rows, c)
-        return np.matmul(per_slot, self.basis).transpose(1, 0, 2).reshape(rows, t * w)
-
 
 def times_block_diagonal(left: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """``left`` times the block-diagonal matrix with diagonal ``blocks``,
     which is never built.
 
     ``blocks`` is ``(t, r, w)``: slot ``s``'s block meets the ``r`` columns
-    of ``left`` from ``s * r``.  Columns of ``left`` past ``t * r`` would
-    meet zero rows (the padding :func:`schemes.side_info` appends) and are
-    not read.  One batched ``(t, rows, r) @ (t, r, w)`` product gives the
-    new ``(rows, t * w)`` array, its columns slot by slot.
+    of ``left`` from ``s * r``, so ``left`` has ``t * r`` columns.  One
+    batched ``(t, rows, r) @ (t, r, w)`` product gives the new ``(rows, t *
+    w)`` array, its columns slot by slot.
     """
     t, r, w = blocks.shape
     rows = left.shape[0]
-    per_slot = left[:, : t * r].reshape(rows, t, r).swapaxes(0, 1)
+    per_slot = left.reshape(rows, t, r).swapaxes(0, 1)
     return np.matmul(per_slot, blocks).swapaxes(0, 1).reshape(rows, t * w)
 
 
@@ -237,16 +223,17 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     relative to its own largest singular value.  Every basis is ``c - min
     rank`` wide, the minimum taken over all ``k * t`` slots.  With ``t = 0``
     (an empty phase) each matrix has rank 0, largest singular value 0.0
-    and a ``(0, c, 0)`` basis, so :meth:`SlotNullBases.apply` maps any
-    lifted matrix with no columns to one with no columns.
+    and a ``(0, c, 0)`` basis, so :func:`times_block_diagonal` maps any
+    matrix with no columns to one with no columns.
 
     The null space of a block-diagonal ``G`` is block diagonal, so the rank
     identity ``rank([G; M]) = rank(G) + rank(M N)`` (Marsaglia and Styan,
     1974), with ``N`` spanning ``null(G)``, reduces a stacked matrix slot by
-    slot; :meth:`SlotNullBases.apply` forms ``M N``, and where ``M`` is a
-    map times a block-diagonal matrix with diagonal ``D``,
-    :func:`times_block_diagonal` forms it from the per-slot products ``D[s]
-    @ basis[s]``.  A rank cut on ``M N`` should keep ``G``'s scale: pass
+    slot.  ``M``'s columns must be in ``G``'s slot order, slot ``s``'s
+    ``c`` together; :func:`times_block_diagonal` of ``M`` and ``basis``
+    forms ``M N``, and where ``M`` is a map times a block-diagonal matrix
+    with diagonal ``D``, of the map and the per-slot products ``D[s] @
+    basis[s]``.  A rank cut on ``M N`` should keep ``G``'s scale: pass
     ``largest`` as ``scale`` to :func:`rank`.
     """
     if blocks.ndim != 4 or blocks.shape[0] == 0:

@@ -264,11 +264,14 @@ def draw_precoders(
 ) -> Precoders:
     """Draw Gaussian precoders, redrawing any that miss full rank.
 
-    Each precoder maps the ``n`` outputs per slot of its source phase to
-    ``m`` inputs per slot and carrying transmitter of its target phase; with
-    an empty noise phase the mixing matrices are empty (no columns), a draw
-    that takes nothing from ``rng``.  Scheme C's tx1-only row, like C's
-    own, gives each precoder one carrier, so it draws the same precoders.
+    Each precoder maps the outputs per slot of its source phase to ``m``
+    inputs per slot and carrying transmitter of its target phase: the
+    mixing matrices read all ``n`` noise-phase outputs of a slot, the
+    final-phase ones the :func:`retransmitted_rows` of each overheard slot.
+    With an empty noise phase the mixing matrices are empty (no columns), a
+    draw that takes nothing from ``rng``.  Scheme C's tx1-only row, like
+    C's own, gives each precoder one carrier, so it draws C's mixing
+    matrices; it selects where C does not, so its ``phi`` are narrower.
 
     Full rank is decided by a shifted Cholesky certificate
     (:func:`matcore.full_rank_certified`), which needs neither an SVD nor
@@ -287,9 +290,10 @@ def draw_precoders(
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
-    sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
-    for name, t_phase, t_prev in sizes:
-        shape = r, c = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
+    mixed, read = n * t1, retransmitted_rows(spec, config) * t2
+    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
+    for name, t_phase, c in sizes:
+        shape = r, c = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, c)
         for _ in range(MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
             top = r >= 2 * c and matcore.full_rank_certified(cand[:c], np.linalg.norm(cand))
@@ -367,29 +371,22 @@ class Transcript:
 
 def side_info(transcript: Transcript, values: np.ndarray) -> np.ndarray:
     """Overheard outputs ``values`` (``n`` rows a slot) as the final phase
-    retransmits them.
+    retransmits them: the first :func:`retransmitted_rows` of every slot,
+    in slot order, as a new array.
 
-    When the spec selects, the first ``2m - n`` rows of every slot move to
-    the top, in slot order, and zero rows pad the result back to full
-    height; otherwise every row is retransmitted.  The lifted maps are block
-    diagonal, so each slot's unknowns can only be completed by equations
-    overheard in that same slot; a selection that starves a slot leaves the
-    decode system rank deficient no matter how the retransmission is mixed.
+    The lifted maps are block diagonal, so each slot's unknowns can only be
+    completed by equations overheard in that same slot; a selection that
+    starves a slot leaves the decode system rank deficient no matter how
+    the retransmission is mixed.
     """
-    if not transcript.spec.selected:
-        return values
-    n, take = transcript.config.n, retransmitted_rows(transcript)
-    rows = (np.arange(0, len(values), n)[:, None] + np.arange(take)).ravel()
-    out = np.zeros(values.shape, dtype=complex)
-    out[: len(rows)] = values[rows]
-    return out
+    n, take = transcript.config.n, retransmitted_rows(transcript.spec, transcript.config)
+    return values[(np.arange(0, len(values), n)[:, None] + np.arange(take)).ravel()]
 
 
-def retransmitted_rows(transcript: Transcript) -> int:
+def retransmitted_rows(spec: SchemeSpec, config: AntennaConfig) -> int:
     """Rows of a slot's overheard outputs that :func:`side_info` keeps: the
-    first ``2m - n`` when the spec selects, otherwise all ``n``."""
-    n = transcript.config.n
-    return 2 * transcript.config.effective_m - n if transcript.spec.selected else n
+    first ``2m - n`` when ``spec`` selects, otherwise all ``n``."""
+    return 2 * config.effective_m - config.n if spec.selected else config.n
 
 
 def _placed(transcript: Transcript, name: str, values: np.ndarray, width: int) -> np.ndarray:
@@ -674,7 +671,7 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     own_h = own_f.conj().swapaxes(1, 2)
     x_p = own_h @ np.linalg.solve(own_f @ own_h, rhs_f.reshape(-1, n, 1))
     (null,) = matcore.slot_null_bases(own_f[None])
-    take = retransmitted_rows(transcript)
+    take = retransmitted_rows(transcript.spec, transcript.config)
     reduced = matcore.times_block_diagonal(final, cross_f[:, :take] @ null.basis)
     rows, cols = reduced.shape
     solve = matcore.solve_square if rows == cols else matcore.solve_full_column_rank
@@ -694,22 +691,18 @@ def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndar
     slot by slot, written into ``out``.
 
     ``blocks`` are the ``(t, r, 2m)`` slot blocks the precoder reads: the
-    listening receiver's ``n`` rows a slot, or the ``2m - n`` that
-    :func:`side_info` moves to the top.  Slot ``s``'s rows meet only the
-    ``r`` precoder columns from ``s * r`` and only the input columns of
-    slot ``s``, so one batched ``(t, R, r) @ (t, r, m)`` product per
-    transmitter half gives them all.  ``out`` is the ``[x1; x2]`` stack of
-    the target phase, its columns in lift order; the products are written
-    into the carrier rows of it.
+    listening receiver's ``n`` rows a slot, or the ones :func:`side_info`
+    keeps.  Slot ``s``'s rows meet only the ``r`` precoder columns from ``s
+    * r`` and only the ``2m`` input columns of slot ``s``, so one batched
+    ``(t, R, r) @ (t, r, 2m)`` product gives them all.  ``out`` is the
+    ``[x1; x2]`` stack of the target phase, its columns in slot order; the
+    products are written into the carrier rows of it.
     """
     precoder = getattr(transcript.precoders, name)
     t, r, width = blocks.shape
-    m = width // 2
     rows = out[_carrier_span(getattr(transcript.spec, name), len(out) // 2)]
-    per_slot = precoder[:, : t * r].reshape(len(rows), t, r).swapaxes(0, 1)
-    into = rows.reshape(len(rows), 2, t, m).swapaxes(0, 2)
-    for half in (0, 1):
-        np.matmul(per_slot, blocks[..., half * m : (half + 1) * m], out=into[:, half])
+    per_slot = precoder.reshape(len(rows), t, r).swapaxes(0, 1)
+    np.matmul(per_slot, blocks, out=rows.reshape(len(rows), t, width).swapaxes(0, 1))
 
 
 def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
@@ -722,9 +715,11 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     from the ledger-driven engine (used to cross-check it) and from the
     rank-identity assembly in ``verify``.
 
-    The maps are one ``(2, horizon, n, k)`` array, zero where the group
-    cannot reach: a secret group enters in its own fresh phase, so the
-    noise phase and the other fresh phase stay zero and multiply nothing.
+    The maps are one ``(2, horizon, n, k)`` array, its ``k`` columns in
+    slot order (slot ``s``'s ``2m`` inputs ``[x1 | x2]`` from ``2m s``),
+    zero where the group cannot reach: a secret group enters in its own
+    fresh phase, so the noise phase and the other fresh phase stay zero
+    and multiply nothing.
     The phase whose inputs are the group itself (the noise phase for ``u``,
     the group's fresh phase otherwise) puts each slot's ``n x 2m`` block in
     that slot's columns, with no product.  The precoders that read that
@@ -749,10 +744,10 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
 
     def identity(p: int):
         """Phase ``p``'s outputs when its inputs are the group's symbols:
-        slot ``s``'s block in the lift-order columns of slot ``s``."""
+        slot ``s``'s block in the columns of slot ``s``."""
         t, diag = lengths[p - 1], np.arange(lengths[p - 1])
-        cols = y.reshape(2, horizon, n, 2, t, m)[:, phase(p)]
-        cols[:, diag, :, :, diag] = slot_rows[:, phase(p)].reshape(2, t, n, 2, m).swapaxes(0, 1)
+        cols = y.reshape(2, horizon, n, t, 2 * m)[:, phase(p)]
+        cols[:, diag, :, diag] = slot_rows[:, phase(p)].swapaxes(0, 1)
 
     def send(p: int, x: np.ndarray):
         """Phase ``p``'s outputs of the stacked input ``x``, written into ``y``."""
@@ -776,7 +771,7 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     else:
         p, name, listener = (2, "phi1", 1) if group == "v1" else (3, "phi2", 0)
         identity(p)
-        take = retransmitted_rows(transcript)
+        take = retransmitted_rows(transcript.spec, transcript.config)
         x4 = np.zeros((2 * m * lengths[3], k), dtype=complex)
         _by_slot(transcript, name, slot_rows[listener, phase(p), :take], x4)
     send(4, x4)

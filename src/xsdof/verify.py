@@ -171,7 +171,7 @@ def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
 
     # --- rate identities -------------------------------------------------
     h2_null, g3_null = nulls((1, r2), (2, r3))
-    take = schemes.retransmitted_rows(transcript)
+    take = schemes.retransmitted_rows(transcript.spec, cfg)
     rate1 = stacked_rank(
         "rate_rx1", h2_null, reduce("phi1", diagonal(1, r4), h2_null, 2, r2, take))
     rate2 = stacked_rank(
@@ -209,12 +209,13 @@ def columns_contained(
 
     ``scale`` floors the scale both rank cuts are relative to (see
     :func:`matcore.rank`).  When ``rows`` selects a square row block ``B``
-    of ``noise`` on which ``secret`` is block diagonal, its slot blocks
-    given as ``blocks``, the block solve may confirm a clear containment
-    without an SVD (see :func:`_solved_contained`).  Every other case, a
-    leak, a rank-deficient ``noise`` or a block that is not square
-    included, compares the two ranks; with no noise columns that asks for
-    a secret map of rank 0.
+    of ``noise`` on which ``secret`` is block diagonal, its ``(t, r, w)``
+    slot blocks given as ``blocks`` (slot ``s``'s ``r`` rows meet the
+    ``w`` columns from ``s * w``), the block solve may confirm a clear
+    containment without an SVD (see :func:`_solved_contained`).  Every
+    other case, a leak, a rank-deficient ``noise`` or a block that is not
+    square included, compares the two ranks; with no noise columns that
+    asks for a secret map of rank 0.
     """
     if rows is not None and _solved_contained(noise, secret, rows, blocks, scale):
         return True
@@ -238,12 +239,10 @@ def _solved_contained(
 
     ``secret - noise z`` is zero in ``rows``; in the other rows ``R`` it
     is ``secret[R] - (noise[R] B^-1) secret[rows]``.  ``secret[rows]`` is
-    block diagonal: ``blocks`` is ``(t, r, h, w)``, and slot ``s``'s ``r``
-    rows meet only the ``w`` columns from ``s * w`` in each of ``secret``'s
-    ``h`` equal column groups (in lift order, the ``m`` columns of slot
-    ``s`` in each transmitter's stack).  So the second product is one
-    batched ``(t, |R|, r) @ (t, r, h w)`` product, kept in slot order, and
-    the secret's rows are subtracted from it through a strided view.
+    block diagonal with the slot blocks ``blocks``, so the second product
+    is one batched ``(t, |R|, r) @ (t, r, w)`` product, kept in slot
+    order, and the secret's rows are subtracted from it in place through a
+    strided view.
     """
     block = noise[rows]
     if block.shape[0] != block.shape[1] or block.size == 0:
@@ -252,15 +251,14 @@ def _solved_contained(
         inverse = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         return False
-    t, r, h, w = blocks.shape
+    t, r, w = blocks.shape
     start, stop, _ = rows.indices(len(noise))
     parts = []
     for part in (slice(0, start), slice(stop, len(noise))):
         mixed = noise[part] @ inverse
         k = len(mixed)
-        product = np.matmul(mixed.reshape(k, t, r).swapaxes(0, 1), blocks.reshape(t, r, h * w))
-        product = product.reshape(t, k, h, w)
-        product -= secret[part].reshape(k, h, t, w).transpose(2, 0, 1, 3)
+        product = np.matmul(mixed.reshape(k, t, r).swapaxes(0, 1), blocks)
+        product -= secret[part].reshape(k, t, w).swapaxes(0, 1)
         parts.append(np.linalg.norm(product))
     residual = float(np.hypot(*parts))
     weakest = 1.0 / float(np.linalg.norm(inverse))
@@ -293,16 +291,16 @@ def _clearly_contained(
 
 
 def _slot_blocks(rows: np.ndarray, n: int, m: int, t: int, what: str) -> np.ndarray:
-    """The ``(t, n, 2, m)`` diagonal blocks of a map's ``n t`` rows over
-    ``t`` slots whose columns are the lift-order inputs of the same slots.
+    """The ``(t, n, 2m)`` diagonal blocks of a map's ``n t`` rows over
+    ``t`` slots whose columns are the inputs of the same slots, in slot
+    order.
 
-    Those rows are block diagonal: slot ``s``'s rows meet only the ``m``
-    columns of slot ``s`` in each transmitter's stack.  A map whose rows
-    reach outside the diagonal blocks is refused, naming ``what``.
+    Those rows are block diagonal: slot ``s``'s rows meet only the ``2m``
+    columns of slot ``s``.  A map whose rows reach outside the diagonal
+    blocks is refused, naming ``what``.
     """
     slots = np.arange(t)
-    # rows[s * n + a, i * m * t + s' * m + b]: slot s, transmitter i + 1, slot s'
-    blocks = rows.reshape(t, n, 2, t, m)[slots, :, :, slots]
+    blocks = rows.reshape(t, n, t, 2 * m)[slots, :, slots]
     if np.count_nonzero(rows) != np.count_nonzero(blocks):
         raise InvalidTranscript(f"{what} are not block diagonal")
     return blocks
@@ -342,7 +340,8 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     breaks either raises :class:`InvalidTranscript`).  So ``secret = noise
     @ x`` needs ``G x = 0``, ``x = N z`` with ``N`` the per-slot null bases
     of ``G``, and the secret map's later rows must lie in the span of the
-    noise map's later rows times ``N``: that is what
+    noise map's later rows times ``N``, which the replay's slot-order
+    columns let :func:`matcore.times_block_diagonal` form: that is what
     :func:`columns_contained` decides, with its rank cuts kept at ``G``'s
     scale.  With an empty noise phase ``G`` is empty and the noise maps
     have no columns, so the secret maps must have rank 0.
@@ -362,8 +361,9 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     p1 = n * t1
     noise = schemes.linear_response(transcript, "u")
     blocks = [_slot_blocks(half[:p1], n, m, t1, "the noise map's phase-1 rows") for half in noise]
-    nulls = matcore.slot_null_bases(np.stack(blocks).reshape(2, t1, n, 2 * m))
-    reduced = [(null.apply(half[p1:]), null.largest) for null, half in zip(nulls, noise)]
+    nulls = matcore.slot_null_bases(np.stack(blocks))
+    reduced = [(matcore.times_block_diagonal(half[p1:], null.basis), null.largest)
+               for null, half in zip(nulls, noise)]
     # the reduced maps are new arrays: the noise replay is freed before the secret ones
     del noise
     # past the noise phase, the rows of receiver 1's and receiver 2's fresh phases
@@ -395,8 +395,10 @@ def replay_matches_recorded(transcript: Transcript) -> bool:
     """Cross-check: the coefficient maps the oracle reads, times the sent
     symbols and summed over the groups, reproduce the recorded run to
     :data:`REPLAY_TOL`."""
+    m = transcript.config.effective_m
     replayed = sum(
-        np.stack(schemes.linear_response(transcript, group)) @ getattr(transcript.symbols, group)
+        np.stack(schemes.linear_response(transcript, group))
+        @ schemes._per_slot(getattr(transcript.symbols, group), m).reshape(-1)
         for group in ("u", "v1", "v2")
     )
     for idx, stack in enumerate(replayed):

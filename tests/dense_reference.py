@@ -5,10 +5,12 @@ block-diagonal lift stacked on the final-phase rows, one SVD solve), the
 rank identities assembled in full (every stacked matrix formed from the
 dense block-diagonal lifts), the precoded maps as a dense lift times a
 precoder, the reduced maps of the rank report and the decoder as a dense
-map times a scattered block-diagonal matrix (:func:`reduced_maps`), the
-block solve's residual over every row (:func:`all_rows_residual`), and
-the subspace oracle's containment test run on the whole replayed maps,
-noise phase included, by numpy's SVD alone (:func:`reference_contained`).
+map times a scattered block-diagonal matrix (:func:`reduced_maps`; the
+oracle's reduced noise map is the dense replay times :func:`scattered`
+null bases), the block solve's residual over every row
+(:func:`all_rows_residual`), and the subspace oracle's containment test
+run on the whole replayed maps, noise phase included, by numpy's SVD alone
+(:func:`reference_contained`).
 ``schemes.decode``, ``schemes.carried_map`` and ``verify`` compute the
 same symbols, maps, ranks and verdicts slot by slot; the tests require the
 two to agree.  Every cut here reads ``matcore.REL_TOL`` at call time, as
@@ -151,15 +153,21 @@ def dense_ranks(transcript):
     )
 
 
+def scattered(blocks):
+    """The dense block-diagonal matrix with the ``(t, r, w)`` diagonal
+    ``blocks``: slot ``s``'s block at rows ``s * r`` and columns ``s * w``."""
+    t, r, w = blocks.shape
+    out = np.zeros((t * r, t * w), dtype=complex)
+    for s, block in enumerate(blocks):
+        out[s * r : (s + 1) * r, s * w : (s + 1) * w] = block
+    return out
+
+
 def reduced_map(transcript, left, blocks, basis, retransmit):
     """``left`` times the dense block-diagonal matrix with diagonal ``blocks
     @ basis``, through ``side_info`` when ``retransmit``: the product
     ``matcore.times_block_diagonal`` forms slot by slot, scattered whole."""
-    t, r, _ = blocks.shape
-    w = basis.shape[2]
-    lifted = np.zeros((t * r, t * w), dtype=complex)
-    for s, block in enumerate(blocks @ basis):
-        lifted[s * r : (s + 1) * r, s * w : (s + 1) * w] = block
+    lifted = scattered(blocks @ basis)
     return left @ (side_info(transcript, lifted) if retransmit else lifted)
 
 
@@ -235,12 +243,16 @@ def dense_linear_response(transcript, group):
     """``schemes.linear_response`` through dense matrices: per phase, each
     receiver's dense lift ``[lift(h_j1) | lift(h_j2)]`` times the whole
     stacked input, and every precoder times the whole stacked map, zero
-    inputs included."""
+    inputs included.  The group enters as the permutation that takes its
+    symbols in slot order (slot ``s``'s ``[x1 | x2]`` inputs together) to
+    the lift's ``[x1 stack; x2 stack]`` order."""
     m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
     dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
+    # row i*m*t + s*m + b of the lift's input is slot-order symbol s*2m + i*m + b
+    order = np.arange(dims[group]).reshape(-1, 2, m).swapaxes(0, 1).reshape(-1)
     u, v1, v2 = (
-        np.eye(d, dtype=complex) if name == group else np.zeros((d, dims[group]), complex)
+        np.eye(d, dtype=complex)[order] if name == group else np.zeros((d, dims[group]), complex)
         for name, d in dims.items()
     )
 
@@ -262,9 +274,10 @@ def svd_precoders(spec, config, pln, rng):
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
-    sizes = (("theta1", t2, t1), ("theta2", t2, t1), ("phi1", t3, t2), ("phi2", t3, t2))
-    for name, t_phase, t_prev in sizes:
-        shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, n * t_prev)
+    mixed, read = n * t1, schemes.retransmitted_rows(spec, config) * t2
+    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
+    for name, t_phase, cols in sizes:
+        shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, cols)
         for _ in range(schemes.MAX_PRECODER_DRAWS):
             cand = matcore.random_matrix(*shape, rng)
             if matcore.rank(cand).value == min(shape):

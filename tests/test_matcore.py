@@ -450,6 +450,12 @@ def _random_rows(t, n, m, r):
     return np.array([[matcore.random_matrix(n, m, r) for _ in range(2)] for _ in range(t)])
 
 
+def _slot_order(t, m):
+    """The lift-order columns ``[x1 stack | x2 stack]`` of ``t`` slots of
+    ``m`` inputs each, in slot order: slot ``s``'s ``[x1 | x2]`` together."""
+    return np.arange(2 * t * m).reshape(2, t, m).swapaxes(0, 1).reshape(-1)
+
+
 def _one(blocks):
     """The null bases of the one block-diagonal matrix with these blocks."""
     (null,) = matcore.slot_null_bases(blocks[None])
@@ -509,22 +515,22 @@ class TestSlotNullBases:
         assert other.largest == alone.largest and other.largest < 1e-10
         np.testing.assert_allclose(np.abs(other.basis), np.abs(alone.basis), atol=1e-12)
 
-    def test_apply_in_lift_order(self):
+    def test_times_null_basis_in_slot_order(self):
+        # a map whose columns are in slot order (slot s's [x1 | x2] inputs
+        # together) times the block-diagonal null basis
         r = rng(17)
         t, n, m = 4, 3, 2
         rows = _random_rows(t, n, m, r)
-        null = _one(_slot_stack(rows))
-        w = null.basis.shape[2]
-        dense = np.zeros((2 * t * m, t * w), dtype=complex)
-        for s, basis in enumerate(null.basis):
-            for i in range(2):  # transmitter i + 1's stack
-                dense[i * t * m + s * m : i * t * m + (s + 1) * m, s * w : (s + 1) * w] = (
-                    basis[i * m : (i + 1) * m]
-                )
-        for lifted in (lift_rows(_random_rows(t, n, m, r)), matcore.random_matrix(7, 2 * t * m, r)):
-            np.testing.assert_allclose(null.apply(lifted), lifted @ dense, atol=1e-12)
-        # the blocks' own lift is annihilated
-        assert np.max(np.abs(null.apply(lift_rows(rows)))) <= 1e-12 * null.largest
+        blocks = _slot_stack(rows)
+        null = _one(blocks)
+        dense = matcore.block_diag(list(null.basis))
+        lifted = matcore.block_diag(list(_slot_stack(_random_rows(t, n, m, r))))
+        for left in (lifted, matcore.random_matrix(7, 2 * t * m, r)):
+            np.testing.assert_allclose(matcore.times_block_diagonal(left, null.basis),
+                                       left @ dense, atol=1e-12)
+        # the blocks' own block-diagonal matrix is annihilated
+        own = matcore.times_block_diagonal(matcore.block_diag(list(blocks)), null.basis)
+        assert np.max(np.abs(own)) <= 1e-12 * null.largest
 
     def test_times_block_diagonal_equals_the_dense_product(self):
         r = rng(20)
@@ -536,14 +542,14 @@ class TestSlotNullBases:
         for n_rows, take in ((n, n), (5, 5), (5, 2)):
             rows = np.array([[matcore.random_matrix(n_rows, m, r) for _ in range(2)]
                              for _ in range(t)])
+            # the lift times the null basis, each slot cut to its first ``take`` rows
             diagonal = _slot_stack(rows)[:, :take] @ null.basis
-            # the lift times the null basis, each slot cut to its first
-            # ``take`` rows, stacked and padded with zero rows as side_info does
-            dense = np.zeros((t * n_rows, t * w), dtype=complex)
-            dense[: t * take] = matcore.block_diag(list(diagonal))
+            dense = matcore.block_diag(list(diagonal))
             if take == n_rows:
-                np.testing.assert_allclose(dense, null.apply(lift_rows(rows)), rtol=0, atol=1e-13)
-            left = matcore.random_matrix(7, t * n_rows, r)
+                np.testing.assert_allclose(
+                    dense, matcore.times_block_diagonal(lift_rows(rows)[:, _slot_order(t, m)],
+                                                        null.basis), rtol=0, atol=1e-13)
+            left = matcore.random_matrix(7, t * take, r)
             product = matcore.times_block_diagonal(left, diagonal)
             assert product.shape == (7, t * w)
             np.testing.assert_allclose(product, left @ dense, rtol=0, atol=1e-13)
@@ -561,7 +567,7 @@ class TestSlotNullBases:
         for null in nulls:
             assert null.rank == 0 and null.largest == 0.0
             assert null.basis.shape == (0, 4, 0)
-            assert null.apply(np.zeros((5, 0), dtype=complex)).shape == (5, 0)
+            assert matcore.times_block_diagonal(np.zeros((5, 0)), null.basis).shape == (5, 0)
             diagonal = np.zeros((0, 5, 4), dtype=complex) @ null.basis
             assert matcore.times_block_diagonal(np.zeros((7, 0)), diagonal).shape == (7, 0)
 

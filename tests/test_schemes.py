@@ -99,9 +99,9 @@ class TestPrecoders:
         # the fresh-phase mixing spans both transmitters' antennas (2m*t2 rows)
         assert p.theta1.shape == (12, 27)
         assert p.theta2.shape == (12, 27)
-        # final-phase combiners: 2m*t3 rows acting on the n*t2 padded vector
-        assert p.phi1.shape == (4, 9)
-        assert p.phi2.shape == (4, 9)
+        # final-phase combiners: 2m*t4 rows acting on the (2m-n)*t2 retransmitted rows
+        assert p.phi1.shape == (4, 3)
+        assert p.phi2.shape == (4, 3)
 
     def test_shapes_scheme_b(self):
         cfg = AntennaConfig(4, 4)
@@ -123,18 +123,33 @@ class TestPrecoders:
         spec = variant(SchemeId.D)
         p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(6, "p"))
         assert p.theta1.shape == p.theta2.shape == (12, 27)
-        assert p.phi1.shape == p.phi2.shape == (4, 9)
+        assert p.phi1.shape == p.phi2.shape == (4, 3)
 
     def test_shapes_scheme_c_tx1_only(self):
-        # the run mode moves carriers between single transmitters: C's shapes
-        # and, for the same seed, C's very precoders
+        # the run mode moves carriers between single transmitters: for the
+        # same seed, C's very mixing matrices; it selects 2m - n = 1 row of
+        # each overheard slot where C retransmits all 3, so its phi are
+        # narrower
         cfg = AntennaConfig(2, 3)
         tx1 = schemes.run(variant(SchemeId.C, True), cfg, seed=3).precoders
         assert tx1.theta1.shape == tx1.theta2.shape == (4, 27)
-        assert tx1.phi1.shape == tx1.phi2.shape == (2, 6)
+        assert tx1.phi1.shape == tx1.phi2.shape == (2, 2)
         plain = schemes.run(variant(SchemeId.C), cfg, seed=3).precoders
-        for name in ("theta1", "theta2", "phi1", "phi2"):
+        assert plain.phi1.shape == plain.phi2.shape == (2, 6)
+        for name in ("theta1", "theta2"):
             assert np.array_equal(getattr(tx1, name), getattr(plain, name))
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (3, 5)])
+    def test_final_precoders_read_only_the_retransmitted_rows(self, m, n):
+        # every phi column meets one retransmitted row: none meets padding
+        cfg = AntennaConfig(m, n)
+        for spec in schemes.SPECS.values():
+            if spec.phases == "single-slot":
+                continue  # scheme B needs m >= n
+            pln = schemes.plan(spec, cfg)
+            p = schemes.draw_precoders(spec, cfg, pln, matcore.substream(1, "p"))
+            take = 2 * m - n if spec.selected else n
+            assert p.phi1.shape[1] == p.phi2.shape[1] == take * pln.phase_lengths[1], spec
 
     def test_scheme_e_has_no_mixers(self):
         cfg = AntennaConfig(2, 3)
@@ -142,7 +157,7 @@ class TestPrecoders:
         p = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), matcore.substream(4, "p"))
         # nothing to mix: 2m*t2 rows, no columns
         assert p.theta1.shape == p.theta2.shape == (12, 0)
-        assert p.phi1.shape == (4, 9)
+        assert p.phi1.shape == (4, 3)
 
     def test_deterministic(self):
         cfg = AntennaConfig(2, 3)
@@ -157,15 +172,18 @@ class TestPrecoders:
 class _DeficientRng:
     """A real generator, except that draw ``k`` of ``deficient`` comes back
     with its first row and first column zero, so the candidate misses full
-    rank whatever its shape.  Records each draw's shape."""
+    rank whatever its shape; with ``row=False`` only its first column is
+    zero.  Records each draw's shape."""
 
-    def __init__(self, seed, deficient):
+    def __init__(self, seed, deficient, row=True):
         self.rng, self.deficient, self.shapes = matcore.substream(seed, "p"), deficient, []
+        self.row = row
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
         if len(self.shapes) in self.deficient:
-            z[..., 0, :] = 0.0
+            if self.row:
+                z[..., 0, :] = 0.0
             z[..., :, 0] = 0.0
         self.shapes.append(shape)
         return z
@@ -185,6 +203,19 @@ class TestPrecoderCertificate:
         rng = matcore.substream(11, "p")
         draws = [matcore.random_matrix(*shape[1:], rng) for shape in stub.shapes]
         for name, index in (("theta1", 1), ("theta2", 2), ("phi1", 4), ("phi2", 5)):
+            assert getattr(got, name).tobytes() == draws[index].tobytes(), name
+
+    def test_deficient_retransmission_combiner_is_redrawn(self):
+        # A(2,3)'s phi1 is 4 x 3, every column meeting one retransmitted
+        # row; a zero first column leaves it rank 2, so the third draw
+        # (phi1's first) is redrawn
+        cfg, spec = AntennaConfig(2, 3), variant(SchemeId.A)
+        stub = _DeficientRng(11, {2}, row=False)
+        got = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), stub)
+        assert len(stub.shapes) == 5 and stub.shapes[2] == stub.shapes[3] == (2, 4, 3)
+        rng = matcore.substream(11, "p")
+        draws = [matcore.random_matrix(*shape[1:], rng) for shape in stub.shapes]
+        for name, index in (("theta1", 0), ("theta2", 1), ("phi1", 3), ("phi2", 4)):
             assert getattr(got, name).tobytes() == draws[index].tobytes(), name
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
@@ -355,7 +386,7 @@ class TestDecode:
             r2 = transcript.phase_ranges()[1]
             h2 = lift_rows(state_rows(transcript.states, 1, r2), 2)
             g2 = lift_rows(state_rows(transcript.states, 2, r2), 2)
-            stacked = np.vstack([h2, schemes.side_info(transcript, g2)[:3]])
+            stacked = np.vstack([h2, schemes.side_info(transcript, g2)])
             assert stacked.shape == (12, 12)
             assert matcore.rank(stacked).value == 12
 
@@ -503,26 +534,36 @@ class TestReplay:
 
 class TestSideInfo:
     def test_selects_the_first_rows_of_every_slot(self):
-        # A(2,3): 2m - n = 1 row of each slot's 3, over the 3 slots of phase 2
-        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=5)
-        values = np.arange(18, dtype=complex).reshape(9, 2) + 1
-        out = schemes.side_info(transcript, values)
-        assert out.shape == values.shape
-        np.testing.assert_array_equal(out[:3], values[[0, 3, 6]])
-        assert not out[3:].any()
+        # every spec row: the first take rows of each slot's n, in slot
+        # order, as a new array; take = 2m - n where the spec selects
+        for spec in schemes.SPECS.values():
+            m, n = (3, 3) if spec.phases == "single-slot" else (2, 3)
+            transcript = schemes.run(spec, AntennaConfig(m, n), seed=5)
+            take = schemes.retransmitted_rows(spec, transcript.config)
+            assert take == (2 * m - n if spec.selected else n), spec
+            t = transcript.plan.phase_lengths[1]
+            values = np.arange(n * t * 2, dtype=complex).reshape(n * t, 2) + 1
+            out = schemes.side_info(transcript, values)
+            assert out.shape == (take * t, 2), spec
+            for s in range(t):
+                np.testing.assert_array_equal(out[s * take : (s + 1) * take],
+                                              values[s * n : s * n + take])
+            assert not np.shares_memory(out, values)
+            np.testing.assert_array_equal(schemes.side_info(transcript, values[:, 0]), out[:, 0])
 
     @pytest.mark.parametrize("scheme,m,n", [(SchemeId.B, 3, 3), (SchemeId.C, 2, 3)])
     def test_unselected_specs_pass_through(self, scheme, m, n):
         transcript = schemes.run(variant(scheme), AntennaConfig(m, n), seed=5)
-        values = np.ones((n * transcript.plan.phase_lengths[1], 2), complex)
-        assert schemes.side_info(transcript, values) is values
+        values = np.arange(n * transcript.plan.phase_lengths[1] * 2, dtype=complex).reshape(-1, 2)
+        np.testing.assert_array_equal(schemes.side_info(transcript, values), values)
 
     def test_zero_column_map_keeps_its_shape(self):
-        # E has no noise symbols: its u maps have no columns
+        # E has no noise symbols: its u maps have no columns; A(2,3)'s
+        # selection keeps 1 row of each of the 3 slots
         transcript = schemes.run(variant(SchemeId.E), AntennaConfig(2, 3), seed=5)
         maps = schemes.linear_response(transcript, "u")
         assert [y.shape for y in maps] == [(21, 0), (21, 0)]
-        assert schemes.side_info(transcript, np.zeros((9, 0), complex)).shape == (9, 0)
+        assert schemes.side_info(transcript, np.zeros((9, 0), complex)).shape == (3, 0)
 
 
 class TestTranscriptJson:
