@@ -149,8 +149,11 @@ def generate_states(
     stream slot by slot, ``h11, h12, h21, h22`` in each slot and real part
     then imaginary part in each block: the order of one draw per block, so
     the blocks are bit for bit a slot-by-slot loop's whenever no slot fails
-    (every seed in practice).  One :func:`matcore.batch_rank` call checks
-    every slot.  The failing slots are redrawn together, in slot order, and
+    (every seed in practice).  One stacked :func:`matcore.full_rank_certified`
+    call proves every slot full rank at the cut of :func:`matcore.batch_rank`,
+    with one batched Cholesky factorization and no SVD; only a draw it
+    cannot certify is checked by one :func:`matcore.batch_rank` call, which
+    finds the failing slots.  Those are redrawn together, in slot order, and
     checked again, for at most :data:`MAX_STATE_DRAWS` draws in all; only
     such a redraw takes the stream in a new order.
     """
@@ -163,7 +166,10 @@ def generate_states(
     for _ in range(MAX_STATE_DRAWS):
         fresh = matcore.random_matrix(n, m, rng, batch=(failing.size, 2, 2))
         blocks[failing] = fresh
-        failing = failing[matcore.batch_rank(_stacked(fresh)) != want]
+        stacked = _stacked(fresh)
+        if matcore.full_rank_certified(stacked):
+            return StateSequence(config, blocks)
+        failing = failing[matcore.batch_rank(stacked) != want]
         if not failing.size:
             return StateSequence(config, blocks)
     raise InvalidInput("could not draw a full-rank channel state")

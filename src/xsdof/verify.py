@@ -28,9 +28,18 @@ own fresh phase).  :func:`columns_contained` confirms a clear containment
 by solving the reduced noise map's square block in the other receiver's
 fresh phase (schemes A, B and D), where the secret map is block diagonal
 slot by slot (checked exactly too), so the residual off the noise span is
-zero in those rows and is formed from the slot blocks in the others; it
-compares the two ranks in every other case: a leak, a block that is not
-square or is singular, or a residual too close to the rank cut to call.
+zero in those rows and is formed from the slot blocks in the others.  It
+proves a leak (schemes C and E, the leaking mutants) from the noise map's
+rank by :func:`matcore.full_rank_certified`, a lower bound on the joint
+rank, with no joint SVD.  It compares the two ranks only where neither
+decides: a containment the block solve cannot confirm, or a leak too
+close to the rank cut to certify.
+
+The report and the oracle use the certificate in opposite directions:
+the report only to prove a reduced map full rank (no leak), the oracle
+only to prove a leak.  A certificate that passed where it should not
+would push their verdicts apart, and :func:`claim_checks` requires them
+to agree.
 
 Every rank cut is :data:`matcore.REL_TOL`, read at call time, so every
 verdict of a trial is made at the same cut.  A cut on a reduced matrix is
@@ -208,19 +217,62 @@ def columns_contained(
     """Whether ``rank([noise | secret]) == rank(noise)`` at :data:`matcore.REL_TOL`.
 
     ``scale`` floors the scale both rank cuts are relative to (see
-    :func:`matcore.rank`).  When ``rows`` selects a square row block ``B``
-    of ``noise`` on which ``secret`` is block diagonal, its ``(t, r, w)``
-    slot blocks given as ``blocks`` (slot ``s``'s ``r`` rows meet the
-    ``w`` columns from ``s * w``), the block solve may confirm a clear
-    containment without an SVD (see :func:`_solved_contained`).  Every
-    other case, a leak, a rank-deficient ``noise`` or a block that is not
-    square included, compares the two ranks; with no noise columns that
-    asks for a secret map of rank 0.
+    :func:`matcore.rank`).  Three exits, cheapest first.  When ``rows``
+    selects a square row block ``B`` of ``noise`` on which ``secret`` is
+    block diagonal, its ``(t, r, w)`` slot blocks given as ``blocks`` (slot
+    ``s``'s ``r`` rows meet the ``w`` columns from ``s * w``), the block
+    solve may confirm a clear containment without an SVD (see
+    :func:`_solved_contained`).  Otherwise ``rank(noise)`` is taken, and
+    the full-rank certificate may prove a leak from it without the joint
+    SVD (see :func:`_certified_leak`).  Only what neither exit decides, a
+    containment the block solve could not confirm included, compares the
+    two ranks; with no noise columns that asks for a secret map of rank 0.
     """
     if rows is not None and _solved_contained(noise, secret, rows, blocks, scale):
         return True
     base = matcore.rank(noise, scale).value
+    if _certified_leak(noise, secret, base, scale):
+        return False
     return matcore.rank(np.hstack([noise, secret]), scale).value == base
+
+
+def _certified_leak(noise: np.ndarray, secret: np.ndarray, r: int, scale: float) -> bool:
+    """The leak exit of :func:`columns_contained`: whether
+    :func:`matcore.full_rank_certified` proves ``rank(J) > r`` for ``J =
+    [noise | secret]``, ``r`` being ``rank(noise, scale)``.  False proves
+    nothing.
+
+    The probe is ``[noise V | secret w] = J K``, ``K = diag(V, w)``, with
+    ``V`` the top ``r`` eigenvectors of ``noise^H noise`` and ``w`` the unit
+    vector with ``c`` equal entries, ``c`` the secret columns.  No singular
+    value of ``J K`` exceeds the same one of ``J`` times ``||K||_2``
+    (Poincare's separation theorem where ``K`` is orthonormal), so
+    ``sigma_{r+1}(J) >= sigma_min(probe) / ||K||_2``.  A pass proves
+    ``sigma_min(probe) > sqrt(2) REL_TOL s`` of the computed probe, where
+    ``s`` is ``max(||J||_F, scale)``, the bound on the joint cut's scale,
+    inflated by ``slack = 32 (k + c) u`` (``k`` the noise columns, ``u``
+    the unit round-off) to cover ``||K||_2 <= 1 + slack`` and, over
+    ``REL_TOL``, the product's rounding, at most ``slack (sqrt(r) + 1)
+    ||J||_F``.  So ``sigma_{r+1}(J)`` clears the joint cut
+    (``notes/decisions.md`` §4).
+
+    With ``r`` as many as the rows the joint rank cannot exceed ``r`` and
+    nothing is tried; with ``r = 0`` the probe is ``secret w`` alone and no
+    eigenvector is computed.
+    """
+    rows, k = noise.shape
+    c = secret.shape[1]
+    if r >= rows or c == 0:
+        return False
+    spanned = noise[:, :0]
+    if r:
+        _, vectors = np.linalg.eigh(noise.conj().T @ noise)
+        spanned = noise @ vectors[:, k - r:]
+    probe = np.column_stack([spanned, secret @ np.full(c, c**-0.5)])
+    joint = float(np.hypot(np.linalg.norm(noise), np.linalg.norm(secret)))
+    slack = 32 * (k + c) * matcore.UNIT_ROUNDOFF
+    inflation = 1 + slack * (1 + (np.sqrt(r) + 1) / matcore.REL_TOL)
+    return matcore.full_rank_certified(probe, max(joint, scale) * inflation)
 
 
 def _solved_contained(
@@ -353,7 +405,10 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     ``(2m-n) t1`` square, and its solve replaces the rank pair's two SVDs.
     The secret map's rows there are block diagonal, since that phase's
     inputs are the secret group itself (checked exactly); the solve reads
-    their slot blocks.
+    their slot blocks.  A leaking receiver (schemes C and E, the leaking
+    mutants) is decided by the certificate from the reduced noise map's
+    rank, one SVD of that map and none of the joint matrix; with no noise
+    columns, by none at all.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n

@@ -213,12 +213,13 @@ def all_rows_residual(noise, secret, rows):
     return float(np.linalg.norm(secret - noise @ (np.linalg.inv(noise[rows]) @ secret[rows])))
 
 
-def reference_contained(a, s):
+def reference_contained(a, s, scale=0.0):
     """rank([A | S]) == rank(A), straight from numpy's SVD, each cut at
-    ``matcore.REL_TOL`` times the matrix's largest singular value."""
+    ``matcore.REL_TOL`` times the larger of the matrix's largest singular
+    value and ``scale``."""
     def rank(x):
         sv = np.linalg.svd(x, compute_uv=False) if x.size else np.zeros(0)
-        return int(np.count_nonzero(sv > matcore.REL_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
+        return int(np.count_nonzero(sv > matcore.REL_TOL * max(sv.max(initial=0.0), scale)))
     return rank(np.hstack([a, s])) == rank(a)
 
 

@@ -115,17 +115,30 @@ class TestGenerateStates:
             want = loop_states(config, horizon, matcore.substream(seed, "states"))
             assert seq.blocks.tobytes() == want.tobytes()
 
-    def test_one_batch_rank_call_per_draw(self, monkeypatch):
-        calls, batch_rank = [], matcore.batch_rank
+    def test_certified_draw_makes_no_rank_call(self, monkeypatch):
+        certified, ranked = [], []
+        certify, batch_rank = matcore.full_rank_certified, matcore.batch_rank
 
-        def counted(stack, *args):
-            calls.append(stack.shape)
+        def certify_spy(a, *args):
+            certified.append(np.shape(a))
+            return certify(a, *args)
+
+        def rank_spy(stack, *args):
+            ranked.append(stack.shape)
             return batch_rank(stack, *args)
 
-        monkeypatch.setattr(matcore, "batch_rank", counted)
+        monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
+        monkeypatch.setattr(matcore, "batch_rank", rank_spy)
         monkeypatch.setattr(matcore, "rank", None)  # no per-slot rank is left
         make_states(2, 3, 16)
-        assert calls == [(16, 6, 4)]
+        # one stacked certificate proves every slot: no SVD at all
+        assert certified == [(16, 6, 4)] and ranked == []
+        certified.clear()
+        # a zeroed slot fails the certificate; one batched rank finds it,
+        # and its redraw is certified
+        seq = generate_states(AntennaConfig(2, 3), 5, _ZeroingRng(6, {0: [3]}))
+        assert certified == [(5, 6, 4), (1, 6, 4)] and ranked == [(5, 6, 4)]
+        assert matcore.batch_rank(channel._stacked(seq.blocks)).tolist() == [4] * 5
 
 
 class _ZeroingRng:

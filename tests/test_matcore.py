@@ -366,6 +366,62 @@ class TestHasFullRank:
             assert svd_full
 
 
+class TestStackedCertificate:
+    """``full_rank_certified`` on a ``(t, r, c)`` stack: one batched Gram
+    product and Cholesky factorization, each matrix at its own cut."""
+
+    @staticmethod
+    def _each(stack, scale=0.0):
+        return all(matcore.full_rank_certified(a, scale) for a in stack)
+
+    @pytest.mark.parametrize("shape", [(6, 5, 3), (6, 3, 5), (4, 4, 4), (16, 6, 4)])
+    def test_equals_all_of_the_per_matrix_certificates(self, shape):
+        t, rows, cols = shape
+        r = rng(40)
+        stack = matcore.random_matrix(rows, cols, r, batch=(t,))
+        assert (matcore.full_rank_certified(stack), self._each(stack)) == (True, True)
+        # each matrix at its own scale: a slot scaled by 1e-12 still passes,
+        # and a floor far above every slot's scale fails them all
+        tiny = stack.copy()
+        tiny[0] *= 1e-12
+        assert (matcore.full_rank_certified(tiny), self._each(tiny)) == (True, True)
+        assert (matcore.full_rank_certified(stack, 1e12), self._each(stack, 1e12)) == (
+            False, False)
+        # one planted deficient slot fails the stack
+        k = min(rows, cols)
+        deficient = stack.copy()
+        deficient[2] = matcore.random_matrix(rows, k - 1, r) @ matcore.random_matrix(k - 1, cols, r)
+        assert (matcore.full_rank_certified(deficient), self._each(deficient)) == (False, False)
+        assert matcore.batch_rank(deficient)[2] == k - 1
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 2, 3), (3, 0, 2), (3, 2, 0)])
+    def test_empty_stacks_pass(self, shape):
+        assert matcore.full_rank_certified(np.zeros(shape, dtype=complex))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 5),
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 8),
+        exponents=st.lists(st.floats(-16.0, 0.0), min_size=5, max_size=5),
+        floor=st.sampled_from([0.0, 0.5, 1e6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stack_is_all_of_its_matrices(self, t, rows, cols, exponents, floor, seed):
+        # each slot's smallest singular value swept from 1 down past the cut:
+        # the stack passes iff every slot does, and a pass proves the
+        # batched SVD rank full in every slot
+        k = min(rows, cols)
+        stack = np.stack([_planted(rows, cols, [1.0] * (k - 1) + [10.0**e], seed + i)
+                          for i, e in enumerate(exponents[:t])])
+        certified = matcore.full_rank_certified(stack, floor)
+        assert certified == self._each(stack, floor)
+        if certified:
+            assert all(matcore.rank(a, floor).value == k for a in stack)
+            if floor == 0.0:
+                assert np.all(matcore.batch_rank(stack) == k)
+
+
 class TestBatchRank:
     @staticmethod
     def _each(stack):

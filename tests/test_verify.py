@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 from fractions import Fraction as F
 
@@ -466,14 +467,15 @@ SLOT_PRODUCT_CONFIGS = [(2, 3), (4, 4), (4, 5), (3, 5)]
 REDUCED_MAP_RTOL = 1e-12
 
 
-def slot_product_transcripts():
-    for m, n in SLOT_PRODUCT_CONFIGS:
+def slot_product_transcripts(configs=SLOT_PRODUCT_CONFIGS, seeds=(7,)):
+    for (m, n), seed in itertools.product(configs, seeds):
         for (scheme, tx1_only), spec in schemes.SPECS.items():
             if spec.phases == "single-slot" and m < n:
                 continue  # scheme B needs m >= n
-            yield (scheme, m, n, tx1_only), schemes.run(spec, AntennaConfig(m, n), seed=7)
+            yield (scheme, m, n, tx1_only, seed), schemes.run(spec, AntennaConfig(m, n), seed=seed)
         for mutation in schemes.MUTATIONS:
-            yield (SchemeId.A, m, n, mutation), transcript_for(SchemeId.A, m, n, mutation=mutation)
+            yield (SchemeId.A, m, n, mutation, seed), transcript_for(
+                SchemeId.A, m, n, seed, mutation=mutation)
 
 
 def _block_residuals(monkeypatch, transcript):
@@ -539,6 +541,66 @@ class TestSlotProducts:
         # configuration, B(4,4), and both C rows at (4,4), where 2m - n = n
         # makes C's block square too
         assert reached == 34
+
+
+#: Configurations of the leak exit's cross-check corpus, each at seeds 1 to
+#: 3: every spec row where its regime allows it and the three mutants.
+LEAK_EXIT_CONFIGS = [(2, 3), (3, 4), (4, 4), (4, 5), (3, 5)]
+
+
+def _contained_calls(monkeypatch, transcript):
+    """Every ``columns_contained`` call of one oracle run, as ``(noise,
+    secret, scale, verdict, ranked)``, ``ranked`` being the column counts of
+    the matrices ``matcore.rank`` was asked about during the call."""
+    calls, ranked = [], []
+    contained, rank = verify.columns_contained, matcore.rank
+
+    def contained_spy(noise, secret, scale=0.0, rows=None, blocks=None):
+        ranked.clear()
+        verdict = contained(noise, secret, scale, rows, blocks)
+        calls.append((noise, secret, scale, verdict, list(ranked)))
+        return verdict
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "columns_contained", contained_spy)
+        patch.setattr(matcore, "rank",
+                      lambda a, scale=0.0: ranked.append(np.shape(a)[1]) or rank(a, scale))
+        verify.equivocation_subspace_check(transcript)
+    return calls
+
+
+class TestLeakExitCorpus:
+    def test_every_oracle_call_matches_the_reference(self, monkeypatch):
+        """Each verdict equals the reference at the call's scale, and each
+        leak is proved by the certificate: the noise rank is the only rank
+        taken, with no joint SVD."""
+        leaks = 0
+        for case, transcript in slot_product_transcripts(LEAK_EXIT_CONFIGS, (1, 2, 3)):
+            calls = _contained_calls(monkeypatch, transcript)
+            assert len(calls) == 2, case
+            for rx, (noise, secret, scale, verdict, ranked) in enumerate(calls):
+                assert verdict == reference_contained(noise, secret, scale), (case, rx)
+                if not verdict:
+                    leaks += 1
+                    assert ranked == [noise.shape[1]], (case, rx)
+        # 9 a configuration and seed: both receivers of C, of C's tx1-only
+        # row, of E and of skip_phase1, and receiver 2 of theta1_zero; but
+        # 5 at (4,4), where C's two rows have no defect
+        assert leaks == 3 * (4 * 9 + 5)
+
+    def test_eigenvectors_are_orthonormal_within_the_inflation(self, monkeypatch):
+        """The scale inflation assumes ``||V^H V - I||_2 <= 2 slack``, ``slack
+        = 32 (k + w) u``; on the corpus's leaks the eigenvectors are
+        orthonormal to within a few ``k u``."""
+        u = matcore.UNIT_ROUNDOFF
+        for case, transcript in slot_product_transcripts(LEAK_EXIT_CONFIGS, (1,)):
+            for noise, secret, scale, verdict, _ in _contained_calls(monkeypatch, transcript):
+                r, k = matcore.rank(noise, scale).value, noise.shape[1]
+                if verdict or not r:
+                    continue
+                vectors = np.linalg.eigh(noise.conj().T @ noise)[1][:, k - r:]
+                drift = np.linalg.norm(vectors.conj().T @ vectors - np.eye(r), 2)
+                assert drift <= 8 * k * u <= 2 * 32 * (k + secret.shape[1]) * u, case
 
 
 #: The benchmark's configurations that ``AGREEMENT_CASES`` leaves out, one
@@ -648,18 +710,27 @@ class TestBlockSolve:
                 assert residual * verify.CONTAINMENT_GUARD <= smallest_cut, case
                 assert weakest >= BLOCK_SOLVE_GAP * residual, (case, weakest / residual)
 
-    def test_rank_pair_runs_only_where_the_block_cannot_decide(self, monkeypatch):
-        shapes = []
-        rank = matcore.rank
+    def test_joint_rank_runs_only_where_no_exit_decides(self, monkeypatch):
+        shapes, eighs = [], []
+        rank, eigh = matcore.rank, np.linalg.eigh
         a44, c45 = transcript_for(SchemeId.A, 4, 4), transcript_for(SchemeId.C, 4, 5)
+        e44 = transcript_for(SchemeId.E, 4, 4)
         monkeypatch.setattr(matcore, "rank", lambda a, *args: shapes.append(np.shape(a))
                             or rank(a, *args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
         assert verify.equivocation_subspace_check(a44) == (True, True)
-        assert shapes == []
+        assert shapes == [] and eighs == []  # the block solve decided
         assert verify.equivocation_subspace_check(c45) == (False, False)
         # per receiver the whole reduced map (its fresh-phase block is 60 x
-        # 75), then the joint matrix with the 96 secret columns
-        assert shapes == [(165, 75), (165, 171)] * 2
+        # 75); the certificate proves the leak, so the joint matrix with the
+        # 96 secret columns is never ranked
+        assert shapes == [(165, 75)] * 2 and eighs == [(75, 75)] * 2
+        shapes.clear()
+        eighs.clear()
+        assert verify.equivocation_subspace_check(e44) == (False, False)
+        # no noise columns: rank 0 with no SVD, and the probe is the secret
+        # column alone, with no eigenvector
+        assert shapes == [(192, 0)] * 2 and eighs == []
 
     def test_singular_or_non_square_blocks_fall_through(self, joint_rank_calls):
         rng = np.random.default_rng(8)
@@ -677,21 +748,22 @@ class TestBlockSolve:
             assert verify.columns_contained(singular, secret, rows=rows, blocks=zeros)
             assert joint_rank_calls == [8, 11]  # the rank pair decided
 
-    def test_block_solve_leaves_a_leak_to_the_rank_pair(self, joint_rank_calls):
+    def test_block_solve_leaves_a_leak_to_the_certificate(self, joint_rank_calls):
         rng = np.random.default_rng(9)
         a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 2)
         # rows 4 to 12 are two slots of 4 rows, each meeting its own column
         blocks = _gaussian(rng, 8, 1).reshape(2, 4, 1)
         s[4:12] = _slot_diagonal(blocks)
+        assert not reference_contained(a, s)
         assert not verify.columns_contained(a, s, rows=slice(4, 12), blocks=blocks)
-        assert joint_rank_calls == [8, 10]
+        assert joint_rank_calls == [8]  # the noise rank only: no joint SVD
 
 
 @pytest.mark.slow
 def test_large_configuration_a88(monkeypatch):
     # opt-in (-m slow): the ladder's next rung, against the whole-map oracle
-    calls, certified, solves = [], [], []
-    rank, certify = matcore.rank, matcore.full_rank_certified
+    calls, certified, solves, batch_ranked = [], [], [], []
+    rank, certify, batch_rank = matcore.rank, matcore.full_rank_certified, matcore.batch_rank
     svd_solve = matcore.solve_full_column_rank
 
     def certify_spy(a, scale=0.0):
@@ -701,6 +773,8 @@ def test_large_configuration_a88(monkeypatch):
 
     monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
     monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
+    monkeypatch.setattr(matcore, "batch_rank",
+                        lambda stack: batch_ranked.append(stack.shape) or batch_rank(stack))
     products = []
     times = matcore.times_block_diagonal
 
@@ -712,8 +786,12 @@ def test_large_configuration_a88(monkeypatch):
     monkeypatch.setattr(matcore, "times_block_diagonal", times_spy)
     transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
     assert calls == []  # all four precoders certified without an SVD
-    # each from its 512 x 512 top block, at the whole candidate's scale
-    assert certified == [((512, 512), True, True)] * 4
+    # the state draw's stack of 16 x 16 slots by one certificate at their
+    # own cuts, with no batched rank; then each precoder from its 512 x 512
+    # top block, at the whole candidate's scale
+    horizon = transcript.states.horizon
+    assert certified == [((horizon, 16, 16), False, True)] + [((512, 512), True, True)] * 4
+    assert batch_ranked == []
     certified.clear()
     monkeypatch.setattr(matcore, "solve_full_column_rank",
                         lambda a, b: solves.append(1) or svd_solve(a, b))
@@ -795,16 +873,20 @@ class TestColumnsContained:
         a, s = _gaussian(rng, 30, 8), _gaussian(rng, 30, 5)
         assert not reference_contained(a, s)
         assert not verify.columns_contained(a, s)
-        assert joint_rank_calls == [8, 13]  # a leak is always confirmed by the rank pair
+        # the certificate proves the leak from the noise rank: no joint SVD
+        assert joint_rank_calls == [8]
 
     def test_rank_deficient_noise_takes_rank_pair(self, joint_rank_calls):
+        # a containment takes the rank pair; a leak is proved from the noise
+        # rank and its top 4 eigenvectors, with no joint SVD
         rng = np.random.default_rng(3)
         a = _gaussian(rng, 30, 4) @ _gaussian(rng, 4, 8)  # rank 4 of 8 columns
-        for s, want in ((a @ _gaussian(rng, 8, 3), True), (_gaussian(rng, 30, 3), False)):
+        for s, want, calls in ((a @ _gaussian(rng, 8, 3), True, [8, 11]),
+                               (_gaussian(rng, 30, 3), False, [8])):
             joint_rank_calls.clear()
             assert reference_contained(a, s) is want
             assert verify.columns_contained(a, s) is want
-            assert joint_rank_calls == [8, 11]
+            assert joint_rank_calls == calls
 
     @pytest.mark.parametrize("offset", [1e-9, 1e-10, 1e-8])
     def test_residual_in_guard_band_falls_back(self, joint_rank_calls, offset):
@@ -850,12 +932,62 @@ class TestColumnsContained:
         assert verify.columns_contained(a, inside, scale=1.0, rows=rows, blocks=inside_blocks)
         assert joint_rank_calls == [8, 11]
         # an O(1) secret of the same rank: the round-off swallows it at the
-        # noise's own scale, and it leaks at the eliminated block's
+        # noise's own scale (the certificate cannot prove a leak, and the
+        # rank pair finds 8 on both sides), and it leaks at the eliminated
+        # block's, where the noise has rank 0 and the certificate proves it
         joint_rank_calls.clear()
         assert verify.columns_contained(a, outside, rows=rows, blocks=outside_blocks)
         assert not verify.columns_contained(a, outside, scale=1.0, rows=rows,
                                             blocks=outside_blocks)
-        assert joint_rank_calls == [8, 16, 8, 16]
+        assert joint_rank_calls == [8, 16, 8]
+
+    def test_secret_summing_to_zero_leaves_the_exit_undecided(self, joint_rank_calls):
+        # two secret columns off the noise span that cancel in the probe's
+        # equal-weight column: the exit proves nothing, and the joint SVD
+        # finds the leak
+        rng = np.random.default_rng(10)
+        a, x = _gaussian(rng, 30, 8), _gaussian(rng, 30, 1)
+        s = np.hstack([x, -x])
+        assert not reference_contained(a, s)
+        assert not verify._certified_leak(a, s, 8, 0.0)
+        assert not verify.columns_contained(a, s)
+        assert joint_rank_calls == [8, 10]
+
+    @pytest.mark.parametrize("offset,calls", [
+        (1e-5, [8]), (1e-8, [8, 9]), (1e-9, [8, 9]), (1e-10, [8, 9])])
+    def test_leak_planted_around_the_joint_cut(self, joint_rank_calls, offset, calls):
+        # as in test_residual_in_guard_band_falls_back, with no block: a
+        # direction off the unit noise span of size ``offset``, above, at
+        # and below the unit cut.  Only a leak well clear of the
+        # certificate's round-off term (about 1e-6 here) is proved by it
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(_gaussian(rng, 30, 9))
+        a, out = q[:, :8], q[:, 8:]  # unit orthonormal columns
+        s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
+        assert verify.columns_contained(a, s) == reference_contained(a, s)
+        assert joint_rank_calls == calls
+
+    def test_secret_inside_rank_deficient_noise_is_never_a_leak(self):
+        rng = np.random.default_rng(11)
+        for trial in range(24):
+            rank = 1 + trial % 6
+            a = _gaussian(rng, 24, rank) @ _gaussian(rng, rank, 8)
+            s = a @ _gaussian(rng, 8, 1 + trial % 3)
+            for scale in (0.0, 1.0):
+                assert matcore.rank(a, scale).value == rank
+                assert not verify._certified_leak(a, s, rank, scale), (trial, scale)
+                assert verify.columns_contained(a, s, scale), (trial, scale)
+                assert reference_contained(a, s, scale), (trial, scale)
+
+    def test_full_row_rank_noise_takes_no_probe(self, joint_rank_calls):
+        # the joint rank cannot exceed the 6 rows: a wide probe would be
+        # certified full row rank, which proves no leak
+        rng = np.random.default_rng(12)
+        a, s = _gaussian(rng, 6, 10), _gaussian(rng, 6, 3)
+        assert reference_contained(a, s)
+        assert not verify._certified_leak(a, s, 6, 0.0)
+        assert verify.columns_contained(a, s)
+        assert joint_rank_calls == [10, 13]
 
     def test_noise_without_columns(self, joint_rank_calls):
         rng = np.random.default_rng(5)
@@ -883,6 +1015,30 @@ class TestColumnsContained:
         want = reference_contained(a, s)
         assert want == (outside == 0)
         assert verify.columns_contained(a, s) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(2, 20),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_leak_rank_and_scale_match_reference(self, rows, data, seed):
+        # the leak exit never calls a leak the joint SVD would not: planted
+        # noise rank, leak rank off the noise span, and a scale floor from
+        # none to one that cuts the larger singular values
+        cols = data.draw(st.integers(0, rows), label="noise columns")
+        rank = data.draw(st.integers(0, cols), label="noise rank")
+        width = data.draw(st.integers(1, 4), label="secret columns")
+        leak = data.draw(st.integers(0, min(width, rows - rank)), label="leak rank")
+        scale = data.draw(st.sampled_from([0.0, 1.0, 1e6, 1e9, 1e10]), label="scale")
+        rng = np.random.default_rng(seed)
+        a = _gaussian(rng, rows, rank) @ _gaussian(rng, rank, cols)
+        s = a @ _gaussian(rng, cols, width) + _gaussian(rng, rows, leak) @ _gaussian(
+            rng, leak, width)
+        want = reference_contained(a, s, scale)
+        if scale == 0.0:
+            assert want == (leak == 0)
+        assert verify.columns_contained(a, s, scale) == want
 
 
 class TestEmpiricalDof:
