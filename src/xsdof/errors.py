@@ -23,7 +23,10 @@ class InvalidInput(ValueError):
 
 class SingularSystem(ArithmeticError):
     """A square or tall system (or a matrix of a stack of them) is
-    numerically rank deficient at the working tolerance."""
+    numerically rank deficient at the working tolerance (from
+    ``schemes.decode``, with the receiver's rate rank)."""
+
+    rate_rank: int | None = None
 
 
 class ProtocolViolation(RuntimeError):
@@ -49,6 +52,8 @@ class DegeneratePrecoders(RuntimeError):
 
 class DecodeFailure(RuntimeError):
     """A receiver's linear decode left a residual above tolerance."""
+
+    rate_rank: int | None = None
 
 
 class InvalidTranscript(ValueError):

@@ -5,10 +5,10 @@ validation of complex matrices, SVD-based numerical rank with an explicit
 tolerance report, an inverse-free shifted Cholesky certificate of full rank
 at that rank's cut (:func:`rank_value` asks it first and the SVD rank only
 where it cannot certify), per-slot null bases of block-diagonal maps,
-square/tall solving that raises on a rank-deficient system (a square
-system certified at the cut is solved by LU, any other by the SVD),
-seeded random matrix generation, and dense block-diagonal assembly
-(:func:`block_diag`, which no trial calls).
+square/tall solving that raises on a system rank deficient at that same
+cut, ``scale`` floor included (a square system certified at the cut is
+solved by LU, any other by the SVD), seeded random matrix generation, and
+dense block-diagonal assembly (:func:`block_diag`, which no trial calls).
 
 Six helpers work on a stack of matrices in one numpy call, not one
 Python call per matrix: :func:`random_matrix` draws a stack given leading
@@ -258,16 +258,16 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     return tuple(SlotNullBases(ranks[i], float(largest[i]), basis[i]) for i in range(len(blocks)))
 
 
-def solve_square(a, b) -> np.ndarray:
+def solve_square(a, b, scale: float = 0.0) -> np.ndarray:
     """Solve the square system ``a @ x = b``, by LU where the cut allows it.
 
     Shapes are checked first.  Then :func:`full_rank_certified` is asked
-    whether ``sigma_min(a) > REL_TOL sigma_max(a)``, the pass condition of
-    :func:`solve_full_column_rank`'s SVD: on a pass the system is solved by
-    LU (``numpy.linalg.solve``), otherwise by that SVD, which raises on a
-    deficient system.  A pass proves the SVD would not raise, so both
-    routes refuse exactly the same systems.  The empty system has the
-    empty solution.
+    whether ``sigma_min(a) > REL_TOL max(sigma_max(a), scale)``, the pass
+    condition of :func:`solve_full_column_rank`'s SVD: on a pass the system
+    is solved by LU (``numpy.linalg.solve``), otherwise by that SVD, which
+    raises on a deficient system.  A pass proves the SVD would not raise,
+    so both routes refuse exactly the same systems, those below the cut of
+    ``rank(a, scale)``.  The empty system has the empty solution.
 
     Parameters
     ----------
@@ -275,13 +275,15 @@ def solve_square(a, b) -> np.ndarray:
         Square matrix.
     b : array_like
         Right-hand side; a vector or a matrix of stacked right-hand sides.
+    scale : float
+        Floor on the scale the cut is relative to, as in :func:`rank`.
 
     Raises
     ------
     InvalidShape
         If ``a`` is not square or ``b``'s length does not match.
     SingularSystem
-        If ``a`` is numerically rank deficient at :data:`REL_TOL`.
+        If ``a`` is numerically rank deficient at that cut.
     """
     m = as_matrix(a)
     rhs = np.asarray(b, dtype=complex)
@@ -289,12 +291,12 @@ def solve_square(a, b) -> np.ndarray:
         raise InvalidShape(f"matrix is {m.shape}, not square")
     if rhs.ndim not in (1, 2) or rhs.shape[0] != m.shape[0]:
         raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
-    if full_rank_certified(m):
+    if full_rank_certified(m, scale):
         return np.linalg.solve(m, rhs)
-    return solve_full_column_rank(m, rhs)
+    return solve_full_column_rank(m, rhs, scale)
 
 
-def solve_full_column_rank(a, b) -> np.ndarray:
+def solve_full_column_rank(a, b, scale: float = 0.0) -> np.ndarray:
     """Least-squares solve of a (possibly tall) full-column-rank system.
 
     On a consistent system this recovers the exact solution; the caller is
@@ -311,8 +313,8 @@ def solve_full_column_rank(a, b) -> np.ndarray:
     Raises
     ------
     SingularSystem
-        If ``a`` (any matrix of a stack) is column-rank deficient at
-        :data:`REL_TOL`.
+        If ``a`` (any matrix of a stack) is column-rank deficient at the cut
+        of :func:`rank` with ``scale``, the floor on each matrix's scale.
     InvalidShape
         On dimension mismatch or an underdetermined (wide) system.
     """
@@ -324,7 +326,7 @@ def solve_full_column_rank(a, b) -> np.ndarray:
     if rhs.shape[: m.ndim - 1] != m.shape[:-1] or rhs.ndim not in (m.ndim - 1, m.ndim):
         raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or np.any(s[..., -1] <= REL_TOL * s[..., 0]):
+    if s.size == 0 or np.any(s[..., -1] <= REL_TOL * np.maximum(s[..., 0], scale)):
         raise SingularSystem(f"system {m.shape} is column-rank deficient")
     if vector:
         rhs = rhs[..., None]

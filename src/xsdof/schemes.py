@@ -55,6 +55,7 @@ from .errors import (
     InvalidInput,
     InvalidTranscript,
     RegimeError,
+    SingularSystem,
     UnauthorizedAccess,
 )
 from .knowledge import (
@@ -606,22 +607,24 @@ def _lift_order(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), 2, -1).swapaxes(0, 1).reshape(-1)
 
 
-def _check_residual(ax, b):
-    scale = np.linalg.norm(b)
-    residual = np.linalg.norm(ax - b)
-    if residual > DECODE_TOL * max(scale, 1.0):
-        raise DecodeFailure(f"decode residual {residual:.3e} exceeds tolerance")
+@dataclass(frozen=True)
+class Decoded:
+    """A receiver's decoded symbols and its rate rank: the rank of the
+    stacked system ``[G; F]`` they were solved from."""
+
+    symbols: np.ndarray
+    rate_rank: int
 
 
-def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
+def decode(transcript: Transcript, receiver: Node) -> Decoded:
     """Recover the receiver's fresh symbols using only its decoder view.
 
     Returns the stacked pair (both transmitters' symbols destined to this
-    receiver).  The receiver knows the mixing its fresh phase carries (a map
-    of its own phase-1 output) and the retransmission of what it overheard
-    itself; it subtracts both and solves its fresh-phase rows ``G`` stacked
-    with the final-phase rows ``F``, through which the other receiver's view
-    of the fresh phase arrives.
+    receiver) and its rate rank.  The receiver knows the mixing its fresh
+    phase carries (a map of its own phase-1 output) and the retransmission
+    of what it overheard itself; it subtracts both and solves its
+    fresh-phase rows ``G`` stacked with the final-phase rows ``F``, through
+    which the other receiver's view of the fresh phase arrives.
 
     ``G`` is block diagonal, one ``n x 2m`` block ``B`` per fresh slot, so
     it is eliminated slot by slot and never formed: the per-slot
@@ -635,12 +638,15 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     the overheard blocks (only the rows :func:`side_info` keeps) with the
     bases (:func:`matcore.times_block_diagonal`), with no dense lift.  It
     is square for A, B, D and E: :func:`matcore.solve_square` certifies it
-    at the cut and solves by LU, or falls back to the SVD.
-    C's is tall and goes to :func:`matcore.solve_full_column_rank`'s SVD.
-    Raises :class:`DecodeFailure` when the residual over the whole stacked
-    system exceeds the relative tolerance, and :class:`SingularSystem` when
-    the reduced system is rank deficient at the cut, on null-set channel
-    draws (callers resample).
+    and solves by LU, or falls back to the SVD.  C's is tall and goes to
+    :func:`matcore.solve_full_column_rank`'s SVD.  Both cut at ``REL_TOL``
+    times the larger of ``F N``'s and ``G``'s largest singular values, the
+    cut of ``rank([G; F]) = rank(G) + rank(F N)``, so a solve decides the
+    rate rank, the one decision of it (:func:`verify.secrecy_rank_report`
+    reads it).  Below the cut, on null-set channel draws, it raises
+    :class:`SingularSystem` (callers resample), its ``rate_rank`` from one
+    more SVD; a residual over the whole stacked system above the relative
+    tolerance raises :class:`DecodeFailure`, with the full ``rate_rank``.
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
@@ -675,10 +681,19 @@ def decode(transcript: Transcript, receiver: Node) -> np.ndarray:
     reduced = matcore.times_block_diagonal(final, cross_f[:, :take] @ null.basis)
     rows, cols = reduced.shape
     solve = matcore.solve_square if rows == cols else matcore.solve_full_column_rank
-    z = solve(reduced, rhs_final - stacked(x_p)[1])
+    try:
+        z = solve(reduced, rhs_final - stacked(x_p)[1], null.largest)
+    except SingularSystem as exc:
+        exc.rate_rank = null.rank + matcore.rank(reduced, null.largest).value
+        raise
     x = x_p + null.basis @ z.reshape(len(fresh), -1, 1)
-    _check_residual(np.concatenate(stacked(x)), np.concatenate([rhs_f, rhs_final]))
-    return _lift_order(x)
+    rhs = np.concatenate([rhs_f, rhs_final])
+    residual = np.linalg.norm(np.concatenate(stacked(x)) - rhs)
+    if residual > DECODE_TOL * max(np.linalg.norm(rhs), 1.0):
+        failure = DecodeFailure(f"decode residual {residual:.3e} exceeds tolerance")
+        failure.rate_rank = null.rank + cols
+        raise failure
+    return Decoded(_lift_order(x), null.rank + cols)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 Two independent formalizations of the zero-leakage claim are provided.
 
-:func:`secrecy_rank_report` computes the ranks of the stacked matrices of
-the scheme's security analysis from the transcript's channel blocks and
-precoders: the *rate* matrix (whose rank counts the equations a legitimate
-receiver can use) and the *leakage* matrix (whose full rank certifies that
-everything the eavesdropping receiver sees about the other receiver's
-symbols is already explained by the injected noise).  Each stacks a
-block-diagonal lift ``G`` on a map ``M``, and neither is formed:
-``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot null bases
-of ``G`` (Marsaglia and Styan, 1974; :func:`matcore.slot_null_bases`).
-``M`` is a precoded map times another block-diagonal lift, so ``M N`` is
-formed slot by slot (:func:`matcore.times_block_diagonal`).
+:func:`secrecy_rank_report` gives the ranks of the stacked matrices of the
+scheme's security analysis: the *rate* matrix (whose rank counts the
+equations a legitimate receiver can use) and the *leakage* matrix (whose
+full rank certifies that everything the eavesdropping receiver sees about
+the other receiver's symbols is already explained by the injected noise).
+Each stacks a block-diagonal lift ``G`` on a map ``M``, and neither is
+formed: ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
+null bases of ``G`` (Marsaglia and Styan, 1974;
+:func:`matcore.slot_null_bases`).  A rate matrix is the system
+:func:`schemes.decode` solves, and the report reads the rank the decoder
+decided; it forms each leakage ``M N`` slot by slot
+(:func:`matcore.times_block_diagonal`).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
 reads off each receiver's observation of the noise and of the other
@@ -36,7 +37,7 @@ decides: a containment the block solve cannot confirm, or a leak too
 close to the rank cut to certify.
 
 The report and the oracle use the certificate in opposite directions:
-the report only to prove a reduced map full rank (no leak), the oracle
+the report only to prove a leakage map full rank (no leak), the oracle
 only to prove a leak.  A certificate that passed where it should not
 would push their verdicts apart, and :func:`claim_checks` requires them
 to agree.
@@ -121,85 +122,57 @@ class SecrecyReport:
         }
 
 
-def secrecy_rank_report(transcript: Transcript) -> SecrecyReport:
-    """Compute the rate and leakage rank identities for a transcript.
+def secrecy_rank_report(
+    transcript: Transcript, rate_rank_rx1: int, rate_rank_rx2: int
+) -> SecrecyReport:
+    """The rate and leakage rank identities of a transcript.
+
+    A rate matrix stacks the legitimate receiver's fresh-phase map on the
+    retransmitted side-information map: the system :func:`schemes.decode`
+    solves.  ``rate_rank_rx1`` and ``rate_rank_rx2`` are the ranks the
+    decoders decided (``Decoded.rate_rank``, or the ``rate_rank`` of the
+    exception one raised); the report forms no rate matrix.
 
     The leakage matrix for the eavesdropper on receiver ``j``'s symbols
-    stacks that eavesdropper's phase-1 map on the noise with the noise
-    mixing it sees during phase ``j+1``; its rank is compared against the
-    full ``n*(t1+t2)`` rows.  Rate matrices stack the legitimate receiver's
-    fresh-phase map with the retransmitted side-information map.  With an
-    empty noise phase the mixing map has no columns, so the defect is all
-    ``n*t2`` rows.
-
-    Neither stacked matrix is formed.  Its top part ``G`` is a block-diagonal
-    lift, so ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot
-    null bases of ``G`` (:func:`matcore.slot_null_bases`), and the rank cut
-    on ``M N`` keeps ``G``'s scale.  :func:`matcore.rank_value` decides it:
-    a reduced map its certificate proves full rank at that cut counts as
-    ``min(M N's shape)`` with no SVD; only the others (scheme C's leak
-    maps, a mutant's deficient ones) reach :func:`matcore.rank`.  Each
-    ``M`` is a precoded map from the phases' slot blocks
-    (:func:`schemes.carried_map`) times another block-diagonal lift, in the
-    rate identities cut to the rows :func:`schemes.side_info` keeps; so
-    ``M N`` is that map times the per-slot products of the lift's blocks
-    with the bases (:func:`matcore.times_block_diagonal`), and no dense
-    lift is built.
-    ``matrices_audited`` lists the shapes of the stacked matrices the
-    identities are about.
+    stacks that eavesdropper's block-diagonal phase-1 lift ``G`` on the
+    noise mixing ``M`` it sees during phase ``j+1``; its rank is compared
+    against the full ``n*(t1+t2)`` rows.  With an empty noise phase ``M``
+    has no columns, so the defect is all ``n*t2`` rows.  It is not formed:
+    ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot null
+    bases of ``G`` (one :func:`matcore.slot_null_bases` for both), and ``M
+    N`` is the mixing precoder's map (:func:`schemes.carried_map`) times
+    the per-slot products of the mixed phase-1 lift's blocks with the bases
+    (:func:`matcore.times_block_diagonal`).  :func:`matcore.rank_value`
+    decides ``rank(M N)`` at a cut that keeps ``G``'s scale; only a map its
+    certificate cannot prove full rank (scheme C's, a mutant's deficient
+    one) reaches :func:`matcore.rank`.  ``matrices_audited`` lists the
+    shapes of the four stacked matrices.
     """
     transcript.check_complete()
-    cfg = transcript.config
-    m, n = cfg.effective_m, cfg.n
-    r1, r2, r3, r4 = transcript.phase_ranges()
-    t1, t2 = len(r1), len(r2)
+    m, n = transcript.config.effective_m, transcript.config.n
+    t1, t2, t3, t4 = transcript.plan.phase_lengths
+    # the (2, t, n, 2m) slot blocks of both receivers' lifts, by phase
     blocks = transcript.states.slot_blocks()
+    phase1, phase2, phase3 = np.split(blocks[:, :t1 + t2 + t3], [t1, t1 + t2], axis=1)
+    audited = [("rate_rx1", n * (t2 + t4), 2 * m * t2), ("rate_rx2", n * (t3 + t4), 2 * m * t3)]
 
-    def diagonal(rx, slots):
-        """The ``(t, n, 2m)`` slot blocks of receiver ``rx``'s lift over ``slots``."""
-        return blocks[rx - 1, np.asarray(slots, int) - 1]
+    def defect(name, g_null, precoder, left, mixed):
+        """``[G; M]``'s rank below ``n*(t1+t2)``, ``M`` being ``precoder``'s
+        map into the phase blocks ``left`` times the phase-1 blocks ``mixed``."""
+        reduced = matcore.times_block_diagonal(
+            carried_map(transcript, left, precoder), mixed @ g_null.basis)
+        audited.append((name, n * t1 + len(reduced), 2 * m * t1))
+        return n * (t1 + t2) - g_null.rank - matcore.rank_value(reduced, g_null.largest)
 
-    def nulls(*matrices):
-        """Null bases of each ``(rx, slots)`` lift, from one batched SVD."""
-        return matcore.slot_null_bases(np.stack([diagonal(*mat) for mat in matrices]))
-
-    audited = []
-
-    def stacked_rank(name, g_null, reduced):
-        """``rank([G; M])`` from the null bases of ``G`` and ``M N``."""
-        t = len(g_null.ranks)
-        audited.append((name, n * t + reduced.shape[0], 2 * m * t))
-        return g_null.rank + matcore.rank_value(reduced, g_null.largest)
-
-    def reduce(name, left, g_null, rx, slots, take=n):
-        """``M N`` for ``M`` precoder ``name``'s map into the phase blocks
-        ``left`` times the lift of ``(rx, slots)``, that lift cut to each
-        slot's first ``take`` rows: slot by slot."""
-        lifted = diagonal(rx, slots)[:, :take] @ g_null.basis
-        return matcore.times_block_diagonal(carried_map(transcript, left, name), lifted)
-
-    # --- rate identities -------------------------------------------------
-    h2_null, g3_null = nulls((1, r2), (2, r3))
-    take = schemes.retransmitted_rows(transcript.spec, cfg)
-    rate1 = stacked_rank(
-        "rate_rx1", h2_null, reduce("phi1", diagonal(1, r4), h2_null, 2, r2, take))
-    rate2 = stacked_rank(
-        "rate_rx2", g3_null, reduce("phi2", diagonal(2, r4), g3_null, 1, r3, take))
-    rate_target = 2 * m * t2
-
-    # --- leakage identities ----------------------------------------------
-    leak_rows = n * (t1 + t2)
-    g1_null, h1_null = nulls((2, r1), (1, r1))
-    reduced_rx2 = reduce("theta1", diagonal(2, r2), g1_null, 1, r1)
-    reduced_rx1 = reduce("theta2", diagonal(1, r3), h1_null, 2, r1)
-    defect_rx2 = leak_rows - stacked_rank("leak_rx2", g1_null, reduced_rx2)
-    defect_rx1 = leak_rows - stacked_rank("leak_rx1", h1_null, reduced_rx1)
+    g1_null, h1_null = matcore.slot_null_bases(phase1[[1, 0]])
+    defect_rx2 = defect("leak_rx2", g1_null, "theta1", phase2[1], phase1[0])
+    defect_rx1 = defect("leak_rx1", h1_null, "theta2", phase3[0], phase1[1])
 
     return SecrecyReport(
         scheme=transcript.spec.scheme,
-        rate_rank_rx1=rate1,
-        rate_rank_rx2=rate2,
-        rate_target=rate_target,
+        rate_rank_rx1=rate_rank_rx1,
+        rate_rank_rx2=rate_rank_rx2,
+        rate_target=2 * m * t2,
         leak_defect_rx1=defect_rx1,
         leak_defect_rx2=defect_rx2,
         advisory=transcript.spec.leakage != "zero",
@@ -439,11 +412,11 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     )
 
 
-def decode_error(transcript: Transcript, receiver: Node) -> float:
-    """Relative error of the decoded symbols against the sent ground truth."""
-    decoded = schemes.decode(transcript, receiver)
+def decode_error(transcript: Transcript, receiver: Node, symbols: np.ndarray) -> float:
+    """Relative error of the receiver's decoded ``symbols`` against the sent
+    ground truth."""
     sent = transcript.symbols.v1 if receiver is Node.RX1 else transcript.symbols.v2
-    return float(np.linalg.norm(decoded - sent) / max(np.linalg.norm(sent), 1e-300))
+    return float(np.linalg.norm(symbols - sent) / max(np.linalg.norm(sent), 1e-300))
 
 
 def replay_matches_recorded(transcript: Transcript) -> bool:
@@ -521,31 +494,31 @@ def run_trial(
 
     Null-set channel draws (a solve singular at the rank cut) are resampled
     with a derived seed, as the almost-sure rank statements permit; a decode
-    residual above tolerance is reported, never resampled.
+    residual above tolerance is reported, never resampled.  Each decode,
+    failed or not, gives its receiver's rate rank to the rank report.
     """
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
         transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
         errs: dict[Node, float | None] = {}
-        resample = False
+        ranks: dict[Node, int] = {}
         for receiver in (Node.RX1, Node.RX2):
             try:
-                errs[receiver] = decode_error(transcript, receiver)
-            except SingularSystem:
-                if mutation is None:
-                    resample = True
-                    break
-                errs[receiver] = None
-            except DecodeFailure:
-                errs[receiver] = None
-        if resample:
-            trial_seed = _resample_seed(seed, attempt)
-            continue
-        break
+                decoded = schemes.decode(transcript, receiver)
+            except (SingularSystem, DecodeFailure) as exc:
+                if mutation is None and isinstance(exc, SingularSystem):
+                    break  # a null-set draw: resample
+                errs[receiver], ranks[receiver] = None, exc.rate_rank
+            else:
+                errs[receiver] = decode_error(transcript, receiver, decoded.symbols)
+                ranks[receiver] = decoded.rate_rank
+        else:
+            break
+        trial_seed = _resample_seed(seed, attempt)
     else:  # pragma: no cover - would need MAX_RESAMPLES null-set draws in a row
         raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
 
-    report = secrecy_rank_report(transcript)
+    report = secrecy_rank_report(transcript, ranks[Node.RX1], ranks[Node.RX2])
     oracle_rx1 = oracle_rx2 = None
     if with_oracle:
         oracle_rx1, oracle_rx2 = equivocation_subspace_check(transcript)

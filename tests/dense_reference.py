@@ -172,12 +172,12 @@ def reduced_map(transcript, left, blocks, basis, retransmit):
 
 
 def reduced_maps(transcript):
-    """``(map, scale)`` by name: the rank report's four reduced maps
-    (``rate_rx1``, ``rate_rx2``, ``leak_rx2``, ``leak_rx1``) and the
-    decoder's two (``decode_rx1``, ``decode_rx2``), each a dense precoded
-    lift times :func:`reduced_map`, with the rank cut's scale.  The
-    decoder's null basis is its fresh-phase lift's alone, the report's
-    comes from the batch its pair is decided in."""
+    """``(map, scale)`` by name: the decoder's two reduced systems
+    (``decode_rx1``, ``decode_rx2``), whose ranks are the rate identities',
+    and the rank report's two leakage maps (``leak_rx2``, ``leak_rx1``),
+    each a dense precoded lift times :func:`reduced_map`, with the rank
+    cut's scale.  The decoder's null basis is its fresh-phase lift's
+    alone, the report's comes from the batch its pair is decided in."""
     m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
     h, g = _phase_lifts(transcript)
@@ -186,19 +186,14 @@ def reduced_maps(transcript):
     def blocks(rx, slots):
         return channel.diagonal_blocks(state_rows(transcript.states, rx, slots), m)
 
-    h2, g3 = matcore.slot_null_bases(np.stack([blocks(1, r2), blocks(2, r3)]))
     g1, h1 = matcore.slot_null_bases(np.stack([blocks(2, r1), blocks(1, r1)]))
     (own1,) = matcore.slot_null_bases(blocks(1, r2)[None])
     (own2,) = matcore.slot_null_bases(blocks(2, r3)[None])
-    phi1 = carried_map(transcript, h[4], "phi1", w4)
-    phi2 = carried_map(transcript, g[4], "phi2", w4)
     maps = {
-        "rate_rx1": (phi1, blocks(2, r2), h2, True),
-        "rate_rx2": (phi2, blocks(1, r3), g3, True),
         "leak_rx2": (carried_map(transcript, g[2], "theta1", w2), blocks(1, r1), g1, False),
         "leak_rx1": (carried_map(transcript, h[3], "theta2", w2), blocks(2, r1), h1, False),
-        "decode_rx1": (phi1, blocks(2, r2), own1, True),
-        "decode_rx2": (phi2, blocks(1, r3), own2, True),
+        "decode_rx1": (carried_map(transcript, h[4], "phi1", w4), blocks(2, r2), own1, True),
+        "decode_rx2": (carried_map(transcript, g[4], "phi2", w4), blocks(1, r3), own2, True),
     }
     return {
         name: (reduced_map(transcript, left, diag, null.basis, retransmit), null.largest)

@@ -114,12 +114,14 @@ def test_criterion_04_scheme_a():
         ok &= r.dof == F(3, 4)
         ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
         ok &= r.secrecy.rate_rank_rx1 == 12 and r.secrecy.rate_rank_rx2 == 12
-    # tolerance insensitivity of the rank decisions
+    # tolerance insensitivity of the rank decisions, the decoder's rate
+    # ranks included
     transcript = schemes.run(variant(SchemeId.A), config, seed=0)
     for tol in (1e-7, 1e-11):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matcore, "REL_TOL", tol)
-            rep = verify.secrecy_rank_report(transcript)
+            rep = verify.secrecy_rank_report(transcript, *(
+                schemes.decode(transcript, rx).rate_rank for rx in (Node.RX1, Node.RX2)))
         ok &= rep.leak_defect_rx1 == 0 and rep.rate_rank_rx1 == 12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
@@ -216,10 +218,13 @@ def test_criterion_07_scheme_d():
         ok &= not any(
             rec.kind is ItemKind.DELAYED_CSI for rec in transcript.knowledge.log
         )
+        ranks = []
         for receiver in (Node.RX1, Node.RX2):  # decoding reads receiver CSI
-            ok &= verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
+            decoded = schemes.decode(transcript, receiver)
+            ok &= verify.decode_error(transcript, receiver, decoded.symbols) <= schemes.DECODE_TOL
+            ranks.append(decoded.rate_rank)
         ok &= transcript.plan.dof_target() == F(3, 4)
-        rep = verify.secrecy_rank_report(transcript)
+        rep = verify.secrecy_rank_report(transcript, *ranks)
         ok &= rep.leak_defect_rx1 == 0 and rep.leak_defect_rx2 == 0
         ok &= rep.rate_rank_rx1 == 12 and rep.rate_rank_rx2 == 12
         # transmitters never touch CSI even counting the decode phase
@@ -240,10 +245,13 @@ def test_criterion_08_scheme_e():
     for seed in range(TRIALS):
         transcript = schemes.run(variant(SchemeId.E), config, seed=seed)
         ok &= transcript.horizon == 7
+        ranks = []
         for receiver in (Node.RX1, Node.RX2):
-            ok &= verify.decode_error(transcript, receiver) <= schemes.DECODE_TOL
+            decoded = schemes.decode(transcript, receiver)
+            ok &= verify.decode_error(transcript, receiver, decoded.symbols) <= schemes.DECODE_TOL
+            ranks.append(decoded.rate_rank)
         ok &= transcript.plan.dof_target() == F(12, 7)
-        rep = verify.secrecy_rank_report(transcript)
+        rep = verify.secrecy_rank_report(transcript, *ranks)
         ok &= rep.leak_defect_rx1 > 0 and rep.leak_defect_rx2 > 0
     report("8", ok, f"DoF (12/7, 12/7) over 7 slots; leakage defect positive on all {TRIALS}")
     assert ok

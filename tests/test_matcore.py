@@ -98,6 +98,23 @@ class TestSolveSquare:
             with pytest.raises(SingularSystem):
                 matcore.solve_square(a, np.ones(2))
 
+    @pytest.mark.parametrize("side", [3, 64])
+    def test_scale_floors_the_cut(self, side):
+        # the cut of rank(a, scale), on the certified LU route and the SVD
+        # route alike: a well-conditioned system at scale 1e-12 is solved at
+        # its own scale and refused under a floor of 1, which puts every
+        # singular value below the cut
+        a = 1e-12 * matcore.random_matrix(side, side, rng(9))
+        x_true = matcore.random_vector(side, rng(10))
+        for solve in (matcore.solve_square, matcore.solve_full_column_rank):
+            out = solve(a, a @ x_true)
+            assert np.linalg.norm(out - x_true) <= 1e-6 * np.linalg.norm(x_true)
+            assert matcore.rank(a, 1.0).value < side
+            with pytest.raises(SingularSystem):
+                solve(a, a @ x_true, 1.0)
+            # a floor below the largest singular value is no floor
+            np.testing.assert_array_equal(solve(a, a @ x_true, 1e-13), out)
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             matcore.solve_square(np.eye(3), np.ones(2))
@@ -148,7 +165,7 @@ class TestSolveSquare:
         calls = []
         svd = matcore.solve_full_column_rank
         monkeypatch.setattr(matcore, "solve_full_column_rank",
-                            lambda a, b: calls.append(1) or svd(a, b))
+                            lambda a, b, scale: calls.append(1) or svd(a, b, scale))
         if ratio > matcore.REL_TOL:
             out = matcore.solve_square(a, a @ x_true)
             assert np.linalg.norm(out - x_true) <= 1e-6 * np.linalg.norm(x_true)

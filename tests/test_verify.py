@@ -84,6 +84,29 @@ def _decoded(decoder, transcript, receiver):
         return type(exc)
 
 
+def _symbols(transcript, receiver):
+    """``schemes.decode``'s symbols alone, as ``dense_decode`` returns them."""
+    return schemes.decode(transcript, receiver).symbols
+
+
+def decode_error(transcript, receiver):
+    """The relative error of ``receiver``'s decoded symbols."""
+    return verify.decode_error(transcript, receiver, _symbols(transcript, receiver))
+
+
+def report_for(transcript):
+    """The rank report of ``transcript`` on its decoder's rate ranks: both
+    receivers decoded first, as ``verify.run_trial`` does, a refused
+    decode giving the rate rank its exception carries."""
+    ranks = []
+    for receiver in (Node.RX1, Node.RX2):
+        try:
+            ranks.append(schemes.decode(transcript, receiver).rate_rank)
+        except (SingularSystem, DecodeFailure) as exc:
+            ranks.append(exc.rate_rank)
+    return verify.secrecy_rank_report(transcript, *ranks)
+
+
 def _check_carried_maps(case, transcript) -> set:
     """Check ``schemes.carried_map`` from slot blocks against the dense lift
     times the precoder, for every precoder and both receivers; returns the
@@ -114,7 +137,7 @@ class TestDenseDecoder:
         for case, transcript in agreement_transcripts():
             carried |= _check_carried_maps(case, transcript)
             for receiver in (Node.RX1, Node.RX2):
-                got = _decoded(schemes.decode, transcript, receiver)
+                got = _decoded(_symbols, transcript, receiver)
                 want = _decoded(dense_decode, transcript, receiver)
                 if isinstance(want, type):
                     assert got is want, (case, receiver)
@@ -194,7 +217,7 @@ class TestNoDenseLift:
 
 class TestSecrecyRankReport:
     def test_scheme_a_dimensions_and_targets(self):
-        report = verify.secrecy_rank_report(transcript_for(SchemeId.A, 2, 3))
+        report = report_for(transcript_for(SchemeId.A, 2, 3))
         audited = {name: (r, c) for name, r, c in report.matrices_audited}
         assert audited["rate_rx1"] == (12, 12)  # n*t2 + n*t3 rows, 2m*t2 columns
         assert audited["leak_rx2"] == (36, 36)  # n*(t1+t2) square
@@ -205,21 +228,21 @@ class TestSecrecyRankReport:
 
     def test_scheme_b_targets(self):
         for m, n in [(1, 1), (4, 4)]:
-            report = verify.secrecy_rank_report(transcript_for(SchemeId.B, m, n))
+            report = report_for(transcript_for(SchemeId.B, m, n))
             assert report.rate_target == 2 * n
             assert report.rate_rank_rx1 == 2 * n and report.rate_rank_rx2 == 2 * n
             assert report.leak_defect_rx1 == 0 and report.leak_defect_rx2 == 0
 
     def test_scheme_d_matches_a(self):
-        ra = verify.secrecy_rank_report(transcript_for(SchemeId.A, 2, 3))
-        rd = verify.secrecy_rank_report(transcript_for(SchemeId.D, 2, 3))
+        ra = report_for(transcript_for(SchemeId.A, 2, 3))
+        rd = report_for(transcript_for(SchemeId.D, 2, 3))
         assert (rd.rate_rank_rx1, rd.rate_rank_rx2) == (ra.rate_rank_rx1, ra.rate_rank_rx2)
         assert (rd.leak_defect_rx1, rd.leak_defect_rx2) == (0, 0)
 
     def test_scheme_c_advisory_defect(self):
         # the feedback-only construction cannot cloak (n - m)*t2 dimensions:
         # its fresh-phase mixing rides on one transmitter's m antennas only
-        report = verify.secrecy_rank_report(transcript_for(SchemeId.C, 2, 3))
+        report = report_for(transcript_for(SchemeId.C, 2, 3))
         assert report.advisory
         assert report.rate_rank_rx1 == report.rate_target == 8
         assert report.leak_defect_rx1 == 2 and report.leak_defect_rx2 == 2
@@ -234,24 +257,25 @@ class TestSecrecyRankReport:
         blocks = transcript.states.blocks.copy()
         blocks[:9, 0] = blocks[:9, 1]
         transcript.states = dataclasses.replace(transcript.states, blocks=blocks)
-        report = verify.secrecy_rank_report(transcript)
+        report = report_for(transcript)
         assert (report.leak_defect_rx1, report.leak_defect_rx2) == (9, 9)
         assert dense_ranks(transcript)[2:] == (9, 9)
         assert verify.equivocation_subspace_check(transcript) == (False, False)
         assert dense_oracle(transcript) == (False, False)
 
     def test_scheme_e_negative_control(self):
-        report = verify.secrecy_rank_report(transcript_for(SchemeId.E, 2, 3))
+        report = report_for(transcript_for(SchemeId.E, 2, 3))
         assert report.advisory
         assert report.leak_defect_rx1 == 9 and report.leak_defect_rx2 == 9
 
     def test_tolerance_insensitivity(self, monkeypatch):
-        # the rank decisions hold at 1e-7 and 1e-11 just as at 1e-9
+        # the rank decisions, the decoder's included, hold at 1e-7 and 1e-11
+        # just as at 1e-9
         transcript = transcript_for(SchemeId.A, 2, 3)
-        base = verify.secrecy_rank_report(transcript)
+        base = report_for(transcript)
         for tol in (1e-7, 1e-11):
             monkeypatch.setattr(matcore, "REL_TOL", tol)
-            other = verify.secrecy_rank_report(transcript)
+            other = report_for(transcript)
             assert (other.rate_rank_rx1, other.rate_rank_rx2) == (
                 base.rate_rank_rx1,
                 base.rate_rank_rx2,
@@ -268,14 +292,70 @@ class TestSecrecyRankReport:
                             or rank(a, *args))
         for case, transcript in agreement_transcripts(WORKLOAD_CASES):
             shapes.clear()
-            verify.secrecy_rank_report(transcript)
+            report_for(transcript)
             assert shapes == REPORT_RANKED.get(case[:4], []), case
 
     def test_incomplete_transcript_rejected(self):
         transcript = transcript_for(SchemeId.B, 1, 1)
         transcript.inputs = transcript.inputs[:-1]
         with pytest.raises(InvalidTranscript):
-            verify.secrecy_rank_report(transcript)
+            verify.secrecy_rank_report(transcript, 2, 2)
+
+
+class TestOneRateDecision:
+    """Each receiver's rate system is formed and decided once a trial, by
+    its decoder, at the cut of the stacked ``[G; F]``; the rank report
+    reads that decision."""
+
+    def test_one_formation_and_certificate_per_rate_system(self, monkeypatch):
+        products, certified, null_bases = [], [], []
+        times, certify = matcore.times_block_diagonal, matcore.full_rank_certified
+        slot_null_bases = matcore.slot_null_bases
+        monkeypatch.setattr(matcore, "times_block_diagonal",
+                            lambda *args: products.append(times(*args)) or products[-1])
+        monkeypatch.setattr(matcore, "full_rank_certified",
+                            lambda a, scale=0.0: certified.append(a) or certify(a, scale))
+        monkeypatch.setattr(matcore, "slot_null_bases",
+                            lambda blocks: null_bases.append(1) or slot_null_bases(blocks))
+        report = verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
+        assert report.decode_ok and report.oracle_rx1 and report.oracle_rx2
+        assert report.secrecy.rate_rank_rx1 == report.secrecy.rate_rank_rx2 == 12
+        # A(2,3): a rate system F N is n t4 x (2m - n) t2 = 3 x 3; the
+        # leakage maps are 9 x 9 and the oracle's reduced noise maps 21 x 9
+        rate_systems = [product for product in products if product.shape == (3, 3)]
+        assert len(rate_systems) == 2
+        assert [sum(a is system for a in certified) for system in rate_systems] == [1, 1]
+        # each decoder's fresh-phase lift, the report's phase-1 pair and
+        # the oracle's
+        assert len(null_bases) == 4
+
+    @pytest.mark.parametrize("factor,refused", [(1e-9, True), (1e-6, False)])
+    def test_decoder_cuts_at_the_stacked_scale(self, monkeypatch, factor, refused):
+        # phi1 and phi2 scaled at draw time: F N shrinks with them, G does
+        # not.  At 1e-9 two of F N's three singular values fall below the
+        # cut of the stacked [G; F], which is floored at G's scale, so both
+        # rate ranks are 10 of 12 and the decoder refuses a system it could
+        # solve at F N's own scale; at 1e-6 every one stays above the cut
+        draw = schemes.draw_precoders
+
+        def scaled(*args):
+            drawn = draw(*args)
+            return dataclasses.replace(drawn, phi1=factor * drawn.phi1, phi2=factor * drawn.phi2)
+
+        monkeypatch.setattr(schemes, "draw_precoders", scaled)
+        transcript = transcript_for(SchemeId.A, 2, 3)
+        rate_rank = 10 if refused else 12
+        for receiver in (Node.RX1, Node.RX2):
+            if refused:
+                with pytest.raises(SingularSystem) as singular:
+                    schemes.decode(transcript, receiver)
+                assert singular.value.rate_rank == rate_rank
+            else:
+                assert schemes.decode(transcript, receiver).rate_rank == rate_rank
+                assert decode_error(transcript, receiver) <= schemes.DECODE_TOL
+        report = report_for(transcript)
+        ranks = (report.rate_rank_rx1, report.rate_rank_rx2)
+        assert ranks == (rate_rank,) * 2 == dense_ranks(transcript)[:2]
 
 
 class TestSubspaceOracle:
@@ -411,7 +491,7 @@ class TestSubspaceOracle:
 
     def test_agreement_with_rank_report(self):
         for case, transcript in agreement_transcripts():
-            report = verify.secrecy_rank_report(transcript)
+            report = report_for(transcript)
             assert verify.equivocation_subspace_check(transcript) == (
                 report.leak_defect_rx1 == 0,
                 report.leak_defect_rx2 == 0,
@@ -424,7 +504,7 @@ class TestSubspaceOracle:
         for case, transcript in agreement_transcripts([(SchemeId.A, 5, 5, None, [7])]):
             with monkeypatch.context() as patch:  # the draws stay at the default cut
                 patch.setattr(matcore, "REL_TOL", tol)
-                report = verify.secrecy_rank_report(transcript)
+                report = report_for(transcript)
                 got = (report.rate_rank_rx1, report.rate_rank_rx2,
                        report.leak_defect_rx1, report.leak_defect_rx2)
                 assert got == dense_ranks(transcript), case
@@ -501,19 +581,18 @@ def _block_residuals(monkeypatch, transcript):
 
 class TestSlotProducts:
     def test_reduced_maps_match_dense(self, monkeypatch):
-        """The rank report's and the decoder's reduced maps, formed from
-        slot blocks, against the dense map times the scattered block
-        diagonal: to REDUCED_MAP_RTOL, and of the same rank at the cut."""
+        """The decoder's reduced systems, whose rate ranks the rank report
+        reads, and the report's leakage maps, formed from slot blocks,
+        against the dense map times the scattered block diagonal: to
+        REDUCED_MAP_RTOL, and of the same rank at the cut."""
         products = []
         times = matcore.times_block_diagonal
         monkeypatch.setattr(matcore, "times_block_diagonal",
                             lambda *args: products.append(times(*args)) or products[-1])
-        order = ("rate_rx1", "rate_rx2", "leak_rx2", "leak_rx1", "decode_rx1", "decode_rx2")
+        order = ("decode_rx1", "decode_rx2", "leak_rx2", "leak_rx1")
         for case, transcript in slot_product_transcripts():
             products.clear()
-            verify.secrecy_rank_report(transcript)
-            for receiver in (Node.RX1, Node.RX2):
-                _decoded(schemes.decode, transcript, receiver)
+            report_for(transcript)
             assert len(products) == len(order), case
             want = reduced_maps(transcript)
             for name, got in zip(order, products):
@@ -643,13 +722,15 @@ BLOCK_SOLVED = {
     (SchemeId.A, 6, 6, None): (True, True),
 }
 
-#: Shapes of the reduced maps the rank report hands to ``matcore.rank``, by
-#: agreement or workload case and the same on every seed: the maps that
-#: ``matcore.full_rank_certified`` cannot prove full rank.  Scheme C's two
-#: leak maps are deficient by its defect, and ``theta1_zero`` and
-#: ``phi1_zero`` each zero one map.  E's and ``skip_phase1``'s leak maps
-#: have no columns, rank 0 with no SVD; every map of A, B and D is
-#: certified.
+#: Shapes of the reduced maps the decoders and the rank report hand to
+#: ``matcore.rank``, by agreement or workload case and the same on every
+#: seed: the maps that ``matcore.full_rank_certified`` cannot prove full
+#: rank.  Scheme C's two leak maps are deficient by its defect,
+#: ``theta1_zero`` zeroes receiver 2's leak map and ``phi1_zero`` receiver
+#: 1's decode system, whose rank the decoder takes after its SVD solve
+#: refuses it.  E's and ``skip_phase1``'s leak maps have no columns, rank 0
+#: with no SVD; every map of A, B and D is certified, and C's tall decode
+#: systems are decided by the solve's own SVD.
 REPORT_RANKED = {
     (SchemeId.C, 2, 3, None): [(6, 9), (6, 9)],
     (SchemeId.C, 2, 3, "tx1_only"): [(6, 9), (6, 9)],
@@ -794,16 +875,18 @@ def test_large_configuration_a88(monkeypatch):
     assert batch_ranked == []
     certified.clear()
     monkeypatch.setattr(matcore, "solve_full_column_rank",
-                        lambda a, b: solves.append(1) or svd_solve(a, b))
+                        lambda a, b, scale: solves.append(1) or svd_solve(a, b, scale))
+    report = report_for(transcript)
+    assert (report.rate_rank_rx1, report.rate_rank_rx2) == (report.rate_target,) * 2
+    # both receivers' 512 x 512 reduced systems certified at G's scale and
+    # solved by LU, then the report's two leakage maps certified: no SVD
+    assert certified == [((512, 512), True, True)] * 4
+    assert calls == [] and solves == []
+    # the decoder's two reduced systems and the report's two leakage maps,
+    # each formed slot by slot
+    assert products == [(512, 512)] * 4
     for receiver in (Node.RX1, Node.RX2):
-        assert verify.decode_error(transcript, receiver) < 1e-6
-    # both receivers' 512 x 512 reduced systems certified and solved by LU
-    assert certified == [((512, 512), False, True)] * 2 and solves == []
-    verify.secrecy_rank_report(transcript)
-    assert calls == []  # and all four reduced maps of the rank report
-    # the decoder's two reduced systems and the report's four maps, each
-    # formed slot by slot
-    assert products == [(512, 512)] * 6
+        assert decode_error(transcript, receiver) < 1e-6
     monkeypatch.setattr(matcore, "rank", rank)
     verdicts, solved = _oracle_exits(monkeypatch, transcript)
     assert verdicts == dense_oracle(transcript) == (True, True)
@@ -1115,14 +1198,14 @@ class TestResample:
         report = verify.run_trial(spec, config, seed=7)
         assert report.attempts == 2 and report.seed == 7
         retry = schemes.run(spec, config, seed=verify._resample_seed(7, 1))
-        errs = [verify.decode_error(retry, rx) for rx in (Node.RX1, Node.RX2)]
+        errs = [decode_error(retry, rx) for rx in (Node.RX1, Node.RX2)]
         assert [report.decode_err_rx1, report.decode_err_rx2] == errs
         assert report.decode_ok and report.dof == retry.plan.dof_target()
-        assert report.secrecy == verify.secrecy_rank_report(retry)
+        assert report.secrecy == report_for(retry)
         oracle = verify.equivocation_subspace_check(retry)
         assert (report.oracle_rx1, report.oracle_rx2) == oracle
         first = schemes.run(spec, config, seed=7)
-        assert verify.decode_error(first, Node.RX1) != errs[0]  # the retry's own draw
+        assert decode_error(first, Node.RX1) != errs[0]  # the retry's own draw
 
 
 @pytest.fixture(scope="module")
