@@ -10,7 +10,6 @@ arithmetic.
 from .channel import AntennaConfig, FeedbackModel, Regime
 from .errors import (
     DecodeFailure,
-    DegeneratePrecoders,
     InvalidInput,
     InvalidMatrix,
     InvalidShape,
@@ -30,7 +29,6 @@ __all__ = [
     "Regime",
     "SchemeId",
     "DecodeFailure",
-    "DegeneratePrecoders",
     "InvalidInput",
     "InvalidMatrix",
     "InvalidShape",

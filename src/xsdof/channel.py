@@ -23,10 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import matcore
-from .errors import InvalidInput, InvalidShape
-
-#: Draws of one slot's state before a rank failure is reported.
-MAX_STATE_DRAWS = 16
+from .errors import InvalidInput, InvalidShape, SingularSystem
 
 
 class Regime(Enum):
@@ -142,37 +139,30 @@ def generate_states(
     """Draw ``horizon`` independent channel states.
 
     Each slot's stacked 2n x 2m matrix must have rank ``min(2n, 2m)`` at the
-    working tolerance; a failing slot (a null-set event for Gaussian draws)
-    is redrawn rather than accepted.
+    working tolerance; a draw with a failing slot (a null-set event for
+    Gaussian draws) raises :class:`SingularSystem`, and the trial driver
+    (``verify.run_trial``) resamples the whole trial.
 
     One :func:`matcore.random_matrix` call draws every slot, consuming the
     stream slot by slot, ``h11, h12, h21, h22`` in each slot and real part
     then imaginary part in each block: the order of one draw per block, so
-    the blocks are bit for bit a slot-by-slot loop's whenever no slot fails
-    (every seed in practice).  One stacked :func:`matcore.full_rank_certified`
-    call proves every slot full rank at the cut of :func:`matcore.batch_rank`,
-    with one batched Cholesky factorization and no SVD; only a draw it
-    cannot certify is checked by one :func:`matcore.batch_rank` call, which
-    finds the failing slots.  Those are redrawn together, in slot order, and
-    checked again, for at most :data:`MAX_STATE_DRAWS` draws in all; only
-    such a redraw takes the stream in a new order.
+    the blocks are bit for bit a slot-by-slot loop's.  One stacked
+    :func:`matcore.full_rank_certified` call proves every slot full rank at
+    the cut of :func:`matcore.batch_rank`, with one batched Cholesky
+    factorization and no SVD; only a draw it cannot certify is checked by
+    one :func:`matcore.batch_rank` call, and kept unchanged if every slot
+    passes.
     """
     if horizon < 1:
         raise InvalidInput(f"horizon must be >= 1, got {horizon}")
     n, m = config.n, config.m
-    want = min(2 * n, 2 * m)
-    blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
-    failing = np.arange(horizon)
-    for _ in range(MAX_STATE_DRAWS):
-        fresh = matcore.random_matrix(n, m, rng, batch=(failing.size, 2, 2))
-        blocks[failing] = fresh
-        stacked = _stacked(fresh)
-        if matcore.full_rank_certified(stacked):
-            return StateSequence(config, blocks)
-        failing = failing[matcore.batch_rank(stacked) != want]
-        if not failing.size:
-            return StateSequence(config, blocks)
-    raise InvalidInput("could not draw a full-rank channel state")
+    blocks = matcore.random_matrix(n, m, rng, batch=(horizon, 2, 2))
+    stacked = _stacked(blocks)
+    if not matcore.full_rank_certified(stacked):
+        failing = np.flatnonzero(matcore.batch_rank(stacked) != min(2 * n, 2 * m)) + 1
+        if failing.size:
+            raise SingularSystem(f"channel states of slots {failing.tolist()} are rank deficient")
+    return StateSequence(config, blocks)
 
 
 def apply_channel(state: np.ndarray, x1: np.ndarray, x2: np.ndarray):

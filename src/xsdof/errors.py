@@ -22,9 +22,11 @@ class InvalidInput(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """A square or tall system (or a matrix of a stack of them) is
-    numerically rank deficient at the working tolerance (from
-    ``schemes.decode``, with the receiver's rate rank)."""
+    """A matrix that must be full rank is numerically rank deficient at the
+    working tolerance: a square or tall system (or a matrix of a stack of
+    them), a channel state or a precoder draw.  ``verify.run_trial``
+    resamples the trial on it.  From ``schemes.decode`` it carries the
+    receiver's rate rank."""
 
     rate_rank: int | None = None
 
@@ -44,10 +46,6 @@ class UnauthorizedAccess(PermissionError):
 
 class RegimeError(ValueError):
     """The antenna configuration is outside the scheme's applicable regime."""
-
-
-class DegeneratePrecoders(RuntimeError):
-    """Random precoder draws failed their rank targets `MAX_PRECODER_DRAWS` times."""
 
 
 class DecodeFailure(RuntimeError):

@@ -51,7 +51,6 @@ from .channel import (
 )
 from .errors import (
     DecodeFailure,
-    DegeneratePrecoders,
     InvalidInput,
     InvalidTranscript,
     RegimeError,
@@ -67,9 +66,6 @@ from .knowledge import (
 )
 
 DECODE_TOL = 1e-6
-
-#: Draws of one precoder before a rank failure is reported.
-MAX_PRECODER_DRAWS = 16
 
 MUTATIONS = ("theta1_zero", "phi1_zero", "skip_phase1")
 
@@ -263,7 +259,7 @@ def draw_precoders(
     pln: PhasePlan,
     rng: np.random.Generator,
 ) -> Precoders:
-    """Draw Gaussian precoders, redrawing any that miss full rank.
+    """Draw Gaussian precoders, each once and full rank.
 
     Each precoder maps the outputs per slot of its source phase to ``m``
     inputs per slot and carrying transmitter of its target phase: the
@@ -284,9 +280,10 @@ def draw_precoders(
     sigma_max(cand)``.  Any other candidate, and one whose top block fails,
     goes to :func:`matcore.rank_value`: the whole candidate's certificate,
     then the SVD rank where that cannot certify.  Both accept exactly the
-    candidates the SVD rank accepts, so the stream and the precoders are
-    those of an SVD check.  A Gaussian draw is full rank almost surely;
-    exhausting the retries therefore signals a tolerance bug, not bad luck.
+    candidates the SVD rank accepts, so the precoders are those of an SVD
+    check.  A Gaussian draw is full rank almost surely; a candidate that
+    misses (a null-set event) raises :class:`SingularSystem`, and the trial
+    driver (``verify.run_trial``) resamples the whole trial.
     """
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
@@ -295,14 +292,11 @@ def draw_precoders(
     sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
     for name, t_phase, c in sizes:
         shape = r, c = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, c)
-        for _ in range(MAX_PRECODER_DRAWS):
-            cand = matcore.random_matrix(*shape, rng)
-            top = r >= 2 * c and matcore.full_rank_certified(cand[:c], np.linalg.norm(cand))
-            if top or matcore.rank_value(cand) == min(shape):
-                drawn[name] = cand
-                break
-        else:
-            raise DegeneratePrecoders(f"{name} of shape {shape} failed rank target")
+        cand = matcore.random_matrix(*shape, rng)
+        top = r >= 2 * c and matcore.full_rank_certified(cand[:c], np.linalg.norm(cand))
+        if not (top or matcore.rank_value(cand) == min(shape)):
+            raise SingularSystem(f"{name} of shape {shape} is rank deficient")
+        drawn[name] = cand
     return Precoders(**drawn)
 
 
@@ -747,8 +741,8 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
-    lengths = [len(slots) for slots in transcript.phase_ranges()]
-    bounds = np.cumsum([0] + lengths)
+    lengths = transcript.plan.phase_lengths
+    bounds = np.cumsum((0,) + lengths)
     horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
     slot_rows = transcript.states.slot_blocks()
     y = np.zeros((2, horizon, n, k), dtype=complex)

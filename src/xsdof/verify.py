@@ -184,24 +184,23 @@ def columns_contained(
     noise: np.ndarray,
     secret: np.ndarray,
     scale: float = 0.0,
-    rows: slice | None = None,
-    blocks: np.ndarray | None = None,
+    solved: tuple[slice, np.ndarray] | None = None,
 ) -> bool:
     """Whether ``rank([noise | secret]) == rank(noise)`` at :data:`matcore.REL_TOL`.
 
     ``scale`` floors the scale both rank cuts are relative to (see
-    :func:`matcore.rank`).  Three exits, cheapest first.  When ``rows``
-    selects a square row block ``B`` of ``noise`` on which ``secret`` is
-    block diagonal, its ``(t, r, w)`` slot blocks given as ``blocks`` (slot
-    ``s``'s ``r`` rows meet the ``w`` columns from ``s * w``), the block
-    solve may confirm a clear containment without an SVD (see
+    :func:`matcore.rank`).  Three exits, cheapest first.  When ``solved =
+    (rows, blocks)`` gives a square row block ``B = noise[rows]`` on which
+    ``secret`` is block diagonal, with ``(t, r, w)`` slot blocks ``blocks``
+    (slot ``s``'s ``r`` rows meet the ``w`` columns from ``s * w``), the
+    block solve may confirm a clear containment without an SVD (see
     :func:`_solved_contained`).  Otherwise ``rank(noise)`` is taken, and
     the full-rank certificate may prove a leak from it without the joint
     SVD (see :func:`_certified_leak`).  Only what neither exit decides, a
     containment the block solve could not confirm included, compares the
     two ranks; with no noise columns that asks for a secret map of rank 0.
     """
-    if rows is not None and _solved_contained(noise, secret, rows, blocks, scale):
+    if solved is not None and _solved_contained(noise, secret, *solved, scale):
         return True
     base = matcore.rank(noise, scale).value
     if _certified_leak(noise, secret, base, scale):
@@ -385,7 +384,7 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
-    t1, t2, t3, _ = (len(slots) for slots in transcript.phase_ranges())
+    t1, t2, t3, _ = transcript.plan.phase_lengths
     p1 = n * t1
     noise = schemes.linear_response(transcript, "u")
     blocks = [_slot_blocks(half[:p1], n, m, t1, "the noise map's phase-1 rows") for half in noise]
@@ -404,7 +403,7 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
         # the other fresh phase's inputs are the group itself
         what = "the secret map's rows in the other receiver's fresh phase"
         solved = _slot_blocks(secret[other], n, m, (t3, t2)[rx], what)
-        return columns_contained(noise_map, secret, scale, other, solved)
+        return columns_contained(noise_map, secret, scale, (other, solved))
 
     return tuple(
         contained(rx, group, noise_map, scale)
@@ -492,30 +491,34 @@ def run_trial(
 ) -> TrialReport:
     """One seeded trial of ``spec``: run, decode, rank report, subspace oracle, DoF.
 
-    Null-set channel draws (a solve singular at the rank cut) are resampled
-    with a derived seed, as the almost-sure rank statements permit; a decode
-    residual above tolerance is reported, never resampled.  Each decode,
-    failed or not, gives its receiver's rate rank to the rank report.
+    Null-set events are resampled here and nowhere else: a
+    :class:`SingularSystem` from the run (a deficient state or precoder
+    draw, a singular encoder solve) or from an unmutated decode resamples
+    the whole trial at a derived seed, as the almost-sure rank statements
+    permit.  A mutant's singular decode, and any decode residual above
+    tolerance, is reported, never resampled.  Each decode, failed or not,
+    gives its receiver's rate rank to the rank report.
     """
+    # an unmutated scheme's singular decode is a null-set draw too
+    recorded = (SingularSystem, DecodeFailure) if mutation else DecodeFailure
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
-        transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
         errs: dict[Node, float | None] = {}
         ranks: dict[Node, int] = {}
-        for receiver in (Node.RX1, Node.RX2):
-            try:
-                decoded = schemes.decode(transcript, receiver)
-            except (SingularSystem, DecodeFailure) as exc:
-                if mutation is None and isinstance(exc, SingularSystem):
-                    break  # a null-set draw: resample
-                errs[receiver], ranks[receiver] = None, exc.rate_rank
-            else:
-                errs[receiver] = decode_error(transcript, receiver, decoded.symbols)
-                ranks[receiver] = decoded.rate_rank
-        else:
+        try:
+            transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
+            for receiver in (Node.RX1, Node.RX2):
+                try:
+                    decoded = schemes.decode(transcript, receiver)
+                except recorded as exc:
+                    errs[receiver], ranks[receiver] = None, exc.rate_rank
+                else:
+                    errs[receiver] = decode_error(transcript, receiver, decoded.symbols)
+                    ranks[receiver] = decoded.rate_rank
             break
-        trial_seed = _resample_seed(seed, attempt)
-    else:  # pragma: no cover - would need MAX_RESAMPLES null-set draws in a row
+        except SingularSystem:  # a null-set draw: resample
+            trial_seed = _resample_seed(seed, attempt)
+    else:
         raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
 
     report = secrecy_rank_report(transcript, ranks[Node.RX1], ranks[Node.RX2])

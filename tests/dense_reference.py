@@ -33,7 +33,7 @@ import numpy as np
 
 from xsdof import channel, matcore, schemes
 from xsdof.channel import lift_rows
-from xsdof.errors import DecodeFailure, InvalidInput, UnauthorizedAccess
+from xsdof.errors import DecodeFailure, SingularSystem, UnauthorizedAccess
 from xsdof.knowledge import Node
 from xsdof.schemes import side_info
 
@@ -266,7 +266,8 @@ def dense_linear_response(transcript, group):
 
 def svd_precoders(spec, config, pln, rng):
     """``schemes.draw_precoders`` with each candidate's full rank decided by
-    :func:`matcore.rank` alone, in the same draw order."""
+    :func:`matcore.rank` alone, in the same draw order; a deficient
+    candidate raises :class:`SingularSystem`."""
     m, n = config.effective_m, config.n
     t1, t2, _, t3 = pln.phase_lengths
     drawn = {}
@@ -274,32 +275,25 @@ def svd_precoders(spec, config, pln, rng):
     sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
     for name, t_phase, cols in sizes:
         shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, cols)
-        for _ in range(schemes.MAX_PRECODER_DRAWS):
-            cand = matcore.random_matrix(*shape, rng)
-            if matcore.rank(cand).value == min(shape):
-                drawn[name] = cand
-                break
-        else:
-            raise AssertionError(f"{name} of shape {shape} failed rank target")
+        cand = matcore.random_matrix(*shape, rng)
+        if matcore.rank(cand).value != min(shape):
+            raise SingularSystem(f"{name} of shape {shape} is rank deficient")
+        drawn[name] = cand
     return schemes.Precoders(**drawn)
 
 
 def loop_states(config, horizon, rng):
     """``generate_states(config, horizon, rng).blocks`` drawn slot by slot:
     ``h11, h12, h21, h22`` by one :func:`matcore.random_matrix` call each,
-    then one :func:`matcore.rank` of the slot's stacked matrix, the
-    slot redrawn until it is full rank."""
+    then one :func:`matcore.rank` of the slot's stacked matrix; a slot
+    below full rank raises :class:`SingularSystem`."""
     n, m = config.n, config.m
-    want = min(2 * n, 2 * m)
     blocks = np.empty((horizon, 2, 2, n, m), dtype=complex)
     for slot in blocks:
-        for _ in range(channel.MAX_STATE_DRAWS):
-            for block in slot.reshape(4, n, m):
-                block[...] = matcore.random_matrix(n, m, rng)
-            if matcore.rank(channel._stacked(slot)).value == want:
-                break
-        else:
-            raise InvalidInput("could not draw a full-rank channel state")
+        for block in slot.reshape(4, n, m):
+            block[...] = matcore.random_matrix(n, m, rng)
+        if matcore.rank(channel._stacked(slot)).value != min(2 * n, 2 * m):
+            raise SingularSystem("a channel state draw is rank deficient")
     return blocks
 
 

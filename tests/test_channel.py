@@ -14,7 +14,7 @@ from xsdof.channel import (
     lift_phase,
     lift_rows,
 )
-from xsdof.errors import InvalidInput, InvalidShape
+from xsdof.errors import InvalidInput, InvalidShape, SingularSystem
 
 
 def make_states(m, n, horizon, seed=1):
@@ -116,77 +116,76 @@ class TestGenerateStates:
             assert seq.blocks.tobytes() == want.tobytes()
 
     def test_certified_draw_makes_no_rank_call(self, monkeypatch):
-        certified, ranked = [], []
-        certify, batch_rank = matcore.full_rank_certified, matcore.batch_rank
-
-        def certify_spy(a, *args):
-            certified.append(np.shape(a))
-            return certify(a, *args)
-
-        def rank_spy(stack, *args):
-            ranked.append(stack.shape)
-            return batch_rank(stack, *args)
-
-        monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
-        monkeypatch.setattr(matcore, "batch_rank", rank_spy)
+        certified, ranked = _spy_rank_checks(monkeypatch)
         monkeypatch.setattr(matcore, "rank", None)  # no per-slot rank is left
         make_states(2, 3, 16)
         # one stacked certificate proves every slot: no SVD at all
         assert certified == [(16, 6, 4)] and ranked == []
-        certified.clear()
-        # a zeroed slot fails the certificate; one batched rank finds it,
-        # and its redraw is certified
-        seq = generate_states(AntennaConfig(2, 3), 5, _ZeroingRng(6, {0: [3]}))
-        assert certified == [(5, 6, 4), (1, 6, 4)] and ranked == [(5, 6, 4)]
-        assert matcore.batch_rank(channel._stacked(seq.blocks)).tolist() == [4] * 5
 
 
-class _ZeroingRng:
-    """A real generator, except that draw ``k`` comes back with the slots
-    ``zero[k]`` of that draw set to zero.  Records each draw's shape."""
+def _spy_rank_checks(monkeypatch):
+    """The stack shapes handed to ``matcore.full_rank_certified`` and to
+    ``matcore.batch_rank``, as two lists filled call by call."""
+    certified, ranked = [], []
+    certify, batch_rank = matcore.full_rank_certified, matcore.batch_rank
 
-    def __init__(self, seed, zero):
-        self.rng, self.zero, self.shapes = matcore.substream(seed, "states"), zero, []
+    def certify_spy(a, *args):
+        certified.append(np.shape(a))
+        return certify(a, *args)
+
+    def rank_spy(stack, *args):
+        ranked.append(stack.shape)
+        return batch_rank(stack, *args)
+
+    monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
+    monkeypatch.setattr(matcore, "batch_rank", rank_spy)
+    return certified, ranked
+
+
+class _PlantedRng:
+    """A real generator, except that draw ``k`` of ``planted`` comes back
+    with its entries ``planted[k]`` (an index) times ``factor``.  Records
+    each draw's shape."""
+
+    def __init__(self, seed, planted, factor=0.0):
+        self.rng, self.planted, self.factor = matcore.substream(seed, "states"), planted, factor
+        self.shapes = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
-        z[self.zero.get(len(self.shapes), [])] = 0.0
+        if len(self.shapes) in self.planted:
+            z[self.planted[len(self.shapes)]] *= self.factor
         self.shapes.append(shape)
         return z
 
 
-class TestRedraw:
-    def test_failing_slot_is_redrawn_and_the_rest_kept(self):
-        stub = _ZeroingRng(6, {0: [3]})
-        seq = generate_states(AntennaConfig(2, 3), 5, stub)
-        assert stub.shapes == [(5, 2, 2, 2, 3, 2), (1, 2, 2, 2, 3, 2)]
-        rng = matcore.substream(6, "states")
-        first = matcore.random_matrix(3, 2, rng, batch=(5, 2, 2))
-        redrawn = matcore.random_matrix(3, 2, rng, batch=(1, 2, 2))
-        keep = [0, 1, 2, 4]
-        assert seq.blocks[keep].tobytes() == first[keep].tobytes()
-        assert seq.blocks[3].tobytes() == redrawn[0].tobytes()
-        assert matcore.rank(channel._stacked(seq[4])).value == 4
+class TestDeficientDraw:
+    def test_deficient_slot_raises_after_one_check(self, monkeypatch):
+        # slot 4 drawn zero: nothing is redrawn
+        certified, ranked = _spy_rank_checks(monkeypatch)
+        stub = _PlantedRng(6, {0: np.s_[3]})
+        with pytest.raises(SingularSystem, match=r"slots \[4\]"):
+            generate_states(AntennaConfig(2, 3), 5, stub)
+        assert stub.shapes == [(5, 2, 2, 2, 3, 2)]
+        assert certified == [(5, 6, 4)] and ranked == [(5, 6, 4)]
 
-    def test_failing_slots_are_redrawn_together_in_slot_order(self):
-        # slots 2 and 5 fail, are redrawn together, fail again (slot 5 alone)
-        stub = _ZeroingRng(7, {0: [1, 4], 1: [1]})
-        seq = generate_states(AntennaConfig(1, 1), 6, stub)
-        assert [shape[0] for shape in stub.shapes] == [6, 2, 1]
-        rng = matcore.substream(7, "states")
-        first = matcore.random_matrix(1, 1, rng, batch=(6, 2, 2))
-        second = matcore.random_matrix(1, 1, rng, batch=(2, 2, 2))
-        third = matcore.random_matrix(1, 1, rng, batch=(1, 2, 2))
-        assert seq.blocks[[0, 2, 3, 5]].tobytes() == first[[0, 2, 3, 5]].tobytes()
-        assert seq.blocks[1].tobytes() == second[0].tobytes()
-        assert seq.blocks[4].tobytes() == third[0].tobytes()
+    def test_full_rank_draw_the_certificate_misses_is_kept(self, monkeypatch):
+        # slot 3's first transmit antenna scaled by 1e-7: too close to the
+        # cut for the certificate, clear of it for the SVD
+        planted = {0: np.s_[2, :, 0, ..., 0]}
+        certified, ranked = _spy_rank_checks(monkeypatch)
+        seq = generate_states(AntennaConfig(2, 3), 5, _PlantedRng(6, planted, 1e-7))
+        assert certified == [(5, 6, 4)] and ranked == [(5, 6, 4)]
+        assert matcore.batch_rank(channel._stacked(seq.blocks)).tolist() == [4] * 5
+        want = matcore.random_matrix(3, 2, _PlantedRng(6, planted, 1e-7), batch=(5, 2, 2))
+        assert seq.blocks.tobytes() == want.tobytes()
 
-    def test_gives_up_after_max_state_draws(self):
-        every_slot = dict.fromkeys(range(channel.MAX_STATE_DRAWS + 1), slice(None))
-        stub = _ZeroingRng(8, every_slot)
-        with pytest.raises(InvalidInput, match="full-rank channel state"):
-            generate_states(AntennaConfig(2, 3), 4, stub)
-        assert len(stub.shapes) == channel.MAX_STATE_DRAWS
+    def test_slot_loop_reference_raises_too(self):
+        # the loop draws slot 4's h11, h12, h21 and h22 as draws 12 to 15
+        stub = _PlantedRng(6, dict.fromkeys(range(12, 16), np.s_[...]))
+        with pytest.raises(SingularSystem):
+            loop_states(AntennaConfig(2, 3), 5, stub)
+        assert len(stub.shapes) == 16
 
 
 class TestApplyChannel:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_verify import _deficient_first_draws
 from xsdof import cli, schemes, verify
 from xsdof.channel import AntennaConfig
 from xsdof.errors import UnauthorizedAccess
@@ -108,6 +109,14 @@ class TestSimulateCommand:
         )
         assert code == 3
         assert "2m <= n" in err
+
+    def test_a_deficient_draw_is_resampled(self, capsys, monkeypatch):
+        # the first channel-state draw is rank deficient: the trial redraws
+        # at a derived seed instead of failing the command
+        calls = _deficient_first_draws(monkeypatch, "generate_states", 1)
+        code, out, _ = run_cli(capsys, "simulate", "--scheme", "A", "--M", "2", "--N", "3")
+        assert code == 0 and len(calls) == 2
+        assert '"attempts":2' in out.splitlines()[0]
 
     def test_oversized_configuration_is_refused_before_any_draw(self, capsys, monkeypatch):
         # the guard reads the plan only: nothing of A(14,14) is ever drawn

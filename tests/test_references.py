@@ -1,11 +1,13 @@
-"""Every function and method in ``src/xsdof`` has a caller in ``src/xsdof``.
+"""Every class, function and method in ``src/xsdof`` has a caller in ``src/xsdof``.
 
 A reference is an AST node carrying the name, anywhere in the package's
 code outside the definition itself; docstrings and comments never count.
-A function (module-level or nested) is referenced by a ``Name`` or an
-``Attribute`` node.  A method is referenced only by an ``Attribute`` node,
-or by a string constant that reaches ``getattr``'s name argument, directly
-or from the literal tuple a loop or comprehension binds that argument from
+A class or a function (module-level or nested) is referenced by a
+``Name`` or an ``Attribute`` node; an import or an ``__all__`` entry is
+neither, so an exception class that nothing raises or catches is found.
+A method is referenced only by an ``Attribute`` node, or by a string
+constant that reaches ``getattr``'s name argument, directly or from the
+literal tuple a loop or comprehension binds that argument from
 (``getattr(sym, name) for name in ("u", "v1", "v2")``); so a local
 variable of the same name does not keep a method alive.  The match is by
 name only, so an attribute of the same name on any object does.  Dunder
@@ -30,8 +32,8 @@ ALLOWED = {
 
 
 def _definitions(tree):
-    """``(qualified name, node, is_method)`` of every function and method in
-    ``tree``."""
+    """``(qualified name, node, is_method)`` of every class, function and
+    method in ``tree``."""
     out = []
 
     def visit(node, prefix):
@@ -40,6 +42,7 @@ def _definitions(tree):
                 out.append((prefix + child.name, child, isinstance(node, ast.ClassDef)))
                 visit(child, prefix + child.name + ".")
             elif isinstance(child, ast.ClassDef):
+                out.append((prefix + child.name, child, False))
                 visit(child, prefix + child.name + ".")
             else:
                 visit(child, prefix)
@@ -123,6 +126,18 @@ def test_a_local_variable_does_not_keep_a_method_alive(tmp_path):
     verify.write_text(verify.read_text() + "\n\nclass Planted:\n    def rows(self):\n"
                       "        return 0\n")
     assert ("verify", "Planted.rows") in unreferenced(tmp_path)
+
+
+def test_an_exception_class_only_exported_is_found(tmp_path):
+    # imported and listed in ``__all__`` by the package, but never raised or caught
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    errors, init = tmp_path / "errors.py", tmp_path / "__init__.py"
+    errors.write_text(errors.read_text() + "\n\nclass Planted(RuntimeError):\n    pass\n")
+    exported = init.read_text().replace("from .errors import (", "from .errors import (Planted,")
+    init.write_text(exported.replace("__all__ = [", '__all__ = ["Planted",'))
+    assert init.read_text().count("Planted") == 2 and ast.parse(init.read_text())
+    assert ("errors", "Planted") in unreferenced(tmp_path)
 
 
 def test_a_getattr_name_keeps_a_method_alive():

@@ -16,7 +16,13 @@ from dense_reference import (
 from xsdof import matcore, schemes, verify
 from xsdof.channel import AntennaConfig, FeedbackModel, lift_rows
 from xsdof.cli import run_trial
-from xsdof.errors import DecodeFailure, InvalidInput, RegimeError, UnauthorizedAccess
+from xsdof.errors import (
+    DecodeFailure,
+    InvalidInput,
+    RegimeError,
+    SingularSystem,
+    UnauthorizedAccess,
+)
 from xsdof.knowledge import ItemKind, KnowledgeBase, Node
 from xsdof.schemes import SchemeId, variant
 
@@ -196,32 +202,31 @@ class _DeficientRng:
 
 class TestPrecoderCertificate:
     @pytest.mark.parametrize("scheme,m,n", [(SchemeId.A, 4, 4), (SchemeId.C, 4, 5)])
-    def test_deficient_candidate_is_redrawn(self, scheme, m, n):
+    def test_deficient_candidate_raises(self, monkeypatch, scheme, m, n):
         # A(4,4)'s precoders are tall (128 x 64), C(4,5)'s wide (48 x 125,
-        # 36 x 60); the second draw redraws theta1, the fifth phi1
+        # 36 x 60); the second draw, theta2, is deficient and nothing is
+        # redrawn.  The certified theta1 takes no SVD, the reference's does.
         cfg, spec = AntennaConfig(m, n), variant(scheme)
         pln = schemes.plan(spec, cfg)
-        stub = _DeficientRng(11, {0, 3})
-        got = schemes.draw_precoders(spec, cfg, pln, stub)
-        assert len(stub.shapes) == 6
-        assert stub.shapes[0] == stub.shapes[1] and stub.shapes[3] == stub.shapes[4]
-        rng = matcore.substream(11, "p")
-        draws = [matcore.random_matrix(*shape[1:], rng) for shape in stub.shapes]
-        for name, index in (("theta1", 1), ("theta2", 2), ("phi1", 4), ("phi2", 5)):
-            assert getattr(got, name).tobytes() == draws[index].tobytes(), name
+        ranked, rank = [], matcore.rank
+        monkeypatch.setattr(matcore, "rank", lambda a, *args: ranked.append(1) or rank(a, *args))
+        for draw, svds in ((schemes.draw_precoders, 1), (svd_precoders, 2)):
+            ranked.clear()
+            stub = _DeficientRng(11, {1})
+            with pytest.raises(SingularSystem, match="theta2"):
+                draw(spec, cfg, pln, stub)
+            assert len(stub.shapes) == 2 and len(ranked) == svds, draw
 
-    def test_deficient_retransmission_combiner_is_redrawn(self):
+    def test_deficient_retransmission_combiner_raises(self):
         # A(2,3)'s phi1 is 4 x 3, every column meeting one retransmitted
         # row; a zero first column leaves it rank 2, so the third draw
-        # (phi1's first) is redrawn
+        # (phi1) raises
         cfg, spec = AntennaConfig(2, 3), variant(SchemeId.A)
-        stub = _DeficientRng(11, {2}, row=False)
-        got = schemes.draw_precoders(spec, cfg, schemes.plan(spec, cfg), stub)
-        assert len(stub.shapes) == 5 and stub.shapes[2] == stub.shapes[3] == (2, 4, 3)
-        rng = matcore.substream(11, "p")
-        draws = [matcore.random_matrix(*shape[1:], rng) for shape in stub.shapes]
-        for name, index in (("theta1", 0), ("theta2", 1), ("phi1", 3), ("phi2", 4)):
-            assert getattr(got, name).tobytes() == draws[index].tobytes(), name
+        for draw in (schemes.draw_precoders, svd_precoders):
+            stub = _DeficientRng(11, {2}, row=False)
+            with pytest.raises(SingularSystem, match="phi1"):
+                draw(spec, cfg, schemes.plan(spec, cfg), stub)
+            assert len(stub.shapes) == 3 and stub.shapes[2] == (2, 4, 3), draw
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
     def test_bit_identical_to_svd_rank_draws(self, scheme, m, n, tx1_only):

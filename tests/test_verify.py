@@ -25,7 +25,7 @@ from dense_reference import (
     state_rows,
 )
 from dense_reference import carried_map as dense_carried_map
-from xsdof import channel, matcore, schemes, verify
+from xsdof import channel, knowledge, matcore, schemes, verify
 from xsdof.channel import AntennaConfig, lift_rows
 from xsdof.errors import DecodeFailure, InvalidTranscript, SingularSystem
 from xsdof.knowledge import Node
@@ -634,9 +634,9 @@ def _contained_calls(monkeypatch, transcript):
     calls, ranked = [], []
     contained, rank = verify.columns_contained, matcore.rank
 
-    def contained_spy(noise, secret, scale=0.0, rows=None, blocks=None):
+    def contained_spy(noise, secret, scale=0.0, solved=None):
         ranked.clear()
-        verdict = contained(noise, secret, scale, rows, blocks)
+        verdict = contained(noise, secret, scale, solved)
         calls.append((noise, secret, scale, verdict, list(ranked)))
         return verdict
 
@@ -817,7 +817,7 @@ class TestBlockSolve:
         rng = np.random.default_rng(8)
         a = _gaussian(rng, 30, 8)
         s, blocks = _spanned_secret(rng, a, slice(0, 8), (1, 8, 3))
-        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks)
+        assert verify.columns_contained(a, s, solved=(slice(0, 8), blocks))
         assert joint_rank_calls == []  # the block solve decided: no rank at all
         singular = a.copy()
         singular[:8] = 0.0
@@ -826,7 +826,7 @@ class TestBlockSolve:
             # the secret's rows in ``rows`` are zero: block diagonal for any slots
             secret = singular @ _gaussian(rng, 8, 3)
             zeros = np.zeros((1, rows.stop, 3), dtype=complex)
-            assert verify.columns_contained(singular, secret, rows=rows, blocks=zeros)
+            assert verify.columns_contained(singular, secret, solved=(rows, zeros))
             assert joint_rank_calls == [8, 11]  # the rank pair decided
 
     def test_block_solve_leaves_a_leak_to_the_certificate(self, joint_rank_calls):
@@ -836,7 +836,7 @@ class TestBlockSolve:
         blocks = _gaussian(rng, 8, 1).reshape(2, 4, 1)
         s[4:12] = _slot_diagonal(blocks)
         assert not reference_contained(a, s)
-        assert not verify.columns_contained(a, s, rows=slice(4, 12), blocks=blocks)
+        assert not verify.columns_contained(a, s, solved=(slice(4, 12), blocks))
         assert joint_rank_calls == [8]  # the noise rank only: no joint SVD
 
 
@@ -946,7 +946,7 @@ class TestColumnsContained:
         a = _gaussian(rng, 30, 8)
         s, blocks = _spanned_secret(rng, a, slice(0, 8), (1, 8, 5))
         assert reference_contained(a, s)
-        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks)
+        assert verify.columns_contained(a, s, solved=(slice(0, 8), blocks))
         assert joint_rank_calls == []  # the block solve decided: no SVD
         assert verify.columns_contained(a, s)
         assert joint_rank_calls == [8, 13]  # without a block, the rank pair
@@ -981,7 +981,7 @@ class TestColumnsContained:
         s = a @ _gaussian(rng, 8, 1) / 3 + offset * out
         blocks = s[:8].reshape(1, 8, 1)  # one slot: any rows are block diagonal
         want = reference_contained(a, s)
-        assert verify.columns_contained(a, s, rows=slice(0, 8), blocks=blocks) == want
+        assert verify.columns_contained(a, s, solved=(slice(0, 8), blocks)) == want
         assert joint_rank_calls == [8, 9]
 
     def test_noise_direction_lost_to_joint_cut_falls_back(self, joint_rank_calls):
@@ -993,7 +993,7 @@ class TestColumnsContained:
         s = np.array([1e3, 0, 0, 0], dtype=complex)[:, None]
         assert not reference_contained(a, s)
         blocks = s[:2].reshape(1, 2, 1)  # one slot: any rows are block diagonal
-        assert not verify.columns_contained(a, s, rows=slice(0, 2), blocks=blocks)
+        assert not verify.columns_contained(a, s, solved=(slice(0, 2), blocks))
         assert joint_rank_calls == [2, 3]
 
     def test_round_off_noise_needs_the_scale_floor(self, joint_rank_calls):
@@ -1010,18 +1010,17 @@ class TestColumnsContained:
         # a secret in its span: the block solve confirms it at the noise's
         # own scale; the scale floor puts the block's bound under the cut,
         # and the rank pair finds rank 0 on both sides
-        assert verify.columns_contained(a, inside, rows=rows, blocks=inside_blocks)
+        assert verify.columns_contained(a, inside, solved=(rows, inside_blocks))
         assert joint_rank_calls == []
-        assert verify.columns_contained(a, inside, scale=1.0, rows=rows, blocks=inside_blocks)
+        assert verify.columns_contained(a, inside, scale=1.0, solved=(rows, inside_blocks))
         assert joint_rank_calls == [8, 11]
         # an O(1) secret of the same rank: the round-off swallows it at the
         # noise's own scale (the certificate cannot prove a leak, and the
         # rank pair finds 8 on both sides), and it leaks at the eliminated
         # block's, where the noise has rank 0 and the certificate proves it
         joint_rank_calls.clear()
-        assert verify.columns_contained(a, outside, rows=rows, blocks=outside_blocks)
-        assert not verify.columns_contained(a, outside, scale=1.0, rows=rows,
-                                            blocks=outside_blocks)
+        assert verify.columns_contained(a, outside, solved=(rows, outside_blocks))
+        assert not verify.columns_contained(a, outside, scale=1.0, solved=(rows, outside_blocks))
         assert joint_rank_calls == [8, 16, 8]
 
     def test_secret_summing_to_zero_leaves_the_exit_undecided(self, joint_rank_calls):
@@ -1206,6 +1205,74 @@ class TestResample:
         assert (report.oracle_rx1, report.oracle_rx2) == oracle
         first = schemes.run(spec, config, seed=7)
         assert decode_error(first, Node.RX1) != errs[0]  # the retry's own draw
+
+
+    @pytest.mark.parametrize("mutation", [None, "phi1_zero"])
+    @pytest.mark.parametrize("fault", ["generate_states", "draw_precoders", "encoder"])
+    def test_singular_run_resamples_at_the_derived_seed(self, monkeypatch, fault, mutation):
+        # a deficient state or precoder draw, or a singular reconstruction
+        # solve of the encoder, fails the first attempt, mutant or not;
+        # phi1_zero's singular decode is still recorded, not resampled
+        spec, config = variant(SchemeId.A), AntennaConfig(2, 3)
+        want = verify.run_trial(spec, config, seed=verify._resample_seed(7, 1), mutation=mutation)
+        if fault == "encoder":
+            calls = _singular_first_solves(monkeypatch, 1)
+        else:
+            calls = _deficient_first_draws(monkeypatch, fault, 1)
+        report = verify.run_trial(spec, config, seed=7, mutation=mutation)
+        assert report.attempts == 2 and report.seed == 7 and len(calls) > 1
+        assert _outcome(report) == _outcome(want)
+        assert report.decode_ok is (mutation is None)
+
+    def test_resamples_run_out(self, monkeypatch):
+        calls = _deficient_first_draws(monkeypatch, "generate_states", verify.MAX_RESAMPLES)
+        with pytest.raises(SingularSystem, match="kept drawing singular systems"):
+            verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
+        assert len(calls) == verify.MAX_RESAMPLES
+
+
+class _ZeroRng:
+    """A generator whose every draw is zero: any matrix drawn from it is
+    rank deficient."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def _deficient_first_draws(monkeypatch, name, draws):
+    """Patch ``schemes.<name>``, a draw taking its generator last, so that
+    its first ``draws`` calls draw from :class:`_ZeroRng`; returns the list
+    of its calls."""
+    draw, calls = getattr(schemes, name), []
+
+    def deficient(*args):
+        calls.append(args)
+        return draw(*args[:-1], _ZeroRng() if len(calls) <= draws else args[-1])
+
+    monkeypatch.setattr(schemes, name, deficient)
+    return calls
+
+
+def _singular_first_solves(monkeypatch, solves):
+    """Make the encoder's first ``solves`` reconstruction solves raise
+    :class:`SingularSystem`; returns the list of its solves."""
+    solve, calls = knowledge.solve_full_column_rank, []
+
+    def singular(*args):
+        calls.append(args)
+        if len(calls) <= solves:
+            raise SingularSystem("singular reconstruction")
+        return solve(*args)
+
+    monkeypatch.setattr(knowledge, "solve_full_column_rank", singular)
+    return calls
+
+
+def _outcome(report):
+    """A trial report as written out, less its seed and attempt count."""
+    out = report.to_jsonable()
+    del out["seed"], out["attempts"]
+    return out
 
 
 @pytest.fixture(scope="module")
