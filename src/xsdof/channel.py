@@ -124,13 +124,6 @@ class StateSequence:
         return diagonal_blocks(self.blocks.swapaxes(0, 1), self.config.effective_m)
 
 
-def _stacked(blocks: np.ndarray) -> np.ndarray:
-    """The joint 2n x 2m matrix of each ``(2, 2, n, m)`` slot state in
-    ``blocks``, a ``(..., 2, 2, n, m)`` array; ``(..., 2n, 2m)`` out."""
-    n, m = blocks.shape[-2:]
-    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (2 * n, 2 * m))
-
-
 def generate_states(
     config: AntennaConfig,
     horizon: int,
@@ -147,21 +140,16 @@ def generate_states(
     stream slot by slot, ``h11, h12, h21, h22`` in each slot and real part
     then imaginary part in each block: the order of one draw per block, so
     the blocks are bit for bit a slot-by-slot loop's.  One stacked
-    :func:`matcore.full_rank_certified` call proves every slot full rank at
-    the cut of :func:`matcore.batch_rank`, with one batched Cholesky
-    factorization and no SVD; only a draw it cannot certify is checked by
-    one :func:`matcore.batch_rank` call, and kept unchanged if every slot
-    passes.
+    :func:`matcore.rank_value` call decides every slot's rank.
     """
     if horizon < 1:
         raise InvalidInput(f"horizon must be >= 1, got {horizon}")
     n, m = config.n, config.m
     blocks = matcore.random_matrix(n, m, rng, batch=(horizon, 2, 2))
-    stacked = _stacked(blocks)
-    if not matcore.full_rank_certified(stacked):
-        failing = np.flatnonzero(matcore.batch_rank(stacked) != min(2 * n, 2 * m)) + 1
-        if failing.size:
-            raise SingularSystem(f"channel states of slots {failing.tolist()} are rank deficient")
+    stacked = diagonal_blocks(blocks, m).reshape(horizon, 2 * n, 2 * m)
+    failing = np.flatnonzero(matcore.rank_value(stacked) != min(2 * n, 2 * m)) + 1
+    if failing.size:
+        raise SingularSystem(f"channel states of slots {failing.tolist()} are rank deficient")
     return StateSequence(config, blocks)
 
 

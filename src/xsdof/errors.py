@@ -25,9 +25,11 @@ class SingularSystem(ArithmeticError):
     """A matrix that must be full rank is numerically rank deficient at the
     working tolerance: a square or tall system (or a matrix of a stack of
     them), a channel state or a precoder draw.  ``verify.run_trial``
-    resamples the trial on it.  From ``schemes.decode`` it carries the
+    resamples the trial on it.  From ``matcore.solve_full_column_rank`` on
+    one matrix it carries that matrix's rank, from ``schemes.decode`` the
     receiver's rate rank."""
 
+    rank: int | None = None
     rate_rank: int | None = None
 
 

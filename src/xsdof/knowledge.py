@@ -88,9 +88,8 @@ class KnowledgeBase:
     encoders and decoders are read-only.
     """
 
-    def __init__(self, model: FeedbackModel, config: AntennaConfig):
+    def __init__(self, model: FeedbackModel):
         self.model = model
-        self.config = config
         self.items: dict = {}
         self.log: list[AccessRecord] = []
         self.current_slot = 0

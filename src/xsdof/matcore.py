@@ -15,12 +15,13 @@ Python call per matrix: :func:`random_matrix` draws a stack given leading
 ``batch`` dimensions, in the stream order of one draw per matrix;
 :func:`full_rank_certified` certifies every matrix of a ``(t, r, c)``
 stack full rank by one batched Cholesky factorization, each at its own
-cut; :func:`batch_rank` decides every matrix's rank by one batched SVD,
-at the cut of :func:`rank`; :func:`solve_full_column_rank` solves a
-``(t, r, c)`` stack by one batched SVD; :func:`slot_null_bases` gives the
-per-slot ranks and null bases of block-diagonal matrices; and
-:func:`times_block_diagonal` multiplies a map by a block-diagonal matrix
-given by its ``(t, r, w)`` diagonal blocks.
+cut; :func:`rank_value` decides every matrix's rank by that certificate
+and, where it fails, one batched SVD, at the cut of :func:`rank`;
+:func:`solve_full_column_rank` solves a ``(t, r, c)`` stack by one
+batched SVD; :func:`slot_null_bases` gives the per-slot ranks and null
+bases of block-diagonal matrices; and :func:`times_block_diagonal`
+multiplies a map by a block-diagonal matrix given by its ``(t, r, w)``
+diagonal blocks.
 
 All functions are pure; no argument is mutated in place.  Every rank is
 decided at one *relative* singular-value threshold, :data:`REL_TOL`, read
@@ -137,7 +138,8 @@ def full_rank_certified(a, scale: float = 0.0) -> bool:
     > REL_TOL max(sigma_max(a), scale)``, the cut of :func:`rank`: the
     ``u`` term covers the rounding of ``G`` and the factor's backward error
     (Higham 2002, ch. 10), and ``sigma_max(a) <= ||a||_F``.  False proves
-    nothing.  A matrix with a zero dimension has full rank 0.
+    nothing, and so does a non-finite ``scale``, which leaves no cut to
+    clear.  A matrix with a zero dimension has full rank 0.
 
     ``a`` may also be a ``(t, r, c)`` stack: one batched Gram product and
     one batched Cholesky factorization, each matrix shifted by its own
@@ -147,6 +149,8 @@ def full_rank_certified(a, scale: float = 0.0) -> bool:
     r, c = m.shape[-2:]
     if m.size == 0:
         return True
+    if not np.isfinite(scale):
+        return False
     mh = m.conj().swapaxes(-1, -2)
     gram = mh @ m if r >= c else m @ mh
     # one matrix's norm by BLAS dot products: a third of the per-axis reduction's time
@@ -162,28 +166,36 @@ def full_rank_certified(a, scale: float = 0.0) -> bool:
     return True
 
 
-def rank_value(a, scale: float = 0.0) -> int:
-    """``rank(a, scale).value``, mostly without an SVD.
+def rank_value(a, scale: float = 0.0) -> int | np.ndarray:
+    """``rank(a, scale).value``, mostly without an SVD: the one full-rank
+    decision of the state draw, the precoders and the rank report.
 
     :func:`full_rank_certified` decides every matrix it can certify, as
     ``min(a.shape)``; the others, the deficient ones and those too close to
-    the cut, go to :func:`rank`.
+    the cut, go to the SVD rank.  A tall ``r x c`` matrix with ``r >= 2c``
+    is first certified from its top ``c x c`` block, a Gram matrix half the
+    size, at ``scale = max(||a||_F, scale)``: adding rows never lowers the
+    smallest singular value, and ``sigma_max(a) <= ||a||_F``, so a pass
+    proves ``sigma_min(a) > REL_TOL max(sigma_max(a), scale)``.  A matrix
+    whose top block fails is certified whole, then goes to :func:`rank`.
+
+    ``a`` may also be a ``(t, r, c)`` stack: one stacked certificate, and
+    only where it fails, one batched SVD, each matrix cut at ``REL_TOL
+    max(sigma_max, scale)`` as :func:`rank` cuts it.  Returns an int array
+    of length ``t``, entry by entry ``rank(a[s], scale).value``.
     """
+    a = np.asarray(a)
+    if a.ndim == 3:
+        if full_rank_certified(a, scale):
+            return np.full(len(a), min(a.shape[1:]))
+        s = np.linalg.svd(a, compute_uv=False)
+        return (s > REL_TOL * np.fmax(s[:, :1], scale)).sum(axis=-1)
+    if a.ndim == 2 and len(a) >= 2 * a.shape[1]:
+        if full_rank_certified(a[: a.shape[1]], max(np.linalg.norm(a), scale)):
+            return a.shape[1]
     if full_rank_certified(a, scale):
-        return min(np.shape(a))
+        return min(a.shape)
     return rank(a, scale).value
-
-
-def batch_rank(stack: np.ndarray) -> np.ndarray:
-    """Numerical rank of every matrix of a ``(..., rows, cols)`` stack.
-
-    One batched SVD; each matrix is cut as :func:`rank` cuts it, at
-    :data:`REL_TOL` times its own largest singular value, and a zero matrix
-    has rank 0.  Returns an integer array of shape ``stack.shape[:-2]``,
-    equal entry by entry to ``rank(matrix).value``.
-    """
-    s = np.linalg.svd(stack, compute_uv=False)
-    return (s > REL_TOL * s.max(axis=-1, initial=0.0, keepdims=True)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -315,6 +327,7 @@ def solve_full_column_rank(a, b, scale: float = 0.0) -> np.ndarray:
     SingularSystem
         If ``a`` (any matrix of a stack) is column-rank deficient at the cut
         of :func:`rank` with ``scale``, the floor on each matrix's scale.
+        For one matrix it carries the rank that SVD decided, ``rank``.
     InvalidShape
         On dimension mismatch or an underdetermined (wide) system.
     """
@@ -326,8 +339,12 @@ def solve_full_column_rank(a, b, scale: float = 0.0) -> np.ndarray:
     if rhs.shape[: m.ndim - 1] != m.shape[:-1] or rhs.ndim not in (m.ndim - 1, m.ndim):
         raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or np.any(s[..., -1] <= REL_TOL * np.maximum(s[..., 0], scale)):
-        raise SingularSystem(f"system {m.shape} is column-rank deficient")
+    cut = REL_TOL * np.maximum(s[..., :1], scale)
+    if s.size == 0 or np.any(s[..., -1:] <= cut):
+        exc = SingularSystem(f"system {m.shape} is column-rank deficient")
+        if m.ndim == 2:
+            exc.rank = int(np.count_nonzero(s > cut))
+        raise exc
     if vector:
         rhs = rhs[..., None]
     x = vh.conj().swapaxes(-1, -2) @ ((u.conj().swapaxes(-1, -2) @ rhs) / s[..., None])

@@ -270,31 +270,20 @@ def draw_precoders(
     C's own, gives each precoder one carrier, so it draws C's mixing
     matrices; it selects where C does not, so its ``phi`` are narrower.
 
-    Full rank is decided by a shifted Cholesky certificate
-    (:func:`matcore.full_rank_certified`), which needs neither an SVD nor
-    an inverse.  A tall ``r x c`` candidate with ``r >= 2c`` (A, D and E
-    at ``m = n``) is certified from its top ``c x c`` block, a Gram matrix
-    half the size, at the candidate's scale ``||cand||_F``: adding rows
-    never lowers the smallest singular value, and ``sigma_max(cand) <=
-    ||cand||_F``, so a pass proves ``sigma_min(cand) > REL_TOL
-    sigma_max(cand)``.  Any other candidate, and one whose top block fails,
-    goes to :func:`matcore.rank_value`: the whole candidate's certificate,
-    then the SVD rank where that cannot certify.  Both accept exactly the
-    candidates the SVD rank accepts, so the precoders are those of an SVD
-    check.  A Gaussian draw is full rank almost surely; a candidate that
-    misses (a null-set event) raises :class:`SingularSystem`, and the trial
-    driver (``verify.run_trial``) resamples the whole trial.
+    Full rank is decided by :func:`matcore.rank_value`.  A Gaussian draw
+    is full rank almost surely; a candidate that misses (a null-set event)
+    raises :class:`SingularSystem`, and the trial driver
+    (``verify.run_trial``) resamples the whole trial.
     """
     m, n = config.effective_m, config.n
-    t1, t2, _, t3 = pln.phase_lengths
+    t1, t2, _, t4 = pln.phase_lengths
     drawn = {}
     mixed, read = n * t1, retransmitted_rows(spec, config) * t2
-    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
+    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t4, read), ("phi2", t4, read))
     for name, t_phase, c in sizes:
-        shape = r, c = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, c)
+        shape = (len(CARRIERS[getattr(spec, name)]) * m * t_phase, c)
         cand = matcore.random_matrix(*shape, rng)
-        top = r >= 2 * c and matcore.full_rank_certified(cand[:c], np.linalg.norm(cand))
-        if not (top or matcore.rank_value(cand) == min(shape)):
+        if matcore.rank_value(cand) != min(shape):
             raise SingularSystem(f"{name} of shape {shape} is rank deficient")
         drawn[name] = cand
     return Precoders(**drawn)
@@ -529,7 +518,7 @@ def run(
         v22=matcore.random_vector(m * t2, rng_sym),
     )
 
-    kb = KnowledgeBase(spec.model, config)
+    kb = KnowledgeBase(spec.model)
     kb.grant_own_symbols(Node.TX1, {"v11": symbols.v11, "v12": symbols.v12}, symbols.u1)
     kb.grant_own_symbols(Node.TX2, {"v21": symbols.v21, "v22": symbols.v22}, symbols.u2)
 
@@ -638,9 +627,10 @@ def decode(transcript: Transcript, receiver: Node) -> Decoded:
     cut of ``rank([G; F]) = rank(G) + rank(F N)``, so a solve decides the
     rate rank, the one decision of it (:func:`verify.secrecy_rank_report`
     reads it).  Below the cut, on null-set channel draws, it raises
-    :class:`SingularSystem` (callers resample), its ``rate_rank`` from one
-    more SVD; a residual over the whole stacked system above the relative
-    tolerance raises :class:`DecodeFailure`, with the full ``rate_rank``.
+    :class:`SingularSystem` (callers resample), its ``rate_rank`` from the
+    rank the refusing SVD decided; a residual over the whole stacked system
+    above the relative tolerance raises :class:`DecodeFailure`, with the
+    full ``rate_rank``.
     """
     transcript.check_complete()
     if receiver not in (Node.RX1, Node.RX2):
@@ -678,7 +668,7 @@ def decode(transcript: Transcript, receiver: Node) -> Decoded:
     try:
         z = solve(reduced, rhs_final - stacked(x_p)[1], null.largest)
     except SingularSystem as exc:
-        exc.rate_rank = null.rank + matcore.rank(reduced, null.largest).value
+        exc.rate_rank = null.rank + exc.rank
         raise
     x = x_p + null.basis @ z.reshape(len(fresh), -1, 1)
     rhs = np.concatenate([rhs_f, rhs_final])

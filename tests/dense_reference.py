@@ -269,10 +269,10 @@ def svd_precoders(spec, config, pln, rng):
     :func:`matcore.rank` alone, in the same draw order; a deficient
     candidate raises :class:`SingularSystem`."""
     m, n = config.effective_m, config.n
-    t1, t2, _, t3 = pln.phase_lengths
+    t1, t2, _, t4 = pln.phase_lengths
     drawn = {}
     mixed, read = n * t1, schemes.retransmitted_rows(spec, config) * t2
-    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t3, read), ("phi2", t3, read))
+    sizes = (("theta1", t2, mixed), ("theta2", t2, mixed), ("phi1", t4, read), ("phi2", t4, read))
     for name, t_phase, cols in sizes:
         shape = (len(schemes.CARRIERS[getattr(spec, name)]) * m * t_phase, cols)
         cand = matcore.random_matrix(*shape, rng)
@@ -292,7 +292,8 @@ def loop_states(config, horizon, rng):
     for slot in blocks:
         for block in slot.reshape(4, n, m):
             block[...] = matcore.random_matrix(n, m, rng)
-        if matcore.rank(channel._stacked(slot)).value != min(2 * n, 2 * m):
+        stacked = channel.diagonal_blocks(slot, m).reshape(2 * n, 2 * m)
+        if matcore.rank(stacked).value != min(2 * n, 2 * m):
             raise SingularSystem("a channel state draw is rank deficient")
     return blocks
 

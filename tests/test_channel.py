@@ -46,14 +46,14 @@ class TestGenerateStates:
         assert seq.horizon == 16
         for t in range(1, 17):
             (h11, h12), (h21, h22) = seq[t]
-            joint = channel._stacked(seq[t])
+            joint = channel.diagonal_blocks(seq[t], 2).reshape(6, 4)
             np.testing.assert_array_equal(joint, np.block([[h11, h12], [h21, h22]]))
             assert matcore.rank(joint).value == 4
 
     def test_high_regime_rank(self):
         seq = make_states(4, 3, 5)
         for slot in seq.blocks:
-            assert matcore.rank(channel._stacked(slot)).value == 6
+            assert matcore.rank(channel.diagonal_blocks(slot, 4).reshape(6, 8)).value == 6
 
     def test_singleton_horizon(self):
         assert make_states(2, 2, 1).horizon == 1
@@ -124,21 +124,31 @@ class TestGenerateStates:
 
 
 def _spy_rank_checks(monkeypatch):
-    """The stack shapes handed to ``matcore.full_rank_certified`` and to
-    ``matcore.batch_rank``, as two lists filled call by call."""
+    """The stack shapes handed to ``matcore.full_rank_certified`` and to the
+    SVD, as two lists filled call by call; each ``matcore.rank_value`` of a
+    stack is checked, matrix by matrix, against ``matcore.rank``."""
     certified, ranked = [], []
-    certify, batch_rank = matcore.full_rank_certified, matcore.batch_rank
+    certify, svd, rank_value = matcore.full_rank_certified, np.linalg.svd, matcore.rank_value
+    rank = matcore.rank
 
     def certify_spy(a, *args):
         certified.append(np.shape(a))
         return certify(a, *args)
 
-    def rank_spy(stack, *args):
-        ranked.append(stack.shape)
-        return batch_rank(stack, *args)
+    def svd_spy(a, *args, **kwargs):
+        ranked.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def rank_value_spy(a, scale=0.0):
+        got = rank_value(a, scale)
+        with pytest.MonkeyPatch.context() as unspied:
+            unspied.setattr(np.linalg, "svd", svd)
+            assert got.tolist() == [rank(one, scale).value for one in a]
+        return got
 
     monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
-    monkeypatch.setattr(matcore, "batch_rank", rank_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(matcore, "rank_value", rank_value_spy)
     return certified, ranked
 
 
@@ -176,7 +186,6 @@ class TestDeficientDraw:
         certified, ranked = _spy_rank_checks(monkeypatch)
         seq = generate_states(AntennaConfig(2, 3), 5, _PlantedRng(6, planted, 1e-7))
         assert certified == [(5, 6, 4)] and ranked == [(5, 6, 4)]
-        assert matcore.batch_rank(channel._stacked(seq.blocks)).tolist() == [4] * 5
         want = matcore.random_matrix(3, 2, _PlantedRng(6, planted, 1e-7), batch=(5, 2, 2))
         assert seq.blocks.tobytes() == want.tobytes()
 

@@ -22,7 +22,7 @@ def drive(model, config=AntennaConfig(2, 3), slots=4, seed=2):
     """Advance a knowledge base through `slots` slots of random traffic."""
     rng = matcore.substream(seed, "drive")
     states = generate_states(config, slots, rng)
-    kb = KnowledgeBase(model, config)
+    kb = KnowledgeBase(model)
     sent = []
     for t in range(1, slots + 1):
         x1 = matcore.random_vector(config.m, rng)

@@ -183,6 +183,18 @@ class TestSolveFullColumnRank:
         out = matcore.solve_full_column_rank(a, a @ x_true)
         assert np.linalg.norm(out - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
+    def test_refusal_carries_the_rank_its_svd_decided(self):
+        # rank 2 of 3 at the cut of rank(a, scale), floor included; a stack
+        # carries none
+        a = _planted(5, 3, [1.0, 1e-3, 1e-12], seed=12)
+        for scale, want in ((0.0, 2), (1e7, 1)):
+            with pytest.raises(SingularSystem) as refused:
+                matcore.solve_full_column_rank(a, np.ones(5), scale)
+            assert refused.value.rank == matcore.rank(a, scale).value == want
+        with pytest.raises(SingularSystem) as refused:
+            matcore.solve_full_column_rank(a[None], np.ones((1, 5)))
+        assert refused.value.rank is None
+
     def test_wide_rejected(self):
         with pytest.raises(InvalidShape):
             matcore.solve_full_column_rank(np.ones((2, 3)), np.ones(2))
@@ -409,7 +421,7 @@ class TestStackedCertificate:
         deficient = stack.copy()
         deficient[2] = matcore.random_matrix(rows, k - 1, r) @ matcore.random_matrix(k - 1, cols, r)
         assert (matcore.full_rank_certified(deficient), self._each(deficient)) == (False, False)
-        assert matcore.batch_rank(deficient)[2] == k - 1
+        assert matcore.rank_value(deficient)[2] == k - 1
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 2, 3), (3, 0, 2), (3, 2, 0)])
     def test_empty_stacks_pass(self, shape):
@@ -435,43 +447,131 @@ class TestStackedCertificate:
         assert certified == self._each(stack, floor)
         if certified:
             assert all(matcore.rank(a, floor).value == k for a in stack)
-            if floor == 0.0:
-                assert np.all(matcore.batch_rank(stack) == k)
+            assert np.all(matcore.rank_value(stack, floor) == k)
 
 
-class TestBatchRank:
+class TestStackedRankValue:
+    """``rank_value`` on a ``(t, r, c)`` stack: one stacked certificate, and
+    where it fails one batched SVD, each matrix at ``rank``'s cut."""
+
     @staticmethod
-    def _each(stack):
-        flat = stack.reshape((-1,) + stack.shape[-2:])
-        return np.array([matcore.rank(a).value for a in flat])
+    def _each(stack, scale=0.0):
+        return np.array([matcore.rank(a, scale).value for a in stack])
 
-    def test_random_stacks(self):
-        for shape in ((6, 4, 4), (5, 3, 6), (7, 6, 2), (2, 3, 4, 5)):
-            stack = matcore.random_matrix(*shape[-2:], rng(20), batch=shape[:-2])
-            got = matcore.batch_rank(stack)
-            assert got.shape == shape[:-2]
-            assert np.array_equal(got.reshape(-1), self._each(stack))
-            assert np.all(got == min(shape[-2:]))
+    def test_random_stacks_are_certified_without_an_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", None)
+        for shape in ((6, 4, 4), (5, 3, 6), (7, 6, 2)):
+            stack = matcore.random_matrix(*shape[1:], rng(20), batch=shape[:1])
+            got = matcore.rank_value(stack)
+            assert got.shape == shape[:1] and np.all(got == min(shape[1:]))
+        assert matcore.rank_value(np.zeros((0, 3, 2), dtype=complex)).shape == (0,)
 
-    def test_deficient_zero_and_tiny_slots(self):
-        # each slot is cut at its own scale: a slot scaled by 1e-12 keeps its rank
+    @pytest.mark.parametrize("scale", [0.0, 1e-13, 1.0])
+    def test_deficient_zero_and_tiny_slots(self, scale):
+        # each slot is cut at its own scale, floored at ``scale``: a slot
+        # scaled by 1e-12 keeps its rank unless the floor is above it
         r = rng(21)
-        stack = matcore.random_matrix(4, 4, r, batch=(5,))
+        stack = matcore.random_matrix(4, 4, r, batch=(6,))
         stack[1] = matcore.random_matrix(4, 2, r) @ matcore.random_matrix(2, 4, r)
         stack[2] = 0.0
         stack[3] = 1e-12 * stack[3]
         stack[4] = 1e-12 * (matcore.random_matrix(4, 3, r) @ matcore.random_matrix(3, 4, r))
-        got = matcore.batch_rank(stack)
-        assert got.tolist() == [4, 2, 0, 4, 3]
-        assert np.array_equal(got, self._each(stack))
+        got = matcore.rank_value(stack, scale)
+        assert np.array_equal(got, self._each(stack, scale))
+        tiny = [4, 3] if scale < 1e-12 else [0, 0]
+        assert got.tolist() == [4, 2, 0, *tiny, 4]
 
     def test_tolerance_matches_rank(self, monkeypatch):
         # singular values 1, 1e-4, 1e-8: the cut sits where rank puts it
         stack = np.array([np.diag([1.0, 1e-4, 1e-8]), np.diag([2.0, 2e-4, 2e-8])], dtype=complex)
         for tol, want in ((1e-9, 3), (1e-6, 2), (1e-2, 1)):
             monkeypatch.setattr(matcore, "REL_TOL", tol)
-            assert matcore.batch_rank(stack).tolist() == [want, want]
-            assert np.array_equal(matcore.batch_rank(stack), self._each(stack))
+            assert matcore.rank_value(stack).tolist() == [want, want]
+            assert np.array_equal(matcore.rank_value(stack), self._each(stack))
+
+    def test_one_certificate_then_one_svd(self, monkeypatch):
+        certified, svds = [], []
+        certify, svd = matcore.full_rank_certified, np.linalg.svd
+        monkeypatch.setattr(matcore, "full_rank_certified",
+                            lambda a, scale=0.0: certified.append(np.shape(a)) or certify(a, scale))
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a.shape) or svd(a, **kw))
+        stack = matcore.random_matrix(6, 4, rng(22), batch=(5,))
+        stack[3, :, 0] = 0.0
+        assert matcore.rank_value(stack).tolist() == [4, 4, 4, 3, 4]
+        assert certified == [(5, 6, 4)] and svds == [(5, 6, 4)]
+
+    def test_rejects_non_finite_entries(self):
+        stack = matcore.random_matrix(3, 3, rng(23), batch=(2,))
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(InvalidMatrix):
+            matcore.rank_value(stack)
+
+
+class TestTopBlock:
+    """A tall ``r x c`` matrix with ``r >= 2c`` is first certified from its
+    top ``c x c`` block, at ``max(||a||_F, scale)``."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        certified = []
+        certify = matcore.full_rank_certified
+
+        def spy(a, scale=0.0):
+            passed = certify(a, scale)
+            certified.append((np.shape(a), scale, passed))
+            return passed
+
+        monkeypatch.setattr(matcore, "full_rank_certified", spy)
+        return certified
+
+    @pytest.mark.parametrize("shape", [(8, 4), (128, 64), (9, 3)])
+    def test_a_pass_forms_no_whole_matrix_gram(self, monkeypatch, rank_calls, shape):
+        a = matcore.random_matrix(*shape, rng(24))
+        certified = self._spy(monkeypatch)
+        assert matcore.rank_value(a) == shape[1]
+        c = shape[1]
+        assert certified == [((c, c), np.linalg.norm(a), True)] and rank_calls == []
+        # a floor above ||a||_F is the block's scale
+        certified.clear()
+        assert matcore.rank_value(a, 1e12) == matcore.rank(a, 1e12).value == 0
+        assert certified[0] == ((c, c), 1e12, False)
+
+    def test_a_deficient_top_block_falls_back_to_the_whole_matrix(self, monkeypatch, rank_calls):
+        a = matcore.random_matrix(8, 4, rng(25))
+        a[:4, 0] = 0.0
+        certified = self._spy(monkeypatch)
+        assert matcore.rank_value(a) == matcore.rank(a).value == 4
+        assert [(shape, passed) for shape, _, passed in certified] == [
+            ((4, 4), False), ((8, 4), True)]
+        assert rank_calls == [(8, 4)]  # the test's own call: rank_value took no SVD
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 8)])
+    def test_other_shapes_are_certified_whole(self, monkeypatch, shape):
+        certified = self._spy(monkeypatch)
+        assert matcore.rank_value(matcore.random_matrix(*shape, rng(26))) == min(shape)
+        assert certified == [(shape, 0.0, True)]
+
+
+class TestNonFiniteScale:
+    """A non-finite ``scale`` leaves no cut to clear: it fails the
+    certificate, and the SVD rank or the validation decides."""
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_fails_the_certificate(self, scale):
+        assert not matcore.full_rank_certified(np.zeros((3, 3)), scale)
+        assert not matcore.full_rank_certified(np.eye(3), scale)
+        zeros = np.zeros((3, 3))
+        assert matcore.rank_value(zeros, scale) == matcore.rank(zeros, scale).value == 0
+        assert matcore.rank_value(zeros[None], scale).tolist() == [0]
+
+    def test_non_finite_entry_below_the_top_block_is_rejected(self):
+        # the top block is finite and ||a||_F is NaN: the block must not
+        # pass, so that the whole matrix is validated
+        a = matcore.random_matrix(8, 3, rng(27))
+        a[6, 1] = np.nan
+        assert not matcore.full_rank_certified(a[:3], np.linalg.norm(a))
+        with pytest.raises(InvalidMatrix):
+            matcore.rank_value(a)
 
 
 class TestBlockDiag:
@@ -661,7 +761,7 @@ class TestOneCut:
         return [
             matcore.rank(a).value == k,
             matcore.rank_value(a) == k,
-            int(matcore.batch_rank(a[None])[0]) == k,
+            int(matcore.rank_value(a[None])[0]) == k,
             null.rank == k,
             solved,
         ]

@@ -146,3 +146,35 @@ def test_a_getattr_name_keeps_a_method_alive():
     tree = ast.parse("""def f(sym):\n    return [getattr(sym, k) for k in ("u", "v1")]\n""")
     assert [name for name, _ in _getattr_names(tree)] == ["u", "v1"]
     assert ("schemes", "Symbols.u") not in unreferenced()
+
+
+def _calls(names, src=SRC):
+    """``(module, enclosing function)`` of every call under ``src`` to a
+    function or method named in ``names``, by its last name
+    (``np.linalg.svd(...)`` calls ``svd``)."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.append((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_full_rank_is_decided_in_matcore():
+    # rank_value is the one full-rank decision: outside matcore only the
+    # oracle's leak exit asks the certificate, about a lower bound on
+    # another matrix's rank, and no module but matcore factorizes
+    certificates = [call for call in _calls({"full_rank_certified"}) if call[0] != "matcore"]
+    assert certificates == [("verify", "_certified_leak")]
+    assert {module for module, _ in _calls({"svd", "cholesky"})} == {"matcore"}

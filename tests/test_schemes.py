@@ -467,6 +467,16 @@ class TestDecode:
         assert len(shapes) == 2 * svd_solves
         assert all(rows > cols for rows, cols in shapes)
 
+    def test_refused_decode_is_decided_once(self, monkeypatch):
+        # phi1_zero starves receiver 1's 3 x 3 reduced system: the refusing
+        # SVD's rank gives the rate rank, with no second SVD
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=7,
+                                 mutation="phi1_zero")
+        monkeypatch.setattr(matcore, "rank", None)
+        with pytest.raises(SingularSystem) as refused:
+            schemes.decode(transcript, Node.RX1)
+        assert refused.value.rank == 0 and refused.value.rate_rank == 9
+
     def test_decode_rejects_transmit_nodes(self):
         transcript = schemes.run(variant(SchemeId.B), AntennaConfig(1, 1), seed=0)
         with pytest.raises(InvalidInput):

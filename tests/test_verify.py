@@ -725,20 +725,18 @@ BLOCK_SOLVED = {
 #: Shapes of the reduced maps the decoders and the rank report hand to
 #: ``matcore.rank``, by agreement or workload case and the same on every
 #: seed: the maps that ``matcore.full_rank_certified`` cannot prove full
-#: rank.  Scheme C's two leak maps are deficient by its defect,
-#: ``theta1_zero`` zeroes receiver 2's leak map and ``phi1_zero`` receiver
-#: 1's decode system, whose rank the decoder takes after its SVD solve
-#: refuses it.  E's and ``skip_phase1``'s leak maps have no columns, rank 0
-#: with no SVD; every map of A, B and D is certified, and C's tall decode
-#: systems are decided by the solve's own SVD.
+#: rank.  Scheme C's two leak maps are deficient by its defect, and
+#: ``theta1_zero`` zeroes receiver 2's leak map.  ``phi1_zero`` starves
+#: receiver 1's decode system, whose rank the refusing SVD solve decides.
+#: E's and ``skip_phase1``'s leak maps have no columns, rank 0 with no SVD;
+#: every map of A, B and D is certified, and C's tall decode systems are
+#: decided by the solve's own SVD.
 REPORT_RANKED = {
     (SchemeId.C, 2, 3, None): [(6, 9), (6, 9)],
     (SchemeId.C, 2, 3, "tx1_only"): [(6, 9), (6, 9)],
     (SchemeId.C, 4, 5, None): [(60, 75), (60, 75)],
     (SchemeId.A, 3, 4, "theta1_zero"): [(32, 32)],
-    (SchemeId.A, 3, 4, "phi1_zero"): [(16, 16)],
     (SchemeId.A, 2, 3, "theta1_zero"): [(9, 9)],
-    (SchemeId.A, 2, 3, "phi1_zero"): [(3, 3)],
 }
 
 #: Least ratio between the bounds the block solve proves on the ``k``-th and
@@ -843,8 +841,8 @@ class TestBlockSolve:
 @pytest.mark.slow
 def test_large_configuration_a88(monkeypatch):
     # opt-in (-m slow): the ladder's next rung, against the whole-map oracle
-    calls, certified, solves, batch_ranked = [], [], [], []
-    rank, certify, batch_rank = matcore.rank, matcore.full_rank_certified, matcore.batch_rank
+    calls, certified, solves, stacks = [], [], [], []
+    rank, certify, rank_value = matcore.rank, matcore.full_rank_certified, matcore.rank_value
     svd_solve = matcore.solve_full_column_rank
 
     def certify_spy(a, scale=0.0):
@@ -854,8 +852,14 @@ def test_large_configuration_a88(monkeypatch):
 
     monkeypatch.setattr(matcore, "rank", lambda *args: calls.append(1) or rank(*args))
     monkeypatch.setattr(matcore, "full_rank_certified", certify_spy)
-    monkeypatch.setattr(matcore, "batch_rank",
-                        lambda stack: batch_ranked.append(stack.shape) or batch_rank(stack))
+    def rank_value_spy(a, scale=0.0):
+        got = rank_value(a, scale)
+        if np.ndim(a) == 3:  # a stack: each matrix as rank decides it alone
+            stacks.append(np.shape(a))
+            assert got.tolist() == [rank(one, scale).value for one in a]
+        return got
+
+    monkeypatch.setattr(matcore, "rank_value", rank_value_spy)
     products = []
     times = matcore.times_block_diagonal
 
@@ -868,11 +872,11 @@ def test_large_configuration_a88(monkeypatch):
     transcript = transcript_for(SchemeId.A, 8, 8, seed=1)
     assert calls == []  # all four precoders certified without an SVD
     # the state draw's stack of 16 x 16 slots by one certificate at their
-    # own cuts, with no batched rank; then each precoder from its 512 x 512
+    # own cuts, with no batched SVD; then each precoder from its 512 x 512
     # top block, at the whole candidate's scale
     horizon = transcript.states.horizon
     assert certified == [((horizon, 16, 16), False, True)] + [((512, 512), True, True)] * 4
-    assert batch_ranked == []
+    assert stacks == [(horizon, 16, 16)]
     certified.clear()
     monkeypatch.setattr(matcore, "solve_full_column_rank",
                         lambda a, b, scale: solves.append(1) or svd_solve(a, b, scale))
