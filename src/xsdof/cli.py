@@ -118,12 +118,8 @@ def _cmd_simulate(args) -> int:
         "config": {"m": args.M, "n": args.N},
         "trials": args.trials,
         "decode_success_rate": sum(r.decode_ok for r in reports) / len(reports),
-        "max_leak_defect": max(
-            max(r.secrecy.leak_defect_rx1, r.secrecy.leak_defect_rx2) for r in reports
-        ),
-        "empirical_dof": None
-        if reports[0].dof is None
-        else {"rx1": frac_json(reports[0].dof), "rx2": frac_json(reports[0].dof)},
+        "max_leak_defect": max(max(r.secrecy.leak_defects) for r in reports),
+        "empirical_dof": reports[0].to_jsonable()["empirical_dof"],
         "invariants_ok": not problems,
         "problems": problems,
     }
@@ -142,14 +138,11 @@ def _cmd_simulate(args) -> int:
         print("seed,decode_ok,decode_err_rx1,decode_err_rx2,rate_rank_rx1,rate_rank_rx2,"
               "leak_defect_rx1,leak_defect_rx2,dof_exact,dof")
         for r in reports:
-            dof = r.dof
-            print(
-                f"{r.seed},{int(r.decode_ok)},{r.decode_err_rx1},{r.decode_err_rx2},"
-                f"{r.secrecy.rate_rank_rx1},{r.secrecy.rate_rank_rx2},"
-                f"{r.secrecy.leak_defect_rx1},{r.secrecy.leak_defect_rx2},"
-                f"{dof if dof is not None else ''},"
-                f"{float(dof) if dof is not None else ''}"
-            )
+            dof = ("", "") if r.dof is None else (r.dof, float(r.dof))
+            print(",".join(map(str, (
+                r.seed, int(r.decode_ok), *r.decode_errors,
+                *r.secrecy.rate_ranks, *r.secrecy.leak_defects, *dof,
+            ))))
     return EXIT_INVARIANT if problems else EXIT_OK
 
 

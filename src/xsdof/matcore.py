@@ -100,11 +100,20 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
+def _cut(largest, scale: float = 0.0):
+    """The rank cut ``REL_TOL * max(largest, scale)``, entry by entry: a
+    singular value counts toward the rank iff it exceeds it.  A NaN
+    ``scale`` floors nothing, as Python's ``max`` ignores it after a
+    number; an infinite one refuses every singular value."""
+    return REL_TOL * np.fmax(largest, scale)
+
+
 def rank(a, scale: float = 0.0) -> RankReport:
     """Numerical rank at the relative singular-value threshold :data:`REL_TOL`.
 
     A singular value is kept iff it exceeds ``REL_TOL * max(largest
-    singular value, scale)``; the zero matrix has rank 0.
+    singular value, scale)`` (:func:`_cut`, the one cut of every rank and
+    solve here); the zero matrix has rank 0.
 
     Parameters
     ----------
@@ -119,9 +128,7 @@ def rank(a, scale: float = 0.0) -> RankReport:
     s = singular_values(a)
     if s.size == 0 or s[0] == 0.0:
         return RankReport(0, 0.0, float(s[0]) if s.size else 0.0)
-    cut = REL_TOL * max(float(s[0]), scale)
-    kept = s > cut
-    value = int(np.count_nonzero(kept))
+    value = int(np.count_nonzero(s > _cut(s[0], scale)))
     smallest_kept = float(s[value - 1]) if value else 0.0
     largest_dropped = float(s[value]) if value < s.size else 0.0
     return RankReport(value, smallest_kept, largest_dropped)
@@ -189,7 +196,7 @@ def rank_value(a, scale: float = 0.0) -> int | np.ndarray:
         if full_rank_certified(a, scale):
             return np.full(len(a), min(a.shape[1:]))
         s = np.linalg.svd(a, compute_uv=False)
-        return (s > REL_TOL * np.fmax(s[:, :1], scale)).sum(axis=-1)
+        return (s > _cut(s[:, :1], scale)).sum(axis=-1)
     if a.ndim == 2 and len(a) >= 2 * a.shape[1]:
         if full_rank_certified(a[: a.shape[1]], max(np.linalg.norm(a), scale)):
             return a.shape[1]
@@ -262,7 +269,7 @@ def slot_null_bases(blocks: np.ndarray) -> tuple[SlotNullBases, ...]:
     c = blocks.shape[3]
     _, s, vh = np.linalg.svd(blocks)
     largest = s.max(axis=(1, 2), initial=0.0)
-    ranks = (s > REL_TOL * largest[:, None, None]).sum(axis=2)
+    ranks = (s > _cut(largest[:, None, None])).sum(axis=2)
     low = int(ranks.min(initial=c))
     basis = vh[:, :, low:].conj().swapaxes(2, 3)
     if ranks.max(initial=0) > low:  # zero the columns of a higher-rank slot that span its rows
@@ -339,11 +346,11 @@ def solve_full_column_rank(a, b, scale: float = 0.0) -> np.ndarray:
     if rhs.shape[: m.ndim - 1] != m.shape[:-1] or rhs.ndim not in (m.ndim - 1, m.ndim):
         raise InvalidShape(f"rhs of shape {rhs.shape} does not match system {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cut = REL_TOL * np.maximum(s[..., :1], scale)
-    if s.size == 0 or np.any(s[..., -1:] <= cut):
+    floor = _cut(s[..., :1], scale)
+    if s.size == 0 or np.any(s[..., -1:] <= floor):
         exc = SingularSystem(f"system {m.shape} is column-rank deficient")
         if m.ndim == 2:
-            exc.rank = int(np.count_nonzero(s > cut))
+            exc.rank = int(np.count_nonzero(s > floor))
         raise exc
     if vector:
         rhs = rhs[..., None]

@@ -14,7 +14,7 @@ degrees of freedom delivered to receiver 1) and ``y`` (receiver 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, RegimeError
@@ -81,14 +81,15 @@ class RegionPolygon:
 
     The intercepts ``d`` and ``mx`` are the region; ``vertices`` and
     ``labels`` are written from them in closed form and are what the JSON
-    and CSV output show.  ``flags`` carries advisory notes such as the
-    inner-bound discrepancy of the feedback-only model.
+    and CSV output show.  ``discrepancy`` is the symmetric corner of a
+    feedback-only region whose scheme point and inequality intersection
+    differ, flagged in the JSON output; None for every other region.
     """
 
     d: Fraction
     mx: Fraction
     model: str
-    flags: dict[str, object] = field(default_factory=dict)
+    discrepancy: SymmetricCorner | None = None
 
     @property
     def labels(self) -> dict[str, Point]:
@@ -139,19 +140,13 @@ class RegionPolygon:
             "vertices": [_point_json(v) for v in self.vertices],
             "labels": {k: _point_json(v) for k, v in sorted(self.labels.items())},
         }
-        if self.flags:
-            out["flags"] = {k: _flag_json(v) for k, v in sorted(self.flags.items())}
+        if self.discrepancy is not None:
+            corner = self.discrepancy
+            out["flags"] = {"inner_bound_discrepancy": {
+                "intersection_point": [frac_json(v) for v in corner.intersection_point],
+                "scheme_point": [frac_json(v) for v in corner.point],
+            }}
         return out
-
-
-def _flag_json(value):
-    if isinstance(value, Fraction):
-        return frac_json(value)
-    if isinstance(value, (tuple, list)):
-        return [_flag_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _flag_json(v) for k, v in sorted(value.items())}
-    return value
 
 
 def frac_json(f: Fraction) -> dict:
@@ -186,15 +181,8 @@ def sdof_region(m: int, n: int, model) -> RegionPolygon:
     if key in (ASYM_FB_DCSIT, SYM_FB):
         return RegionPolygon(ds(n, 2 * m), mx, key)
     # feedback-only inner bound; flag the known formula-vs-scheme mismatch
-    d = ds_local(n, 2 * m)
-    region = RegionPolygon(d, mx, key)
     corner = symmetric_corner(m, n, key)
-    if corner.discrepancy:
-        region.flags["inner_bound_discrepancy"] = {
-            "intersection_point": corner.intersection_point,
-            "scheme_point": corner.point,
-        }
-    return region
+    return RegionPolygon(ds_local(n, 2 * m), mx, key, corner if corner.discrepancy else None)
 
 
 def dof_region(m: int, n: int) -> RegionPolygon:

@@ -90,8 +90,9 @@ REPLAY_TOL = 1e-9
 class SecrecyReport:
     """Rank-identity audit of one transcript.
 
-    ``rate_rank_*`` should reach ``rate_target`` (the per-receiver symbol
-    count); ``leak_defect_*`` is the rank the leakage identity fell short
+    ``rate_ranks`` and ``leak_defects`` are ``(rx1, rx2)`` pairs.  Each
+    rate rank should reach ``rate_target`` (the per-receiver symbol count);
+    a leak defect is the rank the receiver's leakage identity fell short
     by, zero meaning no leakage at the degrees-of-freedom scale.  Reports
     for schemes whose security analysis the source constructions do not
     state in closed rank form (C, and E which claims no secrecy at all) are
@@ -99,22 +100,18 @@ class SecrecyReport:
     """
 
     scheme: SchemeId
-    rate_rank_rx1: int
-    rate_rank_rx2: int
+    rate_ranks: tuple[int, int]
     rate_target: int
-    leak_defect_rx1: int
-    leak_defect_rx2: int
+    leak_defects: tuple[int, int]
     advisory: bool
     matrices_audited: tuple
 
     def to_jsonable(self) -> dict:
         return {
             "scheme": self.scheme.value,
-            "rate_rank_rx1": self.rate_rank_rx1,
-            "rate_rank_rx2": self.rate_rank_rx2,
+            **_per_receiver(self.rate_ranks, "rate_rank_"),
             "rate_target": self.rate_target,
-            "leak_defect_rx1": self.leak_defect_rx1,
-            "leak_defect_rx2": self.leak_defect_rx2,
+            **_per_receiver(self.leak_defects, "leak_defect_"),
             "advisory": self.advisory,
             "matrices_audited": [
                 {"name": name, "rows": r, "cols": c} for name, r, c in self.matrices_audited
@@ -122,16 +119,20 @@ class SecrecyReport:
         }
 
 
-def secrecy_rank_report(
-    transcript: Transcript, rate_rank_rx1: int, rate_rank_rx2: int
-) -> SecrecyReport:
+def _per_receiver(pair, prefix: str = "") -> dict:
+    """A ``(rx1, rx2)`` pair as the JSON object of its two entries, keyed
+    ``prefix + "rx1"`` and ``prefix + "rx2"``."""
+    return {prefix + "rx1": pair[0], prefix + "rx2": pair[1]}
+
+
+def secrecy_rank_report(transcript: Transcript, rate_ranks: tuple[int, int]) -> SecrecyReport:
     """The rate and leakage rank identities of a transcript.
 
     A rate matrix stacks the legitimate receiver's fresh-phase map on the
     retransmitted side-information map: the system :func:`schemes.decode`
-    solves.  ``rate_rank_rx1`` and ``rate_rank_rx2`` are the ranks the
-    decoders decided (``Decoded.rate_rank``, or the ``rate_rank`` of the
-    exception one raised); the report forms no rate matrix.
+    solves.  ``rate_ranks`` are the ``(rx1, rx2)`` ranks the decoders
+    decided (``Decoded.rate_rank``, or the ``rate_rank`` of the exception
+    one raised); the report forms no rate matrix.
 
     The leakage matrix for the eavesdropper on receiver ``j``'s symbols
     stacks that eavesdropper's block-diagonal phase-1 lift ``G`` on the
@@ -170,11 +171,9 @@ def secrecy_rank_report(
 
     return SecrecyReport(
         scheme=transcript.spec.scheme,
-        rate_rank_rx1=rate_rank_rx1,
-        rate_rank_rx2=rate_rank_rx2,
+        rate_ranks=rate_ranks,
         rate_target=2 * m * t2,
-        leak_defect_rx1=defect_rx1,
-        leak_defect_rx2=defect_rx2,
+        leak_defects=(defect_rx1, defect_rx2),
         advisory=transcript.spec.leakage != "zero",
         matrices_audited=tuple(audited),
     )
@@ -436,12 +435,15 @@ def replay_matches_recorded(transcript: Transcript) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialReport:
     """Outcome of one seeded trial of spec row ``spec``.
 
-    ``dof`` is the plan's per-receiver DoF, the same for both receivers, set
-    only when both decode.
+    Each per-receiver outcome is one ``(rx1, rx2)`` pair:
+    ``decode_errors``, the relative error of each decode (None where the
+    decoder refused its system), and ``oracle``, the subspace oracle's
+    verdicts (``(None, None)`` when it did not run).  The decode verdicts
+    and the DoF are derived from them, not stored.
     """
 
     spec: SchemeSpec
@@ -449,20 +451,27 @@ class TrialReport:
     seed: int
     attempts: int
     plan: schemes.PhasePlan
-    decode_ok_rx1: bool
-    decode_ok_rx2: bool
-    decode_err_rx1: float | None
-    decode_err_rx2: float | None
+    decode_errors: tuple[float | None, float | None]
     secrecy: SecrecyReport
-    oracle_rx1: bool | None
-    oracle_rx2: bool | None
-    dof: Fraction | None
+    oracle: tuple[bool | None, bool | None]
+
+    @property
+    def decoded(self) -> tuple[bool, bool]:
+        """Per receiver, whether its decode error is within ``DECODE_TOL``."""
+        return tuple(e is not None and e <= schemes.DECODE_TOL for e in self.decode_errors)
 
     @property
     def decode_ok(self) -> bool:
-        return self.decode_ok_rx1 and self.decode_ok_rx2
+        return all(self.decoded)
+
+    @property
+    def dof(self) -> Fraction | None:
+        """The plan's per-receiver DoF, the same for both receivers, when
+        both decode; else None."""
+        return self.plan.dof_target() if self.decode_ok else None
 
     def to_jsonable(self) -> dict:
+        dof = self.dof
         return {
             "scheme": self.spec.scheme.value,
             "config": {"m": self.config.m, "n": self.config.n},
@@ -470,15 +479,13 @@ class TrialReport:
             "seed": self.seed,
             "attempts": self.attempts,
             "plan": self.plan.to_jsonable(),
-            "decode": {
-                "rx1": {"ok": self.decode_ok_rx1, "relative_error": self.decode_err_rx1},
-                "rx2": {"ok": self.decode_ok_rx2, "relative_error": self.decode_err_rx2},
-            },
+            "decode": _per_receiver([
+                {"ok": ok, "relative_error": err}
+                for ok, err in zip(self.decoded, self.decode_errors)
+            ]),
             "secrecy": self.secrecy.to_jsonable(),
-            "subspace_oracle": {"rx1": self.oracle_rx1, "rx2": self.oracle_rx2},
-            "empirical_dof": None
-            if self.dof is None
-            else {"rx1": frac_json(self.dof), "rx2": frac_json(self.dof)},
+            "subspace_oracle": _per_receiver(self.oracle),
+            "empirical_dof": None if dof is None else _per_receiver([frac_json(dof)] * 2),
         }
 
 
@@ -503,45 +510,33 @@ def run_trial(
     recorded = (SingularSystem, DecodeFailure) if mutation else DecodeFailure
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
-        errs: dict[Node, float | None] = {}
-        ranks: dict[Node, int] = {}
         try:
             transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
+            outcomes = []  # (decode error, rate rank) per receiver
             for receiver in (Node.RX1, Node.RX2):
                 try:
                     decoded = schemes.decode(transcript, receiver)
                 except recorded as exc:
-                    errs[receiver], ranks[receiver] = None, exc.rate_rank
+                    outcomes.append((None, exc.rate_rank))
                 else:
-                    errs[receiver] = decode_error(transcript, receiver, decoded.symbols)
-                    ranks[receiver] = decoded.rate_rank
+                    error = decode_error(transcript, receiver, decoded.symbols)
+                    outcomes.append((error, decoded.rate_rank))
             break
         except SingularSystem:  # a null-set draw: resample
             trial_seed = _resample_seed(seed, attempt)
     else:
         raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
 
-    report = secrecy_rank_report(transcript, ranks[Node.RX1], ranks[Node.RX2])
-    oracle_rx1 = oracle_rx2 = None
-    if with_oracle:
-        oracle_rx1, oracle_rx2 = equivocation_subspace_check(transcript)
-    ok1 = errs[Node.RX1] is not None and errs[Node.RX1] <= schemes.DECODE_TOL
-    ok2 = errs[Node.RX2] is not None and errs[Node.RX2] <= schemes.DECODE_TOL
-    dof = transcript.plan.dof_target() if ok1 and ok2 else None
+    errors, ranks = zip(*outcomes)
     return TrialReport(
         spec=spec,
         config=config,
         seed=seed,
         attempts=attempt,
         plan=transcript.plan,
-        decode_ok_rx1=ok1,
-        decode_ok_rx2=ok2,
-        decode_err_rx1=errs[Node.RX1],
-        decode_err_rx2=errs[Node.RX2],
-        secrecy=report,
-        oracle_rx1=oracle_rx1,
-        oracle_rx2=oracle_rx2,
-        dof=dof,
+        decode_errors=errors,
+        secrecy=secrecy_rank_report(transcript, ranks),
+        oracle=equivocation_subspace_check(transcript) if with_oracle else (None, None),
     )
 
 
@@ -558,29 +553,20 @@ def claim_checks(reports: list[TrialReport], leakage: str) -> list[tuple[str, bo
     ``zero`` claim adds a zero leak defect on both receivers; a
     ``positive`` claim (the negative control) a positive defect on both.
     """
-    secrecy = [r.secrecy for r in reports]
     checks = [
         ("rate ranks", all(
-            s.rate_rank_rx1 == s.rate_target and s.rate_rank_rx2 == s.rate_target
-            for s in secrecy
+            rank == r.secrecy.rate_target for r in reports for rank in r.secrecy.rate_ranks
         )),
         ("report/oracle agreement", all(
             oracle is None or (defect == 0) == oracle
-            for r in reports
-            for defect, oracle in (
-                (r.secrecy.leak_defect_rx1, r.oracle_rx1),
-                (r.secrecy.leak_defect_rx2, r.oracle_rx2),
-            )
+            for r in reports for defect, oracle in zip(r.secrecy.leak_defects, r.oracle)
         )),
     ]
+    defects = [defect for r in reports for defect in r.secrecy.leak_defects]
     if leakage == "zero":
-        checks.append(("zero leakage", all(
-            s.leak_defect_rx1 == 0 and s.leak_defect_rx2 == 0 for s in secrecy
-        )))
+        checks.append(("zero leakage", all(defect == 0 for defect in defects)))
     if leakage == "positive":
-        checks.append(("negative control", all(
-            s.leak_defect_rx1 > 0 and s.leak_defect_rx2 > 0 for s in secrecy
-        )))
+        checks.append(("negative control", all(defect > 0 for defect in defects)))
     return checks
 
 

@@ -134,8 +134,8 @@ def stacked_matrices(transcript):
 
 
 def dense_ranks(transcript):
-    """``(rate_rank_rx1, rate_rank_rx2, leak_defect_rx1, leak_defect_rx2)``
-    from the dense stacked matrices."""
+    """The rank report's ``rate_ranks + leak_defects``, each an ``(rx1,
+    rx2)`` pair, from the dense stacked matrices."""
     n = transcript.config.n
     r1, r2, _, _ = transcript.phase_ranges()
     leak_rows = n * (len(r1) + len(r2))

@@ -110,19 +110,19 @@ def test_criterion_04_scheme_a():
     for seed in range(TRIALS):
         r = run_trial(variant(SchemeId.A), config, seed=seed, with_oracle=False)
         ok &= r.decode_ok
-        ok &= r.decode_err_rx1 <= 1e-6 and r.decode_err_rx2 <= 1e-6
+        ok &= all(err <= 1e-6 for err in r.decode_errors)
         ok &= r.dof == F(3, 4)
-        ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
-        ok &= r.secrecy.rate_rank_rx1 == 12 and r.secrecy.rate_rank_rx2 == 12
+        ok &= r.secrecy.leak_defects == (0, 0)
+        ok &= r.secrecy.rate_ranks == (12, 12)
     # tolerance insensitivity of the rank decisions, the decoder's rate
     # ranks included
     transcript = schemes.run(variant(SchemeId.A), config, seed=0)
     for tol in (1e-7, 1e-11):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matcore, "REL_TOL", tol)
-            rep = verify.secrecy_rank_report(transcript, *(
+            rep = verify.secrecy_rank_report(transcript, tuple(
                 schemes.decode(transcript, rx).rate_rank for rx in (Node.RX1, Node.RX2)))
-        ok &= rep.leak_defect_rx1 == 0 and rep.rate_rank_rx1 == 12
+        ok &= rep.leak_defects[0] == 0 and rep.rate_ranks[0] == 12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 10.0
     report("4", ok, f"{TRIALS}/{TRIALS} decode, DoF (3/4, 3/4), leak 0, rank 12; {elapsed:.1f} s")
@@ -141,8 +141,8 @@ def test_criterion_05_scheme_b():
             r = run_trial(variant(SchemeId.B), config, seed=seed, with_oracle=False)
             ok &= r.decode_ok
             ok &= r.dof == want
-            ok &= r.secrecy.leak_defect_rx1 == 0 and r.secrecy.leak_defect_rx2 == 0
-            ok &= r.secrecy.rate_rank_rx1 == 2 * n and r.secrecy.rate_rank_rx2 == 2 * n
+            ok &= r.secrecy.leak_defects == (0, 0)
+            ok &= r.secrecy.rate_ranks == (2 * n, 2 * n)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     report("5", ok, f"DoF (1/2, 1/2) and (2, 2), leak 0, rank 2n; {elapsed:.1f} s")
@@ -168,7 +168,7 @@ def test_criterion_06_scheme_c_decode_dof_and_flag(scheme_c_batch):
     ok &= corner.discrepancy
     ok &= corner.point == (F(4, 7), F(4, 7))
     ok &= corner.intersection_point == (F(16, 31), F(16, 31))
-    ok &= "inner_bound_discrepancy" in regions.sdof_region(2, 3, "asym-fb").flags
+    ok &= regions.sdof_region(2, 3, "asym-fb").discrepancy == corner
     ok &= elapsed < 10.0
     report(
         "6 (decode/DoF/flag)",
@@ -191,12 +191,12 @@ def test_criterion_06_scheme_c_subspace_oracle(scheme_c_batch):
     oracle agree on this defect on every trial.
     """
     reports, _ = scheme_c_batch
-    oracle_all_true = all(r.oracle_rx1 and r.oracle_rx2 for r in reports)
-    defects = {(r.secrecy.leak_defect_rx1, r.secrecy.leak_defect_rx2) for r in reports}
+    oracle_all_true = all(all(r.oracle) for r in reports)
+    defects = {r.secrecy.leak_defects for r in reports}
     report(
         "6 (subspace oracle)",
         oracle_all_true,
-        f"oracle true on {sum(r.oracle_rx1 and r.oracle_rx2 for r in reports)}/{TRIALS} "
+        f"oracle true on {sum(all(r.oracle) for r in reports)}/{TRIALS} "
         f"trials; rank-report defects {sorted(defects)} (structural, see notes/decisions.md)",
     )
     assert oracle_all_true, (
@@ -224,9 +224,9 @@ def test_criterion_07_scheme_d():
             ok &= verify.decode_error(transcript, receiver, decoded.symbols) <= schemes.DECODE_TOL
             ranks.append(decoded.rate_rank)
         ok &= transcript.plan.dof_target() == F(3, 4)
-        rep = verify.secrecy_rank_report(transcript, *ranks)
-        ok &= rep.leak_defect_rx1 == 0 and rep.leak_defect_rx2 == 0
-        ok &= rep.rate_rank_rx1 == 12 and rep.rate_rank_rx2 == 12
+        rep = verify.secrecy_rank_report(transcript, tuple(ranks))
+        ok &= rep.leak_defects == (0, 0)
+        ok &= rep.rate_ranks == (12, 12)
         # transmitters never touch CSI even counting the decode phase
         ok &= not any(
             rec.kind is ItemKind.DELAYED_CSI and rec.node.is_transmitter
@@ -251,8 +251,8 @@ def test_criterion_08_scheme_e():
             ok &= verify.decode_error(transcript, receiver, decoded.symbols) <= schemes.DECODE_TOL
             ranks.append(decoded.rate_rank)
         ok &= transcript.plan.dof_target() == F(12, 7)
-        rep = verify.secrecy_rank_report(transcript, *ranks)
-        ok &= rep.leak_defect_rx1 > 0 and rep.leak_defect_rx2 > 0
+        rep = verify.secrecy_rank_report(transcript, tuple(ranks))
+        ok &= rep.leak_defects[0] > 0 and rep.leak_defects[1] > 0
     report("8", ok, f"DoF (12/7, 12/7) over 7 slots; leakage defect positive on all {TRIALS}")
     assert ok
 

@@ -564,6 +564,15 @@ class TestNonFiniteScale:
         assert matcore.rank_value(zeros, scale) == matcore.rank(zeros, scale).value == 0
         assert matcore.rank_value(zeros[None], scale).tolist() == [0]
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [matcore.solve_square, matcore.solve_full_column_rank])
+    def test_solves_refuse_at_the_rank_cut(self, solve, scale):
+        # the solves cut where matcore.rank does: a NaN floor is ignored,
+        # so the zero system is still refused, carrying the same rank 0
+        with pytest.raises(SingularSystem) as singular:
+            solve(np.zeros((3, 3)), np.ones(3), scale)
+        assert singular.value.rank == matcore.rank(np.zeros((3, 3)), scale).value == 0
+
     def test_non_finite_entry_below_the_top_block_is_rejected(self):
         # the top block is finite and ||a||_F is NaN: the block must not
         # pass, so that the whole matrix is validated

@@ -145,9 +145,9 @@ class TestSdofRegion:
         poly = regions.sdof_region(2, 3, "asym-fb")
         assert poly.labels["axis_rx1"] == (F(16, 27), F(0))
         assert poly.labels["symmetric"] == (F(16, 31), F(16, 31))
-        flag = poly.flags["inner_bound_discrepancy"]
-        assert flag["scheme_point"] == (F(4, 7), F(4, 7))
-        assert flag["intersection_point"] == (F(16, 31), F(16, 31))
+        flag = poly.discrepancy
+        assert flag.point == (F(4, 7), F(4, 7))  # the scheme point
+        assert flag.intersection_point == (F(16, 31), F(16, 31))
 
     def test_symmetric_models_match(self):
         for m, n in [(2, 3), (3, 4), (4, 4), (1, 1)]:

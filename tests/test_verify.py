@@ -104,7 +104,7 @@ def report_for(transcript):
             ranks.append(schemes.decode(transcript, receiver).rate_rank)
         except (SingularSystem, DecodeFailure) as exc:
             ranks.append(exc.rate_rank)
-    return verify.secrecy_rank_report(transcript, *ranks)
+    return verify.secrecy_rank_report(transcript, tuple(ranks))
 
 
 def _check_carried_maps(case, transcript) -> set:
@@ -179,7 +179,7 @@ class TestNoDenseLift:
         ]
         for spec, m, n, mutation in cases:
             report = verify.run_trial(spec, AntennaConfig(m, n), seed=7, mutation=mutation)
-            assert report.decode_ok and report.oracle_rx1 is not None, (spec, mutation)
+            assert report.decode_ok and report.oracle[0] is not None, (spec, mutation)
 
     def test_replay_uses_no_report_product(self, monkeypatch):
         """The replay stays independent of the rank report's reduction: no
@@ -222,30 +222,30 @@ class TestSecrecyRankReport:
         assert audited["rate_rx1"] == (12, 12)  # n*t2 + n*t3 rows, 2m*t2 columns
         assert audited["leak_rx2"] == (36, 36)  # n*(t1+t2) square
         assert report.rate_target == 12
-        assert report.rate_rank_rx1 == 12 and report.rate_rank_rx2 == 12
-        assert report.leak_defect_rx1 == 0 and report.leak_defect_rx2 == 0
+        assert report.rate_ranks == (12, 12)
+        assert report.leak_defects == (0, 0)
         assert not report.advisory
 
     def test_scheme_b_targets(self):
         for m, n in [(1, 1), (4, 4)]:
             report = report_for(transcript_for(SchemeId.B, m, n))
             assert report.rate_target == 2 * n
-            assert report.rate_rank_rx1 == 2 * n and report.rate_rank_rx2 == 2 * n
-            assert report.leak_defect_rx1 == 0 and report.leak_defect_rx2 == 0
+            assert report.rate_ranks == (2 * n, 2 * n)
+            assert report.leak_defects == (0, 0)
 
     def test_scheme_d_matches_a(self):
         ra = report_for(transcript_for(SchemeId.A, 2, 3))
         rd = report_for(transcript_for(SchemeId.D, 2, 3))
-        assert (rd.rate_rank_rx1, rd.rate_rank_rx2) == (ra.rate_rank_rx1, ra.rate_rank_rx2)
-        assert (rd.leak_defect_rx1, rd.leak_defect_rx2) == (0, 0)
+        assert rd.rate_ranks == ra.rate_ranks
+        assert rd.leak_defects == (0, 0)
 
     def test_scheme_c_advisory_defect(self):
         # the feedback-only construction cannot cloak (n - m)*t2 dimensions:
         # its fresh-phase mixing rides on one transmitter's m antennas only
         report = report_for(transcript_for(SchemeId.C, 2, 3))
         assert report.advisory
-        assert report.rate_rank_rx1 == report.rate_target == 8
-        assert report.leak_defect_rx1 == 2 and report.leak_defect_rx2 == 2
+        assert report.rate_ranks[0] == report.rate_target == 8
+        assert report.leak_defects == (2, 2)
 
     def test_shared_phase1_channel_needs_the_scale_floor(self):
         # both receivers hear the noise phase through the same blocks, so
@@ -258,7 +258,7 @@ class TestSecrecyRankReport:
         blocks[:9, 0] = blocks[:9, 1]
         transcript.states = dataclasses.replace(transcript.states, blocks=blocks)
         report = report_for(transcript)
-        assert (report.leak_defect_rx1, report.leak_defect_rx2) == (9, 9)
+        assert report.leak_defects == (9, 9)
         assert dense_ranks(transcript)[2:] == (9, 9)
         assert verify.equivocation_subspace_check(transcript) == (False, False)
         assert dense_oracle(transcript) == (False, False)
@@ -266,7 +266,7 @@ class TestSecrecyRankReport:
     def test_scheme_e_negative_control(self):
         report = report_for(transcript_for(SchemeId.E, 2, 3))
         assert report.advisory
-        assert report.leak_defect_rx1 == 9 and report.leak_defect_rx2 == 9
+        assert report.leak_defects == (9, 9)
 
     def test_tolerance_insensitivity(self, monkeypatch):
         # the rank decisions, the decoder's included, hold at 1e-7 and 1e-11
@@ -276,14 +276,8 @@ class TestSecrecyRankReport:
         for tol in (1e-7, 1e-11):
             monkeypatch.setattr(matcore, "REL_TOL", tol)
             other = report_for(transcript)
-            assert (other.rate_rank_rx1, other.rate_rank_rx2) == (
-                base.rate_rank_rx1,
-                base.rate_rank_rx2,
-            )
-            assert (other.leak_defect_rx1, other.leak_defect_rx2) == (
-                base.leak_defect_rx1,
-                base.leak_defect_rx2,
-            )
+            assert other.rate_ranks == base.rate_ranks
+            assert other.leak_defects == base.leak_defects
 
     def test_rank_runs_only_on_maps_the_certificate_cannot_prove(self, monkeypatch):
         shapes = []
@@ -299,7 +293,7 @@ class TestSecrecyRankReport:
         transcript = transcript_for(SchemeId.B, 1, 1)
         transcript.inputs = transcript.inputs[:-1]
         with pytest.raises(InvalidTranscript):
-            verify.secrecy_rank_report(transcript, 2, 2)
+            verify.secrecy_rank_report(transcript, (2, 2))
 
 
 class TestOneRateDecision:
@@ -318,8 +312,8 @@ class TestOneRateDecision:
         monkeypatch.setattr(matcore, "slot_null_bases",
                             lambda blocks: null_bases.append(1) or slot_null_bases(blocks))
         report = verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
-        assert report.decode_ok and report.oracle_rx1 and report.oracle_rx2
-        assert report.secrecy.rate_rank_rx1 == report.secrecy.rate_rank_rx2 == 12
+        assert report.decode_ok and report.oracle == (True, True)
+        assert report.secrecy.rate_ranks == (12, 12)
         # A(2,3): a rate system F N is n t4 x (2m - n) t2 = 3 x 3; the
         # leakage maps are 9 x 9 and the oracle's reduced noise maps 21 x 9
         rate_systems = [product for product in products if product.shape == (3, 3)]
@@ -354,8 +348,7 @@ class TestOneRateDecision:
                 assert schemes.decode(transcript, receiver).rate_rank == rate_rank
                 assert decode_error(transcript, receiver) <= schemes.DECODE_TOL
         report = report_for(transcript)
-        ranks = (report.rate_rank_rx1, report.rate_rank_rx2)
-        assert ranks == (rate_rank,) * 2 == dense_ranks(transcript)[:2]
+        assert report.rate_ranks == (rate_rank,) * 2 == dense_ranks(transcript)[:2]
 
 
 class TestSubspaceOracle:
@@ -492,10 +485,8 @@ class TestSubspaceOracle:
     def test_agreement_with_rank_report(self):
         for case, transcript in agreement_transcripts():
             report = report_for(transcript)
-            assert verify.equivocation_subspace_check(transcript) == (
-                report.leak_defect_rx1 == 0,
-                report.leak_defect_rx2 == 0,
-            ), case
+            assert verify.equivocation_subspace_check(transcript) == tuple(
+                defect == 0 for defect in report.leak_defects), case
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-11])
     def test_reduced_matches_dense(self, monkeypatch, tol):
@@ -505,9 +496,7 @@ class TestSubspaceOracle:
             with monkeypatch.context() as patch:  # the draws stay at the default cut
                 patch.setattr(matcore, "REL_TOL", tol)
                 report = report_for(transcript)
-                got = (report.rate_rank_rx1, report.rate_rank_rx2,
-                       report.leak_defect_rx1, report.leak_defect_rx2)
-                assert got == dense_ranks(transcript), case
+                assert report.rate_ranks + report.leak_defects == dense_ranks(transcript), case
                 assert verify.equivocation_subspace_check(transcript) == dense_oracle(
                     transcript), case
                 if case[:3] == (SchemeId.A, 5, 5) and tol == 1e-11:
@@ -881,7 +870,7 @@ def test_large_configuration_a88(monkeypatch):
     monkeypatch.setattr(matcore, "solve_full_column_rank",
                         lambda a, b, scale: solves.append(1) or svd_solve(a, b, scale))
     report = report_for(transcript)
-    assert (report.rate_rank_rx1, report.rate_rank_rx2) == (report.rate_target,) * 2
+    assert report.rate_ranks == (report.rate_target,) * 2
     # both receivers' 512 x 512 reduced systems certified at G's scale and
     # solved by LU, then the report's two leakage maps certified: no SVD
     assert certified == [((512, 512), True, True)] * 4
@@ -1168,12 +1157,17 @@ class TestMutants:
     def test_mutant_signatures(self):
         config = AntennaConfig(2, 3)
         out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="theta1_zero")
-        assert out.secrecy.leak_defect_rx2 > 0 and out.decode_ok
+        assert out.secrecy.leak_defects[1] > 0 and out.decode_ok
         out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="phi1_zero")
-        assert out.decode_err_rx1 is None and not out.decode_ok_rx1  # singular solve
-        assert out.decode_ok_rx2 and out.secrecy.rate_rank_rx1 < out.secrecy.rate_target
+        assert out.decode_errors[0] is None and not out.decoded[0]  # singular solve
+        assert out.decoded[1] and out.secrecy.rate_ranks[0] < out.secrecy.rate_target
+        # receiver 1's refused decode, as written out: derived from the pair
+        record = out.to_jsonable()
+        assert record["decode"]["rx1"] == {"ok": False, "relative_error": None}
+        assert record["decode"]["rx2"]["ok"] is True
+        assert out.dof is None and record["empirical_dof"] is None
         out = verify.run_trial(variant(SchemeId.A), config, seed=0, mutation="skip_phase1")
-        assert out.secrecy.leak_defect_rx1 > 0 and out.secrecy.leak_defect_rx2 > 0
+        assert out.secrecy.leak_defects[0] > 0 and out.secrecy.leak_defects[1] > 0
         assert out.decode_ok  # decoding survives, secrecy does not
 
     def test_decoder_crash_is_not_a_catch(self, monkeypatch):
@@ -1202,11 +1196,11 @@ class TestResample:
         assert report.attempts == 2 and report.seed == 7
         retry = schemes.run(spec, config, seed=verify._resample_seed(7, 1))
         errs = [decode_error(retry, rx) for rx in (Node.RX1, Node.RX2)]
-        assert [report.decode_err_rx1, report.decode_err_rx2] == errs
+        assert list(report.decode_errors) == errs
         assert report.decode_ok and report.dof == retry.plan.dof_target()
         assert report.secrecy == report_for(retry)
         oracle = verify.equivocation_subspace_check(retry)
-        assert (report.oracle_rx1, report.oracle_rx2) == oracle
+        assert report.oracle == oracle
         first = schemes.run(spec, config, seed=7)
         assert decode_error(first, Node.RX1) != errs[0]  # the retry's own draw
 
@@ -1286,11 +1280,20 @@ def clean_reports():
     return {s: verify.run_trial(variant(s), config, seed=7) for s in (SchemeId.A, SchemeId.E)}
 
 
+#: The pair behind each field a flip names by its JSON key, less the receiver.
+PAIRS = {"rate_rank": "rate_ranks", "leak_defect": "leak_defects", "oracle": "oracle"}
+
+
 def _flip(report, field, value):
-    if field.startswith("secrecy."):
-        secrecy = dataclasses.replace(report.secrecy, **{field.split(".")[1]: value})
-        return dataclasses.replace(report, secrecy=secrecy)
-    return dataclasses.replace(report, **{field: value})
+    """``report`` with one receiver's entry of one pair set to ``value``;
+    ``field`` is ``[secrecy.]<key>_rx<j>``, naming receiver ``j``'s entry."""
+    owner, _, key = field.rpartition(".")
+    name, rx = key.rsplit("_rx", 1)
+    target = report.secrecy if owner else report
+    pair = list(getattr(target, PAIRS[name]))
+    pair[int(rx) - 1] = value
+    flipped = dataclasses.replace(target, **{PAIRS[name]: tuple(pair)})
+    return dataclasses.replace(report, secrecy=flipped) if owner else flipped
 
 
 AGREE, RATE, ZERO, NEG = "report/oracle agreement", "rate ranks", "zero leakage", "negative control"
@@ -1300,8 +1303,7 @@ class TestClaimChecks:
     def test_clean_reports(self, clean_reports):
         def fields(r):
             s = r.secrecy
-            return (s.rate_rank_rx1, s.rate_rank_rx2, s.rate_target,
-                    s.leak_defect_rx1, s.leak_defect_rx2, r.oracle_rx1, r.oracle_rx2)
+            return (*s.rate_ranks, s.rate_target, *s.leak_defects, *r.oracle)
 
         assert fields(clean_reports[SchemeId.A]) == (12, 12, 12, 0, 0, True, True)
         assert fields(clean_reports[SchemeId.E]) == (12, 12, 12, 9, 9, False, False)
