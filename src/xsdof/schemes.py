@@ -214,22 +214,26 @@ def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
     return PhasePlan(lengths, 2 * m * lengths[1])
 
 
-#: A trial's measured peak memory over its largest linear replay, above the
-#: interpreter's own (``ru_maxrss`` of one ``simulate`` call): 3.6, 2.8 and
-#: 2.8 times on scheme A at (6,6), (8,8) and (10,10); 4 keeps the estimate
-#: an upper bound.
+#: A trial's measured peak memory over the size of a two-receiver identity
+#: replay of its larger symbol group, above the interpreter's own
+#: (``ru_maxrss`` of one ``simulate`` call, seeds 7 and 1): 3.0, 2.1 and 2.0
+#: times on scheme A at (6,6), (8,8) and (10,10).  It was 3.6, 2.8 and 2.8
+#: while the oracle replayed the noise on the identity.  4 keeps the
+#: estimate an upper bound.
 PEAK_PER_REPLAY = 4
 
 
 def peak_bytes(pln: PhasePlan, config: AntennaConfig) -> int:
     """Estimated peak memory of one trial with its subspace oracle, in bytes.
 
-    A :func:`linear_response` replay is the largest array of a trial: both
-    receivers' ``n`` rows a slot over the horizon, times the group's ``2m
-    t`` columns (``t`` is ``t1`` for the noise, ``t2`` for a secret group),
-    of 16-byte complex entries; the trial peaks at about
-    :data:`PEAK_PER_REPLAY` times the largest.  Nothing is drawn to
-    estimate it.
+    The unit is the size of a two-receiver :func:`linear_response` replay
+    of the larger group: both receivers' ``n`` rows a slot over the
+    horizon, times the group's ``2m t`` columns (``t`` is ``t1`` for the
+    noise, ``t2`` for a secret group), of 16-byte complex entries.  The
+    oracle forms no such replay: its noise maps are reduced, and each
+    secret replay forms one receiver's map, half of one.  The trial peaks
+    at about :data:`PEAK_PER_REPLAY` units.  Nothing is drawn to estimate
+    it.
     """
     m, n = config.effective_m, config.n
     t1, t2 = pln.phase_lengths[:2]
@@ -704,7 +708,9 @@ def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndar
     np.matmul(per_slot, blocks, out=rows.reshape(len(rows), t, width).swapaxes(0, 1))
 
 
-def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.ndarray]:
+def linear_response(
+    transcript: Transcript, group: str, eavesdropper: bool = False, bases: list | None = None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Both receivers' coefficient maps of symbol group ``group``.
 
     ``group`` is ``"u"``, ``"v1"`` or ``"v2"``.  Recomputes the whole run
@@ -714,7 +720,7 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     from the ledger-driven engine (used to cross-check it) and from the
     rank-identity assembly in ``verify``.
 
-    The maps are one ``(2, horizon, n, k)`` array, its ``k`` columns in
+    Each map is ``n horizon x k``, its ``k`` columns in
     slot order (slot ``s``'s ``2m`` inputs ``[x1 | x2]`` from ``2m s``),
     zero where the group cannot reach: a secret group enters in its own
     fresh phase, so the noise phase and the other fresh phase stay zero
@@ -728,15 +734,30 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
     dense products.  Every other phase is one batched product of the ``(t,
     n, 2m)`` slot blocks with each transmitter's ``(t, m, k)`` half of the
     stacked input, a view of it.
+
+    With ``eavesdropper``, only what the subspace oracle reads is formed:
+    each receiver's map as the eavesdropper on the other receiver's
+    symbols.  For ``v1`` that is receiver 2's map alone and for ``v2``
+    receiver 1's, the other entry of the pair being None.  For ``u`` it is
+    both maps with the noise phase eliminated (:func:`_eavesdropped_noise`):
+    receiver ``j``'s map of the input ``N_j z``, ``N_j = bases[j]`` the
+    ``(t1, 2m, w)`` per-slot null bases of its phase-1 blocks, on its rows
+    in the other receiver's fresh phase and in the final phase.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
     lengths = transcript.plan.phase_lengths
     bounds = np.cumsum((0,) + lengths)
-    horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
     slot_rows = transcript.states.slot_blocks()
-    y = np.zeros((2, horizon, n, k), dtype=complex)
-    maps = y.reshape(2, n * horizon, k)
+    # each phase's slot blocks, per receiver
+    phases = [slot_rows[:, bounds[p] : bounds[p + 1]] for p in range(4)]
+    if eavesdropper and group == "u":
+        return tuple(_eavesdropped_noise(transcript, rx, bases[rx], phases) for rx in (0, 1))
+    horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
+    listeners = (0, 1)
+    if eavesdropper:  # a secret group's: receiver 2 hears v1, receiver 1 v2
+        listeners = (1,) if group == "v1" else (0,)
+    y = [np.zeros((horizon, n, k), dtype=complex) if rx in listeners else None for rx in (0, 1)]
 
     def phase(p: int) -> slice:
         return slice(bounds[p - 1], bounds[p])
@@ -745,26 +766,20 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
         """Phase ``p``'s outputs when its inputs are the group's symbols:
         slot ``s``'s block in the columns of slot ``s``."""
         t, diag = lengths[p - 1], np.arange(lengths[p - 1])
-        cols = y.reshape(2, horizon, n, t, 2 * m)[:, phase(p)]
-        cols[:, diag, :, diag] = slot_rows[:, phase(p)].swapaxes(0, 1)
-
-    def send(p: int, x: np.ndarray):
-        """Phase ``p``'s outputs of the stacked input ``x``, written into ``y``."""
-        halves = x.reshape(2, lengths[p - 1], m, k)
-        for rx in (0, 1):
-            blocks, out = slot_rows[rx, phase(p)], y[rx, phase(p)]
-            np.matmul(blocks[..., :m], halves[0], out=out)
-            out += blocks[..., m:] @ halves[1]
+        for rx in listeners:
+            cols = y[rx].reshape(horizon, n, t, 2 * m)[phase(p)]
+            cols[diag, :, diag] = phases[p - 1][rx]
 
     def outputs(rx: int, p: int) -> np.ndarray:
-        return maps[rx, n * bounds[p - 1] : n * bounds[p]]
+        return y[rx][phase(p)].reshape(n * lengths[p - 1], k)
 
     if group == "u":
         identity(1)
         for p, name, rx in ((2, "theta1", 0), (3, "theta2", 1)):
             x = np.zeros((2 * m * lengths[p - 1], k), dtype=complex)
-            _by_slot(transcript, name, slot_rows[rx, phase(1)], x)
-            send(p, x)
+            _by_slot(transcript, name, phases[0][rx], x)
+            for listener in listeners:
+                _send(phases[p - 1][listener], x, y[listener][phase(p)])
         x4 = _placed(transcript, "phi1", side_info(transcript, outputs(1, 2)), m * lengths[3])
         x4 += _placed(transcript, "phi2", side_info(transcript, outputs(0, 3)), m * lengths[3])
     else:
@@ -772,6 +787,50 @@ def linear_response(transcript: Transcript, group: str) -> tuple[np.ndarray, np.
         identity(p)
         take = retransmitted_rows(transcript.spec, transcript.config)
         x4 = np.zeros((2 * m * lengths[3], k), dtype=complex)
-        _by_slot(transcript, name, slot_rows[listener, phase(p), :take], x4)
-    send(4, x4)
-    return maps[0], maps[1]
+        _by_slot(transcript, name, phases[p - 1][listener, :, :take], x4)
+    for rx in listeners:
+        _send(phases[3][rx], x4, y[rx][phase(4)])
+    return tuple(None if out is None else out.reshape(n * horizon, k) for out in y)
+
+
+def _send(blocks: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """A receiver's outputs of the stacked ``[x1; x2]`` input ``x`` over a
+    phase with ``(t, n, 2m)`` slot blocks ``blocks``, written into ``out``,
+    ``(t, n, k)``: one batched product of the blocks with each
+    transmitter's ``(t, m, k)`` half of ``x``, a view of it."""
+    t, _, width = blocks.shape
+    halves = x.reshape(2, t, width // 2, out.shape[-1])
+    np.matmul(blocks[..., : width // 2], halves[0], out=out)
+    out += blocks[..., width // 2 :] @ halves[1]
+
+
+def _eavesdropped_noise(
+    transcript: Transcript, rx: int, basis: np.ndarray, phases: list
+) -> np.ndarray:
+    """Receiver ``rx + 1``'s map of the noise input ``N z``, ``N`` the
+    block-diagonal matrix with the ``(t1, 2m, w)`` diagonal ``basis``, on
+    its rows in the other receiver's fresh phase and then the final phase.
+    ``phases`` are the four phases' ``(2, t, n, 2m)`` slot blocks.
+
+    ``N`` spans the null space of the receiver's own phase-1 lift, so its
+    own phase-1 output is zero: the mixing of its own fresh phase, its rows
+    there and the final-phase precoder that reads the other receiver's
+    outputs in that phase all vanish, and none is formed.  What is left is
+    the other receiver's phase-1 output, slot by slot, mixed into its fresh
+    phase, and one dense product: the final-phase precoder that
+    retransmits what this receiver heard there, on ``(2m - n) t1`` columns
+    where the identity replay has ``2m t1``.
+    """
+    m, n = transcript.config.effective_m, transcript.config.n
+    # the other receiver's fresh phase, the precoder mixing into it and the
+    # one retransmitting this receiver's outputs of it
+    p, theta, phi = (3, "theta2", "phi2") if rx == 0 else (2, "theta1", "phi1")
+    t1, _, w = basis.shape
+    t, t4, k = phases[p - 1].shape[1], phases[3].shape[1], t1 * w
+    out = np.empty((t + t4, n, k), dtype=complex)
+    x = np.zeros((2 * m * t, k), dtype=complex)
+    _by_slot(transcript, theta, phases[0][1 - rx] @ basis, x)
+    _send(phases[p - 1][rx], x, out[:t])
+    heard = side_info(transcript, out[:t].reshape(n * t, k))
+    _send(phases[3][rx], _placed(transcript, phi, heard, m * t4), out[t:])
+    return out.reshape(n * (t + t4), k)

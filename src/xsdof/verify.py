@@ -16,25 +16,26 @@ decided; it forms each leakage ``M N`` slot by slot
 (:func:`matcore.times_block_diagonal`).
 
 :func:`equivocation_subspace_check` never assembles those identities.  It
-reads off each receiver's observation of the noise and of the other
-receiver's secret symbols as explicit linear maps (replays of the run with
-identity-matrix symbols: one of the noise for both receivers, one of each
-secret group) and tests column-space containment directly:
-conditioned on its own messages, the secret symbols' columns must lie
-inside the noise columns' span, so any secret value is explainable by some
-noise realization.  The noise phase is eliminated from both maps first,
-slot by slot, after exact checks of the phase structure that elimination
-rests on (the secret map is zero in the noise phase and in the receiver's
-own fresh phase).  :func:`columns_contained` confirms a clear containment
-by solving the reduced noise map's square block in the other receiver's
-fresh phase (schemes A, B and D), where the secret map is block diagonal
-slot by slot (checked exactly too), so the residual off the noise span is
-zero in those rows and is formed from the slot blocks in the others.  It
-proves a leak (schemes C and E, the leaking mutants) from the noise map's
-rank by :func:`matcore.full_rank_certified`, a lower bound on the joint
-rank, with no joint SVD.  It compares the two ranks only where neither
-decides: a containment the block solve cannot confirm, or a leak too
-close to the rank cut to certify.
+forms each receiver's observation of the noise and of the other
+receiver's secret symbols as explicit linear maps (replays of the run from
+the states and precoders: one of the noise for both receivers, one of each
+secret group for its eavesdropper) and tests column-space containment
+directly: conditioned on its own messages, the secret symbols' columns
+must lie inside the noise columns' span, so any secret value is
+explainable by some noise realization.  The noise phase is eliminated
+before the noise replay, whose input for each receiver spans the null
+space of its own phase-1 lift, after exact checks of the phase structure
+that elimination rests on (the secret map is zero in the noise phase and
+in the receiver's own fresh phase).  :func:`columns_contained` confirms a
+clear containment by solving the reduced noise map's square block in the
+other receiver's fresh phase (schemes A, B and D), where the secret map
+is block diagonal slot by slot (checked exactly too), so the residual off
+the noise span is zero in those rows and is formed from the slot blocks
+in the final phase.  It proves a leak (schemes C and E, the leaking
+mutants) from the noise map's rank by :func:`matcore.full_rank_certified`,
+a lower bound on the joint rank, with no joint SVD.  It compares the two
+ranks only where neither decides: a containment the block solve cannot
+confirm, or a leak too close to the rank cut to certify.
 
 The report and the oracle use the certificate in opposite directions:
 the report only to prove a leakage map full rank (no leak), the oracle
@@ -198,11 +199,19 @@ def columns_contained(
     SVD (see :func:`_certified_leak`).  Only what neither exit decides, a
     containment the block solve could not confirm included, compares the
     two ranks; with no noise columns that asks for a secret map of rank 0.
+
+    A block solve that refuses only in its guard band still proved
+    something, and it is reused.  Its lower bound proved ``rank(noise)``
+    equal to the noise columns, so that rank is not taken; if its residual
+    was also below the smallest joint cut, no singular value past the
+    noise rank can clear the joint cut, the leak exit cannot pass and is
+    not tried, and the joint SVD decides.
     """
-    if solved is not None and _solved_contained(noise, secret, *solved, scale):
+    cleared = _solved_contained(noise, secret, *solved, scale) if solved is not None else 0
+    if cleared == 3:
         return True
-    base = matcore.rank(noise, scale).value
-    if _certified_leak(noise, secret, base, scale):
+    base = noise.shape[1] if cleared else matcore.rank(noise, scale).value
+    if cleared < 2 and _certified_leak(noise, secret, base, scale):
         return False
     return matcore.rank(np.hstack([noise, secret]), scale).value == base
 
@@ -248,69 +257,84 @@ def _certified_leak(noise: np.ndarray, secret: np.ndarray, r: int, scale: float)
 
 def _solved_contained(
     noise: np.ndarray, secret: np.ndarray, rows: slice, blocks: np.ndarray, scale: float
-) -> bool:
-    """The block-solve exit of :func:`columns_contained`.
+) -> int:
+    """The block-solve exit of :func:`columns_contained`: how many of
+    :func:`_bounds_cleared`'s three tests its bounds pass, 3 meaning a
+    clear containment.
 
     With ``B = noise[rows]`` square and ``z = B^-1 secret[rows]``: ``B`` is
     a row block of ``noise``, so ``1/||B^-1||_F <= sigma_min(B) <=
     sigma_k(noise) <= sigma_k([noise | secret])`` with ``k`` the noise
     columns; and ``[noise | secret]`` is within ``||secret - noise z||_F``
     of the rank-``k`` ``[noise | noise z]``, which bounds its every later
-    singular value.  :func:`_clearly_contained` decides from the two
-    bounds.  A block that is not square, is empty or is exactly singular
-    leaves the decision to the rank pair.
+    singular value.  A block that is not square, is empty or is exactly
+    singular proves nothing (0) and leaves the decision to the rank pair.
 
     ``secret - noise z`` is zero in ``rows``; in the other rows ``R`` it
     is ``secret[R] - (noise[R] B^-1) secret[rows]``.  ``secret[rows]`` is
     block diagonal with the slot blocks ``blocks``, so the second product
-    is one batched ``(t, |R|, r) @ (t, r, w)`` product, kept in slot
-    order, and the secret's rows are subtracted from it in place through a
-    strided view.
+    is one batched ``(t, |R|, r) @ (t, r, w)`` product per run of ``R``'s
+    rows before and after ``rows``, kept in slot order, and the secret's
+    rows are subtracted from it in place through a strided view.  The
+    oracle's ``rows`` come first, so ``R`` is the final phase alone.
     """
     block = noise[rows]
     if block.shape[0] != block.shape[1] or block.size == 0:
-        return False
+        return 0
     try:
         inverse = np.linalg.inv(block)
     except np.linalg.LinAlgError:
-        return False
+        return 0
     t, r, w = blocks.shape
     start, stop, _ = rows.indices(len(noise))
-    parts = []
+    residual = 0.0
     for part in (slice(0, start), slice(stop, len(noise))):
-        mixed = noise[part] @ inverse
-        k = len(mixed)
-        product = np.matmul(mixed.reshape(k, t, r).swapaxes(0, 1), blocks)
-        product -= secret[part].reshape(k, t, w).swapaxes(0, 1)
-        parts.append(np.linalg.norm(product))
-    residual = float(np.hypot(*parts))
+        k = part.stop - part.start
+        if k:
+            mixed = noise[part] @ inverse
+            product = np.matmul(mixed.reshape(k, t, r).swapaxes(0, 1), blocks)
+            product -= secret[part].reshape(k, t, w).swapaxes(0, 1)
+            residual = float(np.hypot(residual, np.linalg.norm(product)))
     weakest = 1.0 / float(np.linalg.norm(inverse))
     noise_norms = np.linalg.norm(noise, axis=0)
-    return _clearly_contained(noise_norms, secret, weakest, residual, scale)
+    return _bounds_cleared(noise_norms, secret, weakest, residual, scale)
 
 
-def _clearly_contained(
+def _bounds_cleared(
     noise_norms: np.ndarray, secret: np.ndarray, weakest: float, residual: float, scale: float
-) -> bool:
-    """Whether ``secret`` lies in the span of a full-column-rank ``noise``
-    (column norms ``noise_norms``) by a margin no rank cut overturns.
+) -> int:
+    """How many of three tests, in order, the block solve's bounds pass
+    for ``[noise | secret]``, ``noise`` of column norms ``noise_norms``.
 
     ``weakest`` is a lower bound on the joint matrix's ``k``-th singular
     value, ``k`` being the noise columns, and ``residual`` an upper bound on
     its singular values past the ``k``-th.  The joint matrix's rank cut is
     :data:`matcore.REL_TOL` times the larger of ``scale`` and its largest
     singular value, which lies between its largest column norm and its
-    Frobenius norm.  ``residual`` must clear the smallest possible cut by
-    :data:`CONTAINMENT_GUARD`, and ``weakest`` the largest possible cut, so
-    that no noise column is lost.
+    Frobenius norm.
+
+    1. ``weakest`` clears the largest possible cut: no noise column is
+       lost, and since the noise's own cut is no larger, ``rank(noise,
+       scale)`` is ``k``.
+    2. ``residual`` is at most the smallest possible cut too: no singular
+       value past the ``k``-th counts, so no leak can be proved.
+    3. ``residual`` clears that cut by :data:`CONTAINMENT_GUARD`: the
+       secret lies in the noise span by a margin no rank cut overturns, a
+       containment.
+
+    The guard stands in for the rounding the bounds leave out, so only the
+    third decides a verdict; the first two spare :func:`columns_contained`
+    the noise rank and the leak exit.
     """
     secret_norms = np.linalg.norm(secret, axis=0)
     upper = max(float(np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms))), scale)
     if weakest <= matcore.REL_TOL * upper:
-        return False
+        return 0
     noise_col = float(np.max(noise_norms, initial=0.0))
-    lower = max(noise_col, float(np.max(secret_norms, initial=0.0)), scale)
-    return residual * CONTAINMENT_GUARD <= matcore.REL_TOL * lower
+    cut = matcore.REL_TOL * max(noise_col, float(np.max(secret_norms, initial=0.0)), scale)
+    if residual > cut:
+        return 1
+    return 3 if residual * CONTAINMENT_GUARD <= cut else 2
 
 
 def _slot_blocks(rows: np.ndarray, n: int, m: int, t: int, what: str) -> np.ndarray:
@@ -329,85 +353,74 @@ def _slot_blocks(rows: np.ndarray, n: int, m: int, t: int, what: str) -> np.ndar
     return blocks
 
 
-def _secret_past_phase1(
-    transcript: Transcript, group: str, rx: int, p1: int, own: slice
-) -> np.ndarray:
-    """Receiver ``rx + 1``'s map of secret group ``group`` past its first
-    ``p1`` rows, the noise phase, as an owned copy (the replay is freed on
-    return).  The secret symbols enter after the noise phase and outside
-    the receiver's own fresh phase (rows ``own`` of the copy), so a map
-    with nonzero rows in either is refused."""
-    secret = schemes.linear_response(transcript, group)[rx]
-    if np.any(secret[:p1]):
-        raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
-    secret = secret[p1:].copy()
-    if np.any(secret[own]):
-        raise InvalidTranscript("secret symbols reach the receiver during its own fresh phase")
-    return secret
-
-
 def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     """Column-space containment oracle for zero leakage, at both receivers.
 
     Each receiver is the eavesdropper on the other's symbols: conditioned on
     its own messages, those symbols must enter its observation only inside
-    the noise columns' span.  One replay of the noise group ``u`` gives both
-    receivers' noise maps, and one replay each of ``v2`` and ``v1`` the
-    secret maps of receivers 1 and 2.  Returns the verdicts ``(rx1, rx2)``:
-    True iff ``rank([noise cols | secret cols])`` equals ``rank([noise
-    cols])``.
+    the noise columns' span.  Returns the verdicts ``(rx1, rx2)``: True iff
+    ``rank([noise cols | secret cols])`` equals ``rank([noise cols])``.
 
-    The noise phase is eliminated slot by slot first.  A secret map's
-    phase-1 rows are zero and a noise map's are its receiver's
-    block-diagonal phase-1 lift ``G`` (both checked exactly; a replay that
-    breaks either raises :class:`InvalidTranscript`).  So ``secret = noise
-    @ x`` needs ``G x = 0``, ``x = N z`` with ``N`` the per-slot null bases
-    of ``G``, and the secret map's later rows must lie in the span of the
-    noise map's later rows times ``N``, which the replay's slot-order
-    columns let :func:`matcore.times_block_diagonal` form: that is what
-    :func:`columns_contained` decides, with its rank cuts kept at ``G``'s
-    scale.  With an empty noise phase ``G`` is empty and the noise maps
-    have no columns, so the secret maps must have rank 0.
+    The noise phase is eliminated before the replay.  A secret map's
+    phase-1 rows are zero (checked exactly), and receiver ``j``'s phase-1
+    rows of the noise map are its block-diagonal phase-1 lift ``G_j``, so
+    ``secret = noise @ x`` needs ``G_j x = 0``, ``x = N_j z`` with ``N_j``
+    the per-slot null bases of ``G_j``: the secret map's later rows must lie
+    in the span of the noise map of the input ``N_j z``.  The bases come
+    from the phase-1 slot blocks of the channel states
+    (:func:`matcore.slot_null_bases`, one batched SVD for both receivers),
+    and one noise replay (:func:`schemes.linear_response` with
+    ``eavesdropper``) forms both receivers' maps of those inputs, on which
+    :func:`columns_contained` decides with its rank cuts kept at ``G_j``'s
+    scale.  Receiver ``j``'s own phase-1 output of ``N_j z`` is zero, so its
+    own fresh phase's mixing, its rows there and the final-phase product
+    that retransmits the other receiver's outputs of that phase are never
+    formed.  One replay each of ``v2`` and ``v1`` gives the secret
+    map of receiver 1 and of receiver 2 alone.  With an empty noise phase
+    the noise maps have no columns, so the secret maps must have rank 0.
 
     A secret map's rows in the receiver's own fresh phase are zero too
-    (checked exactly), and the reduced noise map's rows in the other
-    receiver's fresh phase are the row block :func:`columns_contained`
-    solves when it is square: for schemes A, B and D the block is
-    ``(2m-n) t1`` square, and its solve replaces the rank pair's two SVDs.
-    The secret map's rows there are block diagonal, since that phase's
-    inputs are the secret group itself (checked exactly); the solve reads
-    their slot blocks.  A leaking receiver (schemes C and E, the leaking
-    mutants) is decided by the certificate from the reduced noise map's
-    rank, one SVD of that map and none of the joint matrix; with no noise
-    columns, by none at all.
+    (checked exactly) and are dropped with the noise map's, so both maps
+    hold the rows of the other receiver's fresh phase, then of the final
+    phase.  The first are the row block :func:`columns_contained` solves
+    when it is square: for schemes A, B and D the block is ``(2m-n) t1``
+    square, and its solve replaces the rank pair's two SVDs.  The secret
+    map's rows there are block diagonal, since that phase's inputs are the
+    secret group itself (checked exactly); the solve reads their slot
+    blocks, and its residual is formed in the final phase alone.  A
+    leaking receiver (schemes C and E, the leaking mutants) is decided by
+    the certificate from the reduced noise map's rank, one SVD of that map
+    and none of the joint matrix; with no noise columns, by none at all.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
     t1, t2, t3, _ = transcript.plan.phase_lengths
     p1 = n * t1
-    noise = schemes.linear_response(transcript, "u")
-    blocks = [_slot_blocks(half[:p1], n, m, t1, "the noise map's phase-1 rows") for half in noise]
-    nulls = matcore.slot_null_bases(np.stack(blocks))
-    reduced = [(matcore.times_block_diagonal(half[p1:], null.basis), null.largest)
-               for null, half in zip(nulls, noise)]
-    # the reduced maps are new arrays: the noise replay is freed before the secret ones
-    del noise
-    # past the noise phase, the rows of receiver 1's and receiver 2's fresh phases
-    fresh = (slice(0, n * t2), slice(n * t2, n * (t2 + t3)))
+    nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
+    noise = schemes.linear_response(
+        transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls])
+    # the rows of receiver 1's and receiver 2's fresh phases
+    fresh = (slice(p1, p1 + n * t2), slice(p1 + n * t2, p1 + n * (t2 + t3)))
 
-    def contained(rx, group, noise_map, scale):
+    def contained(rx, group):
         """Receiver ``rx + 1``'s verdict; its secret map is freed on return."""
-        other = fresh[1 - rx]
-        secret = _secret_past_phase1(transcript, group, rx, p1, fresh[rx])
+        own, other = fresh[rx], fresh[1 - rx]
+        secret = schemes.linear_response(transcript, group, eavesdropper=True)[rx]
+        if np.any(secret[:p1]):
+            raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
+        if np.any(secret[own]):
+            raise InvalidTranscript("secret symbols reach the receiver during its own fresh phase")
         # the other fresh phase's inputs are the group itself
         what = "the secret map's rows in the other receiver's fresh phase"
         solved = _slot_blocks(secret[other], n, m, (t3, t2)[rx], what)
-        return columns_contained(noise_map, secret, scale, (other, solved))
+        # the other fresh phase, then the final phase: receiver 1's own
+        # fresh phase comes before them, receiver 2's between them
+        kept = secret[other.start:] if rx == 0 else np.concatenate(
+            [secret[other], secret[own.stop:]])
+        rows = slice(0, other.stop - other.start)
+        return columns_contained(noise[rx], kept, nulls[rx].largest, (rows, solved))
 
-    return tuple(
-        contained(rx, group, noise_map, scale)
-        for rx, group, (noise_map, scale) in zip((0, 1), ("v2", "v1"), reduced)
-    )
+    return contained(0, "v2"), contained(1, "v1")
 
 
 def decode_error(transcript: Transcript, receiver: Node, symbols: np.ndarray) -> float:

@@ -381,50 +381,72 @@ class TestSubspaceOracle:
         return verdicts, seen
 
     def test_observation_maps_shapes(self, monkeypatch):
-        # A(2,3): t1 = 9 noise slots of 7; 2m - n = 1 null column per slot
+        # A(2,3): t1 = 9 noise slots of 7; 2m - n = 1 null column per slot;
+        # the rows of the other receiver's 3 fresh slots and the final slot
         transcript = transcript_for(SchemeId.A, 2, 3)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
         assert verdicts == (True, True)
         assert len(seen) == 2
         for noise, secret in seen:
-            assert noise.shape == (21, 9) and secret.shape == (21, 12)
-            assert secret.flags.owndata  # the rest of the replay is not kept alive
+            assert noise.shape == (12, 9) and secret.shape == (12, 12)
+        # receiver 1's rows end its map: a view; receiver 2's skip its own
+        # fresh phase: a copy
+        assert not seen[0][1].flags.owndata and seen[1][1].flags.owndata
 
     def test_shared_noise_replay(self, monkeypatch):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
         groups = []
         replay = schemes.linear_response
 
-        def counted(transcript, group):
+        def counted(transcript, group, **kw):
             groups.append(group)
-            return replay(transcript, group)
+            return replay(transcript, group, **kw)
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
         assert verdicts == (True, False)
-        assert groups.count("u") == 1  # one noise replay serves both receivers
+        assert groups == ["u", "v2", "v1"]  # one noise replay serves both receivers
         monkeypatch.setattr(schemes, "linear_response", replay)
-        noise = dense_linear_response(transcript, "u")
-        p1 = 3 * 9
-        # receiver 1 against v2, receiver 2 against v1, each on its own noise
-        # half past phase 1, times the null bases of its own phase-1 blocks:
-        # against the dense replay times the scattered bases, to round-off
-        # of the unreduced map (receiver 2's reduced map is round-off here)
-        for (got_noise, got_secret), rx, group in zip(seen, (0, 1), ("v2", "v1")):
-            rows = state_rows(transcript.states, rx + 1, range(1, 10))[..., :2]
-            (g_null,) = matcore.slot_null_bases(rows.transpose(0, 2, 1, 3).reshape(1, 9, 3, 4))
-            want = noise[rx][p1:] @ scattered(g_null.basis)
-            assert got_noise.shape == want.shape
-            diff = np.linalg.norm(got_noise - want)
-            assert diff <= REDUCED_MAP_RTOL * np.linalg.norm(noise[rx][p1:])
-            np.testing.assert_array_equal(got_secret, replay(transcript, group)[rx][p1:])
+        # the secret maps on the noise maps' rows, bit for bit: receiver 1's
+        # phase 3 and 4 (rows 36 on), receiver 2's phase 2 (27 to 36) and 4
+        # (45 on); receiver 2's noise map is exactly zero without theta1
+        v2, v1 = replay(transcript, "v2")[0], replay(transcript, "v1")[1]
+        np.testing.assert_array_equal(seen[0][1], v2[36:])
+        np.testing.assert_array_equal(seen[1][1], np.vstack([v1[27:36], v1[45:]]))
+        assert not np.any(seen[1][0]) and np.all(np.linalg.norm(seen[0][0], axis=0) > 0)
+
+    def test_reduced_noise_replay_matches_dense(self):
+        """Each receiver's noise map of its null-basis input against the
+        dense replay past the noise phase times the scattered bases: equal
+        to REDUCED_MAP_RTOL on the kept rows, and round-off on the own
+        fresh phase's rows it drops."""
+        for case, transcript in agreement_transcripts():
+            n = transcript.config.n
+            t1, t2, t3, _ = transcript.plan.phase_lengths
+            nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
+            got = schemes.linear_response(
+                transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls])
+            dense = dense_linear_response(transcript, "u")
+            for rx, null in enumerate(nulls):
+                past = dense[rx][n * t1:]
+                product = past @ scattered(null.basis)
+                own = slice(0, n * t2) if rx == 0 else slice(n * t2, n * (t2 + t3))
+                kept = np.delete(product, np.arange(own.start, own.stop), axis=0)
+                assert got[rx].shape == kept.shape, case
+                # theta1_zero's receiver 2 is exactly zero, the dense product
+                # round-off: relative to the unreduced map there
+                scale = np.linalg.norm(kept if np.any(got[rx]) else past)
+                diff = np.linalg.norm(got[rx] - kept)
+                assert diff <= REDUCED_MAP_RTOL * scale, (case, rx, diff)
+                dropped = np.linalg.norm(product[own])
+                assert dropped <= REDUCED_MAP_RTOL * np.linalg.norm(past), (case, rx, dropped)
 
     @pytest.mark.parametrize("group,rx", [("v2", 0), ("v1", 1)])
     def test_secret_in_noise_phase_is_refused(self, monkeypatch, group, rx):
         replay = schemes.linear_response
 
-        def leaky(transcript, name):
-            maps = replay(transcript, name)
+        def leaky(transcript, name, **kw):
+            maps = replay(transcript, name, **kw)
             if name == group:
                 maps[rx][0, 0] = 1.0  # a secret symbol heard in slot 1
             return maps
@@ -439,8 +461,8 @@ class TestSubspaceOracle:
         # receiver 1's own is phase 2, receiver 2's phase 3
         replay = schemes.linear_response
 
-        def leaky(transcript, name):
-            maps = replay(transcript, name)
+        def leaky(transcript, name, **kw):
+            maps = replay(transcript, name, **kw)
             if name == group:
                 maps[rx][27 + row, 0] = 1e-300  # a trace at any scale is refused
             return maps
@@ -458,8 +480,8 @@ class TestSubspaceOracle:
         # 2); its first slot's rows meet only columns 0 to 3
         replay = schemes.linear_response
 
-        def smeared(transcript, name):
-            maps = replay(transcript, name)
+        def smeared(transcript, name, **kw):
+            maps = replay(transcript, name, **kw)
             if name == group:
                 maps[rx][row, 4] = 1e-300  # slot 1's output reached by slot 2's symbols
             return maps
@@ -469,18 +491,21 @@ class TestSubspaceOracle:
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
     @pytest.mark.parametrize("rx", [0, 1])
-    def test_noise_across_slots_is_refused(self, monkeypatch, rx):
-        replay = schemes.linear_response
-
-        def smeared(transcript, name):
-            maps = replay(transcript, name)
-            if name == "u":
-                maps[rx][0, 4] = 1.0  # slot 1's output reached by slot 2's noise
-            return maps
-
-        monkeypatch.setattr(schemes, "linear_response", smeared)
-        with pytest.raises(InvalidTranscript, match="block diagonal"):
-            verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
+    def test_noise_across_slots_is_refused(self, rx):
+        # the oracle takes G from the states' phase-1 slot blocks: those are
+        # the diagonal blocks of the dense noise replay's phase-1 rows, bit
+        # for bit, and rows where slot 2's noise reaches slot 1's output are
+        # not block diagonal
+        transcript = transcript_for(SchemeId.A, 2, 3)
+        m, n = transcript.config.effective_m, transcript.config.n
+        t1 = transcript.plan.phase_lengths[0]
+        rows = dense_linear_response(transcript, "u")[rx][:n * t1]
+        what = "the noise map's phase-1 rows"
+        np.testing.assert_array_equal(verify._slot_blocks(rows, n, m, t1, what),
+                                      transcript.states.slot_blocks()[rx, :t1])
+        rows[0, 4] = 1.0  # slot 1's output reached by slot 2's noise
+        with pytest.raises(InvalidTranscript, match="noise map's phase-1 rows are not block"):
+            verify._slot_blocks(rows, n, m, t1, what)
 
     def test_agreement_with_rank_report(self):
         for case, transcript in agreement_transcripts():
@@ -511,16 +536,21 @@ class TestSubspaceOracle:
         calls = []
         replay = schemes.linear_response
 
-        def counted(*args, **kw):
-            calls.append(1)
-            return replay(*args, **kw)
+        def counted(transcript, group, **kw):
+            maps = replay(transcript, group, **kw)
+            calls.append((group, kw["eavesdropper"], [y is not None for y in maps]))
+            return maps
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
-        assert len(calls) == 3  # one shared noise replay, one secret replay per receiver
+        # one shared noise replay of both reduced maps, then each secret
+        # replay of its eavesdropper's map alone
+        want = [("u", True, [True, True]), ("v2", True, [True, False]),
+                ("v1", True, [False, True])]
+        assert calls == want
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
-        assert len(calls) == 3
+        assert calls == want
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7, with_oracle=False)
         assert calls == []
@@ -551,7 +581,7 @@ def _block_residuals(monkeypatch, transcript):
     """``(noise, secret, rows, residual)`` of every receiver whose block
     solve reached the guard, the residual being the one the guard read."""
     solved, residuals = [], []
-    block, guard = verify._solved_contained, verify._clearly_contained
+    block, guard = verify._solved_contained, verify._bounds_cleared
 
     def block_spy(noise, secret, rows, blocks, scale):
         solved.append((noise, secret, rows))
@@ -563,7 +593,7 @@ def _block_residuals(monkeypatch, transcript):
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_solved_contained", block_spy)
-        patch.setattr(verify, "_clearly_contained", guard_spy)
+        patch.setattr(verify, "_bounds_cleared", guard_spy)
         verify.equivocation_subspace_check(transcript)
     return residuals
 
@@ -739,7 +769,7 @@ def _oracle_exits(monkeypatch, transcript):
     arguments ``(noise_norms, secret, weakest, residual, scale)`` where it
     decided, else None."""
     solved = []
-    block, guard = verify._solved_contained, verify._clearly_contained
+    block, guard = verify._solved_contained, verify._bounds_cleared
 
     def solved_spy(noise, secret, rows, blocks, scale):
         seen = []
@@ -748,12 +778,12 @@ def _oracle_exits(monkeypatch, transcript):
             seen.append((noise_norms, secret, weakest, residual, scale))
             return guard(noise_norms, secret, weakest, residual, scale)
 
-        monkeypatch.setattr(verify, "_clearly_contained", guard_spy)
+        monkeypatch.setattr(verify, "_bounds_cleared", guard_spy)
         try:
             decided = block(noise, secret, rows, blocks, scale)
         finally:
-            monkeypatch.setattr(verify, "_clearly_contained", guard)
-        solved.append(seen[0] if decided else None)
+            monkeypatch.setattr(verify, "_bounds_cleared", guard)
+        solved.append(seen[0] if decided == 3 else None)
         return decided
 
     monkeypatch.setattr(verify, "_solved_contained", solved_spy)
@@ -789,16 +819,36 @@ class TestBlockSolve:
         assert verify.equivocation_subspace_check(a44) == (True, True)
         assert shapes == [] and eighs == []  # the block solve decided
         assert verify.equivocation_subspace_check(c45) == (False, False)
-        # per receiver the whole reduced map (its fresh-phase block is 60 x
-        # 75); the certificate proves the leak, so the joint matrix with the
-        # 96 secret columns is never ranked
-        assert shapes == [(165, 75)] * 2 and eighs == [(75, 75)] * 2
+        # per receiver the whole reduced map, the other fresh phase's 60 x 75
+        # block and the final phase's 45 rows; the certificate proves the
+        # leak, so the joint matrix with the 96 secret columns is never ranked
+        assert shapes == [(105, 75)] * 2 and eighs == [(75, 75)] * 2
         shapes.clear()
         eighs.clear()
         assert verify.equivocation_subspace_check(e44) == (False, False)
         # no noise columns: rank 0 with no SVD, and the probe is the secret
         # column alone, with no eigenvector
-        assert shapes == [(192, 0)] * 2 and eighs == []
+        assert shapes == [(128, 0)] * 2 and eighs == []
+
+    def test_guard_refusal_reuses_the_bounds(self, monkeypatch):
+        # with the guard band out of reach the block solve refuses A(4,4)'s
+        # containments, but its bounds still prove the noise rank and rule
+        # out a leak: no rank of the noise and no eigh of the leak exit, and
+        # the joint SVD gives the same verdicts
+        transcript = transcript_for(SchemeId.A, 4, 4)
+        want = verify.equivocation_subspace_check(transcript)
+        shapes, eighs = [], []
+        rank, eigh = matcore.rank, np.linalg.eigh
+        monkeypatch.setattr(verify, "CONTAINMENT_GUARD", 1e30)
+        monkeypatch.setattr(matcore, "rank", lambda a, *args: shapes.append(np.shape(a))
+                            or rank(a, *args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(np.shape(a)) or eigh(a))
+        verdicts, solved = _oracle_exits(monkeypatch, transcript)
+        assert verdicts == want == (True, True)
+        assert solved == [None, None]  # the guard refused both
+        # per receiver the joint matrix alone: 128 rows, 64 noise columns and
+        # 128 secret columns
+        assert shapes == [(128, 192)] * 2 and eighs == []
 
     def test_singular_or_non_square_blocks_fall_through(self, joint_rank_calls):
         rng = np.random.default_rng(8)
@@ -824,7 +874,9 @@ class TestBlockSolve:
         s[4:12] = _slot_diagonal(blocks)
         assert not reference_contained(a, s)
         assert not verify.columns_contained(a, s, solved=(slice(4, 12), blocks))
-        assert joint_rank_calls == [8]  # the noise rank only: no joint SVD
+        # the block's bound proves the noise rank and the certificate the
+        # leak: no SVD at all
+        assert joint_rank_calls == []
 
 
 @pytest.mark.slow
@@ -975,7 +1027,8 @@ class TestColumnsContained:
         blocks = s[:8].reshape(1, 8, 1)  # one slot: any rows are block diagonal
         want = reference_contained(a, s)
         assert verify.columns_contained(a, s, solved=(slice(0, 8), blocks)) == want
-        assert joint_rank_calls == [8, 9]
+        # the block's bound proved the noise rank: the joint SVD alone
+        assert joint_rank_calls == [9]
 
     def test_noise_direction_lost_to_joint_cut_falls_back(self, joint_rank_calls):
         # a zero residual, but the noise direction 1e-8 is kept by its own
