@@ -374,11 +374,19 @@ def random_matrix(
     its real part then its imaginary part.  That is the stream order of one
     unbatched call per matrix, so the stack equals those matrices bit for
     bit.
+
+    The parts are scaled into the real and imaginary views of one complex
+    array, with no complex temporary.  Dividing a complex array by
+    ``sqrt(2)`` multiplies both parts by ``fl(1/sqrt(2))``, so this is
+    ``(z0 + 1j z1) / sqrt(2)`` bit for bit.
     """
     if rows < 0 or cols < 0 or min(batch, default=0) < 0:
         raise InvalidInput(f"dimensions must be >= 0, got {batch + (rows, cols)}")
     z = rng.standard_normal(batch + (2, rows, cols))
-    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / 2.0**0.5
+    out = np.empty(batch + (rows, cols), dtype=complex)
+    np.multiply(z[..., 0, :, :], 1 / 2.0**0.5, out=out.real)
+    np.multiply(z[..., 1, :, :], 1 / 2.0**0.5, out=out.imag)
+    return out
 
 
 def random_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -216,10 +216,11 @@ def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
 
 #: A trial's measured peak memory over the size of a two-receiver identity
 #: replay of its larger symbol group, above the interpreter's own
-#: (``ru_maxrss`` of one ``simulate`` call, seeds 7 and 1): 3.0, 2.1 and 2.0
+#: (``ru_maxrss`` of one ``simulate`` call, seeds 7 and 1): 2.5, 1.6 and 1.5
 #: times on scheme A at (6,6), (8,8) and (10,10).  It was 3.6, 2.8 and 2.8
-#: while the oracle replayed the noise on the identity.  4 keeps the
-#: estimate an upper bound.
+#: while the oracle replayed the noise on the identity, and 3.0, 2.1 and 2.0
+#: while it formed both receivers' noise maps together.  4 keeps the
+#: estimate an upper bound and the refused configurations where they were.
 PEAK_PER_REPLAY = 4
 
 
@@ -738,11 +739,17 @@ def linear_response(
     With ``eavesdropper``, only what the subspace oracle reads is formed:
     each receiver's map as the eavesdropper on the other receiver's
     symbols.  For ``v1`` that is receiver 2's map alone and for ``v2``
-    receiver 1's, the other entry of the pair being None.  For ``u`` it is
-    both maps with the noise phase eliminated (:func:`_eavesdropped_noise`):
-    receiver ``j``'s map of the input ``N_j z``, ``N_j = bases[j]`` the
-    ``(t1, 2m, w)`` per-slot null bases of its phase-1 blocks, on its rows
-    in the other receiver's fresh phase and in the final phase.
+    receiver 1's, the other entry of the pair being None.  Its rows are
+    those of the noise phase, the eavesdropper's own fresh phase, the other
+    fresh phase and the final phase, in that order, so the rows the oracle
+    keeps are the map's tail: receiver 2's map swaps the two fresh phases.
+    For ``u`` it is the maps with the noise phase eliminated
+    (:func:`_eavesdropped_noise`) of the receivers ``j`` whose ``bases[j]``
+    is not None, the other entries being None: receiver ``j``'s map of the
+    input ``N_j z``, ``N_j = bases[j]`` the ``(t1, 2m, w)`` per-slot null
+    bases of its phase-1 blocks, on its rows in the other receiver's fresh
+    phase and in the final phase.  The oracle asks for one receiver's at a
+    time.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
@@ -752,15 +759,18 @@ def linear_response(
     # each phase's slot blocks, per receiver
     phases = [slot_rows[:, bounds[p] : bounds[p + 1]] for p in range(4)]
     if eavesdropper and group == "u":
-        return tuple(_eavesdropped_noise(transcript, rx, bases[rx], phases) for rx in (0, 1))
+        return tuple(None if basis is None else _eavesdropped_noise(transcript, rx, basis, phases)
+                     for rx, basis in enumerate(bases))
     horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
-    listeners = (0, 1)
+    listeners, order = (0, 1), (1, 2, 3, 4)
     if eavesdropper:  # a secret group's: receiver 2 hears v1, receiver 1 v2
-        listeners = (1,) if group == "v1" else (0,)
+        listeners, order = ((1,), (1, 3, 2, 4)) if group == "v1" else ((0,), order)
     y = [np.zeros((horizon, n, k), dtype=complex) if rx in listeners else None for rx in (0, 1)]
+    # the first slot of each phase's rows, the phases stored in ``order``
+    first = dict(zip(order, np.cumsum((0,) + tuple(lengths[p - 1] for p in order))))
 
     def phase(p: int) -> slice:
-        return slice(bounds[p - 1], bounds[p])
+        return slice(first[p], first[p] + lengths[p - 1])
 
     def identity(p: int):
         """Phase ``p``'s outputs when its inputs are the group's symbols:
@@ -819,7 +829,10 @@ def _eavesdropped_noise(
     the other receiver's phase-1 output, slot by slot, mixed into its fresh
     phase, and one dense product: the final-phase precoder that
     retransmits what this receiver heard there, on ``(2m - n) t1`` columns
-    where the identity replay has ``2m t1``.
+    where the identity replay has ``2m t1``.  The product is taken as
+    ``(D4 Phi) heard``, ``D4`` the receiver's final-phase lift and ``Phi``
+    the placed precoder: its ``n t4`` rows where ``D4 (Phi heard)`` has
+    ``2m t4``.
     """
     m, n = transcript.config.effective_m, transcript.config.n
     # the other receiver's fresh phase, the precoder mixing into it and the
@@ -832,5 +845,12 @@ def _eavesdropped_noise(
     _by_slot(transcript, theta, phases[0][1 - rx] @ basis, x)
     _send(phases[p - 1][rx], x, out[:t])
     heard = side_info(transcript, out[:t].reshape(n * t, k))
-    _send(phases[3][rx], _placed(transcript, phi, heard, m * t4), out[t:])
+    precoder = getattr(transcript.precoders, phi)
+    h = precoder.shape[1]
+    placed = np.zeros((2 * m * t4, h), dtype=complex)
+    placed[_carrier_span(getattr(transcript.spec, phi), m * t4)] = precoder
+    lifted = np.empty((t4, n, h), dtype=complex)
+    _send(phases[3][rx], placed, lifted)
+    final = out[t:].reshape(n * t4, k)  # a view: ``out`` is contiguous
+    np.matmul(lifted.reshape(n * t4, h), heard, out=final)
     return out.reshape(n * (t + t4), k)

@@ -18,15 +18,15 @@ decided; it forms each leakage ``M N`` slot by slot
 :func:`equivocation_subspace_check` never assembles those identities.  It
 forms each receiver's observation of the noise and of the other
 receiver's secret symbols as explicit linear maps (replays of the run from
-the states and precoders: one of the noise for both receivers, one of each
-secret group for its eavesdropper) and tests column-space containment
-directly: conditioned on its own messages, the secret symbols' columns
-must lie inside the noise columns' span, so any secret value is
-explainable by some noise realization.  The noise phase is eliminated
-before the noise replay, whose input for each receiver spans the null
-space of its own phase-1 lift, after exact checks of the phase structure
-that elimination rests on (the secret map is zero in the noise phase and
-in the receiver's own fresh phase).  :func:`columns_contained` confirms a
+the states and precoders, two per receiver, each forming that receiver's
+map alone, one receiver after the other) and tests column-space
+containment directly: conditioned on its own messages, the secret
+symbols' columns must lie inside the noise columns' span, so any secret
+value is explainable by some noise realization.  The noise phase is
+eliminated before the noise replay, whose input for each receiver spans
+the null space of its own phase-1 lift, after exact checks of the phase
+structure that elimination rests on (the secret map is zero in the noise
+phase and in the receiver's own fresh phase).  :func:`columns_contained` confirms a
 clear containment by solving the reduced noise map's square block in the
 other receiver's fresh phase (schemes A, B and D), where the secret map
 is block diagonal slot by slot (checked exactly too), so the residual off
@@ -51,7 +51,11 @@ elimination would count as rank.
 
 :func:`run_trial` is the one pipeline every verdict reads (run, decode, rank
 report, oracle), and :func:`claim_checks` the one place that says what a
-scheme's leakage claim demands of its trials.
+scheme's leakage claim demands of its trials.  It takes the per-slot null
+bases of both receivers' phase-1 lifts once, one batched SVD, and hands
+them to the report and the oracle: the oracle's independence rests on its
+replay, not on its own copy of bases that are a function of the states
+alone.
 
 Leakage is verified structurally, not by Monte Carlo mutual-information
 estimation: at the infinite-SNR scale the secrecy claim *is* a rank
@@ -126,7 +130,9 @@ def _per_receiver(pair, prefix: str = "") -> dict:
     return {prefix + "rx1": pair[0], prefix + "rx2": pair[1]}
 
 
-def secrecy_rank_report(transcript: Transcript, rate_ranks: tuple[int, int]) -> SecrecyReport:
+def secrecy_rank_report(
+    transcript: Transcript, rate_ranks: tuple[int, int], nulls: tuple | None = None
+) -> SecrecyReport:
     """The rate and leakage rank identities of a transcript.
 
     A rate matrix stacks the legitimate receiver's fresh-phase map on the
@@ -141,14 +147,20 @@ def secrecy_rank_report(transcript: Transcript, rate_ranks: tuple[int, int]) -> 
     against the full ``n*(t1+t2)`` rows.  With an empty noise phase ``M``
     has no columns, so the defect is all ``n*t2`` rows.  It is not formed:
     ``rank([G; M]) = rank(G) + rank(M N)`` with ``N`` the per-slot null
-    bases of ``G`` (one :func:`matcore.slot_null_bases` for both), and ``M
-    N`` is the mixing precoder's map (:func:`schemes.carried_map`) times
+    bases of ``G``, and ``M N`` is the mixing precoder's map
+    (:func:`schemes.carried_map`) times
     the per-slot products of the mixed phase-1 lift's blocks with the bases
     (:func:`matcore.times_block_diagonal`).  :func:`matcore.rank_value`
     decides ``rank(M N)`` at a cut that keeps ``G``'s scale; only a map its
     certificate cannot prove full rank (scheme C's, a mutant's deficient
     one) reaches :func:`matcore.rank`.  ``matrices_audited`` lists the
     shapes of the four stacked matrices.
+
+    ``nulls`` are the :class:`matcore.SlotNullBases` of receiver 2's and
+    receiver 1's phase-1 lifts, in that order.  :func:`run_trial`
+    passes the ones it hands the oracle too; without them the report takes
+    one :func:`matcore.slot_null_bases` of both.  The bases of a batch are
+    those of each matrix alone, bit for bit, so both give the same report.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
@@ -166,7 +178,7 @@ def secrecy_rank_report(transcript: Transcript, rate_ranks: tuple[int, int]) -> 
         audited.append((name, n * t1 + len(reduced), 2 * m * t1))
         return n * (t1 + t2) - g_null.rank - matcore.rank_value(reduced, g_null.largest)
 
-    g1_null, h1_null = matcore.slot_null_bases(phase1[[1, 0]])
+    g1_null, h1_null = nulls or matcore.slot_null_bases(phase1[[1, 0]])
     defect_rx2 = defect("leak_rx2", g1_null, "theta1", phase2[1], phase1[0])
     defect_rx1 = defect("leak_rx1", h1_null, "theta2", phase3[0], phase1[1])
 
@@ -296,8 +308,13 @@ def _solved_contained(
             product -= secret[part].reshape(k, t, w).swapaxes(0, 1)
             residual = float(np.hypot(residual, np.linalg.norm(product)))
     weakest = 1.0 / float(np.linalg.norm(inverse))
-    noise_norms = np.linalg.norm(noise, axis=0)
-    return _bounds_cleared(noise_norms, secret, weakest, residual, scale)
+    return _bounds_cleared(_column_norms(noise), secret, weakest, residual, scale)
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norms of ``x``'s columns, ``np.linalg.norm(x, axis=0)``, taken
+    from its real and imaginary views with no complex temporary."""
+    return np.sqrt(np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag))
 
 
 def _bounds_cleared(
@@ -326,7 +343,7 @@ def _bounds_cleared(
     third decides a verdict; the first two spare :func:`columns_contained`
     the noise rank and the leak exit.
     """
-    secret_norms = np.linalg.norm(secret, axis=0)
+    secret_norms = _column_norms(secret)
     upper = max(float(np.hypot(np.linalg.norm(noise_norms), np.linalg.norm(secret_norms))), scale)
     if weakest <= matcore.REL_TOL * upper:
         return 0
@@ -353,7 +370,9 @@ def _slot_blocks(rows: np.ndarray, n: int, m: int, t: int, what: str) -> np.ndar
     return blocks
 
 
-def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
+def equivocation_subspace_check(
+    transcript: Transcript, nulls: tuple | None = None
+) -> tuple[bool, bool]:
     """Column-space containment oracle for zero leakage, at both receivers.
 
     Each receiver is the eavesdropper on the other's symbols: conditioned on
@@ -367,44 +386,51 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
     ``secret = noise @ x`` needs ``G_j x = 0``, ``x = N_j z`` with ``N_j``
     the per-slot null bases of ``G_j``: the secret map's later rows must lie
     in the span of the noise map of the input ``N_j z``.  The bases come
-    from the phase-1 slot blocks of the channel states
-    (:func:`matcore.slot_null_bases`, one batched SVD for both receivers),
-    and one noise replay (:func:`schemes.linear_response` with
-    ``eavesdropper``) forms both receivers' maps of those inputs, on which
-    :func:`columns_contained` decides with its rank cuts kept at ``G_j``'s
-    scale.  Receiver ``j``'s own phase-1 output of ``N_j z`` is zero, so its
-    own fresh phase's mixing, its rows there and the final-phase product
-    that retransmits the other receiver's outputs of that phase are never
-    formed.  One replay each of ``v2`` and ``v1`` gives the secret
-    map of receiver 1 and of receiver 2 alone.  With an empty noise phase
-    the noise maps have no columns, so the secret maps must have rank 0.
+    from the phase-1 slot blocks of the channel states: ``nulls``, the
+    :class:`matcore.SlotNullBases` of receiver 1's and receiver 2's, which
+    :func:`run_trial` shares with the rank report, or else one
+    :func:`matcore.slot_null_bases` of both.  Each receiver is decided in
+    turn from two replays (:func:`schemes.linear_response` with
+    ``eavesdropper``), four in all: one of the other receiver's secret
+    group, which forms this receiver's map alone, then one of the noise,
+    which forms this receiver's map of ``N_j z`` alone.  Both maps are
+    freed before the next receiver's are formed.  :func:`columns_contained`
+    decides on them with its rank cuts kept at ``G_j``'s scale.  Receiver
+    ``j``'s own phase-1 output of ``N_j z`` is zero, so its own fresh
+    phase's mixing, its rows there and the final-phase product that
+    retransmits the other receiver's outputs of that phase are never
+    formed.  With an empty noise phase the noise maps have no columns, so
+    the secret maps must have rank 0.
 
-    A secret map's rows in the receiver's own fresh phase are zero too
-    (checked exactly) and are dropped with the noise map's, so both maps
-    hold the rows of the other receiver's fresh phase, then of the final
-    phase.  The first are the row block :func:`columns_contained` solves
-    when it is square: for schemes A, B and D the block is ``(2m-n) t1``
-    square, and its solve replaces the rank pair's two SVDs.  The secret
-    map's rows there are block diagonal, since that phase's inputs are the
-    secret group itself (checked exactly); the solve reads their slot
-    blocks, and its residual is formed in the final phase alone.  A
-    leaking receiver (schemes C and E, the leaking mutants) is decided by
-    the certificate from the reduced noise map's rank, one SVD of that map
-    and none of the joint matrix; with no noise columns, by none at all.
+    A secret map's rows are those of the noise phase, the receiver's own
+    fresh phase, the other fresh phase and the final phase, in that order.
+    Its rows in the receiver's own fresh phase are zero too (checked
+    exactly) and are dropped with the noise map's, so the secret rows kept
+    are the map's tail, a view, and both maps hold the rows of the other
+    receiver's fresh phase, then of the final phase.  The first are the row
+    block :func:`columns_contained` solves when it is square: for schemes
+    A, B and D the block is ``(2m-n) t1`` square, and its solve replaces
+    the rank pair's two SVDs.  The secret map's rows there are block
+    diagonal, since that phase's inputs are the secret group itself
+    (checked exactly); the solve reads their slot blocks, and its residual
+    is formed in the final phase alone.  A leaking receiver (schemes C and
+    E, the leaking mutants) is decided by the certificate from the reduced
+    noise map's rank, one SVD of that map and none of the joint matrix;
+    with no noise columns, by none at all.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
     t1, t2, t3, _ = transcript.plan.phase_lengths
     p1 = n * t1
-    nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
-    noise = schemes.linear_response(
-        transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls])
-    # the rows of receiver 1's and receiver 2's fresh phases
-    fresh = (slice(p1, p1 + n * t2), slice(p1 + n * t2, p1 + n * (t2 + t3)))
+    if nulls is None:
+        nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
 
     def contained(rx, group):
-        """Receiver ``rx + 1``'s verdict; its secret map is freed on return."""
-        own, other = fresh[rx], fresh[1 - rx]
+        """Receiver ``rx + 1``'s verdict; its maps are freed on return."""
+        # the secret map's rows of the receiver's own fresh phase, then of the other's
+        own_t, other_t = (t2, t3) if rx == 0 else (t3, t2)
+        own = slice(p1, p1 + n * own_t)
+        other = slice(own.stop, own.stop + n * other_t)
         secret = schemes.linear_response(transcript, group, eavesdropper=True)[rx]
         if np.any(secret[:p1]):
             raise InvalidTranscript("secret symbols reach the receiver during the noise phase")
@@ -412,13 +438,12 @@ def equivocation_subspace_check(transcript: Transcript) -> tuple[bool, bool]:
             raise InvalidTranscript("secret symbols reach the receiver during its own fresh phase")
         # the other fresh phase's inputs are the group itself
         what = "the secret map's rows in the other receiver's fresh phase"
-        solved = _slot_blocks(secret[other], n, m, (t3, t2)[rx], what)
-        # the other fresh phase, then the final phase: receiver 1's own
-        # fresh phase comes before them, receiver 2's between them
-        kept = secret[other.start:] if rx == 0 else np.concatenate(
-            [secret[other], secret[own.stop:]])
-        rows = slice(0, other.stop - other.start)
-        return columns_contained(noise[rx], kept, nulls[rx].largest, (rows, solved))
+        solved = _slot_blocks(secret[other], n, m, other_t, what)
+        bases = [None, None]
+        bases[rx] = nulls[rx].basis
+        noise = schemes.linear_response(transcript, "u", eavesdropper=True, bases=bases)[rx]
+        rows = slice(0, n * other_t)
+        return columns_contained(noise, secret[other.start:], nulls[rx].largest, (rows, solved))
 
     return contained(0, "v2"), contained(1, "v1")
 
@@ -517,7 +542,9 @@ def run_trial(
     the whole trial at a derived seed, as the almost-sure rank statements
     permit.  A mutant's singular decode, and any decode residual above
     tolerance, is reported, never resampled.  Each decode, failed or not,
-    gives its receiver's rate rank to the rank report.
+    gives its receiver's rate rank to the rank report.  One
+    :func:`matcore.slot_null_bases` of both receivers' phase-1 slot blocks
+    serves the rank report and the oracle.
     """
     # an unmutated scheme's singular decode is a null-set draw too
     recorded = (SingularSystem, DecodeFailure) if mutation else DecodeFailure
@@ -541,6 +568,9 @@ def run_trial(
         raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
 
     errors, ranks = zip(*outcomes)
+    # both receivers' phase-1 null bases, for the report and the oracle
+    t1 = transcript.plan.phase_lengths[0]
+    nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
     return TrialReport(
         spec=spec,
         config=config,
@@ -548,8 +578,8 @@ def run_trial(
         attempts=attempt,
         plan=transcript.plan,
         decode_errors=errors,
-        secrecy=secrecy_rank_report(transcript, ranks),
-        oracle=equivocation_subspace_check(transcript) if with_oracle else (None, None),
+        secrecy=secrecy_rank_report(transcript, ranks, (nulls[1], nulls[0])),
+        oracle=equivocation_subspace_check(transcript, nulls) if with_oracle else (None, None),
     )
 
 

@@ -8,10 +8,16 @@ the replays (``schemes.linear_response``) and the containment decisions
 (``verify.columns_contained``), and names the exit that decided each
 receiver: ``block`` (the block solve confirmed a containment), ``leak``
 (the certificate proved a leak) or ``pair`` (the rank pair compared).
+The report and the oracle are called as direct callers call them, so each
+takes its own phase-1 null bases (``verify.run_trial`` takes them once for
+both).
 
 One line per configuration and seed gives the medians over its repeats in
 milliseconds, then one line per configuration the medians over all its
-seeds and repeats.  The ``xsdof`` it imports is the one on ``PYTHONPATH``,
+seeds and repeats.  The ``*_mib`` columns are each stage's working set: the
+peak of the memory ``tracemalloc`` traced during the stage above what was
+traced when it began, in MiB, from one more pass per seed with tracing on
+(numpy's arrays included); the timed passes run without it.  The ``xsdof`` it imports is the one on ``PYTHONPATH``,
 so one copy of the script reads any checkout.  From the root of a
 checkout::
 
@@ -26,6 +32,7 @@ import argparse
 import os
 import statistics
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -38,6 +45,9 @@ from xsdof.knowledge import Node  # noqa: E402
 from xsdof.schemes import SchemeId  # noqa: E402
 
 STAGES = ("run", "decode", "report", "oracle", "replay", "contain", "trial")
+
+#: The stages whose traced peaks are printed.
+PEAKS = ("run", "decode", "report", "oracle")
 
 
 def parse_config(text: str):
@@ -53,6 +63,15 @@ def timed(fn, *args, **kwargs):
     start = time.perf_counter()
     out = fn(*args, **kwargs)
     return out, time.perf_counter() - start
+
+
+def traced(fn, *args, **kwargs):
+    """``fn``'s result and the peak bytes ``tracemalloc`` traced while it
+    ran, above those traced when it began."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    out = fn(*args, **kwargs)
+    return out, tracemalloc.get_traced_memory()[1] - start
 
 
 def decode_both(transcript):
@@ -120,10 +139,26 @@ def sample(spec, config, seed):
     return times, verdicts, exits
 
 
-def row(label, seed, samples, tail=""):
+def peaks(spec, config, seed):
+    """One pass of the :data:`PEAKS` stages with tracing on: ``{stage:
+    bytes}``."""
+    tracemalloc.start()
+    try:
+        transcript, run_b = traced(schemes.run, spec, config, seed=seed)
+        ranks, decode_b = traced(decode_both, transcript)
+        _, report_b = traced(verify.secrecy_rank_report, transcript, ranks)
+        _, oracle_b = traced(verify.equivocation_subspace_check, transcript)
+    finally:
+        tracemalloc.stop()
+    return {"run": run_b, "decode": decode_b, "report": report_b, "oracle": oracle_b}
+
+
+def row(label, seed, samples, traces, tail=""):
     medians = " ".join(
         f"{1e3 * statistics.median(s[stage] for s in samples):10.2f}" for stage in STAGES)
-    return f"{label:<12} {seed:>5} {medians}  {tail}".rstrip()
+    mib = " ".join(
+        f"{statistics.median(p[stage] for p in traces) / 2**20:10.2f}" for stage in PEAKS)
+    return f"{label:<12} {seed:>5} {medians} {mib}  {tail}".rstrip()
 
 
 def main(argv=None):
@@ -133,22 +168,24 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"{'config':<12} {'seed':>5} " + " ".join(f"{stage + '_ms':>10}" for stage in STAGES)
-          + "  verdicts exits")
+          + " " + " ".join(f"{stage + '_mib':>10}" for stage in PEAKS) + "  verdicts exits")
     for text in args.configs:
         label, spec, config = parse_config(text)
-        every = []
+        every, every_trace = [], []
         for seed in args.seeds:
             samples, outcome = [], None
             for _ in range(args.repeat):
                 times, verdicts, exits = sample(spec, config, seed)
                 samples.append(times)
                 outcome = outcome or (verdicts, exits)
+            traces = [peaks(spec, config, seed)]
             every += samples
+            every_trace += traces
             verdicts, exits = outcome
             tail = ",".join("T" if v else "F" for v in verdicts) + " " + ",".join(exits)
-            print(row(label, seed, samples, tail), flush=True)
+            print(row(label, seed, samples, traces, tail), flush=True)
         if len(args.seeds) > 1:
-            print(row(label, "all", every), flush=True)
+            print(row(label, "all", every, every_trace), flush=True)
 
 
 if __name__ == "__main__":

@@ -190,8 +190,8 @@ class TestSimulateCommand:
     def test_short_rate_rank_fails_every_claim(self, capsys, monkeypatch, scheme):
         real = verify.secrecy_rank_report
 
-        def one_short(transcript, rate_ranks):
-            report = real(transcript, rate_ranks)
+        def one_short(transcript, rate_ranks, *args):
+            report = real(transcript, rate_ranks, *args)
             return dataclasses.replace(report, rate_ranks=(report.rate_target - 1, rate_ranks[1]))
 
         monkeypatch.setattr(verify, "secrecy_rank_report", one_short)

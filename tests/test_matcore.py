@@ -288,6 +288,18 @@ class TestRandomMatrix:
         with pytest.raises(InvalidInput):
             matcore.random_matrix(3, 2, rng(), batch=(2, -1))
 
+    @pytest.mark.parametrize("rows,cols,batch", [
+        (432, 216, ()), (3, 2, (4, 2)), (5, 1, (3,)), (0, 3, ()), (4, 0, (2,)), (2, 3, (0, 2)),
+    ])
+    def test_equals_the_complex_expression_bit_for_bit(self, rows, cols, batch):
+        # the parts written into the real and imaginary views against the
+        # complex sum divided by sqrt(2), on the same stream
+        z = rng(14).standard_normal(batch + (2, rows, cols))
+        want = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / 2.0**0.5
+        got = matcore.random_matrix(rows, cols, rng(14), batch=batch)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 @pytest.fixture
 def rank_calls(monkeypatch):

@@ -319,9 +319,9 @@ class TestOneRateDecision:
         rate_systems = [product for product in products if product.shape == (3, 3)]
         assert len(rate_systems) == 2
         assert [sum(a is system for a in certified) for system in rate_systems] == [1, 1]
-        # each decoder's fresh-phase lift, the report's phase-1 pair and
-        # the oracle's
-        assert len(null_bases) == 4
+        # each decoder's fresh-phase lift, and one phase-1 pair that the
+        # report and the oracle share
+        assert len(null_bases) == 3
 
     @pytest.mark.parametrize("factor,refused", [(1e-9, True), (1e-6, False)])
     def test_decoder_cuts_at_the_stacked_scale(self, monkeypatch, factor, refused):
@@ -349,6 +349,38 @@ class TestOneRateDecision:
                 assert decode_error(transcript, receiver) <= schemes.DECODE_TOL
         report = report_for(transcript)
         assert report.rate_ranks == (rate_rank,) * 2 == dense_ranks(transcript)[:2]
+
+    def test_report_and_oracle_share_the_null_bases(self, monkeypatch):
+        # run_trial takes one batched SVD of both receivers' phase-1 blocks
+        # and hands the same objects to the report, receiver 2's first, and
+        # to the oracle; they equal the bases each takes without them
+        handed = {}
+        report, oracle = verify.secrecy_rank_report, verify.equivocation_subspace_check
+
+        def report_spy(transcript, rate_ranks, nulls=None):
+            handed["report"] = nulls
+            return report(transcript, rate_ranks, nulls)
+
+        def oracle_spy(transcript, nulls=None):
+            handed["oracle"] = nulls
+            return oracle(transcript, nulls)
+
+        monkeypatch.setattr(verify, "secrecy_rank_report", report_spy)
+        monkeypatch.setattr(verify, "equivocation_subspace_check", oracle_spy)
+        trial = verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
+        for_report, for_oracle = handed["report"], handed["oracle"]
+        assert all(isinstance(null, matcore.SlotNullBases) for null in for_oracle)
+        assert for_report[0] is for_oracle[1] and for_report[1] is for_oracle[0]
+        monkeypatch.undo()
+        transcript = transcript_for(SchemeId.A, 2, 3)
+        t1 = transcript.plan.phase_lengths[0]
+        phase1 = transcript.states.slot_blocks()[:, :t1]
+        for shared, own in zip(for_report, matcore.slot_null_bases(phase1[[1, 0]])):
+            np.testing.assert_array_equal(shared.basis, own.basis)
+            np.testing.assert_array_equal(shared.ranks, own.ranks)
+            assert shared.largest == own.largest
+        assert trial.secrecy == verify.secrecy_rank_report(transcript, trial.secrecy.rate_ranks)
+        assert trial.oracle == verify.equivocation_subspace_check(transcript) == (True, True)
 
 
 class TestSubspaceOracle:
@@ -389,9 +421,9 @@ class TestSubspaceOracle:
         assert len(seen) == 2
         for noise, secret in seen:
             assert noise.shape == (12, 9) and secret.shape == (12, 12)
-        # receiver 1's rows end its map: a view; receiver 2's skip its own
-        # fresh phase: a copy
-        assert not seen[0][1].flags.owndata and seen[1][1].flags.owndata
+        # each secret map stores the receiver's own fresh phase before the
+        # other's, so the kept rows end it: a view for both receivers
+        assert not seen[0][1].flags.owndata and not seen[1][1].flags.owndata
 
     def test_shared_noise_replay(self, monkeypatch):
         transcript = transcript_for(SchemeId.A, 2, 3, mutation="theta1_zero")
@@ -405,7 +437,8 @@ class TestSubspaceOracle:
         monkeypatch.setattr(schemes, "linear_response", counted)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
         assert verdicts == (True, False)
-        assert groups == ["u", "v2", "v1"]  # one noise replay serves both receivers
+        # each receiver's secret replay, then its own noise replay
+        assert groups == ["v2", "u", "v1", "u"]
         monkeypatch.setattr(schemes, "linear_response", replay)
         # the secret maps on the noise maps' rows, bit for bit: receiver 1's
         # phase 3 and 4 (rows 36 on), receiver 2's phase 2 (27 to 36) and 4
@@ -414,6 +447,11 @@ class TestSubspaceOracle:
         np.testing.assert_array_equal(seen[0][1], v2[36:])
         np.testing.assert_array_equal(seen[1][1], np.vstack([v1[27:36], v1[45:]]))
         assert not np.any(seen[1][0]) and np.all(np.linalg.norm(seen[0][0], axis=0) > 0)
+        # whole eavesdropper maps: receiver 1's in the run's phase order,
+        # receiver 2's with its own fresh phase (36 to 45) first
+        np.testing.assert_array_equal(replay(transcript, "v2", eavesdropper=True)[0], v2)
+        np.testing.assert_array_equal(replay(transcript, "v1", eavesdropper=True)[1],
+                                      np.vstack([v1[:27], v1[36:45], v1[27:36], v1[45:]]))
 
     def test_reduced_noise_replay_matches_dense(self):
         """Each receiver's noise map of its null-basis input against the
@@ -455,10 +493,12 @@ class TestSubspaceOracle:
         with pytest.raises(InvalidTranscript, match="noise phase"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
-    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 0), ("v1", 1, 9)])
+    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 0), ("v1", 1, 8)])
     def test_secret_in_own_fresh_phase_is_refused(self, monkeypatch, group, rx, row):
-        # A(2,3): 27 noise-phase rows, then 9 rows for each fresh phase;
-        # receiver 1's own is phase 2, receiver 2's phase 3
+        # A(2,3): 27 noise-phase rows, then 9 rows for each fresh phase; an
+        # eavesdropper's secret map stores its own fresh phase first
+        # (receiver 1's phase 2, receiver 2's phase 3), so row 8 is
+        # receiver 2's last own row and the next its first kept one
         replay = schemes.linear_response
 
         def leaky(transcript, name, **kw):
@@ -471,13 +511,14 @@ class TestSubspaceOracle:
         with pytest.raises(InvalidTranscript, match="own fresh phase"):
             verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
 
-    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 36), ("v1", 1, 27)])
+    @pytest.mark.parametrize("group,rx,row", [("v2", 0, 36), ("v1", 1, 36)])
     def test_secret_across_slots_in_other_fresh_phase_is_refused(
         self, monkeypatch, group, rx, row
     ):
         # A(2,3): the other receiver's fresh phase is rows 36 to 45 of
-        # receiver 1's map (phase 3) and 27 to 36 of receiver 2's (phase
-        # 2); its first slot's rows meet only columns 0 to 3
+        # either eavesdropper's map (receiver 1's phase 3, receiver 2's
+        # phase 2, stored after its own); its first slot's rows meet only
+        # columns 0 to 3
         replay = schemes.linear_response
 
         def smeared(transcript, name, **kw):
@@ -543,10 +584,10 @@ class TestSubspaceOracle:
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
-        # one shared noise replay of both reduced maps, then each secret
-        # replay of its eavesdropper's map alone
-        want = [("u", True, [True, True]), ("v2", True, [True, False]),
-                ("v1", True, [False, True])]
+        # per receiver, the secret replay of its map alone, then the noise
+        # replay of its reduced map alone
+        want = [("v2", True, [True, False]), ("u", True, [True, False]),
+                ("v1", True, [False, True]), ("u", True, [False, True])]
         assert calls == want
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
@@ -986,6 +1027,18 @@ def joint_rank_calls(monkeypatch):
 
 
 class TestColumnsContained:
+    @pytest.mark.parametrize("shape,spread", [
+        ((12, 9), 0), ((105, 75), 0), ((30, 8), 12), ((1, 5), 3), ((0, 3), 0), ((4, 0), 0),
+    ])
+    def test_column_norms_match_numpy(self, shape, spread):
+        # the guard's column norms from the real and imaginary views, on
+        # columns whose scales spread over 10**(2 * spread)
+        rng = np.random.default_rng(3)
+        x = _gaussian(rng, *shape) * 10.0 ** rng.uniform(-spread, spread, shape[1])
+        got, want = verify._column_norms(x), np.linalg.norm(x, axis=0)
+        assert got.shape == want.shape == (shape[1],)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
     def test_contained_span(self, joint_rank_calls):
         rng = np.random.default_rng(1)
         a = _gaussian(rng, 30, 8)
