@@ -690,6 +690,15 @@ def decode(transcript: Transcript, receiver: Node) -> Decoded:
 # ---------------------------------------------------------------------------
 
 
+def _stack_for(transcript: Transcript, name: str, shape: tuple) -> np.ndarray:
+    """An ``[x1; x2]`` input stack of ``shape`` for :func:`_by_slot` to
+    write precoder ``name``'s products into: left unfilled when both
+    transmitters carry it, since every row is then written, and zero
+    otherwise, where the other transmitter's rows stay silent."""
+    fill = np.empty if getattr(transcript.spec, name) == "both" else np.zeros
+    return fill(shape, dtype=complex)
+
+
 def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndarray):
     """Precoder ``name`` times the outputs of an identity-input phase,
     slot by slot, written into ``out``.
@@ -786,7 +795,7 @@ def linear_response(
     if group == "u":
         identity(1)
         for p, name, rx in ((2, "theta1", 0), (3, "theta2", 1)):
-            x = np.zeros((2 * m * lengths[p - 1], k), dtype=complex)
+            x = _stack_for(transcript, name, (2 * m * lengths[p - 1], k))
             _by_slot(transcript, name, phases[0][rx], x)
             for listener in listeners:
                 _send(phases[p - 1][listener], x, y[listener][phase(p)])
@@ -796,7 +805,7 @@ def linear_response(
         p, name, listener = (2, "phi1", 1) if group == "v1" else (3, "phi2", 0)
         identity(p)
         take = retransmitted_rows(transcript.spec, transcript.config)
-        x4 = np.zeros((2 * m * lengths[3], k), dtype=complex)
+        x4 = _stack_for(transcript, name, (2 * m * lengths[3], k))
         _by_slot(transcript, name, phases[p - 1][listener, :, :take], x4)
     for rx in listeners:
         _send(phases[3][rx], x4, y[rx][phase(4)])
@@ -832,7 +841,10 @@ def _eavesdropped_noise(
     where the identity replay has ``2m t1``.  The product is taken as
     ``(D4 Phi) heard``, ``D4`` the receiver's final-phase lift and ``Phi``
     the placed precoder: its ``n t4`` rows where ``D4 (Phi heard)`` has
-    ``2m t4``.
+    ``2m t4``.  A precoder both transmitters carry is its own placed copy,
+    so only the ``tx1``/``tx2`` carriers of schemes B and C are padded
+    with zeros, and only their mixing input is zero-filled
+    (:func:`_stack_for`).
     """
     m, n = transcript.config.effective_m, transcript.config.n
     # the other receiver's fresh phase, the precoder mixing into it and the
@@ -841,14 +853,15 @@ def _eavesdropped_noise(
     t1, _, w = basis.shape
     t, t4, k = phases[p - 1].shape[1], phases[3].shape[1], t1 * w
     out = np.empty((t + t4, n, k), dtype=complex)
-    x = np.zeros((2 * m * t, k), dtype=complex)
+    x = _stack_for(transcript, theta, (2 * m * t, k))
     _by_slot(transcript, theta, phases[0][1 - rx] @ basis, x)
     _send(phases[p - 1][rx], x, out[:t])
     heard = side_info(transcript, out[:t].reshape(n * t, k))
-    precoder = getattr(transcript.precoders, phi)
+    placed = precoder = getattr(transcript.precoders, phi)
     h = precoder.shape[1]
-    placed = np.zeros((2 * m * t4, h), dtype=complex)
-    placed[_carrier_span(getattr(transcript.spec, phi), m * t4)] = precoder
+    if getattr(transcript.spec, phi) != "both":
+        placed = np.zeros((2 * m * t4, h), dtype=complex)
+        placed[_carrier_span(getattr(transcript.spec, phi), m * t4)] = precoder
     lifted = np.empty((t4, n, h), dtype=complex)
     _send(phases[3][rx], placed, lifted)
     final = out[t:].reshape(n * t4, k)  # a view: ``out`` is contiguous

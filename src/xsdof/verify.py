@@ -618,8 +618,21 @@ def run_mutant(config: AntennaConfig, seed: int, mutation: str) -> bool:
 
     A mutant is caught when the trial fails to decode or fails any check
     of scheme A's zero-leakage claim.
+
+    The trial is first run without the oracle, and a failed decode or a
+    failed check decides it there: every check stays failed when the
+    oracle's verdicts are added, since the oracle only enters the
+    report/oracle agreement, which holds wherever it did not run.  So the
+    eager verdict with the oracle is the same.  Only a mutant that
+    decodes and passes every check without it, which the rank report has
+    then missed, is run again with the oracle, at the same seed: the
+    rerun draws the same transcript bit for bit, and its verdict is the
+    eager one.
     """
     spec = schemes.variant(SchemeId.A)
-    report = run_trial(spec, config, seed=seed, mutation=mutation)
-    checks = claim_checks([report], spec.leakage)
-    return not report.decode_ok or not all(passed for _, passed in checks)
+    for with_oracle in (False, True):
+        report = run_trial(spec, config, seed=seed, mutation=mutation, with_oracle=with_oracle)
+        checks = claim_checks([report], spec.leakage)
+        if not report.decode_ok or not all(passed for _, passed in checks):
+            return True
+    return False

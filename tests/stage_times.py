@@ -24,8 +24,11 @@ checkout::
     PYTHONPATH=src python tests/stage_times.py A:6:6 A:8:8 --seeds 7 1 --repeat 5
 
 A configuration is ``SCHEME:M:N``, with ``:tx1`` appended for scheme C's
-tx1-only row.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says
-otherwise.  pytest does not collect this file.
+tx1-only row or a mutation for a mutant (``A:2:3:theta1_zero``, the
+trials of ``verify --suite mutants``); a refused decode gives the rate
+rank of its exception.  BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise.  pytest does not collect this
+file.
 """
 
 import argparse
@@ -51,11 +54,13 @@ PEAKS = ("run", "decode", "report", "oracle")
 
 
 def parse_config(text: str):
-    """``SCHEME:M:N[:tx1]`` as ``(label, spec, config)``."""
+    """``SCHEME:M:N[:tx1|:MUTATION]`` as ``(label, spec, config, mutation)``."""
     scheme, m, n, *mode = text.split(":")
-    spec = schemes.variant(SchemeId(scheme), tx1_only=mode == ["tx1"])
-    label = f"{scheme}({m},{n})" + ("-tx1" if mode else "")
-    return label, spec, AntennaConfig(int(m), int(n))
+    tx1_only = mode == ["tx1"]
+    mutation = None if tx1_only or not mode else mode[0]  # schemes.run checks its name
+    spec = schemes.variant(SchemeId(scheme), tx1_only=tx1_only)
+    label = f"{scheme}({m},{n})" + (f"-{mode[0]}" if mode else "")
+    return label, spec, AntennaConfig(int(m), int(n)), mutation
 
 
 def timed(fn, *args, **kwargs):
@@ -128,9 +133,9 @@ def instrumented_oracle(transcript):
     return verdicts, spent, exits
 
 
-def sample(spec, config, seed):
+def sample(spec, config, seed, mutation):
     """One pass of every stage: ``({stage: seconds}, verdicts, exits)``."""
-    transcript, run_s = timed(schemes.run, spec, config, seed=seed)
+    transcript, run_s = timed(schemes.run, spec, config, seed=seed, mutation=mutation)
     ranks, decode_s = timed(decode_both, transcript)
     _, report_s = timed(verify.secrecy_rank_report, transcript, ranks)
     (verdicts, spent, exits), oracle_s = timed(instrumented_oracle, transcript)
@@ -139,12 +144,12 @@ def sample(spec, config, seed):
     return times, verdicts, exits
 
 
-def peaks(spec, config, seed):
+def peaks(spec, config, seed, mutation):
     """One pass of the :data:`PEAKS` stages with tracing on: ``{stage:
     bytes}``."""
     tracemalloc.start()
     try:
-        transcript, run_b = traced(schemes.run, spec, config, seed=seed)
+        transcript, run_b = traced(schemes.run, spec, config, seed=seed, mutation=mutation)
         ranks, decode_b = traced(decode_both, transcript)
         _, report_b = traced(verify.secrecy_rank_report, transcript, ranks)
         _, oracle_b = traced(verify.equivocation_subspace_check, transcript)
@@ -163,22 +168,23 @@ def row(label, seed, samples, traces, tail=""):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("configs", nargs="+", help="SCHEME:M:N or SCHEME:M:N:tx1")
+    parser.add_argument("configs", nargs="+",
+                        help="SCHEME:M:N, SCHEME:M:N:tx1 or SCHEME:M:N:MUTATION")
     parser.add_argument("--seeds", type=int, nargs="+", default=[7])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"{'config':<12} {'seed':>5} " + " ".join(f"{stage + '_ms':>10}" for stage in STAGES)
           + " " + " ".join(f"{stage + '_mib':>10}" for stage in PEAKS) + "  verdicts exits")
     for text in args.configs:
-        label, spec, config = parse_config(text)
+        label, spec, config, mutation = parse_config(text)
         every, every_trace = [], []
         for seed in args.seeds:
             samples, outcome = [], None
             for _ in range(args.repeat):
-                times, verdicts, exits = sample(spec, config, seed)
+                times, verdicts, exits = sample(spec, config, seed, mutation)
                 samples.append(times)
                 outcome = outcome or (verdicts, exits)
-            traces = [peaks(spec, config, seed)]
+            traces = [peaks(spec, config, seed, mutation)]
             every += samples
             every_trace += traces
             verdicts, exits = outcome

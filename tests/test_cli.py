@@ -349,6 +349,24 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("PASS mutant") == 3
 
+    def test_missed_mutant_names_its_first_silent_seed(self, capsys, monkeypatch):
+        calls = []
+
+        def miss(config, seed, mutation):
+            calls.append((mutation, seed))
+            return mutation != "theta1_zero" or seed < 12
+
+        monkeypatch.setattr(verify, "run_mutant", miss)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "mutants", "--seed", "0")
+        assert code == cli.EXIT_INVARIANT
+        assert out.splitlines() == [
+            "FAIL mutant theta1_zero caught (silent at seed 12 of 20)",
+            "PASS mutant phi1_zero caught (20 seeds)",
+            "PASS mutant skip_phase1 caught (20 seeds)",
+        ]
+        # the first silent seed ends the mutant's run
+        assert [seed for mutation, seed in calls if mutation == "theta1_zero"] == list(range(13))
+
 
 class TestClosedStdout:
     def test_closed_pipe_ends_quietly(self):

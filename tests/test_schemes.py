@@ -552,6 +552,37 @@ class TestReplay:
                     assert np.array_equal(y[rows], ref[rows]), (group, p)
 
 
+    @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases()[::4])
+    def test_unfilled_stacks_are_written_whole(self, monkeypatch, scheme, m, n, tx1_only,
+                                               mutation):
+        # an input stack left unfilled is written in every row: filled with
+        # NaN first, every replay still equals the plain one bit for bit
+        transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3,
+                                 mutation=mutation)
+        t1 = transcript.plan.phase_lengths[0]
+        nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
+
+        def replays():
+            maps = [schemes.linear_response(transcript, group) for group in ("u", "v1", "v2")]
+            maps += [schemes.linear_response(transcript, group, eavesdropper=True)
+                     for group in ("v1", "v2")]
+            maps.append(schemes.linear_response(
+                transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls]))
+            return [y for pair in maps for y in pair if y is not None]
+
+        plain = replays()
+        stack_for = schemes._stack_for
+
+        def poisoned(transcript, name, shape):
+            out = stack_for(transcript, name, shape)
+            if getattr(transcript.spec, name) == "both":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(schemes, "_stack_for", poisoned)
+        assert all(np.array_equal(a, b) for a, b in zip(replays(), plain, strict=True))
+
+
 class TestSideInfo:
     def test_selects_the_first_rows_of_every_slot(self):
         # every spec row: the first take rows of each slot's n, in slot

@@ -1276,6 +1276,44 @@ class TestMutants:
         assert out.secrecy.leak_defects[0] > 0 and out.secrecy.leak_defects[1] > 0
         assert out.decode_ok  # decoding survives, secrecy does not
 
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
+    def test_caught_before_the_oracle(self, monkeypatch, m, n):
+        # every mutant fails a decode or a rank check, so the oracle never runs
+        calls = []
+        monkeypatch.setattr(verify, "equivocation_subspace_check",
+                            lambda *args: calls.append(args) or (None, None))
+        for mutation in schemes.MUTATIONS:
+            for seed in range(3):
+                assert verify.run_mutant(AntennaConfig(m, n), seed, mutation), (mutation, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("mutation", schemes.MUTATIONS)
+    def test_lazy_verdict_equals_the_eager_one(self, mutation):
+        spec, config = variant(SchemeId.A), AntennaConfig(2, 3)
+        for seed in range(20):
+            report = verify.run_trial(spec, config, seed=seed, mutation=mutation)
+            checks = verify.claim_checks([report], spec.leakage)
+            eager = not report.decode_ok or not all(passed for _, passed in checks)
+            assert verify.run_mutant(config, seed, mutation) == eager, seed
+
+    def test_missed_by_the_report_is_caught_by_the_oracle(self, monkeypatch):
+        # a report blind to theta1_zero's leak passes every check; the rerun
+        # with the oracle catches the mutant by the oracle's disagreement
+        real_report, real_oracle = verify.secrecy_rank_report, verify.equivocation_subspace_check
+        verdicts = []
+
+        def blind(*args):
+            return dataclasses.replace(real_report(*args), leak_defects=(0, 0))
+
+        def oracle(*args):
+            verdicts.append(real_oracle(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(verify, "secrecy_rank_report", blind)
+        monkeypatch.setattr(verify, "equivocation_subspace_check", oracle)
+        assert verify.run_mutant(AntennaConfig(2, 3), 0, "theta1_zero")
+        assert verdicts == [(True, False)]
+
     def test_decoder_crash_is_not_a_catch(self, monkeypatch):
         def crash(transcript, receiver):
             raise RuntimeError("decoder bug")
