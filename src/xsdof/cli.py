@@ -113,26 +113,27 @@ def _cmd_simulate(args) -> int:
         return EXIT_REGIME
     problems = [] if all(r.decode_ok for r in reports) else ["decode failed"]
     problems += [name for name, passed in verify.claim_checks(reports, spec.leakage) if not passed]
-    summary = {
-        "scheme": scheme.value,
-        "config": {"m": args.M, "n": args.N},
-        "trials": args.trials,
-        "decode_success_rate": sum(r.decode_ok for r in reports) / len(reports),
-        "max_leak_defect": max(max(r.secrecy.leak_defects) for r in reports),
-        "empirical_dof": reports[0].to_jsonable()["empirical_dof"],
-        "invariants_ok": not problems,
-        "problems": problems,
-    }
-    if scheme is SchemeId.C:
-        corner = regions.symmetric_corner(args.M, args.N, regions.ASYM_FB)
-        summary["inner_bound_discrepancy"] = {
-            "flagged": corner.discrepancy,
-            "scheme_point": frac_json(corner.point[0]),
-            "intersection_point": frac_json(corner.intersection_point[0]),
-        }
     if args.format == "json":
-        for r in reports:
-            print(_dumps(r.to_jsonable()))
+        records = [r.to_jsonable() for r in reports]
+        summary = {
+            "scheme": scheme.value,
+            "config": {"m": args.M, "n": args.N},
+            "trials": args.trials,
+            "decode_success_rate": sum(r.decode_ok for r in reports) / len(reports),
+            "max_leak_defect": max(max(r.secrecy.leak_defects) for r in reports),
+            "empirical_dof": records[0]["empirical_dof"],
+            "invariants_ok": not problems,
+            "problems": problems,
+        }
+        if scheme is SchemeId.C:
+            corner = regions.symmetric_corner(args.M, args.N, regions.ASYM_FB)
+            summary["inner_bound_discrepancy"] = {
+                "flagged": corner.discrepancy,
+                "scheme_point": frac_json(corner.point[0]),
+                "intersection_point": frac_json(corner.intersection_point[0]),
+            }
+        for record in records:
+            print(_dumps(record))
         print(_dumps({"summary": summary}))
     else:
         print("seed,decode_ok,decode_err_rx1,decode_err_rx2,rate_rank_rx1,rate_rank_rx2,"

@@ -72,7 +72,9 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim == 3):
         raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    # one pass over both parts: the float view where the last axis is contiguous
+    parts = m.view(float) if m.strides[-1] == m.itemsize else m
+    if not np.isfinite(parts).all():
         raise InvalidMatrix("matrix has non-finite entries")
     return m
 

@@ -55,7 +55,8 @@ scheme's leakage claim demands of its trials.  It takes the per-slot null
 bases of both receivers' phase-1 lifts once, one batched SVD, and hands
 them to the report and the oracle: the oracle's independence rests on its
 replay, not on its own copy of bases that are a function of the states
-alone.
+alone.  :func:`run_mutant` runs the same stages, by the same code, in cost
+order, and stops at the first check a mutant fails.
 
 Leakage is verified structurally, not by Monte Carlo mutual-information
 estimation: at the infinite-SNR scale the secrecy claim *is* a rank
@@ -130,16 +131,12 @@ def _per_receiver(pair, prefix: str = "") -> dict:
     return {prefix + "rx1": pair[0], prefix + "rx2": pair[1]}
 
 
-def secrecy_rank_report(
-    transcript: Transcript, rate_ranks: tuple[int, int], nulls: tuple | None = None
-) -> SecrecyReport:
-    """The rate and leakage rank identities of a transcript.
-
-    A rate matrix stacks the legitimate receiver's fresh-phase map on the
-    retransmitted side-information map: the system :func:`schemes.decode`
-    solves.  ``rate_ranks`` are the ``(rx1, rx2)`` ranks the decoders
-    decided (``Decoded.rate_rank``, or the ``rate_rank`` of the exception
-    one raised); the report forms no rate matrix.
+def leak_identities(
+    transcript: Transcript, nulls: tuple | None = None
+) -> tuple[tuple[int, int], tuple]:
+    """Both receivers' leakage identities: their leak defects, an ``(rx1,
+    rx2)`` pair, and the ``(name, rows, cols)`` shapes of the two stacked
+    leakage matrices, receiver 2's first.
 
     The leakage matrix for the eavesdropper on receiver ``j``'s symbols
     stacks that eavesdropper's block-diagonal phase-1 lift ``G`` on the
@@ -153,22 +150,21 @@ def secrecy_rank_report(
     (:func:`matcore.times_block_diagonal`).  :func:`matcore.rank_value`
     decides ``rank(M N)`` at a cut that keeps ``G``'s scale; only a map its
     certificate cannot prove full rank (scheme C's, a mutant's deficient
-    one) reaches :func:`matcore.rank`.  ``matrices_audited`` lists the
-    shapes of the four stacked matrices.
+    one) reaches :func:`matcore.rank`.
 
     ``nulls`` are the :class:`matcore.SlotNullBases` of receiver 2's and
-    receiver 1's phase-1 lifts, in that order.  :func:`run_trial`
-    passes the ones it hands the oracle too; without them the report takes
-    one :func:`matcore.slot_null_bases` of both.  The bases of a batch are
-    those of each matrix alone, bit for bit, so both give the same report.
+    receiver 1's phase-1 lifts, in that order; without them one
+    :func:`matcore.slot_null_bases` of both is taken.  The bases of a batch
+    are those of each matrix alone, bit for bit, so both give the same
+    defects.
     """
     transcript.check_complete()
     m, n = transcript.config.effective_m, transcript.config.n
-    t1, t2, t3, t4 = transcript.plan.phase_lengths
+    t1, t2, t3, _ = transcript.plan.phase_lengths
     # the (2, t, n, 2m) slot blocks of both receivers' lifts, by phase
     blocks = transcript.states.slot_blocks()
     phase1, phase2, phase3 = np.split(blocks[:, :t1 + t2 + t3], [t1, t1 + t2], axis=1)
-    audited = [("rate_rx1", n * (t2 + t4), 2 * m * t2), ("rate_rx2", n * (t3 + t4), 2 * m * t3)]
+    audited = []
 
     def defect(name, g_null, precoder, left, mixed):
         """``[G; M]``'s rank below ``n*(t1+t2)``, ``M`` being ``precoder``'s
@@ -181,14 +177,36 @@ def secrecy_rank_report(
     g1_null, h1_null = nulls or matcore.slot_null_bases(phase1[[1, 0]])
     defect_rx2 = defect("leak_rx2", g1_null, "theta1", phase2[1], phase1[0])
     defect_rx1 = defect("leak_rx1", h1_null, "theta2", phase3[0], phase1[1])
+    return (defect_rx1, defect_rx2), tuple(audited)
 
+
+def secrecy_rank_report(
+    transcript: Transcript, rate_ranks: tuple[int, int], nulls: tuple | None = None
+) -> SecrecyReport:
+    """The rate and leakage rank identities of a transcript.
+
+    A rate matrix stacks the legitimate receiver's fresh-phase map on the
+    retransmitted side-information map: the system :func:`schemes.decode`
+    solves.  ``rate_ranks`` are the ``(rx1, rx2)`` ranks the decoders
+    decided (``Decoded.rate_rank``, or the ``rate_rank`` of the exception
+    one raised); the report forms no rate matrix.  The leak defects come
+    from :func:`leak_identities`, which takes ``nulls`` as they are given:
+    :func:`run_trial` passes the bases it hands the oracle too.
+    ``matrices_audited`` lists the shapes of the four stacked matrices.
+    """
+    leak_defects, leak_audited = leak_identities(transcript, nulls)
+    m, n = transcript.config.effective_m, transcript.config.n
+    _, t2, t3, t4 = transcript.plan.phase_lengths
     return SecrecyReport(
         scheme=transcript.spec.scheme,
         rate_ranks=rate_ranks,
-        rate_target=2 * m * t2,
-        leak_defects=(defect_rx1, defect_rx2),
+        rate_target=transcript.plan.symbols_per_receiver,
+        leak_defects=leak_defects,
         advisory=transcript.spec.leakage != "zero",
-        matrices_audited=tuple(audited),
+        matrices_audited=(
+            ("rate_rx1", n * (t2 + t4), 2 * m * t2),
+            ("rate_rx2", n * (t3 + t4), 2 * m * t3),
+        ) + leak_audited,
     )
 
 
@@ -496,7 +514,7 @@ class TrialReport:
     @property
     def decoded(self) -> tuple[bool, bool]:
         """Per receiver, whether its decode error is within ``DECODE_TOL``."""
-        return tuple(e is not None and e <= schemes.DECODE_TOL for e in self.decode_errors)
+        return tuple(_decode_passed(e) for e in self.decode_errors)
 
     @property
     def decode_ok(self) -> bool:
@@ -546,36 +564,73 @@ def run_trial(
     :func:`matcore.slot_null_bases` of both receivers' phase-1 slot blocks
     serves the rank report and the oracle.
     """
-    # an unmutated scheme's singular decode is a null-set draw too
-    recorded = (SingularSystem, DecodeFailure) if mutation else DecodeFailure
+    transcript, attempts, outcomes = _drawn(spec, config, seed, mutation)
+    if outcomes is None:  # a mutant's: its failed decodes are recorded
+        outcomes = [_decode_outcome(transcript, rx) for rx in (Node.RX1, Node.RX2)]
+    return _trial_report(
+        transcript, seed, attempts, outcomes, _phase1_nulls(transcript), with_oracle)
+
+
+def _drawn(
+    spec: SchemeSpec, config: AntennaConfig, seed: int, mutation: str | None
+) -> tuple[Transcript, int, list | None]:
+    """The resample loop of a trial: its transcript, the attempts it took
+    and, unmutated, both receivers' decode outcomes (see :func:`_decode_outcome`).
+
+    An unmutated scheme's singular decode is a null-set draw too, so it is
+    decoded inside the loop.  A mutant's decode exceptions are recorded,
+    never resampled, so its decodes are left to the caller: deferring them
+    changes no draw.
+    """
     trial_seed = seed
     for attempt in range(1, MAX_RESAMPLES + 1):
         try:
             transcript = schemes.run(spec, config, seed=trial_seed, mutation=mutation)
-            outcomes = []  # (decode error, rate rank) per receiver
-            for receiver in (Node.RX1, Node.RX2):
-                try:
-                    decoded = schemes.decode(transcript, receiver)
-                except recorded as exc:
-                    outcomes.append((None, exc.rate_rank))
-                else:
-                    error = decode_error(transcript, receiver, decoded.symbols)
-                    outcomes.append((error, decoded.rate_rank))
-            break
+            outcomes = None if mutation else [
+                _decode_outcome(transcript, rx, DecodeFailure) for rx in (Node.RX1, Node.RX2)]
+            return transcript, attempt, outcomes
         except SingularSystem:  # a null-set draw: resample
             trial_seed = _resample_seed(seed, attempt)
-    else:
-        raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
+    raise SingularSystem(f"trial for seed {seed} kept drawing singular systems")
 
-    errors, ranks = zip(*outcomes)
-    # both receivers' phase-1 null bases, for the report and the oracle
+
+def _decode_outcome(
+    transcript: Transcript, receiver: Node, recorded=(SingularSystem, DecodeFailure)
+) -> tuple[float | None, int]:
+    """``receiver``'s decode outcome: its decode error and rate rank, or
+    None and the exception's rate rank when the decoder raised one of the
+    ``recorded`` classes (by default a mutant's: a refused solve too)."""
+    try:
+        decoded = schemes.decode(transcript, receiver)
+    except recorded as exc:
+        return None, exc.rate_rank
+    return decode_error(transcript, receiver, decoded.symbols), decoded.rate_rank
+
+
+def _decode_passed(error: float | None) -> bool:
+    """Whether a decode error counts as decoded: the decoder solved, within
+    ``DECODE_TOL``."""
+    return error is not None and error <= schemes.DECODE_TOL
+
+
+def _phase1_nulls(transcript: Transcript) -> tuple[matcore.SlotNullBases, ...]:
+    """Receiver 1's and receiver 2's phase-1 null bases, one batched SVD."""
     t1 = transcript.plan.phase_lengths[0]
-    nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
+    return matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
+
+
+def _trial_report(
+    transcript: Transcript, seed: int, attempts: int, outcomes, nulls, with_oracle: bool
+) -> TrialReport:
+    """The report of a drawn and decoded trial: the rank report on the
+    decoders' rate ranks and, ``with_oracle``, the oracle, both on the
+    phase-1 null bases ``nulls``."""
+    errors, ranks = zip(*outcomes)
     return TrialReport(
-        spec=spec,
-        config=config,
+        spec=transcript.spec,
+        config=transcript.config,
         seed=seed,
-        attempts=attempt,
+        attempts=attempts,
         plan=transcript.plan,
         decode_errors=errors,
         secrecy=secrecy_rank_report(transcript, ranks, (nulls[1], nulls[0])),
@@ -617,22 +672,45 @@ def run_mutant(config: AntennaConfig, seed: int, mutation: str) -> bool:
     """Run one mutated scheme-A trial; True when the verifier catches it.
 
     A mutant is caught when the trial fails to decode or fails any check
-    of scheme A's zero-leakage claim.
+    of scheme A's zero-leakage claim: when :func:`_first_failed_check`
+    names a check.
 
-    The trial is first run without the oracle, and a failed decode or a
-    failed check decides it there: every check stays failed when the
-    oracle's verdicts are added, since the oracle only enters the
-    report/oracle agreement, which holds wherever it did not run.  So the
-    eager verdict with the oracle is the same.  Only a mutant that
-    decodes and passes every check without it, which the rank report has
-    then missed, is run again with the oracle, at the same seed: the
-    rerun draws the same transcript bit for bit, and its verdict is the
-    eager one.
+    That verdict is decided on one transcript, drawn by the resample loop
+    of :func:`run_trial`, with the checks in cost order, stopping at the
+    first that fails: the leak identities, then each receiver's decode,
+    then the oracle.  It equals the eager verdict of :func:`run_trial` and
+    :func:`claim_checks`.  The transcript is the same, since a mutant's
+    decodes never resample, and so are the null bases, the defects and the
+    decode outcomes, each computed by the code :func:`run_trial` runs.
+    The eager verdict is a conjunction of checks, and each stage only adds
+    one of its terms, so a failed stage fails it too.  Only a mutant that
+    passes the leak identities and both decodes reaches the oracle, and is
+    then decided on a :class:`TrialReport` assembled as :func:`run_trial`
+    assembles it.  A decoder that would crash, not refuse, is not reached
+    when the leak identities already caught the mutant.
     """
+    return _first_failed_check(config, seed, mutation) is not None
+
+
+def _first_failed_check(config: AntennaConfig, seed: int, mutation: str) -> str | None:
+    """The first check a mutated scheme-A trial fails, in the order
+    :func:`run_mutant` runs them, or None: ``zero leakage`` (a positive
+    leak defect), ``decode rx1`` or ``decode rx2`` (a refused solve or an
+    error above ``DECODE_TOL``), ``rate ranks``, or a :func:`claim_checks`
+    name once the oracle has run."""
     spec = schemes.variant(SchemeId.A)
-    for with_oracle in (False, True):
-        report = run_trial(spec, config, seed=seed, mutation=mutation, with_oracle=with_oracle)
-        checks = claim_checks([report], spec.leakage)
-        if not report.decode_ok or not all(passed for _, passed in checks):
-            return True
-    return False
+    transcript, attempts, _ = _drawn(spec, config, seed, mutation)
+    nulls = _phase1_nulls(transcript)
+    defects, _ = leak_identities(transcript, (nulls[1], nulls[0]))
+    if any(defect != 0 for defect in defects):
+        return "zero leakage"
+    outcomes = []
+    for label, receiver in (("rx1", Node.RX1), ("rx2", Node.RX2)):
+        error, rate_rank = _decode_outcome(transcript, receiver)
+        if not _decode_passed(error):
+            return f"decode {label}"
+        if rate_rank != transcript.plan.symbols_per_receiver:
+            return "rate ranks"
+        outcomes.append((error, rate_rank))
+    report = _trial_report(transcript, seed, attempts, outcomes, nulls, with_oracle=True)
+    return next((name for name, passed in claim_checks([report], spec.leakage) if not passed), None)

@@ -26,9 +26,10 @@ checkout::
 A configuration is ``SCHEME:M:N``, with ``:tx1`` appended for scheme C's
 tx1-only row or a mutation for a mutant (``A:2:3:theta1_zero``, the
 trials of ``verify --suite mutants``); a refused decode gives the rate
-rank of its exception.  BLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS`` says otherwise.  pytest does not collect this
-file.
+rank of its exception, and a mutant's line ends with the check that caught
+it (``verify.run_mutant``'s first failing check, ``-`` for none).  BLAS
+runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.  pytest
+does not collect this file.
 """
 
 import argparse
@@ -174,7 +175,7 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"{'config':<12} {'seed':>5} " + " ".join(f"{stage + '_ms':>10}" for stage in STAGES)
-          + " " + " ".join(f"{stage + '_mib':>10}" for stage in PEAKS) + "  verdicts exits")
+          + " " + " ".join(f"{stage + '_mib':>10}" for stage in PEAKS) + "  verdicts exits caught")
     for text in args.configs:
         label, spec, config, mutation = parse_config(text)
         every, every_trace = [], []
@@ -189,6 +190,8 @@ def main(argv=None):
             every_trace += traces
             verdicts, exits = outcome
             tail = ",".join("T" if v else "F" for v in verdicts) + " " + ",".join(exits)
+            if mutation:
+                tail += " " + (verify._first_failed_check(config, seed, mutation) or "-")
             print(row(label, seed, samples, traces, tail), flush=True)
         if len(args.seeds) > 1:
             print(row(label, "all", every, every_trace), flush=True)

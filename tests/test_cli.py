@@ -203,6 +203,24 @@ class TestSimulateCommand:
         assert summary["invariants_ok"] is False
         assert "rate ranks" in summary["problems"]
 
+    def test_summary_reads_the_printed_first_record(self, capsys, monkeypatch):
+        # each record is written out once; the summary's empirical_dof is the
+        # first record's, not a second rendering of it
+        real, rendered = verify.TrialReport.to_jsonable, []
+
+        def to_jsonable(report):
+            rendered.append(report.seed)
+            return real(report)
+
+        monkeypatch.setattr(verify.TrialReport, "to_jsonable", to_jsonable)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "A", "--M", "2", "--N", "3", "--trials", "2",
+            "--seed", "4",
+        )
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and rendered == [4, 5]
+        assert lines[-1]["summary"]["empirical_dof"] == lines[0]["empirical_dof"] is not None
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("XSDOF_SEED", "5")
         code, out, _ = run_cli(

@@ -60,6 +60,24 @@ class TestRank:
         with pytest.raises(InvalidMatrix):
             matcore.rank(bad)
 
+    @pytest.mark.parametrize("where", ["real nan", "imag inf", "transposed", "stack"])
+    def test_as_matrix_finds_each_non_finite_entry(self, where):
+        # a non-finite entry in either part, whether the last axis is
+        # contiguous (one pass over the float view) or not
+        a = matcore.random_matrix(4, 3, rng(9)).astype(complex)
+        if where == "stack":
+            a = np.stack([a, a, a])
+            a[2, 3, 1] = complex(1.0, -np.inf)
+        else:
+            a[1, 2] = complex(np.nan, 1.0) if where == "real nan" else complex(1.0, np.inf)
+        if where == "transposed":
+            a = a.T
+            assert a.strides[-1] != a.itemsize
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            matcore.as_matrix(a, stack=where == "stack")
+        finite = np.nan_to_num(a, nan=0.0, posinf=0.0, neginf=0.0)
+        np.testing.assert_array_equal(matcore.as_matrix(finite, stack=True), finite)
+
     def test_scale_floors_the_cut(self):
         tiny = 1e-12 * np.eye(3)
         assert matcore.rank(tiny).value == 3  # relative to its own scale

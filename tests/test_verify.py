@@ -1278,49 +1278,101 @@ class TestMutants:
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4)])
     def test_caught_before_the_oracle(self, monkeypatch, m, n):
-        # every mutant fails a decode or a rank check, so the oracle never runs
-        calls = []
+        # the leak identities catch theta1_zero and skip_phase1 before any
+        # decode; phi1_zero passes them and is caught by receiver 1's decode,
+        # so receiver 2 is never decoded; the oracle never runs
+        decode, decoded, oracle_calls = schemes.decode, [], []
+
+        def decode_spy(transcript, receiver):
+            decoded.append(receiver)
+            return decode(transcript, receiver)
+
+        monkeypatch.setattr(schemes, "decode", decode_spy)
         monkeypatch.setattr(verify, "equivocation_subspace_check",
-                            lambda *args: calls.append(args) or (None, None))
+                            lambda *args: oracle_calls.append(args) or (None, None))
         for mutation in schemes.MUTATIONS:
             for seed in range(3):
+                decoded.clear()
                 assert verify.run_mutant(AntennaConfig(m, n), seed, mutation), (mutation, seed)
-        assert calls == []
+                want = [Node.RX1] if mutation == "phi1_zero" else []
+                assert decoded == want, (mutation, seed)
+        assert oracle_calls == []
+
+    def test_first_catching_checks(self):
+        # the catches at the mutants suite's configuration, seed by seed
+        caught = {
+            mutation: {verify._first_failed_check(AntennaConfig(2, 3), seed, mutation)
+                       for seed in range(20)}
+            for mutation in schemes.MUTATIONS
+        }
+        assert caught == {"theta1_zero": {"zero leakage"}, "phi1_zero": {"decode rx1"},
+                          "skip_phase1": {"zero leakage"}}
 
     @pytest.mark.parametrize("mutation", schemes.MUTATIONS)
     def test_lazy_verdict_equals_the_eager_one(self, mutation):
-        spec, config = variant(SchemeId.A), AntennaConfig(2, 3)
-        for seed in range(20):
-            report = verify.run_trial(spec, config, seed=seed, mutation=mutation)
-            checks = verify.claim_checks([report], spec.leakage)
-            eager = not report.decode_ok or not all(passed for _, passed in checks)
-            assert verify.run_mutant(config, seed, mutation) == eager, seed
+        spec = variant(SchemeId.A)
+        for config, seeds in ((AntennaConfig(2, 3), 20), (AntennaConfig(3, 4), 5)):
+            for seed in range(seeds):
+                report = verify.run_trial(spec, config, seed=seed, mutation=mutation)
+                checks = verify.claim_checks([report], spec.leakage)
+                eager = not report.decode_ok or not all(passed for _, passed in checks)
+                assert verify.run_mutant(config, seed, mutation) == eager, (config, seed)
 
     def test_missed_by_the_report_is_caught_by_the_oracle(self, monkeypatch):
-        # a report blind to theta1_zero's leak passes every check; the rerun
-        # with the oracle catches the mutant by the oracle's disagreement
-        real_report, real_oracle = verify.secrecy_rank_report, verify.equivocation_subspace_check
-        verdicts = []
+        # leak identities blind to theta1_zero's leak pass it, and so do both
+        # decodes; the oracle, on the same transcript with no rerun, catches
+        # the mutant by its disagreement with the blinded rank report
+        real_leaks, real_oracle, real_run = (
+            verify.leak_identities, verify.equivocation_subspace_check, schemes.run)
+        verdicts, runs = [], []
 
         def blind(*args):
-            return dataclasses.replace(real_report(*args), leak_defects=(0, 0))
+            return (0, 0), real_leaks(*args)[1]
 
         def oracle(*args):
             verdicts.append(real_oracle(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(verify, "secrecy_rank_report", blind)
+        def run(*args, **kwargs):
+            runs.append(kwargs["seed"])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "leak_identities", blind)
         monkeypatch.setattr(verify, "equivocation_subspace_check", oracle)
-        assert verify.run_mutant(AntennaConfig(2, 3), 0, "theta1_zero")
-        assert verdicts == [(True, False)]
+        monkeypatch.setattr(schemes, "run", run)
+        config = AntennaConfig(2, 3)
+        assert verify._first_failed_check(config, 0, "theta1_zero") == "report/oracle agreement"
+        assert verdicts == [(True, False)] and runs == [0]
+        assert verify.run_mutant(config, 0, "theta1_zero")
 
     def test_decoder_crash_is_not_a_catch(self, monkeypatch):
+        # phi1_zero passes the leak identities, so its decode is reached; a
+        # crash on theta1_zero or skip_phase1 is not, as the leak identities
+        # catch them first
         def crash(transcript, receiver):
             raise RuntimeError("decoder bug")
 
         monkeypatch.setattr(schemes, "decode", crash)
         with pytest.raises(RuntimeError, match="decoder bug"):
             verify.run_mutant(AntennaConfig(2, 3), 0, "phi1_zero")
+
+    def test_singular_run_resamples_at_the_derived_seed(self, monkeypatch):
+        # a mutant trial is drawn by run_trial's resample loop
+        run, seeds = schemes.run, []
+
+        def singular_once(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            if len(seeds) == 1:
+                raise SingularSystem("null-set draw")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, "run", singular_once)
+        config = AntennaConfig(2, 3)
+        assert verify.run_mutant(config, 7, "theta1_zero")
+        assert seeds == [7, verify._resample_seed(7, 1)]
+        seeds.clear()
+        report = verify.run_trial(variant(SchemeId.A), config, seed=7, mutation="theta1_zero")
+        assert report.attempts == 2 and seeds == [7, verify._resample_seed(7, 1)]
 
 
 class TestResample:
