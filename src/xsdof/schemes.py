@@ -214,8 +214,8 @@ def plan(spec: SchemeSpec, config: AntennaConfig) -> PhasePlan:
     return PhasePlan(lengths, 2 * m * lengths[1])
 
 
-#: A trial's measured peak memory over the size of a two-receiver identity
-#: replay of its larger symbol group, above the interpreter's own
+#: A trial's measured peak memory over both receivers' whole coefficient
+#: maps of its larger symbol group, above the interpreter's own
 #: (``ru_maxrss`` of one ``simulate`` call, seeds 7 and 1): 2.5, 1.6 and 1.5
 #: times on scheme A at (6,6), (8,8) and (10,10).  It was 3.6, 2.8 and 2.8
 #: while the oracle replayed the noise on the identity, and 3.0, 2.1 and 2.0
@@ -227,14 +227,14 @@ PEAK_PER_REPLAY = 4
 def peak_bytes(pln: PhasePlan, config: AntennaConfig) -> int:
     """Estimated peak memory of one trial with its subspace oracle, in bytes.
 
-    The unit is the size of a two-receiver :func:`linear_response` replay
-    of the larger group: both receivers' ``n`` rows a slot over the
-    horizon, times the group's ``2m t`` columns (``t`` is ``t1`` for the
-    noise, ``t2`` for a secret group), of 16-byte complex entries.  The
-    oracle forms no such replay: its noise maps are reduced, and each
-    secret replay forms one receiver's map, half of one.  The trial peaks
-    at about :data:`PEAK_PER_REPLAY` units.  Nothing is drawn to estimate
-    it.
+    The unit is the size of both receivers' whole coefficient maps of the
+    larger symbol group: ``n`` rows a slot over the horizon per receiver,
+    times the group's ``2m t`` columns (``t`` is ``t1`` for the noise,
+    ``t2`` for a secret group), of 16-byte complex entries.  The oracle
+    forms no such pair: its noise maps are reduced, and each
+    :func:`linear_response` of a secret group is one receiver's map, half
+    of one.  The trial peaks at about :data:`PEAK_PER_REPLAY` units.
+    Nothing is drawn to estimate it.
     """
     m, n = config.effective_m, config.n
     t1, t2 = pln.phase_lengths[:2]
@@ -304,10 +304,6 @@ class Symbols:
     v21: np.ndarray
     v12: np.ndarray
     v22: np.ndarray
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.concatenate([self.u1, self.u2])
 
     @property
     def v1(self) -> np.ndarray:
@@ -700,16 +696,18 @@ def _stack_for(transcript: Transcript, name: str, shape: tuple) -> np.ndarray:
 
 
 def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndarray):
-    """Precoder ``name`` times the outputs of an identity-input phase,
+    """Precoder ``name`` times the block-diagonal outputs of a phase,
     slot by slot, written into ``out``.
 
-    ``blocks`` are the ``(t, r, 2m)`` slot blocks the precoder reads: the
-    listening receiver's ``n`` rows a slot, or the ones :func:`side_info`
-    keeps.  Slot ``s``'s rows meet only the ``r`` precoder columns from ``s
-    * r`` and only the ``2m`` input columns of slot ``s``, so one batched
-    ``(t, R, r) @ (t, r, 2m)`` product gives them all.  ``out`` is the
-    ``[x1; x2]`` stack of the target phase, its columns in slot order; the
-    products are written into the carrier rows of it.
+    ``blocks`` are the ``(t, r, c)`` slot blocks the precoder reads: a
+    receiver's ``n`` rows a slot, or the ones :func:`side_info` keeps, of
+    ``c`` inputs a slot (``2m`` of an identity-input phase, the null
+    basis's width for the noise).  Slot ``s``'s rows meet only the ``r``
+    precoder columns from ``s * r`` and only the ``c`` input columns of
+    slot ``s``, so one batched ``(t, R, r) @ (t, r, c)`` product gives them
+    all.  ``out`` is the ``[x1; x2]`` stack of the target phase, its
+    columns in slot order; the products are written into the carrier rows
+    of it.
     """
     precoder = getattr(transcript.precoders, name)
     t, r, width = blocks.shape
@@ -719,97 +717,65 @@ def _by_slot(transcript: Transcript, name: str, blocks: np.ndarray, out: np.ndar
 
 
 def linear_response(
-    transcript: Transcript, group: str, eavesdropper: bool = False, bases: list | None = None
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Both receivers' coefficient maps of symbol group ``group``.
+    transcript: Transcript, rx: int, group: str, basis: np.ndarray | None = None
+) -> np.ndarray:
+    """Receiver ``rx + 1``'s coefficient map of symbol group ``group``, as
+    the eavesdropper on the other receiver: one of the maps the subspace
+    oracle reads.
 
-    ``group`` is ``"u"``, ``"v1"`` or ``"v2"``.  Recomputes the whole run
-    from the channel states and precoders alone, with that group set to the
-    identity and the other two to zeros, so receiver ``j``'s stacked outputs
-    are its map times the group's symbols.  This is an independent code path
-    from the ledger-driven engine (used to cross-check it) and from the
-    rank-identity assembly in ``verify``.
+    ``group`` is the other receiver's secret group (``"v2"`` for ``rx``
+    0, ``"v1"`` for 1), or ``"u"`` with ``basis`` the ``(t1, 2m, w)``
+    per-slot null bases of the receiver's phase-1 blocks.  Recomputes the
+    run from the channel states and precoders alone, with the group's
+    input set to the identity and every other input to zero, so the
+    receiver's outputs of the group are its map times the group's
+    symbols.  This is an independent code path from the ledger-driven
+    engine and from the rank-identity assembly in ``verify``.
 
-    Each map is ``n horizon x k``, its ``k`` columns in
-    slot order (slot ``s``'s ``2m`` inputs ``[x1 | x2]`` from ``2m s``),
-    zero where the group cannot reach: a secret group enters in its own
-    fresh phase, so the noise phase and the other fresh phase stay zero
-    and multiply nothing.
-    The phase whose inputs are the group itself (the noise phase for ``u``,
-    the group's fresh phase otherwise) puts each slot's ``n x 2m`` block in
-    that slot's columns, with no product.  The precoders that read that
-    phase (``theta1`` and ``theta2`` for ``u``; ``phi1`` for ``v1``,
-    ``phi2`` for ``v2``) multiply it slot by slot (:func:`_by_slot`); the
-    final phase's precoders in the ``u`` replay read dense maps and take
-    dense products.  Every other phase is one batched product of the ``(t,
-    n, 2m)`` slot blocks with each transmitter's ``(t, m, k)`` half of the
-    stacked input, a view of it.
+    A secret group's map is ``n horizon x 2m t``, its columns in slot
+    order (slot ``s``'s ``2m`` inputs ``[x1 | x2]`` from ``2m s``).  Its
+    rows are those of the noise phase, the receiver's own fresh phase, the
+    other fresh phase and the final phase, in that order, so the rows the
+    oracle keeps are the map's tail: receiver 2's map swaps the two fresh
+    phases.  The group enters in the other fresh phase, so the first two
+    stay zero and multiply nothing.  The other fresh phase's inputs are the
+    group itself: each slot's ``n x 2m`` block goes into that slot's
+    columns, with no product.  The final-phase precoder that retransmits
+    the receiver's outputs there multiplies them slot by slot
+    (:func:`_by_slot`), and the final phase is one batched product
+    (:func:`_send`).
 
-    With ``eavesdropper``, only what the subspace oracle reads is formed:
-    each receiver's map as the eavesdropper on the other receiver's
-    symbols.  For ``v1`` that is receiver 2's map alone and for ``v2``
-    receiver 1's, the other entry of the pair being None.  Its rows are
-    those of the noise phase, the eavesdropper's own fresh phase, the other
-    fresh phase and the final phase, in that order, so the rows the oracle
-    keeps are the map's tail: receiver 2's map swaps the two fresh phases.
-    For ``u`` it is the maps with the noise phase eliminated
-    (:func:`_eavesdropped_noise`) of the receivers ``j`` whose ``bases[j]``
-    is not None, the other entries being None: receiver ``j``'s map of the
-    input ``N_j z``, ``N_j = bases[j]`` the ``(t1, 2m, w)`` per-slot null
-    bases of its phase-1 blocks, on its rows in the other receiver's fresh
-    phase and in the final phase.  The oracle asks for one receiver's at a
-    time.
+    The noise map is that of the input ``N z``, ``N`` the block-diagonal
+    matrix with diagonal ``basis``, on the receiver's rows in the other
+    fresh phase and then the final phase (:func:`_eavesdropped_noise`).
     """
     transcript.check_complete()
+    secret = ("v2", "v1")[rx]
+    if group not in ("u", secret) or (group == "u") != (basis is not None):
+        raise InvalidInput(f"receiver {rx + 1} eavesdrops on {secret!r}, "
+                           f"or on 'u' given its phase-1 null basis, not on {group!r}")
     m, n = transcript.config.effective_m, transcript.config.n
-    lengths = transcript.plan.phase_lengths
-    bounds = np.cumsum((0,) + lengths)
+    t1, t2, t3, t4 = transcript.plan.phase_lengths
     slot_rows = transcript.states.slot_blocks()
-    # each phase's slot blocks, per receiver
-    phases = [slot_rows[:, bounds[p] : bounds[p + 1]] for p in range(4)]
-    if eavesdropper and group == "u":
-        return tuple(None if basis is None else _eavesdropped_noise(transcript, rx, basis, phases)
-                     for rx, basis in enumerate(bases))
-    horizon, k = transcript.horizon, len(getattr(transcript.symbols, group))
-    listeners, order = (0, 1), (1, 2, 3, 4)
-    if eavesdropper:  # a secret group's: receiver 2 hears v1, receiver 1 v2
-        listeners, order = ((1,), (1, 3, 2, 4)) if group == "v1" else ((0,), order)
-    y = [np.zeros((horizon, n, k), dtype=complex) if rx in listeners else None for rx in (0, 1)]
-    # the first slot of each phase's rows, the phases stored in ``order``
-    first = dict(zip(order, np.cumsum((0,) + tuple(lengths[p - 1] for p in order))))
-
-    def phase(p: int) -> slice:
-        return slice(first[p], first[p] + lengths[p - 1])
-
-    def identity(p: int):
-        """Phase ``p``'s outputs when its inputs are the group's symbols:
-        slot ``s``'s block in the columns of slot ``s``."""
-        t, diag = lengths[p - 1], np.arange(lengths[p - 1])
-        for rx in listeners:
-            cols = y[rx].reshape(horizon, n, t, 2 * m)[phase(p)]
-            cols[diag, :, diag] = phases[p - 1][rx]
-
-    def outputs(rx: int, p: int) -> np.ndarray:
-        return y[rx][phase(p)].reshape(n * lengths[p - 1], k)
-
+    # the other receiver's fresh phase: where it starts, its length, the
+    # precoder mixing the noise into it and the one retransmitting this
+    # receiver's outputs of it
+    start, t, theta, phi = ((t1 + t2, t3, "theta2", "phi2") if rx == 0
+                            else (t1, t2, "theta1", "phi1"))
+    heard, final = slot_rows[rx, start : start + t], slot_rows[rx, t1 + t2 + t3 :]
     if group == "u":
-        identity(1)
-        for p, name, rx in ((2, "theta1", 0), (3, "theta2", 1)):
-            x = _stack_for(transcript, name, (2 * m * lengths[p - 1], k))
-            _by_slot(transcript, name, phases[0][rx], x)
-            for listener in listeners:
-                _send(phases[p - 1][listener], x, y[listener][phase(p)])
-        x4 = _placed(transcript, "phi1", side_info(transcript, outputs(1, 2)), m * lengths[3])
-        x4 += _placed(transcript, "phi2", side_info(transcript, outputs(0, 3)), m * lengths[3])
-    else:
-        p, name, listener = (2, "phi1", 1) if group == "v1" else (3, "phi2", 0)
-        identity(p)
-        take = retransmitted_rows(transcript.spec, transcript.config)
-        x4 = _stack_for(transcript, name, (2 * m * lengths[3], k))
-        _by_slot(transcript, name, phases[p - 1][listener, :, :take], x4)
-    for rx in listeners:
-        _send(phases[3][rx], x4, y[rx][phase(4)])
-    return tuple(None if out is None else out.reshape(n * horizon, k) for out in y)
+        mixed = slot_rows[1 - rx, :t1] @ basis
+        return _eavesdropped_noise(transcript, theta, phi, mixed, heard, final)
+    k = 2 * m * t
+    y = np.zeros((transcript.horizon, n, k), dtype=complex)
+    other = t1 + t2 + t3 - t  # past the noise phase and the receiver's own fresh phase
+    slots = np.arange(t)
+    y[other : other + t].reshape(t, n, t, 2 * m)[slots, :, slots] = heard
+    take = retransmitted_rows(transcript.spec, transcript.config)
+    x4 = _stack_for(transcript, phi, (2 * m * t4, k))
+    _by_slot(transcript, phi, heard[:, :take], x4)
+    _send(final, x4, y[other + t :])
+    return y.reshape(n * transcript.horizon, k)
 
 
 def _send(blocks: np.ndarray, x: np.ndarray, out: np.ndarray):
@@ -824,46 +790,44 @@ def _send(blocks: np.ndarray, x: np.ndarray, out: np.ndarray):
 
 
 def _eavesdropped_noise(
-    transcript: Transcript, rx: int, basis: np.ndarray, phases: list
+    transcript: Transcript, theta: str, phi: str, mixed: np.ndarray, heard: np.ndarray,
+    final: np.ndarray,
 ) -> np.ndarray:
-    """Receiver ``rx + 1``'s map of the noise input ``N z``, ``N`` the
-    block-diagonal matrix with the ``(t1, 2m, w)`` diagonal ``basis``, on
-    its rows in the other receiver's fresh phase and then the final phase.
-    ``phases`` are the four phases' ``(2, t, n, 2m)`` slot blocks.
+    """A receiver's map of the noise input ``N z``, ``N`` the block-diagonal
+    null bases of its own phase-1 lift, on its rows in the other receiver's
+    fresh phase and then the final phase.  ``mixed`` is the other
+    receiver's phase-1 output of ``N z``, ``(t1, n, w)`` slot by slot;
+    ``theta`` mixes it into the other fresh phase, where the receiver
+    hears it through the slot blocks ``heard``, and ``phi`` retransmits
+    what it heard there, through its final-phase slot blocks ``final``.
 
-    ``N`` spans the null space of the receiver's own phase-1 lift, so its
-    own phase-1 output is zero: the mixing of its own fresh phase, its rows
-    there and the final-phase precoder that reads the other receiver's
-    outputs in that phase all vanish, and none is formed.  What is left is
-    the other receiver's phase-1 output, slot by slot, mixed into its fresh
-    phase, and one dense product: the final-phase precoder that
-    retransmits what this receiver heard there, on ``(2m - n) t1`` columns
-    where the identity replay has ``2m t1``.  The product is taken as
-    ``(D4 Phi) heard``, ``D4`` the receiver's final-phase lift and ``Phi``
-    the placed precoder: its ``n t4`` rows where ``D4 (Phi heard)`` has
-    ``2m t4``.  A precoder both transmitters carry is its own placed copy,
+    The receiver's own phase-1 output of ``N z`` is zero, so the mixing of
+    its own fresh phase, its rows there and the final-phase precoder that
+    reads the other receiver's outputs in that phase all vanish, and none
+    is formed.  What is left is one dense product: ``phi`` on ``(2m - n)
+    t1`` columns where an identity replay has ``2m t1``.  It is taken as
+    ``(D4 Phi) s``, ``s`` the :func:`side_info` of what the receiver heard,
+    ``D4`` its final-phase lift and ``Phi`` the placed precoder: its ``n
+    t4`` rows where ``D4 (Phi s)`` has ``2m t4``.  A precoder both transmitters carry is its own placed copy,
     so only the ``tx1``/``tx2`` carriers of schemes B and C are padded
     with zeros, and only their mixing input is zero-filled
     (:func:`_stack_for`).
     """
     m, n = transcript.config.effective_m, transcript.config.n
-    # the other receiver's fresh phase, the precoder mixing into it and the
-    # one retransmitting this receiver's outputs of it
-    p, theta, phi = (3, "theta2", "phi2") if rx == 0 else (2, "theta1", "phi1")
-    t1, _, w = basis.shape
-    t, t4, k = phases[p - 1].shape[1], phases[3].shape[1], t1 * w
+    t1, _, w = mixed.shape
+    t, t4, k = len(heard), len(final), t1 * w
     out = np.empty((t + t4, n, k), dtype=complex)
     x = _stack_for(transcript, theta, (2 * m * t, k))
-    _by_slot(transcript, theta, phases[0][1 - rx] @ basis, x)
-    _send(phases[p - 1][rx], x, out[:t])
-    heard = side_info(transcript, out[:t].reshape(n * t, k))
+    _by_slot(transcript, theta, mixed, x)
+    _send(heard, x, out[:t])
+    overheard = side_info(transcript, out[:t].reshape(n * t, k))
     placed = precoder = getattr(transcript.precoders, phi)
     h = precoder.shape[1]
     if getattr(transcript.spec, phi) != "both":
         placed = np.zeros((2 * m * t4, h), dtype=complex)
         placed[_carrier_span(getattr(transcript.spec, phi), m * t4)] = precoder
     lifted = np.empty((t4, n, h), dtype=complex)
-    _send(phases[3][rx], placed, lifted)
-    final = out[t:].reshape(n * t4, k)  # a view: ``out`` is contiguous
-    np.matmul(lifted.reshape(n * t4, h), heard, out=final)
+    _send(final, placed, lifted)
+    final_rows = out[t:].reshape(n * t4, k)  # a view: ``out`` is contiguous
+    np.matmul(lifted.reshape(n * t4, h), overheard, out=final_rows)
     return out.reshape(n * (t + t4), k)

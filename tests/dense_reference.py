@@ -10,16 +10,21 @@ oracle's reduced noise map is the dense replay times :func:`scattered`
 null bases), the block solve's residual over every row
 (:func:`all_rows_residual`), and the subspace oracle's containment test
 run on the whole replayed maps, noise phase included, by numpy's SVD alone
-(:func:`reference_contained`).
+(:func:`reference_contained`), whose maps come from the dense replay
+alone.
 ``schemes.decode``, ``schemes.carried_map`` and ``verify`` compute the
 same symbols, maps, ranks and verdicts slot by slot; the tests require the
 two to agree.  Every cut here reads ``matcore.REL_TOL`` at call time, as
 the code it checks does.
 
-The replay through dense lifts and dense precoder products, where
-``schemes.linear_response`` places an identity-input phase's slot blocks,
-multiplies the precoders that read them slot by slot and applies the
-channel by batched per-slot products.
+The replay through dense lifts and dense precoder products
+(:func:`dense_linear_response`): both receivers' whole maps of a symbol
+group, the reference the tests check the ledger engine's recorded outputs
+against.  :func:`dense_eavesdropper_map` cuts from it the one map
+``schemes.linear_response`` forms, which places the group's identity
+phase's slot blocks, multiplies the precoders that read them slot by slot,
+applies the channel by batched per-slot products and eliminates the noise
+phase on a null basis.
 
 Also the precoder draw with every rank decided by an SVD, where
 ``schemes.draw_precoders`` certifies by Cholesky first; the slot-by-slot
@@ -219,10 +224,11 @@ def reference_contained(a, s, scale=0.0):
 
 
 def dense_oracle(transcript):
-    """Both receivers' containment verdicts on the whole replayed maps."""
-    noise_rx1, noise_rx2 = schemes.linear_response(transcript, "u")
-    rx1 = reference_contained(noise_rx1, schemes.linear_response(transcript, "v2")[0])
-    rx2 = reference_contained(noise_rx2, schemes.linear_response(transcript, "v1")[1])
+    """Both receivers' containment verdicts on the whole maps of the dense
+    replay."""
+    noise_rx1, noise_rx2 = dense_linear_response(transcript, "u")
+    rx1 = reference_contained(noise_rx1, dense_linear_response(transcript, "v2")[0])
+    rx2 = reference_contained(noise_rx2, dense_linear_response(transcript, "v1")[1])
     return rx1, rx2
 
 
@@ -235,8 +241,16 @@ def _placed(transcript, name, values, width):
     return out
 
 
+def group_symbols(transcript, group):
+    """Symbol group ``group``'s sent symbols, both transmitters' stacked:
+    ``[u1; u2]``, ``[v11; v21]`` or ``[v12; v22]``."""
+    symbols = transcript.symbols
+    return np.concatenate([symbols.u1, symbols.u2]) if group == "u" else getattr(symbols, group)
+
+
 def dense_linear_response(transcript, group):
-    """``schemes.linear_response`` through dense matrices: per phase, each
+    """Both receivers' whole coefficient maps of symbol group ``group``, in
+    the run's row order, through dense matrices: per phase, each
     receiver's dense lift ``[lift(h_j1) | lift(h_j2)]`` times the whole
     stacked input, and every precoder times the whole stacked map, zero
     inputs included.  The group enters as the permutation that takes its
@@ -244,7 +258,7 @@ def dense_linear_response(transcript, group):
     the lift's ``[x1 stack; x2 stack]`` order."""
     m = transcript.config.effective_m
     r1, r2, r3, r4 = transcript.phase_ranges()
-    dims = {name: len(getattr(transcript.symbols, name)) for name in ("u", "v1", "v2")}
+    dims = {name: len(group_symbols(transcript, name)) for name in ("u", "v1", "v2")}
     # row i*m*t + s*m + b of the lift's input is slot-order symbol s*2m + i*m + b
     order = np.arange(dims[group]).reshape(-1, 2, m).swapaxes(0, 1).reshape(-1)
     u, v1, v2 = (
@@ -262,6 +276,33 @@ def dense_linear_response(transcript, group):
                       + _placed(transcript, "phi2", side_info(transcript, y1p3), m * len(r4)))
     return (np.concatenate([y1p1, y1p2, y1p3, y1p4]),
             np.concatenate([y2p1, y2p2, y2p3, y2p4]))
+
+
+def dense_eavesdropper_map(transcript, rx, group, basis=None):
+    """``schemes.linear_response(transcript, rx, group, basis)`` cut from
+    :func:`dense_linear_response`: receiver ``rx + 1``'s whole map with
+    the rows of the noise phase, its own fresh phase, the other fresh phase
+    and the final phase, in that order, and for ``u`` its rows past its own
+    fresh phase times the :func:`scattered` ``basis``."""
+    bounds = transcript.config.n * np.cumsum((0,) + transcript.plan.phase_lengths)
+    order = (0, 1, 2, 3) if rx == 0 else (0, 2, 1, 3)
+    rows = np.concatenate([np.arange(bounds[p], bounds[p + 1]) for p in order])
+    whole = dense_linear_response(transcript, group)[rx][rows]
+    if group != "u":
+        return whole
+    t1, t2, t3, _ = transcript.plan.phase_lengths
+    return whole[transcript.config.n * (t1 + (t2, t3)[rx]):] @ scattered(basis)
+
+
+def replayed_outputs(transcript, replay=dense_linear_response):
+    """Both receivers' stacked outputs from ``replay``'s maps: each group's
+    maps times its sent symbols in slot order, summed over the groups."""
+    m = transcript.config.effective_m
+    return sum(
+        np.stack(replay(transcript, group))
+        @ schemes._per_slot(group_symbols(transcript, group), m).reshape(-1)
+        for group in ("u", "v1", "v2")
+    )
 
 
 def svd_precoders(spec, config, pln, rng):

@@ -99,10 +99,10 @@ def instrumented_oracle(transcript):
     replay, contained = schemes.linear_response, verify.columns_contained
     leak, rank = verify._certified_leak, matcore.rank
 
-    def replay_spy(*args, **kwargs):
-        maps, seconds = timed(replay, *args, **kwargs)
+    def replay_spy(transcript, rx, group, basis=None):
+        out, seconds = timed(replay, transcript, rx, group, basis)
         spent["replay"] += seconds
-        return maps
+        return out
 
     def contained_spy(noise, secret, *args):
         state.update(columns=noise.shape[1], leak=False, pair=False)

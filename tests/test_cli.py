@@ -31,6 +31,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def decode_wrong_symbols(monkeypatch):
+    """Make ``schemes.decode`` solve as before, at its full rate rank, and
+    return wrong symbols."""
+    real = schemes.decode
+
+    def wrong(transcript, receiver):
+        decoded = real(transcript, receiver)
+        return dataclasses.replace(decoded, symbols=decoded.symbols + 1)
+
+    monkeypatch.setattr(schemes, "decode", wrong)
+
+
 class TestRegionCommand:
     def test_sdof_corners_json(self, capsys):
         code, out, _ = run_cli(
@@ -203,6 +215,18 @@ class TestSimulateCommand:
         assert summary["invariants_ok"] is False
         assert "rate ranks" in summary["problems"]
 
+    def test_wrong_symbols_are_the_rate_check_alone(self, capsys, monkeypatch):
+        # a failed decode is judged by claim_checks' rate check, not by a
+        # separate entry
+        decode_wrong_symbols(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scheme", "A", "--M", "2", "--N", "3", "--trials", "1"
+        )
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert code == cli.EXIT_INVARIANT
+        assert summary["decode_success_rate"] == 0.0
+        assert summary["problems"] == ["rate ranks"]
+
     def test_summary_reads_the_printed_first_record(self, capsys, monkeypatch):
         # each record is written out once; the summary's empirical_dof is the
         # first record's, not a second rendering of it
@@ -366,6 +390,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "mutants", "--seed", "3")
         assert code == 0
         assert out.count("PASS mutant") == 3
+
+    def test_wrong_symbols_fail_the_ranks_suite(self, capsys, monkeypatch):
+        # every rank is full, yet no receiver decodes: each row's rate check
+        # fails, and only it
+        decode_wrong_symbols(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "ranks", "--trials", "1")
+        assert code == cli.EXIT_INVARIANT
+        failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
+        assert failed == [f"FAIL rate ranks {row} (1 trials)" for row in (
+            "A(2,3)", "A(3,4)", "B(1,1)", "B(4,4)", "C(2,3)", "D(2,3)", "E(2,3)")]
 
     def test_missed_mutant_names_its_first_silent_seed(self, capsys, monkeypatch):
         calls = []

@@ -24,8 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "xsdof"
 
 #: Definitions kept without a caller in the package, with the reason.
 ALLOWED = {
-    ("verify", "replay_matches_recorded"):
-        "the reference the tests check the ledger engine's transcript against",
     ("knowledge", "availability"):
         "the reference table the tests audit every granted ledger read against",
 }
@@ -140,12 +138,21 @@ def test_an_exception_class_only_exported_is_found(tmp_path):
     assert ("errors", "Planted") in unreferenced(tmp_path)
 
 
-def test_a_getattr_name_keeps_a_method_alive():
-    # ``Symbols.u`` is read only through ``getattr`` with a name from a
-    # literal tuple, in ``schemes.linear_response``
+def test_a_getattr_name_keeps_a_method_alive(tmp_path):
+    # a property read only through ``getattr`` with a name from a literal
+    # tuple is kept alive; with no such read it is found
     tree = ast.parse("""def f(sym):\n    return [getattr(sym, k) for k in ("u", "v1")]\n""")
     assert [name for name, _ in _getattr_names(tree)] == ["u", "v1"]
-    assert ("schemes", "Symbols.u") not in unreferenced()
+    for path in SRC.glob("*.py"):
+        shutil.copy(path, tmp_path / path.name)
+    schemes = tmp_path / "schemes.py"
+    planted = ("\n\nclass Planted:\n    @property\n    def planted_group(self):\n"
+               "        return 0\n")
+    schemes.write_text(schemes.read_text() + planted)
+    assert ("schemes", "Planted.planted_group") in unreferenced(tmp_path)
+    schemes.write_text(schemes.read_text() + "\n\ndef read(sym):\n    return [getattr(sym, k) "
+                       "for k in (\"planted_group\",)]\n")
+    assert ("schemes", "Planted.planted_group") not in unreferenced(tmp_path)
 
 
 def _calls(names, src=SRC):

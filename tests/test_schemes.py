@@ -9,7 +9,9 @@ import pytest
 from dense_reference import (
     LoopRun,
     dense_decode,
+    dense_eavesdropper_map,
     dense_linear_response,
+    replayed_outputs,
     state_rows,
     svd_precoders,
 )
@@ -503,54 +505,83 @@ def _replay_cases():
             for case in cases]
 
 
+#: Relative difference allowed between the replayed and the recorded outputs.
+REPLAY_TOL = 1e-9
+
+#: Largest relative difference allowed between a map the replay forms slot
+#: by slot and the dense one: the sums differ only in the lift's zero terms.
+REPLAY_RTOL = 1e-12
+
+
+def reproduces_run(transcript, replay=dense_linear_response):
+    """Whether ``replay``'s maps, times the sent symbols and summed over the
+    groups, give both receivers' recorded outputs to :data:`REPLAY_TOL`."""
+    for idx, stack in enumerate(replayed_outputs(transcript, replay)):
+        recorded = np.concatenate([out[idx] for out in transcript.outputs])
+        scale = max(float(np.linalg.norm(recorded)), 1.0)
+        if float(np.linalg.norm(stack - recorded)) > REPLAY_TOL * scale:
+            return False
+    return True
+
+
+def eavesdropper_replays(transcript):
+    """``(rx, group, basis)`` of the four replays the oracle asks for: each
+    receiver's map of the other's secret group, then of the noise on its
+    phase-1 null basis."""
+    nulls = verify._phase1_nulls(transcript)
+    return [(rx, group, basis) for rx, secret in ((0, "v2"), (1, "v1"))
+            for group, basis in ((secret, None), ("u", nulls[rx].basis))]
+
+
 class TestReplay:
     @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases())
     def test_per_slot_replay_equals_dense_lifts(self, scheme, m, n, tx1_only, mutation):
-        # the slot-by-slot products agree with dense ones to round-off
+        # the slot-by-slot products agree with dense ones to round-off; a
+        # noise map the replay forms exactly zero (theta1_zero's receiver 2)
+        # is round-off in the dense one, so relative to the unreduced map
         transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3,
                                  mutation=mutation)
-        for group in ("u", "v1", "v2"):
-            got = schemes.linear_response(transcript, group)
-            for y, ref in zip(got, dense_linear_response(transcript, group)):
-                assert y.shape == ref.shape
-                assert np.linalg.norm(y - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
-        assert verify.replay_matches_recorded(transcript)
+        for rx, group, basis in eavesdropper_replays(transcript):
+            got = schemes.linear_response(transcript, rx, group, basis)
+            ref = dense_eavesdropper_map(transcript, rx, group, basis)
+            assert got.shape == ref.shape, (rx, group)
+            whole = dense_linear_response(transcript, group)[rx]
+            scale = np.linalg.norm(ref if np.any(got) else whole)
+            assert np.linalg.norm(got - ref) <= REPLAY_RTOL * max(scale, 1e-300), (rx, group)
+        assert reproduces_run(transcript)
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only", applicable_pairs())
     def test_linear_replay_reproduces_run(self, scheme, m, n, tx1_only):
+        # the ledger engine's recorded outputs against the dense replay
         transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=13)
-        assert verify.replay_matches_recorded(transcript)
+        assert reproduces_run(transcript)
 
     @pytest.mark.parametrize("group", ["u", "v1", "v2"])
-    def test_perturbed_map_is_caught(self, monkeypatch, group):
+    def test_perturbed_map_is_caught(self, group):
         transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=13)
-        replay = schemes.linear_response
 
         def perturbed(transcript, name):
-            maps = replay(transcript, name)
+            maps = dense_linear_response(transcript, name)
             if name == group:
                 maps[1][0, 0] += 1e-3
             return maps
 
-        monkeypatch.setattr(schemes, "linear_response", perturbed)
-        assert not verify.replay_matches_recorded(transcript)
+        assert not reproduces_run(transcript, perturbed)
 
     @pytest.mark.parametrize("mutation", [None, "skip_phase1"])
     def test_skipped_zero_products_change_no_bit(self, mutation):
-        # rows the replay writes without a product (its group's identity
-        # phase) or not at all (a secret group's zero phases) equal the
-        # dense reference's bit for bit
+        # rows a secret map gets without a product (the other fresh phase,
+        # its group's identity phase) or not at all (the noise phase and the
+        # receiver's own fresh phase) equal the dense reference's bit for bit
         transcript = schemes.run(variant(SchemeId.A), AntennaConfig(3, 4), seed=5,
                                  mutation=mutation)
-        bounds = transcript.config.n * np.cumsum((0,) + transcript.plan.phase_lengths)
-        unmultiplied = {"u": (1,), "v1": (1, 2, 3), "v2": (1, 2, 3)}
-        for group, phases in unmultiplied.items():
-            got = schemes.linear_response(transcript, group)
-            for y, ref in zip(got, dense_linear_response(transcript, group)):
-                for p in phases:
-                    rows = slice(bounds[p - 1], bounds[p])
-                    assert np.array_equal(y[rows], ref[rows]), (group, p)
-
+        t1, t2, t3, _ = transcript.plan.phase_lengths
+        unmultiplied = slice(0, transcript.config.n * (t1 + t2 + t3))
+        for rx, group in ((0, "v2"), (1, "v1")):
+            got = schemes.linear_response(transcript, rx, group)
+            ref = dense_eavesdropper_map(transcript, rx, group)
+            assert np.array_equal(got[unmultiplied], ref[unmultiplied]), group
+            assert np.any(got[unmultiplied]), group
 
     @pytest.mark.parametrize("scheme,m,n,tx1_only,mutation", _replay_cases()[::4])
     def test_unfilled_stacks_are_written_whole(self, monkeypatch, scheme, m, n, tx1_only,
@@ -559,16 +590,10 @@ class TestReplay:
         # NaN first, every replay still equals the plain one bit for bit
         transcript = schemes.run(variant(scheme, tx1_only), AntennaConfig(m, n), seed=3,
                                  mutation=mutation)
-        t1 = transcript.plan.phase_lengths[0]
-        nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
 
         def replays():
-            maps = [schemes.linear_response(transcript, group) for group in ("u", "v1", "v2")]
-            maps += [schemes.linear_response(transcript, group, eavesdropper=True)
-                     for group in ("v1", "v2")]
-            maps.append(schemes.linear_response(
-                transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls]))
-            return [y for pair in maps for y in pair if y is not None]
+            return [schemes.linear_response(transcript, *call)
+                    for call in eavesdropper_replays(transcript)]
 
         plain = replays()
         stack_for = schemes._stack_for
@@ -581,6 +606,17 @@ class TestReplay:
 
         monkeypatch.setattr(schemes, "_stack_for", poisoned)
         assert all(np.array_equal(a, b) for a, b in zip(replays(), plain, strict=True))
+
+    @pytest.mark.parametrize("rx,group,basis", [
+        (0, "v1", False), (1, "v2", False), (0, "u", False), (1, "v1", True),
+    ])
+    def test_refuses_a_map_the_oracle_never_reads(self, rx, group, basis):
+        # a receiver's own secret group, or the noise without a null basis,
+        # or a secret group with one
+        transcript = schemes.run(variant(SchemeId.A), AntennaConfig(2, 3), seed=3)
+        nulls = verify._phase1_nulls(transcript)
+        with pytest.raises(InvalidInput, match="eavesdrops on"):
+            schemes.linear_response(transcript, rx, group, nulls[rx].basis if basis else None)
 
 
 class TestSideInfo:
@@ -609,11 +645,14 @@ class TestSideInfo:
         np.testing.assert_array_equal(schemes.side_info(transcript, values), values)
 
     def test_zero_column_map_keeps_its_shape(self):
-        # E has no noise symbols: its u maps have no columns; A(2,3)'s
-        # selection keeps 1 row of each of the 3 slots
+        # E has no noise symbols: its noise maps have no columns, on the
+        # rows of the other fresh phase's 3 slots and the final slot;
+        # A(2,3)'s selection keeps 1 row of each of the 3 slots
         transcript = schemes.run(variant(SchemeId.E), AntennaConfig(2, 3), seed=5)
-        maps = schemes.linear_response(transcript, "u")
-        assert [y.shape for y in maps] == [(21, 0), (21, 0)]
+        nulls = verify._phase1_nulls(transcript)
+        maps = [schemes.linear_response(transcript, rx, "u", null.basis)
+                for rx, null in enumerate(nulls)]
+        assert [y.shape for y in maps] == [(12, 0), (12, 0)]
         assert schemes.side_info(transcript, np.zeros((9, 0), complex)).shape == (3, 0)
 
 

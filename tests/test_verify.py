@@ -182,10 +182,11 @@ class TestNoDenseLift:
             assert report.decode_ok and report.oracle[0] is not None, (spec, mutation)
 
     def test_replay_uses_no_report_product(self, monkeypatch):
-        """The replay stays independent of the rank report's reduction: no
-        carried map, no per-slot null basis and no product with a
-        block-diagonal factor's slot blocks, under any name a module of the
-        package binds them to."""
+        """The oracle's replays stay independent of the rank report's
+        reduction: given the phase-1 null bases, taken before the patch, the
+        oracle forms every map and verdict with no carried map, no per-slot
+        null basis and no product with a block-diagonal factor's slot
+        blocks, under any name a module of the package binds them to."""
         cases = [
             (variant(SchemeId.A), 3, 4, None),
             (variant(SchemeId.B), 4, 4, None),
@@ -196,6 +197,8 @@ class TestNoDenseLift:
         ]
         transcripts = [schemes.run(spec, AntennaConfig(m, n), seed=7, mutation=mutation)
                        for spec, m, n, mutation in cases]
+        nulls = [verify._phase1_nulls(transcript) for transcript in transcripts]
+        verdicts = [verify.equivocation_subspace_check(*args) for args in zip(transcripts, nulls)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the replay used the rank report's reduction")
@@ -209,10 +212,14 @@ class TestNoDenseLift:
                     monkeypatch.setattr(module, attr, refuse)
                     patched.add((info.name, attr))
         assert ("matcore", "times_block_diagonal") in patched
-        for transcript in transcripts:
-            for group in ("u", "v1", "v2"):
-                schemes.linear_response(transcript, group)
-            assert verify.replay_matches_recorded(transcript)
+        replays = []
+        replay = schemes.linear_response
+        monkeypatch.setattr(schemes, "linear_response",
+                            lambda *args: replays.append(args[1:3]) or replay(*args))
+        for transcript, null, verdict in zip(transcripts, nulls, verdicts, strict=True):
+            replays.clear()
+            assert verify.equivocation_subspace_check(transcript, null) == verdict
+            assert replays == [(0, "v2"), (0, "u"), (1, "v1"), (1, "u")]
 
 
 class TestSecrecyRankReport:
@@ -352,8 +359,8 @@ class TestOneRateDecision:
 
     def test_report_and_oracle_share_the_null_bases(self, monkeypatch):
         # run_trial takes one batched SVD of both receivers' phase-1 blocks
-        # and hands the same objects to the report, receiver 2's first, and
-        # to the oracle; they equal the bases each takes without them
+        # and hands the same tuple, receiver 1's first, to the report and to
+        # the oracle; its bases equal those each takes without them
         handed = {}
         report, oracle = verify.secrecy_rank_report, verify.equivocation_subspace_check
 
@@ -370,12 +377,13 @@ class TestOneRateDecision:
         trial = verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
         for_report, for_oracle = handed["report"], handed["oracle"]
         assert all(isinstance(null, matcore.SlotNullBases) for null in for_oracle)
-        assert for_report[0] is for_oracle[1] and for_report[1] is for_oracle[0]
+        assert for_report is for_oracle
         monkeypatch.undo()
         transcript = transcript_for(SchemeId.A, 2, 3)
         t1 = transcript.plan.phase_lengths[0]
         phase1 = transcript.states.slot_blocks()[:, :t1]
-        for shared, own in zip(for_report, matcore.slot_null_bases(phase1[[1, 0]])):
+        own_bases = [matcore.slot_null_bases(phase1[rx, None])[0] for rx in (0, 1)]
+        for shared, own in zip(for_report, own_bases, strict=True):
             np.testing.assert_array_equal(shared.basis, own.basis)
             np.testing.assert_array_equal(shared.ranks, own.ranks)
             assert shared.largest == own.largest
@@ -430,9 +438,9 @@ class TestSubspaceOracle:
         groups = []
         replay = schemes.linear_response
 
-        def counted(transcript, group, **kw):
+        def counted(transcript, rx, group, basis=None):
             groups.append(group)
-            return replay(transcript, group, **kw)
+            return replay(transcript, rx, group, basis)
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verdicts, seen = self._containment_inputs(monkeypatch, transcript)
@@ -440,18 +448,22 @@ class TestSubspaceOracle:
         # each receiver's secret replay, then its own noise replay
         assert groups == ["v2", "u", "v1", "u"]
         monkeypatch.setattr(schemes, "linear_response", replay)
-        # the secret maps on the noise maps' rows, bit for bit: receiver 1's
-        # phase 3 and 4 (rows 36 on), receiver 2's phase 2 (27 to 36) and 4
-        # (45 on); receiver 2's noise map is exactly zero without theta1
-        v2, v1 = replay(transcript, "v2")[0], replay(transcript, "v1")[1]
+        # the secret maps on the noise maps' rows, bit for bit: the tail of
+        # each eavesdropper map from row 36, past the 27 noise-phase rows
+        # and the receiver's own 9 fresh-phase rows; receiver 2's noise map
+        # is exactly zero without theta1
+        v2, v1 = replay(transcript, 0, "v2"), replay(transcript, 1, "v1")
         np.testing.assert_array_equal(seen[0][1], v2[36:])
-        np.testing.assert_array_equal(seen[1][1], np.vstack([v1[27:36], v1[45:]]))
+        np.testing.assert_array_equal(seen[1][1], v1[36:])
         assert not np.any(seen[1][0]) and np.all(np.linalg.norm(seen[0][0], axis=0) > 0)
-        # whole eavesdropper maps: receiver 1's in the run's phase order,
-        # receiver 2's with its own fresh phase (36 to 45) first
-        np.testing.assert_array_equal(replay(transcript, "v2", eavesdropper=True)[0], v2)
-        np.testing.assert_array_equal(replay(transcript, "v1", eavesdropper=True)[1],
-                                      np.vstack([v1[:27], v1[36:45], v1[27:36], v1[45:]]))
+        # whole eavesdropper maps against the dense replay's: receiver 1's
+        # in the run's phase order, receiver 2's with its own fresh phase
+        # (rows 36 to 45 of the run) first
+        v1_run = dense_linear_response(transcript, "v1")[1]
+        wants = (dense_linear_response(transcript, "v2")[0],
+                 np.vstack([v1_run[:27], v1_run[36:45], v1_run[27:36], v1_run[45:]]))
+        for got, want in zip((v2, v1), wants):
+            assert np.linalg.norm(got - want) <= REDUCED_MAP_RTOL * np.linalg.norm(want)
 
     def test_reduced_noise_replay_matches_dense(self):
         """Each receiver's noise map of its null-basis input against the
@@ -462,8 +474,8 @@ class TestSubspaceOracle:
             n = transcript.config.n
             t1, t2, t3, _ = transcript.plan.phase_lengths
             nulls = matcore.slot_null_bases(transcript.states.slot_blocks()[:, :t1])
-            got = schemes.linear_response(
-                transcript, "u", eavesdropper=True, bases=[null.basis for null in nulls])
+            got = [schemes.linear_response(transcript, rx, "u", null.basis)
+                   for rx, null in enumerate(nulls)]
             dense = dense_linear_response(transcript, "u")
             for rx, null in enumerate(nulls):
                 past = dense[rx][n * t1:]
@@ -483,11 +495,12 @@ class TestSubspaceOracle:
     def test_secret_in_noise_phase_is_refused(self, monkeypatch, group, rx):
         replay = schemes.linear_response
 
-        def leaky(transcript, name, **kw):
-            maps = replay(transcript, name, **kw)
+        def leaky(transcript, eavesdropper, name, basis=None):
+            out = replay(transcript, eavesdropper, name, basis)
             if name == group:
-                maps[rx][0, 0] = 1.0  # a secret symbol heard in slot 1
-            return maps
+                assert eavesdropper == rx
+                out[0, 0] = 1.0  # a secret symbol heard in slot 1
+            return out
 
         monkeypatch.setattr(schemes, "linear_response", leaky)
         with pytest.raises(InvalidTranscript, match="noise phase"):
@@ -501,11 +514,12 @@ class TestSubspaceOracle:
         # receiver 2's last own row and the next its first kept one
         replay = schemes.linear_response
 
-        def leaky(transcript, name, **kw):
-            maps = replay(transcript, name, **kw)
+        def leaky(transcript, eavesdropper, name, basis=None):
+            out = replay(transcript, eavesdropper, name, basis)
             if name == group:
-                maps[rx][27 + row, 0] = 1e-300  # a trace at any scale is refused
-            return maps
+                assert eavesdropper == rx
+                out[27 + row, 0] = 1e-300  # a trace at any scale is refused
+            return out
 
         monkeypatch.setattr(schemes, "linear_response", leaky)
         with pytest.raises(InvalidTranscript, match="own fresh phase"):
@@ -521,11 +535,12 @@ class TestSubspaceOracle:
         # columns 0 to 3
         replay = schemes.linear_response
 
-        def smeared(transcript, name, **kw):
-            maps = replay(transcript, name, **kw)
+        def smeared(transcript, eavesdropper, name, basis=None):
+            out = replay(transcript, eavesdropper, name, basis)
             if name == group:
-                maps[rx][row, 4] = 1e-300  # slot 1's output reached by slot 2's symbols
-            return maps
+                assert eavesdropper == rx
+                out[row, 4] = 1e-300  # slot 1's output reached by slot 2's symbols
+            return out
 
         monkeypatch.setattr(schemes, "linear_response", smeared)
         with pytest.raises(InvalidTranscript, match="other receiver's fresh phase"):
@@ -577,17 +592,15 @@ class TestSubspaceOracle:
         calls = []
         replay = schemes.linear_response
 
-        def counted(transcript, group, **kw):
-            maps = replay(transcript, group, **kw)
-            calls.append((group, kw["eavesdropper"], [y is not None for y in maps]))
-            return maps
+        def counted(transcript, rx, group, basis=None):
+            calls.append((rx, group, basis is not None))
+            return replay(transcript, rx, group, basis)
 
         monkeypatch.setattr(schemes, "linear_response", counted)
         verify.equivocation_subspace_check(transcript_for(SchemeId.A, 2, 3))
-        # per receiver, the secret replay of its map alone, then the noise
-        # replay of its reduced map alone
-        want = [("v2", True, [True, False]), ("u", True, [True, False]),
-                ("v1", True, [False, True]), ("u", True, [False, True])]
+        # per receiver, the secret replay of its map, then the noise replay
+        # of its map on its phase-1 null basis
+        want = [(0, "v2", False), (0, "u", True), (1, "v1", False), (1, "u", True)]
         assert calls == want
         calls.clear()
         verify.run_trial(variant(SchemeId.A), AntennaConfig(2, 3), seed=7)
@@ -1477,7 +1490,8 @@ def clean_reports():
 
 
 #: The pair behind each field a flip names by its JSON key, less the receiver.
-PAIRS = {"rate_rank": "rate_ranks", "leak_defect": "leak_defects", "oracle": "oracle"}
+PAIRS = {"rate_rank": "rate_ranks", "leak_defect": "leak_defects", "oracle": "oracle",
+         "decode_error": "decode_errors"}
 
 
 def _flip(report, field, value):
@@ -1530,6 +1544,9 @@ class TestClaimChecks:
         (SchemeId.E, "positive", "secrecy.leak_defect_rx1", 0, {NEG, AGREE}),
         (SchemeId.E, "positive", "oracle_rx2", True, {AGREE}),
         (SchemeId.E, "positive", "oracle_rx1", None, set()),
+        (SchemeId.A, "zero", "decode_error_rx1", None, {RATE}),
+        (SchemeId.A, "advisory", "decode_error_rx2", 1.0, {RATE}),
+        (SchemeId.E, "positive", "decode_error_rx1", 2 * schemes.DECODE_TOL, {RATE}),
     ])
     def test_one_flipped_field(self, clean_reports, scheme, leakage, field, value, failed):
         report = clean_reports[scheme]
